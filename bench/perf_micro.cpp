@@ -7,13 +7,11 @@
 
 #include <filesystem>
 #include <numeric>
-#include <sstream>
 
 #include "adl/library.hpp"
 #include "pavenet/detector.hpp"
 #include "pavenet/node.hpp"
 #include "planning/learner.hpp"
-#include "planning/serialize.hpp"
 #include "rl/lane_kernels.hpp"
 #include "serve/segment_store.hpp"
 #include "serve/user_index.hpp"
@@ -273,67 +271,6 @@ void BM_LaneCfUpdateRow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LaneCfUpdateRow);
-
-void BM_PolicyV3DeltaEncode(benchmark::State& state) {
-  // Diff + serialize one nightly retrain's worth of changed rows (three of
-  // the trained table's rows) against the last committed snapshot.
-  adl::AdlLibrary library;
-  planning::RoutineLearner learner(library.tea_making(), util::Rng(1));
-  const std::vector<adl::StepId> steps{
-      adl::tools::kTeaBox, adl::tools::kElectricPot, adl::tools::kKettle,
-      adl::tools::kTeaCup};
-  for (int i = 0; i < 80; ++i) learner.train_episode(steps);
-  const rl::QTable base = learner.q();
-  rl::QTable next = base;
-  for (rl::StateId s : {0, 2, 5}) {
-    for (rl::ActionId a = 0;
-         a < static_cast<rl::ActionId>(next.num_actions()); ++a) {
-      next.set(s, a, next.get(s, a) + 0.25);
-    }
-  }
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    const std::string record = planning::encode_policy_v3_delta(base, next,
-                                                                2, 1);
-    bytes += record.size();
-    benchmark::DoNotOptimize(record.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
-}
-BENCHMARK(BM_PolicyV3DeltaEncode);
-
-void BM_PolicyV3ChainDecode(benchmark::State& state) {
-  // Restore an anchor + 8-delta chain (a week of nightly single-row
-  // retrains between rebases) into a scratch table.
-  adl::AdlLibrary library;
-  planning::RoutineLearner learner(library.tea_making(), util::Rng(1));
-  const std::vector<adl::StepId> steps{
-      adl::tools::kTeaBox, adl::tools::kElectricPot, adl::tools::kKettle,
-      adl::tools::kTeaCup};
-  for (int i = 0; i < 80; ++i) learner.train_episode(steps);
-  const auto step_vocab = learner.state_codec().symbols();
-  const auto tool_vocab = learner.action_codec().tools();
-  rl::QTable cur = learner.q();
-  std::ostringstream blob;
-  planning::save_policy_v3_full(blob, step_vocab, tool_vocab, cur, 1);
-  for (std::uint64_t d = 0; d < 8; ++d) {
-    rl::QTable next = cur;
-    const rl::StateId s = static_cast<rl::StateId>(d % cur.num_states());
-    next.set(s, 0, next.get(s, 0) + 1.0);
-    blob << planning::encode_policy_v3_delta(cur, next, d + 2, d + 1);
-    cur = next;
-  }
-  const std::string bytes = blob.str();
-  rl::QTable scratch(cur.num_states(), cur.num_actions());
-  for (auto _ : state) {
-    std::istringstream in(bytes);
-    benchmark::DoNotOptimize(
-        planning::load_policy_v3(in, step_vocab, tool_vocab, scratch));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes.size()));
-}
-BENCHMARK(BM_PolicyV3ChainDecode);
 
 void BM_SegmentDeltaAppend(benchmark::State& state) {
   // One fleet write-back on the delta path: diff the session's touched row

@@ -26,13 +26,9 @@
 //       --burst=2 --jobs=4 --lane-width=8 --timing-json=BENCH_retrain.json
 //
 // --lane-width=N replays retrain jobs N users at a time through the SoA
-// lane engine (byte-identical outcome, a pure throughput knob). The bench
-// also runs a deterministic disk probe pricing snapshot write-back per
-// retrain in v2 (full rewrite) vs v3 (delta append) format; the v3 number
-// is the gated flush_bytes_per_retrain metric.
+// lane engine (byte-identical outcome, a pure throughput knob).
 
 #include <cstdio>
-#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -83,46 +79,6 @@ std::string format2(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2f", v);
   return buf;
-}
-
-/// Deterministic disk probe: snapshot write-back bytes per retrain, for one
-/// user whose every retrain is flushed (flush_every=1). v2 rewrites the
-/// full snapshot each time; v3 appends a changed-rows delta (full anchor
-/// every rebase_every-th flush). File sizes are a pure function of the
-/// table shape and the replay stream, so the numbers are byte-identical
-/// across runs and machines — they go in the gated summary, not the
-/// wall-clock side channel.
-double flush_bytes_per_retrain(const adl::Adl& adl,
-                               const planning::RoutineLearner& donor,
-                               std::span<const adl::StepId> routine,
-                               serve::SnapshotFormat format) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       (format == serve::SnapshotFormat::kV3Delta ? "coreda_flushprobe_v3"
-                                                  : "coreda_flushprobe_v2"))
-          .string();
-  std::filesystem::remove_all(dir);
-  constexpr int kRetrains = 16;
-  double per_retrain = 0.0;
-  {
-    serve::PolicyStoreParams store_params;
-    store_params.dir = dir;
-    store_params.flush_every = 1;
-    store_params.format = format;
-    serve::PolicyStore store(donor, store_params);
-    serve::RetrainScheduler scheduler(adl, store, planning::LearnerConfig{},
-                                      /*lanes=*/1, serve::RetrainParams{});
-    store.add_user("A");
-    scheduler.add_user();
-    for (std::size_t i = 0; i < scheduler.params().ring_capacity; ++i) {
-      scheduler.record(0, routine);
-    }
-    for (int i = 0; i < kRetrains; ++i) scheduler.retrain_user(0);
-    per_retrain =
-        static_cast<double>(store.flush_bytes()) / kRetrains;
-  }
-  std::filesystem::remove_all(dir);
-  return per_retrain;
 }
 
 }  // namespace
@@ -264,10 +220,6 @@ int main(int argc, char** argv) {
   }
   const double retrain_probe =
       steady_state_allocs_per_retrain(tea, donor, routine);
-  const double flush_v2 = flush_bytes_per_retrain(
-      tea, donor, routine, serve::SnapshotFormat::kV2);
-  const double flush_v3 = flush_bytes_per_retrain(
-      tea, donor, routine, serve::SnapshotFormat::kV3Delta);
 
   util::TextTable summary("Recovery summary");
   summary.set_header({"metric", "value"});
@@ -286,8 +238,6 @@ int main(int argc, char** argv) {
                    format2(post_retrain_prompts)});
   summary.add_row({"fleet checksum", std::to_string(report.checksum)});
   summary.add_row({"steady-state allocs/retrain", format2(retrain_probe)});
-  summary.add_row({"flush bytes/retrain (v2 full)", format2(flush_v2)});
-  summary.add_row({"flush bytes/retrain (v3 delta)", format2(flush_v3)});
   std::fputs(summary.render().c_str(), stdout);
   std::puts("\nThe tables are byte-identical at any --jobs: sessions shard\n"
             "by slot and retrain jobs by lane, each a seed-split trial.");
@@ -307,9 +257,7 @@ int main(int argc, char** argv) {
         << ", \"post_retrain_prompts_per_session\": " << post_retrain_prompts
         << ", \"retrain_jobs\": " << report.retrain.jobs
         << ", \"retrain_episodes\": " << report.retrain.episodes
-        << ", \"steady_state_allocs_per_retrain\": " << retrain_probe
-        << ", \"flush_bytes_per_retrain\": " << flush_v3
-        << ", \"flush_bytes_per_retrain_v2\": " << flush_v2;
+        << ", \"steady_state_allocs_per_retrain\": " << retrain_probe;
   exec::append_timing_record(timing_path, "retrain_recovery", runner.jobs(),
                              users, bench_seconds, extra.str());
   return 0;

@@ -178,11 +178,9 @@ FaultPlan FaultPlan::standard_chaos(std::uint64_t seed,
   };
   SiteConfig crash;
   crash.rate = 0.05;
-  plan.sites["policy_store.pre_publish"] = windowed(crash);
   plan.sites["segment_store.pre_publish"] = windowed(crash);
   SiteConfig corrupt;
   corrupt.rate = 0.03;
-  plan.sites["policy_store.corrupt"] = windowed(corrupt);
   plan.sites["segment_store.corrupt"] = windowed(corrupt);
   SiteConfig dropout;
   dropout.rate = 0.08;

@@ -93,10 +93,9 @@ class Injector;
 /// (site stream, user, tick): no shared mutable draw state, so concurrent
 /// shard trials get byte-identical schedules at any interleaving.
 ///
-/// Sites also carry the legacy test hook that used to live as raw
-/// std::function setters on PolicyStore/SegmentStore: set_hook() routes the
-/// one-off crash lambdas of existing tests through the same seam, so there
-/// is one injection vocabulary.
+/// Sites also carry a one-off test hook: set_hook() routes a test's crash
+/// lambda through the same seam as planned faults, so there is one
+/// injection vocabulary.
 class Site {
  public:
   explicit Site(std::string name) : name_(std::move(name)) {}

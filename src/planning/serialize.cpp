@@ -4,7 +4,6 @@
 #include <cstring>
 #include <istream>
 #include <iterator>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -15,121 +14,8 @@
 
 namespace coreda::planning {
 
-namespace {
-
-constexpr const char* kMagic = "coreda-policy v1";
-
-std::string read_line(std::istream& in, const char* what) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error(std::string("load_policy: missing ") + what);
-  }
-  return line;
-}
-
-std::vector<std::uint64_t> parse_ids(const std::string& line,
-                                     const char* what) {
-  std::vector<std::uint64_t> out;
-  std::istringstream is(line);
-  std::uint64_t v;
-  while (is >> v) out.push_back(v);
-  if (out.empty()) {
-    throw std::runtime_error(std::string("load_policy: empty ") + what);
-  }
-  return out;
-}
-
-}  // namespace
-
-void save_policy(std::ostream& out, const RoutineLearner& learner) {
-  out << kMagic << '\n';
-
-  out << "steps";
-  for (adl::StepId id : learner.state_codec().symbols()) out << ' ' << id;
-  out << '\n';
-
-  out << "tools";
-  for (adl::ToolId id : learner.action_codec().tools()) out << ' ' << id;
-  out << '\n';
-
-  const rl::QTable& q = learner.q();
-  out << q.num_states() << ' ' << q.num_actions() << '\n';
-  out.precision(17);
-  for (rl::StateId s = 0; s < q.num_states(); ++s) {
-    for (rl::ActionId a = 0; a < q.num_actions(); ++a) {
-      if (a > 0) out << ' ';
-      out << q.get(s, a);
-    }
-    out << '\n';
-  }
-}
-
-void load_policy(std::istream& in, RoutineLearner& learner) {
-  if (read_line(in, "magic") != kMagic) {
-    throw std::runtime_error("load_policy: not a coreda-policy v1 snapshot");
-  }
-
-  const std::string steps_line = read_line(in, "step vocabulary");
-  if (steps_line.rfind("steps ", 0) != 0) {
-    throw std::runtime_error("load_policy: malformed step vocabulary");
-  }
-  const auto steps = parse_ids(steps_line.substr(6), "step vocabulary");
-  const auto& symbols = learner.state_codec().symbols();
-  if (steps.size() != symbols.size()) {
-    throw std::runtime_error("load_policy: step vocabulary size mismatch");
-  }
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    if (steps[i] != symbols[i]) {
-      throw std::runtime_error("load_policy: step vocabulary mismatch");
-    }
-  }
-
-  const std::string tools_line = read_line(in, "tool vocabulary");
-  if (tools_line.rfind("tools ", 0) != 0) {
-    throw std::runtime_error("load_policy: malformed tool vocabulary");
-  }
-  const auto tools = parse_ids(tools_line.substr(6), "tool vocabulary");
-  const auto& known_tools = learner.action_codec().tools();
-  if (tools.size() != known_tools.size()) {
-    throw std::runtime_error("load_policy: tool vocabulary size mismatch");
-  }
-  for (std::size_t i = 0; i < tools.size(); ++i) {
-    if (tools[i] != known_tools[i]) {
-      throw std::runtime_error("load_policy: tool vocabulary mismatch");
-    }
-  }
-
-  std::size_t states = 0;
-  std::size_t actions = 0;
-  {
-    std::istringstream dims(read_line(in, "dimensions"));
-    if (!(dims >> states >> actions)) {
-      throw std::runtime_error("load_policy: malformed dimensions");
-    }
-  }
-  const rl::QTable& current = learner.q();
-  if (states != current.num_states() || actions != current.num_actions()) {
-    throw std::runtime_error("load_policy: Q-table dimension mismatch");
-  }
-
-  // Parse the full table into a staging copy first so a truncated snapshot
-  // cannot leave the learner half-loaded.
-  rl::QTable staged(states, actions);
-  for (rl::StateId s = 0; s < states; ++s) {
-    std::istringstream row(read_line(in, "Q row"));
-    for (rl::ActionId a = 0; a < actions; ++a) {
-      double value;
-      if (!(row >> value)) {
-        throw std::runtime_error("load_policy: truncated Q row");
-      }
-      staged.set(s, a, value);
-    }
-  }
-  learner.import_q(staged);
-}
-
 // --------------------------------------------------------------------------
-// v2 binary snapshots
+// v2 table records
 // --------------------------------------------------------------------------
 
 namespace {
@@ -164,7 +50,7 @@ struct V2Writer {
 
 /// Mirror of V2Writer: pulls little-endian fields off an istream while
 /// folding every consumed byte into the running checksum. Any short read
-/// throws — a truncated snapshot can never validate.
+/// throws — a truncated record can never validate.
 struct V2Reader {
   std::istream& in;
   std::uint64_t hash = kFnvOffset;
@@ -204,7 +90,7 @@ struct V2Reader {
   }
 };
 
-/// Parsed body of a v2 snapshot, validated for structure + checksum but not
+/// Parsed body of a v2 record, validated for structure + checksum but not
 /// yet against any expected vocabulary.
 struct V2Snapshot {
   std::uint64_t version = 0;
@@ -216,20 +102,20 @@ struct V2Snapshot {
   bool checksum_ok = false;
 };
 
-/// Caps the header counts so a corrupt file cannot request a multi-GB
+/// Caps the header counts so a corrupt record cannot request a multi-GB
 /// allocation before the checksum gets a chance to reject it. The real
 /// spaces are tens of entries.
 constexpr std::uint64_t kSaneCount = 1u << 20;
 
-V2Snapshot read_full_record(std::istream& in, const char* expect_magic,
-                            const char* not_msg) {
+V2Snapshot read_v2(std::istream& in) {
   V2Reader r{in};
   char magic[8];
   if (!in.read(magic, 8)) {
     throw std::runtime_error("load_policy_v2: truncated snapshot (magic)");
   }
-  if (std::memcmp(magic, expect_magic, 8) != 0) {
-    throw std::runtime_error(not_msg);
+  if (std::memcmp(magic, kPolicyV2Magic, 8) != 0) {
+    throw std::runtime_error(
+        "load_policy_v2: not a coreda-policy v2 snapshot");
   }
   for (const char c : magic) {
     r.hash ^= static_cast<unsigned char>(c);
@@ -265,11 +151,6 @@ V2Snapshot read_full_record(std::istream& in, const char* expect_magic,
   const std::uint64_t expected = r.hash;
   snap.checksum_ok = (r.take_checksum() == expected);
   return snap;
-}
-
-V2Snapshot read_v2(std::istream& in) {
-  return read_full_record(in, kPolicyV2Magic,
-                          "load_policy_v2: not a coreda-policy v2 snapshot");
 }
 
 template <typename Id>
@@ -314,12 +195,6 @@ std::size_t save_policy_v2(std::ostream& out,
   return w.bytes.size();
 }
 
-void save_policy_v2(std::ostream& out, const RoutineLearner& learner,
-                    std::uint64_t version) {
-  save_policy_v2(out, learner.state_codec().symbols(),
-                 learner.action_codec().tools(), learner.q(), version);
-}
-
 std::uint64_t load_policy_v2(std::istream& in,
                              std::span<const adl::StepId> steps,
                              std::span<const adl::ToolId> tools,
@@ -345,123 +220,9 @@ std::uint64_t load_policy_v2(std::istream& in,
   return snap.version;
 }
 
-std::uint64_t load_policy_v2(std::istream& in, RoutineLearner& learner) {
-  rl::QTable staged(learner.q().num_states(), learner.q().num_actions());
-  const std::uint64_t version =
-      load_policy_v2(in, learner.state_codec().symbols(),
-                     learner.action_codec().tools(), staged);
-  learner.import_q(staged);
-  return version;
-}
-
-PolicyV2Info inspect_policy_v2(std::istream& in) {
-  const V2Snapshot snap = read_v2(in);
-  PolicyV2Info info;
-  info.version = snap.version;
-  info.num_states = snap.num_states;
-  info.num_actions = snap.num_actions;
-  info.checksum_ok = snap.checksum_ok;
-  info.steps.reserve(snap.steps.size());
-  for (const std::uint64_t id : snap.steps) {
-    info.steps.push_back(static_cast<adl::StepId>(id));
-  }
-  info.tools.reserve(snap.tools.size());
-  for (const std::uint64_t id : snap.tools) {
-    info.tools.push_back(static_cast<adl::ToolId>(id));
-  }
-  return info;
-}
-
 // --------------------------------------------------------------------------
-// v3 delta chains
+// changed-row codec (segment delta records)
 // --------------------------------------------------------------------------
-
-namespace {
-
-/// One parsed-and-verified delta record.
-struct V3Delta {
-  std::uint64_t version = 0;
-  std::uint64_t parent = 0;
-  std::vector<std::uint64_t> row_index;
-  std::vector<double> row_values;  ///< n_rows x n_actions, packed
-  std::size_t bytes = 0;           ///< on-disk record size
-};
-
-/// Reads the next delta record off `in`. Returns false — without throwing —
-/// on clean EOF, a torn tail, a wrong magic, implausible counts, or a
-/// checksum mismatch: the chain loader treats all of those identically
-/// (stop at the longest valid prefix, which is exactly the durable state
-/// before a crashed or corrupted append).
-bool read_v3_delta(std::istream& in, std::size_t expect_actions,
-                   std::size_t num_states, V3Delta& out) {
-  char magic[8];
-  if (!in.read(magic, 8)) return false;
-  if (std::memcmp(magic, kPolicyV3DeltaMagic, 8) != 0) return false;
-
-  V2Reader r{in};
-  for (const char c : magic) {
-    r.hash ^= static_cast<unsigned char>(c);
-    r.hash *= kFnvPrime;
-  }
-  try {
-    out.version = r.take_u64("delta version");
-    out.parent = r.take_u64("delta parent");
-    const std::uint64_t n_rows = r.take_u64("delta row count");
-    const std::uint64_t n_actions = r.take_u64("delta action count");
-    if (n_rows > kSaneCount || n_actions == 0 || n_actions > kSaneCount ||
-        n_actions != expect_actions || n_rows > num_states) {
-      return false;
-    }
-    out.row_index.clear();
-    out.row_values.clear();
-    out.row_index.reserve(n_rows);
-    out.row_values.reserve(n_rows * n_actions);
-    for (std::uint64_t i = 0; i < n_rows; ++i) {
-      const std::uint64_t row = r.take_u64("delta row index");
-      if (row >= num_states) return false;
-      out.row_index.push_back(row);
-      for (std::uint64_t a = 0; a < n_actions; ++a) {
-        out.row_values.push_back(r.take_f64("delta row value"));
-      }
-    }
-    const std::uint64_t expected = r.hash;
-    if (r.take_checksum() != expected) return false;
-    out.bytes = 8 * (5 + out.row_index.size() * (1 + n_actions) + 1);
-    return true;
-  } catch (const std::runtime_error&) {
-    return false;  // short read: torn tail
-  }
-}
-
-std::size_t full_record_bytes(std::size_t n_steps, std::size_t n_tools,
-                              std::size_t n_states, std::size_t n_actions) {
-  return 8 * (1 + 5 + n_steps + n_tools + n_states * n_actions + 1);
-}
-
-}  // namespace
-
-std::size_t save_policy_v3_full(std::ostream& out,
-                                std::span<const adl::StepId> steps,
-                                std::span<const adl::ToolId> tools,
-                                const rl::QTable& q, std::uint64_t version) {
-  V2Writer w;
-  w.bytes.reserve(full_record_bytes(steps.size(), tools.size(),
-                                    q.num_states(), q.num_actions()));
-  w.bytes.append(kPolicyV3Magic, 8);
-  w.put_u64(version);
-  w.put_u64(steps.size());
-  w.put_u64(tools.size());
-  w.put_u64(q.num_states());
-  w.put_u64(q.num_actions());
-  for (const adl::StepId id : steps) w.put_u64(id);
-  for (const adl::ToolId id : tools) w.put_u64(id);
-  for (rl::StateId s = 0; s < q.num_states(); ++s) {
-    for (const double v : q.row(s)) w.put_f64(v);
-  }
-  w.put_u64(w.checksum());
-  out.write(w.bytes.data(), static_cast<std::streamsize>(w.bytes.size()));
-  return w.bytes.size();
-}
 
 std::size_t count_changed_rows(const rl::QTable& base, const rl::QTable& q) {
   if (base.num_states() != q.num_states() ||
@@ -499,111 +260,6 @@ unsigned char* encode_changed_rows(const rl::QTable& base, const rl::QTable& q,
     }
   }
   return dst;
-}
-
-std::string encode_policy_v3_delta(const rl::QTable& base,
-                                   const rl::QTable& q,
-                                   std::uint64_t version,
-                                   std::uint64_t parent) {
-  if (base.num_states() != q.num_states() ||
-      base.num_actions() != q.num_actions()) {
-    throw std::invalid_argument(
-        "encode_policy_v3_delta: table shape mismatch");
-  }
-  V2Writer w;
-  w.bytes.append(kPolicyV3DeltaMagic, 8);
-  w.put_u64(version);
-  w.put_u64(parent);
-  const std::size_t n_rows = count_changed_rows(base, q);
-  w.put_u64(n_rows);
-  w.put_u64(q.num_actions());
-  const std::size_t head = w.bytes.size();
-  w.bytes.resize(head + n_rows * (1 + q.num_actions()) * 8);
-  encode_changed_rows(base, q,
-                      reinterpret_cast<unsigned char*>(w.bytes.data()) + head);
-  w.put_u64(w.checksum());
-  return std::move(w.bytes);
-}
-
-PolicyV3Chain load_policy_v3(std::istream& in,
-                             std::span<const adl::StepId> steps,
-                             std::span<const adl::ToolId> tools,
-                             rl::QTable& q) {
-  V2Snapshot snap = read_full_record(
-      in, kPolicyV3Magic, "load_policy_v3: not a coreda-policy v3 snapshot");
-  if (!snap.checksum_ok) {
-    throw std::runtime_error("load_policy_v3: anchor checksum mismatch");
-  }
-  check_vocab<adl::StepId>(snap.steps, steps, "step");
-  check_vocab<adl::ToolId>(snap.tools, tools, "tool");
-  if (snap.num_states != q.num_states() ||
-      snap.num_actions != q.num_actions()) {
-    throw std::runtime_error("load_policy_v3: Q-table dimension mismatch");
-  }
-
-  PolicyV3Chain chain;
-  chain.version = snap.version;
-  V3Delta delta;
-  while (true) {
-    if (in.peek() == std::char_traits<char>::eof()) break;  // clean end
-    if (!read_v3_delta(in, snap.num_actions, snap.num_states, delta) ||
-        delta.parent != chain.version) {
-      chain.tail_skipped = true;
-      break;
-    }
-    std::size_t src = 0;
-    for (std::size_t i = 0; i < delta.row_index.size(); ++i) {
-      const std::size_t dst = delta.row_index[i] * snap.num_actions;
-      for (std::size_t a = 0; a < snap.num_actions; ++a) {
-        snap.q[dst + a] = delta.row_values[src++];
-      }
-    }
-    chain.version = delta.version;
-    ++chain.deltas_applied;
-  }
-
-  std::size_t i = 0;
-  for (rl::StateId s = 0; s < q.num_states(); ++s) {
-    for (rl::ActionId a = 0; a < q.num_actions(); ++a) {
-      q.set(s, a, snap.q[i++]);
-    }
-  }
-  return chain;
-}
-
-PolicyV3Info inspect_policy_v3(std::istream& in) {
-  V2Snapshot snap = read_full_record(
-      in, kPolicyV3Magic, "inspect_policy_v3: not a coreda-policy v3 file");
-  PolicyV3Info info;
-  info.anchor.version = snap.version;
-  info.anchor.num_states = snap.num_states;
-  info.anchor.num_actions = snap.num_actions;
-  info.anchor.checksum_ok = snap.checksum_ok;
-  for (const std::uint64_t id : snap.steps) {
-    info.anchor.steps.push_back(static_cast<adl::StepId>(id));
-  }
-  for (const std::uint64_t id : snap.tools) {
-    info.anchor.tools.push_back(static_cast<adl::ToolId>(id));
-  }
-  info.version = snap.version;
-  info.on_disk_bytes = full_record_bytes(snap.steps.size(), snap.tools.size(),
-                                         snap.num_states, snap.num_actions);
-  info.reconstructed_bytes = info.on_disk_bytes;
-  if (!snap.checksum_ok) return info;  // chain state untrustworthy past here
-
-  V3Delta delta;
-  while (true) {
-    if (in.peek() == std::char_traits<char>::eof()) break;
-    if (!read_v3_delta(in, snap.num_actions, snap.num_states, delta) ||
-        delta.parent != info.version) {
-      info.tail_skipped = true;
-      break;
-    }
-    info.version = delta.version;
-    ++info.delta_count;
-    info.on_disk_bytes += delta.bytes;
-  }
-  return info;
 }
 
 // --------------------------------------------------------------------------
@@ -713,7 +369,7 @@ std::uint64_t load_policy_bundle(std::istream& in,
     filled[slot_index] = true;
     staged.emplace_back(slot.q->num_states(), slot.q->num_actions());
     staged_slot.push_back(slot_index);
-    // Embedded records validate exactly as standalone v2 snapshots.
+    // Embedded records validate exactly as standalone v2 records.
     load_policy_v2(body, slot.steps, slot.tools, staged.back());
   }
   for (std::size_t s = 0; s < slots.size(); ++s) {
@@ -732,47 +388,6 @@ std::uint64_t load_policy_bundle(std::istream& in,
     }
   }
   return version;
-}
-
-PolicyFormat detect_policy_format(std::istream& in) {
-  char head[16] = {};
-  in.read(head, sizeof(head));
-  const std::streamsize got = in.gcount();
-  in.clear();
-  in.seekg(0);
-  if (got >= 8 && std::memcmp(head, kPolicyV2Magic, 8) == 0) {
-    return PolicyFormat::kBinaryV2;
-  }
-  if (got >= 8 && std::memcmp(head, kPolicyV3Magic, 8) == 0) {
-    return PolicyFormat::kBinaryV3;
-  }
-  if (got >= 16 && std::memcmp(head, kMagic, 16) == 0) {
-    return PolicyFormat::kTextV1;
-  }
-  return PolicyFormat::kUnknown;
-}
-
-std::uint64_t load_policy_any(std::istream& in, RoutineLearner& learner) {
-  switch (detect_policy_format(in)) {
-    case PolicyFormat::kBinaryV2:
-      return load_policy_v2(in, learner);
-    case PolicyFormat::kBinaryV3: {
-      rl::QTable staged(learner.q().num_states(),
-                        learner.q().num_actions());
-      const PolicyV3Chain chain =
-          load_policy_v3(in, learner.state_codec().symbols(),
-                         learner.action_codec().tools(), staged);
-      learner.import_q(staged);
-      return chain.version;
-    }
-    case PolicyFormat::kTextV1:
-      load_policy(in, learner);
-      return 0;  // v1 snapshots predate versioning
-    case PolicyFormat::kUnknown:
-      break;
-  }
-  throw std::runtime_error(
-      "load_policy_any: not a v1, v2, or v3 policy snapshot");
 }
 
 }  // namespace coreda::planning

@@ -48,6 +48,15 @@ SegmentStoreParams fleet_store_params(const ChaosFleetParams& p) {
   return sp;
 }
 
+PolicyStoreParams serve_store_params(const ChaosServeParams& p) {
+  PolicyStoreParams sp;
+  sp.flush_every = 1;  // every stage hits the crash/corruption seams
+  sp.segments.dir = p.dir;
+  sp.segments.writers = p.slots;  // one writer lane per pool slot
+  sp.segments.rebase_every = 4;
+  return sp;
+}
+
 std::unique_ptr<SegmentStore> open_fleet_store(
     const ChaosFleetParams& p, const planning::RoutineLearner& donor,
     bool wipe) {
@@ -226,12 +235,7 @@ ChaosServeSoak::ChaosServeSoak(ChaosServeParams params,
   stale_ = trained_learner(tea, 18, 120, stale_routine);
 
   std::filesystem::remove_all(params_.dir);
-  PolicyStoreParams sp;
-  sp.dir = params_.dir;
-  sp.flush_every = 1;  // every stage hits the crash/corruption seams
-  sp.format = SnapshotFormat::kV3Delta;
-  sp.rebase_every = 4;
-  store_ = std::make_unique<PolicyStore>(*donor_, sp);
+  store_ = std::make_unique<PolicyStore>(*donor_, serve_store_params(params_));
 
   ServeEngineParams ep;
   ep.pool.slots = params_.slots;
@@ -311,17 +315,12 @@ ChaosServeResult ChaosServeSoak::run(exec::TrialRunner& runner) {
   }
 
   // Invariant — restart recovery. A clean flush (the fault window is shut)
-  // must leave every snapshot restorable at exactly the live version, torn
-  // delta tails from the soak included: a tear dropped the entry's diff
-  // base, so its retry rewrote a clean full anchor over the debris.
+  // must leave every user restorable at exactly the live version: a crashed
+  // or torn append never published, so the reopen scan stops before its
+  // debris, and the retry's record overwrote it.
   store_->flush_all();
   {
-    PolicyStoreParams sp;
-    sp.dir = params_.dir;
-    sp.flush_every = 1;
-    sp.format = SnapshotFormat::kV3Delta;
-    sp.rebase_every = 4;
-    PolicyStore reopened(*donor_, sp);
+    PolicyStore reopened(*donor_, serve_store_params(params_));
     for (std::size_t u = 0; u < params_.users; ++u) {
       const auto user = static_cast<UserId>(u);
       reopened.add_user(store_->user_name(user));

@@ -148,9 +148,10 @@ struct ChaosServeParams {
   /// the calm band (~1), as in bench_retrain_recovery.
   double threshold = 2.5;
   std::size_t lane_width = 2;
-  /// Policy snapshot directory (required; wiped). v3 delta format with
-  /// flush_every=1 so the pre-publish/corruption seams fire on the hot
-  /// path, not just at teardown.
+  /// Policy store directory (required; wiped). A segment store with one
+  /// writer per slot, rebase_every=4 and flush_every=1, so the
+  /// pre-publish/corruption seams fire on the hot path, not just at
+  /// teardown.
   std::string dir;
 };
 
@@ -162,8 +163,8 @@ struct ChaosServeResult {
   std::uint64_t recovery_sessions_max = 0;
   /// In-memory committed store versions that ever regressed (must be 0).
   std::uint64_t committed_versions_lost = 0;
-  /// Users whose reopened snapshot dir restored a different version than
-  /// the live store had flushed.
+  /// Users whose reopened store restored a different version than the
+  /// live store had flushed.
   std::uint64_t reopen_mismatches = 0;
   std::uint64_t invariant_violations = 0;  ///< sum of the three above
   std::uint64_t aborted_retrains = 0;      ///< injected retrain aborts

@@ -25,6 +25,16 @@ ServeEngine::ServeEngine(const adl::AdlLibrary& library, const adl::Adl& adl,
                  params.retrain),
       by_slot_(pool_.slots()),
       results_(pool_.slots()) {
+  // FleetEngine's rule, for the same reason: slot trials and retrain-lane
+  // trials append concurrently, keyed by user % slots, so each of them
+  // must own a writer lane of its own.
+  if (store.segments() != nullptr &&
+      store.segments()->writers() != pool_.slots()) {
+    throw std::invalid_argument(
+        "ServeEngine: a segment-backed store needs writers == pool slots — "
+        "concurrent slot and retrain trials must append through disjoint "
+        "writer lanes");
+  }
   for (core::SessionResult& r : results_) {
     r.observed_steps.reserve(core::kMaxSessionSteps);
   }

@@ -89,7 +89,9 @@ struct ServeReport {
 /// enqueue order).
 class ServeEngine {
  public:
-  /// `library`, `adl` and `store` must outlive the engine.
+  /// `library`, `adl` and `store` must outlive the engine. Throws
+  /// std::invalid_argument when `store` is segment-backed with a writer
+  /// count other than `params.pool.slots`.
   ServeEngine(const adl::AdlLibrary& library, const adl::Adl& adl,
               PolicyStore& store, ServeEngineParams params = {});
 

@@ -1,16 +1,15 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "faults/faults.hpp"
 #include "planning/learner.hpp"
 #include "rl/q_table.hpp"
+#include "serve/segment_store.hpp"
 
 namespace coreda::serve {
 
@@ -19,36 +18,22 @@ namespace coreda::serve {
 /// path — no string lookups per session.
 using UserId = std::uint32_t;
 
-/// On-disk snapshot encoding of the per-file PolicyStore backend.
-enum class SnapshotFormat : std::uint8_t {
-  kV2 = 2,       ///< one full "coreda-policy v2" record per flush
-  kV3Delta = 3,  ///< v3 anchor + appended changed-row delta records
-};
-
 struct PolicyStoreParams {
-  /// Snapshot directory. One policy file per user, `<dir>/<user>.policy`.
-  /// Empty = memory-only store: versions and staging still work, nothing
-  /// ever touches disk (the pure-serving configuration the benches use).
-  std::string dir;
   /// Wear-aware write batching, mirroring the node EEPROM model: a policy
   /// write-back lands in the in-memory entry immediately, but only every
   /// `flush_every`-th staged write per user is persisted to disk (plus
   /// explicit flush() / flush_all() / destruction). A box serving 20
-  /// sessions/user/day with the default batching writes each user's file
-  /// ~2-3 times a day instead of 20 — the same k-fold wear reduction the
-  /// nodes' EEPROM ring buys their flash.
+  /// sessions/user/day with the default batching writes each user's
+  /// records ~2-3 times a day instead of 20 — the same k-fold wear
+  /// reduction the nodes' EEPROM ring buys their flash.
   std::size_t flush_every = 8;
-  /// v2 (default): every flush atomically rewrites the full snapshot.
-  /// v3: a flush appends one delta record carrying only the Q rows that
-  /// changed since the last persisted state — the write-amplification fix
-  /// for large-vocab tables — with a fresh full anchor (atomic tmp+rename)
-  /// every `rebase_every` deltas and after every restore. A v3 store
-  /// restores v2 files transparently and rebases them to v3 on the next
-  /// flush (the in-place migration path `policy migrate` batch-drives).
-  SnapshotFormat format = SnapshotFormat::kV2;
-  /// Max delta records between full anchors in v3 mode (bounds chain replay
-  /// time and the blast radius of a torn tail).
-  std::size_t rebase_every = 8;
+  /// Persistence. An empty `segments.dir` makes a memory-only store:
+  /// versions and staging still work, nothing ever touches disk (the
+  /// pure-serving configuration the benches use). Otherwise every flush
+  /// appends a record to the SegmentStore at that directory, store user id
+  /// = PolicyStore UserId. Size `segments.writers` to the threads staging
+  /// concurrently: ServeEngine requires one writer per pool slot.
+  SegmentStoreParams segments{};
 };
 
 /// Per-user versioned policy snapshots for the serving tier.
@@ -59,46 +44,39 @@ struct PolicyStoreParams {
 /// can tell a stale snapshot from a current one, and a warm restart
 /// (restore()) resumes from the last flushed version.
 ///
-/// The class is open for alternative persistence backends: the staging /
-/// versioning / wear-batching logic lives here, while the four protected
-/// virtuals (persist_snapshot, read_snapshot, path_for,
-/// set_pre_publish_hook) define where bytes actually land. The base class
-/// writes one v2 snapshot file per user; SegmentPolicyStore
-/// (segment_store.hpp) overrides the seam to append into a memory-mapped
-/// segmented store instead, without ServeEngine or RetrainScheduler
-/// noticing the difference.
+/// Staging, versioning and wear batching happen here, in memory; the bytes
+/// land in a SegmentStore this store owns (when `params.segments.dir` is
+/// set) — the same record format the fleet tier runs on.
 ///
 /// Thread-safety: add_user() and restore() are setup-phase only. stage()
-/// and the per-user readers may be called concurrently for *different*
-/// users (the ServeEngine shards disjoint users across slots); concurrent
-/// calls for the same user are the caller's bug. Aggregate counters
-/// (staged_writes, disk_writes) are sums over per-user counters and are
-/// meant to be read after a drain, not mid-flight.
+/// and the per-user readers may be called concurrently for users of
+/// *different* writer lanes (`user % segments.writers`, the same rule the
+/// ServeEngine shards slots by); concurrent calls for the same user are
+/// the caller's bug. Aggregate counters (staged_writes, disk_writes) are
+/// sums over per-user counters and are meant to be read after a drain, not
+/// mid-flight.
 class PolicyStore {
  public:
-  /// Captures the snapshot schema — step/tool vocabularies and table shape
-  /// — from `reference`, typically the offline-trained donor learner.
-  /// Every user entry starts as a copy of the reference table (version 1).
-  /// Creates `params.dir` when set and missing.
+  /// Captures the table shape from `reference` (typically the
+  /// offline-trained donor learner) and, when persistent, opens or creates
+  /// the segment store under its step/tool vocabularies. Every user entry
+  /// starts as a copy of the reference table (version 1).
   explicit PolicyStore(const planning::RoutineLearner& reference,
                        PolicyStoreParams params = {});
 
   /// Flushes every dirty entry (best effort — errors are swallowed, a
   /// destructor cannot throw; call flush_all() first to observe failures).
-  /// Derived stores must flush in their own destructor: by the time this
-  /// one runs, virtual dispatch has already fallen back to the base
-  /// persistence.
-  virtual ~PolicyStore();
+  ~PolicyStore();
 
   PolicyStore(const PolicyStore&) = delete;
   PolicyStore& operator=(const PolicyStore&) = delete;
 
   /// Registers a user starting from the reference policy. Not callable
   /// while sessions are being served (entry references would move).
-  virtual UserId add_user(std::string name);
+  UserId add_user(std::string name);
   /// Registers a user with an explicit starting table (must match the
   /// reference shape; throws std::invalid_argument otherwise).
-  virtual UserId add_user(std::string name, const rl::QTable& initial);
+  UserId add_user(std::string name, const rl::QTable& initial);
 
   std::size_t num_users() const noexcept { return entries_.size(); }
   const std::string& user_name(UserId user) const;
@@ -107,109 +85,62 @@ class PolicyStore {
   std::uint64_t version(UserId user) const;
 
   /// Write-back: copies `q` into the user's entry and bumps its version.
-  /// Allocation-free at steady state (same-shape table copy); flushes to
-  /// disk only when the wear batch fills (see PolicyStoreParams).
+  /// Allocation-free at steady state (same-shape table copy and an
+  /// in-place record append); persists only when the wear batch fills
+  /// (see PolicyStoreParams).
   void stage(UserId user, const rl::QTable& q);
 
-  /// Persists the user's entry now (no-op when memory-only). Throws
-  /// std::runtime_error when the snapshot cannot be written.
+  /// Persists the user's entry now (no-op when memory-only or clean).
+  /// Throws when the record cannot be written — a crash at the segment
+  /// store's pre_publish_site() leaves the committed record untouched and
+  /// the entry still unflushed, so a later flush retries.
   void flush(UserId user);
   void flush_all();
 
-  /// Warm restart: loads the user's committed snapshot into the entry and
-  /// adopts its version. Returns the version, or nullopt when the store is
-  /// memory-only or no snapshot exists yet. Throws std::runtime_error on a
-  /// corrupt/mismatched snapshot (entry unchanged).
+  /// Warm restart: loads the user's newest committed record into the entry
+  /// and adopts its version. Returns the version, or nullopt when the
+  /// store is memory-only or holds nothing for this user. Throws
+  /// std::runtime_error when the record chain fails validation (entry
+  /// unchanged).
   std::optional<std::uint64_t> restore(UserId user);
 
   /// Total stage() calls across users — the writes the policy tier *asked*
   /// for...
   std::uint64_t staged_writes() const noexcept;
-  /// ...and the snapshots actually persisted — the wear the disk *saw*.
+  /// ...and the records actually persisted — the wear the disk *saw*.
   std::uint64_t disk_writes() const noexcept;
-  /// Bytes those persisted snapshots put on disk (full records in v2 mode;
-  /// anchors + delta records in v3 mode) — the write-amplification metric
-  /// the retrain bench gates.
-  std::uint64_t flush_bytes() const noexcept;
 
-  /// Snapshot location for a user; empty when memory-only. The per-file
-  /// base store returns `<dir>/<name>.policy`; a segmented store returns
-  /// its directory (users share segments there).
-  virtual std::string path_for(UserId user) const;
+  /// The backing segment store; null when memory-only. Tests arm its
+  /// pre_publish_site() to inject crashes at the publish point.
+  SegmentStore* segments() noexcept { return segments_.get(); }
+  const SegmentStore* segments() const noexcept { return segments_.get(); }
 
-  /// The crash seam, as a faults::Site: evaluated with the publish target
-  /// after the snapshot body is fully written but *before* the rename (v2 /
-  /// v3 anchor) or before any byte lands (v3 delta append). A crash here —
-  /// a throwing test hook or a planned faults::InjectedCrash — leaves the
-  /// committed snapshot untouched and the entry still unflushed, so a later
-  /// flush retries. SegmentPolicyStore returns the segment store's site:
-  /// both backends expose ONE seam with ONE contract.
-  virtual faults::Site& pre_publish_site() noexcept {
-    return pre_publish_site_;
+  /// Arms the segment store's fault sites (crash + record-byte corruption)
+  /// against `injector`'s plan; no-op when memory-only. Setup-phase only.
+  void attach_faults(faults::Injector& injector) {
+    if (segments_) segments_->attach_faults(injector);
   }
 
-  /// Arms this store's fault sites (crash + snapshot-byte corruption)
-  /// against `injector`'s plan. Setup-phase only.
-  virtual void attach_faults(faults::Injector& injector) {
-    injector.attach(pre_publish_site_);
-    injector.attach(corrupt_site_);
-  }
-
-  /// Deprecated: the raw hook setter predates coreda::faults. Routes into
-  /// pre_publish_site().set_hook() so legacy callers keep working with the
-  /// unified contract.
-  [[deprecated("use pre_publish_site().set_hook()")]] void
-  set_pre_publish_hook(std::function<void(const std::string&)> hook) {
-    pre_publish_site().set_hook(std::move(hook));
-  }
-
-  std::span<const adl::StepId> steps() const noexcept { return steps_; }
-  std::span<const adl::ToolId> tools() const noexcept { return tools_; }
-  const PolicyStoreParams& params() const noexcept { return params_; }
-
- protected:
+ private:
   struct Entry {
     std::string name;
     rl::QTable q;
     std::uint64_t version = 1;
     std::uint64_t staged = 0;    ///< stage() calls on this entry
-    std::uint64_t disk = 0;      ///< snapshot writes persisted for this entry
+    std::uint64_t disk = 0;      ///< records persisted for this entry
     std::size_t unflushed = 0;   ///< stages since the last persisted write
-    std::uint64_t flush_bytes = 0;  ///< snapshot bytes persisted so far
-    // --- v3 chain state ---------------------------------------------------
-    /// The table as the committed file reconstructs it — the diff base for
-    /// the next delta. Null until the first v3 anchor lands (or after a
-    /// restore/append failure), which forces a full rewrite.
-    std::unique_ptr<rl::QTable> flushed = nullptr;
-    std::uint64_t flushed_version = 0;  ///< version the chain ends at
-    std::size_t chain_deltas = 0;       ///< deltas since the last anchor
   };
 
   Entry& entry(UserId user);
   const Entry& entry(UserId user) const;
-
-  /// Backend seam: durably record `e` (table + version) for `user`. The
-  /// base implementation writes `<dir>/<name>.policy.tmp` then renames.
-  /// Must be atomic-publish (a crash mid-write leaves the previous
-  /// committed snapshot readable) and must leave `e.unflushed`/`e.disk`
-  /// untouched — the caller accounts for wear after a successful return.
-  virtual void persist_snapshot(UserId user, Entry& e);
-
-  /// Backend seam: load the committed snapshot for `user` into `staged`
-  /// (already shaped like the reference table) and return its version;
-  /// nullopt when the backend is memory-only or holds nothing for this
-  /// user; std::runtime_error when the committed bytes are corrupt. Must
-  /// not touch the resident entry — restore() commits only on success.
-  virtual std::optional<std::uint64_t> read_snapshot(UserId user,
-                                                     rl::QTable& staged);
+  /// Appends the entry's table and version; wear is accounted only once
+  /// the record has published.
+  void persist(UserId user, Entry& e);
 
   PolicyStoreParams params_;
-  std::vector<adl::StepId> steps_;
-  std::vector<adl::ToolId> tools_;
   rl::QTable reference_;
   std::vector<Entry> entries_;
-  faults::Site pre_publish_site_{"policy_store.pre_publish"};
-  faults::Site corrupt_site_{"policy_store.corrupt"};
+  std::unique_ptr<SegmentStore> segments_;
 };
 
 }  // namespace coreda::serve

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -32,8 +33,8 @@ constexpr std::size_t kMaxSegmentBytes = std::size_t{1} << 23;
 /// Hard cap on a chain walk (rebase_every is clamped below this; the load
 /// scratch array is sized to it).
 constexpr std::size_t kMaxChainRecords = 63;
-/// Smallest well-formed v2 record: an anchor for a 1-cell table (56 bytes);
-/// an empty delta is 64.
+/// Smallest well-formed record: an anchor for a 1-cell table (56 bytes); an
+/// empty delta is 64.
 constexpr std::uint64_t kMinRecordBytes = 56;
 
 std::string segment_file_name(std::uint64_t writer, std::uint64_t seq) {
@@ -71,10 +72,8 @@ struct SegmentStore::Segment {
   std::uint64_t writer = 0;
   std::uint64_t seq = 0;
   std::uint32_t id = 0;      ///< store-global, packed into index entries
-  bool legacy = false;       ///< v1 "CRDASEG1" fixed-stride segment
-  std::size_t capacity = 0;  ///< v1 only: record slots
   std::size_t used = 0;      ///< bytes consumed incl. header (append target)
-  std::uint64_t records = 0; ///< consumed records (v1: slots incl. torn)
+  std::uint64_t records = 0; ///< valid records before `used`
   /// Records the index points at (newest per user).
   std::atomic<std::uint64_t> live{0};
   /// Records on some live chain: live records plus the delta ancestry
@@ -90,7 +89,7 @@ struct SegmentStore::Segment {
 struct SegmentStore::Writer {
   std::uint64_t id = 0;
   std::vector<std::unique_ptr<Segment>> segs;
-  Segment* tail = nullptr;  ///< v2 append target; null until the first roll
+  Segment* tail = nullptr;  ///< append target; null until the first roll
   std::uint64_t next_seq = 0;
   /// This lane's user -> location slab (see user_index.hpp for why the
   /// table is per-lane).
@@ -125,7 +124,6 @@ SegmentStore::SegmentStore(std::span<const adl::StepId> steps,
   }
   params_.rebase_every =
       std::clamp<std::size_t>(params_.rebase_every, 1, kMaxChainRecords);
-  legacy_record_bytes_ = 8 * (4 + num_states_ * num_actions_) + 8;
   anchor_bytes_ = 8 * (6 + num_states_ * num_actions_);
   if (kSegmentHeaderBytes + anchor_bytes_ > kMaxSegmentBytes) {
     throw std::invalid_argument(
@@ -287,39 +285,21 @@ void SegmentStore::open_existing_segments() {
     seg->base = static_cast<unsigned char*>(map);
     if (seg->bytes < kSegmentHeaderBytes ||
         seg->bytes > kMaxSegmentBytes ||
+        std::memcmp(seg->base, kSegmentHeaderMagic, 8) != 0 ||
         wire::load_u64(seg->base + 8) != f.writer ||
         wire::load_u64(seg->base + 16) != f.seq) {
       throw std::runtime_error("SegmentStore: " + f.path +
                                " header does not match this store's schema");
     }
-    std::uint64_t count = 0;
-    if (std::memcmp(seg->base, kSegmentMagicV2, 8) == 0) {
-      const std::uint64_t file_bytes = wire::load_u64(seg->base + 24);
-      if (file_bytes < kSegmentHeaderBytes || file_bytes > seg->bytes) {
-        throw std::runtime_error("SegmentStore: " + f.path +
-                                 " is shorter than its header claims");
-      }
-      // Advisory only — a torn in-place header update cannot corrupt the
-      // store, just mis-size the pre-reserve. Clamp to what could fit.
-      count = std::min<std::uint64_t>(wire::load_u64(seg->base + 32),
-                                      seg->bytes / kMinRecordBytes);
-    } else if (std::memcmp(seg->base, kSegmentMagic, 8) == 0) {
-      if (wire::load_u64(seg->base + 24) != legacy_record_bytes_) {
-        throw std::runtime_error("SegmentStore: " + f.path +
-                                 " header does not match this store's schema");
-      }
-      seg->legacy = true;
-      seg->capacity = wire::load_u64(seg->base + 32);
-      if (kSegmentHeaderBytes + seg->capacity * legacy_record_bytes_ >
-          seg->bytes) {
-        throw std::runtime_error("SegmentStore: " + f.path +
-                                 " is shorter than its header claims");
-      }
-      count = seg->capacity;
-    } else {
+    const std::uint64_t file_bytes = wire::load_u64(seg->base + 24);
+    if (file_bytes < kSegmentHeaderBytes || file_bytes > seg->bytes) {
       throw std::runtime_error("SegmentStore: " + f.path +
-                               " header does not match this store's schema");
+                               " is shorter than its header claims");
     }
+    // Advisory only — a torn in-place header update cannot corrupt the
+    // store, just mis-size the pre-reserve. Clamp to what could fit.
+    const std::uint64_t count = std::min<std::uint64_t>(
+        wire::load_u64(seg->base + 32), seg->bytes / kMinRecordBytes);
     // Batch the cold-start scan: tell the kernel to read the whole file
     // ahead instead of faulting page by page as the scan walks it.
     ::posix_madvise(seg->base, seg->bytes, POSIX_MADV_WILLNEED);
@@ -349,17 +329,11 @@ void SegmentStore::open_existing_segments() {
   // "equal version seen later wins" pick compaction copies.
   for (auto& seg : opened) {
     seg_by_id_[seg->id] = seg.get();
-    if (seg->legacy) {
-      scan_segment_v1(*seg);
-    } else {
-      scan_segment_v2(*seg);
-    }
+    scan_segment(*seg);
     if (seg->writer < params_.writers) {
       Writer& w = *writers_[seg->writer];
       w.next_seq = std::max(w.next_seq, seg->seq + 1);
-      // Ascending seq: the last segment wins the tail — unless it is a
-      // legacy one, which is never appended to.
-      w.tail = seg->legacy ? nullptr : seg.get();
+      w.tail = seg.get();  // ascending seq: the last segment wins the tail
       w.segs.push_back(std::move(seg));
     } else {
       retired_.push_back(std::move(seg));
@@ -369,36 +343,7 @@ void SegmentStore::open_existing_segments() {
                      std::memory_order_relaxed);
 }
 
-void SegmentStore::scan_segment_v1(Segment& seg) {
-  const std::uint64_t qn = num_states_ * num_actions_;
-  seg.records = seg.capacity;
-  seg.used = kSegmentHeaderBytes + seg.capacity * legacy_record_bytes_;
-  for (std::size_t slot = 0; slot < seg.capacity; ++slot) {
-    const std::uint64_t offset =
-        kSegmentHeaderBytes + slot * legacy_record_bytes_;
-    const unsigned char* rec = seg.base + offset;
-    if (wire::load_u64(rec) == 0) {
-      // A never-published slot: the tail. (A crashed append leaves its body
-      // here with the magic still zero.)
-      seg.records = slot;
-      seg.used = offset;
-      break;
-    }
-    // Fixed stride makes skip-and-continue sound for legacy segments: a
-    // torn or bit-rotted record is dead weight, later slots still parse.
-    if (std::memcmp(rec, kRecordMagic, 8) != 0) continue;
-    if (wire::load_u64(rec + 24) != qn) continue;
-    if (wire::load_u64(rec + legacy_record_bytes_ - 8) !=
-        wire::fnv1a(rec + 8, legacy_record_bytes_ - 16)) {
-      continue;  // bit rot: the index falls back to an older valid record
-    }
-    ++scanned_records_;
-    publish_index(wire::load_u64(rec + 8), seg, offset,
-                  wire::load_u64(rec + 16));
-  }
-}
-
-void SegmentStore::scan_segment_v2(Segment& seg) {
+void SegmentStore::scan_segment(Segment& seg) {
   const std::uint64_t qn = num_states_ * num_actions_;
   seg.used = kSegmentHeaderBytes;
   seg.records = 0;
@@ -410,11 +355,12 @@ void SegmentStore::scan_segment_v2(Segment& seg) {
     const bool delta = !anchor && std::memcmp(rec, kDeltaMagic, 8) == 0;
     // Variable strides mean a record after an invalid one cannot be
     // located: the valid prefix ends here and the next append overwrites
-    // whatever follows (the longest-valid-prefix recovery the v3 snapshot
-    // chains already use).
+    // whatever follows.
     if (!anchor && !delta) break;
     const std::uint64_t len = wire::load_u64(rec + 8);
-    if (len < kMinRecordBytes || len % 8 != 0 || seg.used + len > seg.bytes) {
+    // `len > bytes - used`, never `used + len > bytes`: a crafted length
+    // near 2^64 would wrap the sum below the file size.
+    if (len < kMinRecordBytes || len % 8 != 0 || len > seg.bytes - seg.used) {
       break;
     }
     if (wire::load_u64(rec + len - 8) != wire::fnv1a(rec + 8, len - 16)) {
@@ -447,14 +393,12 @@ void SegmentStore::scan_segment_v2(Segment& seg) {
 
 std::uint64_t SegmentStore::version_at(UserIndex::Loc loc) const noexcept {
   const Segment* seg = seg_by_id_[loc.seg];
-  const unsigned char* rec = seg->base + std::size_t{loc.off8} * 8;
-  return wire::load_u64(rec + (seg->legacy ? 16 : 24));
+  return wire::load_u64(seg->base + std::size_t{loc.off8} * 8 + 24);
 }
 
 std::size_t SegmentStore::chain_depth(UserIndex::Loc loc) const noexcept {
   const Segment* seg = seg_by_id_[loc.seg];
   if (seg == nullptr) return params_.rebase_every + 1;
-  if (seg->legacy) return 1;
   std::size_t off = std::size_t{loc.off8} * 8;
   std::size_t depth = 1;
   while (true) {
@@ -486,7 +430,7 @@ void SegmentStore::publish_index(std::uint64_t user, Segment& seg,
     oseg->live.fetch_sub(1, std::memory_order_relaxed);
     // A delta whose parent is the superseded record extends its chain —
     // the old records stay reachable underneath it.
-    if (!seg.legacy && old.seg == seg.id) {
+    if (old.seg == seg.id) {
       const unsigned char* rec = seg.base + offset;
       extends = std::memcmp(rec, kDeltaMagic, 8) == 0 &&
                 wire::load_u64(rec + 40) == std::uint64_t{old.off8} * 8;
@@ -546,7 +490,7 @@ SegmentStore::Segment* SegmentStore::new_segment(Writer& w) {
     throw std::runtime_error("SegmentStore: cannot mmap " + seg->path);
   }
   seg->base = static_cast<unsigned char*>(map);
-  std::memcpy(seg->base, kSegmentMagicV2, 8);
+  std::memcpy(seg->base, kSegmentHeaderMagic, 8);
   wire::store_u64(seg->base + 8, w.id);
   wire::store_u64(seg->base + 16, seg->seq);
   wire::store_u64(seg->base + 24, seg->bytes);
@@ -574,7 +518,7 @@ std::size_t SegmentStore::write_record(Writer& w, std::uint64_t user,
     Segment* cseg = seg_by_id_[cur.seg];
     // Chains never span segments, so a delta is only possible when the
     // previous record already sits in the current tail.
-    if (cseg != nullptr && cseg == w.tail && !cseg->legacy &&
+    if (cseg != nullptr && cseg == w.tail &&
         chain_depth(cur) < params_.rebase_every) {
       bool base_ok = true;
       try {
@@ -595,7 +539,7 @@ std::size_t SegmentStore::write_record(Writer& w, std::uint64_t user,
   std::size_t need =
       use_delta ? delta_record_bytes(n_rows, num_actions_) : anchor_bytes_;
   Segment* seg = w.tail;
-  if (seg == nullptr || seg->legacy || seg->used + need > seg->bytes) {
+  if (seg == nullptr || seg->used + need > seg->bytes) {
     seg = new_segment(w);
     if (use_delta) {  // the parent stayed behind: rebase instead
       use_delta = false;
@@ -706,24 +650,6 @@ std::optional<std::uint64_t> SegmentStore::load(std::uint64_t user,
         std::to_string(user));
   };
 
-  if (seg->legacy) {
-    const unsigned char* rec = base + off0;
-    if (std::memcmp(rec, kRecordMagic, 8) != 0 ||
-        wire::load_u64(rec + 8) != user || wire::load_u64(rec + 24) != qn ||
-        wire::load_u64(rec + legacy_record_bytes_ - 8) !=
-            wire::fnv1a(rec + 8, legacy_record_bytes_ - 16)) {
-      throw fail();
-    }
-    const unsigned char* qp = rec + 32;
-    for (std::size_t s = 0; s < num_states_; ++s) {
-      for (double& v : q.row_mut(static_cast<rl::StateId>(s))) {
-        v = wire::load_f64(qp);
-        qp += 8;
-      }
-    }
-    return wire::load_u64(rec + 16);
-  }
-
   // Validate the whole chain newest -> anchor before touching q: `q` is
   // written only after every record it depends on has checked out.
   std::array<const unsigned char*, kMaxChainRecords + 1> chain;
@@ -738,7 +664,7 @@ std::optional<std::uint64_t> SegmentStore::load(std::uint64_t user,
     const bool is_delta = !anchor && std::memcmp(rec, kDeltaMagic, 8) == 0;
     if (!anchor && !is_delta) throw fail();
     const std::uint64_t len = wire::load_u64(rec + 8);
-    if (len < kMinRecordBytes || len % 8 != 0 || off + len > seg->bytes) {
+    if (len < kMinRecordBytes || len % 8 != 0 || len > seg->bytes - off) {
       throw fail();
     }
     if (wire::load_u64(rec + 16) != user) throw fail();
@@ -943,7 +869,6 @@ SegmentStore::Info SegmentStore::inspect(const std::string& dir) {
   if (!info.meta_ok) return info;
 
   const std::uint64_t qn = info.num_states * info.num_actions;
-  const std::size_t legacy_bytes = 8 * (4 + qn) + 8;
   const std::size_t anchor_bytes = 8 * (6 + qn);
   struct FileKey {
     std::uint64_t writer;
@@ -987,29 +912,7 @@ SegmentStore::Info SegmentStore::inspect(const std::string& dir) {
       info.max_version = std::max(info.max_version, version);
     };
     if (buf.size() >= kSegmentHeaderBytes &&
-        std::memcmp(buf.data(), kSegmentMagic, 8) == 0 &&
-        wire::load_u64(buf.data() + 24) == legacy_bytes) {
-      detail.legacy = true;
-      const std::uint64_t capacity = wire::load_u64(buf.data() + 32);
-      for (std::uint64_t slot = 0; slot < capacity; ++slot) {
-        const std::size_t off = kSegmentHeaderBytes + slot * legacy_bytes;
-        if (off + legacy_bytes > buf.size()) break;
-        const unsigned char* rec = buf.data() + off;
-        if (wire::load_u64(rec) == 0) break;  // tail
-        if (std::memcmp(rec, kRecordMagic, 8) != 0 ||
-            wire::load_u64(rec + 24) != qn ||
-            wire::load_u64(rec + legacy_bytes - 8) !=
-                wire::fnv1a(rec + 8, legacy_bytes - 16)) {
-          ++info.corrupt_records;
-          continue;
-        }
-        ++info.records;
-        ++info.anchors;
-        ++detail.anchors;
-        publish(wire::load_u64(rec + 8), wire::load_u64(rec + 16), 1);
-      }
-    } else if (buf.size() >= kSegmentHeaderBytes &&
-               std::memcmp(buf.data(), kSegmentMagicV2, 8) == 0) {
+        std::memcmp(buf.data(), kSegmentHeaderMagic, 8) == 0) {
       // offset -> chain depth of the record starting there (chains are
       // segment-local, so one per-file map suffices).
       std::unordered_map<std::uint64_t, std::uint32_t> depth_at;
@@ -1023,7 +926,7 @@ SegmentStore::Info SegmentStore::inspect(const std::string& dir) {
         const std::uint64_t len =
             (anchor || is_delta) ? wire::load_u64(rec + 8) : 0;
         if ((!anchor && !is_delta) || len < kMinRecordBytes || len % 8 != 0 ||
-            off + len > buf.size() ||
+            len > buf.size() - off ||
             wire::load_u64(rec + len - 8) !=
                 wire::fnv1a(rec + 8, len - 16)) {
           ++info.corrupt_records;  // prefix ends: the rest is unreachable
@@ -1082,77 +985,6 @@ SegmentStore::Info SegmentStore::inspect(const std::string& dir) {
                      : static_cast<double>(total_depth) /
                            static_cast<double>(latest.size());
   return info;
-}
-
-// ---------------------------------------------------------------------------
-// SegmentPolicyStore
-// ---------------------------------------------------------------------------
-
-SegmentPolicyStore::SegmentPolicyStore(
-    const planning::RoutineLearner& reference, SegmentPolicyStoreParams params)
-    : PolicyStore(reference,
-                  PolicyStoreParams{params.dir, params.flush_every}),
-      seg_(steps(), tools(), reference.q().num_states(),
-           reference.q().num_actions(),
-           SegmentStoreParams{params.dir, params.segment_bytes, params.writers,
-                              params.compact_dead_ratio,
-                              params.compact_min_records,
-                              params.rebase_every}) {}
-
-SegmentPolicyStore::~SegmentPolicyStore() {
-  try {
-    flush_all();
-  } catch (...) {
-    // Same contract as the base destructor: an unflushed tail only costs
-    // the stages since the last flush.
-  }
-}
-
-UserId SegmentPolicyStore::add_user(std::string name) {
-  const UserId u = PolicyStore::add_user(std::move(name));
-  seg_.reserve_users(num_users());
-  return u;
-}
-
-UserId SegmentPolicyStore::add_user(std::string name,
-                                    const rl::QTable& initial) {
-  const UserId u = PolicyStore::add_user(std::move(name), initial);
-  seg_.reserve_users(num_users());
-  return u;
-}
-
-std::string SegmentPolicyStore::path_for(UserId user) const {
-  entry(user);  // same unknown-id validation as the base store
-  return params().dir;
-}
-
-void SegmentPolicyStore::persist_snapshot(UserId user, Entry& e) {
-  seg_.append(user, e.q, e.version);
-}
-
-std::optional<std::uint64_t> SegmentPolicyStore::read_snapshot(
-    UserId user, rl::QTable& staged) {
-  return seg_.load(user, staged);
-}
-
-std::size_t SegmentPolicyStore::import_v2_dir(const std::string& from_dir) {
-  std::size_t imported = 0;
-  for (UserId u = 0; u < num_users(); ++u) {
-    const std::string path = from_dir + "/" + user_name(u) + ".policy";
-    std::ifstream in(path, std::ios::binary);
-    if (!in) continue;
-    Entry& e = entry(u);
-    rl::QTable staged(e.q.num_states(), e.q.num_actions());
-    const std::uint64_t version =
-        planning::load_policy_v2(in, steps_, tools_, staged);
-    e.q = staged;
-    e.version = version;
-    persist_snapshot(u, e);
-    ++e.disk;
-    e.unflushed = 0;
-    ++imported;
-  }
-  return imported;
 }
 
 }  // namespace coreda::serve

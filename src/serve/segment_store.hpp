@@ -1,30 +1,31 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "serve/policy_store.hpp"
+#include "adl/types.hpp"
+#include "faults/faults.hpp"
+#include "rl/q_table.hpp"
 #include "serve/user_index.hpp"
 
 namespace coreda::serve {
 
 // ---------------------------------------------------------------------------
-// "coreda-policy store" — the fleet tier's memory-mapped segmented store.
+// "coreda-policy store" — the one on-disk format for per-user policies: a
+// memory-mapped, segmented, append-only store.
 //
-// One directory holds the whole fleet's policies:
+// One directory holds every user's policy:
 //
 //   store.meta            schema: vocabularies + table shape (atomic
 //                         temp+rename publish, FNV-1a 64 trailer)
 //   seg-w<writer>-<seq>.seg   mmap'd append-only segments
 //
-// Segment format v2 ("CRDASEG2", all integers little-endian u64, doubles as
+// Segment format ("CRDASEG2", all integers little-endian u64, doubles as
 // LE IEEE-754 bit patterns) — variable-stride records, 8-byte aligned:
 //
 //   header   40 bytes  magic "CRDASEG2", writer, seq, file_bytes,
@@ -46,7 +47,7 @@ namespace coreda::serve {
 //   q          q_count x f64, row-major
 //   checksum   u64  FNV-1a 64 over bytes [8, len - 8)
 //
-// Delta — the v3 changed-row encoding carried into the segment format
+// Delta — the rows that changed since the parent record
 // (len = 8 * (8 + n_rows * (1 + n_actions))):
 //
 //   parent_version u64  version the delta applies on top of
@@ -61,17 +62,15 @@ namespace coreda::serve {
 // compaction and the back-pointer stay segment-local. The writer rebases
 // (writes a fresh anchor) every `rebase_every` records per user, bounding
 // chain-replay cost and tail-corruption blast radius, and compaction
-// rewrites every live user as a fresh anchor (the v3 "rebase on compaction").
+// rewrites every live user as a fresh anchor.
 //
 // Crash story: body + checksum land first, the magic last, so a crashed
 // append leaves a tail whose magic is still zero. The scan-on-open stops at
 // the first invalid record — the longest valid prefix, exactly the durable
 // state before the crash — and the next append overwrites the torn tail.
-// (Variable strides make the v1 skip-and-continue unsound: a record after
-// a corrupt one cannot be located, and a delta after a corrupt parent
-// cannot be applied. Prefix semantics are what the v3 file chains already
-// promise.) Legacy "CRDASEG1" fixed-stride segments remain fully readable
-// — a v1 store opens in place; new appends land in v2 segments.
+// (Variable strides make skip-and-continue unsound: a record after a
+// corrupt one cannot be located, and a delta after a corrupt parent cannot
+// be applied.)
 //
 // Writer partitioning: user `u` belongs to writer `u % writers`; each
 // writer owns its segment chain, its tail, and its own flat open-addressed
@@ -86,12 +85,8 @@ namespace coreda::serve {
 /// The 8 magic bytes opening store.meta / segments / records.
 inline constexpr char kStoreMetaMagic[8] = {'C', 'R', 'D', 'A',
                                             'S', 'T', 'R', '1'};
-inline constexpr char kSegmentMagic[8] = {'C', 'R', 'D', 'A',
-                                          'S', 'E', 'G', '1'};
-inline constexpr char kRecordMagic[8] = {'C', 'R', 'D', 'A',
-                                         'R', 'E', 'C', '1'};
-inline constexpr char kSegmentMagicV2[8] = {'C', 'R', 'D', 'A',
-                                            'S', 'E', 'G', '2'};
+inline constexpr char kSegmentHeaderMagic[8] = {'C', 'R', 'D', 'A',
+                                                'S', 'E', 'G', '2'};
 inline constexpr char kAnchorMagic[8] = {'C', 'R', 'D', 'A',
                                          'R', 'E', 'C', '2'};
 inline constexpr char kDeltaMagic[8] = {'C', 'R', 'D', 'A',
@@ -123,9 +118,9 @@ struct SegmentStoreParams {
 };
 
 /// The raw record store: append / load / scan / compact. Knows nothing of
-/// PolicyStore entries — SegmentPolicyStore below adapts it to the serving
-/// tier's staging protocol, and FleetEngine drives it directly (at fleet
-/// scale there is no resident per-user table to adapt).
+/// staging or wear batching — PolicyStore (policy_store.hpp) layers the
+/// serving tier's protocol on top, and FleetEngine drives it directly (at
+/// fleet scale there is no resident per-user table to stage).
 class SegmentStore {
  public:
   /// Opens (or creates) the store at params.dir with the given schema.
@@ -201,17 +196,16 @@ class SegmentStore {
   std::size_t num_states() const noexcept { return num_states_; }
   std::size_t num_actions() const noexcept { return num_actions_; }
 
-  /// Every user with a record, ascending (offline tooling / migration).
+  /// Every user with a record, ascending (offline tooling and tests).
   std::vector<std::uint64_t> user_ids() const;
 
-  /// Crash seam, mirroring PolicyStore: evaluated with the segment path
-  /// after the record body + checksum are written but before the magic
-  /// publishes the record. A crash here — a throwing test hook or a planned
-  /// faults::InjectedCrash — aborts the append: the tail does not advance,
-  /// the index keeps the previous version, and the half-written bytes are
-  /// overwritten by the next append (or ignored by the next scan).
-  /// Compaction publishes through the same seam, so crash injection covers
-  /// the rebase path too.
+  /// Crash seam: evaluated with the segment path after the record body +
+  /// checksum are written but before the magic publishes the record. A
+  /// crash here — a throwing test hook or a planned faults::InjectedCrash —
+  /// aborts the append: the tail does not advance, the index keeps the
+  /// previous version, and the half-written bytes are overwritten by the
+  /// next append (or ignored by the next scan). Compaction publishes
+  /// through the same seam, so crash injection covers the rebase path too.
   faults::Site& pre_publish_site() noexcept { return pre_publish_site_; }
 
   /// Arms the store's fault sites (pre-publish crash + record-byte
@@ -221,22 +215,15 @@ class SegmentStore {
     injector.attach(corrupt_site_);
   }
 
-  /// Deprecated: route crash hooks through pre_publish_site().set_hook().
-  [[deprecated("use pre_publish_site().set_hook()")]] void
-  set_pre_publish_hook(std::function<void(const std::string&)> hook) {
-    pre_publish_site_.set_hook(std::move(hook));
-  }
-
   /// Offline summary of a store directory for operator tooling (`coreda
   /// policy inspect`). Opens read-only; never repairs anything.
   struct SegmentInfo {
     std::uint64_t writer = 0;
     std::uint64_t seq = 0;
-    std::uint64_t anchors = 0;  ///< valid anchor / full records
+    std::uint64_t anchors = 0;  ///< valid anchor records
     std::uint64_t deltas = 0;   ///< valid delta records
     std::uint64_t live = 0;     ///< users whose newest record is here
     double mean_chain_length = 0.0;  ///< mean records per live chain here
-    bool legacy = false;        ///< v1 fixed-stride segment
   };
   struct Info {
     std::size_t num_steps = 0;
@@ -247,8 +234,8 @@ class SegmentStore {
     std::uint64_t records = 0;          ///< valid records scanned
     std::uint64_t anchors = 0;          ///< ... of which full tables
     std::uint64_t deltas = 0;           ///< ... of which changed-row deltas
-    std::uint64_t corrupt_records = 0;  ///< failed validation (v1 skip or
-                                        ///< v2 prefix-stop remainder)
+    std::uint64_t corrupt_records = 0;  ///< invalid records ending a
+                                        ///< segment's valid prefix
     std::uint64_t users = 0;            ///< distinct users with a valid record
     std::uint64_t live_records = 0;     ///< == users (newest per user)
     std::uint64_t max_version = 0;
@@ -268,8 +255,7 @@ class SegmentStore {
   void validate_meta() const;
   void open_existing_segments();
   Segment* new_segment(Writer& w);
-  void scan_segment_v1(Segment& seg);
-  void scan_segment_v2(Segment& seg);
+  void scan_segment(Segment& seg);
   void publish_index(std::uint64_t user, Segment& seg, std::uint64_t offset,
                      std::uint64_t version);
   /// Appends one record (delta when profitable and allowed) and flips the
@@ -278,9 +264,9 @@ class SegmentStore {
                            std::uint64_t version, bool allow_delta);
   void maybe_compact(Writer& w);
   void compact_writer(Writer& w);
-  /// Records in the chain ending at loc (1 for an anchor/legacy record);
-  /// structural walk only. Returns rebase_every+1 on any anomaly so
-  /// callers fall back to writing an anchor.
+  /// Records in the chain ending at loc (1 for an anchor); structural walk
+  /// only. Returns rebase_every+1 on any anomaly so callers fall back to
+  /// writing an anchor.
   std::size_t chain_depth(UserIndex::Loc loc) const noexcept;
   std::uint64_t version_at(UserIndex::Loc loc) const noexcept;
   Writer& writer_for(std::uint64_t user) const noexcept {
@@ -292,8 +278,7 @@ class SegmentStore {
   std::vector<adl::ToolId> tools_;
   std::size_t num_states_ = 0;
   std::size_t num_actions_ = 0;
-  std::size_t legacy_record_bytes_ = 0;  ///< v1 fixed stride
-  std::size_t anchor_bytes_ = 0;         ///< v2 anchor record length
+  std::size_t anchor_bytes_ = 0;  ///< anchor record length
   std::vector<std::unique_ptr<Writer>> writers_;
   /// Segments found on open whose writer id exceeds params.writers (the
   /// store was reopened with fewer lanes). Read-only until compaction of
@@ -317,63 +302,6 @@ class SegmentStore {
   std::atomic<std::uint64_t> compactions_{0};
   faults::Site pre_publish_site_{"segment_store.pre_publish"};
   faults::Site corrupt_site_{"segment_store.corrupt"};
-};
-
-struct SegmentPolicyStoreParams {
-  std::string dir;  ///< required: the segment store directory
-  std::size_t flush_every = 8;
-  std::size_t segment_bytes = std::size_t{1} << 20;
-  std::size_t writers = 1;
-  double compact_dead_ratio = 0.5;
-  std::size_t compact_min_records = 64;
-  std::size_t rebase_every = 16;
-};
-
-/// PolicyStore backed by a SegmentStore: same staging / versioning / wear
-/// batching / crash semantics, but flushes append mmap records instead of
-/// writing one file per user. Drop-in for ServeEngine and RetrainScheduler.
-class SegmentPolicyStore final : public PolicyStore {
- public:
-  SegmentPolicyStore(const planning::RoutineLearner& reference,
-                     SegmentPolicyStoreParams params);
-  /// Flushes dirty entries into the segment store (best effort) before the
-  /// base destructor runs with its virtual dispatch gone.
-  ~SegmentPolicyStore() override;
-
-  UserId add_user(std::string name) override;
-  UserId add_user(std::string name, const rl::QTable& initial) override;
-
-  /// Imports every `<name>.policy` v2 snapshot in `from_dir` whose stem
-  /// matches a registered user: the entry adopts the snapshot's table and
-  /// version and is flushed into the segment store immediately. Returns
-  /// the number of users imported. Throws std::runtime_error on a corrupt
-  /// or mismatched snapshot (the migration CLI wants loud failures, not
-  /// silently dropped users).
-  std::size_t import_v2_dir(const std::string& from_dir);
-
-  const SegmentStore& segments() const noexcept { return seg_; }
-
-  /// The segment store shares segment files across users: path_for returns
-  /// the store directory.
-  std::string path_for(UserId user) const override;
-
-  /// Both backends expose one crash seam with one contract: the adapter's
-  /// site IS the segment store's site (a hook armed through either handle
-  /// fires on segment appends and compaction publishes alike).
-  faults::Site& pre_publish_site() noexcept override {
-    return seg_.pre_publish_site();
-  }
-  void attach_faults(faults::Injector& injector) override {
-    seg_.attach_faults(injector);
-  }
-
- protected:
-  void persist_snapshot(UserId user, Entry& e) override;
-  std::optional<std::uint64_t> read_snapshot(UserId user,
-                                             rl::QTable& staged) override;
-
- private:
-  SegmentStore seg_;
 };
 
 }  // namespace coreda::serve

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "adl/library.hpp"
 #include "pavenet/detector.hpp"
 #include "planning/learner.hpp"
@@ -15,10 +18,12 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Property: the planner converges to the exact routine for every ADL in
-// the library and every seed (single-routine ADLs).
+// the library and every seed (single-routine ADLs). The ADL name is a
+// std::string, not a const char*: gtest prints a pointer parameter's
+// address into the test name, which differs from run to run.
 // ---------------------------------------------------------------------
 struct LearnerConvergence
-    : ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {};
+    : ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {};
 
 TEST_P(LearnerConvergence, GreedyPolicyMatchesRoutine) {
   const auto [adl_name, seed] = GetParam();

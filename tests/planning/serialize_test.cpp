@@ -1,3 +1,8 @@
+// A trained learner survives a trip through the v2 table record — the
+// per-ADL entry every policy bundle frames — with every Q value, every
+// prediction and its ability to keep learning intact; foreign, garbage and
+// truncated records are rejected with the learner untouched.
+
 #include "planning/serialize.hpp"
 
 #include <gtest/gtest.h>
@@ -21,15 +26,29 @@ struct SerializeFixture : ::testing::Test {
     for (int i = 0; i < 80; ++i) learner.train_episode(steps);
     return learner;
   }
+
+  static std::string record_of(const RoutineLearner& learner) {
+    std::ostringstream out(std::ios::binary);
+    save_policy_v2(out, learner.state_codec().symbols(),
+                   learner.action_codec().tools(), learner.q(), 1);
+    return out.str();
+  }
+
+  /// Loads `bytes` into `learner` the way a bundle checkout does: decode
+  /// into a scratch table under the learner's vocabularies, then import.
+  static void restore(const std::string& bytes, RoutineLearner& learner) {
+    rl::QTable staged(learner.q().num_states(), learner.q().num_actions());
+    std::istringstream in(bytes, std::ios::binary);
+    load_policy_v2(in, learner.state_codec().symbols(),
+                   learner.action_codec().tools(), staged);
+    learner.import_q(staged);
+  }
 };
 
 TEST_F(SerializeFixture, RoundTripPreservesEveryQValue) {
   RoutineLearner source = trained();
-  std::stringstream buffer;
-  save_policy(buffer, source);
-
   RoutineLearner restored(library.tea_making(), util::Rng(99));
-  load_policy(buffer, restored);
+  restore(record_of(source), restored);
 
   for (rl::StateId s = 0; s < source.q().num_states(); ++s) {
     for (rl::ActionId a = 0; a < source.q().num_actions(); ++a) {
@@ -41,10 +60,8 @@ TEST_F(SerializeFixture, RoundTripPreservesEveryQValue) {
 
 TEST_F(SerializeFixture, RestoredLearnerPredictsIdentically) {
   RoutineLearner source = trained();
-  std::stringstream buffer;
-  save_policy(buffer, source);
   RoutineLearner restored(library.tea_making(), util::Rng(99));
-  load_policy(buffer, restored);
+  restore(record_of(source), restored);
 
   for (const PlannerState& state : source.predicting_states()) {
     const auto a = source.predict(state);
@@ -56,38 +73,30 @@ TEST_F(SerializeFixture, RestoredLearnerPredictsIdentically) {
 
 TEST_F(SerializeFixture, WrongAdlRejected) {
   RoutineLearner source = trained();
-  std::stringstream buffer;
-  save_policy(buffer, source);
   RoutineLearner other(library.tooth_brushing(), util::Rng(99));
-  EXPECT_THROW(load_policy(buffer, other), std::runtime_error);
+  EXPECT_THROW(restore(record_of(source), other), std::runtime_error);
 }
 
 TEST_F(SerializeFixture, GarbageRejected) {
-  std::stringstream buffer("not a policy at all\n");
   RoutineLearner learner(library.tea_making(), util::Rng(1));
-  EXPECT_THROW(load_policy(buffer, learner), std::runtime_error);
+  EXPECT_THROW(restore("not a policy at all\n", learner), std::runtime_error);
 }
 
 TEST_F(SerializeFixture, TruncatedSnapshotLeavesLearnerUnchanged) {
   RoutineLearner source = trained();
-  std::stringstream buffer;
-  save_policy(buffer, source);
-  std::string text = buffer.str();
-  text.resize(text.size() * 2 / 3);  // chop the tail of the Q rows
+  std::string bytes = record_of(source);
+  bytes.resize(bytes.size() * 2 / 3);  // chop the tail of the Q block
 
   RoutineLearner victim(library.tea_making(), util::Rng(2));
   const double before = victim.q().get(0, 0);
-  std::stringstream truncated(text);
-  EXPECT_THROW(load_policy(truncated, victim), std::runtime_error);
+  EXPECT_THROW(restore(bytes, victim), std::runtime_error);
   EXPECT_DOUBLE_EQ(victim.q().get(0, 0), before);
 }
 
 TEST_F(SerializeFixture, RestoredLearnerCanKeepTraining) {
   RoutineLearner source = trained();
-  std::stringstream buffer;
-  save_policy(buffer, source);
   RoutineLearner restored(library.tea_making(), util::Rng(99));
-  load_policy(buffer, restored);
+  restore(record_of(source), restored);
 
   const std::vector<adl::StepId> steps{T::kTeaBox, T::kElectricPot,
                                        T::kKettle, T::kTeaCup};

@@ -1,15 +1,15 @@
-// Crash injection for the snapshot flush path. The PolicyStore publishes
-// atomically (write <path>.tmp, then rename), so the window that matters is
-// between the completed temp write and the rename. The pre-publish hook
-// throws right there, simulating a crash with a fully written temp file on
-// disk:
+// Crash injection for the PolicyStore flush path. A flush appends one
+// segment record whose magic is written last, so the window that matters
+// is between the completed record body and the magic publish. The segment
+// store's pre_publish_site() hook throws right there, simulating a crash
+// with a fully written but unpublished record in the mapping:
 //
-//   * the committed snapshot is untouched — a reader (warm restart) still
+//   * the committed record is untouched — a reader (warm restart) still
 //     loads the previous version;
 //   * the entry still counts as unflushed, so the next flush retries and
 //     publishes cleanly once the "crash" stops;
-//   * a leftover garbage .tmp from a dead writer is simply overwritten by
-//     the next flush, never read;
+//   * garbage past the valid prefix from a dead writer is never read, and
+//     the next append overwrites it;
 //   * the destructor's best-effort flush survives a throwing hook.
 
 #include "serve/policy_store.hpp"
@@ -21,7 +21,6 @@
 #include <stdexcept>
 
 #include "adl/library.hpp"
-#include "planning/serialize.hpp"
 
 namespace coreda::serve {
 namespace {
@@ -46,104 +45,100 @@ struct PolicyCrashFixture : ::testing::Test {
     return dir;
   }
 
-  std::uint64_t committed_version(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    const planning::PolicyV2Info info = planning::inspect_policy_v2(in);
-    EXPECT_TRUE(info.checksum_ok);
-    return info.version;
+  static PolicyStoreParams on_disk(const std::string& dir,
+                                   std::size_t flush_every) {
+    PolicyStoreParams params;
+    params.flush_every = flush_every;
+    params.segments.dir = dir;
+    return params;
+  }
+
+  /// The version a restarting reader recovers for user 0 of `dir`.
+  std::optional<std::uint64_t> committed_version(
+      const planning::RoutineLearner& donor, const std::string& dir) {
+    PolicyStore reader(donor, on_disk(dir, 1));
+    return reader.restore(reader.add_user("tanaka"));
   }
 };
 
-TEST_F(PolicyCrashFixture, CrashBeforeRenameKeepsCommittedSnapshotReadable) {
+TEST_F(PolicyCrashFixture, CrashBeforePublishKeepsCommittedSnapshotReadable) {
   planning::RoutineLearner donor = trained();
   const std::string dir = fresh_dir("window");
-  PolicyStoreParams params;
-  params.dir = dir;
-  params.flush_every = 1;
-  PolicyStore store(donor, params);
+  PolicyStore store(donor, on_disk(dir, 1));
   const UserId u = store.add_user("tanaka");
 
   store.stage(u, donor.q());  // clean flush: version 2 committed
-  const std::string path = store.path_for(u);
-  ASSERT_EQ(committed_version(path), 2u);
+  ASSERT_EQ(committed_version(donor, dir), std::optional<std::uint64_t>{2});
 
-  // Arm the crash: the next flush dies after the temp file is fully
-  // written, before the rename publishes it.
-  store.pre_publish_site().set_hook([](const std::string&) {
-    throw std::runtime_error("injected crash before rename");
+  // Arm the crash: the next flush dies after the record body is fully
+  // written, before its magic publishes it.
+  store.segments()->pre_publish_site().set_hook([](const std::string&) {
+    throw std::runtime_error("injected crash before publish");
   });
   EXPECT_THROW(store.stage(u, donor.q()), std::runtime_error);
   EXPECT_EQ(store.version(u), 3u);  // the in-memory entry did advance
-
-  // The temp file is the crash debris; the committed file is still the
-  // previous, complete snapshot.
-  EXPECT_TRUE(fs::exists(path + ".tmp"));
-  EXPECT_EQ(committed_version(path), 2u);
+  EXPECT_EQ(store.segments()->latest_version(u),
+            std::optional<std::uint64_t>{2});
 
   // A reader restarting against the same directory sees version 2 — never
-  // the torn write.
-  {
-    PolicyStoreParams reader_params;
-    reader_params.dir = dir;
-    PolicyStore reader(donor, reader_params);
-    const UserId r = reader.add_user("tanaka");
-    EXPECT_EQ(reader.restore(r), std::optional<std::uint64_t>{2});
-  }
+  // the unpublished record.
+  EXPECT_EQ(committed_version(donor, dir), std::optional<std::uint64_t>{2});
 
-  // Crash over: the entry is still dirty, so an explicit flush retries,
-  // publishes version 3 and clears the debris path by overwriting it.
-  store.pre_publish_site().set_hook(nullptr);
+  // Crash over: the entry is still dirty, so an explicit flush retries and
+  // publishes version 3 over the crash debris.
+  store.segments()->pre_publish_site().set_hook(nullptr);
   store.flush(u);
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-  EXPECT_EQ(committed_version(path), 3u);
+  EXPECT_EQ(committed_version(donor, dir), std::optional<std::uint64_t>{3});
   EXPECT_EQ(store.disk_writes(), 2u);  // the crashed attempt cost no wear
+  EXPECT_EQ(SegmentStore::inspect(dir).corrupt_records, 0u);
 }
 
-TEST_F(PolicyCrashFixture, LeftoverGarbageTempFileIsNeverReadAndGetsReplaced) {
+TEST_F(PolicyCrashFixture, GarbagePastTheTailIsNeverReadAndGetsReplaced) {
   planning::RoutineLearner donor = trained();
   const std::string dir = fresh_dir("debris");
-  PolicyStoreParams params;
-  params.dir = dir;
-  params.flush_every = 1;
-  PolicyStore store(donor, params);
-  const UserId u = store.add_user("tanaka");
-  const std::string path = store.path_for(u);
-
-  // A previous writer died mid-write: garbage under the temp name, no
-  // committed snapshot at all.
-  fs::create_directories(dir);
+  std::uint64_t tail = 0;
   {
-    std::ofstream out(path + ".tmp", std::ios::binary);
-    out << "half a snapshot, then the power went";
+    PolicyStore store(donor, on_disk(dir, 1));
+    store.stage(store.add_user("tanaka"), donor.q());  // version 2
+    tail = 40 + store.segments()->appended_bytes();
   }
-  // restore() reads only the committed path — debris is invisible.
-  EXPECT_EQ(store.restore(u), std::nullopt);
+  // A later writer died mid-append: garbage right after the committed
+  // record, with no magic that could make it look published.
+  {
+    std::fstream f(dir + "/seg-w0-000000.seg",
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(tail));
+    f << "half a record, then the power went";
+  }
+  EXPECT_EQ(SegmentStore::inspect(dir).corrupt_records, 1u);
 
-  // The next flush truncates the debris and publishes a valid snapshot.
-  store.stage(u, donor.q());
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-  EXPECT_EQ(committed_version(path), 2u);
+  // restore() reads only the valid prefix — the debris is invisible...
+  PolicyStore store(donor, on_disk(dir, 1));
+  const UserId u = store.add_user("tanaka");
   EXPECT_EQ(store.restore(u), std::optional<std::uint64_t>{2});
+
+  // ...and the next flush appends over it.
+  store.stage(u, donor.q());
+  EXPECT_EQ(committed_version(donor, dir), std::optional<std::uint64_t>{3});
+  EXPECT_EQ(SegmentStore::inspect(dir).corrupt_records, 0u);
 }
 
 TEST_F(PolicyCrashFixture, DestructorFlushSwallowsInjectedCrash) {
   planning::RoutineLearner donor = trained();
   const std::string dir = fresh_dir("dtor");
   {
-    PolicyStoreParams params;
-    params.dir = dir;
-    params.flush_every = 100;  // keep the entry dirty until destruction
-    PolicyStore store(donor, params);
+    // flush_every=100 keeps the entry dirty until destruction.
+    PolicyStore store(donor, on_disk(dir, 100));
     const UserId u = store.add_user("tanaka");
     store.stage(u, donor.q());
-    store.pre_publish_site().set_hook([](const std::string&) {
+    store.segments()->pre_publish_site().set_hook([](const std::string&) {
       throw std::runtime_error("injected crash in destructor flush");
     });
   }  // ~PolicyStore must not terminate; the flush failure is swallowed
 
-  // Nothing was published — only the temp debris of the dying flush.
-  EXPECT_FALSE(fs::exists(dir + "/tanaka.policy"));
-  EXPECT_TRUE(fs::exists(dir + "/tanaka.policy.tmp"));
+  // Nothing was published: a restart finds no record for the user.
+  EXPECT_EQ(committed_version(donor, dir), std::nullopt);
+  EXPECT_EQ(SegmentStore::inspect(dir).records, 0u);
 }
 
 }  // namespace

@@ -1,18 +1,18 @@
-// Property tests for the v2 policy snapshot format and the PolicyStore's
-// corruption handling:
+// Property tests for the one on-disk policy format (SegmentStore anchors
+// and delta chains) and the PolicyStore's corruption handling:
 //
 //   * round-trip bit-fidelity over randomized tables — every finite f64
 //     pattern (negative zero, denormals, huge magnitudes) survives
-//     save -> load byte-for-byte, across table shapes from 1x1 to larger
-//     than production;
-//   * a crafted zero-dimension snapshot is rejected (QTable itself cannot
-//     even represent it);
+//     append -> load byte-for-byte, as a full anchor and through a changed-
+//     row delta chain, across table shapes from 1x1 to larger than
+//     production, and again after a reopen;
+//   * a crafted zero-dimension v2 table record (the bundle entry codec) is
+//     rejected (QTable itself cannot even represent it);
 //   * the exhaustive corruption sweep: flipping one byte at EVERY offset of
-//     a valid snapshot file makes PolicyStore::restore throw, and the
-//     resident table is byte-unchanged after each rejected load. The
-//     trailing FNV-1a checksum guarantees any single-byte flip is caught —
-//     flips in the body change the digest, flips in the stored digest
-//     mismatch the recomputed one.
+//     a user's newest record makes the live store's restore throw with the
+//     resident table byte-unchanged, and a restart recovers the previous
+//     committed version (or nothing) — never a torn table. The record's
+//     FNV-1a checksum guarantees any single-byte flip is caught.
 
 #include "serve/policy_store.hpp"
 
@@ -50,21 +50,34 @@ bool bit_equal(const rl::QTable& a, const rl::QTable& b) {
   return true;
 }
 
-/// Fills the table with adversarial finite doubles: mixed signs and
-/// magnitudes, exact and negative zero, denormals, near-overflow values.
+/// One adversarial finite double: mixed signs and magnitudes, exact and
+/// negative zero, denormals, near-overflow values.
+double adversarial(util::Rng& rng) {
+  switch (static_cast<int>(rng.uniform() * 8.0)) {
+    case 0: return 0.0;
+    case 1: return -0.0;
+    case 2: return 5e-324;  // smallest denormal
+    case 3: return -4.9e-324;
+    case 4: return 1.7e308 * (rng.uniform() - 0.5);
+    default: return (rng.uniform() * 2.0 - 1.0) * 1e3;
+  }
+}
+
 void randomize(rl::QTable& q, util::Rng& rng) {
   for (rl::StateId s = 0; s < q.num_states(); ++s) {
     for (rl::ActionId a = 0; a < q.num_actions(); ++a) {
-      double v = 0.0;
-      switch (static_cast<int>(rng.uniform() * 8.0)) {
-        case 0: v = 0.0; break;
-        case 1: v = -0.0; break;
-        case 2: v = 5e-324; break;  // smallest denormal
-        case 3: v = -4.9e-324; break;
-        case 4: v = 1.7e308 * (rng.uniform() - 0.5); break;
-        default: v = (rng.uniform() * 2.0 - 1.0) * 1e3; break;
-      }
-      q.set(s, a, v);
+      q.set(s, a, adversarial(rng));
+    }
+  }
+}
+
+/// Re-draws roughly every third row — a retrain-sized change that the
+/// store appends as a changed-row delta.
+void touch_rows(rl::QTable& q, util::Rng& rng) {
+  for (rl::StateId s = 0; s < q.num_states(); ++s) {
+    if (rng.uniform() * 3.0 >= 1.0) continue;
+    for (rl::ActionId a = 0; a < q.num_actions(); ++a) {
+      q.set(s, a, adversarial(rng));
     }
   }
 }
@@ -87,33 +100,68 @@ TEST(PolicyFuzzTest, RoundTripIsBitExactAcrossShapesAndValuePatterns) {
   util::Rng rng(20260807);
   const struct { std::size_t states, actions; } shapes[] = {
       {1, 1}, {1, 7}, {9, 1}, {6, 5}, {40, 17}, {97, 31}};
+  constexpr int kTrials = 8;
+  std::uint64_t deltas = 0;
   for (const auto& shape : shapes) {
     const std::vector<adl::StepId> steps = iota_steps(shape.states);
     const std::vector<adl::ToolId> tools = iota_tools(shape.actions);
-    for (int trial = 0; trial < 8; ++trial) {
+    SegmentStoreParams params;
+    params.dir = ::testing::TempDir() + "/coreda_fuzz_roundtrip";
+    fs::remove_all(params.dir);
+    auto store = std::make_unique<SegmentStore>(
+        steps, tools, shape.states, shape.actions, params);
+    store->reserve_users(kTrials);
+    const auto label = [&](int trial) {
+      return std::to_string(shape.states) + "x" +
+             std::to_string(shape.actions) + " trial " +
+             std::to_string(trial);
+    };
+
+    std::vector<rl::QTable> latest;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      const auto user = static_cast<std::uint64_t>(trial);
+      // Version 1: a fully random table — an anchor.
       rl::QTable q(shape.states, shape.actions);
       randomize(q, rng);
-
-      std::ostringstream out(std::ios::binary);
-      planning::save_policy_v2(out, steps, tools, q, /*version=*/trial + 1);
-      const std::string bytes = out.str();
-
+      store->append(user, q, 1);
       rl::QTable restored(shape.states, shape.actions, /*initial=*/7.5);
-      std::istringstream in(bytes, std::ios::binary);
-      ASSERT_EQ(planning::load_policy_v2(in, steps, tools, restored),
-                static_cast<std::uint64_t>(trial + 1))
-          << shape.states << "x" << shape.actions << " trial " << trial;
-      EXPECT_TRUE(bit_equal(q, restored))
-          << shape.states << "x" << shape.actions << " trial " << trial;
+      ASSERT_EQ(store->load(user, restored), std::optional<std::uint64_t>{1})
+          << label(trial);
+      EXPECT_TRUE(bit_equal(q, restored)) << label(trial);
 
-      // Saving the restored table reproduces the original stream exactly —
-      // round-tripping is idempotent at the byte level, not just value
-      // level.
-      std::ostringstream again(std::ios::binary);
-      planning::save_policy_v2(again, steps, tools, restored, trial + 1);
-      EXPECT_EQ(again.str(), bytes);
+      // Version 2: some rows re-drawn — a delta whenever that is smaller.
+      touch_rows(q, rng);
+      store->append(user, q, 2);
+      ASSERT_EQ(store->load(user, restored), std::optional<std::uint64_t>{2})
+          << label(trial);
+      EXPECT_TRUE(bit_equal(q, restored)) << label(trial);
+
+      // Re-appending the restored table changes no row at the bit level:
+      // the cheapest record the store can write (an empty delta, or an
+      // anchor where even that is smaller).
+      const std::uint64_t before = store->appended_bytes();
+      store->append(user, restored, 3);
+      EXPECT_EQ(store->appended_bytes() - before,
+                std::min<std::uint64_t>(64, store->anchor_record_bytes()))
+          << label(trial);
+      latest.push_back(q);
+    }
+    deltas += store->delta_records_written();
+
+    // The whole set survives a restart bit-for-bit.
+    store.reset();
+    SegmentStore reopened(steps, tools, shape.states, shape.actions, params);
+    for (int trial = 0; trial < kTrials; ++trial) {
+      rl::QTable restored(shape.states, shape.actions);
+      ASSERT_EQ(reopened.load(static_cast<std::uint64_t>(trial), restored),
+                std::optional<std::uint64_t>{3})
+          << label(trial);
+      EXPECT_TRUE(bit_equal(latest[static_cast<std::size_t>(trial)],
+                            restored))
+          << label(trial);
     }
   }
+  EXPECT_GT(deltas, 0u);  // the chains, not just anchors, were exercised
 }
 
 /// Appends a little-endian u64 (the v2 wire encoding).
@@ -125,7 +173,7 @@ void put_u64(std::string& out, std::uint64_t v) {
 
 TEST(PolicyFuzzTest, ZeroDimensionSnapshotIsRejected) {
   // A QTable cannot even be constructed with a zero dimension, so a
-  // zero-dim snapshot can only come from a corrupted or hostile file —
+  // zero-dim record can only come from a corrupted or hostile bundle —
   // craft one by hand, with a *correct* checksum, and make sure the loader
   // rejects the dimensions themselves.
   std::string bytes(planning::kPolicyV2Magic,
@@ -163,45 +211,61 @@ TEST(PolicyFuzzTest, EveryOneByteCorruptionIsRejectedAndTableUntouched) {
   const std::string dir = ::testing::TempDir() + "/coreda_fuzz_sweep";
   fs::remove_all(dir);
   PolicyStoreParams params;
-  params.dir = dir;
   params.flush_every = 1;
+  params.segments.dir = dir;
   PolicyStore store(donor, params);
   const UserId u = store.add_user("victim");
-  store.stage(u, donor.q());  // flushes: version-2 snapshot on disk
-
-  const std::string path = store.path_for(u);
-  std::string valid;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf(std::ios::binary);
-    buf << in.rdbuf();
-    valid = buf.str();
-  }
-  ASSERT_GT(valid.size(), 48u);  // magic + header + some payload
-
-  const rl::QTable resident_before = store.q(u);
-  const std::uint64_t version_before = store.version(u);
-  for (std::size_t offset = 0; offset < valid.size(); ++offset) {
-    std::string corrupt = valid;
-    corrupt[offset] = static_cast<char>(corrupt[offset] ^ 0x5A);
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out << corrupt;
+  const std::string seg_path = dir + "/seg-w0-000000.seg";
+  const auto flip = [&](std::size_t offset) {
+    std::fstream f(seg_path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekg(static_cast<std::streamoff>(offset));
+    char byte = 0;
+    f.get(byte);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.put(static_cast<char>(byte ^ 0x5A));
+    f.flush();
+  };
+  // Flips every byte of [begin, end) in turn. Each time the live store's
+  // restore must throw with its entry untouched, and a restarting reader
+  // must recover exactly `expect_version` / `expect_table` (nullopt: the
+  // user's only record is gone, the reader keeps the reference table).
+  const auto sweep = [&](std::size_t begin, std::size_t end,
+                         std::optional<std::uint64_t> expect_version,
+                         const rl::QTable& expect_table) {
+    const rl::QTable resident_before = store.q(u);
+    const std::uint64_t version_before = store.version(u);
+    for (std::size_t off = begin; off < end; ++off) {
+      flip(off);
+      EXPECT_THROW(store.restore(u), std::runtime_error) << "offset " << off;
+      EXPECT_TRUE(bit_equal(store.q(u), resident_before)) << "offset " << off;
+      EXPECT_EQ(store.version(u), version_before) << "offset " << off;
+      {
+        PolicyStore reader(donor, params);
+        const UserId r = reader.add_user("victim");
+        EXPECT_EQ(reader.restore(r), expect_version) << "offset " << off;
+        EXPECT_TRUE(bit_equal(reader.q(r), expect_table)) << "offset " << off;
+      }
+      flip(off);  // restore the byte
     }
-    EXPECT_THROW(store.restore(u), std::runtime_error)
-        << "offset " << offset << " of " << valid.size();
-    EXPECT_TRUE(bit_equal(store.q(u), resident_before))
-        << "offset " << offset;
-    EXPECT_EQ(store.version(u), version_before) << "offset " << offset;
-  }
+  };
 
-  // Control: the uncorrupted file still restores, so the sweep failed on
+  // The user's only record: any flip loses it entirely.
+  const rl::QTable v2 = donor.q();
+  store.stage(u, v2);
+  const std::size_t first_end = 40 + store.segments()->appended_bytes();
+  sweep(40, first_end, std::nullopt, donor.q());
+
+  // A newer record on top: any flip falls back to version 2.
+  rl::QTable v3 = v2;
+  v3.set(1, 0, -12.5);
+  store.stage(u, v3);
+  const std::size_t second_end = 40 + store.segments()->appended_bytes();
+  sweep(first_end, second_end, std::optional<std::uint64_t>{2}, v2);
+
+  // Control: the uncorrupted store still restores, so the sweep failed on
   // the corruption and not on some unrelated I/O problem.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << valid;
-  }
-  EXPECT_EQ(store.restore(u), std::optional<std::uint64_t>{2});
+  EXPECT_EQ(store.restore(u), std::optional<std::uint64_t>{3});
+  EXPECT_TRUE(bit_equal(store.q(u), v3));
 }
 
 }  // namespace

@@ -13,9 +13,9 @@
 //   * crash injection at the compaction-rebase publish seam: a mid-rebase
 //     crash leaves every user readable at its latest version, a restart
 //     agrees, and the retry completes the compaction;
-//   * a hand-written legacy "CRDASEG1" segment imports: its records load
-//     bit-exact, new appends land in v2 segments, and both generations
-//     coexist across a reopen.
+//   * a segment file with any other header magic (e.g. the retired
+//     fixed-stride "CRDASEG1" layout) is refused at open, never guessed
+//     at, and inspect reports it as corrupt.
 
 #include <gtest/gtest.h>
 
@@ -392,82 +392,29 @@ TEST_F(SegmentDeltaFixture, CrashAtCompactionRebasePublishKeepsEveryUser) {
   }
 }
 
-TEST_F(SegmentDeltaFixture, HandWrittenLegacySegmentImportsAndCoexists) {
-  const std::string dir = fresh_dir("legacy");
+TEST_F(SegmentDeltaFixture, UnknownSegmentMagicIsRejectedAtOpen) {
+  const std::string dir = fresh_dir("foreign");
   SegmentStoreParams p;
   p.dir = dir;
   { open(p); }  // writes store.meta, no segments yet
 
-  // Write a v1 segment by hand: "CRDASEG1" header, two fixed-stride
-  // "CRDAREC1" records (u64 magic, user, version, q_count, 30 x f64,
-  // FNV-1a checksum), two never-published slots of zeros.
-  const std::size_t rec_bytes = 8 * (4 + kStates * kActions) + 8;
-  const rl::QTable q0 = table(61), q1 = table(62);
+  // A segment in the retired fixed-stride layout: right name, right
+  // writer/seq fields, but a "CRDASEG1" header magic.
   {
-    std::vector<unsigned char> buf(kHeaderBytes + 4 * rec_bytes, 0);
+    std::vector<unsigned char> buf(kHeaderBytes + kAnchorBytes, 0);
     std::memcpy(buf.data(), "CRDASEG1", 8);
-    wire::store_u64(buf.data() + 8, 0);   // writer
-    wire::store_u64(buf.data() + 16, 0);  // seq
-    wire::store_u64(buf.data() + 24, rec_bytes);
-    wire::store_u64(buf.data() + 32, 4);  // capacity
-    const auto put_record = [&](std::size_t slot, std::uint64_t user,
-                                std::uint64_t version, const rl::QTable& q) {
-      unsigned char* rec = buf.data() + kHeaderBytes + slot * rec_bytes;
-      std::memcpy(rec, "CRDAREC1", 8);
-      wire::store_u64(rec + 8, user);
-      wire::store_u64(rec + 16, version);
-      wire::store_u64(rec + 24, kStates * kActions);
-      unsigned char* qp = rec + 32;
-      for (rl::StateId s = 0; s < kStates; ++s) {
-        for (const double v : q.row(s)) {
-          wire::store_f64(qp, v);
-          qp += 8;
-        }
-      }
-      wire::store_u64(rec + rec_bytes - 8,
-                      wire::fnv1a(rec + 8, rec_bytes - 16));
-    };
-    put_record(0, 0, 3, q0);
-    put_record(1, 1, 5, q1);
+    wire::store_u64(buf.data() + 24, buf.size());
     std::ofstream out(dir + "/seg-w0-000000.seg",
                       std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(buf.data()),
               static_cast<std::streamsize>(buf.size()));
     ASSERT_TRUE(out.flush());
   }
-
-  // The v1 records are fully readable through the v2 store.
-  auto store = open(p);
-  EXPECT_EQ(store->scanned_records(), 2u);
-  rl::QTable out(kStates, kActions);
-  ASSERT_EQ(store->load(0, out), std::optional<std::uint64_t>{3});
-  EXPECT_TRUE(bit_equal(out, q0));
-  ASSERT_EQ(store->load(1, out), std::optional<std::uint64_t>{5});
-  EXPECT_TRUE(bit_equal(out, q1));
-
-  // New appends land in a fresh v2 segment — legacy segments are never
-  // appended to — and supersede the legacy records.
-  const rl::QTable q0b = touched(q0, 1, -9.0);
-  store->append(0, q0b, 4);
-  EXPECT_EQ(store->anchor_records_written(), 1u);  // new segment: anchor
-  EXPECT_EQ(store->num_segments(), 2u);
-  ASSERT_EQ(store->load(0, out), std::optional<std::uint64_t>{4});
-  EXPECT_TRUE(bit_equal(out, q0b));
-  ASSERT_EQ(store->load(1, out), std::optional<std::uint64_t>{5});
-
-  // Both generations coexist across a reopen; inspect sees them too.
-  store.reset();
-  auto reopened = open(p);
-  ASSERT_EQ(reopened->load(0, out), std::optional<std::uint64_t>{4});
-  EXPECT_TRUE(bit_equal(out, q0b));
-  ASSERT_EQ(reopened->load(1, out), std::optional<std::uint64_t>{5});
-  EXPECT_TRUE(bit_equal(out, q1));
+  EXPECT_THROW(open(p), std::runtime_error);
   const SegmentStore::Info info = SegmentStore::inspect(dir);
-  ASSERT_EQ(info.segment_details.size(), 2u);
-  EXPECT_TRUE(info.segment_details[0].legacy);
-  EXPECT_FALSE(info.segment_details[1].legacy);
-  EXPECT_EQ(info.users, 2u);
-  EXPECT_EQ(info.max_version, 5u);
+  EXPECT_TRUE(info.meta_ok);
+  EXPECT_EQ(info.records, 0u);
+  EXPECT_EQ(info.corrupt_records, 1u);
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// The segment store's contract, mirroring the per-file PolicyStore suite
-// one storage generation up:
+// The segment store's contract:
 //
 //   * append/load round-trips are bit-exact, latest version wins, and a
 //     reopen rebuilds the index to exactly the pre-shutdown view;
@@ -8,15 +7,19 @@
 //     checksum: an open store's load() throws with the destination table
 //     untouched, and a reopening store falls back to the newest *valid*
 //     record for that user;
+//   * a crafted record length near 2^64 cannot wrap a bounds check: the
+//     scan, load and inspect all stop at the record instead of reading
+//     past the mapping;
 //   * crash injection between the record write and the magic publish
 //     (policy_crash_test's window): the append aborts, the index keeps the
 //     previous version, the half-written slot is invisible to a restart
 //     and gets overwritten by the retry;
 //   * compaction preserves every user's latest version and actually
 //     returns disk space (segment files are unlinked);
-//   * SegmentPolicyStore is a drop-in PolicyStore: the ServeEngine drains
-//     the same sessions to the same checksums over either backend, and v2
-//     per-file snapshots import.
+//   * a segment-backed PolicyStore serves the ServeEngine exactly like a
+//     memory-only one, restores after a restart, keeps its committed
+//     version through a crashed stage, and the engine refuses a store
+//     whose writer lanes do not match its slots.
 
 #include "serve/segment_store.hpp"
 
@@ -30,6 +33,7 @@
 #include "adl/library.hpp"
 #include "serve/engine.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace coreda::serve {
 namespace {
@@ -236,6 +240,39 @@ TEST_F(SegmentStoreFixture, EveryOneByteFlipInACommittedRecordIsRejected) {
   EXPECT_TRUE(bit_equal(out, v2));
 }
 
+TEST_F(SegmentStoreFixture, CraftedLengthNearTwoToThe64IsRejected) {
+  const std::string dir = fresh_dir("huge_len");
+  auto store = open(small_params(dir));
+  store->reserve_users(1);
+  store->append(0, table(61), 1);
+  {
+    // The segment's first record claims a length of 2^64 - 8: a multiple
+    // of 8 and above the minimum, and `offset + len` wraps below the file
+    // size. A bounds check written as a sum would pass it on to a
+    // checksum over ~2^64 bytes.
+    std::fstream f(dir + "/seg-w0-000000.seg",
+                   std::ios::binary | std::ios::in | std::ios::out);
+    unsigned char len[8];
+    util::wire::store_u64(len, 0xFFFF'FFFF'FFFF'FFF8ULL);
+    f.seekp(static_cast<std::streamoff>(kHeaderBytes + 8));
+    f.write(reinterpret_cast<const char*>(len), 8);
+  }
+  // The open store's index still points at the record (the mapping shows
+  // the rewrite at once): load refuses it.
+  rl::QTable out(kStates, kActions);
+  EXPECT_THROW(store->load(0, out), std::runtime_error);
+  store.reset();
+
+  auto reopened = open(small_params(dir));
+  EXPECT_EQ(reopened->scanned_records(), 0u);
+  EXPECT_EQ(reopened->latest_version(0), std::nullopt);
+  EXPECT_EQ(reopened->live_records(), 0u);
+
+  const SegmentStore::Info info = SegmentStore::inspect(dir);
+  EXPECT_EQ(info.records, 0u);
+  EXPECT_EQ(info.corrupt_records, 1u);
+}
+
 TEST_F(SegmentStoreFixture, CrashBetweenAppendAndPublishLeavesStoreOnOld) {
   const std::string dir = fresh_dir("crash");
   const rl::QTable v1 = table(51), v2 = table(52);
@@ -338,7 +375,7 @@ TEST_F(SegmentStoreFixture, InspectSummarizesAStoreDirectory) {
 }
 
 // ---------------------------------------------------------------------------
-// SegmentPolicyStore: the drop-in proof.
+// PolicyStore over a SegmentStore: the serving tier's persistence path.
 // ---------------------------------------------------------------------------
 
 namespace T = adl::tools;
@@ -359,140 +396,117 @@ struct SegmentPolicyFixture : ::testing::Test {
     fs::remove_all(dir);
     return dir;
   }
+
+  static PolicyStoreParams on_disk(const std::string& dir,
+                                   std::size_t flush_every,
+                                   std::size_t writers = 1) {
+    PolicyStoreParams params;
+    params.flush_every = flush_every;
+    params.segments.dir = dir;
+    params.segments.writers = writers;
+    return params;
+  }
 };
 
 TEST_F(SegmentPolicyFixture, ServeEngineDrainsIdenticallyOverEitherBackend) {
   planning::RoutineLearner donor = trained();
-  PolicyStoreParams file_params;
-  file_params.dir = fresh_dir("files");
-  file_params.flush_every = 2;
-  PolicyStore file_store(donor, file_params);
-
-  SegmentPolicyStoreParams seg_params;
-  seg_params.dir = fresh_dir("segments");
-  seg_params.flush_every = 2;
-  seg_params.writers = 3;
-  SegmentPolicyStore seg_store(donor, seg_params);
+  PolicyStore memory_store(donor, PolicyStoreParams{2});
+  PolicyStore seg_store(donor, on_disk(fresh_dir("segments"), 2, 3));
 
   ServeEngineParams engine_params;
   engine_params.pool.slots = 3;
-  ServeEngine file_engine(library, library.tea_making(), file_store,
-                          engine_params);
+  ServeEngine memory_engine(library, library.tea_making(), memory_store,
+                            engine_params);
   ServeEngine seg_engine(library, library.tea_making(), seg_store,
                          engine_params);
   for (int u = 0; u < 9; ++u) {
     const std::string name = "user" + std::to_string(u);
     patient::PatientProfile profile =
         patient::PatientProfile::with_severity(name, 0.1 * u / 9.0 + 0.2);
-    file_engine.add_user(name, profile);
+    memory_engine.add_user(name, profile);
     seg_engine.add_user(name, profile);
   }
   for (int round = 0; round < 4; ++round) {
     for (UserId u = 0; u < 9; ++u) {
-      file_engine.enqueue(u, 2);
+      memory_engine.enqueue(u, 2);
       seg_engine.enqueue(u, 2);
     }
   }
-  exec::TrialRunner runner(1);
-  const ServeReport file_report = file_engine.drain(runner);
+  exec::TrialRunner runner(3);
+  const ServeReport memory_report = memory_engine.drain(runner);
   const ServeReport seg_report = seg_engine.drain(runner);
 
-  EXPECT_EQ(file_report.sessions, seg_report.sessions);
-  EXPECT_EQ(file_report.checksum, seg_report.checksum);
-  EXPECT_EQ(file_report.prompts, seg_report.prompts);
-  EXPECT_EQ(file_report.pool_hits, seg_report.pool_hits);
-  EXPECT_EQ(file_report.staged_writes, seg_report.staged_writes);
-  EXPECT_EQ(file_report.disk_writes, seg_report.disk_writes);
+  EXPECT_EQ(memory_report.sessions, seg_report.sessions);
+  EXPECT_EQ(memory_report.checksum, seg_report.checksum);
+  EXPECT_EQ(memory_report.prompts, seg_report.prompts);
+  EXPECT_EQ(memory_report.pool_hits, seg_report.pool_hits);
+  EXPECT_EQ(memory_report.staged_writes, seg_report.staged_writes);
+  EXPECT_EQ(memory_report.disk_writes, 0u);
+  EXPECT_EQ(seg_report.disk_writes, seg_store.segments()->appends());
+  EXPECT_GT(seg_report.disk_writes, 0u);
   for (UserId u = 0; u < 9; ++u) {
-    EXPECT_EQ(file_store.version(u), seg_store.version(u)) << "user " << u;
+    EXPECT_EQ(memory_store.version(u), seg_store.version(u)) << "user " << u;
   }
-  EXPECT_GT(seg_store.segments().appends(), 0u);
+}
+
+TEST_F(SegmentPolicyFixture, ServeEngineRejectsAWriterCountOtherThanItsSlots) {
+  planning::RoutineLearner donor = trained();
+  PolicyStore store(donor, on_disk(fresh_dir("writers"), 1, 2));
+  ServeEngineParams params;
+  params.pool.slots = 3;
+  const adl::Adl& tea = library.tea_making();
+  EXPECT_THROW((void)ServeEngine(library, tea, store, params),
+               std::invalid_argument);
+  params.pool.slots = 2;
+  EXPECT_NO_THROW((void)ServeEngine(library, tea, store, params));
+  // A memory-only store has no writer lanes to match.
+  PolicyStore memory_store(donor);
+  params.pool.slots = 3;
+  EXPECT_NO_THROW((void)ServeEngine(library, tea, memory_store, params));
 }
 
 TEST_F(SegmentPolicyFixture, RestoreReadsTheNewestFlushedRecordAfterRestart) {
   planning::RoutineLearner donor = trained();
   const std::string dir = fresh_dir("restore");
   rl::QTable staged_q = donor.q();
+  staged_q.set(0, 0, 1234.5);
   {
-    SegmentPolicyStoreParams params;
-    params.dir = dir;
-    params.flush_every = 1;
-    SegmentPolicyStore store(donor, params);
+    PolicyStore store(donor, on_disk(dir, 1));
     const UserId u = store.add_user("tanaka");
-    store.stage(u, staged_q);  // version 2, flushed immediately
-    store.stage(u, staged_q);  // version 3
+    store.stage(u, donor.q());  // version 2, flushed immediately
+    store.stage(u, staged_q);   // version 3, a one-row delta
   }
   planning::RoutineLearner same_donor = trained();
-  SegmentPolicyStoreParams params;
-  params.dir = dir;
-  SegmentPolicyStore reader(same_donor, params);
+  PolicyStore reader(same_donor, on_disk(dir, 1));
   const UserId u = reader.add_user("tanaka");
   EXPECT_EQ(reader.restore(u), std::optional<std::uint64_t>{3});
   EXPECT_TRUE(bit_equal(reader.q(u), staged_q));
-  // An unknown user restores to nothing, exactly like the per-file store.
+  // An unknown user restores to nothing and keeps the reference table.
   const UserId fresh = reader.add_user("nobody");
   EXPECT_EQ(reader.restore(fresh), std::nullopt);
+  EXPECT_TRUE(bit_equal(reader.q(fresh), same_donor.q()));
 }
 
 TEST_F(SegmentPolicyFixture, CrashInjectedStageKeepsCommittedVersionReadable) {
   planning::RoutineLearner donor = trained();
-  const std::string dir = fresh_dir("crash");
-  SegmentPolicyStoreParams params;
-  params.dir = dir;
-  params.flush_every = 1;
-  SegmentPolicyStore store(donor, params);
+  PolicyStore store(donor, on_disk(fresh_dir("crash"), 1));
   const UserId u = store.add_user("tanaka");
   store.stage(u, donor.q());  // version 2 committed
-  ASSERT_EQ(store.segments().latest_version(u), std::optional<std::uint64_t>{2});
+  SegmentStore& segments = *store.segments();
+  ASSERT_EQ(segments.latest_version(u), std::optional<std::uint64_t>{2});
 
-  store.pre_publish_site().set_hook([](const std::string&) {
+  segments.pre_publish_site().set_hook([](const std::string&) {
     throw std::runtime_error("injected crash before the magic publish");
   });
   EXPECT_THROW(store.stage(u, donor.q()), std::runtime_error);
   EXPECT_EQ(store.version(u), 3u);  // the in-memory entry did advance
-  EXPECT_EQ(store.segments().latest_version(u),
-            std::optional<std::uint64_t>{2});
+  EXPECT_EQ(segments.latest_version(u), std::optional<std::uint64_t>{2});
 
   // Crash over: the dirty entry flushes on the next attempt.
-  store.pre_publish_site().set_hook(nullptr);
+  segments.pre_publish_site().set_hook(nullptr);
   store.flush(u);
-  EXPECT_EQ(store.segments().latest_version(u),
-            std::optional<std::uint64_t>{3});
+  EXPECT_EQ(segments.latest_version(u), std::optional<std::uint64_t>{3});
   EXPECT_EQ(store.disk_writes(), 2u);  // the crashed attempt cost no wear
-}
-
-TEST_F(SegmentPolicyFixture, ImportV2DirAdoptsPerFileSnapshots) {
-  planning::RoutineLearner donor = trained();
-  const std::string v2_dir = fresh_dir("v2files");
-  rl::QTable staged_q = donor.q();
-  staged_q.set(0, 0, 1234.5);
-  {
-    PolicyStoreParams params;
-    params.dir = v2_dir;
-    params.flush_every = 1;
-    PolicyStore legacy(donor, params);
-    legacy.add_user("alice");
-    legacy.add_user("bob");
-    legacy.stage(0, staged_q);  // alice: version 2 on disk
-    legacy.stage(1, donor.q());
-    legacy.stage(1, donor.q());  // bob: version 3 on disk
-  }
-
-  SegmentPolicyStoreParams params;
-  params.dir = fresh_dir("migrated");
-  SegmentPolicyStore store(donor, params);
-  store.add_user("alice");
-  store.add_user("bob");
-  store.add_user("carol");  // no snapshot: untouched by the import
-  EXPECT_EQ(store.import_v2_dir(v2_dir), 2u);
-
-  EXPECT_EQ(store.version(0), 2u);
-  EXPECT_EQ(store.version(1), 3u);
-  EXPECT_EQ(store.version(2), 1u);
-  EXPECT_TRUE(bit_equal(store.q(0), staged_q));
-  EXPECT_EQ(store.segments().latest_version(0),
-            std::optional<std::uint64_t>{2});
-  EXPECT_EQ(store.segments().latest_version(2), std::nullopt);
 }
 
 }  // namespace

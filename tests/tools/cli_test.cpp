@@ -7,11 +7,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "adl/library.hpp"
-#include "planning/serialize.hpp"
-#include "serve/policy_store.hpp"
-#include "serve/segment_store.hpp"
-
 namespace coreda::cli {
 namespace {
 
@@ -80,322 +75,157 @@ TEST(CliTest, BadFlagValueReportsCleanError) {
   EXPECT_NE(r.err.find("--sessions"), std::string::npos);
 }
 
+/// A fresh (absent) store directory under the test temp dir.
+std::string fresh_store(const char* name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
 TEST(CliTest, TrainPromptRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/cli_tea.policy";
+  const std::string dir = fresh_store("cli_tea_store");
   const CliResult train = run(
-      {"train", "--adl=Tea-making", "--out=" + path, "--episodes=80"});
+      {"train", "--adl=Tea-making", "--out=" + dir, "--episodes=80"});
   EXPECT_EQ(train.code, 0) << train.err;
   EXPECT_NE(train.out.find("100%"), std::string::npos);
+  EXPECT_NE(train.out.find("user 0, version 2"), std::string::npos);
 
   const CliResult prompt = run({"prompt", "--adl=Tea-making",
-                                "--policy=" + path, "--prev=0", "--cur=21"});
+                                "--policy=" + dir, "--prev=0", "--cur=21"});
   EXPECT_EQ(prompt.code, 0) << prompt.err;
   EXPECT_NE(prompt.out.find("electronic pot"), std::string::npos);
-  std::remove(path.c_str());
+
+  // Re-training into the store continues user 0's version sequence.
+  const CliResult again = run(
+      {"train", "--adl=Tea-making", "--out=" + dir, "--episodes=80"});
+  EXPECT_EQ(again.code, 0) << again.err;
+  EXPECT_NE(again.out.find("user 0, version 3"), std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CliTest, PromptRejectsForeignContext) {
-  const std::string path = ::testing::TempDir() + "/cli_tea2.policy";
-  run({"train", "--adl=Tea-making", "--out=" + path, "--episodes=40"});
+  const std::string dir = fresh_store("cli_tea_store2");
+  run({"train", "--adl=Tea-making", "--out=" + dir, "--episodes=40"});
   const CliResult r = run({"prompt", "--adl=Tea-making",
-                           "--policy=" + path, "--prev=0", "--cur=99"});
+                           "--policy=" + dir, "--prev=0", "--cur=99"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("vocabulary"), std::string::npos);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CliTest, PromptMissingPolicyFileFails) {
   const CliResult r = run({"prompt", "--adl=Tea-making",
                            "--policy=/nonexistent/x.policy"});
   EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("store.meta"), std::string::npos);
+  // A directory that is not a store is refused — and never turned into one.
+  const std::string empty = fresh_store("cli_not_a_store");
+  std::filesystem::create_directories(empty);
+  const CliResult not_store = run({"prompt", "--adl=Tea-making",
+                                   "--policy=" + empty});
+  EXPECT_EQ(not_store.code, 2);
+  EXPECT_FALSE(std::filesystem::exists(empty + "/store.meta"));
+  std::filesystem::remove_all(empty);
 }
 
 TEST(CliTest, PolicySaveLoadInspectV2RoundTrip) {
-  const std::string path = ::testing::TempDir() + "/cli_v2.policy";
-  const CliResult save =
-      run({"policy", "save", "--adl=Tea-making", "--out=" + path,
-           "--episodes=80", "--version=5"});
+  // Save (`train --out`), load (`prompt --policy`) and inspect one store in
+  // the only on-disk policy format: CRDASEG2 segments of CRDAREC2 records.
+  const std::string dir = fresh_store("cli_v2_store");
+  const CliResult save = run(
+      {"train", "--adl=Tea-making", "--out=" + dir, "--episodes=80"});
   EXPECT_EQ(save.code, 0) << save.err;
-  EXPECT_NE(save.out.find("saved v2 snapshot"), std::string::npos);
+  {
+    std::ifstream f(dir + "/seg-w0-000000.seg", std::ios::binary);
+    char magic[8] = {};
+    f.read(magic, 8);
+    EXPECT_EQ(std::string(magic, 8), "CRDASEG2");
+    // The first record follows the 40-byte segment header.
+    f.seekg(40);
+    f.read(magic, 8);
+    EXPECT_EQ(std::string(magic, 8), "CRDAREC2");
+  }
 
-  const CliResult load =
-      run({"policy", "load", "--adl=Tea-making", "--in=" + path});
+  const CliResult load = run({"prompt", "--adl=Tea-making",
+                              "--policy=" + dir, "--prev=0", "--cur=21"});
   EXPECT_EQ(load.code, 0) << load.err;
-  EXPECT_NE(load.out.find("v2 (binary)"), std::string::npos);
-  EXPECT_NE(load.out.find("user version 5"), std::string::npos);
-  EXPECT_NE(load.out.find("100%"), std::string::npos);
+  EXPECT_NE(load.out.find("electronic pot"), std::string::npos);
 
-  const CliResult inspect = run({"policy", "inspect", "--in=" + path});
+  // The store is inspectable without a learner.
+  const CliResult inspect = run({"policy", "inspect", "--in=" + dir});
   EXPECT_EQ(inspect.code, 0) << inspect.err;
-  EXPECT_NE(inspect.out.find("coreda-policy v2"), std::string::npos);
-  EXPECT_NE(inspect.out.find("user version: 5"), std::string::npos);
-  EXPECT_NE(inspect.out.find("checksum: ok"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(CliTest, PolicyCommandsHandleV1Format) {
-  const std::string path = ::testing::TempDir() + "/cli_v1.policy";
-  const CliResult save =
-      run({"policy", "save", "--adl=Tea-making", "--out=" + path,
-           "--episodes=80", "--format=v1"});
-  EXPECT_EQ(save.code, 0) << save.err;
-
-  const CliResult load =
-      run({"policy", "load", "--adl=Tea-making", "--in=" + path});
-  EXPECT_EQ(load.code, 0) << load.err;
-  EXPECT_NE(load.out.find("v1 (text)"), std::string::npos);
-
-  const CliResult inspect = run({"policy", "inspect", "--in=" + path});
-  EXPECT_EQ(inspect.code, 0) << inspect.err;
-  EXPECT_NE(inspect.out.find("coreda-policy v1"), std::string::npos);
-  std::remove(path.c_str());
-
-  // The legacy `prompt` command accepts v1 only; v2 comes in through
-  // `policy load` / the serving tier.
-  const CliResult bad_format =
-      run({"policy", "save", "--adl=Tea-making", "--out=" + path,
-           "--format=v9"});
-  EXPECT_EQ(bad_format.code, 1);
+  EXPECT_NE(inspect.out.find("coreda-policy store"), std::string::npos);
+  EXPECT_NE(inspect.out.find("meta: ok"), std::string::npos);
+  EXPECT_NE(inspect.out.find("records: 1 (1 live, 0 dead, 0 corrupt)"),
+            std::string::npos)
+      << inspect.out;
+  EXPECT_NE(inspect.out.find("users: 1 (max version 2)"), std::string::npos);
+  EXPECT_NE(inspect.out.find("1 anchors, 0 deltas"), std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CliTest, PolicyInspectFlagsCorruption) {
-  const std::string path = ::testing::TempDir() + "/cli_bad.policy";
-  run({"policy", "save", "--adl=Tea-making", "--out=" + path,
-       "--episodes=40"});
+  const std::string dir = fresh_store("cli_bad_store");
+  run({"train", "--adl=Tea-making", "--out=" + dir, "--episodes=40"});
   {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(200);
-    f.put('\x7f');  // flip bytes deep in the Q block
+    // Flip a byte deep in the only record's Q block (the record starts
+    // after the 40-byte segment header).
+    std::fstream f(dir + "/seg-w0-000000.seg",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(40 + 100);
+    f.put('\x7f');
   }
-  const CliResult inspect = run({"policy", "inspect", "--in=" + path});
+  const CliResult inspect = run({"policy", "inspect", "--in=" + dir});
   EXPECT_EQ(inspect.code, 2);
-  EXPECT_NE(inspect.out.find("MISMATCH"), std::string::npos);
+  EXPECT_NE(inspect.out.find("0 live, 0 dead, 1 corrupt"), std::string::npos)
+      << inspect.out;
 
-  // Loading the corrupt snapshot must fail loudly, not half-apply.
-  const CliResult load =
-      run({"policy", "load", "--adl=Tea-making", "--in=" + path});
-  EXPECT_EQ(load.code, 2);
-  std::remove(path.c_str());
-}
-
-TEST(CliTest, PolicyMigrateBuildsAnInspectableSegmentStore) {
-  const std::string from = ::testing::TempDir() + "/cli_migrate_v2";
-  const std::string store = ::testing::TempDir() + "/cli_migrate_store";
-  std::filesystem::remove_all(from);
-  std::filesystem::remove_all(store);
-  std::filesystem::create_directories(from);
-  ASSERT_EQ(run({"policy", "save", "--adl=Tea-making",
-                 "--out=" + from + "/alice.policy", "--episodes=40",
-                 "--version=3"})
-                .code,
-            0);
-  ASSERT_EQ(run({"policy", "save", "--adl=Tea-making",
-                 "--out=" + from + "/bob.policy", "--episodes=40",
-                 "--version=7", "--seed=43"})
-                .code,
-            0);
-
-  const CliResult migrate =
-      run({"policy", "migrate", "--adl=Tea-making", "--from=" + from,
-           "--out=" + store, "--writers=2"});
-  EXPECT_EQ(migrate.code, 0) << migrate.err;
-  EXPECT_NE(migrate.out.find("Migrated 2/2 v2 snapshots"),
-            std::string::npos);
-
-  // The migrated store is a directory: `policy inspect` dispatches to the
-  // segment-store summary instead of the per-file header decoder.
-  const CliResult inspect = run({"policy", "inspect", "--in=" + store});
-  EXPECT_EQ(inspect.code, 0) << inspect.err;
-  EXPECT_NE(inspect.out.find("coreda-policy store v1"), std::string::npos);
-  EXPECT_NE(inspect.out.find("meta: ok"), std::string::npos);
-  EXPECT_NE(inspect.out.find("2 live, 0 dead, 0 corrupt"),
-            std::string::npos);
-  EXPECT_NE(inspect.out.find("users: 2 (max version 7)"),
-            std::string::npos);
-  // Chain shape: a user's first record in a segment is always an anchor,
-  // so a one-shot migration is all anchors with unit-length chains.
-  EXPECT_NE(inspect.out.find("chain shape: 2 anchors, 0 deltas"),
-            std::string::npos);
-  EXPECT_NE(inspect.out.find("mean chain length 1.00"), std::string::npos);
-  EXPECT_NE(inspect.out.find("  seg w"), std::string::npos);
-  std::filesystem::remove_all(from);
-  std::filesystem::remove_all(store);
-}
-
-// Mirror of policy_v3_test's round-trip at store granularity: v2 snapshots
-// migrated into a v2-segment store must read back bit-exact — same table,
-// same version — through a SegmentPolicyStore opened over the migrated dir.
-TEST(CliTest, PolicyMigrateRoundTripsTablesBitExact) {
-  const std::string from = ::testing::TempDir() + "/cli_rt_v2";
-  const std::string out = ::testing::TempDir() + "/cli_rt_store";
-  std::filesystem::remove_all(from);
-  std::filesystem::remove_all(out);
-  std::filesystem::create_directories(from);
-  ASSERT_EQ(run({"policy", "save", "--adl=Tea-making",
-                 "--out=" + from + "/alice.policy", "--episodes=40",
-                 "--version=3"})
-                .code,
-            0);
-  ASSERT_EQ(run({"policy", "save", "--adl=Tea-making",
-                 "--out=" + from + "/bob.policy", "--episodes=40",
-                 "--version=7", "--seed=43"})
-                .code,
-            0);
-  ASSERT_EQ(run({"policy", "migrate", "--adl=Tea-making", "--from=" + from,
-                 "--out=" + out})
-                .code,
-            0);
-
-  adl::AdlLibrary library;
-  planning::RoutineLearner reference(library.by_name("Tea-making"),
-                                     util::Rng(1));
-  const auto steps = reference.state_codec().symbols();
-  const auto tools = reference.action_codec().tools();
-
-  serve::SegmentPolicyStoreParams params;
-  params.dir = out;
-  serve::SegmentPolicyStore store(reference, params);
-  const serve::UserId alice = store.add_user("alice");
-  const serve::UserId bob = store.add_user("bob");
-
-  const auto expect_matches = [&](serve::UserId user,
-                                  const std::string& name,
-                                  std::uint64_t version) {
-    std::ifstream src(from + "/" + name + ".policy", std::ios::binary);
-    rl::QTable expect(reference.q().num_states(),
-                      reference.q().num_actions());
-    ASSERT_EQ(planning::load_policy_v2(src, steps, tools, expect), version);
-    ASSERT_EQ(store.restore(user), version);
-    const rl::QTable& got = store.q(user);
-    for (std::size_t s = 0; s < expect.num_states(); ++s) {
-      for (std::size_t a = 0; a < expect.num_actions(); ++a) {
-        ASSERT_EQ(got.get(static_cast<rl::StateId>(s),
-                          static_cast<rl::ActionId>(a)),
-                  expect.get(static_cast<rl::StateId>(s),
-                             static_cast<rl::ActionId>(a)))
-            << name << " state " << s << " action " << a;
-      }
-    }
-  };
-  expect_matches(alice, "alice", 3);
-  expect_matches(bob, "bob", 7);
-  std::filesystem::remove_all(from);
-  std::filesystem::remove_all(out);
-}
-
-TEST(CliTest, PolicyMigrateToV3AndChainInspect) {
-  const std::string from = ::testing::TempDir() + "/cli_v3_from";
-  const std::string out = ::testing::TempDir() + "/cli_v3_out";
-  std::filesystem::remove_all(from);
-  std::filesystem::remove_all(out);
-  std::filesystem::create_directories(from);
-  ASSERT_EQ(run({"policy", "save", "--adl=Tea-making",
-                 "--out=" + from + "/alice.policy", "--episodes=40",
-                 "--version=3"})
-                .code,
-            0);
-
-  // Per-file v2 -> v3 migration rewrites each snapshot as a v3 anchor,
-  // keeping its version.
-  const CliResult migrate =
-      run({"policy", "migrate", "--adl=Tea-making", "--from=" + from,
-           "--out=" + out, "--to=v3"});
-  EXPECT_EQ(migrate.code, 0) << migrate.err;
-  EXPECT_NE(migrate.out.find("Migrated 1/1 v2 snapshots"),
-            std::string::npos);
-  EXPECT_NE(migrate.out.find("v3 snapshots"), std::string::npos);
-
-  const std::string path = out + "/alice.policy";
-  const CliResult fresh = run({"policy", "inspect", "--in=" + path});
-  EXPECT_EQ(fresh.code, 0) << fresh.err;
-  EXPECT_NE(fresh.out.find("coreda-policy v3"), std::string::npos);
-  EXPECT_NE(fresh.out.find("anchor version: 3"), std::string::npos);
-  EXPECT_NE(fresh.out.find("deltas since last full: 0"), std::string::npos);
-  EXPECT_NE(fresh.out.find("tail: ok"), std::string::npos);
-
-  const CliResult load =
-      run({"policy", "load", "--adl=Tea-making", "--in=" + path});
-  EXPECT_EQ(load.code, 0) << load.err;
-  EXPECT_NE(load.out.find("v3 (binary, delta chain)"), std::string::npos);
-  EXPECT_NE(load.out.find("user version 3"), std::string::npos);
-  EXPECT_NE(load.out.find("100%"), std::string::npos);
-
-  // Extend the chain through a v3-mode store: restore the migrated anchor,
-  // then flush twice — one full rebase (restore drops the diff base) and
-  // one appended delta.
-  {
-    adl::AdlLibrary library;
-    planning::RoutineLearner reference(library.by_name("Tea-making"),
-                                       util::Rng(1));
-    serve::PolicyStoreParams params;
-    params.dir = out;
-    params.flush_every = 1;
-    params.format = serve::SnapshotFormat::kV3Delta;
-    serve::PolicyStore store(reference, params);
-    const serve::UserId alice = store.add_user("alice");
-    ASSERT_TRUE(store.restore(alice).has_value());
-    rl::QTable q = store.q(alice);
-    q.set(0, 0, q.get(0, 0) + 1.0);
-    store.stage(alice, q);  // version 4: full anchor rewrite
-    q.set(0, 1, q.get(0, 1) + 1.0);
-    store.stage(alice, q);  // version 5: delta append
-  }
-  const CliResult chained = run({"policy", "inspect", "--in=" + path});
-  EXPECT_EQ(chained.code, 0) << chained.err;
-  EXPECT_NE(chained.out.find("anchor version: 4"), std::string::npos);
-  EXPECT_NE(chained.out.find("chain version: 5"), std::string::npos);
-  EXPECT_NE(chained.out.find("deltas since last full: 1"),
-            std::string::npos);
-  EXPECT_NE(chained.out.find("tail: ok"), std::string::npos);
-
-  const CliResult reload =
-      run({"policy", "load", "--adl=Tea-making", "--in=" + path});
-  EXPECT_EQ(reload.code, 0) << reload.err;
-  EXPECT_NE(reload.out.find("user version 5"), std::string::npos);
-
-  std::filesystem::remove_all(from);
-  std::filesystem::remove_all(out);
-}
-
-TEST(CliTest, PolicyMigrateRejectsBadInputs) {
-  const CliResult no_flags = run({"policy", "migrate"});
-  EXPECT_EQ(no_flags.code, 1);
-  EXPECT_NE(no_flags.err.find("--from"), std::string::npos);
-
-  const CliResult bad_dir =
-      run({"policy", "migrate", "--adl=Tea-making",
-           "--from=/nonexistent/dir", "--out=" + ::testing::TempDir() +
-                                          "/cli_migrate_none"});
-  EXPECT_EQ(bad_dir.code, 2);
-
-  // An empty source directory is an operator mistake, not a no-op success.
-  const std::string empty = ::testing::TempDir() + "/cli_migrate_empty";
-  std::filesystem::remove_all(empty);
-  std::filesystem::create_directories(empty);
-  const CliResult no_snapshots =
-      run({"policy", "migrate", "--adl=Tea-making", "--from=" + empty,
-           "--out=" + ::testing::TempDir() + "/cli_migrate_none"});
-  EXPECT_EQ(no_snapshots.code, 2);
-  EXPECT_NE(no_snapshots.err.find("no *.policy"), std::string::npos);
-  std::filesystem::remove_all(empty);
-
-  // A directory that is not a segment store fails inspect cleanly too.
-  const CliResult not_store =
-      run({"policy", "inspect", "--in=" + ::testing::TempDir()});
-  EXPECT_EQ(not_store.code, 2);
-  EXPECT_NE(not_store.err.find("store.meta"), std::string::npos);
+  // Prompting from the corrupt store must fail loudly, not half-apply.
+  const CliResult prompt = run({"prompt", "--adl=Tea-making",
+                                "--policy=" + dir, "--prev=0", "--cur=21"});
+  EXPECT_EQ(prompt.code, 2);
+  EXPECT_NE(prompt.err.find("no policy"), std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CliTest, PolicyRequiresKnownSubcommand) {
   const CliResult r = run({"policy", "frobnicate"});
   EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("save|load|inspect|migrate"), std::string::npos);
+  EXPECT_NE(r.err.find("inspect"), std::string::npos);
+  // The per-file snapshot subcommands are gone: `train` writes a store,
+  // `prompt` and `policy inspect` read one.
+  EXPECT_EQ(run({"policy", "save", "--adl=Tea-making"}).code, 1);
   const CliResult missing = run({"policy", "inspect"});
   EXPECT_EQ(missing.code, 1);
   EXPECT_NE(missing.err.find("--in"), std::string::npos);
   const CliResult absent =
       run({"policy", "inspect", "--in=/nonexistent/x.policy"});
   EXPECT_EQ(absent.code, 2);
+}
+
+TEST(CliTest, PolicyMigrateRejectsBadInputs) {
+  // `policy migrate` is gone with the per-file snapshots it converted: an
+  // old invocation is refused as an unknown subcommand, whatever its
+  // flags, and creates nothing.
+  const CliResult no_flags = run({"policy", "migrate"});
+  EXPECT_EQ(no_flags.code, 1);
+  EXPECT_NE(no_flags.err.find("inspect"), std::string::npos);
+  const std::string out = fresh_store("cli_migrate_none");
+  const CliResult old_call =
+      run({"policy", "migrate", "--adl=Tea-making",
+           "--from=/nonexistent/dir", "--out=" + out});
+  EXPECT_EQ(old_call.code, 1);
+  EXPECT_FALSE(std::filesystem::exists(out));
+
+  // A directory that is not a segment store fails inspect cleanly, and is
+  // never turned into one.
+  const std::string empty = fresh_store("cli_inspect_empty");
+  std::filesystem::create_directories(empty);
+  const CliResult not_store = run({"policy", "inspect", "--in=" + empty});
+  EXPECT_EQ(not_store.code, 2);
+  EXPECT_NE(not_store.err.find("store.meta"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(empty + "/store.meta"));
+  std::filesystem::remove_all(empty);
 }
 
 TEST(CliTest, ScenarioReplaysFigure1) {

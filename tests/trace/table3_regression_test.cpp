@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "adl/library.hpp"
 #include "trace/sensing_pipeline.hpp"
 #include "util/stats.hpp"
@@ -14,7 +16,10 @@ namespace coreda::trace {
 namespace {
 
 struct ToolBand {
-  adl::ToolId tool;
+  // Wider than adl::ToolId so the struct has no padding: gtest prints a
+  // parameter's raw bytes into the test name, and padding bytes are
+  // indeterminate, which made the names differ from run to run.
+  std::uint64_t tool;
   double low;
   double high;
 };

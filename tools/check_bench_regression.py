@@ -25,9 +25,9 @@ hardware mismatch; a miss is a behaviour change, not noise:
     allocation shows up as ~+1.0);
   * hit rates — pool_hit_rate is a pure function of the workload shape and
     must never decrease: a drop means residency/sharding changed behaviour;
-  * byte counts — flush_bytes_per_retrain (v3 snapshot chain) and
-    segment_bytes_per_retrain (v2 segment delta chain) must never grow:
-    write amplification is a pure function of table shape + replay stream.
+  * byte counts — segment_bytes_per_retrain (the segment delta chain)
+    must never grow: write amplification is a pure function of table
+    shape + replay stream.
     index_bytes_per_user and resident_bytes_per_user gate the fleet's
     per-user memory budget the same way. append_reduction (anchor bytes /
     actual bytes per append) must never decrease;
@@ -103,8 +103,6 @@ EXACT_CEILINGS = {
         (0.0, "the zero-allocation contract broke"),
     "allocs_per_session":
         (0.05, "a per-session allocation crept into the drain path"),
-    "flush_bytes_per_retrain":
-        (0.0, "snapshot write amplification grew"),
     "segment_bytes_per_retrain":
         (1e-6, "segment write amplification grew — the delta chain "
                "stopped paying"),

@@ -10,12 +10,11 @@
 #include "core/scenario.hpp"
 #include "core/system.hpp"
 #include "faults/faults.hpp"
-#include "planning/serialize.hpp"
 #include "serve/chaos.hpp"
 #include "serve/engine.hpp"
+#include "serve/policy_store.hpp"
 #include "serve/scenario_runner.hpp"
 #include "sim/scenario_dsl.hpp"
-#include "serve/segment_store.hpp"
 #include "trace/dataset.hpp"
 #include "util/table.hpp"
 
@@ -31,24 +30,14 @@ commands:
   list                         the deployment catalog (ADLs, tools, uids)
   simulate  --adl=<name> [--severity=0.5] [--sessions=3] [--seed=42]
             [--transcript]    closed-loop assisted sessions
-  train     --adl=<name> --out=<file> [--episodes=120] [--seed=42]
-                              train a planner, save the policy snapshot
-  prompt    --adl=<name> --policy=<file> [--prev=<uid>] [--cur=<uid>]
-                              next-step prompt from a saved policy
-  policy save    --adl=<name> --out=<file> [--episodes=120] [--seed=42]
-                 [--format=v2|v1|v3] [--version=1]
-                              train and save a policy snapshot
-  policy load    --adl=<name> --in=<file>
-                              load a snapshot (v1, v2 or v3), report accuracy
-  policy inspect --in=<file|store dir>
-                              decode a snapshot header (v3: walk the delta
-                              chain), or summarize a segment-store
-                              directory, without loading it
-  policy migrate --adl=<name> --from=<v2 dir> --out=<store dir>
-                 [--writers=1] [--to=store|v3]
-                              migrate per-file v2 snapshots into a
-                              fleet-tier segment store, or (--to=v3) into
-                              per-file delta-encoded v3 snapshots
+  train     --adl=<name> --out=<store dir> [--episodes=120] [--seed=42]
+                              train a planner and save it as user 0 of a
+                              policy store (created when missing)
+  prompt    --adl=<name> --policy=<store dir> [--prev=<uid>] [--cur=<uid>]
+                              next-step prompt from a stored policy
+  policy inspect --in=<store dir>
+                              summarize a policy store (records, chain
+                              shape, corruption) without loading it
   faults plan    [--seed=1] [--rounds=6] [--out=<file>]
                               write the standard chaos fault plan (text,
                               editable, re-playable)
@@ -151,9 +140,9 @@ int cmd_simulate(const util::Flags& flags, std::ostream& out,
 int cmd_train(const util::Flags& flags, std::ostream& out,
               std::ostream& err) {
   const std::string adl_name = flags.get("adl");
-  const std::string out_path = flags.get("out");
-  if (adl_name.empty() || out_path.empty()) {
-    err << "train: --adl=<name> and --out=<file> are required\n";
+  const std::string out_dir = flags.get("out");
+  if (adl_name.empty() || out_dir.empty()) {
+    err << "train: --adl=<name> and --out=<store dir> are required\n";
     return 1;
   }
   adl::AdlLibrary library;
@@ -170,36 +159,51 @@ int cmd_train(const util::Flags& flags, std::ostream& out,
     learner.train_episode(ep);
   }
 
-  std::ofstream file(out_path);
-  if (!file) {
-    err << "train: cannot write '" << out_path << "'\n";
-    return 2;
-  }
-  planning::save_policy(file, learner);
+  // A one-user store: the trained table lands as user 0's next version, so
+  // re-training into an existing store keeps its versions monotonic.
+  serve::PolicyStoreParams params;
+  params.segments.dir = out_dir;
+  serve::PolicyStore store(learner, params);
+  const serve::UserId user = store.add_user("resident");
+  store.restore(user);
+  store.stage(user, learner.q());
+  store.flush(user);
   out << "Trained " << adl.name() << " on " << episodes
       << " sensed episodes (policy accuracy "
       << util::format_percent(learner.greedy_accuracy()) << "); saved to "
-      << out_path << '\n';
+      << out_dir << " (user 0, version " << store.version(user) << ")\n";
   return 0;
 }
 
 int cmd_prompt(const util::Flags& flags, std::ostream& out,
                std::ostream& err) {
   const std::string adl_name = flags.get("adl");
-  const std::string policy_path = flags.get("policy");
-  if (adl_name.empty() || policy_path.empty()) {
-    err << "prompt: --adl=<name> and --policy=<file> are required\n";
+  const std::string store_dir = flags.get("policy");
+  if (adl_name.empty() || store_dir.empty()) {
+    err << "prompt: --adl=<name> and --policy=<store dir> are required\n";
     return 1;
   }
   adl::AdlLibrary library;
   const adl::Adl& adl = library.by_name(adl_name);
-  planning::RoutineLearner learner(adl, util::Rng(1));
-  std::ifstream file(policy_path);
-  if (!file) {
-    err << "prompt: cannot read '" << policy_path << "'\n";
+  // Read-only use: a path without a store.meta is refused, never turned
+  // into a fresh store.
+  if (!serve::SegmentStore::is_store_dir(store_dir)) {
+    err << "prompt: '" << store_dir
+        << "' has no store.meta — not a policy store\n";
     return 2;
   }
-  planning::load_policy(file, learner);
+  planning::RoutineLearner learner(adl, util::Rng(1));
+  {
+    serve::PolicyStoreParams params;
+    params.segments.dir = store_dir;
+    serve::PolicyStore store(learner, params);
+    const serve::UserId user = store.add_user("resident");
+    if (!store.restore(user)) {
+      err << "prompt: '" << store_dir << "' holds no policy for user 0\n";
+      return 2;
+    }
+    learner.import_q(store.q(user));
+  }
 
   const auto prev = static_cast<adl::StepId>(flags.get_int("prev", 0));
   const auto cur = static_cast<adl::StepId>(flags.get_int("cur", 0));
@@ -216,102 +220,21 @@ int cmd_prompt(const util::Flags& flags, std::ostream& out,
   return 0;
 }
 
-int cmd_policy_save(const util::Flags& flags, std::ostream& out,
-                    std::ostream& err) {
-  const std::string adl_name = flags.get("adl");
-  const std::string out_path = flags.get("out");
-  if (adl_name.empty() || out_path.empty()) {
-    err << "policy save: --adl=<name> and --out=<file> are required\n";
+int cmd_policy_inspect(const util::Flags& flags, std::ostream& out,
+                       std::ostream& err) {
+  const std::string dir = flags.get("in");
+  if (dir.empty()) {
+    err << "policy inspect: --in=<store dir> is required\n";
     return 1;
   }
-  const std::string format = flags.get("format", "v2");
-  if (format != "v1" && format != "v2" && format != "v3") {
-    err << "policy save: --format must be v1, v2 or v3\n";
-    return 1;
-  }
-  adl::AdlLibrary library;
-  const adl::Adl& adl = library.by_name(adl_name);
-  const auto episodes = flags.get_int("episodes", 120);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-
-  planning::RoutineLearner learner(adl, util::Rng(seed));
-  trace::DatasetBuilder datasets(
-      library, patient::PatientProfile::with_severity("Trainer", 0.0),
-      seed + 1);
-  for (const auto& ep : datasets.sensed_training_set(
-           adl, static_cast<std::size_t>(episodes))) {
-    learner.train_episode(ep);
-  }
-
-  std::ofstream file(out_path, std::ios::binary);
-  if (!file) {
-    err << "policy save: cannot write '" << out_path << "'\n";
-    return 2;
-  }
-  if (format == "v1") {
-    planning::save_policy(file, learner);
-  } else if (format == "v3") {
-    planning::save_policy_v3_full(
-        file, learner.state_codec().symbols(),
-        learner.action_codec().tools(), learner.q(),
-        static_cast<std::uint64_t>(flags.get_int("version", 1)));
-  } else {
-    planning::save_policy_v2(
-        file, learner,
-        static_cast<std::uint64_t>(flags.get_int("version", 1)));
-  }
-  out << "Trained " << adl.name() << " on " << episodes
-      << " sensed episodes (policy accuracy "
-      << util::format_percent(learner.greedy_accuracy()) << "); saved "
-      << format << " snapshot to " << out_path << '\n';
-  return 0;
-}
-
-int cmd_policy_load(const util::Flags& flags, std::ostream& out,
-                    std::ostream& err) {
-  const std::string adl_name = flags.get("adl");
-  const std::string in_path = flags.get("in");
-  if (adl_name.empty() || in_path.empty()) {
-    err << "policy load: --adl=<name> and --in=<file> are required\n";
-    return 1;
-  }
-  adl::AdlLibrary library;
-  const adl::Adl& adl = library.by_name(adl_name);
-  std::ifstream file(in_path, std::ios::binary);
-  if (!file) {
-    err << "policy load: cannot read '" << in_path << "'\n";
-    return 2;
-  }
-  const planning::PolicyFormat format = planning::detect_policy_format(file);
-  planning::RoutineLearner learner(adl, util::Rng(1));
-  const std::uint64_t version = planning::load_policy_any(file, learner);
-  out << "Loaded "
-      << (format == planning::PolicyFormat::kTextV1 ? "v1 (text)"
-          : format == planning::PolicyFormat::kBinaryV3
-              ? "v3 (binary, delta chain)"
-              : "v2 (binary)")
-      << " snapshot";
-  if (format == planning::PolicyFormat::kBinaryV2 ||
-      format == planning::PolicyFormat::kBinaryV3) {
-    out << ", user version " << version;
-  }
-  out << ": " << adl.name() << ", " << learner.q().num_states()
-      << " states x " << learner.q().num_actions()
-      << " actions, greedy accuracy "
-      << util::format_percent(learner.greedy_accuracy()) << '\n';
-  return 0;
-}
-
-int inspect_segment_store(const std::string& dir, std::ostream& out,
-                          std::ostream& err) {
   if (!serve::SegmentStore::is_store_dir(dir)) {
     err << "policy inspect: '" << dir
-        << "' is a directory without a store.meta — not a segment store\n";
+        << "' has no store.meta — not a policy store\n";
     return 2;
   }
   const serve::SegmentStore::Info info = serve::SegmentStore::inspect(dir);
-  const std::uint64_t dead =
-      info.records - info.live_records - info.corrupt_records;
+  // `records` counts valid records only; corrupt ones are reported apart.
+  const std::uint64_t dead = info.records - info.live_records;
   out << "format: coreda-policy store v1 (segmented)\n"
       << "meta: " << (info.meta_ok ? "ok" : "MISMATCH") << '\n'
       << "q-table: " << info.num_states << " states x " << info.num_actions
@@ -334,188 +257,17 @@ int inspect_segment_store(const std::string& dir, std::ostream& out,
     out << "  seg w" << seg.writer << '/' << seg.seq << ": " << seg.anchors
         << " anchors, " << seg.deltas << " deltas, " << seg.live
         << " live chains, mean length "
-        << util::format_fixed(seg.mean_chain_length, 2)
-        << (seg.legacy ? " [legacy v1]" : "") << '\n';
+        << util::format_fixed(seg.mean_chain_length, 2) << '\n';
   }
   return info.meta_ok && info.corrupt_records == 0 ? 0 : 2;
-}
-
-int cmd_policy_inspect(const util::Flags& flags, std::ostream& out,
-                       std::ostream& err) {
-  const std::string in_path = flags.get("in");
-  if (in_path.empty()) {
-    err << "policy inspect: --in=<file|store dir> is required\n";
-    return 1;
-  }
-  if (std::filesystem::is_directory(in_path)) {
-    return inspect_segment_store(in_path, out, err);
-  }
-  std::ifstream file(in_path, std::ios::binary);
-  if (!file) {
-    err << "policy inspect: cannot read '" << in_path << "'\n";
-    return 2;
-  }
-  switch (planning::detect_policy_format(file)) {
-    case planning::PolicyFormat::kTextV1:
-      out << "format: coreda-policy v1 (text)\n"
-          << "checksum: none (v1 has no integrity trailer)\n";
-      return 0;
-    case planning::PolicyFormat::kBinaryV2: {
-      const planning::PolicyV2Info info = planning::inspect_policy_v2(file);
-      out << "format: coreda-policy v2 (binary)\n"
-          << "user version: " << info.version << '\n'
-          << "q-table: " << info.num_states << " states x "
-          << info.num_actions << " actions\n"
-          << "vocabulary: " << info.steps.size() << " steps, "
-          << info.tools.size() << " tools\n"
-          << "checksum: " << (info.checksum_ok ? "ok" : "MISMATCH") << '\n';
-      return info.checksum_ok ? 0 : 2;
-    }
-    case planning::PolicyFormat::kBinaryV3: {
-      const planning::PolicyV3Info info = planning::inspect_policy_v3(file);
-      out << "format: coreda-policy v3 (binary, delta chain)\n"
-          << "anchor version: " << info.anchor.version << '\n'
-          << "q-table: " << info.anchor.num_states << " states x "
-          << info.anchor.num_actions << " actions\n"
-          << "vocabulary: " << info.anchor.steps.size() << " steps, "
-          << info.anchor.tools.size() << " tools\n"
-          << "anchor checksum: "
-          << (info.anchor.checksum_ok ? "ok" : "MISMATCH") << '\n';
-      if (!info.anchor.checksum_ok) return 2;
-      out << "chain version: " << info.version << '\n'
-          << "deltas since last full: " << info.delta_count << '\n'
-          << "on-disk bytes: " << info.on_disk_bytes << " (full snapshot: "
-          << info.reconstructed_bytes << ")\n"
-          << "tail: "
-          << (info.tail_skipped ? "SKIPPED invalid record(s)" : "ok") << '\n';
-      return info.tail_skipped ? 2 : 0;
-    }
-    case planning::PolicyFormat::kUnknown:
-      break;
-  }
-  err << "policy inspect: '" << in_path
-      << "' is not a coreda policy snapshot\n";
-  return 2;
-}
-
-int cmd_policy_migrate(const util::Flags& flags, std::ostream& out,
-                       std::ostream& err) {
-  const std::string adl_name = flags.get("adl");
-  const std::string from_dir = flags.get("from");
-  const std::string out_dir = flags.get("out");
-  if (adl_name.empty() || from_dir.empty() || out_dir.empty()) {
-    err << "policy migrate: --adl=<name>, --from=<v2 dir> and --out=<store "
-           "dir> are required\n";
-    return 1;
-  }
-  if (!std::filesystem::is_directory(from_dir)) {
-    err << "policy migrate: '" << from_dir << "' is not a directory\n";
-    return 2;
-  }
-  adl::AdlLibrary library;
-  const adl::Adl& adl = library.by_name(adl_name);
-
-  // Register every snapshot's stem as a user, in sorted order so user ids
-  // (and hence writer lanes) never depend on directory iteration order.
-  std::vector<std::string> names;
-  for (const auto& entry : std::filesystem::directory_iterator(from_dir)) {
-    if (entry.path().extension() == ".policy") {
-      names.push_back(entry.path().stem().string());
-    }
-  }
-  std::sort(names.begin(), names.end());
-  if (names.empty()) {
-    err << "policy migrate: no *.policy snapshots in '" << from_dir << "'\n";
-    return 2;
-  }
-
-  const std::string to = flags.get("to", "store");
-  if (to != "store" && to != "v3") {
-    err << "policy migrate: --to must be store or v3\n";
-    return 1;
-  }
-
-  // An untrained learner carries the ADL's schema (codecs + table shape);
-  // every table the store ends up holding comes from the snapshots.
-  planning::RoutineLearner reference(adl, util::Rng(1));
-
-  if (to == "v3") {
-    // Per-file migration: each v2 snapshot is rewritten as a v3 anchor
-    // (atomic tmp+rename), preserving its version. A v3-mode PolicyStore
-    // pointed at --out then extends each file with delta appends.
-    std::filesystem::create_directories(out_dir);
-    const auto steps = reference.state_codec().symbols();
-    const auto tools = reference.action_codec().tools();
-    rl::QTable q(reference.q().num_states(), reference.q().num_actions());
-    std::size_t migrated = 0;
-    for (const std::string& name : names) {
-      const std::string src = from_dir + "/" + name + ".policy";
-      std::ifstream in(src, std::ios::binary);
-      std::uint64_t version = 0;
-      try {
-        version = planning::load_policy_v2(in, steps, tools, q);
-      } catch (const std::exception& ex) {
-        err << "policy migrate: skipping '" << src << "': " << ex.what()
-            << '\n';
-        continue;
-      }
-      const std::string dst = out_dir + "/" + name + ".policy";
-      const std::string tmp = dst + ".tmp";
-      {
-        std::ofstream dst_file(tmp, std::ios::binary | std::ios::trunc);
-        if (!dst_file) {
-          err << "policy migrate: cannot write '" << tmp << "'\n";
-          continue;
-        }
-        planning::save_policy_v3_full(dst_file, steps, tools, q, version);
-        if (!dst_file.flush()) {
-          err << "policy migrate: short write to '" << tmp << "'\n";
-          continue;
-        }
-      }
-      std::error_code rename_error;
-      std::filesystem::rename(tmp, dst, rename_error);
-      if (rename_error) {
-        err << "policy migrate: cannot publish '" << dst << "'\n";
-        continue;
-      }
-      ++migrated;
-    }
-    out << "Migrated " << migrated << "/" << names.size()
-        << " v2 snapshots from " << from_dir << " into v3 snapshots in "
-        << out_dir << '\n';
-    return migrated == names.size() ? 0 : 2;
-  }
-  serve::SegmentPolicyStoreParams params;
-  params.dir = out_dir;
-  params.writers =
-      static_cast<std::size_t>(flags.get_int("writers", 1));
-  std::size_t imported = 0;
-  {
-    serve::SegmentPolicyStore store(reference, params);
-    for (const std::string& name : names) store.add_user(name);
-    imported = store.import_v2_dir(from_dir);
-  }  // destructor flushes; inspect below reads the closed store
-
-  const serve::SegmentStore::Info info = serve::SegmentStore::inspect(out_dir);
-  out << "Migrated " << imported << "/" << names.size()
-      << " v2 snapshots from " << from_dir << " into segment store "
-      << out_dir << " (" << info.segments << " segments, "
-      << info.live_records << " live records, max version "
-      << info.max_version << ")\n";
-  return imported == names.size() ? 0 : 2;
 }
 
 int cmd_policy(const util::Flags& flags, std::ostream& out,
                std::ostream& err) {
   const std::string sub =
       flags.positional().empty() ? "" : flags.positional().front();
-  if (sub == "save") return cmd_policy_save(flags, out, err);
-  if (sub == "load") return cmd_policy_load(flags, out, err);
   if (sub == "inspect") return cmd_policy_inspect(flags, out, err);
-  if (sub == "migrate") return cmd_policy_migrate(flags, out, err);
-  err << "policy: expected a subcommand save|load|inspect|migrate (try "
-         "'coreda help')\n";
+  err << "policy: expected the subcommand inspect (try 'coreda help')\n";
   return 1;
 }
 

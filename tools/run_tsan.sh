@@ -10,8 +10,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
 
+# One compile job per CPU: a bare -j lets make start every translation
+# unit at once, which can exhaust memory under the sanitizer.
 cmake -B "$BUILD_DIR" -S . -DCOREDA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j --target test_exec test_sim test_trace \
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target test_exec test_sim test_trace \
   bench_fleet_throughput bench_session_throughput bench_serve_throughput \
   bench_retrain_recovery bench_fleet_serve bench_chaos_soak \
   bench_scenario_corpus
@@ -40,6 +42,8 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
   > /dev/null
 # The serve bench adds the multi-tenant edges on top: pool workers write
 # back Q-tables into a shared PolicyStore and bump shared-looking counters.
+# (Its store is memory-only; the chaos soak below covers the segment-backed
+# PolicyStore, whose writer lanes match the pool slots.)
 # Correctness rests on disjoint ownership (each user belongs to exactly one
 # statically-sharded slot, each slot to exactly one trial); TSan proves the
 # partition really is disjoint — no locks anywhere on the serve path.
