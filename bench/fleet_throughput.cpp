@@ -323,20 +323,20 @@ int main(int argc, char** argv) {
 
   const double eps_per_sec =
       seconds > 0.0 ? static_cast<double>(trained) / seconds : 0.0;
-  // Scaling sanity for bench_parallel.sh: with a jobs=1 reference rate
-  // supplied, parallel_efficiency = eps/sec / (jobs x reference) — 1.0 is
-  // perfect scaling, < 1/jobs means adding workers *lost* throughput.
-  const double ref_eps = flags.get_double("ref-eps-per-sec", 0.0);
-  const double parallel_efficiency =
-      ref_eps > 0.0
-          ? eps_per_sec / (static_cast<double>(runner.jobs()) * ref_eps)
-          : 1.0;
   std::ostringstream extra;
   extra << "\"users\": " << users << ", \"episodes_per_user\": " << episodes
         << ", \"lanes\": " << lanes
-        << ", \"episodes_per_sec\": " << eps_per_sec
-        << ", \"parallel_efficiency\": " << parallel_efficiency
-        << ", \"allocs_per_episode\": "
+        << ", \"episodes_per_sec\": " << eps_per_sec;
+  // Scaling sanity for bench_parallel.sh: with a jobs=1 reference rate
+  // supplied, parallel_efficiency = eps/sec / (jobs x reference) — 1.0 is
+  // perfect scaling, < 1/jobs means adding workers *lost* throughput.
+  // Without a reference there is nothing to compare, so no field.
+  const double ref_eps = flags.get_double("ref-eps-per-sec", 0.0);
+  if (ref_eps > 0.0) {
+    extra << ", \"parallel_efficiency\": "
+          << eps_per_sec / (static_cast<double>(runner.jobs()) * ref_eps);
+  }
+  extra << ", \"allocs_per_episode\": "
         << (trained > 0
                 ? static_cast<double>(fleet_allocs) /
                       static_cast<double>(trained)

@@ -104,6 +104,43 @@ void BM_SensorSample(benchmark::State& state) {
 }
 BENCHMARK(BM_SensorSample);
 
+// One idle 10-sample accelerometer window, as the batched firmware sees it
+// between uses: every excitation through sample_block, then only the vote
+// hits through sample_hits, whose idle shortcut skips the trig and the
+// polar method's log/sqrt. Same draws either way.
+constexpr std::size_t kIdleWindow = 10;
+
+void BM_AccelIdleWindowSampleBlock(benchmark::State& state) {
+  sensors::AccelerometerModel model;
+  util::Rng rng(5);
+  const double activations[kIdleWindow] = {};
+  double out[kIdleWindow];
+  for (auto _ : state) {
+    model.sample_block(sim::TimePoint::origin(), sim::Duration::millis(100),
+                       activations, kIdleWindow, 1.0, rng, out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kIdleWindow));
+}
+BENCHMARK(BM_AccelIdleWindowSampleBlock);
+
+void BM_AccelIdleWindowSampleHits(benchmark::State& state) {
+  sensors::AccelerometerModel model;
+  util::Rng rng(5);
+  const double activations[kIdleWindow] = {};
+  bool hits[kIdleWindow];
+  for (auto _ : state) {
+    model.sample_hits(sim::TimePoint::origin(), sim::Duration::millis(100),
+                      activations, kIdleWindow, 1.0,
+                      model.recommended_threshold(), rng, hits);
+    benchmark::DoNotOptimize(hits);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kIdleWindow));
+}
+BENCHMARK(BM_AccelIdleWindowSampleHits);
+
 // --- Scheduler hot paths ---------------------------------------------------
 // Before the slot-pool rewrite every schedule_* call heap-allocated a
 // shared_ptr<bool> control block and every periodic reschedule copied the

@@ -21,9 +21,15 @@ class ThresholdDetector {
 
   /// Feeds one excitation sample. Returns true when this sample completed a
   /// window whose vote passed (i.e. "tool is in use" was decided now).
-  /// Inline: the firmware path calls this once per synthesized sample.
   bool add_sample(double excitation) noexcept {
-    if (excitation > threshold_) ++hits_;
+    return add_hit(excitation > threshold_);
+  }
+
+  /// Feeds one sample already compared against threshold() (the batched
+  /// firmware gets these from SensorModel::sample_hits); same result as
+  /// add_sample. Inline: called once per synthesized sample.
+  bool add_hit(bool hit) noexcept {
+    if (hit) ++hits_;
     ++filled_;
     if (filled_ < window_) return false;
     const bool in_use = hits_ >= votes_;

@@ -45,7 +45,9 @@ void PavenetNode::power_on() {
     // exactly the wake times. Samples inside the window are synthesized
     // retroactively at their true tick times from the world's history.
     next_sample_time_ = scheduler_->now() + period;
+    // A wake (or power_off's flush) covers at most one full window.
     activation_buf_.reserve(config_.vote_window);
+    if (!hit_buf_) hit_buf_ = std::make_unique<bool[]>(config_.vote_window);
     const sim::Duration batch = sim::Duration::micros(
         period.total_micros() * static_cast<std::int64_t>(config_.vote_window));
     tick_ = scheduler_->schedule_periodic(batch, [this] { firmware_batch(); });
@@ -83,36 +85,33 @@ void PavenetNode::synthesize_until(sim::TimePoint limit) {
   activation_buf_.resize(count);
   world_->activation_block(tool_.id, next_sample_time_, period, count,
                            activation_buf_.data());
-  // One virtual dispatch for the whole window; the buffer is overwritten
-  // in place with the excitations (sample_block reads each activation
-  // before writing the slot).
-  sensor_->sample_block(next_sample_time_, period, activation_buf_.data(),
-                        count, tool_.usage_intensity, rng_,
-                        activation_buf_.data());
+  // One virtual dispatch for the whole window. The vote only needs each
+  // sample's hit, so the model never finishes samples it can prove idle.
+  sensor_->sample_hits(next_sample_time_, period, activation_buf_.data(),
+                       count, tool_.usage_intensity, detector_.threshold(),
+                       rng_, hit_buf_.get());
   sim::TimePoint at = next_sample_time_;
   for (std::size_t i = 0; i < count; ++i, at = at + period) {
     ++samples_;
-    process_excitation(at, activation_buf_[i]);
+    process_hit(at, hit_buf_[i]);
   }
   next_sample_time_ = at;
 }
 
 void PavenetNode::process_sample(sim::TimePoint at, double activation) {
   ++samples_;
-  process_excitation(
-      at, sensor_->sample(at, activation, tool_.usage_intensity, rng_));
+  process_hit(at, sensor_->sample(at, activation, tool_.usage_intensity,
+                                  rng_) > detector_.threshold());
 }
 
-void PavenetNode::process_excitation(sim::TimePoint at, double excitation) {
+void PavenetNode::process_hit(sim::TimePoint at, bool hit) {
   const std::uint32_t hits_before = detector_.pending_hits();
-  if (!detector_.add_sample(excitation)) return;
+  if (!detector_.add_hit(hit)) return;
 
   // A window voted "in use". In batch mode this can only happen on the last
   // sample of a wake-up, i.e. `at` == the current scheduler time.
   eeprom_.append(EepromRecord{
-      at, uid(),
-      static_cast<std::uint8_t>(
-          hits_before + (excitation > detector_.threshold() ? 1 : 0))});
+      at, uid(), static_cast<std::uint8_t>(hits_before + (hit ? 1 : 0))});
 
   if (announced_once_ && at - last_announce_ < config_.reannounce_interval) {
     return;

@@ -30,8 +30,12 @@ namespace coreda::pavenet {
 /// samples retroactively from the world's episode history — 10× fewer
 /// scheduler events at identical sampled values, since the tumbling
 /// detector can only vote at window boundaries, which is exactly when the
-/// batched task wakes. power_off() flushes the partial window so samples()
-/// and detector state match the per-tick loop at any stopping point.
+/// batched task wakes. The batched task asks the sensor model only for each
+/// sample's hit (SensorModel::sample_hits), which settles idle samples
+/// without finishing them; the per-tick loop computes every excitation
+/// with sample() and stays the reference. power_off() flushes the partial
+/// window so samples() and detector state match the per-tick loop at any
+/// stopping point.
 class PavenetNode {
  public:
   /// The node reads its tool's activation from `world` and transmits over
@@ -66,7 +70,7 @@ class PavenetNode {
   void firmware_batch();
   void synthesize_until(sim::TimePoint limit);
   void process_sample(sim::TimePoint at, double activation);
-  void process_excitation(sim::TimePoint at, double excitation);
+  void process_hit(sim::TimePoint at, bool hit);
   void handle_downlink(const Packet& packet);
   sim::Duration sample_period() const noexcept {
     return sim::Duration::micros(1'000'000 / config_.sampling_hz);
@@ -86,6 +90,7 @@ class PavenetNode {
   bool powered_ = false;
   sim::TimePoint next_sample_time_;      ///< batch mode: next tick to synthesize
   std::vector<double> activation_buf_;   ///< batch mode: per-wake scratch
+  std::unique_ptr<bool[]> hit_buf_;      ///< batch mode: vote_window hits
   sim::TimePoint last_announce_;
   bool announced_once_ = false;
   std::uint64_t announcements_ = 0;

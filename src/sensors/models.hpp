@@ -43,6 +43,17 @@ class SensorModel {
                             const double* activations, std::size_t count,
                             double intensity, util::Rng& rng, double* out);
 
+  /// The firmware's view of sample_block: sets hits[i] to whether sample
+  /// i's excitation exceeds `threshold`, i.e. exactly
+  /// `sample(...) > threshold`, with identical RNG draws. Models override
+  /// it to decide clearly idle samples without finishing them (no trig,
+  /// log or sqrt); any sample the shortcut cannot settle is computed
+  /// exactly. Does not update any last-reading state.
+  virtual void sample_hits(sim::TimePoint first, sim::Duration step,
+                           const double* activations, std::size_t count,
+                           double intensity, double threshold,
+                           util::Rng& rng, bool* hits);
+
   /// The threshold a node firmware should use with this model: chosen so a
   /// full-intensity manipulation comfortably exceeds it while idle noise
   /// (including accidental bumps) rarely does.
@@ -71,13 +82,24 @@ class AccelerometerModel final : public SensorModel {
   void sample_block(sim::TimePoint first, sim::Duration step,
                     const double* activations, std::size_t count,
                     double intensity, util::Rng& rng, double* out) override;
+  /// An idle, un-bumped sample is a non-hit once all three axis deviates
+  /// clear the idle cutoff (its excitation is <= √3 · noise_g · max|z|).
+  void sample_hits(sim::TimePoint first, sim::Duration step,
+                   const double* activations, std::size_t count,
+                   double intensity, double threshold, util::Rng& rng,
+                   bool* hits) override;
   double recommended_threshold() const noexcept override { return 0.30; }
 
-  /// The full 3-axis reading behind the last sample() call; useful for
-  /// tests and trace export.
+  /// The full 3-axis reading behind the last sample() call (sample_hits
+  /// leaves it alone); useful for tests and trace export.
   Vec3 last_reading() const noexcept { return last_; }
 
  private:
+  /// Deviation magnitude from rest: usage drive plus an idle bump, whose
+  /// draws it takes.
+  double draw_deviation(double activation, double intensity,
+                        util::Rng& rng) noexcept;
+
   Params params_;
   Vec3 last_{};
 };
@@ -102,9 +124,18 @@ class PressureModel final : public SensorModel {
   void sample_block(sim::TimePoint first, sim::Duration step,
                     const double* activations, std::size_t count,
                     double intensity, util::Rng& rng, double* out) override;
+  /// An idle, un-bumped sample is a non-hit once its noise deviate clears
+  /// the idle cutoff (its excitation is noise · |z|).
+  void sample_hits(sim::TimePoint first, sim::Duration step,
+                   const double* activations, std::size_t count,
+                   double intensity, double threshold, util::Rng& rng,
+                   bool* hits) override;
   double recommended_threshold() const noexcept override { return 0.25; }
 
  private:
+  /// The lever's accidental-bump excitation, 0 when none; takes its draws.
+  double draw_bump(double activation, util::Rng& rng) noexcept;
+
   Params params_;
 };
 

@@ -61,6 +61,11 @@ struct ChaosFleetParams {
   double zipf = 1.1;
   /// Segment store directory (required; wiped on construction).
   std::string dir;
+  /// Monotonic count of global operator-new calls, read around the
+  /// steady-state probe. The library never replaces the allocator itself:
+  /// a binary that wants the probe includes util/alloc_counter.hpp and
+  /// passes util::allocation_count. Unset, the probe reports NaN.
+  std::uint64_t (*allocation_count)() = nullptr;
 };
 
 /// Per-round soak log line. Counters prefixed `round_` cover this round
@@ -91,7 +96,9 @@ struct ChaosFleetResult {
   std::uint64_t injected_crashes = 0;
   std::uint64_t injected_corruptions = 0;
   /// Allocations per session over a serial post-soak probe (the fault
-  /// window is closed and the fleet warm again: must be 0).
+  /// window is closed and the fleet warm again: must be 0). NaN when
+  /// ChaosFleetParams::allocation_count is unset, so an unmeasured probe
+  /// can never pass for a clean one.
   double steady_state_allocs = 0.0;
   /// Drain wall-clock, timing side-channel only — never printed.
   double serve_seconds = 0.0;

@@ -8,7 +8,10 @@
 // symbol link error by design — replacement allocation functions must not
 // be inline). Used by bench/perf_micro.cpp, bench/fleet_throughput.cpp and
 // tests/planning/learner_alloc_test.cpp to pin the "0 allocations per
-// episode / event at steady state" contracts.
+// episode / event at steady state" contracts. Only executables include it,
+// never a library TU: that would swap the allocator of every binary that
+// links the library (library code takes a counter function instead, as
+// serve::ChaosFleetParams::allocation_count does).
 //
 // Every form of operator new/delete is replaced — plain, nothrow, aligned
 // and sized — so each block is freed by the allocator that made it. A

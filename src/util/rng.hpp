@@ -66,11 +66,24 @@ class Rng {
     return uniform() < p;
   }
 
-  /// Normal deviate with the given mean and standard deviation.
-  double normal(double mean, double stddev) noexcept {
+  /// A standard normal deviate drawn but not yet finished: one member `w`
+  /// of a Marsaglia polar pair (u for the pair's first deviate, v for the
+  /// cached second) and the pair's s = u² + v² in (0, 1). The deviate is
+  /// w · sqrt(-2 ln s / s); since w² <= s, its magnitude is at most
+  /// sqrt(-2 ln s), so a caller can bound it without any log or sqrt.
+  struct PolarDraw {
+    double w;
+    double s;
+    double factor;  ///< sqrt(-2 ln s / s) when already known, else 0
+    bool second;    ///< the pair's cached second deviate
+  };
+
+  /// Draws the next normal deviate unfinished, consuming exactly the raw
+  /// outputs and cache state that normal() would.
+  PolarDraw draw_normal() noexcept {
     if (has_cached_normal_) {
       has_cached_normal_ = false;
-      return mean + stddev * cached_normal_;
+      return {cached_v_, cached_s_, cached_factor_, true};
     }
     // Marsaglia polar method.
     double u, v, s;
@@ -79,10 +92,32 @@ class Rng {
       v = uniform(-1.0, 1.0);
       s = u * u + v * v;
     } while (s >= 1.0 || s == 0.0);
-    const double factor = std::sqrt(-2.0 * std::log(s) / s);
-    cached_normal_ = v * factor;
+    cached_v_ = v;
+    cached_s_ = s;
+    cached_factor_ = 0.0;
     has_cached_normal_ = true;
-    return mean + stddev * u * factor;
+    return {u, s, 0.0, false};
+  }
+
+  /// The value normal(mean, stddev) would have returned for `draw`. The
+  /// polar factor is computed once per pair: finishing a first deviate
+  /// hands it to the still-cached second.
+  double finish_normal(const PolarDraw& draw, double mean,
+                       double stddev) noexcept {
+    double factor = draw.factor;
+    if (factor == 0.0) {
+      factor = std::sqrt(-2.0 * std::log(draw.s) / draw.s);
+      // Equal s means equal factor, so this never hands over a wrong one.
+      if (has_cached_normal_ && cached_s_ == draw.s) cached_factor_ = factor;
+    }
+    // The two association orders are part of the stream's bit pattern.
+    return draw.second ? mean + stddev * (draw.w * factor)
+                       : mean + stddev * draw.w * factor;
+  }
+
+  /// Normal deviate with the given mean and standard deviation.
+  double normal(double mean, double stddev) noexcept {
+    return finish_normal(draw_normal(), mean, stddev);
   }
 
   /// Exponential deviate with the given mean (mean = 1 / rate).
@@ -104,7 +139,10 @@ class Rng {
   }
 
   std::array<std::uint64_t, 4> state_;
-  double cached_normal_ = 0.0;
+  // The polar pair's second deviate, kept unfinished as (v, s).
+  double cached_v_ = 0.0;
+  double cached_s_ = 0.0;
+  double cached_factor_ = 0.0;  ///< 0 until some finish computes it
   bool has_cached_normal_ = false;
 };
 

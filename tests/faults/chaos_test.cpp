@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <numeric>
@@ -16,6 +17,9 @@
 
 #include "exec/trial_runner.hpp"
 #include "faults/faults.hpp"
+// Replaces this test binary's global allocator with a counting one, for
+// the fleet soak's steady-state probe.
+#include "util/alloc_counter.hpp"
 
 namespace coreda::serve {
 namespace {
@@ -35,6 +39,7 @@ ChaosFleetParams small_fleet(const std::string& dir) {
   p.shards = 4;
   p.slots_per_shard = 2;
   p.dir = dir;
+  p.allocation_count = util::allocation_count;
   return p;
 }
 
@@ -143,6 +148,25 @@ TEST(ChaosFleetSoak, ResultIsIdenticalAtAnyJobCount) {
     EXPECT_EQ(log_a[i].evaluations, log_b[i].evaluations) << log_a[i].name;
     EXPECT_EQ(log_a[i].injections, log_b[i].injections) << log_a[i].name;
   }
+}
+
+TEST(ChaosFleetSoak, UnwiredAllocationProbeReportsNaN) {
+  // Without a counter the probe must not read as a clean 0, and it must
+  // not change what the soak serves.
+  ChaosFleetParams params = small_fleet(fresh_dir("fleet_nan"));
+  params.allocation_count = nullptr;
+  ChaosFleetSoak soak(params, faults::FaultPlan::standard_chaos(21, 3));
+  exec::TrialRunner runner(1);
+  const ChaosFleetResult result = soak.run(runner);
+  EXPECT_TRUE(std::isnan(result.steady_state_allocs));
+  EXPECT_EQ(result.invariant_violations, 0u);
+
+  ChaosFleetSoak wired(small_fleet(fresh_dir("fleet_wired")),
+                       faults::FaultPlan::standard_chaos(21, 3));
+  const ChaosFleetResult counted = wired.run(runner);
+  EXPECT_FALSE(std::isnan(counted.steady_state_allocs));
+  EXPECT_EQ(result.report.sessions, counted.report.sessions);
+  EXPECT_EQ(result.report.radio_lost_frames, counted.report.radio_lost_frames);
 }
 
 TEST(ChaosFleetSoak, DifferentSeedsInjectDifferentSchedules) {

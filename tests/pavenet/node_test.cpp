@@ -125,10 +125,27 @@ TEST_F(NodeFixture, ExplicitThresholdOverrides) {
 }
 
 TEST(NodeBatchingTest, BatchedSamplingMatchesPerTickBitExactly) {
-  // The batched firmware task is a pure scheduling optimization: every
-  // sampled value, EEPROM record, and announcement must be identical to the
-  // literal per-tick loop, including partial windows flushed at power_off.
+  // The batched firmware task is a pure scheduling optimization and its
+  // hit-only sensor path (SensorModel::sample_hits) a pure arithmetic one:
+  // every vote, EEPROM record, and announcement must be identical to the
+  // literal per-tick loop over exact samples, including partial windows
+  // flushed at power_off — for every sensor kind, through a long idle
+  // stretch (hundreds of accidental bumps per accelerometer node; idle
+  // votes on the pressure and brightness nodes at the low threshold), and
+  // at a threshold low enough that the idle shortcut often has to fall
+  // back to exact samples.
   adl::AdlLibrary library;
+  std::vector<adl::Tool> tools = library.tools().tools();
+  // The catalog has no brightness or temperature tool; add one of each.
+  for (auto kind : {adl::SensorKind::kBrightness,
+                    adl::SensorKind::kTemperature}) {
+    adl::Tool tool = library.tools().at(adl::tools::kKettle);
+    tool.id = static_cast<adl::ToolId>(90 + static_cast<int>(kind));
+    tool.sensor = kind;
+    tool.name += " (" + std::string(adl::to_string(kind)) + ")";
+    tools.push_back(tool);
+  }
+  const Duration idle_stretch = Duration::minutes(30.0);
   struct Observed {
     std::uint64_t samples;
     std::uint64_t announcements;
@@ -136,7 +153,7 @@ TEST(NodeBatchingTest, BatchedSamplingMatchesPerTickBitExactly) {
     std::vector<std::pair<std::int64_t, int>> records;
     bool operator==(const Observed&) const = default;
   };
-  auto run_one = [&](bool batch) {
+  auto run_one = [&](const adl::Tool& tool, bool batch, double threshold) {
     sim::Scheduler scheduler;
     sensors::ManipulationWorld world;
     RadioChannel channel{scheduler, util::Rng(1)};
@@ -144,20 +161,26 @@ TEST(NodeBatchingTest, BatchedSamplingMatchesPerTickBitExactly) {
     channel.attach_receiver(0, [&](const Packet&) { ++uplink; });
     FirmwareConfig config;
     config.batch_sampling = batch;
-    PavenetNode node(library.tools().at(adl::tools::kKettle), scheduler, world,
-                     channel, util::Rng(7), config);
+    config.excitation_threshold = threshold;
+    PavenetNode node(tool, scheduler, world, channel, util::Rng(7 + tool.id),
+                     config);
     node.power_on();
-    // Episodes that start, truncate, and restart mid-window.
+    // Episodes that start, truncate, and restart mid-window, then a long
+    // idle stretch and one more use.
     scheduler.schedule_at(TimePoint::from_seconds(1.23), [&] {
-      world.begin(adl::tools::kKettle, scheduler.now(), Duration::seconds(4.0));
+      world.begin(tool.id, scheduler.now(), Duration::seconds(4.0));
     });
     scheduler.schedule_at(TimePoint::from_seconds(3.07), [&] {
-      world.end(adl::tools::kKettle, scheduler.now());
+      world.end(tool.id, scheduler.now());
     });
     scheduler.schedule_at(TimePoint::from_seconds(3.55), [&] {
-      world.begin(adl::tools::kKettle, scheduler.now(), Duration::seconds(5.0));
+      world.begin(tool.id, scheduler.now(), Duration::seconds(5.0));
     });
-    scheduler.run_until(TimePoint::from_seconds(9.35));  // mid-window stop
+    const TimePoint resume = TimePoint::from_seconds(10.42) + idle_stretch;
+    scheduler.schedule_at(resume, [&] {
+      world.begin(tool.id, scheduler.now(), Duration::seconds(3.0));
+    });
+    scheduler.run_until(resume + Duration::seconds(4.93));  // mid-window
     node.power_off();
     Observed obs{node.samples(), node.announcements(), uplink, {}};
     for (const EepromRecord& r : node.eeprom().dump()) {
@@ -165,11 +188,23 @@ TEST(NodeBatchingTest, BatchedSamplingMatchesPerTickBitExactly) {
     }
     return obs;
   };
-  const Observed per_tick = run_one(false);
-  const Observed batched = run_one(true);
-  EXPECT_EQ(per_tick.samples, 93u);  // 9.35 s at 10 Hz, flushed to the tick
-  EXPECT_GT(per_tick.records.size(), 0u);
-  EXPECT_TRUE(per_tick == batched);
+  std::size_t idle_votes = 0;
+  for (const adl::Tool& tool : tools) {
+    for (double threshold : {-1.0, 0.12}) {  // -1: the model's recommended
+      SCOPED_TRACE(tool.name + " threshold " + std::to_string(threshold));
+      const Observed per_tick = run_one(tool, false, threshold);
+      const Observed batched = run_one(tool, true, threshold);
+      // 10.42 s + 30 min + 4.93 s at 10 Hz, flushed to the tick.
+      EXPECT_EQ(per_tick.samples, 18153u);
+      EXPECT_GT(per_tick.records.size(), 0u);
+      EXPECT_TRUE(per_tick == batched);
+      for (const auto& [at_us, hits] : per_tick.records) {
+        idle_votes += at_us > 10'000'000 &&
+                      at_us < 10'420'000 + idle_stretch.total_micros();
+      }
+    }
+  }
+  EXPECT_GT(idle_votes, 0u);
 }
 
 TEST_F(NodeFixture, UidMatchesTool) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "util/stats.hpp"
 
 namespace coreda::sensors {
@@ -150,6 +154,91 @@ TEST(TemperatureModelTest, DecaysAfterUsage) {
     v = model.sample(TimePoint::origin(), 0.0, 1.0, rng);
   }
   EXPECT_LT(v, 0.1);
+}
+
+// sample_hits must equal `sample() > threshold` on a twin model and Rng,
+// draw for draw, for every sensor kind, at thresholds on both sides of the
+// idle shortcut's reach (<= 0 forces the exact path on every sample), over
+// idle, active and mixed windows, and with bumps made common.
+TEST(SampleHitsTest, MatchesSampleAboveThresholdForEveryKind) {
+  using enum adl::SensorKind;
+  struct Model {
+    std::string name;
+    std::function<std::unique_ptr<SensorModel>()> make;
+  };
+  std::vector<Model> models;
+  for (auto kind : {kAccelerometer, kPressure, kMotion, kBrightness,
+                    kTemperature}) {
+    models.push_back({std::string(adl::to_string(kind)),
+                      [kind] { return make_sensor_model(kind); }});
+  }
+  models.push_back({"bumpy accelerometer", [] {
+                      AccelerometerModel::Params p;
+                      p.bump_probability = 0.3;
+                      return std::make_unique<AccelerometerModel>(p);
+                    }});
+  models.push_back({"bumpy pressure", [] {
+                      PressureModel::Params p;
+                      p.bump_probability = 0.3;
+                      return std::make_unique<PressureModel>(p);
+                    }});
+
+  enum class Pattern { kIdle, kActive, kMixed };
+  constexpr std::size_t kWindow = 10;
+  const sim::Duration step = sim::Duration::millis(100);
+  std::uint64_t hits_seen = 0;
+  std::uint64_t misses_seen = 0;
+  for (const Model& m : models) {
+    const double recommended = m.make()->recommended_threshold();
+    for (double threshold : {-0.5, 0.0, 0.05, 0.12, recommended, 0.77}) {
+      for (Pattern pattern :
+           {Pattern::kIdle, Pattern::kActive, Pattern::kMixed}) {
+        SCOPED_TRACE(m.name + " threshold " + std::to_string(threshold) +
+                     " pattern " + std::to_string(static_cast<int>(pattern)));
+        const auto fast = m.make();
+        const auto exact = m.make();
+        util::Rng fast_rng(17);
+        util::Rng exact_rng(17);
+        util::Rng levels(23);
+        TimePoint t = TimePoint::origin();
+        for (int w = 0; w < 150; ++w) {
+          double activations[kWindow];
+          for (double& a : activations) {
+            const bool idle =
+                pattern == Pattern::kIdle ||
+                (pattern == Pattern::kMixed && levels.bernoulli(0.5));
+            a = idle ? 0.0 : levels.uniform(0.05, 1.0);
+          }
+          bool hits[kWindow];
+          fast->sample_hits(t, step, activations, kWindow, 0.8, threshold,
+                            fast_rng, hits);
+          for (std::size_t i = 0; i < kWindow; ++i, t = t + step) {
+            const bool expected =
+                exact->sample(t, activations[i], 0.8, exact_rng) > threshold;
+            ASSERT_EQ(hits[i], expected) << "window " << w << " sample " << i;
+            ++(expected ? hits_seen : misses_seen);
+          }
+          ASSERT_EQ(fast_rng(), exact_rng()) << "window " << w;
+        }
+      }
+    }
+  }
+  EXPECT_GT(hits_seen, 10000u);
+  EXPECT_GT(misses_seen, 10000u);
+}
+
+TEST(SampleHitsTest, LeavesLastReadingAlone) {
+  AccelerometerModel model;
+  util::Rng rng(29);
+  model.sample(TimePoint::origin(), 1.0, 1.0, rng);
+  const Vec3 before = model.last_reading();
+  const double activations[3] = {0.0, 1.0, 0.0};
+  bool hits[3];
+  model.sample_hits(TimePoint::origin(), sim::Duration::millis(100),
+                    activations, 3, 1.0, 0.3, rng, hits);
+  EXPECT_EQ(model.last_reading().x, before.x);
+  EXPECT_EQ(model.last_reading().y, before.y);
+  EXPECT_EQ(model.last_reading().z, before.z);
 }
 
 TEST(MakeSensorModelTest, CoversEveryKind) {

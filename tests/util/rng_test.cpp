@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -116,6 +117,90 @@ TEST(RngTest, NormalMomentsMatch) {
   const double var = ss / n - mean * mean;
   EXPECT_NEAR(mean, 5.0, 0.05);
   EXPECT_NEAR(std::sqrt(var), 2.0, 0.05);
+}
+
+TEST(RngTest, NormalStreamIsPinned) {
+  // Every simulator output depends on these bits: first and cached second
+  // deviates of three polar pairs, each with its own association order.
+  Rng rng(2024);
+  for (double expected : {0x1.ae80fdb94ce99p+0, -0x1.340e84f152fb8p-1,
+                          -0x1.d02dad92842aap-2, -0x1.b138cd77648fp+0,
+                          0x1.3c9238844285cp-1, -0x1.be9468f9a1fap-2}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rng.normal(0.5, 1.5)),
+              std::bit_cast<std::uint64_t>(expected));
+  }
+}
+
+// The deferred polar draw must be invisible in the stream: a generator that
+// mixes normal() with draw_normal()/finish_normal() — finishing at once,
+// later, out of order or never — yields normal()'s values bit for bit and
+// keeps its raw outputs in step, whichever half of a pair each draw lands on.
+TEST(RngTest, DeferredNormalsReproduceNormalStream) {
+  struct Pending {
+    Rng::PolarDraw draw;
+    double mean;
+    double stddev;
+    double expected;
+  };
+  for (int parity = 0; parity < 2; ++parity) {
+    Rng reference(101);
+    Rng rng(101);
+    if (parity == 1) {  // start every later draw on the other pair half
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(rng.normal(0.0, 1.0)),
+                std::bit_cast<std::uint64_t>(reference.normal(0.0, 1.0)));
+    }
+    Rng pattern(7 + parity);
+    std::vector<Pending> pending;
+    int deferred_first = 0;
+    int deferred_second = 0;
+    for (int i = 0; i < 4000; ++i) {
+      const double mean = pattern.uniform(-2.0, 2.0);
+      const double stddev = pattern.uniform(0.01, 3.0);
+      const double expected = reference.normal(mean, stddev);
+      const auto choice = pattern.uniform_int(0, 3);
+      if (choice == 0) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(rng.normal(mean, stddev)),
+                  std::bit_cast<std::uint64_t>(expected));
+        continue;
+      }
+      const Rng::PolarDraw draw = rng.draw_normal();
+      ++(draw.second ? deferred_second : deferred_first);
+      if (choice == 1) {
+        EXPECT_EQ(
+            std::bit_cast<std::uint64_t>(rng.finish_normal(draw, mean, stddev)),
+            std::bit_cast<std::uint64_t>(expected));
+      } else if (choice == 2) {
+        pending.push_back({draw, mean, stddev, expected});
+      }  // choice 3: never finished, as the idle shortcut does
+      if (pattern.bernoulli(0.2)) {
+        // Finish newest first, so pairs are finished out of order too.
+        for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                        rng.finish_normal(it->draw, it->mean, it->stddev)),
+                    std::bit_cast<std::uint64_t>(it->expected));
+        }
+        pending.clear();
+      }
+      if (pattern.bernoulli(0.1)) {
+        ASSERT_EQ(rng(), reference());
+      }
+    }
+    EXPECT_GT(deferred_first, 500);
+    EXPECT_GT(deferred_second, 500);
+    ASSERT_EQ(rng(), reference());
+  }
+}
+
+TEST(RngTest, PolarDrawIsBoundedByItsS) {
+  // The idle-sample shortcut rests on |deviate| <= sqrt(-2 ln s).
+  Rng rng(103);
+  for (int i = 0; i < 20000; ++i) {
+    const Rng::PolarDraw draw = rng.draw_normal();
+    ASSERT_GT(draw.s, 0.0);
+    ASSERT_LT(draw.s, 1.0);
+    EXPECT_LE(std::abs(rng.finish_normal(draw, 0.0, 1.0)),
+              std::sqrt(-2.0 * std::log(draw.s)) * (1.0 + 1e-12));
+  }
 }
 
 TEST(RngTest, ExponentialMeanMatches) {

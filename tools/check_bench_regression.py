@@ -249,7 +249,8 @@ def main():
                 failures.append(
                     f"{label}: {metric} missing from fresh run "
                     f"(baseline {base[metric]})")
-            elif got_v > base[metric] + epsilon:
+            # Written as "not <=" so a NaN (an unmeasured probe) fails.
+            elif not got_v <= base[metric] + epsilon:
                 bound = (f"{base[metric]} + {epsilon}" if epsilon
                          else f"{base[metric]}")
                 failures.append(
@@ -263,7 +264,7 @@ def main():
                 failures.append(
                     f"{label}: {metric} missing from fresh run "
                     f"(baseline {base[metric]})")
-            elif got_v < base[metric]:
+            elif not got_v >= base[metric]:
                 failures.append(
                     f"{label}: {metric} {got_v} < baseline "
                     f"{base[metric]} — {reason}")
