@@ -20,6 +20,8 @@
 #include "sim/scheduler.hpp"
 #include "trace/dataset.hpp"
 #include "trace/sensing_pipeline.hpp"
+#include "util/rng.hpp"
+#include "util/wire.hpp"
 // Global allocation counter (replaces this binary's operator new): the
 // scheduler and train_episode benches assert their "zero allocations per
 // event / episode at steady state" claims through it.
@@ -308,6 +310,26 @@ void BM_LaneCfUpdateRow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LaneCfUpdateRow);
+
+void BM_RecordChecksum(benchmark::State& state) {
+  // The store's integrity pass, paid on every append, on every record of a
+  // chain load and on every record of a reopen scan: checksum64 over one
+  // 1,512-byte anchor-sized body (a 25x8 Tea-making anchor hashes 1,632
+  // bytes, [8, len - 8)). Time per iteration is time per record.
+  std::vector<unsigned char> body(1512);
+  util::Rng rng(3);
+  for (std::size_t i = 0; i < body.size(); i += 8) {
+    util::wire::store_u64(&body[i], rng());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(body.data());
+    benchmark::DoNotOptimize(
+        util::wire::checksum64(body.data(), body.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(body.size()));
+}
+BENCHMARK(BM_RecordChecksum);
 
 void BM_SegmentDeltaAppend(benchmark::State& state) {
   // One fleet write-back on the delta path: diff the session's touched row

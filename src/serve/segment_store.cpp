@@ -26,7 +26,6 @@ namespace wire = util::wire;
 
 constexpr std::size_t kSegmentHeaderBytes = 40;
 constexpr char kMetaFileName[] = "store.meta";
-constexpr std::uint64_t kMetaFormatVersion = 1;
 /// Segment files never exceed 8 MiB: UserIndex packs the record offset into
 /// 20 bits of offset/8.
 constexpr std::size_t kMaxSegmentBytes = std::size_t{1} << 23;
@@ -173,7 +172,7 @@ void SegmentStore::write_meta() const {
     wire::store_u64(p, static_cast<std::uint64_t>(t));
     p += 8;
   }
-  wire::store_u64(p, wire::fnv1a(buf.data(), buf.size() - 8));
+  wire::store_u64(p, wire::checksum64(buf.data(), buf.size() - 8));
   const std::string path = params_.dir + "/" + kMetaFileName;
   const std::string tmp = path + ".tmp";
   {
@@ -201,17 +200,26 @@ void SegmentStore::validate_meta() const {
     throw std::runtime_error("SegmentStore: " + path +
                              " is not a coreda-policy store");
   }
-  if (wire::load_u64(buf.data() + buf.size() - 8) !=
-      wire::fnv1a(buf.data(), buf.size() - 8)) {
-    throw std::runtime_error("SegmentStore: " + path + " checksum mismatch");
-  }
+  // The version comes before the trailer: a store written by another
+  // format also fails this build's checksum, and must be refused as a
+  // format mismatch rather than reported as corruption.
   const unsigned char* p = buf.data() + 8;
   const std::uint64_t format = wire::load_u64(p);
+  if (format != kMetaFormatVersion) {
+    throw std::runtime_error(
+        "SegmentStore: " + path + " is store format " +
+        std::to_string(format) + "; this build reads format " +
+        std::to_string(kMetaFormatVersion));
+  }
+  if (wire::load_u64(buf.data() + buf.size() - 8) !=
+      wire::checksum64(buf.data(), buf.size() - 8)) {
+    throw std::runtime_error("SegmentStore: " + path + " checksum mismatch");
+  }
   const std::uint64_t n_steps = wire::load_u64(p + 8);
   const std::uint64_t n_tools = wire::load_u64(p + 16);
   const std::uint64_t n_states = wire::load_u64(p + 24);
   const std::uint64_t n_actions = wire::load_u64(p + 32);
-  if (format != kMetaFormatVersion || buf.size() != expected ||
+  if (buf.size() != expected ||
       n_steps != steps_.size() || n_tools != tools_.size() ||
       n_states != num_states_ || n_actions != num_actions_) {
     throw std::runtime_error("SegmentStore: " + path +
@@ -363,7 +371,10 @@ void SegmentStore::scan_segment(Segment& seg) {
     if (len < kMinRecordBytes || len % 8 != 0 || len > seg.bytes - seg.used) {
       break;
     }
-    if (wire::load_u64(rec + len - 8) != wire::fnv1a(rec + 8, len - 16)) {
+    // A user id the index cannot hold is as malformed as a bad length.
+    const std::uint64_t user = wire::load_u64(rec + 16);
+    if (user >= UserIndex::kMaxUsers) break;
+    if (wire::load_u64(rec + len - 8) != wire::checksum64(rec + 8, len - 16)) {
       break;
     }
     if (anchor) {
@@ -381,8 +392,7 @@ void SegmentStore::scan_segment(Segment& seg) {
       }
     }
     ++scanned_records_;
-    publish_index(wire::load_u64(rec + 16), seg, seg.used,
-                  wire::load_u64(rec + 24));
+    publish_index(user, seg, seg.used, wire::load_u64(rec + 24));
     ++seg.records;
     seg.used += len;
   }
@@ -566,7 +576,7 @@ std::size_t SegmentStore::write_record(Writer& w, std::uint64_t user,
       }
     }
   }
-  wire::store_u64(rec + need - 8, wire::fnv1a(rec + 8, need - 16));
+  wire::store_u64(rec + need - 8, wire::checksum64(rec + 8, need - 16));
   // Fault tick: a compaction rebase (the only !allow_delta caller) re-writes
   // a (user, version) pair whose original append already proved fault-free,
   // so it gets its own keying bit — otherwise planned crashes could never
@@ -670,7 +680,7 @@ std::optional<std::uint64_t> SegmentStore::load(std::uint64_t user,
     if (wire::load_u64(rec + 16) != user) throw fail();
     const std::uint64_t version = wire::load_u64(rec + 24);
     if (expect && version != expect_version) throw fail();
-    if (wire::load_u64(rec + len - 8) != wire::fnv1a(rec + 8, len - 16)) {
+    if (wire::load_u64(rec + len - 8) != wire::checksum64(rec + 8, len - 16)) {
       throw fail();
     }
     if (depth >= chain.size()) throw fail();
@@ -858,14 +868,16 @@ SegmentStore::Info SegmentStore::inspect(const std::string& dir) {
       std::memcmp(meta.data(), kStoreMetaMagic, 8) != 0) {
     return info;
   }
+  info.meta_format = wire::load_u64(meta.data() + 8);
   info.num_steps = wire::load_u64(meta.data() + 16);
   info.num_tools = wire::load_u64(meta.data() + 24);
   info.num_states = wire::load_u64(meta.data() + 32);
   info.num_actions = wire::load_u64(meta.data() + 40);
   info.meta_ok =
+      info.meta_format == kMetaFormatVersion &&
       meta.size() == 8 + 6 * 8 + 8 * (info.num_steps + info.num_tools) + 8 &&
       wire::load_u64(meta.data() + meta.size() - 8) ==
-          wire::fnv1a(meta.data(), meta.size() - 8);
+          wire::checksum64(meta.data(), meta.size() - 8);
   if (!info.meta_ok) return info;
 
   const std::uint64_t qn = info.num_states * info.num_actions;
@@ -927,8 +939,9 @@ SegmentStore::Info SegmentStore::inspect(const std::string& dir) {
             (anchor || is_delta) ? wire::load_u64(rec + 8) : 0;
         if ((!anchor && !is_delta) || len < kMinRecordBytes || len % 8 != 0 ||
             len > buf.size() - off ||
+            wire::load_u64(rec + 16) >= UserIndex::kMaxUsers ||
             wire::load_u64(rec + len - 8) !=
-                wire::fnv1a(rec + 8, len - 16)) {
+                wire::checksum64(rec + 8, len - 16)) {
           ++info.corrupt_records;  // prefix ends: the rest is unreachable
           break;
         }

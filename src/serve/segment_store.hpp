@@ -21,9 +21,16 @@ namespace coreda::serve {
 //
 // One directory holds every user's policy:
 //
-//   store.meta            schema: vocabularies + table shape (atomic
-//                         temp+rename publish, FNV-1a 64 trailer)
+//   store.meta            "CRDASTR1", format version (2), table shape,
+//                         segment size, step + tool vocabularies, and a
+//                         checksum64 trailer over every preceding byte
+//                         (atomic temp+rename publish)
 //   seg-w<writer>-<seq>.seg   mmap'd append-only segments
+//
+// Every checksum below is util::wire::checksum64: any change confined to
+// one 8-byte word of the hashed range is always detected. A store.meta of
+// another format version (format 1 hashed with FNV-1a 64) is refused at
+// open by its version field, before its trailer is checked.
 //
 // Segment format ("CRDASEG2", all integers little-endian u64, doubles as
 // LE IEEE-754 bit patterns) — variable-stride records, 8-byte aligned:
@@ -45,7 +52,7 @@ namespace coreda::serve {
 //
 //   q_count    u64  n_states * n_actions
 //   q          q_count x f64, row-major
-//   checksum   u64  FNV-1a 64 over bytes [8, len - 8)
+//   checksum   u64  checksum64 over bytes [8, len - 8)
 //
 // Delta — the rows that changed since the parent record
 // (len = 8 * (8 + n_rows * (1 + n_actions))):
@@ -54,7 +61,7 @@ namespace coreda::serve {
 //   parent_off     u64  byte offset of the parent record in THIS segment
 //   n_rows         u64  changed Q rows
 //   rows           n_rows x (u64 row_index + n_actions x f64)
-//   checksum       u64  FNV-1a 64 over bytes [8, len - 8)
+//   checksum       u64  checksum64 over bytes [8, len - 8)
 //
 // A user's records form a chain: each delta back-points to that user's
 // previous record via parent_off. Chains never span segments — the first
@@ -81,6 +88,10 @@ namespace coreda::serve {
 // counters (a record superseded by another writer after a writers-count
 // change decrements a foreign segment).
 // ---------------------------------------------------------------------------
+
+/// store.meta format version this build writes and reads (the version
+/// field follows the magic; any other value is refused at open).
+inline constexpr std::uint64_t kMetaFormatVersion = 2;
 
 /// The 8 magic bytes opening store.meta / segments / records.
 inline constexpr char kStoreMetaMagic[8] = {'C', 'R', 'D', 'A',
@@ -240,6 +251,9 @@ class SegmentStore {
     std::uint64_t live_records = 0;     ///< == users (newest per user)
     std::uint64_t max_version = 0;
     double mean_chain_length = 0.0;     ///< mean records per live chain
+    std::uint64_t meta_format = 0;      ///< store.meta's format version
+    /// store.meta has this build's format version, a consistent size and
+    /// a valid trailer; records are scanned only when it does.
     bool meta_ok = false;
     std::vector<SegmentInfo> segment_details;
   };

@@ -11,8 +11,9 @@
 //   * the exhaustive corruption sweep: flipping one byte at EVERY offset of
 //     a user's newest record makes the live store's restore throw with the
 //     resident table byte-unchanged, and a restart recovers the previous
-//     committed version (or nothing) — never a torn table. The record's
-//     FNV-1a checksum guarantees any single-byte flip is caught.
+//     committed version (or nothing) — never a torn table. The record
+//     checksum detects any change confined to one 8-byte word, so every
+//     single-byte flip is caught.
 
 #include "serve/policy_store.hpp"
 

@@ -16,6 +16,11 @@
 //     and gets overwritten by the retry;
 //   * compaction preserves every user's latest version and actually
 //     returns disk space (segment files are unlinked);
+//   * a store.meta of another format version — a format-1 store exactly as
+//     an older build wrote it (FNV-1a trailer), or a valid-trailer meta
+//     claiming version 7 — is refused by open (naming the format, never
+//     as a checksum mismatch) and by inspect / `coreda policy inspect`
+//     (exit 2), and nothing in the directory is created or rewritten;
 //   * a segment-backed PolicyStore serves the ServeEngine exactly like a
 //     memory-only one, restores after a restart, keeps its committed
 //     version through a crashed stage, and the engine refuses a store
@@ -28,10 +33,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <vector>
 
 #include "adl/library.hpp"
 #include "serve/engine.hpp"
+#include "tools/cli_commands.hpp"
 #include "util/rng.hpp"
 #include "util/wire.hpp"
 
@@ -372,6 +380,108 @@ TEST_F(SegmentStoreFixture, InspectSummarizesAStoreDirectory) {
   EXPECT_EQ(info.max_version, 5u);
   EXPECT_DOUBLE_EQ(info.mean_chain_length, 1.0);
   ASSERT_EQ(info.segment_details.size(), info.segments);
+}
+
+std::vector<unsigned char> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path,
+                const std::vector<unsigned char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Every file in `dir` with its bytes: a restore point to prove a refused
+/// open or inspect created and rewrote nothing.
+std::map<std::string, std::vector<unsigned char>> snapshot(
+    const std::string& dir) {
+  std::map<std::string, std::vector<unsigned char>> files;
+  for (const fs::directory_entry& de : fs::directory_iterator(dir)) {
+    files[de.path().filename().string()] = read_file(de.path().string());
+  }
+  return files;
+}
+
+/// `coreda policy inspect --in=dir`: exit code and stdout.
+std::pair<int, std::string> cli_inspect(const std::string& dir) {
+  std::ostringstream out, err;
+  const int code = cli::run_command(
+      util::Flags::parse({"policy", "inspect", "--in=" + dir}), out, err);
+  return {code, out.str()};
+}
+
+TEST_F(SegmentStoreFixture, FormatOneStoreIsRefusedByVersionNotAsCorruption) {
+  const std::string dir = fresh_dir("format1");
+  {
+    auto store = open(small_params(dir));
+    store->reserve_users(2);
+    store->append(0, table(71), 1);
+    store->append(1, table(72), 3);
+  }
+  // Rewrite store.meta exactly as format 1 wrote it: same layout, version
+  // field 1, FNV-1a 64 over every preceding byte as the trailer.
+  const std::string meta_path = dir + "/store.meta";
+  std::vector<unsigned char> meta = read_file(meta_path);
+  ASSERT_EQ(util::wire::load_u64(meta.data() + 8), kMetaFormatVersion);
+  util::wire::store_u64(meta.data() + 8, 1);
+  std::uint64_t fnv = 1469598103934665603ULL;
+  for (std::size_t i = 0; i + 8 < meta.size(); ++i) {
+    fnv ^= meta[i];
+    fnv *= 1099511628211ULL;
+  }
+  util::wire::store_u64(meta.data() + meta.size() - 8, fnv);
+  write_file(meta_path, meta);
+  const auto before = snapshot(dir);
+
+  try {
+    open(small_params(dir));
+    ADD_FAILURE() << "a format-1 store opened";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("format 1"), std::string::npos) << what;
+    EXPECT_EQ(what.find("checksum"), std::string::npos) << what;
+  }
+  const SegmentStore::Info info = SegmentStore::inspect(dir);
+  EXPECT_FALSE(info.meta_ok);
+  EXPECT_EQ(info.meta_format, 1u);
+  EXPECT_EQ(info.records, 0u);  // records are not scanned under a bad meta
+  const auto [code, out] = cli_inspect(dir);
+  EXPECT_EQ(code, 2);
+  EXPECT_NE(out.find("store v1"), std::string::npos) << out;
+  EXPECT_NE(out.find("meta: MISMATCH"), std::string::npos) << out;
+  EXPECT_EQ(snapshot(dir), before);
+}
+
+TEST_F(SegmentStoreFixture, MetaClaimingAnotherVersionIsRefusedEverywhere) {
+  const std::string dir = fresh_dir("format7");
+  {
+    auto store = open(small_params(dir));
+    store->reserve_users(1);
+    store->append(0, table(81), 1);
+  }
+  ASSERT_TRUE(SegmentStore::inspect(dir).meta_ok);
+  const auto [ok_code, ok_out] = cli_inspect(dir);
+  ASSERT_EQ(ok_code, 0);
+  EXPECT_NE(ok_out.find("store v2"), std::string::npos) << ok_out;
+  // Version 7 under a trailer that is valid for the new bytes: only the
+  // version field can refuse it.
+  const std::string meta_path = dir + "/store.meta";
+  std::vector<unsigned char> meta = read_file(meta_path);
+  util::wire::store_u64(meta.data() + 8, 7);
+  util::wire::store_u64(meta.data() + meta.size() - 8,
+                        util::wire::checksum64(meta.data(), meta.size() - 8));
+  write_file(meta_path, meta);
+  const auto before = snapshot(dir);
+
+  EXPECT_THROW(open(small_params(dir)), std::runtime_error);
+  const SegmentStore::Info info = SegmentStore::inspect(dir);
+  EXPECT_FALSE(info.meta_ok);
+  EXPECT_EQ(info.meta_format, 7u);
+  EXPECT_EQ(cli_inspect(dir).first, 2);
+  EXPECT_EQ(snapshot(dir), before);
 }
 
 // ---------------------------------------------------------------------------

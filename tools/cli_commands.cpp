@@ -235,7 +235,8 @@ int cmd_policy_inspect(const util::Flags& flags, std::ostream& out,
   const serve::SegmentStore::Info info = serve::SegmentStore::inspect(dir);
   // `records` counts valid records only; corrupt ones are reported apart.
   const std::uint64_t dead = info.records - info.live_records;
-  out << "format: coreda-policy store v1 (segmented)\n"
+  out << "format: coreda-policy store v" << info.meta_format
+      << " (segmented)\n"
       << "meta: " << (info.meta_ok ? "ok" : "MISMATCH") << '\n'
       << "q-table: " << info.num_states << " states x " << info.num_actions
       << " actions\n"
