@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <filesystem>
 #include <numeric>
 
@@ -16,6 +17,7 @@
 #include "serve/segment_store.hpp"
 #include "serve/user_index.hpp"
 #include "rl/td_lambda.hpp"
+#include "sensors/idle_lanes.hpp"
 #include "sensors/models.hpp"
 #include "sim/scheduler.hpp"
 #include "trace/dataset.hpp"
@@ -143,6 +145,48 @@ void BM_AccelIdleWindowSampleHits(benchmark::State& state) {
 }
 BENCHMARK(BM_AccelIdleWindowSampleHits);
 
+// The same idle windows, Arg() of them per iteration, through the idle
+// lanes as a node bank's wake runs them: a lane handed back (a bump, or a
+// deviate under the cutoff) takes the scalar sample_hits. Per-sample time
+// against BM_AccelIdleWindowSampleHits locates the smallest batch worth
+// the lanes (the firmware's kMinLaneBatch). Without AVX-512 every window
+// takes the scalar path (settled_share 0).
+void BM_AccelIdleWindowLanes(benchmark::State& state) {
+  const auto lanes_used = static_cast<std::size_t>(state.range(0));
+  sensors::AccelerometerModel model;
+  sensors::IdleLane params{};
+  model.idle_lane(model.recommended_threshold(), params);
+  util::Rng streams[sensors::kIdleLanes];
+  sensors::IdleLane lanes[sensors::kIdleLanes];
+  for (std::size_t i = 0; i < sensors::kIdleLanes; ++i) {
+    streams[i] = util::Rng(5 + i);
+    lanes[i] = {&streams[i], params.bump_probability, params.s_min};
+  }
+  const double activations[kIdleWindow] = {};
+  bool hits[kIdleWindow];
+  std::uint64_t settled = 0;
+  for (auto _ : state) {
+    const std::uint32_t mask =
+        sensors::settle_idle_windows(lanes, lanes_used, kIdleWindow);
+    benchmark::DoNotOptimize(mask);
+    for (std::size_t i = 0; i < lanes_used; ++i) {
+      if (((mask >> i) & 1u) != 0) continue;
+      model.sample_hits(sim::TimePoint::origin(), sim::Duration::millis(100),
+                        activations, kIdleWindow, 1.0,
+                        model.recommended_threshold(), streams[i], hits);
+      benchmark::DoNotOptimize(hits);
+    }
+    settled += static_cast<std::uint64_t>(std::popcount(mask));
+  }
+  const auto windows = static_cast<std::int64_t>(state.iterations()) *
+                       static_cast<std::int64_t>(lanes_used);
+  state.SetItemsProcessed(windows * static_cast<std::int64_t>(kIdleWindow));
+  state.counters["settled_share"] =
+      windows > 0 ? static_cast<double>(settled) / static_cast<double>(windows)
+                  : 0.0;
+}
+BENCHMARK(BM_AccelIdleWindowLanes)->Arg(1)->Arg(2)->Arg(3)->Arg(8);
+
 // --- Scheduler hot paths ---------------------------------------------------
 // Before the slot-pool rewrite every schedule_* call heap-allocated a
 // shared_ptr<bool> control block and every periodic reschedule copied the
@@ -265,6 +309,37 @@ void BM_NodeSamplingBatched(benchmark::State& state) {
   node_sampling_run(state, true);
 }
 BENCHMARK(BM_NodeSamplingBatched)->Unit(benchmark::kMillisecond);
+
+// A home's 15-node catalog in one NodeBank for the same 100 virtual
+// seconds and kettle uses: one scheduler event per window for all nodes,
+// idle accelerometer windows settled eight at a time. Items are samples.
+void BM_NodeBankWake(benchmark::State& state) {
+  adl::AdlLibrary library;
+  std::uint64_t samples = 0;
+  for (auto _ : state) {
+    sim::Scheduler scheduler;
+    sensors::ManipulationWorld world;
+    pavenet::RadioChannel channel(scheduler, util::Rng(1));
+    pavenet::NodeBank bank(scheduler, world, channel);
+    util::Rng seeder(7);
+    for (const adl::Tool& tool : library.tools().tools()) {
+      bank.add(tool, seeder.fork());
+    }
+    bank.power_on();
+    for (int m = 0; m < 10; ++m) {
+      scheduler.schedule_at(
+          sim::TimePoint::from_seconds(m * 10.0 + 1.3), [&scheduler, &world] {
+            world.begin(adl::tools::kKettle, scheduler.now(),
+                        sim::Duration::seconds(6.0));
+          });
+    }
+    scheduler.run_until(sim::TimePoint::from_seconds(100.0));
+    bank.power_off();
+    for (const auto& node : bank.nodes()) samples += node->samples();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(samples));
+}
+BENCHMARK(BM_NodeBankWake)->Unit(benchmark::kMillisecond);
 
 // --- P7 lane-engine & v3 snapshot kernels ----------------------------------
 // The batched trace-decay kernel is the only per-step lane operation that

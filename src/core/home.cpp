@@ -22,13 +22,13 @@ HomeDeployment::HomeDeployment(const adl::AdlLibrary& library,
                                                      config_.radio);
   station_ = std::make_unique<pavenet::BaseStation>(scheduler_, *channel_,
                                                     config_.station);
-  // One node per tool across the whole catalog.
+  // One node per tool across the whole catalog, woken together.
+  nodes_ = std::make_unique<pavenet::NodeBank>(scheduler_, world_, *channel_,
+                                               config_.firmware);
   for (const adl::Tool& tool : library_->tools().tools()) {
-    nodes_.push_back(std::make_unique<pavenet::PavenetNode>(
-        tool, scheduler_, world_, *channel_, rng_.fork(),
-        config_.firmware));
-    nodes_.back()->power_on();
+    nodes_->add(tool, rng_.fork());
   }
+  nodes_->power_on();
   for (const adl::Adl& adl : library_->adls()) {
     learners_[adl.name()] = std::make_unique<planning::RoutineLearner>(
         adl, rng_.fork(), config_.learner);
@@ -106,7 +106,7 @@ HomeSessionResult HomeDeployment::run_session(
   tracker_->close_episode();
   station_->reset_usage_history();
   reminder_->begin_session();
-  for (const auto& node : nodes_) {
+  for (const auto& node : nodes_->nodes()) {
     node->led().all_off();
     node->led().clear_history();
   }
@@ -174,7 +174,7 @@ HomeScriptResult HomeDeployment::run_script(
   tracker_->close_episode();
   station_->reset_usage_history();
   reminder_->begin_session();
-  for (const auto& node : nodes_) {
+  for (const auto& node : nodes_->nodes()) {
     node->led().all_off();
     node->led().clear_history();
   }

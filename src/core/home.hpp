@@ -161,7 +161,7 @@ class HomeDeployment {
   sensors::ManipulationWorld world_;
   std::unique_ptr<pavenet::RadioChannel> channel_;
   std::unique_ptr<pavenet::BaseStation> station_;
-  std::vector<std::unique_ptr<pavenet::PavenetNode>> nodes_;
+  std::unique_ptr<pavenet::NodeBank> nodes_;
   std::map<std::string, std::unique_ptr<planning::RoutineLearner>> learners_;
   recognition::AdlRecognizer recognizer_;
   std::unique_ptr<recognition::ActivityTracker> tracker_;

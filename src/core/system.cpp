@@ -31,12 +31,12 @@ CoredaSystem::CoredaSystem(const adl::AdlLibrary& library,
   station_ = std::make_unique<pavenet::BaseStation>(scheduler_, *channel_,
                                                     config_.station);
   station_->provision_tools(static_cast<std::size_t>(max_tool) + 1);
+  nodes_ = std::make_unique<pavenet::NodeBank>(scheduler_, world_, *channel_,
+                                               config_.firmware);
   for (adl::ToolId id : adl_->tools()) {
-    nodes_.push_back(std::make_unique<pavenet::PavenetNode>(
-        library_->tools().at(id), scheduler_, world_, *channel_, rng_.fork(),
-        config_.firmware));
-    nodes_.back()->power_on();
+    nodes_->add(library_->tools().at(id), rng_.fork());
   }
+  nodes_->power_on();
   learner_ = std::make_unique<planning::RoutineLearner>(*adl_, rng_.fork(),
                                                         config_.learner);
   reminder_ = std::make_unique<reminding::RemindingSubsystem>(
@@ -64,7 +64,7 @@ CoredaSystem::CoredaSystem(const adl::AdlLibrary& library,
 }
 
 const pavenet::PavenetNode& CoredaSystem::node(adl::ToolId tool) const {
-  for (const auto& n : nodes_) {
+  for (const auto& n : nodes_->nodes()) {
     if (n->uid() == tool) return *n;
   }
   throw std::out_of_range("CoredaSystem: no node on tool " +
@@ -130,7 +130,7 @@ void CoredaSystem::run_session_inplace(
   // session (otherwise leftover toggles pile into the next session's event
   // queue and history), and clearing keeps the history vectors' capacity,
   // so a warm session records for free.
-  for (const auto& node : nodes_) {
+  for (const auto& node : nodes_->nodes()) {
     node->led().all_off();
     node->led().clear_history();
   }

@@ -154,7 +154,7 @@ class CoredaSystem {
   sensors::ManipulationWorld world_;
   std::unique_ptr<pavenet::RadioChannel> channel_;
   std::unique_ptr<pavenet::BaseStation> station_;
-  std::vector<std::unique_ptr<pavenet::PavenetNode>> nodes_;
+  std::unique_ptr<pavenet::NodeBank> nodes_;
   std::unique_ptr<planning::RoutineLearner> learner_;
   std::unique_ptr<reminding::RemindingSubsystem> reminder_;
   std::unique_ptr<reminding::TriggerMonitor> trigger_;

@@ -27,7 +27,9 @@ inline constexpr HardwareSpec kPavenetHardware{};
 
 /// Firmware parameters of the sensing subsystem (paper §2.1).
 struct FirmwareConfig {
-  /// "The sampling rate of each sensor is 10 times in one second."
+  /// "The sampling rate of each sensor is 10 times in one second." Must be
+  /// in [1, 1'000'000]: the sample period is a whole number of
+  /// microseconds (PavenetNode throws std::invalid_argument otherwise).
   std::uint32_t sampling_hz = 10;
 
   /// "If three of these 10 samples surpass a pre-defined threshold, the tool
@@ -47,7 +49,12 @@ struct FirmwareConfig {
   /// per sample and synthesizes the window's samples retroactively — a pure
   /// scheduling optimization that is bit-identical to per-tick sampling
   /// because the tumbling detector only acts at window boundaries (see
-  /// DESIGN.md §5). Set false to force the literal per-tick loop.
+  /// DESIGN.md §5). The nodes of a NodeBank then share one wake per
+  /// window. The window (vote_window / sampling_hz) must fit in
+  /// sensors::ManipulationWorld::kHistoryRetention, which a wake reads
+  /// back; PavenetNode throws std::invalid_argument otherwise. Set false
+  /// to force the literal per-tick loop, the reference, which takes any
+  /// window.
   bool batch_sampling = true;
 };
 

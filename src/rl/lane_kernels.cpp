@@ -21,7 +21,7 @@
 
 #include "rl/lane_kernels.hpp"
 
-#include <cstdlib>
+#include "util/simd.hpp"
 
 #ifdef COREDA_LANE_KERNELS_X86
 #include <immintrin.h>
@@ -33,9 +33,7 @@ namespace {
 
 bool detect_simd() noexcept {
 #ifdef COREDA_LANE_KERNELS_X86
-  const char* env = std::getenv("COREDA_LANE_SIMD");
-  if (env != nullptr && env[0] == '0' && env[1] == '\0') return false;
-  return __builtin_cpu_supports("avx2") != 0;
+  return util::lane_simd_allowed() && __builtin_cpu_supports("avx2") != 0;
 #else
   return false;
 #endif

@@ -139,6 +139,21 @@ void AccelerometerModel::sample_hits(sim::TimePoint /*first*/,
   }
 }
 
+bool AccelerometerModel::idle_lane(double threshold,
+                                   IdleLane& lane) const noexcept {
+  const double s_min =
+      idle_s_min(threshold, std::numbers::sqrt3 * params_.noise_g);
+  // At p == 0 or 1 bernoulli draws nothing, and at s_min == 1 nothing
+  // settles: such windows are the scalar path's.
+  if (!(params_.bump_probability > 0.0 && params_.bump_probability < 1.0) ||
+      !(s_min < 1.0)) {
+    return false;
+  }
+  lane.bump_probability = params_.bump_probability;
+  lane.s_min = s_min;
+  return true;
+}
+
 double PressureModel::draw_bump(double activation, util::Rng& rng) noexcept {
   if (activation <= 0.0 && rng.bernoulli(params_.bump_probability)) {
     return params_.bump_magnitude * rng.uniform(0.5, 1.0);

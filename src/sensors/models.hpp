@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "adl/types.hpp"
+#include "sensors/idle_lanes.hpp"
 #include "sim/time.hpp"
 #include "util/rng.hpp"
 
@@ -54,6 +55,15 @@ class SensorModel {
                            double intensity, double threshold,
                            util::Rng& rng, bool* hits);
 
+  /// Whether this model's all-idle windows at `threshold` may go to the
+  /// idle lanes (settle_idle_windows), which then replay its sample_hits
+  /// exactly. If so, sets `lane`'s bump_probability and s_min (not its
+  /// rng). The default is no.
+  virtual bool idle_lane(double /*threshold*/,
+                         IdleLane& /*lane*/) const noexcept {
+    return false;
+  }
+
   /// The threshold a node firmware should use with this model: chosen so a
   /// full-intensity manipulation comfortably exceeds it while idle noise
   /// (including accidental bumps) rarely does.
@@ -88,6 +98,9 @@ class AccelerometerModel final : public SensorModel {
                    const double* activations, std::size_t count,
                    double intensity, double threshold, util::Rng& rng,
                    bool* hits) override;
+  /// Yes when 0 < bump_probability < 1 and the threshold leaves an idle
+  /// cutoff below 1 (threshold > 0 and not vanishingly small).
+  bool idle_lane(double threshold, IdleLane& lane) const noexcept override;
   double recommended_threshold() const noexcept override { return 0.30; }
 
   /// The full 3-axis reading behind the last sample() call (sample_hits

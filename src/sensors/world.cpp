@@ -92,6 +92,16 @@ bool ManipulationWorld::in_use(adl::ToolId tool, sim::TimePoint at) const {
   return false;
 }
 
+bool ManipulationWorld::idle_over(adl::ToolId tool, sim::TimePoint first,
+                                  sim::TimePoint last) const noexcept {
+  const std::vector<Episode>* episodes = find(tool);
+  if (episodes == nullptr) return true;
+  return std::none_of(episodes->begin(), episodes->end(),
+                      [&](const Episode& ep) {
+                        return ep.start <= last && ep.end >= first;
+                      });
+}
+
 void ManipulationWorld::garbage_collect(sim::TimePoint now) {
   // Keep the retention window even here so a collect racing a batched
   // firmware wake can't drop episodes the wake still needs to read back.

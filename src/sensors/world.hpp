@@ -30,9 +30,11 @@ namespace coreda::sensors {
 /// firmware hot path are an array index, not a tree walk.
 class ManipulationWorld {
  public:
-  /// How far back activation()/in_use() queries remain answerable. Must
-  /// cover the longest firmware batch window (vote_window / sampling_hz;
-  /// 1 s at the paper's 10 Hz, 5 s at the 2 Hz end of the energy sweep).
+  /// How far back activation()/in_use() queries remain answerable. It
+  /// must cover the longest firmware batch window (vote_window /
+  /// sampling_hz; 1 s at the paper's 10 Hz, 5 s at the 2 Hz end of the
+  /// energy sweep); PavenetNode's constructor rejects a batched window
+  /// longer than this.
   static constexpr sim::Duration kHistoryRetention =
       sim::Duration::seconds(10.0);
 
@@ -67,6 +69,13 @@ class ManipulationWorld {
 
   /// Whether `tool` had a manipulation covering `at`.
   bool in_use(adl::ToolId tool, sim::TimePoint at) const;
+
+  /// Whether no episode of `tool` overlaps [first, last]. If so, every
+  /// activation in that span is exactly +0, so a firmware wake can skip
+  /// the per-sample lookups (conservative: an episode whose envelope is 0
+  /// at every queried instant still counts as overlapping).
+  bool idle_over(adl::ToolId tool, sim::TimePoint first,
+                 sim::TimePoint last) const noexcept;
 
   /// Drops episodes that ended more than kHistoryRetention before `now`
   /// (bounded memory on long runs without breaking retroactive queries).

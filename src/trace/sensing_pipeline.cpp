@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 
 #include "pavenet/base_station.hpp"
 #include "pavenet/node.hpp"
@@ -31,14 +30,11 @@ SensedResult SensingPipeline::run(
   pavenet::RadioChannel channel(scheduler, seeder_.fork(), params_.radio);
   pavenet::BaseStation station(scheduler, channel);
 
-  std::vector<std::unique_ptr<pavenet::PavenetNode>> nodes;
-  nodes.reserve(instrumented_.size());
+  pavenet::NodeBank nodes(scheduler, world, channel, params_.firmware);
   for (adl::ToolId id : instrumented_) {
-    nodes.push_back(std::make_unique<pavenet::PavenetNode>(
-        tools_->at(id), scheduler, world, channel, seeder_.fork(),
-        params_.firmware));
-    nodes.back()->power_on();
+    nodes.add(tools_->at(id), seeder_.fork());
   }
+  nodes.power_on();
 
   // Script the manipulations onto the virtual timeline.
   sim::TimePoint cursor = sim::TimePoint::origin();
@@ -57,7 +53,7 @@ SensedResult SensingPipeline::run(
   scheduler.run_until(cursor + params_.drain);
 
   // Power the nodes down so their periodic ticks cannot outlive this call.
-  for (auto& node : nodes) node->power_off();
+  nodes.power_off();
 
   SensedResult result;
   result.radio = channel.stats();

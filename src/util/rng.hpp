@@ -133,6 +133,32 @@ class Rng {
   /// Derives an independent child generator (for per-component streams).
   Rng fork() noexcept;
 
+  /// The generator's complete state, polar cache included, as plain data
+  /// for kernels that advance several streams side by side
+  /// (sensors::settle_idle_windows gathers eight into SIMD lanes).
+  /// set_raw(raw()) changes nothing; a generator given another's Raw
+  /// continues that stream draw for draw.
+  struct Raw {
+    std::array<std::uint64_t, 4> state;
+    double cached_v;
+    double cached_s;
+    double cached_factor;
+    bool has_cached_normal;
+  };
+
+  Raw raw() const noexcept {
+    return {state_, cached_v_, cached_s_, cached_factor_,
+            has_cached_normal_};
+  }
+
+  void set_raw(const Raw& raw) noexcept {
+    state_ = raw.state;
+    cached_v_ = raw.cached_v;
+    cached_s_ = raw.cached_s;
+    cached_factor_ = raw.cached_factor;
+    has_cached_normal_ = raw.has_cached_normal;
+  }
+
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <tuple>
+
 #include "adl/library.hpp"
 #include "pavenet/base_station.hpp"
 #include "sim/scheduler.hpp"
@@ -124,6 +127,53 @@ TEST_F(NodeFixture, ExplicitThresholdOverrides) {
   EXPECT_DOUBLE_EQ(node.threshold(), 0.77);
 }
 
+TEST_F(NodeFixture, ZeroSamplingRateThrows) {
+  FirmwareConfig config;
+  config.sampling_hz = 0;
+  EXPECT_THROW(PavenetNode(library.tools().at(adl::tools::kKettle), scheduler,
+                           world, channel, util::Rng(7), config),
+               std::invalid_argument);
+}
+
+TEST_F(NodeFixture, SamplingRateAboveOneMegahertzThrows) {
+  // No whole-microsecond sample period below 1 us.
+  FirmwareConfig config;
+  config.sampling_hz = 1'000'001;
+  EXPECT_THROW(PavenetNode(library.tools().at(adl::tools::kKettle), scheduler,
+                           world, channel, util::Rng(7), config),
+               std::invalid_argument);
+  config.sampling_hz = 1'000'000;
+  config.vote_window = 3;
+  EXPECT_NO_THROW(PavenetNode(library.tools().at(adl::tools::kKettle),
+                              scheduler, world, channel, util::Rng(7),
+                              config));
+}
+
+TEST_F(NodeFixture, BatchedWindowBeyondWorldHistoryThrows) {
+  // 200 samples at 10 Hz: a 20 s window, which a wake could not read back
+  // from the world's 10 s of episode history.
+  FirmwareConfig config;
+  config.vote_window = 200;
+  EXPECT_THROW(PavenetNode(library.tools().at(adl::tools::kKettle), scheduler,
+                           world, channel, util::Rng(7), config),
+               std::invalid_argument);
+  config.vote_window = 100;  // exactly the retention: still readable
+  EXPECT_NO_THROW(PavenetNode(library.tools().at(adl::tools::kKettle),
+                              scheduler, world, channel, util::Rng(7),
+                              config));
+  // The per-tick loop reads the world live and takes any window.
+  config.vote_window = 200;
+  config.batch_sampling = false;
+  PavenetNode node(library.tools().at(adl::tools::kKettle), scheduler, world,
+                   channel, util::Rng(7), config);
+  node.power_on();
+  world.begin(adl::tools::kKettle, TimePoint::from_seconds(1.0),
+              Duration::seconds(3.0));
+  scheduler.run_until(TimePoint::from_seconds(20.05));
+  ASSERT_EQ(node.eeprom().size(), 1u);
+  EXPECT_GT(node.eeprom().dump()[0].hits, 20);
+}
+
 TEST(NodeBatchingTest, BatchedSamplingMatchesPerTickBitExactly) {
   // The batched firmware task is a pure scheduling optimization and its
   // hit-only sensor path (SensorModel::sample_hits) a pure arithmetic one:
@@ -205,6 +255,104 @@ TEST(NodeBatchingTest, BatchedSamplingMatchesPerTickBitExactly) {
     }
   }
   EXPECT_GT(idle_votes, 0u);
+}
+
+TEST(NodeBatchingTest, BankMatchesPerTickForEveryMember) {
+  // Every library tool plus a brightness and a temperature node in one
+  // bank: one wake per window, idle accelerometer windows through the
+  // lanes. Against the per-tick loop over the same bank, every member's
+  // samples, announcements and EEPROM records, and the uplink frames in
+  // arrival order, must be identical — across overlapping episodes, one
+  // member powered off mid-use and back on off-phase (it then wakes
+  // alone), a 30-minute idle stretch, and a power_off mid-window. The
+  // second channel delivers simultaneous frames instead of colliding
+  // them and draws a loss per frame, so the frames' order is visible.
+  adl::AdlLibrary library;
+  std::vector<adl::Tool> tools = library.tools().tools();
+  for (auto kind : {adl::SensorKind::kBrightness,
+                    adl::SensorKind::kTemperature}) {
+    adl::Tool tool = library.tools().at(adl::tools::kKettle);
+    tool.id = static_cast<adl::ToolId>(90 + static_cast<int>(kind));
+    tool.sensor = kind;
+    tools.push_back(tool);
+  }
+  struct Member {
+    std::uint64_t samples;
+    std::uint64_t announcements;
+    std::vector<std::pair<std::int64_t, int>> records;
+    bool operator==(const Member&) const = default;
+  };
+  struct Observed {
+    std::vector<Member> members;
+    std::vector<std::tuple<std::uint16_t, std::uint64_t, int>> uplink;
+    bool operator==(const Observed&) const = default;
+  };
+  const Duration idle_stretch = Duration::minutes(30.0);
+  auto run = [&](bool batch, double threshold, RadioChannel::Params radio) {
+    sim::Scheduler scheduler;
+    sensors::ManipulationWorld world;
+    RadioChannel channel{scheduler, util::Rng(1), radio};
+    Observed obs;
+    channel.attach_receiver(0, [&](const Packet& p) {
+      obs.uplink.emplace_back(p.source_uid, p.seq, p.vote_hits);
+    });
+    FirmwareConfig config;
+    config.batch_sampling = batch;
+    config.excitation_threshold = threshold;
+    NodeBank bank(scheduler, world, channel, config);
+    PavenetNode* cup = nullptr;
+    for (const adl::Tool& tool : tools) {
+      PavenetNode& node = bank.add(tool, util::Rng(7 + tool.id));
+      if (tool.id == adl::tools::kTeaCup) cup = &node;
+    }
+    bank.power_on();
+    auto use = [&](double at_s, adl::ToolId tool, double seconds) {
+      scheduler.schedule_at(TimePoint::from_seconds(at_s), [&, tool, seconds] {
+        world.begin(tool, scheduler.now(), Duration::seconds(seconds));
+      });
+    };
+    use(1.23, adl::tools::kKettle, 4.0);
+    use(2.5, adl::tools::kTeaCup, 6.0);
+    use(3.55, adl::tools::kElectricPot, 2.5);
+    use(4.4, adl::tools::kToothbrush, 3.0);
+    use(5.05, adl::tools::kKettle, 2.0);  // supersedes the first use
+    use(6.9, 90 + static_cast<int>(adl::SensorKind::kBrightness), 2.0);
+    scheduler.schedule_at(TimePoint::from_seconds(6.37),
+                          [cup] { cup->power_off(); });
+    scheduler.schedule_at(TimePoint::from_seconds(9.71),
+                          [cup] { cup->power_on(); });
+    const double resume_s = 14.42 + idle_stretch.to_seconds();
+    use(resume_s, adl::tools::kTeaCup, 3.0);
+    use(resume_s + 0.35, adl::tools::kSoap, 2.0);
+    scheduler.run_until(TimePoint::from_seconds(resume_s + 4.93));
+    bank.power_off();  // mid-window
+    for (const auto& node : bank.nodes()) {
+      Member m{node->samples(), node->announcements(), {}};
+      for (const EepromRecord& r : node->eeprom().dump()) {
+        m.records.emplace_back(r.at.total_micros(), r.hits);
+      }
+      obs.members.push_back(std::move(m));
+    }
+    return obs;
+  };
+  RadioChannel::Params lossy;
+  lossy.loss_probability = 0.1;
+  lossy.model_collisions = false;
+  for (const RadioChannel::Params& radio : {RadioChannel::Params{}, lossy}) {
+    for (double threshold : {-1.0, 0.12}) {  // -1: each model's recommended
+      SCOPED_TRACE("threshold " + std::to_string(threshold) + " loss " +
+                   std::to_string(radio.loss_probability));
+      const Observed per_tick = run(false, threshold, radio);
+      const Observed banked = run(true, threshold, radio);
+      ASSERT_EQ(per_tick.members.size(), tools.size());
+      EXPECT_GE(per_tick.uplink.size(), 5u);
+      for (std::size_t i = 0; i < tools.size(); ++i) {
+        SCOPED_TRACE(tools[i].name);
+        EXPECT_TRUE(per_tick.members[i] == banked.members[i]);
+      }
+      EXPECT_TRUE(per_tick.uplink == banked.uplink);
+    }
+  }
 }
 
 TEST_F(NodeFixture, UidMatchesTool) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 namespace coreda::sensors {
 namespace {
 
@@ -96,6 +98,35 @@ TEST(ManipulationWorldTest, ActivationBlockOfIdleToolIsZero) {
   world.activation_block(7, TimePoint::origin(), Duration::millis(100), 5,
                          block);
   for (double v : block) EXPECT_EQ(v, 0.0);
+}
+
+TEST(ManipulationWorldTest, IdleOverImpliesZeroActivationBlock) {
+  // Whenever idle_over says no episode touches a span, every activation
+  // in it is exactly +0.
+  ManipulationWorld world;
+  EXPECT_TRUE(world.idle_over(5, TimePoint::origin(),
+                              TimePoint::from_seconds(1.0)));
+  world.begin(5, TimePoint::from_seconds(1.25), Duration::seconds(2.0));
+  world.end(5, TimePoint::from_seconds(2.5));
+  world.begin(5, TimePoint::from_seconds(4.05), Duration::seconds(1.0));
+  const Duration step = Duration::millis(100);
+  std::size_t idle = 0;
+  for (int w = 0; w < 80; ++w) {
+    const TimePoint first = TimePoint::from_micros(w * 70'000);
+    const TimePoint last = first + Duration::millis(900);
+    if (!world.idle_over(5, first, last)) continue;
+    ++idle;
+    double block[10];
+    world.activation_block(5, first, step, 10, block);
+    for (double a : block) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a), 0u) << "window " << w;
+    }
+  }
+  EXPECT_GT(idle, 10u);
+  EXPECT_FALSE(world.idle_over(5, TimePoint::from_seconds(2.4),
+                               TimePoint::from_seconds(2.4)));
+  EXPECT_TRUE(world.idle_over(5, TimePoint::from_seconds(2.6),
+                              TimePoint::from_seconds(4.0)));
 }
 
 TEST(ManipulationWorldTest, ActivationFollowsEnvelope) {

@@ -260,5 +260,29 @@ TEST(RngTest, SatisfiesUniformRandomBitGenerator) {
   EXPECT_EQ(v.size(), 5u);
 }
 
+TEST(RngTest, RawRoundTripReproducesTheStream) {
+  // A cached second deviate with its factor already known, so the raw
+  // state carries every field.
+  Rng a(11);
+  a.normal(0.0, 1.0);
+  Rng b(99);
+  b.set_raw(a.raw());
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.normal(0.0, 1.0)),
+              std::bit_cast<std::uint64_t>(b.normal(0.0, 1.0)));
+    EXPECT_EQ(a(), b());
+  }
+  Rng c(5);
+  c.set_raw(c.raw());
+  Rng d(5);
+  EXPECT_EQ(c(), d());
+}
+
+TEST(RngTest, StaysOneCacheLine) {
+  // Nodes, actors and learners embed generators by value; Raw access must
+  // not grow it past one 64-byte line.
+  EXPECT_EQ(sizeof(Rng), 64u);
+}
+
 }  // namespace
 }  // namespace coreda::util
