@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "core/system.hpp"
+#include "core/home.hpp"
 #include "exec/trial_runner.hpp"
 #include "trace/dataset.hpp"
 #include "util/flags.hpp"
@@ -44,7 +44,7 @@ double session_completion_at_loss(const adl::AdlLibrary& library,
   core::SystemConfig config;
   config.seed = 515;
   config.radio.loss_probability = loss;
-  core::CoredaSystem system(library, library.tea_making(), config);
+  core::HomeDeployment system(library, library.tea_making(), config);
   trace::DatasetBuilder datasets(
       library, patient::PatientProfile::with_severity("User", 0.0), 616);
   system.pretrain(datasets.clean_training_set(library.tea_making(), 120));

@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/system.hpp"
+#include "core/home.hpp"
 #include "pavenet/energy.hpp"
 #include "trace/dataset.hpp"
 #include "util/table.hpp"
@@ -22,7 +22,7 @@ namespace {
 using namespace coreda;
 
 /// A simulated day: nodes on, periodic assisted sessions, long idle gaps.
-void run_day(core::CoredaSystem& system,
+void run_day(core::HomeDeployment& system,
              const patient::PatientProfile& profile, int sessions) {
   for (int i = 0; i < sessions; ++i) {
     // ~2 h of idle home time between activities.
@@ -43,7 +43,7 @@ int main() {
 
   core::SystemConfig config;
   config.seed = 77;
-  core::CoredaSystem system(library, library.tea_making(), config);
+  core::HomeDeployment system(library, library.tea_making(), config);
   trace::DatasetBuilder datasets(
       library, patient::PatientProfile::with_severity("R", 0.0), 78);
   system.pretrain(datasets.sensed_training_set(library.tea_making(), 120));

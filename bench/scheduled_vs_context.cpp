@@ -16,7 +16,7 @@
 #include <string>
 
 #include "baselines/scheduled.hpp"
-#include "core/system.hpp"
+#include "core/home.hpp"
 #include "trace/dataset.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -95,7 +95,7 @@ Outcome run_context_aware(const adl::AdlLibrary& library, double severity,
                           int sessions, std::uint64_t seed) {
   core::SystemConfig config;
   config.seed = seed;
-  core::CoredaSystem system(library, library.tea_making(), config);
+  core::HomeDeployment system(library, library.tea_making(), config);
   trace::DatasetBuilder datasets(
       library, patient::PatientProfile::with_severity("R", 0.0), seed + 1);
   system.pretrain(datasets.sensed_training_set(library.tea_making(), 120));

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "core/system.hpp"
+#include "core/home.hpp"
 #include "exec/trial_runner.hpp"
 #include "trace/dataset.hpp"
 #include "util/flags.hpp"
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
 
         core::SystemConfig config;
         config.seed = exec::trial_seed(909, ctx.index);
-        core::CoredaSystem system(library, library.tea_making(), config);
+        core::HomeDeployment system(library, library.tea_making(), config);
         system.pretrain(training);
 
         patient::PatientProfile profile =

@@ -1,6 +1,6 @@
 // Multi-tenant serving throughput: many users, few warm systems.
 //
-// bench_session_throughput gave every user a dedicated warm CoredaSystem;
+// bench_session_throughput gave every user a dedicated warm HomeDeployment;
 // this bench serves the same kind of workload through the serve/ frontend:
 // a fixed SystemPool of `slots` warm systems (10x fewer than users by
 // default), a versioned PolicyStore the per-user Q-tables live in, and a

@@ -3,10 +3,10 @@
 // The fleet bench (fleet_throughput.cpp) isolates the *training* hot path;
 // this bench exercises the *serving* hot path — the full Figure-2 loop
 // (actor -> world -> nodes -> radio -> station -> planner -> reminder ->
-// actor) run as a service. Each of N users gets one warm CoredaSystem that
-// serves `sessions` closed-loop sessions back to back via
-// run_session_inplace(): nothing is reconstructed between sessions, only
-// reset, so a warm system serves a whole session with zero heap
+// actor) run as a service. Each of N users gets one warm single-ADL
+// HomeDeployment that serves `sessions` closed-loop sessions back to back
+// via run_session_inplace(): nothing is reconstructed between sessions,
+// only reset, so a warm system serves a whole session with zero heap
 // allocations.
 //
 // Two fleets run under identical seeds and policies:
@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "adl/library.hpp"
-#include "core/system.hpp"
+#include "core/home.hpp"
 #include "exec/trial_runner.hpp"
 #include "patient/profile.hpp"
 #include "planning/learner.hpp"
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   {
     core::SystemConfig config;
     config.seed = 99;
-    core::CoredaSystem system(library, tea, config);
+    core::HomeDeployment system(library, tea, config);
     system.import_policy(donor.q());
     patient::PatientProfile profile =
         patient::PatientProfile::with_severity("U", 0.0);
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
       runner.run(users, 4242, [&](exec::TrialContext& ctx) {
         core::SystemConfig config;
         config.seed = exec::trial_seed(4243, ctx.index);
-        core::CoredaSystem system(library, tea, config);
+        core::HomeDeployment system(library, tea, config);
         system.import_policy(donor.q());
         const patient::PatientProfile profile = fleet_profile(ctx.rng);
         FleetTotals totals;
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
         for (std::size_t s = 0; s < sessions; ++s) {
           core::SystemConfig config;
           config.seed = exec::trial_seed(5243, ctx.index * sessions + s);
-          core::CoredaSystem system(library, tea, config);
+          core::HomeDeployment system(library, tea, config);
           system.import_policy(donor.q());
           const core::SessionResult result =
               system.run_session(profile, sim::Duration::minutes(15.0));

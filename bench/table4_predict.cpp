@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "core/system.hpp"
+#include "core/home.hpp"
 #include "trace/dataset.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -103,7 +103,7 @@ int main() {
     // ---- beyond the paper: closed-loop fault injection ----------------
     core::SystemConfig config;
     config.seed = 3000;
-    core::CoredaSystem system(library, adl, config);
+    core::HomeDeployment system(library, adl, config);
     system.pretrain(datasets.sensed_training_set(adl, 120));
 
     patient::PatientProfile profile =

@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "core/system.hpp"
+#include "core/home.hpp"
 #include "trace/dataset.hpp"
 
 int main() {
@@ -19,7 +19,7 @@ int main() {
   config.user_name = "Tanaka";
   config.seed = 7;
 
-  core::CoredaSystem coreda(library, library.tea_making(), config);
+  core::HomeDeployment coreda(library, library.tea_making(), config);
 
   // Learn Mr. Tanaka's routine from sensed recordings first.
   trace::DatasetBuilder datasets(

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "core/system.hpp"
+#include "core/home.hpp"
 #include "trace/dataset.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -51,7 +51,7 @@ int main() {
 
       core::SystemConfig config;
       config.seed = 1000 + static_cast<std::uint64_t>(severity * 10);
-      core::CoredaSystem system(library, adl, config);
+      core::HomeDeployment system(library, adl, config);
       trace::DatasetBuilder datasets(
           library, patient::PatientProfile::with_severity("R", 0.0),
           config.seed + 1);

@@ -50,7 +50,7 @@ int main() {
     // Idle home time before the activity.
     home.scheduler().run_for(sim::Duration::minutes(45.0));
 
-    const core::HomeSessionResult result = home.run_session(
+    const core::SessionResult result = home.run_session(
         planned.adl, profile, sim::Duration::minutes(40.0), planned.hint);
     completed += result.completed;
     recognized += result.recognized_correctly;

@@ -63,4 +63,11 @@ std::vector<ToolId> Adl::tools() const {
   return out;
 }
 
+bool Adl::uses(ToolId tool) const noexcept {
+  return std::any_of(routines_.begin(), routines_.end(),
+                     [tool](const AdlRoutine& r) {
+                       return r.index_of_tool(tool).has_value();
+                     });
+}
+
 }  // namespace coreda::adl

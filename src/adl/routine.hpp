@@ -67,6 +67,9 @@ class Adl {
   /// Every tool used by any routine of this ADL, in first-seen order.
   std::vector<ToolId> tools() const;
 
+  /// Whether `tool` is in tools(), without building the list.
+  bool uses(ToolId tool) const noexcept;
+
  private:
   std::string name_;
   std::vector<AdlRoutine> routines_;

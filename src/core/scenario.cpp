@@ -4,13 +4,11 @@
 #include <ostream>
 #include <sstream>
 
+#include "core/home.hpp"
 #include "trace/dataset.hpp"
 #include "util/table.hpp"
 
 namespace coreda::core {
-
-ScenarioPlayer::ScenarioPlayer(const adl::AdlLibrary& library)
-    : ScenarioPlayer(library, SystemConfig{}) {}
 
 ScenarioPlayer::ScenarioPlayer(const adl::AdlLibrary& library,
                                SystemConfig config)
@@ -18,7 +16,7 @@ ScenarioPlayer::ScenarioPlayer(const adl::AdlLibrary& library,
 
 std::vector<ScenarioEvent> ScenarioPlayer::play_figure1(std::ostream* out) {
   const adl::Adl& tea = library_->tea_making();
-  CoredaSystem system(*library_, tea, config_);
+  HomeDeployment system(*library_, tea, config_);
 
   // Learn Mr. Tanaka's routine from clean recorded processes first, as the
   // paper does before deployment.
@@ -36,7 +34,7 @@ std::vector<ScenarioEvent> ScenarioPlayer::play_figure1(std::ostream* out) {
   profile.comply_minimal = 1.0;
   profile.comply_specific = 1.0;
 
-  const SessionResult result = system.run_session(
+  system.run_session_inplace(
       profile, sim::Duration::minutes(10.0),
       [](patient::PatientActor& actor) {
         using Kind = patient::PatientEvent::Kind;
@@ -45,8 +43,8 @@ std::vector<ScenarioEvent> ScenarioPlayer::play_figure1(std::ostream* out) {
                                   adl::tools::kTeaCup);  // cup instead of pot
         actor.force_next_decision(Kind::kStartedStep);   // kettle
         actor.force_next_decision(Kind::kFroze);         // forgets to drink
-      });
-  result_ = result;
+      },
+      result_);
 
   // Merge patient events and reminder deliveries into one timeline.
   std::vector<ScenarioEvent> timeline;

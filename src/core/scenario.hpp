@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "adl/library.hpp"
 #include "core/system.hpp"
 
 namespace coreda::core {
@@ -30,8 +31,8 @@ struct ScenarioEvent {
 /// events, delivered reminders and praises into one timeline.
 class ScenarioPlayer {
  public:
-  explicit ScenarioPlayer(const adl::AdlLibrary& library);
-  ScenarioPlayer(const adl::AdlLibrary& library, SystemConfig config);
+  explicit ScenarioPlayer(const adl::AdlLibrary& library,
+                          SystemConfig config = SystemConfig());
 
   /// Runs the scenario. When `out` is non-null, the timeline is printed to
   /// it as it is produced.

@@ -1,23 +1,16 @@
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <optional>
-#include <span>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "adl/library.hpp"
-#include "patient/actor.hpp"
-#include "patient/profile.hpp"
+#include "adl/types.hpp"
 #include "pavenet/base_station.hpp"
-#include "pavenet/node.hpp"
+#include "pavenet/node_config.hpp"
 #include "planning/learner.hpp"
 #include "reminding/reminder.hpp"
 #include "reminding/trigger.hpp"
-#include "sensors/world.hpp"
-#include "sim/scheduler.hpp"
-#include "trace/episode.hpp"
+#include "sim/time.hpp"
 
 namespace coreda::core {
 
@@ -51,8 +44,17 @@ struct SystemConfig {
 /// that fits a session result always fits its ring slot.
 inline constexpr std::size_t kMaxSessionSteps = 256;
 
-/// Outcome of one closed-loop session (one attempt at one ADL).
+/// Outcome of one closed-loop session (one attempt at one ADL), from either
+/// kind of HomeDeployment. The recognition fields stay empty/zero on a
+/// single-ADL deployment, which has recognition off.
 struct SessionResult {
+  /// What the resident actually attempted.
+  std::string actual_adl;
+  /// What the tracker announced (empty if never recognized).
+  std::string recognized_adl;
+  bool recognized_correctly = false;
+  /// Sensed steps consumed before the announcement.
+  std::size_t steps_to_recognition = 0;
   bool completed = false;
   sim::Duration elapsed;
   std::size_t steps_completed = 0;
@@ -62,113 +64,18 @@ struct SessionResult {
   std::size_t prompts_minimal = 0;
   std::size_t prompts_specific = 0;
   std::size_t praises = 0;
+  /// Wrong-tool prompts the resident subsequently corrected (the praise
+  /// that closed an outstanding prompt followed a wrong-tool trigger).
+  std::size_t wrong_tool_recoveries = 0;
+  /// Recognition-gated mid-episode activity switches the deployment acted
+  /// on (0 unless switching is enabled via set_tracker_params()).
+  std::size_t segment_switches = 0;
+  /// Every StepID the base station reported, in order.
   std::vector<adl::StepId> observed_steps;
 };
 
-/// The full CoReDA loop of Figure 2: sensing subsystem (PAVENET nodes ->
-/// radio -> base station), planning subsystem (TD(λ) Q-Learning), and
-/// reminding subsystem (display + LEDs), wired on one discrete-event
-/// scheduler, closed by a simulated patient.
-///
-/// The system is a *serving engine*: one construction serves any number of
-/// back-to-back sessions. run_session resets component state (station
-/// episode table, reminder log, trigger, actor) instead of rebuilding the
-/// stack, and run_session_inplace reuses a caller-owned SessionResult so a
-/// warm system serves a whole session without allocating.
-class CoredaSystem {
- public:
-  /// Deploys nodes on every tool of `adl`. `library` and `adl` must outlive
-  /// the system.
-  CoredaSystem(const adl::AdlLibrary& library, const adl::Adl& adl,
-               SystemConfig config = SystemConfig());
-
-  /// Offline training from recorded StepId sequences (the 120-sample
-  /// training phase of §3.2).
-  void pretrain(std::span<const std::vector<adl::StepId>> episodes);
-
-  /// Adopts a pre-trained policy (Q-table) wholesale — the serving-side
-  /// half of a train-once / deploy-many split: train one learner offline,
-  /// then stamp its table into every serving system.
-  void import_policy(const rl::QTable& q);
-
-  /// Runs one closed-loop session with a patient of the given profile:
-  /// the patient attempts the ADL's primary routine; CoReDA watches,
-  /// prompts on the two trigger situations, and praises correct steps.
-  SessionResult run_session(const patient::PatientProfile& profile,
-                            sim::Duration max_duration);
-
-  /// Like run_session(), but calls `setup` on the fresh actor before the
-  /// session starts — the hook the deterministic scenario player uses to
-  /// queue forced decisions (Figure 1 replay).
-  SessionResult run_session(
-      const patient::PatientProfile& profile, sim::Duration max_duration,
-      const std::function<void(patient::PatientActor&)>& setup);
-
-  /// The allocation-free serving entry point: like run_session(), but the
-  /// outcome lands in the caller-owned `result`, whose buffers (notably
-  /// observed_steps) are reused across calls. At steady state a session
-  /// runs with zero heap allocations.
-  void run_session_inplace(
-      const patient::PatientProfile& profile, sim::Duration max_duration,
-      const std::function<void(patient::PatientActor&)>& setup,
-      SessionResult& result);
-
-  /// The actor of the most recent session (constructed warm at startup;
-  /// meaningful only after a session has run).
-  const patient::PatientActor* last_actor() const noexcept {
-    return actor_.get();
-  }
-
-  const planning::RoutineLearner& learner() const noexcept {
-    return *learner_;
-  }
-  const reminding::RemindingSubsystem& reminder() const noexcept {
-    return *reminder_;
-  }
-  const pavenet::RadioChannel& channel() const noexcept { return *channel_; }
-  /// Mutable channel access for the fault-injection layer: the channel
-  /// persists across reset-don't-rebuild sessions, so an armed burst chain
-  /// keeps its state for the slot's whole lifetime.
-  pavenet::RadioChannel& channel_mut() noexcept { return *channel_; }
-  const pavenet::BaseStation& station() const noexcept { return *station_; }
-  sim::Scheduler& scheduler() noexcept { return scheduler_; }
-  const adl::Adl& adl() const noexcept { return *adl_; }
-  const SystemConfig& config() const noexcept { return config_; }
-
-  /// The node attached to `tool`; throws std::out_of_range when absent.
-  const pavenet::PavenetNode& node(adl::ToolId tool) const;
-
- private:
-  void on_usage(adl::ToolId tool, sim::TimePoint at);
-  void on_trigger(reminding::Trigger trigger, adl::ToolId observed);
-  void issue_prompt(reminding::Trigger trigger,
-                    std::optional<adl::ToolId> wrong_tool);
-  void arm_for_next();
-
-  const adl::AdlLibrary* library_;
-  const adl::Adl* adl_;
-  SystemConfig config_;
-  util::Rng rng_;
-
-  sim::Scheduler scheduler_;
-  sensors::ManipulationWorld world_;
-  std::unique_ptr<pavenet::RadioChannel> channel_;
-  std::unique_ptr<pavenet::BaseStation> station_;
-  std::unique_ptr<pavenet::NodeBank> nodes_;
-  std::unique_ptr<planning::RoutineLearner> learner_;
-  std::unique_ptr<reminding::RemindingSubsystem> reminder_;
-  std::unique_ptr<reminding::TriggerMonitor> trigger_;
-  std::unique_ptr<patient::PatientActor> actor_;
-
-  // Per-session state.
-  adl::StepId prev_ = adl::kIdleStep;
-  adl::StepId cur_ = adl::kIdleStep;
-  bool session_active_ = false;
-  bool prompt_outstanding_ = false;
-  SessionResult* result_ = nullptr;
-  /// Reused by the by-value run_session overloads so their sessions also
-  /// run against warm buffers (the return itself still copies).
-  SessionResult scratch_result_;
-};
+class HomeDeployment;
+/// The single-ADL deployment's earlier name; perfbench/ still spells it.
+using CoredaSystem = HomeDeployment;
 
 }  // namespace coreda::core

@@ -54,7 +54,7 @@ FleetEngine::FleetEngine(const adl::AdlLibrary& library, const adl::Adl& adl,
       config.seed =
           exec::trial_seed(params_.seed, sh * params_.slots_per_shard + s);
       shard.slots[s].system =
-          std::make_unique<core::CoredaSystem>(library, adl, config);
+          std::make_unique<core::HomeDeployment>(library, adl, config);
       shard.slots[s].system->import_policy(reference);
     }
     shard.result.observed_steps.reserve(core::kMaxSessionSteps);

@@ -6,7 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/system.hpp"
+#include "core/home.hpp"
 #include "exec/trial_runner.hpp"
 #include "patient/profile.hpp"
 #include "serve/segment_store.hpp"
@@ -20,8 +20,8 @@ struct FleetEngineParams {
   /// produces byte-identical tables and stdout (the ServeEngine determinism
   /// argument, lifted from slots to shards).
   std::size_t shards = 4;
-  /// Warm CoredaSystem slots per shard. Within its shard a user maps to
-  /// slot `(user / shards) % slots_per_shard`.
+  /// Warm single-ADL HomeDeployment slots per shard. Within its shard a
+  /// user maps to slot `(user / shards) % slots_per_shard`.
   std::size_t slots_per_shard = 2;
   /// Slot system `shard * slots_per_shard + slot` is seeded with
   /// exec::trial_seed(seed, that global index).
@@ -183,7 +183,7 @@ class FleetEngine {
   }
 
   struct Slot {
-    std::unique_ptr<core::CoredaSystem> system;
+    std::unique_ptr<core::HomeDeployment> system;
     std::uint64_t resident = kNoUser;
   };
   struct Shard {

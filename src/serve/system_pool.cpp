@@ -18,7 +18,7 @@ SystemPool::SystemPool(const adl::AdlLibrary& library, const adl::Adl& adl,
     config.seed = exec::trial_seed(params.seed, i);
     Slot slot;
     slot.system =
-        std::make_unique<core::CoredaSystem>(library, adl, config);
+        std::make_unique<core::HomeDeployment>(library, adl, config);
     slots_.push_back(std::move(slot));
   }
 }
@@ -100,7 +100,7 @@ std::uint64_t SystemPool::slot_sessions(std::size_t slot) const {
   return slots_.at(slot).sessions;
 }
 
-const core::CoredaSystem& SystemPool::system(std::size_t slot) const {
+const core::HomeDeployment& SystemPool::system(std::size_t slot) const {
   return *slots_.at(slot).system;
 }
 

@@ -5,14 +5,14 @@
 #include <memory>
 #include <vector>
 
-#include "core/system.hpp"
+#include "core/home.hpp"
 #include "serve/policy_store.hpp"
 
 namespace coreda::serve {
 
 struct SystemPoolParams {
-  /// Warm CoredaSystem instances — the box's working-set budget. Far fewer
-  /// than users: sharding maps user u to slot u % slots.
+  /// Warm single-ADL HomeDeployments — the box's working-set budget. Far
+  /// fewer than users: sharding maps user u to slot u % slots.
   std::size_t slots = 4;
   /// Slot i's system is seeded with exec::trial_seed(seed, i), so pool
   /// behavior is a pure function of configuration, never of scheduling.
@@ -22,7 +22,7 @@ struct SystemPoolParams {
   core::SystemConfig system{};
 };
 
-/// A fixed pool of warm CoredaSystem instances shared by many users.
+/// A fixed pool of warm single-ADL HomeDeployments shared by many users.
 ///
 /// PR 3 made one warm system serve back-to-back sessions allocation-free
 /// and made policy swaps cheap (import_policy); the pool turns that into a
@@ -88,11 +88,11 @@ class SystemPool {
 
   UserId resident(std::size_t slot) const;
   std::uint64_t slot_sessions(std::size_t slot) const;
-  const core::CoredaSystem& system(std::size_t slot) const;
+  const core::HomeDeployment& system(std::size_t slot) const;
 
  private:
   struct Slot {
-    std::unique_ptr<core::CoredaSystem> system;
+    std::unique_ptr<core::HomeDeployment> system;
     UserId resident = kNoUser;
     std::uint64_t hits = 0;
     std::uint64_t swaps = 0;

@@ -8,7 +8,7 @@ namespace coreda::util {
 /// Non-owning, never-allocating callable reference (two words: a context
 /// pointer plus a trampoline function pointer).
 ///
-/// The closed-loop serving path wires BaseStation -> CoredaSystem ->
+/// The closed-loop serving path wires BaseStation -> HomeDeployment ->
 /// TriggerMonitor callbacks once at construction. std::function would heap-
 /// allocate for any capture larger than the small-buffer optimisation and
 /// re-wrap on every copy; FnRef stores nothing, so hooking components

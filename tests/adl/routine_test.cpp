@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace coreda::adl {
 namespace {
 
@@ -74,6 +76,18 @@ TEST(AdlTest, MultiRoutineToolsDeduplicated) {
   Adl adl("Dress", {a, b});
   EXPECT_TRUE(adl.multi_routine());
   EXPECT_EQ(adl.tools(), (std::vector<ToolId>{11, 12, 13}));
+}
+
+TEST(AdlTest, UsesMatchesToolsAcrossRoutines) {
+  AdlRoutine a("a", {AdlStep{"1", 11}, AdlStep{"2", 12}});
+  AdlRoutine b("b", {AdlStep{"2", 12}, AdlStep{"3", 13}});
+  Adl adl("Dress", {a, b});
+  for (ToolId tool = 0; tool < 16; ++tool) {
+    const auto tools = adl.tools();
+    EXPECT_EQ(adl.uses(tool),
+              std::find(tools.begin(), tools.end(), tool) != tools.end())
+        << tool;
+  }
 }
 
 TEST(AdlTest, NoRoutinesThrows) {

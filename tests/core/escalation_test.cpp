@@ -2,7 +2,7 @@
 
 #include <memory>
 
-#include "core/system.hpp"
+#include "core/home.hpp"
 #include "trace/dataset.hpp"
 
 namespace coreda::core {
@@ -13,8 +13,8 @@ using Kind = patient::PatientEvent::Kind;
 struct EscalationFixture : ::testing::Test {
   adl::AdlLibrary library;
 
-  std::unique_ptr<CoredaSystem> deploy(SystemConfig config) {
-    auto system = std::make_unique<CoredaSystem>(
+  std::unique_ptr<HomeDeployment> deploy(SystemConfig config) {
+    auto system = std::make_unique<HomeDeployment>(
         library, library.tea_making(), config);
     trace::DatasetBuilder datasets(
         library, patient::PatientProfile::with_severity("T", 0.0),

@@ -38,7 +38,7 @@ TEST_F(HomeFixture, PretrainingConvergesEveryPlanner) {
 
 TEST_F(HomeFixture, RecognizesAndAssistsTeaMaking) {
   const auto home = deploy();
-  const HomeSessionResult result = home->run_session(
+  const SessionResult result = home->run_session(
       "Tea-making", compliant(0.4), sim::Duration::minutes(30.0));
   EXPECT_TRUE(result.recognized_correctly);
   EXPECT_EQ(result.recognized_adl, "Tea-making");
@@ -50,7 +50,7 @@ TEST_F(HomeFixture, RecognizesEachSingleRoutineAdl) {
   const auto home = deploy();
   for (const char* name :
        {"Tea-making", "Tooth-brushing", "Hand-washing"}) {
-    const HomeSessionResult result = home->run_session(
+    const SessionResult result = home->run_session(
         name, compliant(0.0), sim::Duration::minutes(30.0));
     EXPECT_TRUE(result.recognized_correctly) << name;
     EXPECT_TRUE(result.completed) << name;
@@ -104,6 +104,32 @@ TEST_F(HomeFixture, UnknownAdlThrows) {
   EXPECT_THROW(home->run_session("Tea-making", compliant(0.0),
                                  sim::Duration::minutes(1.0), "Cooking"),
                std::out_of_range);
+}
+
+TEST_F(HomeFixture, LearnFromSessionsIsRejected) {
+  // Recognition picks the ADL a completed session belongs to, so a whole
+  // home has no single learner to feed the session back into.
+  SystemConfig config;
+  config.learn_from_sessions = true;
+  EXPECT_THROW(HomeDeployment home(library, config), std::invalid_argument);
+}
+
+TEST_F(HomeFixture, EachKindRejectsTheOtherKindsEntryPoints) {
+  const patient::PatientProfile profile = compliant(0.0);
+  const sim::Duration cap = sim::Duration::minutes(1.0);
+  HomeDeployment home(library);
+  EXPECT_THROW(home.adl(), std::logic_error);
+  EXPECT_THROW(home.learner(), std::logic_error);
+  EXPECT_THROW(home.run_session(profile, cap), std::logic_error);
+
+  HomeDeployment tea(library, library.tea_making());
+  EXPECT_EQ(&tea.adl(), &library.tea_making());
+  EXPECT_THROW(tea.run_session("Tea-making", profile, cap), std::logic_error);
+  EXPECT_THROW(tea.run_script(SessionScript{}, profile, cap),
+               std::logic_error);
+  EXPECT_THROW(tea.pretrain(1, 1), std::logic_error);
+  EXPECT_THROW(tea.set_tracker_params({}), std::logic_error);
+  EXPECT_THROW(tea.learner("Tooth-brushing"), std::out_of_range);
 }
 
 TEST_F(HomeFixture, ImpairedResidentsStillMostlyComplete) {

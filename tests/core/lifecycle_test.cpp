@@ -8,7 +8,7 @@
 
 #include <memory>
 
-#include "core/system.hpp"
+#include "core/home.hpp"
 #include "trace/dataset.hpp"
 
 namespace coreda::core {
@@ -21,7 +21,7 @@ struct LifecycleFixture : ::testing::Test {
 };
 
 TEST_F(LifecycleFixture, ManyTimedOutSessionsBackToBack) {
-  CoredaSystem system(library, library.tea_making(), SystemConfig{});
+  HomeDeployment system(library, library.tea_making(), SystemConfig{});
   trace::DatasetBuilder datasets(
       library, patient::PatientProfile::with_severity("T", 0.0), 1);
   system.pretrain(datasets.clean_training_set(library.tea_making(), 60));
@@ -44,7 +44,7 @@ TEST_F(LifecycleFixture, ManyTimedOutSessionsBackToBack) {
 }
 
 TEST_F(LifecycleFixture, SystemDestructionWithPendingActorEvents) {
-  auto system = std::make_unique<CoredaSystem>(
+  auto system = std::make_unique<HomeDeployment>(
       library, library.tea_making(), SystemConfig{});
   patient::PatientProfile profile =
       patient::PatientProfile::with_severity("T", 0.0);
@@ -54,7 +54,7 @@ TEST_F(LifecycleFixture, SystemDestructionWithPendingActorEvents) {
 }
 
 TEST_F(LifecycleFixture, FrozenTimeoutThenNormalSession) {
-  CoredaSystem system(library, library.tea_making(), SystemConfig{});
+  HomeDeployment system(library, library.tea_making(), SystemConfig{});
   trace::DatasetBuilder datasets(
       library, patient::PatientProfile::with_severity("T", 0.0), 2);
   system.pretrain(datasets.clean_training_set(library.tea_making(), 60));

@@ -199,5 +199,38 @@ TEST_F(SegmentationFixture, UnknownAdlAnywhereInTheScriptThrows) {
                std::out_of_range);
 }
 
+TEST_F(SegmentationFixture, NegativePauseIsRejectedBeforeTheSessionStarts) {
+  const auto home = deploy();
+  const auto twin = deploy();
+  SessionScript bad;
+  bad.parts = {segment("Tea-making", 2), interrupt(-5.0),
+               segment("Tea-making", 0, /*resume=*/true)};
+  const sim::TimePoint before = home->scheduler().now();
+  EXPECT_THROW(home->run_script(bad, compliant(0.3),
+                                sim::Duration::minutes(45.0)),
+               std::invalid_argument);
+  // Rejected up front: no segment ran, and the deployment serves on as if
+  // the script had never been submitted.
+  EXPECT_EQ(home->scheduler().now(), before);
+  SessionScript good;
+  good.parts = {segment("Tea-making"), interrupt(30.0),
+                segment("Tooth-brushing")};
+  for (int i = 0; i < 3; ++i) {
+    const HomeScriptResult a =
+        home->run_script(good, compliant(0.3), sim::Duration::minutes(45.0));
+    const HomeScriptResult b =
+        twin->run_script(good, compliant(0.3), sim::Duration::minutes(45.0));
+    EXPECT_EQ(a.completed, b.completed) << i;
+    EXPECT_EQ(a.segments_completed, b.segments_completed) << i;
+    EXPECT_EQ(a.idle_episodes, b.idle_episodes) << i;
+    EXPECT_EQ(a.session.elapsed, b.session.elapsed) << i;
+    EXPECT_EQ(a.session.prompts_total, b.session.prompts_total) << i;
+    EXPECT_EQ(a.session.praises, b.session.praises) << i;
+    EXPECT_EQ(a.session.recognized_adl, b.session.recognized_adl) << i;
+    EXPECT_EQ(a.session.steps_to_recognition, b.session.steps_to_recognition)
+        << i;
+  }
+}
+
 }  // namespace
 }  // namespace coreda::core

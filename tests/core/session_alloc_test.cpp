@@ -1,4 +1,4 @@
-// Pins the serving hot path's allocation contract: once a CoredaSystem has
+// Pins the serving hot path's allocation contract: once a HomeDeployment has
 // served enough sessions to warm every pool (scheduler slots, radio
 // frames, station episode table, reminder strings, actor/event buffers),
 // run_session_inplace serves a whole closed-loop session with ZERO heap
@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "adl/library.hpp"
-#include "core/system.hpp"
+#include "core/home.hpp"
 #include "patient/profile.hpp"
 
 namespace coreda::core {
@@ -32,7 +32,7 @@ TEST(SessionAllocTest, RunSessionIsAllocationFreeAtSteadyState) {
 
   SystemConfig config;
   config.seed = 99;
-  CoredaSystem system(library, tea, config);
+  HomeDeployment system(library, tea, config);
   system.pretrain(training);
 
   // Deterministic session covering every serving branch: a correct step,
@@ -86,7 +86,7 @@ TEST(SessionAllocTest, StochasticSessionsStayAllocationFreeOnceWarm) {
 
   SystemConfig config;
   config.seed = 77;
-  CoredaSystem system(library, tea, config);
+  HomeDeployment system(library, tea, config);
   system.pretrain(training);
   const patient::PatientProfile profile =
       patient::PatientProfile::with_severity("U", 0.4);

@@ -1,4 +1,4 @@
-// The serving-engine contract of CoredaSystem: one construction serves any
+// The serving-engine contract of HomeDeployment: one construction serves any
 // number of back-to-back sessions, and reuse is observationally invisible —
 // session N of a warm system matches session N of an identically configured
 // fresh system, field for field.
@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "adl/library.hpp"
-#include "core/system.hpp"
+#include "core/home.hpp"
 #include "patient/profile.hpp"
 
 namespace coreda::core {
@@ -40,18 +40,18 @@ struct SessionReuseTest : ::testing::Test {
   patient::PatientProfile profile =
       patient::PatientProfile::with_severity("U", 0.3);
 
-  CoredaSystem make_system(std::uint64_t seed) {
+  HomeDeployment make_system(std::uint64_t seed) {
     SystemConfig config;
     config.seed = seed;
-    return CoredaSystem(library, library.tea_making(), config);
+    return HomeDeployment(library, library.tea_making(), config);
   }
 };
 
 TEST_F(SessionReuseTest, WarmSystemMatchesFreshSystemSessionForSession) {
   const auto training = training_set(library.tea_making());
-  CoredaSystem a = make_system(7);
+  HomeDeployment a = make_system(7);
   a.pretrain(training);
-  CoredaSystem b = make_system(7);
+  HomeDeployment b = make_system(7);
   b.pretrain(training);
 
   // Two identically configured systems serve identical session streams —
@@ -68,9 +68,9 @@ TEST_F(SessionReuseTest, WarmSystemMatchesFreshSystemSessionForSession) {
 
 TEST_F(SessionReuseTest, InplaceResultMatchesByValueResult) {
   const auto training = training_set(library.tea_making());
-  CoredaSystem a = make_system(11);
+  HomeDeployment a = make_system(11);
   a.pretrain(training);
-  CoredaSystem b = make_system(11);
+  HomeDeployment b = make_system(11);
   b.pretrain(training);
 
   SessionResult inplace;
@@ -84,7 +84,7 @@ TEST_F(SessionReuseTest, InplaceResultMatchesByValueResult) {
 }
 
 TEST_F(SessionReuseTest, ReminderLogIsPerSession) {
-  CoredaSystem system = make_system(13);
+  HomeDeployment system = make_system(13);
   system.pretrain(training_set(library.tea_making()));
 
   const SessionResult first =
@@ -100,12 +100,12 @@ TEST_F(SessionReuseTest, ReminderLogIsPerSession) {
 
 TEST_F(SessionReuseTest, ImportedPolicyMatchesPretrainedSystem) {
   const auto training = training_set(library.tea_making());
-  CoredaSystem pretrained = make_system(19);
+  HomeDeployment pretrained = make_system(19);
   pretrained.pretrain(training);
 
   // Train-once / deploy-many: stamping the donor's Q-table into a fresh
   // system reproduces the pretrained system's sessions exactly.
-  CoredaSystem stamped = make_system(19);
+  HomeDeployment stamped = make_system(19);
   stamped.import_policy(pretrained.learner().q());
 
   for (int s = 0; s < 2; ++s) {

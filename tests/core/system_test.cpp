@@ -1,4 +1,4 @@
-#include "core/system.hpp"
+#include "core/home.hpp"
 
 #include <memory>
 
@@ -15,10 +15,10 @@ using Kind = patient::PatientEvent::Kind;
 struct SystemFixture : ::testing::Test {
   adl::AdlLibrary library;
 
-  std::unique_ptr<CoredaSystem> trained_system(
+  std::unique_ptr<HomeDeployment> trained_system(
       SystemConfig config = SystemConfig()) {
     auto system =
-        std::make_unique<CoredaSystem>(library, library.tea_making(), config);
+        std::make_unique<HomeDeployment>(library, library.tea_making(), config);
     trace::DatasetBuilder datasets(
         library, patient::PatientProfile::with_severity("T", 0.0),
         config.seed + 100);

@@ -7,7 +7,7 @@
 
 #include <memory>
 
-#include "core/system.hpp"
+#include "core/home.hpp"
 #include "trace/dataset.hpp"
 
 namespace coreda {
@@ -19,9 +19,9 @@ using Kind = patient::PatientEvent::Kind;
 struct EndToEndFixture : ::testing::Test {
   adl::AdlLibrary library;
 
-  std::unique_ptr<core::CoredaSystem> deploy(const adl::Adl& adl,
+  std::unique_ptr<core::HomeDeployment> deploy(const adl::Adl& adl,
                                              core::SystemConfig config = {}) {
-    auto system = std::make_unique<core::CoredaSystem>(library, adl, config);
+    auto system = std::make_unique<core::HomeDeployment>(library, adl, config);
     trace::DatasetBuilder datasets(
         library, patient::PatientProfile::with_severity("T", 0.0),
         config.seed + 7);

@@ -7,7 +7,7 @@
 
 #include <memory>
 
-#include "core/system.hpp"
+#include "core/home.hpp"
 #include "trace/dataset.hpp"
 
 namespace coreda {
@@ -19,9 +19,9 @@ using Kind = patient::PatientEvent::Kind;
 struct FailureFixture : ::testing::Test {
   adl::AdlLibrary library;
 
-  std::unique_ptr<core::CoredaSystem> deploy(
+  std::unique_ptr<core::HomeDeployment> deploy(
       core::SystemConfig config = {}) {
-    auto system = std::make_unique<core::CoredaSystem>(
+    auto system = std::make_unique<core::HomeDeployment>(
         library, library.tea_making(), config);
     trace::DatasetBuilder datasets(
         library, patient::PatientProfile::with_severity("T", 0.0),
@@ -117,7 +117,7 @@ TEST_F(FailureFixture, ZeroTimeoutConfigStillTerminates) {
 TEST_F(FailureFixture, UntrainedSystemDoesNotDerailHealthyResident) {
   // No pretraining at all: the policy is the optimistic initial table.
   core::SystemConfig config;
-  core::CoredaSystem system(library, library.tea_making(), config);
+  core::HomeDeployment system(library, library.tea_making(), config);
   patient::PatientProfile profile = compliant(0.0);
   profile.comply_minimal = 0.0;   // resident ignores the random prompts
   profile.comply_specific = 0.0;

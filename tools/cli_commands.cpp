@@ -103,7 +103,7 @@ int cmd_simulate(const util::Flags& flags, std::ostream& out,
 
   core::SystemConfig config;
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  core::CoredaSystem system(library, adl, config);
+  core::HomeDeployment system(library, adl, config);
   trace::DatasetBuilder datasets(
       library, patient::PatientProfile::with_severity("Trainer", 0.0),
       config.seed + 1);
@@ -466,7 +466,7 @@ int cmd_home(const util::Flags& flags, std::ostream& out) {
   int completed = 0;
   for (std::int64_t i = 0; i < sessions; ++i) {
     const char* adl = rotation[i % 3];
-    const core::HomeSessionResult result = home.run_session(
+    const core::SessionResult result = home.run_session(
         adl, profile, sim::Duration::minutes(40.0), hints ? adl : "");
     completed += result.completed;
     table.add_row({std::to_string(i + 1), adl,
@@ -493,7 +493,7 @@ int cmd_report(const util::Flags& flags, std::ostream& out) {
       const adl::Adl& adl = library.by_name(adl_name);
       core::SystemConfig config;
       config.seed = seed + static_cast<std::uint64_t>(severity * 100);
-      core::CoredaSystem system(library, adl, config);
+      core::HomeDeployment system(library, adl, config);
       trace::DatasetBuilder datasets(
           library, patient::PatientProfile::with_severity("T", 0.0),
           config.seed + 1);

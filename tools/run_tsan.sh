@@ -35,9 +35,10 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # concurrent trials.
 "$BUILD_DIR"/bench/bench_fleet_throughput --users=50 --episodes=40 --jobs=4 \
   --lanes=8 > /dev/null
-# The session bench fans whole closed-loop CoredaSystems (scheduler, radio,
-# station, actor — all single-threaded by contract) across pool workers:
-# TSan proves no system state leaks between concurrent trials.
+# The session bench fans whole closed-loop single-ADL HomeDeployments
+# (scheduler, radio, station, actor — all single-threaded by contract)
+# across pool workers: TSan proves no deployment state leaks between
+# concurrent trials.
 "$BUILD_DIR"/bench/bench_session_throughput --users=8 --sessions=5 --jobs=4 \
   > /dev/null
 # The serve bench adds the multi-tenant edges on top: pool workers write
@@ -77,9 +78,9 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/bench/bench_chaos_soak --users=128 --active=64 --rounds=3 \
   --tail-rounds=1 --serve-users=12 --drifted=3 --serve-rounds=3 \
   --serve-tail-rounds=4 --jobs=4 --dir="$BUILD_DIR/chaos_tsan" > /dev/null
-# The scenario corpus fans whole HomeDeployments (scheduler, radio, tracker,
-# actor) across pool-slot trials while every slot stages bundle records back
-# into the shared BundleStore. Correctness again rests on disjoint static
+# The scenario corpus fans whole-home HomeDeployments (scheduler, radio,
+# tracker, actor) across pool-slot trials while every slot stages bundle
+# records back into the shared BundleStore. Correctness again rests on disjoint static
 # ownership (user -> slot -> trial, user -> store entry); TSan proves the
 # bundle write-back path adds no cross-thread edges.
 "$BUILD_DIR"/bench/bench_scenario_corpus --jobs=4 > /dev/null
