@@ -81,6 +81,7 @@ struct ShapeRun {
   std::uint64_t live = 0;
   std::uint64_t dead = 0;
   std::uint64_t compactions = 0;
+  std::uint64_t reclaimed = 0;  ///< segments appends emptied, no copy
   std::uint64_t appends = 0;
   std::uint64_t appended_bytes = 0;
   std::uint64_t anchors_written = 0;
@@ -152,6 +153,7 @@ ShapeRun run_shape(const adl::AdlLibrary& library, const adl::Adl& adl,
   run.live = store.live_records();
   run.dead = store.dead_records();
   run.compactions = store.compactions();
+  run.reclaimed = store.reclaimed_segments();
   run.appends = store.appends();
   run.appended_bytes = store.appended_bytes();
   run.anchors_written = store.anchor_records_written();
@@ -212,6 +214,7 @@ ShapeRun run_retrain(const adl::AdlLibrary& library, const adl::Adl& adl,
   run.anchor_record_bytes = store.anchor_record_bytes();
   run.segments = store.num_segments();
   run.compactions = store.compactions();
+  run.reclaimed = store.reclaimed_segments();
   return run;
 }
 
@@ -318,6 +321,8 @@ int main(int argc, char** argv) {
                  std::to_string(hot.live) + "/" + std::to_string(hot.dead)});
   table.add_row({"compactions", std::to_string(flat.compactions),
                  std::to_string(hot.compactions)});
+  table.add_row({"segments reclaimed", std::to_string(flat.reclaimed),
+                 std::to_string(hot.reclaimed)});
   const auto bytes_per_append = [](const ShapeRun& r) {
     return r.appends > 0 ? static_cast<double>(r.appended_bytes) /
                                static_cast<double>(r.appends)
@@ -375,6 +380,11 @@ int main(int argc, char** argv) {
               format2(reduction(retrain)).c_str(),
               static_cast<unsigned long long>(retrain.anchors_written),
               static_cast<unsigned long long>(retrain.deltas_written));
+  std::printf("Retrain store: %zu segments, %llu compactions, %llu "
+              "segments reclaimed\n",
+              retrain.segments,
+              static_cast<unsigned long long>(retrain.compactions),
+              static_cast<unsigned long long>(retrain.reclaimed));
 
   // Optional nightly lane replay (off by default): batch-maintenance
   // retraining of a user cohort through the SoA lane engine, 8 replay
@@ -455,7 +465,9 @@ int main(int argc, char** argv) {
           << retrain.anchor_record_bytes
           << ", \"append_reduction\": " << reduction(retrain)
           << ", \"anchors_written\": " << retrain.anchors_written
-          << ", \"deltas_written\": " << retrain.deltas_written;
+          << ", \"deltas_written\": " << retrain.deltas_written
+          << ", \"compactions\": " << retrain.compactions
+          << ", \"reclaimed_segments\": " << retrain.reclaimed;
     exec::append_timing_record(timing_path, "fleet_retrain", runner.jobs(),
                                retrain_rounds, retrain.seconds, extra.str());
   }

@@ -479,6 +479,64 @@ void BM_SegmentChainLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentChainLoad);
 
+void BM_SegmentRoll(benchmark::State& state) {
+  // One 1 MiB segment's worth of nightly write-back: roll onto a new tail,
+  // then append full anchors of the tea table until it is full again (636
+  // of them). Arg 1 rolls onto the recycled spare (scrub, header, rename;
+  // the pages are resident), arg 0 onto a fresh file (open, ftruncate,
+  // mmap, then a first-touch fault per page). Set-up runs untimed and
+  // leaves the tail full; the timed sweep supersedes the segment before
+  // it, so both variants also reclaim one segment.
+  const bool recycled = state.range(0) == 1;
+  adl::AdlLibrary library;
+  planning::RoutineLearner learner(library.tea_making(), util::Rng(1));
+  const std::vector<adl::StepId> steps{
+      adl::tools::kTeaBox, adl::tools::kElectricPot, adl::tools::kKettle,
+      adl::tools::kTeaCup};
+  for (int i = 0; i < 80; ++i) learner.train_episode(steps);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "coreda_micro_roll").string();
+  serve::SegmentStoreParams params;
+  params.dir = dir;
+  // Consecutive sweeps alternate two tables that differ in every row, so
+  // every record is a full anchor, as after a real retrain.
+  const rl::QTable& q = learner.q();
+  rl::QTable nudged = q;
+  for (rl::StateId s = 0; s < q.num_states(); ++s) {
+    nudged.set(s, 0, q.get(s, 0) + 1.0);
+  }
+  const rl::QTable* tables[2] = {&q, &nudged};
+  std::uint64_t users = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove_all(dir);
+    auto store = std::make_unique<serve::SegmentStore>(
+        learner.state_codec().symbols(), learner.action_codec().tools(),
+        q.num_states(), q.num_actions(), params);
+    users = (params.segment_bytes - 40) / store->anchor_record_bytes();
+    store->reserve_users(users);
+    // Sweep 1 fills segment 0. Sweep 2 fills segment 1 and empties
+    // segment 0 into the spare.
+    const std::uint64_t sweeps = recycled ? 2 : 1;
+    for (std::uint64_t v = 1; v <= sweeps; ++v) {
+      for (std::uint64_t u = 0; u < users; ++u) {
+        store->append(u, *tables[v % 2], v);
+      }
+    }
+    state.ResumeTiming();
+    for (std::uint64_t u = 0; u < users; ++u) {
+      store->append(u, *tables[(sweeps + 1) % 2], sweeps + 1);
+    }
+    benchmark::ClobberMemory();  // the records land in the mapping
+    state.PauseTiming();
+    store.reset();
+    state.ResumeTiming();
+  }
+  std::filesystem::remove_all(dir);
+  state.counters["records"] = static_cast<double>(users);
+}
+BENCHMARK(BM_SegmentRoll)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
 void BM_UserIndexProbe(benchmark::State& state) {
   // The per-serve index lookup at fleet scale: 1M dense user ids in the
   // open-addressed robin-hood slab at 7/8 load, hit probes only.

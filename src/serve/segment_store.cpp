@@ -36,14 +36,6 @@ constexpr std::size_t kMaxChainRecords = 63;
 /// empty delta is 64.
 constexpr std::uint64_t kMinRecordBytes = 56;
 
-std::string segment_file_name(std::uint64_t writer, std::uint64_t seq) {
-  char name[64];
-  std::snprintf(name, sizeof name, "seg-w%llu-%06llu.seg",
-                static_cast<unsigned long long>(writer),
-                static_cast<unsigned long long>(seq));
-  return name;
-}
-
 bool parse_segment_file_name(const std::string& name, std::uint64_t& writer,
                              std::uint64_t& seq) {
   unsigned long long w = 0, s = 0;
@@ -60,6 +52,61 @@ bool parse_segment_file_name(const std::string& name, std::uint64_t& writer,
 
 std::size_t delta_record_bytes(std::size_t n_rows, std::size_t num_actions) {
   return 8 * (8 + n_rows * (1 + num_actions));
+}
+
+void write_segment_header(unsigned char* base, std::uint64_t writer,
+                          std::uint64_t seq, std::uint64_t bytes) {
+  std::memcpy(base, kSegmentHeaderMagic, 8);
+  wire::store_u64(base + 8, writer);
+  wire::store_u64(base + 16, seq);
+  wire::store_u64(base + 24, bytes);
+  wire::store_u64(base + 32, 0);  // advisory record count
+}
+
+enum class RecordKind { kEnd, kCorrupt, kAnchor, kDelta };
+
+/// Validates the record at `off` of a `bytes`-long segment image (the
+/// caller guarantees off + kMinRecordBytes <= bytes) for a
+/// num_states x num_actions table, and sets `len` when it is valid. kEnd is
+/// a clean (zero-magic) tail. The open-time scan and inspect both call
+/// this, so they agree on every segment's longest valid prefix.
+RecordKind check_record(const unsigned char* base, std::size_t off,
+                        std::size_t bytes, std::uint64_t num_states,
+                        std::uint64_t num_actions, std::uint64_t& len) {
+  const unsigned char* rec = base + off;
+  if (wire::load_u64(rec) == 0) return RecordKind::kEnd;
+  const bool anchor = std::memcmp(rec, kAnchorMagic, 8) == 0;
+  if (!anchor && std::memcmp(rec, kDeltaMagic, 8) != 0) {
+    return RecordKind::kCorrupt;
+  }
+  const std::uint64_t n = wire::load_u64(rec + 8);
+  // `n > bytes - off`, never `off + n > bytes`: a crafted length near 2^64
+  // would wrap the sum below the file size. A user id the index cannot
+  // hold is as malformed as a bad length.
+  if (n < kMinRecordBytes || n % 8 != 0 || n > bytes - off ||
+      wire::load_u64(rec + 16) >= UserIndex::kMaxUsers) {
+    return RecordKind::kCorrupt;
+  }
+  if (anchor) {
+    const std::uint64_t qn = num_states * num_actions;
+    if (wire::load_u64(rec + 32) != qn || n != 8 * (6 + qn)) {
+      return RecordKind::kCorrupt;
+    }
+  } else {
+    // The row count is bounded before it sizes the record, so a forged
+    // count cannot wrap the product into a matching length.
+    const std::uint64_t n_rows = wire::load_u64(rec + 48);
+    const std::uint64_t parent = wire::load_u64(rec + 40);
+    if (n_rows > num_states || n != delta_record_bytes(n_rows, num_actions) ||
+        parent < kSegmentHeaderBytes || parent % 8 != 0 || parent >= off) {
+      return RecordKind::kCorrupt;
+    }
+  }
+  if (wire::load_u64(rec + n - 8) != wire::checksum64(rec + 8, n - 16)) {
+    return RecordKind::kCorrupt;
+  }
+  len = n;
+  return anchor ? RecordKind::kAnchor : RecordKind::kDelta;
 }
 
 }  // namespace
@@ -96,6 +143,11 @@ struct SegmentStore::Writer {
   /// Reused across appends as the delta base and across compactions as the
   /// relocation shuttle — keeps both paths allocation-free.
   std::unique_ptr<rl::QTable> scratch;
+  /// A reclaimed segment, still mapped, that the next roll recycles (null
+  /// when none). Its file lives at spare_path; its `path` is scratch space
+  /// for the name it takes next.
+  std::unique_ptr<Segment> spare;
+  std::string spare_path;
 };
 
 SegmentStore::SegmentStore(std::span<const adl::StepId> steps,
@@ -133,6 +185,8 @@ SegmentStore::SegmentStore(std::span<const adl::StepId> steps,
     writers_.back()->id = w;
     writers_.back()->scratch =
         std::make_unique<rl::QTable>(num_states_, num_actions_);
+    writers_.back()->spare_path =
+        params_.dir + "/seg-w" + std::to_string(w) + ".spare";
   }
   seg_by_id_.assign(UserIndex::kMaxSegments, nullptr);
   fs::create_directories(params_.dir);
@@ -144,7 +198,14 @@ SegmentStore::SegmentStore(std::span<const adl::StepId> steps,
   open_existing_segments();
 }
 
-SegmentStore::~SegmentStore() = default;
+SegmentStore::~SegmentStore() {
+  // A spare holds nothing a load could reach: it goes with the store.
+  for (const auto& w : writers_) {
+    if (w->spare == nullptr) continue;
+    w->spare.reset();  // munmap before unlink
+    ::unlink(w->spare_path.c_str());
+  }
+}
 
 void SegmentStore::write_meta() const {
   std::vector<unsigned char> buf(8 + 6 * 8 +
@@ -352,47 +413,21 @@ void SegmentStore::open_existing_segments() {
 }
 
 void SegmentStore::scan_segment(Segment& seg) {
-  const std::uint64_t qn = num_states_ * num_actions_;
   seg.used = kSegmentHeaderBytes;
   seg.records = 0;
   while (seg.used + kMinRecordBytes <= seg.bytes) {
-    const unsigned char* rec = seg.base + seg.used;
-    const std::uint64_t magic = wire::load_u64(rec);
-    if (magic == 0) break;  // clean tail (or crashed, unpublished append)
-    const bool anchor = std::memcmp(rec, kAnchorMagic, 8) == 0;
-    const bool delta = !anchor && std::memcmp(rec, kDeltaMagic, 8) == 0;
+    std::uint64_t len = 0;
+    const RecordKind kind = check_record(seg.base, seg.used, seg.bytes,
+                                         num_states_, num_actions_, len);
+    // A clean tail (or a crashed, unpublished append) ends the segment.
     // Variable strides mean a record after an invalid one cannot be
-    // located: the valid prefix ends here and the next append overwrites
-    // whatever follows.
-    if (!anchor && !delta) break;
-    const std::uint64_t len = wire::load_u64(rec + 8);
-    // `len > bytes - used`, never `used + len > bytes`: a crafted length
-    // near 2^64 would wrap the sum below the file size.
-    if (len < kMinRecordBytes || len % 8 != 0 || len > seg.bytes - seg.used) {
-      break;
-    }
-    // A user id the index cannot hold is as malformed as a bad length.
-    const std::uint64_t user = wire::load_u64(rec + 16);
-    if (user >= UserIndex::kMaxUsers) break;
-    if (wire::load_u64(rec + len - 8) != wire::checksum64(rec + 8, len - 16)) {
-      break;
-    }
-    if (anchor) {
-      if (wire::load_u64(rec + 32) != qn || len != anchor_bytes_) break;
-    } else {
-      const std::uint64_t n_rows = wire::load_u64(rec + 48);
-      if (n_rows > num_states_ ||
-          len != delta_record_bytes(n_rows, num_actions_)) {
-        break;
-      }
-      const std::uint64_t parent = wire::load_u64(rec + 40);
-      if (parent < kSegmentHeaderBytes || parent % 8 != 0 ||
-          parent >= seg.used) {
-        break;
-      }
-    }
+    // located: the valid prefix ends there too, and the next append
+    // overwrites whatever follows.
+    if (kind == RecordKind::kEnd || kind == RecordKind::kCorrupt) break;
+    const unsigned char* rec = seg.base + seg.used;
     ++scanned_records_;
-    publish_index(user, seg, seg.used, wire::load_u64(rec + 24));
+    publish_index(wire::load_u64(rec + 16), seg, seg.used,
+                  wire::load_u64(rec + 24));
     ++seg.records;
     seg.used += len;
   }
@@ -469,22 +504,97 @@ void SegmentStore::reserve_users(std::uint64_t users) {
   }
 }
 
+std::size_t SegmentStore::fresh_segment_bytes() const noexcept {
+  return std::max(params_.segment_bytes, kSegmentHeaderBytes + anchor_bytes_);
+}
+
+void SegmentStore::set_segment_path(std::string& path, std::uint64_t writer,
+                                    std::uint64_t seq) const {
+  char name[64];
+  std::snprintf(name, sizeof name, "/seg-w%llu-%06llu.seg",
+                static_cast<unsigned long long>(writer),
+                static_cast<unsigned long long>(seq));
+  // assign/append reuse the string's buffer: a recycled segment renames
+  // itself without allocating.
+  path.assign(params_.dir);
+  path.append(name);
+}
+
+SegmentStore::Segment* SegmentStore::recycle_spare(Writer& w) {
+  Segment& seg = *w.spare;
+  // Until the rename, the file keeps the spare name that open, scan and
+  // inspect never parse, so a crash before it leaves an ignored spare.
+  // Scrub first: no record of the previous life may survive into the new
+  // one, and the new life's bytes then equal a fresh file's.
+  recycle_site_.crash_point(w.id, 0, w.spare_path);
+  const std::size_t mid =
+      kSegmentHeaderBytes + (seg.bytes - kSegmentHeaderBytes) / 2;
+  std::memset(seg.base + kSegmentHeaderBytes, 0, mid - kSegmentHeaderBytes);
+  recycle_site_.crash_point(w.id, 1, w.spare_path);
+  std::memset(seg.base + mid, 0, seg.bytes - mid);
+  // Header before rename: open throws on a segment whose header's
+  // writer/seq disagree with its file name.
+  write_segment_header(seg.base, w.id, w.next_seq, seg.bytes);
+  recycle_site_.crash_point(w.id, 2, w.spare_path);
+  set_segment_path(seg.path, w.id, w.next_seq);
+  if (::rename(w.spare_path.c_str(), seg.path.c_str()) != 0) {
+    w.spare.reset();  // the spare's file is gone: roll a fresh one instead
+    return nullptr;
+  }
+  seg.seq = w.next_seq++;
+  seg.used = kSegmentHeaderBytes;
+  seg.records = 0;
+  seg.live.store(0, std::memory_order_relaxed);
+  seg.reachable.store(0, std::memory_order_relaxed);
+  Segment* raw = w.spare.get();
+  seg_by_id_[raw->id] = raw;  // the spare kept its id: nothing points there
+  w.segs.push_back(std::move(w.spare));
+  w.tail = raw;
+  recycle_site_.crash_point(w.id, 3, raw->path);
+  return raw;
+}
+
+void SegmentStore::reclaim(Writer& w, const Segment& seg) {
+  const auto it = std::find_if(
+      w.segs.begin(), w.segs.end(),
+      [&seg](const std::unique_ptr<Segment>& s) { return s.get() == &seg; });
+  if (it == w.segs.end()) return;
+  std::unique_ptr<Segment> owned = std::move(*it);
+  w.segs.erase(it);
+  reclaimed_.fetch_add(1, std::memory_order_relaxed);
+  retire(w, std::move(owned));
+}
+
+void SegmentStore::retire(Writer& w, std::unique_ptr<Segment> seg) {
+  seg_by_id_[seg->id] = nullptr;
+  // rename() replaces a spare a crash left behind.
+  if (w.spare == nullptr && seg->bytes == fresh_segment_bytes() &&
+      ::rename(seg->path.c_str(), w.spare_path.c_str()) == 0) {
+    w.spare = std::move(seg);
+    return;
+  }
+  const std::string path = std::move(seg->path);
+  seg.reset();  // munmap before unlink
+  ::unlink(path.c_str());
+}
+
 SegmentStore::Segment* SegmentStore::new_segment(Writer& w) {
+  if (w.spare != nullptr) {
+    if (Segment* recycled = recycle_spare(w)) return recycled;
+  }
   const std::uint32_t id =
       next_seg_id_.fetch_add(1, std::memory_order_relaxed);
   if (id >= UserIndex::kMaxSegments) {
-    // Ids are never reused (16384 of them — far beyond any bench or soak;
-    // a free-list from compaction-unlinked segments is the escape hatch if
-    // a deployment ever gets close).
+    // Ids of unlinked segments are never reused (16384 of them — far
+    // beyond any bench or soak; a recycled spare keeps its id).
     throw std::runtime_error("SegmentStore: segment id space exhausted");
   }
   auto seg = std::make_unique<Segment>();
   seg->writer = w.id;
   seg->seq = w.next_seq++;
   seg->id = id;
-  seg->bytes =
-      std::max(params_.segment_bytes, kSegmentHeaderBytes + anchor_bytes_);
-  seg->path = params_.dir + "/" + segment_file_name(w.id, seg->seq);
+  seg->bytes = fresh_segment_bytes();
+  set_segment_path(seg->path, w.id, seg->seq);
   const int fd = ::open(seg->path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     throw std::runtime_error("SegmentStore: cannot create " + seg->path);
@@ -500,11 +610,7 @@ SegmentStore::Segment* SegmentStore::new_segment(Writer& w) {
     throw std::runtime_error("SegmentStore: cannot mmap " + seg->path);
   }
   seg->base = static_cast<unsigned char*>(map);
-  std::memcpy(seg->base, kSegmentHeaderMagic, 8);
-  wire::store_u64(seg->base + 8, w.id);
-  wire::store_u64(seg->base + 16, seg->seq);
-  wire::store_u64(seg->base + 24, seg->bytes);
-  wire::store_u64(seg->base + 32, 0);
+  write_segment_header(seg->base, w.id, seg->seq, seg->bytes);
   seg->used = kSegmentHeaderBytes;
   Segment* raw = seg.get();
   seg_by_id_[id] = raw;
@@ -603,10 +709,17 @@ std::size_t SegmentStore::write_record(Writer& w, std::uint64_t user,
   wire::store_u64(seg->base + 32, seg->records);  // advisory reopen count
   if (have_cur) {
     Segment* oseg = seg_by_id_[cur.seg];
-    oseg->live.fetch_sub(1, std::memory_order_relaxed);
     // A delta keeps its whole ancestry reachable; an anchor orphans it.
     if (!use_delta) {
       oseg->reachable.fetch_sub(chain_depth(cur), std::memory_order_relaxed);
+    }
+    // The live decrement is this append's last touch of the old segment
+    // (acq_rel: see the writer-partitioning note in the header). When it
+    // empties one of this writer's older segments, no load can reach
+    // anything there any more: reclaim it now, copying nothing.
+    if (oseg->live.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+        oseg != seg && oseg->writer == w.id) {
+      reclaim(w, *oseg);
     }
   }
   w.index.put(user, UserIndex::Loc{seg->id, off8});
@@ -784,17 +897,15 @@ void SegmentStore::compact_writer(Writer& w) {
     for (auto& s : fresh) w.segs.push_back(std::move(s));
     throw;
   }
-  // Unlink segments nothing references anymore. A segment still holding
+  // Retire segments no index entry points into any more (the first may
+  // become the spare the rebase just used up). A segment still holding
   // another writer's users (possible after a writers-count change)
   // survives, ahead of the fresh tail so appends keep landing at the end.
   std::vector<std::unique_ptr<Segment>> fresh = std::move(w.segs);
   w.segs.clear();
   for (auto& s : old) {
-    if (s->reachable.load(std::memory_order_relaxed) == 0) {
-      seg_by_id_[s->id] = nullptr;
-      const std::string path = s->path;
-      s.reset();  // munmap before unlink
-      fs::remove(path);
+    if (s->live.load(std::memory_order_acquire) == 0) {
+      retire(w, std::move(s));
     } else {
       w.segs.push_back(std::move(s));
     }
@@ -880,8 +991,6 @@ SegmentStore::Info SegmentStore::inspect(const std::string& dir) {
           wire::checksum64(meta.data(), meta.size() - 8);
   if (!info.meta_ok) return info;
 
-  const std::uint64_t qn = info.num_states * info.num_actions;
-  const std::size_t anchor_bytes = 8 * (6 + qn);
   struct FileKey {
     std::uint64_t writer;
     std::uint64_t seq;
@@ -930,40 +1039,24 @@ SegmentStore::Info SegmentStore::inspect(const std::string& dir) {
       std::unordered_map<std::uint64_t, std::uint32_t> depth_at;
       std::size_t off = kSegmentHeaderBytes;
       while (off + kMinRecordBytes <= buf.size()) {
-        const unsigned char* rec = buf.data() + off;
-        if (wire::load_u64(rec) == 0) break;  // tail
-        const bool anchor = std::memcmp(rec, kAnchorMagic, 8) == 0;
-        const bool is_delta =
-            !anchor && std::memcmp(rec, kDeltaMagic, 8) == 0;
-        const std::uint64_t len =
-            (anchor || is_delta) ? wire::load_u64(rec + 8) : 0;
-        if ((!anchor && !is_delta) || len < kMinRecordBytes || len % 8 != 0 ||
-            len > buf.size() - off ||
-            wire::load_u64(rec + 16) >= UserIndex::kMaxUsers ||
-            wire::load_u64(rec + len - 8) !=
-                wire::checksum64(rec + 8, len - 16)) {
+        std::uint64_t len = 0;
+        const RecordKind kind =
+            check_record(buf.data(), off, buf.size(), info.num_states,
+                         info.num_actions, len);
+        if (kind == RecordKind::kEnd) break;  // tail
+        if (kind == RecordKind::kCorrupt) {
           ++info.corrupt_records;  // prefix ends: the rest is unreachable
           break;
         }
+        const unsigned char* rec = buf.data() + off;
         std::uint32_t depth = 1;
-        if (anchor) {
-          if (wire::load_u64(rec + 32) != qn || len != anchor_bytes) {
-            ++info.corrupt_records;
-            break;
-          }
+        if (kind == RecordKind::kAnchor) {
           ++info.anchors;
           ++detail.anchors;
         } else {
-          const std::uint64_t n_rows = wire::load_u64(rec + 48);
-          const std::uint64_t parent = wire::load_u64(rec + 40);
-          if (len != 8 * (8 + n_rows * (1 + info.num_actions)) ||
-              parent < kSegmentHeaderBytes || parent >= off) {
-            ++info.corrupt_records;
-            break;
-          }
           ++info.deltas;
           ++detail.deltas;
-          const auto pit = depth_at.find(parent);
+          const auto pit = depth_at.find(wire::load_u64(rec + 40));
           depth = (pit != depth_at.end() ? pit->second : 0) + 1;
         }
         depth_at.emplace(off, depth);

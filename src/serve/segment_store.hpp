@@ -26,6 +26,9 @@ namespace coreda::serve {
 //                         checksum64 trailer over every preceding byte
 //                         (atomic temp+rename publish)
 //   seg-w<writer>-<seq>.seg   mmap'd append-only segments
+//   seg-w<writer>.spare       a reclaimed segment kept mapped for the
+//                             writer's next roll; open, scan and inspect
+//                             never parse it as a segment
 //
 // Every checksum below is util::wire::checksum64: any change confined to
 // one 8-byte word of the hashed range is always detected. A store.meta of
@@ -71,6 +74,19 @@ namespace coreda::serve {
 // chain-replay cost and tail-corruption blast radius, and compaction
 // rewrites every live user as a fresh anchor.
 //
+// Segment life cycle: the moment an append leaves one of its writer's
+// non-tail segments with no index entry pointing into it, nothing a load
+// can reach lives there (chains are segment-local), so the segment is
+// reclaimed without copying anything: renamed to the writer's spare, or
+// unlinked when the writer already has one. The next roll recycles the
+// spare instead of creating a file — scrub the previous life to zeros,
+// write the new header, rename it into place — so a crash at any step
+// leaves either an ignored spare or a valid empty segment, and the
+// recycled bytes equal a fresh segment's after the same appends. The
+// spare is unlinked when the store closes; a spare left by a crash is
+// ignored, and the writer's next reclaim renames over it. Compaction
+// remains for chains whose superseded records sit in partly-live segments.
+//
 // Crash story: body + checksum land first, the magic last, so a crashed
 // append leaves a tail whose magic is still zero. The scan-on-open stops at
 // the first invalid record — the longest valid prefix, exactly the durable
@@ -84,9 +100,12 @@ namespace coreda::serve {
 // UserIndex (one slab, ~9 bytes/user — see user_index.hpp for why the
 // index must be per-lane). Concurrent shard drains therefore append to
 // disjoint segments and probe disjoint slabs — no locks on the hot path.
-// The only cross-writer traffic is the relaxed per-segment live/reachable
-// counters (a record superseded by another writer after a writers-count
-// change decrements a foreign segment).
+// The only cross-writer traffic is the per-segment live/reachable counters
+// (a record superseded by another writer after a writers-count change
+// decrements a foreign segment). The live decrement is an acq_rel RMW and
+// a writer's last touch of the old segment, so the owner that takes live
+// to zero sees every earlier touch before it reclaims; a foreign writer
+// that empties a segment leaves it to compaction.
 // ---------------------------------------------------------------------------
 
 /// store.meta format version this build writes and reads (the version
@@ -154,7 +173,8 @@ class SegmentStore {
   /// lives in the current tail segment and its chain is short enough, this
   /// appends a changed-row delta; otherwise a full anchor. Steady-state
   /// allocation-free: the record lands straight in the tail mapping; only
-  /// a segment roll or compaction allocates. Throws std::runtime_error on
+  /// a roll onto a fresh file or a compaction allocates (reclaiming a
+  /// segment and recycling the spare do not). Throws std::runtime_error on
   /// a shape mismatch or I/O failure. Safe to call concurrently for users
   /// of *different* writers (`user % writers()`).
   void append(std::uint64_t user, const rl::QTable& q, std::uint64_t version);
@@ -203,6 +223,11 @@ class SegmentStore {
   std::uint64_t compactions() const noexcept {
     return compactions_.load(std::memory_order_relaxed);
   }
+  /// Segments an append emptied and reclaimed without a copy (kept as the
+  /// writer's spare or unlinked). Compaction's unlinks are not counted.
+  std::uint64_t reclaimed_segments() const noexcept {
+    return reclaimed_.load(std::memory_order_relaxed);
+  }
   const SegmentStoreParams& params() const noexcept { return params_; }
   std::size_t num_states() const noexcept { return num_states_; }
   std::size_t num_actions() const noexcept { return num_actions_; }
@@ -218,6 +243,15 @@ class SegmentStore {
   /// next append (or ignored by the next scan). Compaction publishes
   /// through the same seam, so crash injection covers the rebase path too.
   faults::Site& pre_publish_site() noexcept { return pre_publish_site_; }
+
+  /// Crash seam of a recycled roll, evaluated with the file's path at four
+  /// steps, in order: before the scrub, mid-scrub, after the new header is
+  /// written (the file still has its spare name), and after the rename has
+  /// installed it as the new tail. A crash before the rename keeps the
+  /// spare for the next roll; a crash after it leaves an empty tail. The
+  /// append that rolled aborts either way. Not armed by attach_faults, so
+  /// planned chaos keeps its schedule; tests drive it through set_hook.
+  faults::Site& recycle_site() noexcept { return recycle_site_; }
 
   /// Arms the store's fault sites (pre-publish crash + record-byte
   /// corruption) against `injector`'s plan. Setup-phase only.
@@ -268,7 +302,19 @@ class SegmentStore {
   void write_meta() const;
   void validate_meta() const;
   void open_existing_segments();
+  /// Rolls `w` onto a new tail: its spare when it has one, else a fresh file.
   Segment* new_segment(Writer& w);
+  /// The recycled roll (see recycle_site); null when the spare's file is
+  /// gone, after dropping it.
+  Segment* recycle_spare(Writer& w);
+  /// Takes a segment an append just emptied out of w's chain and retires
+  /// it; a no-op when the chain does not hold it (mid-compaction).
+  void reclaim(Writer& w, const Segment& seg);
+  /// Keeps an unreferenced segment as w's spare, or unlinks it.
+  void retire(Writer& w, std::unique_ptr<Segment> seg);
+  std::size_t fresh_segment_bytes() const noexcept;
+  void set_segment_path(std::string& path, std::uint64_t writer,
+                        std::uint64_t seq) const;
   void scan_segment(Segment& seg);
   void publish_index(std::uint64_t user, Segment& seg, std::uint64_t offset,
                      std::uint64_t version);
@@ -314,8 +360,10 @@ class SegmentStore {
   std::atomic<std::uint64_t> anchor_records_{0};
   std::atomic<std::uint64_t> delta_records_{0};
   std::atomic<std::uint64_t> compactions_{0};
+  std::atomic<std::uint64_t> reclaimed_{0};
   faults::Site pre_publish_site_{"segment_store.pre_publish"};
   faults::Site corrupt_site_{"segment_store.corrupt"};
+  faults::Site recycle_site_{"segment_store.recycle"};
 };
 
 }  // namespace coreda::serve

@@ -4,7 +4,7 @@
 //     bit-exact through the whole chain (including the empty delta for a
 //     no-op retrain and the not-profitable fallback to an anchor);
 //   * rebase_every bounds every chain; a segment roll forces an anchor
-//     (chains never span segments);
+//     (chains never span segments), which empties the segment behind it;
 //   * the exhaustive corruption sweep over a MIXED anchor/delta segment:
 //     a one-byte flip at EVERY offset of the record region makes the open
 //     store's load() of the affected user's chain throw, and a reopening
@@ -199,11 +199,19 @@ TEST_F(SegmentDeltaFixture, SegmentRollForcesAnchorSoChainsNeverSpanFiles) {
     store->append(0, q, v);
     q = touched(q, static_cast<rl::StateId>(v % kStates), 4000.0 + v);
   }
-  // Every third record starts a fresh segment and must be an anchor:
+  // Every third record starts a new segment and must be an anchor:
   // v1 A, v2 D, v3 D | v4 A, v5 D, v6 D | v7 A, v8 D, v9 D.
   EXPECT_EQ(store->anchor_records_written(), 3u);
   EXPECT_EQ(store->delta_records_written(), 6u);
-  EXPECT_EQ(store->num_segments(), 3u);
+  // Each roll's anchor orphans the whole chain behind it, which empties
+  // the previous segment: v4 reclaims segment 0 into the spare, v7
+  // recycles it as segment 2 and reclaims segment 1. Only the tail is
+  // left.
+  EXPECT_EQ(store->num_segments(), 1u);
+  EXPECT_EQ(store->reclaimed_segments(), 2u);
+  EXPECT_TRUE(fs::exists(p.dir + "/seg-w0-000002.seg"));
+  EXPECT_FALSE(fs::exists(p.dir + "/seg-w0-000000.seg"));
+  EXPECT_FALSE(fs::exists(p.dir + "/seg-w0-000001.seg"));
 
   rl::QTable out(kStates, kActions);
   ASSERT_EQ(store->load(0, out), std::optional<std::uint64_t>{9});
@@ -318,78 +326,98 @@ TEST_F(SegmentDeltaFixture, CrashAtCompactionRebasePublishKeepsEveryUser) {
   p.compact_min_records = 8;
   p.compact_dead_ratio = 0.5;
   auto store = open(p);
-  store->reserve_users(3);
+  store->reserve_users(3 + 8);
 
-  // Full-change tables -> all anchors: after v appends per user the dead
-  // ratio is (v-1)/v, so the 9th record's append triggers compaction.
+  // Full-change tables -> all anchors. Each round writes users 0..2 and
+  // one pin, user 2 + round, that is never rewritten: a round fills
+  // exactly one segment and its pin keeps it partly live, so no append
+  // empties a segment and only compaction can drop the dead records.
+  // Versions equal rounds; every pin commits version 1.
   std::uint64_t version = 0;
+  const auto pin_table = [&](std::uint64_t pin) { return table(900 + pin); };
+  const auto round_users = [&] {
+    for (std::uint64_t u = 0; u < 3; ++u) {
+      store->append(u, table(100 * u + version), version);
+    }
+  };
   const auto fill = [&](std::uint64_t rounds) {
     for (std::uint64_t r = 0; r < rounds; ++r) {
       ++version;
-      for (std::uint64_t u = 0; u < 3; ++u) {
-        store->append(u, table(100 * u + version), version);
-      }
+      round_users();
+      store->append(2 + version, pin_table(2 + version), 1);
     }
   };
-  fill(2);  // 6 records, below compact_min_records
+  fill(2);  // 8 records, 3 dead
   ++version;
-  store->append(0, table(version), version);        // 7 records
-  store->append(1, table(100 + version), version);  // 8: at the threshold
+  round_users();  // 11 records, 6 dead: past the 0.5 ratio
   ASSERT_EQ(store->compactions(), 0u);
+  ASSERT_EQ(store->reclaimed_segments(), 0u);
 
-  // Arm the crash: the next append's compaction check fires (8 records,
-  // 5 dead), and the rebase publishes through the same pre-publish seam as
-  // a normal append. Let the first rebased user land, then die on the
-  // second — a mid-compaction crash with part of the fleet already moved.
+  // Arm the crash: the pin's append checks the dead ratio first and
+  // compacts, and the rebase publishes through the same pre-publish
+  // seam as a normal append. Let the first rebased user land, then die on
+  // the second — a mid-compaction crash with part of the fleet already
+  // moved.
   int publishes = 0;
   store->pre_publish_site().set_hook([&publishes](const std::string&) {
     if (++publishes == 2) {
       throw std::runtime_error("injected crash mid-compaction");
     }
   });
-  EXPECT_THROW(store->append(2, table(200 + version), version),
+  const std::uint64_t crashed_pin = 2 + version;
+  EXPECT_THROW(store->append(crashed_pin, pin_table(crashed_pin), 1),
                std::runtime_error);
   EXPECT_EQ(store->compactions(), 0u);
   EXPECT_EQ(publishes, 2);
 
-  // Every user still serves its pre-crash latest version — user 2's
-  // crashed append wrote nothing — both through the surviving store
+  // Every user still serves its pre-crash latest version — the crashed
+  // pin's append wrote nothing — both through the surviving store
   // object...
-  const std::uint64_t expect_v[3] = {version, version, version - 1};
   rl::QTable out(kStates, kActions);
-  for (std::uint64_t u = 0; u < 3; ++u) {
-    ASSERT_EQ(store->load(u, out), std::optional<std::uint64_t>{expect_v[u]})
-        << "user " << u;
-    EXPECT_TRUE(bit_equal(out, table(100 * u + expect_v[u]))) << "user " << u;
-  }
+  const auto expect_committed = [&](const SegmentStore& s) {
+    for (std::uint64_t u = 0; u < 3; ++u) {
+      ASSERT_EQ(s.load(u, out), std::optional<std::uint64_t>{version})
+          << "user " << u;
+      EXPECT_TRUE(bit_equal(out, table(100 * u + version))) << "user " << u;
+    }
+    for (std::uint64_t pin = 3; pin < crashed_pin; ++pin) {
+      ASSERT_EQ(s.load(pin, out), std::optional<std::uint64_t>{1})
+          << "pin " << pin;
+      EXPECT_TRUE(bit_equal(out, pin_table(pin))) << "pin " << pin;
+    }
+    EXPECT_EQ(s.latest_version(crashed_pin), std::nullopt);
+  };
+  expect_committed(*store);
   // ...and through a restart over the crashed directory (the rebased copy
   // of user 0 has the same version as its original; whichever the scan
   // publishes, the bytes are identical).
   {
     auto reader = open(p);
-    for (std::uint64_t u = 0; u < 3; ++u) {
-      ASSERT_EQ(reader->load(u, out), std::optional<std::uint64_t>{expect_v[u]})
-          << "user " << u;
-      EXPECT_TRUE(bit_equal(out, table(100 * u + expect_v[u]))) << "user " << u;
-    }
+    expect_committed(*reader);
   }
 
   // Crash over: the retry compacts and the fleet moves on.
   store->pre_publish_site().set_hook(nullptr);
+  store->append(crashed_pin, pin_table(crashed_pin), 1);
   fill(2);
   EXPECT_GT(store->compactions(), 0u);
-  EXPECT_EQ(store->live_records(), 3u);
-  for (std::uint64_t u = 0; u < 3; ++u) {
-    ASSERT_EQ(store->load(u, out), std::optional<std::uint64_t>{version})
-        << "user " << u;
-    EXPECT_TRUE(bit_equal(out, table(100 * u + version))) << "user " << u;
-  }
+  EXPECT_EQ(store->live_records(), 3u + 5u);
+  const auto expect_latest = [&](const SegmentStore& s) {
+    for (std::uint64_t u = 0; u < 3; ++u) {
+      ASSERT_EQ(s.load(u, out), std::optional<std::uint64_t>{version})
+          << "user " << u;
+      EXPECT_TRUE(bit_equal(out, table(100 * u + version))) << "user " << u;
+    }
+    for (std::uint64_t pin = 3; pin <= 2 + version; ++pin) {
+      ASSERT_EQ(s.load(pin, out), std::optional<std::uint64_t>{1})
+          << "pin " << pin;
+      EXPECT_TRUE(bit_equal(out, pin_table(pin))) << "pin " << pin;
+    }
+  };
+  expect_latest(*store);
   store.reset();
   auto reopened = open(p);
-  for (std::uint64_t u = 0; u < 3; ++u) {
-    ASSERT_EQ(reopened->load(u, out), std::optional<std::uint64_t>{version})
-        << "user " << u;
-  }
+  expect_latest(*reopened);
 }
 
 TEST_F(SegmentDeltaFixture, UnknownSegmentMagicIsRejectedAtOpen) {

@@ -3,13 +3,18 @@
 // inputs). The mmap path trusts on-disk record lengths, parent offsets, row
 // counts, user ids and the header's advisory record count; the record
 // checksum is its last line of defence, so the structural checks must stand
-// in front of it. Starting from one segment of interleaved anchor/delta
-// chains, each iteration applies one mutation:
+// in front of it. The corpus is one writer's store after full-table sweeps
+// that reclaimed and recycled segments, then interleaved anchor/delta
+// chains: several segment files, recycled ones among them, plus a leftover
+// spare holding a previous life's records (as a crash before a recycled
+// roll's scrub leaves it). Each iteration picks one file and applies one
+// mutation:
 //
 //   * a byte flip anywhere in the file, header included;
-//   * an overwritten record length, parent_off, parent_version, n_rows,
-//     q_count, delta row index or user id, re-sealed with a valid record
-//     checksum — a forgery that only the structural checks can stop;
+//   * an overwritten record length, parent_off (including a parent moved
+//     off the 8-byte grid), parent_version, n_rows, q_count, delta row
+//     index or user id, re-sealed with a valid record checksum — a forgery
+//     that only the structural checks can stop;
 //   * an overwritten advisory record count;
 //   * truncation at a random offset, with or without the header's
 //     file_bytes following it.
@@ -19,12 +24,15 @@
 // or returns a version no newer than the one committed for that user —
 // bit-equal to the table committed at that version unless the mutation was
 // a forgery — and the store still accepts and serves a fresh append.
-// SegmentStore::inspect reads the same bytes without crashing and never
-// counts more valid records than the segment held. tools/run_asan.sh runs
-// this under ASan+UBSan with the rest of the suite.
+// SegmentStore::inspect reads the same bytes without crashing and counts
+// exactly the records open indexed. The spare is never parsed, so a
+// mutated spare changes nothing: open serves every committed version.
+// tools/run_asan.sh runs this under ASan+UBSan with the rest of the
+// suite.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -46,8 +54,13 @@ constexpr std::size_t kStates = 8;
 constexpr std::size_t kActions = 4;
 constexpr std::uint64_t kUsers = 5;
 constexpr int kMutations = 2000;
-constexpr std::size_t kSegmentFileBytes = 16384;
+/// 13 anchors (304 bytes for an 8x4 table) to a segment.
+constexpr std::size_t kSegmentFileBytes = 4096;
 constexpr std::size_t kHeaderBytes = 40;
+/// Full-table sweeps before the delta chains: enough to empty, reclaim and
+/// recycle segments.
+constexpr std::uint64_t kSweeps = 8;
+constexpr char kSpareName[] = "seg-w0.spare";
 
 std::vector<unsigned char> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -77,6 +90,11 @@ struct SegmentScanFuzz : ::testing::Test {
     std::size_t len;
     bool anchor;
   };
+  struct File {
+    std::string name;
+    std::vector<unsigned char> bytes;
+    std::vector<Record> records;  ///< the valid prefix, in order
+  };
 
   std::vector<adl::StepId> steps = [] {
     std::vector<adl::StepId> v(kStates);
@@ -94,8 +112,8 @@ struct SegmentScanFuzz : ::testing::Test {
   }();
   std::string dir = ::testing::TempDir() + "/coreda_seg_fuzz";
   std::vector<unsigned char> meta;
-  std::vector<unsigned char> segment;
-  std::vector<Record> records;
+  std::vector<File> files;  ///< segment files by name, then the spare
+  std::size_t records = 0;  ///< valid records across the segment files
   std::vector<std::uint64_t> committed = std::vector<std::uint64_t>(kUsers);
   std::map<std::pair<std::uint64_t, std::uint64_t>, rl::QTable> history;
 
@@ -112,16 +130,39 @@ struct SegmentScanFuzz : ::testing::Test {
                                           params());
   }
 
-  /// One segment: user u commits versions 1..5+u, each changing one row,
-  /// so chains run anchor, delta, delta, delta, anchor, ... interleaved
-  /// across users.
+  /// kSweeps full-table sweeps (all anchors), then user u commits kSweeps +
+  /// 1..5+u, each changing one row, so chains run anchor, delta, delta,
+  /// delta, anchor, ... interleaved across users.
   void SetUp() override {
     fs::remove_all(dir);
+    std::vector<unsigned char> spare_life;
     {
       auto store = open();
       store->reserve_users(kUsers);
+      // Before each recycled roll's scrub, keep the spare as it is: the
+      // previous life intact.
+      int recycle_steps = 0;
+      store->recycle_site().set_hook(
+          [&recycle_steps, &spare_life](const std::string& path) {
+            if (recycle_steps++ % 4 == 0) spare_life = read_file(path);
+          });
       std::vector<rl::QTable> q(kUsers, rl::QTable(kStates, kActions));
       util::Rng rng(2024);
+      const auto commit = [&](std::uint64_t u, std::uint64_t version) {
+        store->append(u, q[u], version);
+        history.emplace(std::make_pair(u, version), q[u]);
+        committed[u] = version;
+      };
+      for (std::uint64_t version = 1; version <= kSweeps; ++version) {
+        for (std::uint64_t u = 0; u < kUsers; ++u) {
+          for (rl::StateId s = 0; s < kStates; ++s) {
+            for (rl::ActionId a = 0; a < kActions; ++a) {
+              q[u].set(s, a, rng.uniform(-100.0, 100.0));
+            }
+          }
+          commit(u, version);
+        }
+      }
       for (std::uint64_t round = 1; round <= 5 + kUsers - 1; ++round) {
         for (std::uint64_t u = 0; u < kUsers; ++u) {
           if (round > 5 + u) continue;
@@ -129,26 +170,43 @@ struct SegmentScanFuzz : ::testing::Test {
           for (rl::ActionId a = 0; a < kActions; ++a) {
             q[u].set(s, a, rng.uniform(-100.0, 100.0));
           }
-          store->append(u, q[u], round);
-          history.emplace(std::make_pair(u, round), q[u]);
-          committed[u] = round;
+          commit(u, kSweeps + round);
         }
       }
-      ASSERT_EQ(store->num_segments(), 1u);
+      ASSERT_GE(recycle_steps / 4, 2);  // recycled rolls
+      ASSERT_GE(store->num_segments(), 2u);
       ASSERT_GT(store->delta_records_written(), 0u);
       ASSERT_GT(store->anchor_records_written(), 0u);
     }
+    // Closing unlinked the spare; a crash before the last recycled roll's
+    // scrub would have left it as captured.
+    ASSERT_FALSE(spare_life.empty());
+    write_file(dir + "/" + kSpareName, spare_life);
     meta = read_file(dir + "/store.meta");
-    segment = read_file(dir + "/seg-w0-000000.seg");
-    ASSERT_EQ(segment.size(), kSegmentFileBytes);
-    std::size_t off = kHeaderBytes;
-    while (wire::load_u64(segment.data() + off) != 0) {
-      const bool anchor =
-          std::memcmp(segment.data() + off, kAnchorMagic, 8) == 0;
-      const std::size_t len = wire::load_u64(segment.data() + off + 8);
-      records.push_back({off, len, anchor});
-      off += len;
+    for (const fs::directory_entry& de : fs::directory_iterator(dir)) {
+      const std::string name = de.path().filename().string();
+      if (name == "store.meta") continue;
+      File f{name, read_file(de.path().string()), {}};
+      ASSERT_EQ(f.bytes.size(), kSegmentFileBytes) << name;
+      std::size_t off = kHeaderBytes;
+      while (off + 56 <= f.bytes.size() &&
+             wire::load_u64(f.bytes.data() + off) != 0) {
+        const bool anchor =
+            std::memcmp(f.bytes.data() + off, kAnchorMagic, 8) == 0;
+        const std::size_t len = wire::load_u64(f.bytes.data() + off + 8);
+        f.records.push_back({off, len, anchor});
+        off += len;
+      }
+      ASSERT_FALSE(f.records.empty()) << name;
+      if (name != kSpareName) records += f.records.size();
+      files.push_back(std::move(f));
     }
+    std::sort(files.begin(), files.end(), [](const File& a, const File& b) {
+      return (a.name == kSpareName) != (b.name == kSpareName)
+                 ? b.name == kSpareName
+                 : a.name < b.name;
+    });
+    ASSERT_EQ(files.back().name, kSpareName);
   }
 
   /// A replacement for a field: boundary values, near misses, and noise.
@@ -168,11 +226,19 @@ struct SegmentScanFuzz : ::testing::Test {
     return v == orig ? orig ^ 8 : v;
   }
 
-  /// Applies one seeded mutation to `seg`. Returns true for a forgery: a
-  /// field rewritten under a re-sealed, valid record checksum.
-  bool mutate(std::vector<unsigned char>& seg, util::Rng& rng) const {
+  /// Applies one seeded mutation to `seg`, a copy of file `f`. Returns
+  /// true for a forgery: a field rewritten under a re-sealed, valid record
+  /// checksum.
+  static bool mutate(const File& f, std::vector<unsigned char>& seg,
+                     util::Rng& rng) {
+    const std::vector<Record>& records = f.records;
     const std::size_t used = records.back().off + records.back().len;
+    const bool has_delta =
+        std::any_of(records.begin(), records.end(),
+                    [](const Record& r) { return !r.anchor; });
+    // A file without deltas gets its delta forgeries as anchor ones.
     const auto pick = [&](bool want_delta) -> const Record& {
+      want_delta = want_delta && has_delta;
       while (true) {
         const Record& r = records[rng() % records.size()];
         if (r.anchor != want_delta) return r;
@@ -191,7 +257,7 @@ struct SegmentScanFuzz : ::testing::Test {
       wire::store_u64(p, mutated(wire::load_u64(p), used, rng));
       return reseal(r, r.len);
     };
-    switch (rng() % 10) {
+    switch (rng() % 11) {
       case 0:  // byte flip anywhere
         seg[rng() % seg.size()] ^= static_cast<unsigned char>(1 + rng() % 255);
         return false;
@@ -216,6 +282,13 @@ struct SegmentScanFuzz : ::testing::Test {
         wire::store_u64(seg.data() + 32,
                         mutated(wire::load_u64(seg.data() + 32), used, rng));
         return false;
+      case 9: {  // delta parent_off moved 4 bytes off the 8-byte grid
+        const Record& r = pick(true);
+        unsigned char* p = seg.data() + r.off + 40;
+        const std::uint64_t parent = wire::load_u64(p);
+        wire::store_u64(p, rng() % 2 == 0 ? parent + 4 : parent - 4);
+        return reseal(r, r.len);
+      }
       default: {  // truncation, sometimes with file_bytes following it
         seg.resize(rng() % seg.size());
         if (seg.size() >= kHeaderBytes && rng() % 2 == 0) {
@@ -228,30 +301,51 @@ struct SegmentScanFuzz : ::testing::Test {
 };
 
 TEST_F(SegmentScanFuzz, SeededMutationsNeverCrashOrInventVersions) {
-  ASSERT_GE(records.size(), 20u);
+  ASSERT_GE(records, 30u);
   std::size_t refused_opens = 0, refused_loads = 0, served_loads = 0;
+  std::size_t spare_mutations = 0;
   for (int i = 0; i < kMutations; ++i) {
     SCOPED_TRACE("mutation " + std::to_string(i));
     util::Rng rng(0xF00D + static_cast<std::uint64_t>(i));
-    std::vector<unsigned char> seg = segment;
-    const bool forged = mutate(seg, rng);
+    // A quarter of the mutations hit the spare, the rest a segment.
+    const std::size_t target = rng() % 4 == 0
+                                   ? files.size() - 1
+                                   : rng() % (files.size() - 1);
+    const bool on_spare = target == files.size() - 1;
+    std::vector<unsigned char> mutated_file = files[target].bytes;
+    const bool forged = mutate(files[target], mutated_file, rng);
     fs::remove_all(dir);
     fs::create_directories(dir);
     write_file(dir + "/store.meta", meta);
-    write_file(dir + "/seg-w0-000000.seg", seg);
+    for (std::size_t f = 0; f < files.size(); ++f) {
+      write_file(dir + "/" + files[f].name,
+                 f == target ? mutated_file : files[f].bytes);
+    }
 
     const SegmentStore::Info info = SegmentStore::inspect(dir);
     ASSERT_TRUE(info.meta_ok);
-    ASSERT_LE(info.records, records.size());
+    ASSERT_LE(info.records, records);
+    ASSERT_EQ(info.segments, files.size() - 1);
 
     std::unique_ptr<SegmentStore> store;
     try {
       store = open();
     } catch (const std::runtime_error&) {
+      ASSERT_FALSE(on_spare);
       ++refused_opens;
       continue;
     }
+    ASSERT_EQ(info.records, store->scanned_records());
     rl::QTable out(kStates, kActions);
+    if (on_spare) {
+      // The spare is never parsed: every committed version is served.
+      ++spare_mutations;
+      ASSERT_EQ(store->scanned_records(), records);
+      for (std::uint64_t u = 0; u < kUsers; ++u) {
+        ASSERT_EQ(store->load(u, out), committed[u]) << "user " << u;
+        ASSERT_TRUE(bit_equal(out, history.at({u, committed[u]})));
+      }
+    }
     for (const std::uint64_t u : store->user_ids()) {
       ASSERT_LT(u, kUsers);
       std::optional<std::uint64_t> v;
@@ -281,10 +375,11 @@ TEST_F(SegmentScanFuzz, SeededMutationsNeverCrashOrInventVersions) {
     ASSERT_TRUE(bit_equal(out, next));
   }
   // The budget reaches every outcome: refused opens, refused loads (a
-  // forgery the scan cannot see), and served loads.
+  // forgery the scan cannot see), served loads, and spare mutations.
   EXPECT_GT(refused_opens, 0u);
   EXPECT_GT(refused_loads, 0u);
   EXPECT_GT(served_loads, 0u);
+  EXPECT_GT(spare_mutations, 0u);
   fs::remove_all(dir);
 }
 

@@ -15,7 +15,17 @@
 //     previous version, the half-written slot is invisible to a restart
 //     and gets overwritten by the retry;
 //   * compaction preserves every user's latest version and actually
-//     returns disk space (segment files are unlinked);
+//     returns disk space (segment files are unlinked) when each segment
+//     stays partly live;
+//   * inspect and open agree on a delta whose parent offset is forged off
+//     the 8-byte grid under a re-sealed checksum;
+//   * the segment life cycle: a sweep that rewrites every user reclaims
+//     each superseded segment with no compaction and reopens scanning one
+//     copy; a segment emptied while the writer holds a spare is unlinked,
+//     and so is every segment a compaction retires but the spare; a crash before the scrub, mid-scrub, after the header write or
+//     after the rename of a recycled roll reopens with every committed
+//     version; a recycled segment's bytes equal a fresh one's after the
+//     same appends; a leftover spare is ignored by open and inspect;
 //   * a store.meta of another format version — a format-1 store exactly as
 //     an older build wrote it (FNV-1a trailer), or a valid-trailer meta
 //     claiming version 7 — is refused by open (naming the format, never
@@ -29,10 +39,12 @@
 #include "serve/segment_store.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -324,35 +336,55 @@ TEST_F(SegmentStoreFixture, CompactionKeepsLatestVersionsAndUnlinksSegments) {
   p.compact_min_records = 8;
   p.compact_dead_ratio = 0.5;
   auto store = open(p);
-  store->reserve_users(3);
+  store->reserve_users(3 + 16);
 
-  // 3 users x 16 versions: all but the last 3 records are dead, so the
-  // dead ratio crosses 0.5 over and over.
+  // 3 users x 16 versions, plus one pin per round: user 3 + v is written
+  // once, in round v, and never again. Each round fills exactly one
+  // segment and the pin keeps it partly live, so no append ever empties
+  // a segment — only compaction can return the space of the dead
+  // records, and the dead ratio crosses 0.5 over and over.
+  const auto pin_table = [&](std::uint64_t pin) { return table(900 + pin); };
   for (std::uint64_t v = 1; v <= 16; ++v) {
     for (std::uint64_t u = 0; u < 3; ++u) {
       store->append(u, table(100 * u + v), v);
     }
+    store->append(2 + v, pin_table(2 + v), 1);
   }
-  EXPECT_GT(store->compactions(), 0u);
-  EXPECT_EQ(store->live_records(), 3u);
-  // Without compaction 48 appends at 4 records/segment would be 12
-  // segments; reclamation must have unlinked most of them.
-  EXPECT_LT(store->num_segments(), 6u);
+  EXPECT_EQ(store->compactions(), 3u);
+  EXPECT_EQ(store->reclaimed_segments(), 0u);
+  EXPECT_EQ(store->live_records(), 3u + 16u);
+  // Without compaction 64 appends at 4 records/segment would be 16
+  // segments. Each compaction packed the live records into fresh segments
+  // and unlinked the old ones, leaving 9: the live set grows by a pin per
+  // round, so it alone needs 5 of them.
+  EXPECT_EQ(store->num_segments(), 9u);
   EXPECT_EQ(segment_files(dir), store->num_segments());
+  // Of the segments a compaction retires, the first becomes the spare and
+  // the rest are unlinked, and the rounds after the last compaction
+  // rolled onto that spare: the directory holds the live segments and
+  // store.meta, nothing else.
+  EXPECT_FALSE(fs::exists(dir + "/seg-w0.spare"));
+  EXPECT_EQ(static_cast<std::size_t>(std::distance(
+                fs::directory_iterator(dir), fs::directory_iterator())),
+            store->num_segments() + 1);
 
   rl::QTable out(kStates, kActions);
-  for (std::uint64_t u = 0; u < 3; ++u) {
-    ASSERT_EQ(store->load(u, out), std::optional<std::uint64_t>{16});
-    EXPECT_TRUE(bit_equal(out, table(100 * u + 16))) << "user " << u;
-  }
+  const auto expect_all = [&](const SegmentStore& s) {
+    for (std::uint64_t u = 0; u < 3; ++u) {
+      ASSERT_EQ(s.load(u, out), std::optional<std::uint64_t>{16});
+      EXPECT_TRUE(bit_equal(out, table(100 * u + 16))) << "user " << u;
+    }
+    for (std::uint64_t pin = 3; pin < 3 + 16; ++pin) {
+      ASSERT_EQ(s.load(pin, out), std::optional<std::uint64_t>{1});
+      EXPECT_TRUE(bit_equal(out, pin_table(pin))) << "pin " << pin;
+    }
+  };
+  expect_all(*store);
 
   // The compacted layout survives a restart bit-for-bit.
   store.reset();
   auto reopened = open(p);
-  for (std::uint64_t u = 0; u < 3; ++u) {
-    ASSERT_EQ(reopened->load(u, out), std::optional<std::uint64_t>{16});
-    EXPECT_TRUE(bit_equal(out, table(100 * u + 16))) << "user " << u;
-  }
+  expect_all(*reopened);
 }
 
 TEST_F(SegmentStoreFixture, InspectSummarizesAStoreDirectory) {
@@ -482,6 +514,281 @@ TEST_F(SegmentStoreFixture, MetaClaimingAnotherVersionIsRefusedEverywhere) {
   EXPECT_EQ(info.meta_format, 7u);
   EXPECT_EQ(cli_inspect(dir).first, 2);
   EXPECT_EQ(snapshot(dir), before);
+}
+
+TEST_F(SegmentStoreFixture, InspectAndOpenAgreeOnAMisalignedDeltaParent) {
+  const std::string dir = fresh_dir("misaligned_parent");
+  {
+    auto store = open(small_params(dir));
+    store->reserve_users(1);
+    rl::QTable q = table(91);
+    store->append(0, q, 1);  // anchor at 40
+    q.set(2, 0, 12.5);
+    store->append(0, q, 2);  // one-row delta at 328, parent_off 40
+    ASSERT_EQ(store->delta_records_written(), 1u);
+  }
+  // Move the delta's parent_off by 4 bytes and re-seal its checksum: a
+  // forgery only the structural checks can stop.
+  const std::string seg_path = dir + "/seg-w0-000000.seg";
+  std::vector<unsigned char> seg = read_file(seg_path);
+  unsigned char* rec = seg.data() + kHeaderBytes + kRecordBytes;
+  const std::uint64_t len = util::wire::load_u64(rec + 8);
+  ASSERT_EQ(util::wire::load_u64(rec + 40), kHeaderBytes);
+  util::wire::store_u64(rec + 40, kHeaderBytes + 4);
+  util::wire::store_u64(rec + len - 8,
+                        util::wire::checksum64(rec + 8, len - 16));
+  write_file(seg_path, seg);
+
+  auto reopened = open(small_params(dir));
+  EXPECT_EQ(reopened->latest_version(0), std::optional<std::uint64_t>{1});
+  EXPECT_EQ(reopened->scanned_records(), 1u);
+  const SegmentStore::Info info = SegmentStore::inspect(dir);
+  EXPECT_EQ(info.records, reopened->scanned_records());
+  EXPECT_EQ(info.corrupt_records, 1u);
+  EXPECT_EQ(info.max_version, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Segment life cycle: reclaim -> spare -> recycled roll.
+// ---------------------------------------------------------------------------
+
+/// Copies every file of `dir` into a fresh `image`: the directory exactly
+/// as a crash at this instant would leave it (the mappings are MAP_SHARED,
+/// so file reads see every store already made).
+void copy_dir(const std::string& dir, const std::string& image) {
+  fs::remove_all(image);
+  fs::create_directories(image);
+  for (const fs::directory_entry& de : fs::directory_iterator(dir)) {
+    fs::copy_file(de.path(), image + "/" + de.path().filename().string());
+  }
+}
+
+ino_t inode(const std::string& path) {
+  struct stat st{};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st.st_ino;
+}
+
+TEST_F(SegmentStoreFixture, SweepThatRewritesEveryUserReclaimsWithoutCopying) {
+  const std::string dir = fresh_dir("sweep_reclaim");
+  SegmentStoreParams p = small_params(dir);
+  p.segment_bytes = kHeaderBytes + 4 * kRecordBytes;  // 4 records per segment
+  p.compact_min_records = 8;
+  constexpr std::uint64_t kUsers = 40;  // 10 segments per sweep
+  auto store = open(p);
+  store->reserve_users(kUsers);
+  // Sweep v rewrites every user in order, as a nightly retrain does, and
+  // empties each segment of sweep v - 1 as it passes it. Copying live
+  // records would have compacted during sweep 2, when half the records
+  // were dead.
+  for (std::uint64_t v = 1; v <= 5; ++v) {
+    for (std::uint64_t u = 0; u < kUsers; ++u) {
+      store->append(u, table(1000 * v + u), v);
+    }
+  }
+  EXPECT_EQ(store->compactions(), 0u);
+  EXPECT_EQ(store->reclaimed_segments(), 4u * 10u);
+  EXPECT_EQ(store->num_segments(), 10u);
+  EXPECT_EQ(segment_files(dir), 10u);
+  EXPECT_EQ(store->live_records(), kUsers);
+  EXPECT_EQ(store->dead_records(), 0u);
+  EXPECT_TRUE(fs::exists(dir + "/seg-w0.spare"));
+
+  rl::QTable out(kStates, kActions);
+  const auto expect_latest = [&](const SegmentStore& s) {
+    for (std::uint64_t u = 0; u < kUsers; ++u) {
+      ASSERT_EQ(s.load(u, out), std::optional<std::uint64_t>{5});
+      EXPECT_TRUE(bit_equal(out, table(5000 + u))) << "user " << u;
+    }
+  };
+  expect_latest(*store);
+  store.reset();
+  EXPECT_FALSE(fs::exists(dir + "/seg-w0.spare"));  // closed with the store
+  auto reopened = open(p);
+  EXPECT_EQ(reopened->scanned_records(), kUsers);  // one copy to scan
+  expect_latest(*reopened);
+}
+
+TEST_F(SegmentStoreFixture, ASegmentEmptiedWhileTheSpareIsHeldIsUnlinked) {
+  const std::string dir = fresh_dir("extra_spare");
+  SegmentStoreParams p = small_params(dir);
+  p.segment_bytes = kHeaderBytes + 4 * kRecordBytes;
+  auto store = open(p);
+  store->reserve_users(4);
+  // Segment 0 ends with users 0 and 1 live, segment 1 with users 2 and 3.
+  for (std::uint64_t u : {0, 1}) store->append(u, table(10 + u), 1);
+  for (std::uint64_t u : {0, 1}) store->append(u, table(20 + u), 2);
+  for (std::uint64_t u : {2, 3}) store->append(u, table(10 + u), 1);
+  for (std::uint64_t u : {2, 3}) store->append(u, table(20 + u), 2);
+  ASSERT_EQ(store->num_segments(), 2u);
+  // Version 3 of all four fits segment 2 with no roll in between: user 1
+  // empties segment 0 into the spare, then user 3 empties segment 1 while
+  // the spare is held, so segment 1 is unlinked.
+  for (std::uint64_t u : {0, 2, 1, 3}) store->append(u, table(30 + u), 3);
+  EXPECT_EQ(store->reclaimed_segments(), 2u);
+  EXPECT_EQ(store->num_segments(), 1u);
+  EXPECT_FALSE(fs::exists(dir + "/seg-w0-000000.seg"));
+  EXPECT_FALSE(fs::exists(dir + "/seg-w0-000001.seg"));
+  EXPECT_EQ(util::wire::load_u64(read_file(dir + "/seg-w0.spare").data() + 16),
+            0u);  // the spare is segment 0
+  rl::QTable out(kStates, kActions);
+  for (std::uint64_t u = 0; u < 4; ++u) {
+    ASSERT_EQ(store->load(u, out), std::optional<std::uint64_t>{3});
+    EXPECT_TRUE(bit_equal(out, table(30 + u))) << "user " << u;
+  }
+}
+
+TEST_F(SegmentStoreFixture, CrashAtEveryRecycleStepKeepsEveryCommittedVersion) {
+  constexpr std::uint64_t kUsers = 8;
+  // The recycle seam fires four times per recycled roll: before the
+  // scrub, mid-scrub, after the header write, after the rename.
+  for (int step = 0; step < 4; ++step) {
+    SCOPED_TRACE("crash at recycle step " + std::to_string(step));
+    const std::string dir =
+        fresh_dir(("recycle_crash" + std::to_string(step)).c_str());
+    const std::string image = dir + "_image";
+    SegmentStoreParams p = small_params(dir);
+    p.segment_bytes = kHeaderBytes + 4 * kRecordBytes;
+    auto store = open(p);
+    store->reserve_users(kUsers);
+    // Two sweeps: segments 0 and 1, then 2 and 3 (the recycled 0); the
+    // last append empties segment 1 into the spare, and the tail is full.
+    for (std::uint64_t v = 1; v <= 2; ++v) {
+      for (std::uint64_t u = 0; u < kUsers; ++u) {
+        store->append(u, table(1000 * v + u), v);
+      }
+    }
+    ASSERT_EQ(store->reclaimed_segments(), 2u);
+    ASSERT_TRUE(fs::exists(dir + "/seg-w0.spare"));
+
+    int calls = 0;
+    store->recycle_site().set_hook([&](const std::string&) {
+      if (calls++ != step) return;
+      copy_dir(dir, image);
+      throw std::runtime_error("injected crash mid-recycle");
+    });
+    EXPECT_THROW(store->append(0, table(3000), 3), std::runtime_error);
+    EXPECT_EQ(calls, step + 1);
+    EXPECT_EQ(store->latest_version(0), std::optional<std::uint64_t>{2});
+
+    // The crash image reopens cleanly with every committed version; the
+    // spare never counts. After the rename it is a valid empty segment.
+    rl::QTable out(kStates, kActions);
+    {
+      auto reader = open(small_params(image));
+      for (std::uint64_t u = 0; u < kUsers; ++u) {
+        ASSERT_EQ(reader->load(u, out), std::optional<std::uint64_t>{2})
+            << "user " << u;
+        EXPECT_TRUE(bit_equal(out, table(2000 + u))) << "user " << u;
+      }
+      EXPECT_EQ(reader->scanned_records(), kUsers);
+      EXPECT_EQ(reader->num_segments(), step < 3 ? 2u : 3u);
+    }
+    EXPECT_EQ(fs::exists(image + "/seg-w0.spare"), step < 3);
+    const SegmentStore::Info info = SegmentStore::inspect(image);
+    EXPECT_EQ(info.records, kUsers);
+    EXPECT_EQ(info.corrupt_records, 0u);
+    EXPECT_EQ(info.max_version, 2u);
+    EXPECT_EQ(info.segments, segment_files(image));
+
+    // Crash over: the retry rolls (or, after the rename, appends to the
+    // empty tail) and commits; a restart agrees.
+    store->recycle_site().set_hook(nullptr);
+    store->append(0, table(3000), 3);
+    ASSERT_EQ(store->load(0, out), std::optional<std::uint64_t>{3});
+    EXPECT_TRUE(bit_equal(out, table(3000)));
+    store.reset();
+    auto reopened = open(p);
+    ASSERT_EQ(reopened->load(0, out), std::optional<std::uint64_t>{3});
+    for (std::uint64_t u = 1; u < kUsers; ++u) {
+      ASSERT_EQ(reopened->load(u, out), std::optional<std::uint64_t>{2})
+          << "user " << u;
+      EXPECT_TRUE(bit_equal(out, table(2000 + u))) << "user " << u;
+    }
+    fs::remove_all(image);
+  }
+}
+
+TEST_F(SegmentStoreFixture, RecycledSegmentBytesEqualAFreshSegment) {
+  std::vector<unsigned char> bytes[2];
+  for (int recycled = 0; recycled < 2; ++recycled) {
+    SCOPED_TRACE(recycled ? "recycled" : "fresh");
+    const std::string dir =
+        fresh_dir(recycled ? "recycled_bytes" : "fresh_bytes");
+    SegmentStoreParams p = small_params(dir);
+    p.segment_bytes = kHeaderBytes + 4 * kRecordBytes;
+    auto store = open(p);
+    store->reserve_users(4);
+    // Sweep 1 fills segment 0; sweep 2 fills segment 1 and empties
+    // segment 0 into the spare, whose previous life is a full segment.
+    for (std::uint64_t v = 1; v <= 2; ++v) {
+      for (std::uint64_t u = 0; u < 4; ++u) {
+        store->append(u, table(10 * v + u), v);
+      }
+    }
+    const std::string spare = dir + "/seg-w0.spare";
+    ASSERT_TRUE(fs::exists(spare));
+    const ino_t spare_inode = inode(spare);
+    // A spare whose file is gone is dropped, and the roll creates a fresh
+    // file under the same name instead.
+    if (!recycled) fs::remove(spare);
+    // The new life is one record, shorter than the old one.
+    store->append(0, table(77), 3);
+    const std::string seg2 = dir + "/seg-w0-000002.seg";
+    if (recycled) {
+      EXPECT_EQ(inode(seg2), spare_inode);
+    }
+    EXPECT_FALSE(fs::exists(spare));
+    EXPECT_EQ(store->num_segments(), 2u);
+    bytes[recycled] = read_file(seg2);
+  }
+  EXPECT_EQ(bytes[0].size(), kHeaderBytes + 4 * kRecordBytes);
+  EXPECT_TRUE(bytes[1] == bytes[0]);
+}
+
+TEST_F(SegmentStoreFixture, LeftoverSpareIsIgnoredByOpenAndInspect) {
+  const std::string dir = fresh_dir("leftover_spare");
+  const std::string spare = dir + "/seg-w0.spare";
+  SegmentStoreParams p = small_params(dir);
+  p.segment_bytes = kHeaderBytes + 4 * kRecordBytes;
+  std::vector<unsigned char> leftover;
+  {
+    auto store = open(p);
+    store->reserve_users(4);
+    for (std::uint64_t v = 1; v <= 2; ++v) {
+      for (std::uint64_t u = 0; u < 4; ++u) {
+        store->append(u, table(10 * v + u), v);
+      }
+    }
+    leftover = read_file(spare);  // segment 0, emptied by sweep 2
+  }
+  EXPECT_FALSE(fs::exists(spare));  // the spare goes with the store
+  // A crash at close would have left it: put it back with its previous
+  // life intact, a valid header and four checksummed records.
+  write_file(spare, leftover);
+
+  const SegmentStore::Info info = SegmentStore::inspect(dir);
+  EXPECT_EQ(info.segments, 1u);
+  EXPECT_EQ(info.records, 4u);
+  EXPECT_EQ(info.max_version, 2u);
+  auto store = open(p);
+  EXPECT_EQ(store->num_segments(), 1u);
+  EXPECT_EQ(store->scanned_records(), 4u);
+  rl::QTable out(kStates, kActions);
+  for (std::uint64_t u = 0; u < 4; ++u) {
+    ASSERT_EQ(store->load(u, out), std::optional<std::uint64_t>{2});
+    EXPECT_TRUE(bit_equal(out, table(20 + u))) << "user " << u;
+  }
+  // Ignored, not removed: a live store on the same directory may own it.
+  EXPECT_EQ(read_file(spare), leftover);
+
+  // Sweep 3 empties segment 1, and its reclaim renames over the leftover.
+  store->reserve_users(4);
+  for (std::uint64_t u = 0; u < 4; ++u) store->append(u, table(30 + u), 3);
+  EXPECT_EQ(store->reclaimed_segments(), 1u);
+  EXPECT_EQ(util::wire::load_u64(read_file(spare).data() + 16), 1u);  // seq
+  store.reset();
+  EXPECT_FALSE(fs::exists(spare));
 }
 
 // ---------------------------------------------------------------------------

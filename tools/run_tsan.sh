@@ -57,9 +57,9 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/bench/bench_retrain_recovery --users=12 --slots=4 --drifted=4 \
   --rounds=4 --jobs=4 > /dev/null
 # The fleet-serve bench stacks the mmap segment store under the shard fan-
-# out: shard trials append/load through disjoint writer chains (relaxed
-# atomic live/reachable counters are the only shared-looking store state)
-# while the main thread publishes the user index between drains. TSan
+# out: shard trials append/load through disjoint writer chains (atomic
+# live/reachable counters are the only shared-looking store state) while
+# the main thread publishes the user index between drains. TSan
 # proves the writer partitioning really is disjoint. Two shapes: a small
 # fleet that compacts and rolls segments quickly, and the 1M-user register
 # + packed-slab + index-reserve path of the production config (sparse
@@ -70,6 +70,23 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/bench/bench_fleet_serve --users=1000000 --active=100 \
   --rounds=1 --retrain-users=64 --retrain-rounds=8 --jobs=4 \
   --dir="$BUILD_DIR/fleet_serve_tsan_1m" > /dev/null
+# Segment reclamation on concurrent writer lanes: a 4,096-user retrain
+# cohort of full anchors (--rebase-every=1) is 1,024 users per lane, more
+# than a 1 MiB segment holds, so each lane's sweep empties its oldest
+# segment, reclaims it into the lane's spare and recycles the spare on a
+# later roll (rename, scrub, header) while the other lanes append. The
+# summary line counts the reclaimed segments; the run fails if there are
+# none.
+reclaim_line=$("$BUILD_DIR"/bench/bench_fleet_serve --users=200 --active=50 \
+  --rounds=1 --retrain-users=4096 --retrain-rounds=2 --rebase-every=1 \
+  --jobs=4 --dir="$BUILD_DIR/fleet_serve_tsan_reclaim" | grep '^Retrain store')
+echo "TSan reclaim run: $reclaim_line"
+case "$reclaim_line" in
+  *" 0 segments reclaimed"*)
+    echo "TSan reclaim run reclaimed no segment" >&2
+    exit 1
+    ;;
+esac
 # The chaos soak runs every fault seam concurrently: shard trials evaluate
 # their sites' pure decision hashes and bump the shared relaxed injection
 # counters while InjectedCrash unwinds through concurrent appends and the
