@@ -1,9 +1,10 @@
 // Gated scenario regression corpus: every committed tests/scenarios/
 // *.scenario plan executed end-to-end through the multi-ADL serving tier
-// (ScenarioRunner over a HomePool) and reported as exact metrics.
+// (ScenarioRunner over a SystemPool of whole-home slots) and reported as
+// exact metrics.
 //
 // Each scenario is one behavioural contract: interleaved ADL segments with
-// per-ADL progress resumed from one bundle record, recognition-gated
+// per-ADL progress resumed within one session, recognition-gated
 // switches, caregiver interruptions probing the idle-gap boundary from
 // both sides, severity drift, compliance decay, forced wrong-tool storms.
 // The per-scenario metric block (sessions, completions, prompts, praises,
@@ -61,7 +62,7 @@ std::string metrics_json(const serve::ScenarioSummary& sum) {
       static_cast<unsigned long long>(sum.idle_episodes),
       static_cast<unsigned long long>(sum.pool_hits),
       static_cast<unsigned long long>(sum.pool_swaps),
-      static_cast<unsigned long long>(sum.rejected_bundles),
+      static_cast<unsigned long long>(sum.rejected_records),
       static_cast<unsigned long long>(sum.checksum));
   return buf;
 }

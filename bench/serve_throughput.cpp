@@ -143,7 +143,8 @@ double steady_state_allocs(const adl::AdlLibrary& library,
   serve::SystemPoolParams params;
   params.slots = 1;
   params.seed = 99;
-  serve::SystemPool pool(library, adl, store, params);
+  serve::SystemPool pool(store, params,
+                         serve::SystemPool::single_adl(library, adl));
   store.add_user("A");
   store.add_user("B");
 

@@ -56,9 +56,7 @@ HomeDeployment::HomeDeployment(const adl::AdlLibrary& library,
     }
   }
   nodes_->power_on();
-  const std::span<const adl::Adl> served =
-      adl_ != nullptr ? std::span(adl_, 1) : std::span(library_->adls());
-  for (const adl::Adl& adl : served) {
+  for (const adl::Adl& adl : adls()) {
     learners_[adl.name()] = std::make_unique<planning::RoutineLearner>(
         adl, rng_.fork(), config_.learner);
   }

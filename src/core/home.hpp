@@ -161,7 +161,7 @@ class HomeDeployment {
   /// resets episode/switch counters.
   void set_tracker_params(const recognition::ActivityTracker::Params& params);
 
-  /// Replaces one ADL's policy table (restore from a snapshot/bundle) or,
+  /// Replaces one ADL's policy table (restore from a stored set) or,
   /// single-ADL, the deployed ADL's — the serving-side half of a train-once
   /// / deploy-many split: train one learner offline, then stamp its table
   /// into every serving deployment. Throws std::out_of_range for ADLs the
@@ -179,6 +179,12 @@ class HomeDeployment {
   /// std::logic_error on a whole home, those marked "Whole-home" on a
   /// single-ADL deployment.
   const adl::Adl& adl() const;
+  /// The ADLs this deployment plans, in library order: the deployed ADL,
+  /// or every ADL of the library for a whole home. A user's policy set
+  /// holds one table per entry, in this order.
+  std::span<const adl::Adl> adls() const noexcept {
+    return adl_ != nullptr ? std::span(adl_, 1) : std::span(library_->adls());
+  }
 
   const recognition::AdlRecognizer& recognizer() const noexcept {
     return recognizer_;

@@ -99,7 +99,7 @@ class RoutineLearner {
   /// crossings reproduce the paper's Figure 4 convergence numbers.
   double behaviour_accuracy() const;
 
-  /// Replaces the value table with `q` (policy restore; see serialize.hpp).
+  /// Replaces the value table with `q` (policy restore).
   /// Throws std::invalid_argument on a dimension mismatch.
   void import_q(const rl::QTable& q);
 

@@ -20,7 +20,7 @@ ServeEngine::ServeEngine(const adl::AdlLibrary& library, const adl::Adl& adl,
                          PolicyStore& store, ServeEngineParams params)
     : params_(params),
       store_(&store),
-      pool_(library, adl, store, params.pool),
+      pool_(store, params.pool, SystemPool::single_adl(library, adl)),
       retrainer_(adl, store, params.pool.system.learner, pool_.slots(),
                  params.retrain),
       by_slot_(pool_.slots()),

@@ -39,10 +39,12 @@ FleetEngine::FleetEngine(const adl::AdlLibrary& library, const adl::Adl& adl,
         "writer partitioning holds only when shard threads own disjoint "
         "segment chains");
   }
-  if (reference.num_states() != store.num_states() ||
+  if (store.tables().size() != 1 ||
+      reference.num_states() != store.num_states() ||
       reference.num_actions() != store.num_actions()) {
     throw std::invalid_argument(
-        "FleetEngine: reference table shape differs from the store schema");
+        "FleetEngine: the store must hold one-table sets of the reference "
+        "table's shape");
   }
   shards_.reserve(params_.shards);
   for (std::size_t sh = 0; sh < params_.shards; ++sh) {
@@ -70,8 +72,9 @@ std::uint64_t FleetEngine::register_user(double severity) {
   const std::uint64_t user = packed_.size();
   packed_.push_back(quantize_severity(severity));
   // The store index is reserved ahead by reserve_users(); this keeps the
-  // contract when a caller registers past the reservation.
-  store_->reserve_users(packed_.size());
+  // contract when a caller registers past the reservation, growing the
+  // index geometrically rather than by one user at a time.
+  store_->grow_users(packed_.size());
   return user;
 }
 

@@ -124,19 +124,24 @@ ScenarioRunner::ScenarioRunner(ScenarioRunnerParams params)
 ScenarioSummary ScenarioRunner::run(const sim::ScenarioPlan& plan,
                                     std::size_t jobs) const {
   const adl::AdlLibrary library;
-  BundleStore store;  // memory-only: rounds share policies, nothing on disk
+  core::SystemConfig donor_config = params_.system;
+  donor_config.seed = plan.seed;
+  core::HomeDeployment donor(library, donor_config);
+  donor.pretrain(params_.pretrain_episodes, params_.pretrain_seed);
+
+  // Memory-only: rounds share policy sets, nothing touches disk.
+  PolicyStore store(donor);
   for (std::uint64_t u = 0; u < plan.users; ++u) {
     store.add_user("user" + std::to_string(u));
   }
-
-  HomePoolParams pool_params;
-  pool_params.slots = params_.slots;
-  pool_params.seed = plan.seed;
-  pool_params.system = params_.system;
-  pool_params.tracker = params_.tracker;
-  pool_params.pretrain_episodes = params_.pretrain_episodes;
-  pool_params.pretrain_seed = params_.pretrain_seed;
-  HomePool pool(library, store, pool_params);
+  SystemPool pool(store, {params_.slots, plan.seed, params_.system},
+                  [&](const core::SystemConfig& config) {
+                    auto home =
+                        std::make_unique<core::HomeDeployment>(library, config);
+                    home->adopt_recognizer(donor.recognizer());
+                    home->set_tracker_params(params_.tracker);
+                    return home;
+                  });
 
   const core::SessionScript script = compile_script(plan);
   const sim::Duration deadline = sim::Duration::minutes(plan.max_minutes);
@@ -177,7 +182,7 @@ ScenarioSummary ScenarioRunner::run(const sim::ScenarioPlan& plan,
   }
   sum.pool_hits = pool.hits();
   sum.pool_swaps = pool.swaps();
-  sum.rejected_bundles = pool.rejected_bundles();
+  sum.rejected_records = store.rejected_records();
   return sum;
 }
 
@@ -210,7 +215,7 @@ std::string format_scenario_report(std::string_view name,
                 "  pool: hits=%llu swaps=%llu rejected=%llu\n",
                 static_cast<unsigned long long>(sum.pool_hits),
                 static_cast<unsigned long long>(sum.pool_swaps),
-                static_cast<unsigned long long>(sum.rejected_bundles));
+                static_cast<unsigned long long>(sum.rejected_records));
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "  completion_rate=%a prompts_per_session=%a\n",

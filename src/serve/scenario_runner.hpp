@@ -3,7 +3,7 @@
 #include <cstdint>
 
 #include "core/home.hpp"
-#include "serve/home_pool.hpp"
+#include "serve/system_pool.hpp"
 #include "sim/scenario_dsl.hpp"
 
 namespace coreda::serve {
@@ -18,9 +18,16 @@ struct ScenarioRunnerParams {
   /// Pool width; scenario users shard to slot = user % slots. One exec
   /// trial per slot keeps any --jobs byte-identical.
   std::size_t slots = 4;
+  /// Template for the donor and every slot deployment (the seed comes
+  /// from the plan: the donor's is plan.seed, slot i's
+  /// exec::trial_seed(plan.seed, i)).
   core::SystemConfig system{};
+  /// Tracker parameters for every slot (the serving tier enables
+  /// recognition-gated switching here; window 2 / patience 1 announces a
+  /// switch on the second consecutive routine-ordered challenger tool).
   recognition::ActivityTracker::Params tracker{
       .switch_window = 2, .switch_threshold = 0.8, .switch_patience = 1};
+  /// Donor pretraining: episodes per ADL, and the dataset seed.
   std::size_t pretrain_episodes = 120;
   std::uint64_t pretrain_seed = 7;
 };
@@ -40,7 +47,10 @@ struct ScenarioSummary {
   std::uint64_t idle_episodes = 0;
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_swaps = 0;
-  std::uint64_t rejected_bundles = 0;
+  /// Stored policy sets whose record failed validation at restore and were
+  /// served as the donor baseline instead (the runner's store is
+  /// memory-only, so 0; BENCH_scenarios.json keys it rejected_bundles).
+  std::uint64_t rejected_records = 0;
   /// Wrapping sum of per-session digests (user, round, and every counter
   /// above plus elapsed time mixed through SplitMix64) — order-independent,
   /// so identical at any --jobs, yet sensitive to any behavioural change in
@@ -60,10 +70,13 @@ struct ScenarioSummary {
   }
 };
 
-/// Executes a scenario plan against a HomePool: `plan.users` users play the
-/// compiled script for `plan.rounds` rounds, with per-round severity drift,
-/// compliance decay, and the plan's arrival pattern. Policies persist
-/// across rounds through a memory-only BundleStore, so round r+1 serves the
+/// Executes a scenario plan against a SystemPool of whole-home slots:
+/// `plan.users` users play the compiled script for `plan.rounds` rounds,
+/// with per-round severity drift, compliance decay, and the plan's arrival
+/// pattern. One donor HomeDeployment trains recognition and every ADL's
+/// planner once; each slot adopts the donor's recognizer, and every user
+/// starts from the donor's planners. Each user's policy set persists across
+/// rounds through a memory-only PolicyStore, so round r+1 serves the
 /// policies round r staged — drift meets adaptation, as in the paper's
 /// multi-week deployments.
 ///

@@ -35,6 +35,13 @@ constexpr std::size_t kMaxChainRecords = 63;
 /// Smallest well-formed record: an anchor for a 1-cell table (56 bytes); an
 /// empty delta is 64.
 constexpr std::uint64_t kMinRecordBytes = 56;
+/// store.meta's fixed prefix: magic, format version, segment bytes and the
+/// table count; the table list follows, then the 8-byte trailer.
+constexpr std::size_t kMetaPrefixBytes = 32;
+/// Q cells of the largest set whose anchor fits an 8 MiB segment. Bounds
+/// every count a store.meta claims before anything is sized by it.
+constexpr std::uint64_t kMaxSetCells =
+    (kMaxSegmentBytes - kSegmentHeaderBytes) / 8 - 6;
 
 bool parse_segment_file_name(const std::string& name, std::uint64_t& writer,
                              std::uint64_t& seq) {
@@ -50,8 +57,109 @@ bool parse_segment_file_name(const std::string& name, std::uint64_t& writer,
   return true;
 }
 
-std::size_t delta_record_bytes(std::size_t n_rows, std::size_t num_actions) {
-  return 8 * (8 + n_rows * (1 + num_actions));
+/// Q cells across a set's tables.
+std::uint64_t set_cells(std::span<const TableSchema> tables) {
+  std::uint64_t cells = 0;
+  for (const TableSchema& t : tables) cells += t.num_states * t.num_actions;
+  return cells;
+}
+
+/// The set's rows numbered across its tables: each row's width.
+std::vector<std::uint32_t> row_widths(std::span<const TableSchema> tables) {
+  std::vector<std::uint32_t> widths;
+  for (const TableSchema& t : tables) {
+    widths.insert(widths.end(), t.num_states,
+                  static_cast<std::uint32_t>(t.num_actions));
+  }
+  return widths;
+}
+
+/// store.meta (format 3) for `tables`, trailer included.
+std::vector<unsigned char> encode_meta(std::span<const TableSchema> tables,
+                                       std::uint64_t segment_bytes) {
+  std::vector<unsigned char> buf(kMetaPrefixBytes);
+  const auto put = [&buf](std::uint64_t v) {
+    buf.resize(buf.size() + 8);
+    wire::store_u64(buf.data() + buf.size() - 8, v);
+  };
+  std::memcpy(buf.data(), kStoreMetaMagic, 8);
+  wire::store_u64(buf.data() + 8, kMetaFormatVersion);
+  wire::store_u64(buf.data() + 16, segment_bytes);
+  wire::store_u64(buf.data() + 24, tables.size());
+  for (const TableSchema& t : tables) {
+    put(t.steps.size());
+    put(t.tools.size());
+    put(t.num_states);
+    put(t.num_actions);
+    for (const adl::StepId id : t.steps) put(static_cast<std::uint64_t>(id));
+    for (const adl::ToolId id : t.tools) put(static_cast<std::uint64_t>(id));
+  }
+  put(wire::checksum64(buf.data(), buf.size()));
+  return buf;
+}
+
+/// The table list of a store.meta image whose magic, version and trailer
+/// checked out; nullopt when it is malformed or degenerate: no table, a
+/// zero-dimension table, a set too large for a segment, a count that
+/// overruns the image, or bytes left over. Every count is bounded before it
+/// sizes anything.
+std::optional<std::vector<TableSchema>> decode_meta_tables(
+    std::span<const unsigned char> meta) {
+  const std::size_t end = meta.size() - 8;
+  std::size_t pos = kMetaPrefixBytes;
+  const auto take = [&](std::uint64_t& v) {
+    if (end - pos < 8) return false;
+    v = wire::load_u64(meta.data() + pos);
+    pos += 8;
+    return true;
+  };
+  const std::uint64_t n_tables = wire::load_u64(meta.data() + 24);
+  if (n_tables == 0 || n_tables > (end - pos) / 32) return std::nullopt;
+  std::vector<TableSchema> tables(static_cast<std::size_t>(n_tables));
+  std::uint64_t cells = 0;
+  for (TableSchema& t : tables) {
+    std::uint64_t n_steps = 0, n_tools = 0, n_states = 0, n_actions = 0;
+    if (!take(n_steps) || !take(n_tools) || !take(n_states) ||
+        !take(n_actions)) {
+      return std::nullopt;
+    }
+    if (n_states == 0 || n_actions == 0 || n_states > kMaxSetCells ||
+        n_actions > kMaxSetCells ||
+        n_states * n_actions > kMaxSetCells - cells ||
+        n_steps > (end - pos) / 8 || n_tools > (end - pos) / 8 - n_steps) {
+      return std::nullopt;
+    }
+    cells += n_states * n_actions;
+    t.num_states = static_cast<std::size_t>(n_states);
+    t.num_actions = static_cast<std::size_t>(n_actions);
+    std::uint64_t v = 0;
+    for (std::uint64_t i = 0; i < n_steps && take(v); ++i) {
+      t.steps.push_back(static_cast<adl::StepId>(v));
+    }
+    for (std::uint64_t i = 0; i < n_tools && take(v); ++i) {
+      t.tools.push_back(static_cast<adl::ToolId>(v));
+    }
+  }
+  if (pos != end) return std::nullopt;
+  return tables;
+}
+
+/// Whether a delta's n_rows rows exactly fill [56, len - 8). The row count
+/// is bounded by the set's rows before it drives anything, and each row
+/// index is range-checked before its width is looked up, so no forged
+/// field can wrap an offset or index past the widths table.
+bool delta_rows_fit(const unsigned char* rec, std::uint64_t len,
+                    std::span<const std::uint32_t> row_width) {
+  const std::uint64_t n_rows = wire::load_u64(rec + 48);
+  if (n_rows > row_width.size()) return false;
+  std::uint64_t pos = 56;
+  for (std::uint64_t i = 0; i < n_rows; ++i) {
+    if (pos + 8 > len - 8) return false;
+    const std::uint64_t row = wire::load_u64(rec + pos);
+    if (row >= row_width.size()) return false;
+    pos += 8 * (1 + std::uint64_t{row_width[row]});
+  }
+  return pos == len - 8;
 }
 
 void write_segment_header(unsigned char* base, std::uint64_t writer,
@@ -66,13 +174,14 @@ void write_segment_header(unsigned char* base, std::uint64_t writer,
 enum class RecordKind { kEnd, kCorrupt, kAnchor, kDelta };
 
 /// Validates the record at `off` of a `bytes`-long segment image (the
-/// caller guarantees off + kMinRecordBytes <= bytes) for a
-/// num_states x num_actions table, and sets `len` when it is valid. kEnd is
-/// a clean (zero-magic) tail. The open-time scan and inspect both call
-/// this, so they agree on every segment's longest valid prefix.
+/// caller guarantees off + kMinRecordBytes <= bytes) for a set of `cells`
+/// Q cells whose rows have the given widths, and sets `len` when it is
+/// valid. kEnd is a clean (zero-magic) tail. The open-time scan and inspect
+/// both call this, so they agree on every segment's longest valid prefix.
 RecordKind check_record(const unsigned char* base, std::size_t off,
-                        std::size_t bytes, std::uint64_t num_states,
-                        std::uint64_t num_actions, std::uint64_t& len) {
+                        std::size_t bytes, std::uint64_t cells,
+                        std::span<const std::uint32_t> row_width,
+                        std::uint64_t& len) {
   const unsigned char* rec = base + off;
   if (wire::load_u64(rec) == 0) return RecordKind::kEnd;
   const bool anchor = std::memcmp(rec, kAnchorMagic, 8) == 0;
@@ -88,17 +197,13 @@ RecordKind check_record(const unsigned char* base, std::size_t off,
     return RecordKind::kCorrupt;
   }
   if (anchor) {
-    const std::uint64_t qn = num_states * num_actions;
-    if (wire::load_u64(rec + 32) != qn || n != 8 * (6 + qn)) {
+    if (wire::load_u64(rec + 32) != cells || n != 8 * (6 + cells)) {
       return RecordKind::kCorrupt;
     }
   } else {
-    // The row count is bounded before it sizes the record, so a forged
-    // count cannot wrap the product into a matching length.
-    const std::uint64_t n_rows = wire::load_u64(rec + 48);
     const std::uint64_t parent = wire::load_u64(rec + 40);
-    if (n_rows > num_states || n != delta_record_bytes(n_rows, num_actions) ||
-        parent < kSegmentHeaderBytes || parent % 8 != 0 || parent >= off) {
+    if (!delta_rows_fit(rec, n, row_width) || parent < kSegmentHeaderBytes ||
+        parent % 8 != 0 || parent >= off) {
       return RecordKind::kCorrupt;
     }
   }
@@ -140,9 +245,10 @@ struct SegmentStore::Writer {
   /// This lane's user -> location slab (see user_index.hpp for why the
   /// table is per-lane).
   UserIndex index;
-  /// Reused across appends as the delta base and across compactions as the
-  /// relocation shuttle — keeps both paths allocation-free.
-  std::unique_ptr<rl::QTable> scratch;
+  /// A whole set, reused across appends as the delta base and across
+  /// compactions as the relocation shuttle — keeps both paths
+  /// allocation-free.
+  std::vector<rl::QTable> scratch;
   /// A reclaimed segment, still mapped, that the next roll recycles (null
   /// when none). Its file lives at spare_path; its `path` is scratch space
   /// for the name it takes next.
@@ -154,19 +260,29 @@ SegmentStore::SegmentStore(std::span<const adl::StepId> steps,
                            std::span<const adl::ToolId> tools,
                            std::size_t num_states, std::size_t num_actions,
                            SegmentStoreParams params)
-    : params_(std::move(params)),
-      steps_(steps.begin(), steps.end()),
-      tools_(tools.begin(), tools.end()),
-      num_states_(num_states),
-      num_actions_(num_actions) {
+    : SegmentStore(
+          {TableSchema{{steps.begin(), steps.end()},
+                       {tools.begin(), tools.end()},
+                       num_states,
+                       num_actions}},
+          std::move(params)) {}
+
+SegmentStore::SegmentStore(std::vector<TableSchema> tables,
+                           SegmentStoreParams params)
+    : params_(std::move(params)), tables_(std::move(tables)) {
   if (params_.dir.empty()) {
     throw std::invalid_argument("SegmentStore: dir is required");
   }
   if (params_.writers == 0) {
     throw std::invalid_argument("SegmentStore: writers must be >= 1");
   }
-  if (num_states_ == 0 || num_actions_ == 0) {
-    throw std::invalid_argument("SegmentStore: degenerate table shape");
+  if (tables_.empty()) {
+    throw std::invalid_argument("SegmentStore: a policy set needs a table");
+  }
+  for (const TableSchema& t : tables_) {
+    if (t.num_states == 0 || t.num_actions == 0) {
+      throw std::invalid_argument("SegmentStore: degenerate table shape");
+    }
   }
   if (params_.segment_bytes > kMaxSegmentBytes) {
     throw std::invalid_argument(
@@ -175,16 +291,24 @@ SegmentStore::SegmentStore(std::span<const adl::StepId> steps,
   }
   params_.rebase_every =
       std::clamp<std::size_t>(params_.rebase_every, 1, kMaxChainRecords);
-  anchor_bytes_ = 8 * (6 + num_states_ * num_actions_);
-  if (kSegmentHeaderBytes + anchor_bytes_ > kMaxSegmentBytes) {
+  cells_ = set_cells(tables_);
+  if (cells_ > kMaxSetCells) {
     throw std::invalid_argument(
-        "SegmentStore: table too large for an 8 MiB segment");
+        "SegmentStore: policy set too large for an 8 MiB segment");
+  }
+  anchor_bytes_ = 8 * (6 + cells_);
+  row_width_ = row_widths(tables_);
+  for (std::size_t t = 0; t < tables_.size(); ++t) {
+    first_row_.push_back(row_table_.size());
+    row_table_.insert(row_table_.end(), tables_[t].num_states,
+                      static_cast<std::uint32_t>(t));
   }
   for (std::size_t w = 0; w < params_.writers; ++w) {
     writers_.push_back(std::make_unique<Writer>());
     writers_.back()->id = w;
-    writers_.back()->scratch =
-        std::make_unique<rl::QTable>(num_states_, num_actions_);
+    for (const TableSchema& t : tables_) {
+      writers_.back()->scratch.emplace_back(t.num_states, t.num_actions);
+    }
     writers_.back()->spare_path =
         params_.dir + "/seg-w" + std::to_string(w) + ".spare";
   }
@@ -208,32 +332,8 @@ SegmentStore::~SegmentStore() {
 }
 
 void SegmentStore::write_meta() const {
-  std::vector<unsigned char> buf(8 + 6 * 8 +
-                                 8 * (steps_.size() + tools_.size()) + 8);
-  unsigned char* p = buf.data();
-  std::memcpy(p, kStoreMetaMagic, 8);
-  p += 8;
-  wire::store_u64(p, kMetaFormatVersion);
-  p += 8;
-  wire::store_u64(p, steps_.size());
-  p += 8;
-  wire::store_u64(p, tools_.size());
-  p += 8;
-  wire::store_u64(p, num_states_);
-  p += 8;
-  wire::store_u64(p, num_actions_);
-  p += 8;
-  wire::store_u64(p, params_.segment_bytes);
-  p += 8;
-  for (const adl::StepId s : steps_) {
-    wire::store_u64(p, static_cast<std::uint64_t>(s));
-    p += 8;
-  }
-  for (const adl::ToolId t : tools_) {
-    wire::store_u64(p, static_cast<std::uint64_t>(t));
-    p += 8;
-  }
-  wire::store_u64(p, wire::checksum64(buf.data(), buf.size() - 8));
+  const std::vector<unsigned char> buf =
+      encode_meta(tables_, params_.segment_bytes);
   const std::string path = params_.dir + "/" + kMetaFileName;
   const std::string tmp = path + ".tmp";
   {
@@ -254,9 +354,7 @@ void SegmentStore::validate_meta() const {
   std::ifstream in(path, std::ios::binary);
   std::vector<unsigned char> buf{std::istreambuf_iterator<char>(in),
                                  std::istreambuf_iterator<char>()};
-  const std::size_t expected =
-      8 + 6 * 8 + 8 * (steps_.size() + tools_.size()) + 8;
-  if (buf.size() < 8 + 6 * 8 + 8 ||
+  if (buf.size() < kMetaPrefixBytes + 8 ||
       std::memcmp(buf.data(), kStoreMetaMagic, 8) != 0) {
     throw std::runtime_error("SegmentStore: " + path +
                              " is not a coreda-policy store");
@@ -264,8 +362,7 @@ void SegmentStore::validate_meta() const {
   // The version comes before the trailer: a store written by another
   // format also fails this build's checksum, and must be refused as a
   // format mismatch rather than reported as corruption.
-  const unsigned char* p = buf.data() + 8;
-  const std::uint64_t format = wire::load_u64(p);
+  const std::uint64_t format = wire::load_u64(buf.data() + 8);
   if (format != kMetaFormatVersion) {
     throw std::runtime_error(
         "SegmentStore: " + path + " is store format " +
@@ -276,31 +373,17 @@ void SegmentStore::validate_meta() const {
       wire::checksum64(buf.data(), buf.size() - 8)) {
     throw std::runtime_error("SegmentStore: " + path + " checksum mismatch");
   }
-  const std::uint64_t n_steps = wire::load_u64(p + 8);
-  const std::uint64_t n_tools = wire::load_u64(p + 16);
-  const std::uint64_t n_states = wire::load_u64(p + 24);
-  const std::uint64_t n_actions = wire::load_u64(p + 32);
-  if (buf.size() != expected ||
-      n_steps != steps_.size() || n_tools != tools_.size() ||
-      n_states != num_states_ || n_actions != num_actions_) {
+  const std::optional<std::vector<TableSchema>> tables =
+      decode_meta_tables(buf);
+  if (!tables) {
     throw std::runtime_error("SegmentStore: " + path +
-                             " schema differs from this deployment");
+                             " has a malformed or degenerate table list");
   }
-  const unsigned char* vocab = buf.data() + 8 + 6 * 8;
-  for (std::size_t i = 0; i < steps_.size(); ++i) {
-    if (wire::load_u64(vocab + 8 * i) !=
-        static_cast<std::uint64_t>(steps_[i])) {
-      throw std::runtime_error("SegmentStore: " + path +
-                               " step vocabulary differs");
-    }
-  }
-  vocab += 8 * steps_.size();
-  for (std::size_t i = 0; i < tools_.size(); ++i) {
-    if (wire::load_u64(vocab + 8 * i) !=
-        static_cast<std::uint64_t>(tools_[i])) {
-      throw std::runtime_error("SegmentStore: " + path +
-                               " tool vocabulary differs");
-    }
+  if (*tables != tables_) {
+    throw std::runtime_error(
+        "SegmentStore: " + path +
+        " holds another policy set (table count, shapes or vocabularies "
+        "differ from this deployment's)");
   }
 }
 
@@ -417,8 +500,8 @@ void SegmentStore::scan_segment(Segment& seg) {
   seg.records = 0;
   while (seg.used + kMinRecordBytes <= seg.bytes) {
     std::uint64_t len = 0;
-    const RecordKind kind = check_record(seg.base, seg.used, seg.bytes,
-                                         num_states_, num_actions_, len);
+    const RecordKind kind =
+        check_record(seg.base, seg.used, seg.bytes, cells_, row_width_, len);
     // A clean tail (or a crashed, unpublished append) ends the segment.
     // Variable strides mean a record after an invalid one cannot be
     // located: the valid prefix ends there too, and the next append
@@ -491,7 +574,8 @@ void SegmentStore::publish_index(std::uint64_t user, Segment& seg,
   if (user >= reserved_users_) reserved_users_ = user + 1;
 }
 
-void SegmentStore::reserve_users(std::uint64_t users) {
+void SegmentStore::size_lanes(std::uint64_t users,
+                              void (UserIndex::*size)(std::uint64_t)) {
   if (users > UserIndex::kMaxUsers) {
     throw std::invalid_argument("SegmentStore: too many users for the index");
   }
@@ -500,7 +584,7 @@ void SegmentStore::reserve_users(std::uint64_t users) {
     // Lane w owns users w, w+W, w+2W, ... below `users`.
     const std::uint64_t lane_users =
         users > w ? (users - w - 1) / params_.writers + 1 : 0;
-    writers_[w]->index.reserve(lane_users);
+    (writers_[w]->index.*size)(lane_users);
   }
 }
 
@@ -620,12 +704,12 @@ SegmentStore::Segment* SegmentStore::new_segment(Writer& w) {
 }
 
 std::size_t SegmentStore::write_record(Writer& w, std::uint64_t user,
-                                       const rl::QTable& q,
+                                       std::span<const rl::QTable> set,
                                        std::uint64_t version,
                                        bool allow_delta) {
-  const std::uint64_t qn = num_states_ * num_actions_;
   bool use_delta = false;
   std::size_t n_rows = 0;
+  std::size_t delta_bytes = 0;
   std::uint64_t parent_version = 0;
   std::uint64_t parent_off = 0;
   UserIndex::Loc cur{};
@@ -638,13 +722,20 @@ std::size_t SegmentStore::write_record(Writer& w, std::uint64_t user,
         chain_depth(cur) < params_.rebase_every) {
       bool base_ok = true;
       try {
-        load(user, *w.scratch);
+        load(user, w.scratch);
       } catch (const std::runtime_error&) {
         base_ok = false;  // rot under the chain: rebase with an anchor
       }
       if (base_ok) {
-        n_rows = planning::count_changed_rows(*w.scratch, q);
-        if (delta_record_bytes(n_rows, num_actions_) < anchor_bytes_) {
+        std::size_t words = 8;
+        for (std::size_t t = 0; t < tables_.size(); ++t) {
+          const std::size_t rows =
+              planning::count_changed_rows(w.scratch[t], set[t]);
+          n_rows += rows;
+          words += rows * (1 + tables_[t].num_actions);
+        }
+        delta_bytes = 8 * words;
+        if (delta_bytes < anchor_bytes_) {
           use_delta = true;
           parent_off = std::uint64_t{cur.off8} * 8;
           parent_version = wire::load_u64(cseg->base + parent_off + 24);
@@ -652,8 +743,7 @@ std::size_t SegmentStore::write_record(Writer& w, std::uint64_t user,
       }
     }
   }
-  std::size_t need =
-      use_delta ? delta_record_bytes(n_rows, num_actions_) : anchor_bytes_;
+  std::size_t need = use_delta ? delta_bytes : anchor_bytes_;
   Segment* seg = w.tail;
   if (seg == nullptr || seg->used + need > seg->bytes) {
     seg = new_segment(w);
@@ -671,14 +761,20 @@ std::size_t SegmentStore::write_record(Writer& w, std::uint64_t user,
     wire::store_u64(rec + 32, parent_version);
     wire::store_u64(rec + 40, parent_off);
     wire::store_u64(rec + 48, n_rows);
-    planning::encode_changed_rows(*w.scratch, q, rec + 56);
+    unsigned char* rp = rec + 56;
+    for (std::size_t t = 0; t < tables_.size(); ++t) {
+      rp = planning::encode_changed_rows(w.scratch[t], set[t], rp,
+                                         first_row_[t]);
+    }
   } else {
-    wire::store_u64(rec + 32, qn);
+    wire::store_u64(rec + 32, cells_);
     unsigned char* qp = rec + 40;
-    for (std::size_t s = 0; s < num_states_; ++s) {
-      for (const double v : q.row(static_cast<rl::StateId>(s))) {
-        wire::store_f64(qp, v);
-        qp += 8;
+    for (const rl::QTable& q : set) {
+      for (rl::StateId s = 0; s < q.num_states(); ++s) {
+        for (const double v : q.row(s)) {
+          wire::store_f64(qp, v);
+          qp += 8;
+        }
       }
     }
   }
@@ -730,10 +826,22 @@ std::size_t SegmentStore::write_record(Writer& w, std::uint64_t user,
   return need;
 }
 
-void SegmentStore::append(std::uint64_t user, const rl::QTable& q,
+bool SegmentStore::matches(std::span<const rl::QTable> set) const noexcept {
+  if (set.size() != tables_.size()) return false;
+  for (std::size_t t = 0; t < set.size(); ++t) {
+    if (set[t].num_states() != tables_[t].num_states ||
+        set[t].num_actions() != tables_[t].num_actions) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void SegmentStore::append(std::uint64_t user, std::span<const rl::QTable> set,
                           std::uint64_t version) {
-  if (q.num_states() != num_states_ || q.num_actions() != num_actions_) {
-    throw std::runtime_error("SegmentStore::append: table shape mismatch");
+  if (!matches(set)) {
+    throw std::runtime_error(
+        "SegmentStore::append: policy set does not match the store's tables");
   }
   if (user >= reserved_users_) {
     throw std::runtime_error(
@@ -741,7 +849,7 @@ void SegmentStore::append(std::uint64_t user, const rl::QTable& q,
   }
   Writer& w = writer_for(user);
   maybe_compact(w);
-  const std::size_t bytes = write_record(w, user, q, version, true);
+  const std::size_t bytes = write_record(w, user, set, version, true);
   appends_.fetch_add(1, std::memory_order_relaxed);
   appended_bytes_.fetch_add(bytes, std::memory_order_relaxed);
 }
@@ -754,16 +862,16 @@ std::optional<std::uint64_t> SegmentStore::latest_version(
   return version_at(loc);
 }
 
-std::optional<std::uint64_t> SegmentStore::load(std::uint64_t user,
-                                                rl::QTable& q) const {
-  if (q.num_states() != num_states_ || q.num_actions() != num_actions_) {
-    throw std::runtime_error("SegmentStore::load: table shape mismatch");
+std::optional<std::uint64_t> SegmentStore::load(
+    std::uint64_t user, std::span<rl::QTable> set) const {
+  if (!matches(set)) {
+    throw std::runtime_error(
+        "SegmentStore::load: policy set does not match the store's tables");
   }
   const Writer& w = writer_for(user);
   UserIndex::Loc loc;
   if (!w.index.find(user, loc)) return std::nullopt;
   const Segment* seg = seg_by_id_[loc.seg];
-  const std::uint64_t qn = num_states_ * num_actions_;
   const unsigned char* base = seg->base;
   const std::size_t off0 = std::size_t{loc.off8} * 8;
   const auto fail = [user] {
@@ -773,8 +881,8 @@ std::optional<std::uint64_t> SegmentStore::load(std::uint64_t user,
         std::to_string(user));
   };
 
-  // Validate the whole chain newest -> anchor before touching q: `q` is
-  // written only after every record it depends on has checked out.
+  // Validate the whole chain newest -> anchor before touching the set: it
+  // is written only after every record it depends on has checked out.
   std::array<const unsigned char*, kMaxChainRecords + 1> chain;
   std::size_t depth = 0;
   std::size_t off = off0;
@@ -798,20 +906,13 @@ std::optional<std::uint64_t> SegmentStore::load(std::uint64_t user,
     }
     if (depth >= chain.size()) throw fail();
     if (anchor) {
-      if (wire::load_u64(rec + 32) != qn || len != anchor_bytes_) throw fail();
+      if (wire::load_u64(rec + 32) != cells_ || len != anchor_bytes_) {
+        throw fail();
+      }
       chain[depth++] = rec;
       break;
     }
-    const std::uint64_t n_rows = wire::load_u64(rec + 48);
-    if (n_rows > num_states_ ||
-        len != delta_record_bytes(n_rows, num_actions_)) {
-      throw fail();
-    }
-    const unsigned char* rp = rec + 56;
-    for (std::uint64_t i = 0; i < n_rows; ++i) {
-      if (wire::load_u64(rp) >= num_states_) throw fail();
-      rp += 8 * (1 + num_actions_);
-    }
+    if (!delta_rows_fit(rec, len, row_width_)) throw fail();
     const std::uint64_t parent = wire::load_u64(rec + 40);
     if (parent < kSegmentHeaderBytes || parent % 8 != 0 || parent >= off) {
       throw fail();
@@ -824,10 +925,12 @@ std::optional<std::uint64_t> SegmentStore::load(std::uint64_t user,
 
   // Apply: the anchor, then every delta oldest -> newest.
   const unsigned char* qp = chain[depth - 1] + 40;
-  for (std::size_t s = 0; s < num_states_; ++s) {
-    for (double& v : q.row_mut(static_cast<rl::StateId>(s))) {
-      v = wire::load_f64(qp);
-      qp += 8;
+  for (rl::QTable& q : set) {
+    for (rl::StateId s = 0; s < q.num_states(); ++s) {
+      for (double& v : q.row_mut(s)) {
+        v = wire::load_f64(qp);
+        qp += 8;
+      }
     }
   }
   for (std::size_t i = depth - 1; i-- > 0;) {
@@ -835,9 +938,11 @@ std::optional<std::uint64_t> SegmentStore::load(std::uint64_t user,
     const std::uint64_t n_rows = wire::load_u64(rec + 48);
     const unsigned char* rp = rec + 56;
     for (std::uint64_t r = 0; r < n_rows; ++r) {
-      const auto row = static_cast<rl::StateId>(wire::load_u64(rp));
+      const std::uint64_t row = wire::load_u64(rp);
       rp += 8;
-      for (double& v : q.row_mut(row)) {
+      const std::uint32_t t = row_table_[row];
+      for (double& v : set[t].row_mut(
+               static_cast<rl::StateId>(row - first_row_[t]))) {
         v = wire::load_f64(rp);
         rp += 8;
       }
@@ -877,7 +982,7 @@ void SegmentStore::compact_writer(Writer& w) {
     for (const std::uint64_t u : users) {
       std::optional<std::uint64_t> v;
       try {
-        v = load(u, *w.scratch);
+        v = load(u, w.scratch);
       } catch (const std::runtime_error&) {
         // Bit rot since the open-time scan: leave this user's entry
         // pointing into its old segment (reachable > 0 keeps the file).
@@ -885,7 +990,7 @@ void SegmentStore::compact_writer(Writer& w) {
       }
       if (!v) continue;
       // Anchor rebase: every live user restarts as a fresh full record.
-      write_record(w, u, *w.scratch, *v, /*allow_delta=*/false);
+      write_record(w, u, w.scratch, *v, /*allow_delta=*/false);
     }
   } catch (...) {
     // Crash seam / I/O failure mid-rebase: stitch the old segments back in
@@ -975,21 +1080,22 @@ SegmentStore::Info SegmentStore::inspect(const std::string& dir) {
   std::ifstream meta_in(dir + "/" + kMetaFileName, std::ios::binary);
   std::vector<unsigned char> meta{std::istreambuf_iterator<char>(meta_in),
                                   std::istreambuf_iterator<char>()};
-  if (meta.size() < 8 + 6 * 8 + 8 ||
-      std::memcmp(meta.data(), kStoreMetaMagic, 8) != 0) {
+  if (meta.size() < 16 || std::memcmp(meta.data(), kStoreMetaMagic, 8) != 0) {
     return info;
   }
   info.meta_format = wire::load_u64(meta.data() + 8);
-  info.num_steps = wire::load_u64(meta.data() + 16);
-  info.num_tools = wire::load_u64(meta.data() + 24);
-  info.num_states = wire::load_u64(meta.data() + 32);
-  info.num_actions = wire::load_u64(meta.data() + 40);
-  info.meta_ok =
-      info.meta_format == kMetaFormatVersion &&
-      meta.size() == 8 + 6 * 8 + 8 * (info.num_steps + info.num_tools) + 8 &&
-      wire::load_u64(meta.data() + meta.size() - 8) ==
-          wire::checksum64(meta.data(), meta.size() - 8);
-  if (!info.meta_ok) return info;
+  if (info.meta_format != kMetaFormatVersion ||
+      meta.size() < kMetaPrefixBytes + 8 ||
+      wire::load_u64(meta.data() + meta.size() - 8) !=
+          wire::checksum64(meta.data(), meta.size() - 8)) {
+    return info;
+  }
+  std::optional<std::vector<TableSchema>> tables = decode_meta_tables(meta);
+  if (!tables) return info;
+  info.meta_ok = true;
+  info.tables = std::move(*tables);
+  const std::uint64_t cells = set_cells(info.tables);
+  const std::vector<std::uint32_t> row_width = row_widths(info.tables);
 
   struct FileKey {
     std::uint64_t writer;
@@ -1041,8 +1147,7 @@ SegmentStore::Info SegmentStore::inspect(const std::string& dir) {
       while (off + kMinRecordBytes <= buf.size()) {
         std::uint64_t len = 0;
         const RecordKind kind =
-            check_record(buf.data(), off, buf.size(), info.num_states,
-                         info.num_actions, len);
+            check_record(buf.data(), off, buf.size(), cells, row_width, len);
         if (kind == RecordKind::kEnd) break;  // tail
         if (kind == RecordKind::kCorrupt) {
           ++info.corrupt_records;  // prefix ends: the rest is unreachable

@@ -19,12 +19,19 @@ namespace coreda::serve {
 // "coreda-policy store" — the one on-disk format for per-user policies: a
 // memory-mapped, segmented, append-only store.
 //
-// One directory holds every user's policy:
+// What a user owns is a *policy set*: one Q table per ADL the deployment
+// plans (a whole home has one per ADL; a single-ADL deployment is a set of
+// one), persisted as ONE record, so a user who interleaves ADLs can never
+// check out a torn set. Rows are numbered across the set, table after
+// table; a row's width is its table's action count.
 //
-//   store.meta            "CRDASTR1", format version (2), table shape,
-//                         segment size, step + tool vocabularies, and a
-//                         checksum64 trailer over every preceding byte
-//                         (atomic temp+rename publish)
+// One directory holds every user's policy set:
+//
+//   store.meta            "CRDASTR1", format version (3), segment size, the
+//                         table count, then per table its shape (steps,
+//                         tools, states, actions) and step + tool
+//                         vocabularies, and a checksum64 trailer over every
+//                         preceding byte (atomic temp+rename publish)
 //   seg-w<writer>-<seq>.seg   mmap'd append-only segments
 //   seg-w<writer>.spare       a reclaimed segment kept mapped for the
 //                             writer's next roll; open, scan and inspect
@@ -32,8 +39,9 @@ namespace coreda::serve {
 //
 // Every checksum below is util::wire::checksum64: any change confined to
 // one 8-byte word of the hashed range is always detected. A store.meta of
-// another format version (format 1 hashed with FNV-1a 64) is refused at
-// open by its version field, before its trailer is checked.
+// another format version (format 1 hashed with FNV-1a 64; format 2 held
+// exactly one table) is refused at open by its version field, before its
+// trailer is checked.
 //
 // Segment format ("CRDASEG2", all integers little-endian u64, doubles as
 // LE IEEE-754 bit patterns) — variable-stride records, 8-byte aligned:
@@ -51,20 +59,23 @@ namespace coreda::serve {
 //   user       u64
 //   version    u64
 //
-// Anchor — a full table (len = 8 * (6 + q_count)):
+// Anchor — the whole set (len = 8 * (6 + q_count)):
 //
-//   q_count    u64  n_states * n_actions
-//   q          q_count x f64, row-major
+//   q_count    u64  cells across the set's tables
+//   q          q_count x f64: the tables back to back, each row-major
 //   checksum   u64  checksum64 over bytes [8, len - 8)
 //
 // Delta — the rows that changed since the parent record
-// (len = 8 * (8 + n_rows * (1 + n_actions))):
+// (len = 8 * (8 + sum over its rows of (1 + width(row_index)))):
 //
 //   parent_version u64  version the delta applies on top of
 //   parent_off     u64  byte offset of the parent record in THIS segment
-//   n_rows         u64  changed Q rows
-//   rows           n_rows x (u64 row_index + n_actions x f64)
+//   n_rows         u64  changed Q rows (at most the set's rows)
+//   rows           n_rows x (u64 row_index + width(row_index) x f64)
 //   checksum       u64  checksum64 over bytes [8, len - 8)
+//
+// A one-table store's records are exactly format 2's: only store.meta
+// changed.
 //
 // A user's records form a chain: each delta back-points to that user's
 // previous record via parent_off. Chains never span segments — the first
@@ -110,7 +121,7 @@ namespace coreda::serve {
 
 /// store.meta format version this build writes and reads (the version
 /// field follows the magic; any other value is refused at open).
-inline constexpr std::uint64_t kMetaFormatVersion = 2;
+inline constexpr std::uint64_t kMetaFormatVersion = 3;
 
 /// The 8 magic bytes opening store.meta / segments / records.
 inline constexpr char kStoreMetaMagic[8] = {'C', 'R', 'D', 'A',
@@ -121,6 +132,17 @@ inline constexpr char kAnchorMagic[8] = {'C', 'R', 'D', 'A',
                                          'R', 'E', 'C', '2'};
 inline constexpr char kDeltaMagic[8] = {'C', 'R', 'D', 'A',
                                         'D', 'E', 'L', '2'};
+
+/// One table of a policy set: its shape and the vocabularies its rows and
+/// columns are keyed by (a planner's state symbols and action tools).
+struct TableSchema {
+  std::vector<adl::StepId> steps;
+  std::vector<adl::ToolId> tools;
+  std::size_t num_states = 0;
+  std::size_t num_actions = 0;
+
+  bool operator==(const TableSchema&) const = default;
+};
 
 struct SegmentStoreParams {
   /// Store directory (required). Created when missing; an existing store
@@ -153,9 +175,13 @@ struct SegmentStoreParams {
 /// fleet scale there is no resident per-user table to stage).
 class SegmentStore {
  public:
-  /// Opens (or creates) the store at params.dir with the given schema.
-  /// Throws std::runtime_error when an existing store.meta disagrees with
-  /// the schema, std::invalid_argument on degenerate params.
+  /// Opens (or creates) the store at params.dir for policy sets of the
+  /// given tables, in order. Throws std::runtime_error when an existing
+  /// store.meta disagrees with the table list (count, order, shapes or
+  /// vocabularies), std::invalid_argument on degenerate params or an
+  /// empty or zero-dimension table list.
+  SegmentStore(std::vector<TableSchema> tables, SegmentStoreParams params);
+  /// A one-table store (a set of one).
   SegmentStore(std::span<const adl::StepId> steps,
                std::span<const adl::ToolId> tools, std::size_t num_states,
                std::size_t num_actions, SegmentStoreParams params);
@@ -164,31 +190,49 @@ class SegmentStore {
   SegmentStore(const SegmentStore&) = delete;
   SegmentStore& operator=(const SegmentStore&) = delete;
 
-  /// Pre-sizes every writer lane's user index (setup phase only —
-  /// concurrent appends must never grow a slab). Appending for a user id
-  /// >= the reserved count throws.
-  void reserve_users(std::uint64_t users);
+  /// Pre-sizes every writer lane's user index to exactly `users` (setup
+  /// phase only — concurrent appends must never grow a slab). Appending
+  /// for a user id >= the reserved count throws.
+  void reserve_users(std::uint64_t users) {
+    size_lanes(users, &UserIndex::reserve);
+  }
+  /// reserve_users() for one-at-a-time registration: a lane that must grow
+  /// at least doubles its slab, so registering n users rehashes O(log n)
+  /// times. Setup phase only.
+  void grow_users(std::uint64_t users) { size_lanes(users, &UserIndex::grow); }
 
-  /// Durably records (user, version, q). When the user's previous record
-  /// lives in the current tail segment and its chain is short enough, this
-  /// appends a changed-row delta; otherwise a full anchor. Steady-state
+  /// Durably records (user, version, set): `set` holds one table per
+  /// schema table, in order. When the user's previous record lives in the
+  /// current tail segment and its chain is short enough, this appends a
+  /// changed-row delta; otherwise a full anchor. Steady-state
   /// allocation-free: the record lands straight in the tail mapping; only
   /// a roll onto a fresh file or a compaction allocates (reclaiming a
   /// segment and recycling the spare do not). Throws std::runtime_error on
-  /// a shape mismatch or I/O failure. Safe to call concurrently for users
-  /// of *different* writers (`user % writers()`).
-  void append(std::uint64_t user, const rl::QTable& q, std::uint64_t version);
+  /// a set-size or shape mismatch or I/O failure. Safe to call
+  /// concurrently for users of *different* writers (`user % writers()`).
+  void append(std::uint64_t user, std::span<const rl::QTable> set,
+              std::uint64_t version);
+  /// One-table store: appends the set {q}.
+  void append(std::uint64_t user, const rl::QTable& q, std::uint64_t version) {
+    append(user, std::span<const rl::QTable>(&q, 1), version);
+  }
 
   /// Version of the newest valid record for `user`, nullopt when none.
   std::optional<std::uint64_t> latest_version(std::uint64_t user) const;
 
-  /// Loads the newest table for `user` into `q` (must match the schema
-  /// shape): validates the user's whole record chain (anchor + deltas),
-  /// then applies it. Returns its version, or nullopt when the store holds
-  /// nothing for this user. Throws std::runtime_error when any chain
-  /// record fails validation (bit rot after the open-time scan); `q` is
-  /// written only after the full chain validates. Allocation-free.
-  std::optional<std::uint64_t> load(std::uint64_t user, rl::QTable& q) const;
+  /// Loads the newest set for `user` into `set` (one table per schema
+  /// table, each of its shape): validates the user's whole record chain
+  /// (anchor + deltas), then applies it. Returns its version, or nullopt
+  /// when the store holds nothing for this user. Throws std::runtime_error
+  /// when any chain record fails validation (bit rot after the open-time
+  /// scan); no table of `set` is written until the full chain validates.
+  /// Allocation-free.
+  std::optional<std::uint64_t> load(std::uint64_t user,
+                                    std::span<rl::QTable> set) const;
+  /// One-table store: loads the set {q}.
+  std::optional<std::uint64_t> load(std::uint64_t user, rl::QTable& q) const {
+    return load(user, std::span<rl::QTable>(&q, 1));
+  }
 
   std::size_t writers() const noexcept { return params_.writers; }
   std::size_t num_segments() const noexcept;
@@ -212,8 +256,8 @@ class SegmentStore {
   std::uint64_t delta_records_written() const noexcept {
     return delta_records_.load(std::memory_order_relaxed);
   }
-  /// Bytes one full anchor record takes — the denominator of the delta
-  /// format's write savings.
+  /// Bytes one full anchor record (the whole set) takes — the denominator
+  /// of the delta format's write savings.
   std::size_t anchor_record_bytes() const noexcept { return anchor_bytes_; }
   /// Total bytes across every writer lane's index slab (the resident
   /// index cost; divide by users for the gated index_bytes_per_user).
@@ -229,8 +273,11 @@ class SegmentStore {
     return reclaimed_.load(std::memory_order_relaxed);
   }
   const SegmentStoreParams& params() const noexcept { return params_; }
-  std::size_t num_states() const noexcept { return num_states_; }
-  std::size_t num_actions() const noexcept { return num_actions_; }
+  /// The policy set's tables, in record order.
+  std::span<const TableSchema> tables() const noexcept { return tables_; }
+  /// The first table's shape — a one-table store's only table.
+  std::size_t num_states() const noexcept { return tables_[0].num_states; }
+  std::size_t num_actions() const noexcept { return tables_[0].num_actions; }
 
   /// Every user with a record, ascending (offline tooling and tests).
   std::vector<std::uint64_t> user_ids() const;
@@ -271,10 +318,8 @@ class SegmentStore {
     double mean_chain_length = 0.0;  ///< mean records per live chain here
   };
   struct Info {
-    std::size_t num_steps = 0;
-    std::size_t num_tools = 0;
-    std::size_t num_states = 0;
-    std::size_t num_actions = 0;
+    /// store.meta's table list (empty unless meta_ok).
+    std::vector<TableSchema> tables;
     std::size_t segments = 0;
     std::uint64_t records = 0;          ///< valid records scanned
     std::uint64_t anchors = 0;          ///< ... of which full tables
@@ -286,8 +331,9 @@ class SegmentStore {
     std::uint64_t max_version = 0;
     double mean_chain_length = 0.0;     ///< mean records per live chain
     std::uint64_t meta_format = 0;      ///< store.meta's format version
-    /// store.meta has this build's format version, a consistent size and
-    /// a valid trailer; records are scanned only when it does.
+    /// store.meta has this build's format version, a valid trailer and a
+    /// well-formed, non-degenerate table list; records are scanned only
+    /// when it does.
     bool meta_ok = false;
     std::vector<SegmentInfo> segment_details;
   };
@@ -299,6 +345,12 @@ class SegmentStore {
   struct Segment;
   struct Writer;
 
+  /// Whether `set` has one table per schema table, each of its shape.
+  bool matches(std::span<const rl::QTable> set) const noexcept;
+  /// Sizes every writer lane's index for the users below `users` with
+  /// `size` (UserIndex::reserve or ::grow).
+  void size_lanes(std::uint64_t users,
+                  void (UserIndex::*size)(std::uint64_t));
   void write_meta() const;
   void validate_meta() const;
   void open_existing_segments();
@@ -320,7 +372,8 @@ class SegmentStore {
                      std::uint64_t version);
   /// Appends one record (delta when profitable and allowed) and flips the
   /// index. Returns the bytes written.
-  std::size_t write_record(Writer& w, std::uint64_t user, const rl::QTable& q,
+  std::size_t write_record(Writer& w, std::uint64_t user,
+                           std::span<const rl::QTable> set,
                            std::uint64_t version, bool allow_delta);
   void maybe_compact(Writer& w);
   void compact_writer(Writer& w);
@@ -334,10 +387,13 @@ class SegmentStore {
   }
 
   SegmentStoreParams params_;
-  std::vector<adl::StepId> steps_;
-  std::vector<adl::ToolId> tools_;
-  std::size_t num_states_ = 0;
-  std::size_t num_actions_ = 0;
+  std::vector<TableSchema> tables_;
+  /// The set's rows numbered across its tables: each row's width (its
+  /// table's action count) and table; and each table's first row.
+  std::vector<std::uint32_t> row_width_;
+  std::vector<std::uint32_t> row_table_;
+  std::vector<std::size_t> first_row_;
+  std::size_t cells_ = 0;         ///< Q cells across the set
   std::size_t anchor_bytes_ = 0;  ///< anchor record length
   std::vector<std::unique_ptr<Writer>> writers_;
   /// Segments found on open whose writer id exceeds params.writers (the

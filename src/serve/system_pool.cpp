@@ -6,8 +6,8 @@
 
 namespace coreda::serve {
 
-SystemPool::SystemPool(const adl::AdlLibrary& library, const adl::Adl& adl,
-                       PolicyStore& store, SystemPoolParams params)
+SystemPool::SystemPool(PolicyStore& store, SystemPoolParams params,
+                       const Builder& build)
     : store_(&store) {
   if (params.slots == 0) {
     throw std::invalid_argument("SystemPool: slots must be >= 1");
@@ -17,33 +17,47 @@ SystemPool::SystemPool(const adl::AdlLibrary& library, const adl::Adl& adl,
     core::SystemConfig config = params.system;
     config.seed = exec::trial_seed(params.seed, i);
     Slot slot;
-    slot.system =
-        std::make_unique<core::HomeDeployment>(library, adl, config);
+    slot.system = build(config);
+    if (slot.system->adls().size() != store.num_tables()) {
+      throw std::invalid_argument(
+          "SystemPool: slot deployments must plan one ADL per table of the "
+          "store's policy sets");
+    }
+    for (const adl::Adl& adl : slot.system->adls()) {
+      slot.adls.push_back(adl.name());
+      slot.tables.push_back(&slot.system->learner(adl.name()).q());
+    }
     slots_.push_back(std::move(slot));
   }
 }
 
-void SystemPool::serve_session(
-    UserId user, const patient::PatientProfile& profile,
-    sim::Duration max_duration,
-    const std::function<void(patient::PatientActor&)>& setup,
-    core::SessionResult& result) {
-  Slot& slot = slots_[slot_for(user)];
+SystemPool::Builder SystemPool::single_adl(const adl::AdlLibrary& library,
+                                           const adl::Adl& adl) {
+  return [&library, &adl](const core::SystemConfig& config) {
+    return std::make_unique<core::HomeDeployment>(library, adl, config);
+  };
+}
+
+void SystemPool::checkout(UserId user, Slot& slot) {
   if (slot.resident == user) {
-    // The slot's learner already holds this user's latest table (every
+    // The slot's learners already hold this user's latest set (every
     // session stages back on its way out), so the checkout is free.
     ++slot.hits;
-  } else {
-    slot.system->import_policy(store_->q(user));
-    slot.resident = user;
-    ++slot.swaps;
+    return;
   }
-  slot.system->run_session_inplace(profile, max_duration, setup, result);
+  for (std::size_t t = 0; t < slot.adls.size(); ++t) {
+    slot.system->import_policy(slot.adls[t], store_->q(user, t));
+  }
+  slot.resident = user;
+  ++slot.swaps;
+}
+
+void SystemPool::stage_back(UserId user, Slot& slot) {
   // Write-back even when learning is off: the version bump marks the
   // snapshot current, and a user whose next session lands after another
   // tenant evicted them re-imports exactly what they left behind.
   try {
-    store_->stage(user, slot.system->learner().q());
+    store_->stage(user, slot.tables);
   } catch (const faults::InjectedCrash&) {
     // The crash hit the disk flush after stage() already committed the
     // in-memory entry: serving state is intact, persistence retries on a
@@ -52,6 +66,28 @@ void SystemPool::serve_session(
     ++slot.crashed_stages;
   }
   ++slot.sessions;
+}
+
+void SystemPool::serve_session(
+    UserId user, const patient::PatientProfile& profile,
+    sim::Duration max_duration,
+    const std::function<void(patient::PatientActor&)>& setup,
+    core::SessionResult& result) {
+  Slot& slot = slots_[slot_for(user)];
+  checkout(user, slot);
+  slot.system->run_session_inplace(profile, max_duration, setup, result);
+  stage_back(user, slot);
+}
+
+core::HomeScriptResult SystemPool::serve_script(
+    UserId user, const core::SessionScript& script,
+    const patient::PatientProfile& profile, sim::Duration max_duration) {
+  Slot& slot = slots_[slot_for(user)];
+  checkout(user, slot);
+  core::HomeScriptResult result =
+      slot.system->run_script(script, profile, max_duration);
+  stage_back(user, slot);
+  return result;
 }
 
 void SystemPool::arm_fault_bursts(faults::Site& site) noexcept {

@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/home.hpp"
@@ -11,69 +13,93 @@
 namespace coreda::serve {
 
 struct SystemPoolParams {
-  /// Warm single-ADL HomeDeployments — the box's working-set budget. Far
-  /// fewer than users: sharding maps user u to slot u % slots.
+  /// Warm HomeDeployments — the box's working-set budget. Far fewer than
+  /// users: sharding maps user u to slot u % slots.
   std::size_t slots = 4;
-  /// Slot i's system is seeded with exec::trial_seed(seed, i), so pool
-  /// behavior is a pure function of configuration, never of scheduling.
+  /// Slot i's deployment is built with seed exec::trial_seed(seed, i), so
+  /// pool behavior is a pure function of configuration, never of
+  /// scheduling.
   std::uint64_t seed = 42;
-  /// Template for every slot's system (the seed field is overridden
+  /// Template for every slot's deployment (the seed field is overridden
   /// per slot).
   core::SystemConfig system{};
 };
 
-/// A fixed pool of warm single-ADL HomeDeployments shared by many users.
+/// A fixed pool of warm HomeDeployments shared by many users.
 ///
 /// PR 3 made one warm system serve back-to-back sessions allocation-free
 /// and made policy swaps cheap (import_policy); the pool turns that into a
 /// multi-tenant tier: each session is checkout -> import the user's policy
-/// from the store (skipped when the user is already resident) ->
-/// run_session_inplace -> stage the policy back -> return. Hit/swap
-/// counters expose how well residency tracks the request stream.
+/// set from the store, one table per ADL the slot plans, by ADL name
+/// (skipped when the user is already resident) -> run the session -> stage
+/// the whole set back -> return. Hit/swap counters expose how well
+/// residency tracks the request stream.
+///
+/// The caller's builder makes each slot's deployment, so one pool serves
+/// both kinds: single-ADL slots (serve_session; ServeEngine) and whole-home
+/// slots that adopted a donor's recognizer (serve_script; ScenarioRunner).
+/// The slot deployments must plan one ADL per table of the store's sets.
 ///
 /// Determinism: users are sharded statically (slot = user % slots), so a
 /// slot's session sequence — and therefore every simulated outcome — is a
-/// pure function of (params, store contents, request order). The
-/// ServeEngine runs one trial per slot on the exec pool: any --jobs value
+/// pure function of (params, builder, store contents, request order). The
+/// drivers run one trial per slot on the exec pool: any --jobs value
 /// produces byte-identical results, only wall-clock differs.
 ///
 /// Thread-safety: calls for users of different slots may run concurrently
-/// (disjoint systems, disjoint store entries); calls within one slot must
-/// be serialized — which the per-slot trial sharding gives for free.
+/// (disjoint deployments, disjoint store entries); calls within one slot
+/// must be serialized — which the per-slot trial sharding gives for free.
 class SystemPool {
  public:
   static constexpr UserId kNoUser = std::numeric_limits<UserId>::max();
+  /// Builds one slot's deployment from its config (seed already set).
+  using Builder = std::function<std::unique_ptr<core::HomeDeployment>(
+      const core::SystemConfig&)>;
 
-  /// `library`, `adl` and `store` must outlive the pool. All slot systems
-  /// are built warm (and their pools provisioned) at construction.
-  SystemPool(const adl::AdlLibrary& library, const adl::Adl& adl,
-             PolicyStore& store, SystemPoolParams params = {});
+  /// `store` (and whatever `build` captures) must outlive the pool. Every
+  /// slot is built warm here. Throws std::invalid_argument when a slot's
+  /// deployment plans another number of ADLs than the store's sets hold.
+  SystemPool(PolicyStore& store, SystemPoolParams params,
+             const Builder& build);
+
+  /// The builder of single-ADL slots deploying `adl` (both must outlive
+  /// the pool).
+  static Builder single_adl(const adl::AdlLibrary& library,
+                            const adl::Adl& adl);
 
   std::size_t slots() const noexcept { return slots_.size(); }
   std::size_t slot_for(UserId user) const noexcept {
     return user % slots_.size();
   }
 
-  /// Serves one closed-loop session for `user` on its home slot. The
-  /// caller owns `result`, which is reused across calls — at steady state
-  /// (warm slot, registered user) the whole serve, including a policy
-  /// swap and the write-back, performs zero heap allocations.
+  /// Single-ADL slots: serves one closed-loop session for `user` on its
+  /// home slot. The caller owns `result`, which is reused across calls —
+  /// at steady state (warm slot, registered user) the whole serve,
+  /// including a policy swap and the write-back, performs zero heap
+  /// allocations.
   void serve_session(
       UserId user, const patient::PatientProfile& profile,
       sim::Duration max_duration,
       const std::function<void(patient::PatientActor&)>& setup,
       core::SessionResult& result);
 
+  /// Whole-home slots: serves one scripted multi-ADL session for `user` on
+  /// its home slot: checkout -> run_script -> stage the set back.
+  core::HomeScriptResult serve_script(UserId user,
+                                      const core::SessionScript& script,
+                                      const patient::PatientProfile& profile,
+                                      sim::Duration max_duration);
+
   /// Drops the user's slot residency so their next session re-imports from
   /// the store. The retraining scheduler calls this after staging a
-  /// refreshed table: residency means "the slot's learner already holds the
-  /// user's latest table", which a retrain makes false without the slot
+  /// refreshed table: residency means "the slot's learners already hold the
+  /// user's latest set", which a retrain makes false without the slot
   /// ever seeing the new version. No-op when the user is not resident.
   void invalidate(UserId user);
   /// invalidate() calls that actually dropped a residency.
   std::uint64_t invalidations() const noexcept { return invalidations_; }
 
-  /// Arms every slot system's radio burst chain against `site` (lane =
+  /// Arms every slot deployment's radio burst chain against `site` (lane =
   /// slot index). Setup phase only.
   void arm_fault_bursts(faults::Site& site) noexcept;
   /// Write-backs whose disk flush an injected crash aborted (the staged
@@ -82,7 +108,7 @@ class SystemPool {
 
   /// Sessions whose user was already resident on their slot (no import).
   std::uint64_t hits() const noexcept;
-  /// Sessions that had to import the user's policy from the store.
+  /// Sessions that had to import the user's policy set from the store.
   std::uint64_t swaps() const noexcept;
   std::uint64_t sessions() const noexcept;
 
@@ -93,12 +119,21 @@ class SystemPool {
  private:
   struct Slot {
     std::unique_ptr<core::HomeDeployment> system;
+    /// The names of the ADLs the deployment plans, in set order, and their
+    /// planners' tables: the set staged back after every session.
+    std::vector<std::string> adls;
+    std::vector<const rl::QTable*> tables;
     UserId resident = kNoUser;
     std::uint64_t hits = 0;
     std::uint64_t swaps = 0;
     std::uint64_t sessions = 0;
     std::uint64_t crashed_stages = 0;
   };
+
+  /// Makes `user` resident on `slot`, importing their set on a swap.
+  void checkout(UserId user, Slot& slot);
+  /// Stages the slot's tables back as the user's next version.
+  void stage_back(UserId user, Slot& slot);
 
   PolicyStore* store_;
   std::vector<Slot> slots_;

@@ -1,5 +1,6 @@
 #include "serve/user_index.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -28,11 +29,9 @@ void UserIndex::place_new(std::uint64_t e) noexcept {
 }
 
 void UserIndex::reserve(std::uint64_t users) {
-  // Capacity such that `users` keys stay at or below 7/8 occupancy. Any
-  // capacity works with the fastrange slot mapping — no power-of-two
+  // Any capacity works with the fastrange slot mapping — no power-of-two
   // rounding, so the slab is never ~2x larger than asked for.
-  std::uint64_t cap = users + users / 7 + 1;
-  if (cap < 16) cap = 16;
+  const std::uint64_t cap = slots_for(users);
   if (cap <= slots_.size()) return;
   std::vector<std::uint64_t> old = std::move(slots_);
   slots_.assign(static_cast<std::size_t>(cap), kEmpty);
@@ -40,6 +39,11 @@ void UserIndex::reserve(std::uint64_t users) {
   for (const std::uint64_t e : old) {
     if (e != kEmpty) place_new(e);
   }
+}
+
+void UserIndex::grow(std::uint64_t users) {
+  if (slots_for(users) <= slots_.size()) return;
+  reserve(std::max(users, 2 * limit_));
 }
 
 void UserIndex::put(std::uint64_t user, Loc loc) {

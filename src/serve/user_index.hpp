@@ -45,10 +45,16 @@ class UserIndex {
   static constexpr std::uint32_t kMaxSegments = std::uint32_t{1} << 14;
   static constexpr std::uint32_t kMaxOff8 = std::uint32_t{1} << 20;
 
-  /// Grows the slab so `users` keys fit below the 7/8 load ceiling.
-  /// Rehashes in place when growing; never shrinks. Setup / scan phase
-  /// only — concurrent readers of the same lane must not be live.
+  /// Grows the slab so `users` keys fit below the 7/8 load ceiling, to
+  /// exactly that size. Rehashes in place when growing; never shrinks.
+  /// Setup / scan phase only — concurrent readers of the same lane must
+  /// not be live.
   void reserve(std::uint64_t users);
+
+  /// reserve() for callers that ask one key at a time (user registration):
+  /// a slab that must grow at least doubles, so n calls rehash O(log n)
+  /// times instead of n. Same phase rules as reserve().
+  void grow(std::uint64_t users);
 
   /// True when `user` has a location; writes it to `out`. Allocation-free.
   bool find(std::uint64_t user, Loc& out) const noexcept {
@@ -130,6 +136,12 @@ class UserIndex {
                                     std::size_t cap) noexcept {
     const std::size_t h = home(e >> 34, cap);
     return slot >= h ? slot - h : slot + cap - h;
+  }
+
+  /// Slab slots that hold `users` keys at or below 7/8 occupancy.
+  static std::uint64_t slots_for(std::uint64_t users) noexcept {
+    const std::uint64_t cap = users + users / 7 + 1;
+    return cap < 16 ? 16 : cap;
   }
 
   /// Places a packed entry known not to be present (rehash path).

@@ -4,7 +4,8 @@
 // segment store (records and store.meta). One definition keeps the byte-
 // level conventions — integers little-endian u64, doubles as LE IEEE-754
 // bit patterns — in one place instead of several anonymous namespaces
-// drifting apart. (The CRDABNDL bundle codec still carries its own FNV-1a.)
+// drifting apart. The segment store is the only durable policy format, so
+// this is the only record checksum.
 
 #include <bit>
 #include <cstdint>

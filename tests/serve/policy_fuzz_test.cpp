@@ -6,8 +6,9 @@
 //     append -> load byte-for-byte, as a full anchor and through a changed-
 //     row delta chain, across table shapes from 1x1 to larger than
 //     production, and again after a reopen;
-//   * a crafted zero-dimension v2 table record (the bundle entry codec) is
-//     rejected (QTable itself cannot even represent it);
+//   * a correctly checksummed store.meta declaring a zero-dimension table,
+//     or no table at all, is refused at open (QTable itself cannot even
+//     represent one);
 //   * the exhaustive corruption sweep: flipping one byte at EVERY offset of
 //     a user's newest record makes the live store's restore throw with the
 //     resident table byte-unchanged, and a restart recovers the previous
@@ -22,12 +23,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "adl/library.hpp"
-#include "planning/serialize.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace coreda::serve {
 namespace {
@@ -165,40 +165,64 @@ TEST(PolicyFuzzTest, RoundTripIsBitExactAcrossShapesAndValuePatterns) {
   EXPECT_GT(deltas, 0u);  // the chains, not just anchors, were exercised
 }
 
-/// Appends a little-endian u64 (the v2 wire encoding).
-void put_u64(std::string& out, std::uint64_t v) {
+/// Appends a little-endian u64 (the store's wire encoding).
+void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    out.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xFF));
   }
 }
 
 TEST(PolicyFuzzTest, ZeroDimensionSnapshotIsRejected) {
   // A QTable cannot even be constructed with a zero dimension, so a
-  // zero-dim record can only come from a corrupted or hostile bundle —
-  // craft one by hand, with a *correct* checksum, and make sure the loader
-  // rejects the dimensions themselves.
-  std::string bytes(planning::kPolicyV2Magic,
-                    sizeof(planning::kPolicyV2Magic));
-  put_u64(bytes, 3);  // version
-  put_u64(bytes, 0);  // n_steps
-  put_u64(bytes, 0);  // n_tools
-  put_u64(bytes, 0);  // n_states
-  put_u64(bytes, 0);  // n_actions
-  std::uint64_t h = 14695981039346656037ULL;  // FNV-1a 64
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  put_u64(bytes, h);
-
+  // zero-dimension table — or a policy set of no table at all — can only
+  // come from a corrupted or hostile store.meta. Craft each by hand, with
+  // a *correct* checksum, and make sure open refuses the table list itself
+  // (rewriting nothing) and inspect reports it without scanning.
+  const std::string dir = ::testing::TempDir() + "/coreda_fuzz_zero_dim";
   const std::vector<adl::StepId> steps = iota_steps(2);
   const std::vector<adl::ToolId> tools = iota_tools(2);
-  rl::QTable victim(2, 2, 1.25);
-  const rl::QTable before = victim;
-  std::istringstream in(bytes, std::ios::binary);
-  EXPECT_THROW(planning::load_policy_v2(in, steps, tools, victim),
-               std::runtime_error);
-  EXPECT_TRUE(bit_equal(victim, before));
+  struct Shape {
+    std::uint64_t tables, states, actions;
+  };
+  for (const Shape shape : {Shape{1, 0, 2}, Shape{1, 2, 0}, Shape{1, 0, 0},
+                            Shape{2, 2, 0}, Shape{0, 0, 0}}) {
+    std::vector<unsigned char> meta(kStoreMetaMagic, kStoreMetaMagic + 8);
+    put_u64(meta, kMetaFormatVersion);
+    put_u64(meta, std::uint64_t{1} << 20);  // segment bytes
+    put_u64(meta, shape.tables);
+    for (std::uint64_t t = 0; t < shape.tables; ++t) {
+      put_u64(meta, steps.size());
+      put_u64(meta, tools.size());
+      // The last table carries the degenerate dimensions.
+      const bool last = t + 1 == shape.tables;
+      put_u64(meta, last ? shape.states : 2);
+      put_u64(meta, last ? shape.actions : 2);
+      for (const adl::StepId id : steps) put_u64(meta, id);
+      for (const adl::ToolId id : tools) put_u64(meta, id);
+    }
+    put_u64(meta, util::wire::checksum64(meta.data(), meta.size()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    {
+      std::ofstream out(dir + "/store.meta", std::ios::binary);
+      out.write(reinterpret_cast<const char*>(meta.data()),
+                static_cast<std::streamsize>(meta.size()));
+    }
+    SegmentStoreParams params;
+    params.dir = dir;
+    EXPECT_THROW(SegmentStore(steps, tools, 2, 2, params), std::runtime_error)
+        << shape.tables << " tables, last " << shape.states << "x"
+        << shape.actions;
+    const SegmentStore::Info info = SegmentStore::inspect(dir);
+    EXPECT_EQ(info.meta_format, kMetaFormatVersion);
+    EXPECT_FALSE(info.meta_ok);
+    EXPECT_TRUE(info.tables.empty());
+    std::ifstream in(dir + "/store.meta", std::ios::binary);
+    EXPECT_EQ(std::vector<unsigned char>(std::istreambuf_iterator<char>(in),
+                                         std::istreambuf_iterator<char>()),
+              meta);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(PolicyFuzzTest, EveryOneByteCorruptionIsRejectedAndTableUntouched) {

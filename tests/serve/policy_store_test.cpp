@@ -1,9 +1,11 @@
-// PolicyStore robustness: the v2 table record (the bundle entry codec)
-// round-trips byte-identically and rejects truncated / bit-flipped /
-// wrong-ADL input with the destination untouched; the store's versions are
-// monotonic per write-back, disk writes are wear-batched, restarts restore
-// from the segment store, and the store directory stays inspectable
-// without a learner.
+// PolicyStore robustness: a table's v2 record (the segment store's
+// CRDAREC2 anchor) round-trips byte-identically and rejects truncated /
+// bit-flipped / wrong-ADL / garbage input with the entry untouched; the
+// store's versions are monotonic per write-back, disk writes are
+// wear-batched, restarts restore from the segment store, the store
+// directory stays inspectable without a learner, and registering users one
+// at a time grows the durable index geometrically. (A whole home's policy
+// set is covered by policy_set_test.cpp.)
 
 #include "serve/policy_store.hpp"
 
@@ -11,10 +13,9 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "adl/library.hpp"
-#include "planning/serialize.hpp"
+#include "util/wire.hpp"
 
 namespace coreda::serve {
 namespace {
@@ -47,80 +48,106 @@ struct PolicyStoreFixture : ::testing::Test {
     return params;
   }
 
-  std::string v2_bytes(const planning::RoutineLearner& learner,
-                       std::uint64_t version = 7) {
-    std::ostringstream out(std::ios::binary);
-    planning::save_policy_v2(out, learner.state_codec().symbols(),
-                             learner.action_codec().tools(), learner.q(),
-                             version);
-    return out.str();
+  /// The bytes of the first record in `dir`'s first segment.
+  static std::string first_record(const std::string& dir) {
+    std::ifstream in(dir + "/seg-w0-000000.seg", std::ios::binary);
+    const std::string seg{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+    const auto* len = reinterpret_cast<const unsigned char*>(seg.data() + 48);
+    return seg.substr(40, util::wire::load_u64(len));
   }
 
-  /// Decodes `bytes` into `q` under `learner`'s vocabularies.
-  static std::uint64_t load_v2(const std::string& bytes,
-                               const planning::RoutineLearner& learner,
-                               rl::QTable& q) {
-    std::istringstream in(bytes, std::ios::binary);
-    return planning::load_policy_v2(in, learner.state_codec().symbols(),
-                                    learner.action_codec().tools(), q);
+  /// Overwrites `bytes` at `off` of `dir`'s first segment in place (a live
+  /// store's MAP_SHARED mapping sees it at once).
+  static void overwrite(const std::string& dir, std::size_t off,
+                        const std::string& bytes) {
+    std::fstream f(dir + "/seg-w0-000000.seg",
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(off));
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 };
 
 TEST_F(PolicyStoreFixture, V2RoundTripIsByteIdentical) {
   planning::RoutineLearner source = trained();
-  const std::string first = v2_bytes(source, 7);
+  const std::string first = fresh_dir("v2_first");
+  const std::string second = fresh_dir("v2_second");
+  {
+    PolicyStore store(source, on_disk(first, 1));
+    store.stage(store.add_user("tanaka"), source.q());
+  }
 
-  planning::RoutineLearner restored(library.tea_making(), util::Rng(99));
-  rl::QTable q = restored.q();
-  EXPECT_EQ(load_v2(first, restored, q), 7u);
-  restored.import_q(q);
-
-  // Byte equality of the re-serialized record implies bit equality of
-  // every Q value — stronger than EXPECT_DOUBLE_EQ per cell.
-  EXPECT_EQ(v2_bytes(restored, 7), first);
+  // Restore into an untrained learner's store, then store it again.
+  planning::RoutineLearner blank(library.tea_making(), util::Rng(99));
+  PolicyStore restored(blank, on_disk(first));
+  const UserId u = restored.add_user("tanaka");
+  ASSERT_EQ(restored.restore(u), std::optional<std::uint64_t>{2});
+  {
+    PolicyStore again(blank, on_disk(second, 1));
+    const UserId v = again.add_user("tanaka");
+    again.stage(v, restored.q(u));
+  }
+  // Byte equality of the re-written record implies bit equality of every
+  // Q value — stronger than EXPECT_DOUBLE_EQ per cell.
+  EXPECT_EQ(first_record(second), first_record(first));
+  EXPECT_EQ(first_record(first).size(),
+            8 * (6 + source.q().num_states() * source.q().num_actions()));
 }
 
 TEST_F(PolicyStoreFixture, V2TruncationRejectedEverywhereLearnerUnchanged) {
   planning::RoutineLearner source = trained();
-  const std::string bytes = v2_bytes(source);
+  const std::string dir = fresh_dir("v2_truncation");
+  PolicyStore store(source, on_disk(dir, 1));
+  const UserId u = store.add_user("tanaka");
+  planning::RoutineLearner other = trained(9);
+  store.stage(u, other.q());
+  const std::string record = first_record(dir);
 
-  // Chop at several depths: inside the magic, the header, the vocab, the Q
-  // block, and inside the trailing checksum.
+  // Cut the record at several depths — inside the magic, the header, the
+  // Q block, and inside the trailing checksum — as a write that stopped
+  // there leaves it: every byte past the cut reads zero.
   for (const std::size_t keep :
-       {std::size_t{3}, std::size_t{20}, std::size_t{60}, bytes.size() / 2,
-        bytes.size() - 3}) {
-    planning::RoutineLearner victim(library.tea_making(), util::Rng(2));
-    rl::QTable q = victim.q();
-    EXPECT_THROW(load_v2(bytes.substr(0, keep), victim, q),
-                 std::runtime_error)
-        << "kept " << keep << " of " << bytes.size() << " bytes";
-    EXPECT_DOUBLE_EQ(q.get(1, 1), victim.q().get(1, 1));
+       {std::size_t{3}, std::size_t{20}, std::size_t{60}, record.size() / 2,
+        record.size() - 3}) {
+    overwrite(dir, 40 + keep, std::string(record.size() - keep, '\0'));
+    EXPECT_THROW(store.restore(u), std::runtime_error)
+        << "kept " << keep << " of " << record.size() << " bytes";
+    EXPECT_DOUBLE_EQ(store.q(u).get(1, 1), other.q().get(1, 1));
+    overwrite(dir, 40, record);
   }
+  EXPECT_EQ(store.restore(u), std::optional<std::uint64_t>{2});
 }
 
 TEST_F(PolicyStoreFixture, V2BitFlipRejectedByChecksum) {
   planning::RoutineLearner source = trained();
-  std::string bytes = v2_bytes(source);
-  bytes[bytes.size() / 2] ^= 0x40;  // flip one bit deep in the Q block
-
-  planning::RoutineLearner victim(library.tea_making(), util::Rng(2));
-  rl::QTable q = victim.q();
-  EXPECT_THROW(load_v2(bytes, victim, q), std::runtime_error);
-  EXPECT_DOUBLE_EQ(q.get(0, 0), victim.q().get(0, 0));
+  const std::string dir = fresh_dir("v2_flip");
+  PolicyStore store(source, on_disk(dir, 1));
+  const UserId u = store.add_user("tanaka");
+  store.stage(u, source.q());
+  std::string record = first_record(dir);
+  record[record.size() / 2] ^= 0x40;  // flip one bit deep in the Q block
+  overwrite(dir, 40, record);
+  EXPECT_THROW(store.restore(u), std::runtime_error);
+  EXPECT_DOUBLE_EQ(store.q(u).get(0, 0), source.q().get(0, 0));
 }
 
 TEST_F(PolicyStoreFixture, V2WrongAdlRejected) {
   planning::RoutineLearner source = trained();
+  const std::string dir = fresh_dir("v2_wrong_adl");
+  {
+    PolicyStore store(source, on_disk(dir, 1));
+    store.stage(store.add_user("tanaka"), source.q());
+  }
   planning::RoutineLearner other(library.tooth_brushing(), util::Rng(9));
-  rl::QTable q = other.q();
-  EXPECT_THROW(load_v2(v2_bytes(source), other, q), std::runtime_error);
+  EXPECT_THROW((void)PolicyStore(other, on_disk(dir)), std::runtime_error);
 }
 
 TEST_F(PolicyStoreFixture, V2GarbageRejected) {
+  const std::string dir = fresh_dir("v2_garbage");
+  fs::create_directories(dir);
+  std::ofstream(dir + "/store.meta") << "CRDASTRX plus whatever follows";
   planning::RoutineLearner victim(library.tea_making(), util::Rng(2));
-  rl::QTable q = victim.q();
-  EXPECT_THROW(load_v2("CRDAPOLX plus whatever follows", victim, q),
-               std::runtime_error);
+  EXPECT_THROW((void)PolicyStore(victim, on_disk(dir)), std::runtime_error);
 }
 
 TEST_F(PolicyStoreFixture, InspectReadsHeaderWithoutLearner) {
@@ -135,10 +162,11 @@ TEST_F(PolicyStoreFixture, InspectReadsHeaderWithoutLearner) {
   EXPECT_TRUE(info.meta_ok);
   EXPECT_EQ(info.max_version, 42u);
   EXPECT_EQ(info.users, 1u);
-  EXPECT_EQ(info.num_states, source.q().num_states());
-  EXPECT_EQ(info.num_actions, source.q().num_actions());
-  EXPECT_EQ(info.num_steps, source.state_codec().symbols().size());
-  EXPECT_EQ(info.num_tools, source.action_codec().tools().size());
+  ASSERT_EQ(info.tables.size(), 1u);  // a set of one
+  EXPECT_EQ(info.tables[0].num_states, source.q().num_states());
+  EXPECT_EQ(info.tables[0].num_actions, source.q().num_actions());
+  EXPECT_EQ(info.tables[0].steps, source.state_codec().symbols());
+  EXPECT_EQ(info.tables[0].tools, source.action_codec().tools());
 }
 
 TEST_F(PolicyStoreFixture, InspectFlagsBadChecksumWithoutThrowing) {
@@ -278,6 +306,33 @@ TEST_F(PolicyStoreFixture, StoreRejectsMismatchedShapesAndUnknownUsers) {
   { PolicyStore tea(donor, on_disk(dir)); }
   planning::RoutineLearner brush(library.tooth_brushing(), util::Rng(1));
   EXPECT_THROW((void)PolicyStore(brush, on_disk(dir)), std::runtime_error);
+}
+
+TEST_F(PolicyStoreFixture, RegisteringUsersOneByOneGrowsTheIndexGeometrically) {
+  // A durable store reserves index room per registration; each lane's slab
+  // must grow geometrically, or n registrations rehash n times (O(n^2)).
+  planning::RoutineLearner donor = trained();
+  PolicyStoreParams params = on_disk(fresh_dir("registration"));
+  params.segments.writers = 4;
+  PolicyStore store(donor, params);
+  constexpr std::size_t kUsers = std::size_t{1} << 15;
+  std::size_t changes = 0;
+  std::size_t bytes = store.segments()->index_slab_bytes();
+  for (std::size_t u = 0; u < kUsers; ++u) {
+    store.add_user("u" + std::to_string(u));
+    const std::size_t now = store.segments()->index_slab_bytes();
+    changes += now != bytes ? 1 : 0;
+    bytes = now;
+  }
+  // Each of the 4 lanes doubles from 16 slots to about 8,192 keys: about
+  // 10 growths per lane, never one per user.
+  EXPECT_GE(changes, 4u);
+  EXPECT_LE(changes, 4u * 2 * 15);
+  // Every registered user still appends.
+  store.stage(static_cast<UserId>(kUsers - 1), donor.q());
+  store.flush_all();
+  EXPECT_EQ(store.segments()->latest_version(kUsers - 1),
+            std::optional<std::uint64_t>{2});
 }
 
 }  // namespace

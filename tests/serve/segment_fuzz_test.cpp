@@ -1,20 +1,28 @@
 // Seeded mutation fuzzing of the segment store's scan-on-open (ctest label
-// `fuzz`; a fixed budget of 2,000 mutations, so every run replays the same
-// inputs). The mmap path trusts on-disk record lengths, parent offsets, row
-// counts, user ids and the header's advisory record count; the record
-// checksum is its last line of defence, so the structural checks must stand
-// in front of it. The corpus is one writer's store after full-table sweeps
-// that reclaimed and recycled segments, then interleaved anchor/delta
-// chains: several segment files, recycled ones among them, plus a leftover
-// spare holding a previous life's records (as a crash before a recycled
-// roll's scrub leaves it). Each iteration picks one file and applies one
-// mutation:
+// `fuzz`; a fixed budget of 2,000 mutations per corpus, so every run
+// replays the same inputs). The mmap path trusts on-disk record lengths,
+// parent offsets, row counts, row indices, user ids and the header's
+// advisory record count; the record checksum is its last line of defence,
+// so the structural checks must stand in front of it. Two corpora, each
+// one writer's store after full-set sweeps that reclaimed and recycled
+// segments, then interleaved anchor/delta chains: several segment files,
+// recycled ones among them, plus a leftover spare holding a previous
+// life's records (as a crash before a recycled roll's scrub leaves it):
+//
+//   * a one-table store (an 8 x 4 table);
+//   * a whole-home store: four tables shaped like the library's ADLs,
+//     Hand-washing's 16 x 6 among three 25 x 8, so delta rows have
+//     different widths and deltas carry rows on both sides of a table
+//     boundary.
+//
+// Each iteration picks one file and applies one mutation:
 //
 //   * a byte flip anywhere in the file, header included;
 //   * an overwritten record length, parent_off (including a parent moved
 //     off the 8-byte grid), parent_version, n_rows, q_count, delta row
-//     index or user id, re-sealed with a valid record checksum — a forgery
-//     that only the structural checks can stop;
+//     index (the first, or any row moved to a table boundary) or user id,
+//     re-sealed with a valid record checksum — a forgery that only the
+//     structural checks can stop;
 //   * an overwritten advisory record count;
 //   * truncation at a random offset, with or without the header's
 //     file_bytes following it.
@@ -22,7 +30,7 @@
 // Every reopen either throws std::runtime_error or succeeds. After a
 // successful open, load() of every indexed user throws std::runtime_error
 // or returns a version no newer than the one committed for that user —
-// bit-equal to the table committed at that version unless the mutation was
+// bit-equal to the set committed at that version unless the mutation was
 // a forgery — and the store still accepts and serves a fresh append.
 // SegmentStore::inspect reads the same bytes without crashing and counts
 // exactly the records open indexed. The spare is never parsed, so a
@@ -40,6 +48,7 @@
 #include <utility>
 #include <vector>
 
+#include "adl/library.hpp"
 #include "serve/segment_store.hpp"
 #include "util/rng.hpp"
 #include "util/wire.hpp"
@@ -50,17 +59,26 @@ namespace {
 namespace fs = std::filesystem;
 namespace wire = util::wire;
 
-constexpr std::size_t kStates = 8;
-constexpr std::size_t kActions = 4;
 constexpr std::uint64_t kUsers = 5;
 constexpr int kMutations = 2000;
-/// 13 anchors (304 bytes for an 8x4 table) to a segment.
-constexpr std::size_t kSegmentFileBytes = 4096;
 constexpr std::size_t kHeaderBytes = 40;
-/// Full-table sweeps before the delta chains: enough to empty, reclaim and
+/// Full-set sweeps before the delta chains: enough to empty, reclaim and
 /// recycle segments.
 constexpr std::uint64_t kSweeps = 8;
 constexpr char kSpareName[] = "seg-w0.spare";
+
+/// A table keyed like a planner of an ADL with `tools` tools: the idle
+/// step plus the tools as state symbols, (n + 1)^2 states, two prompt
+/// levels per tool as actions.
+TableSchema adl_shaped(std::vector<adl::ToolId> tools) {
+  TableSchema t;
+  t.steps.push_back(adl::kIdleStep);
+  t.steps.insert(t.steps.end(), tools.begin(), tools.end());
+  t.num_states = t.steps.size() * t.steps.size();
+  t.num_actions = 2 * tools.size();
+  t.tools = std::move(tools);
+  return t;
+}
 
 std::vector<unsigned char> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -74,11 +92,13 @@ void write_file(const std::string& path,
             static_cast<std::streamsize>(bytes.size()));
 }
 
-bool bit_equal(const rl::QTable& a, const rl::QTable& b) {
-  for (rl::StateId s = 0; s < a.num_states(); ++s) {
-    if (std::memcmp(a.row(s).data(), b.row(s).data(),
-                    a.row(s).size_bytes()) != 0) {
-      return false;
+bool bit_equal(std::span<const rl::QTable> a, std::span<const rl::QTable> b) {
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    for (rl::StateId s = 0; s < a[t].num_states(); ++s) {
+      if (std::memcmp(a[t].row(s).data(), b[t].row(s).data(),
+                      a[t].row(s).size_bytes()) != 0) {
+        return false;
+      }
     }
   }
   return true;
@@ -96,44 +116,68 @@ struct SegmentScanFuzz : ::testing::Test {
     std::vector<Record> records;  ///< the valid prefix, in order
   };
 
-  std::vector<adl::StepId> steps = [] {
-    std::vector<adl::StepId> v(kStates);
-    for (std::size_t i = 0; i < kStates; ++i) {
-      v[i] = static_cast<adl::StepId>(i + 1);
-    }
-    return v;
-  }();
-  std::vector<adl::ToolId> tools = [] {
-    std::vector<adl::ToolId> v(kActions);
-    for (std::size_t i = 0; i < kActions; ++i) {
-      v[i] = static_cast<adl::ToolId>(100 + i);
-    }
-    return v;
-  }();
-  std::string dir = ::testing::TempDir() + "/coreda_seg_fuzz";
+  /// One directory per test: ctest runs the corpora concurrently.
+  std::string dir =
+      ::testing::TempDir() + "/coreda_seg_fuzz_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::vector<TableSchema> tables;
+  std::size_t file_bytes = 0;
+  /// Each set row's width, and the rows that start or end a table (plus
+  /// the row count itself): where a forged row index does the most harm.
+  std::vector<std::uint32_t> row_width;
+  std::vector<std::uint64_t> boundary_rows;
   std::vector<unsigned char> meta;
   std::vector<File> files;  ///< segment files by name, then the spare
   std::size_t records = 0;  ///< valid records across the segment files
   std::vector<std::uint64_t> committed = std::vector<std::uint64_t>(kUsers);
-  std::map<std::pair<std::uint64_t, std::uint64_t>, rl::QTable> history;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<rl::QTable>>
+      history;
 
   SegmentStoreParams params() const {
     SegmentStoreParams p;
     p.dir = dir;
-    p.segment_bytes = kSegmentFileBytes;
+    p.segment_bytes = file_bytes;
     p.rebase_every = 4;
     return p;
   }
 
   std::unique_ptr<SegmentStore> open() const {
-    return std::make_unique<SegmentStore>(steps, tools, kStates, kActions,
-                                          params());
+    return std::make_unique<SegmentStore>(tables, params());
   }
 
-  /// kSweeps full-table sweeps (all anchors), then user u commits kSweeps +
-  /// 1..5+u, each changing one row, so chains run anchor, delta, delta,
-  /// delta, anchor, ... interleaved across users.
-  void SetUp() override {
+  std::vector<rl::QTable> empty_set() const {
+    std::vector<rl::QTable> set;
+    for (const TableSchema& t : tables) {
+      set.emplace_back(t.num_states, t.num_actions);
+    }
+    return set;
+  }
+
+  /// Sets every value of set row `row` (counted across the tables).
+  void set_row(std::vector<rl::QTable>& set, std::uint64_t row,
+               util::Rng& rng) const {
+    std::size_t t = 0;
+    while (row >= set[t].num_states()) row -= set[t++].num_states();
+    for (rl::ActionId a = 0; a < set[t].num_actions(); ++a) {
+      set[t].set(static_cast<rl::StateId>(row), a, rng.uniform(-100.0, 100.0));
+    }
+  }
+
+  /// Writes the corpus for `schema`, with segments of `segment_bytes`:
+  /// kSweeps full-set sweeps (all anchors), then user u commits kSweeps +
+  /// 1..5+u, each changing one set row — and, in a multi-table set, its
+  /// neighbour, across a table boundary when they straddle one — so chains
+  /// run anchor, delta, delta, delta, anchor, ... interleaved across users.
+  void build(std::vector<TableSchema> schema, std::size_t segment_bytes) {
+    tables = std::move(schema);
+    file_bytes = segment_bytes;
+    for (const TableSchema& t : tables) {
+      boundary_rows.push_back(row_width.size());
+      row_width.insert(row_width.end(), t.num_states,
+                       static_cast<std::uint32_t>(t.num_actions));
+      boundary_rows.push_back(row_width.size() - 1);
+    }
+    boundary_rows.push_back(row_width.size());
     fs::remove_all(dir);
     std::vector<unsigned char> spare_life;
     {
@@ -146,19 +190,17 @@ struct SegmentScanFuzz : ::testing::Test {
           [&recycle_steps, &spare_life](const std::string& path) {
             if (recycle_steps++ % 4 == 0) spare_life = read_file(path);
           });
-      std::vector<rl::QTable> q(kUsers, rl::QTable(kStates, kActions));
+      std::vector<std::vector<rl::QTable>> sets(kUsers, empty_set());
       util::Rng rng(2024);
       const auto commit = [&](std::uint64_t u, std::uint64_t version) {
-        store->append(u, q[u], version);
-        history.emplace(std::make_pair(u, version), q[u]);
+        store->append(u, sets[u], version);
+        history.emplace(std::make_pair(u, version), sets[u]);
         committed[u] = version;
       };
       for (std::uint64_t version = 1; version <= kSweeps; ++version) {
         for (std::uint64_t u = 0; u < kUsers; ++u) {
-          for (rl::StateId s = 0; s < kStates; ++s) {
-            for (rl::ActionId a = 0; a < kActions; ++a) {
-              q[u].set(s, a, rng.uniform(-100.0, 100.0));
-            }
+          for (std::uint64_t r = 0; r < row_width.size(); ++r) {
+            set_row(sets[u], r, rng);
           }
           commit(u, version);
         }
@@ -166,9 +208,10 @@ struct SegmentScanFuzz : ::testing::Test {
       for (std::uint64_t round = 1; round <= 5 + kUsers - 1; ++round) {
         for (std::uint64_t u = 0; u < kUsers; ++u) {
           if (round > 5 + u) continue;
-          const auto s = static_cast<rl::StateId>(rng() % kStates);
-          for (rl::ActionId a = 0; a < kActions; ++a) {
-            q[u].set(s, a, rng.uniform(-100.0, 100.0));
+          const std::uint64_t r = rng() % row_width.size();
+          set_row(sets[u], r, rng);
+          if (tables.size() > 1) {
+            set_row(sets[u], (r + 1) % row_width.size(), rng);
           }
           commit(u, kSweeps + round);
         }
@@ -187,7 +230,7 @@ struct SegmentScanFuzz : ::testing::Test {
       const std::string name = de.path().filename().string();
       if (name == "store.meta") continue;
       File f{name, read_file(de.path().string()), {}};
-      ASSERT_EQ(f.bytes.size(), kSegmentFileBytes) << name;
+      ASSERT_EQ(f.bytes.size(), file_bytes) << name;
       std::size_t off = kHeaderBytes;
       while (off + 56 <= f.bytes.size() &&
              wire::load_u64(f.bytes.data() + off) != 0) {
@@ -229,8 +272,8 @@ struct SegmentScanFuzz : ::testing::Test {
   /// Applies one seeded mutation to `seg`, a copy of file `f`. Returns
   /// true for a forgery: a field rewritten under a re-sealed, valid record
   /// checksum.
-  static bool mutate(const File& f, std::vector<unsigned char>& seg,
-                     util::Rng& rng) {
+  bool mutate(const File& f, std::vector<unsigned char>& seg,
+              util::Rng& rng) const {
     const std::vector<Record>& records = f.records;
     const std::size_t used = records.back().off + records.back().len;
     const bool has_delta =
@@ -257,7 +300,7 @@ struct SegmentScanFuzz : ::testing::Test {
       wire::store_u64(p, mutated(wire::load_u64(p), used, rng));
       return reseal(r, r.len);
     };
-    switch (rng() % 11) {
+    switch (rng() % 12) {
       case 0:  // byte flip anywhere
         seg[rng() % seg.size()] ^= static_cast<unsigned char>(1 + rng() % 255);
         return false;
@@ -289,6 +332,19 @@ struct SegmentScanFuzz : ::testing::Test {
         wire::store_u64(p, rng() % 2 == 0 ? parent + 4 : parent - 4);
         return reseal(r, r.len);
       }
+      case 10: {  // any delta row index moved to a table boundary
+        const Record& r = pick(true);
+        const unsigned char* rec = seg.data() + r.off;
+        const std::uint64_t n_rows = wire::load_u64(rec + 48);
+        if (r.anchor || n_rows == 0) return forge(r, 32);
+        std::size_t pos = 56;
+        for (std::uint64_t k = rng() % n_rows; k > 0; --k) {
+          pos += 8 * (1 + row_width[wire::load_u64(rec + pos)]);
+        }
+        wire::store_u64(seg.data() + r.off + pos,
+                        boundary_rows[rng() % boundary_rows.size()]);
+        return reseal(r, r.len);
+      }
       default: {  // truncation, sometimes with file_bytes following it
         seg.resize(rng() % seg.size());
         if (seg.size() >= kHeaderBytes && rng() % 2 == 0) {
@@ -298,89 +354,121 @@ struct SegmentScanFuzz : ::testing::Test {
       }
     }
   }
+
+  /// kMutations seeded mutations of the corpus, each checked against the
+  /// invariants in the file comment.
+  void fuzz() {
+    std::size_t refused_opens = 0, refused_loads = 0, served_loads = 0;
+    std::size_t spare_mutations = 0;
+    for (int i = 0; i < kMutations; ++i) {
+      SCOPED_TRACE("mutation " + std::to_string(i));
+      util::Rng rng(0xF00D + static_cast<std::uint64_t>(i));
+      // A quarter of the mutations hit the spare, the rest a segment.
+      const std::size_t target = rng() % 4 == 0
+                                     ? files.size() - 1
+                                     : rng() % (files.size() - 1);
+      const bool on_spare = target == files.size() - 1;
+      std::vector<unsigned char> mutated_file = files[target].bytes;
+      const bool forged = mutate(files[target], mutated_file, rng);
+      fs::remove_all(dir);
+      fs::create_directories(dir);
+      write_file(dir + "/store.meta", meta);
+      for (std::size_t f = 0; f < files.size(); ++f) {
+        write_file(dir + "/" + files[f].name,
+                   f == target ? mutated_file : files[f].bytes);
+      }
+
+      const SegmentStore::Info info = SegmentStore::inspect(dir);
+      ASSERT_TRUE(info.meta_ok);
+      ASSERT_LE(info.records, records);
+      ASSERT_EQ(info.segments, files.size() - 1);
+
+      std::unique_ptr<SegmentStore> store;
+      try {
+        store = open();
+      } catch (const std::runtime_error&) {
+        ASSERT_FALSE(on_spare);
+        ++refused_opens;
+        continue;
+      }
+      ASSERT_EQ(info.records, store->scanned_records());
+      std::vector<rl::QTable> out = empty_set();
+      if (on_spare) {
+        // The spare is never parsed: every committed version is served.
+        ++spare_mutations;
+        ASSERT_EQ(store->scanned_records(), records);
+        for (std::uint64_t u = 0; u < kUsers; ++u) {
+          ASSERT_EQ(store->load(u, out), committed[u]) << "user " << u;
+          ASSERT_TRUE(bit_equal(out, history.at({u, committed[u]})));
+        }
+      }
+      for (const std::uint64_t u : store->user_ids()) {
+        ASSERT_LT(u, kUsers);
+        std::optional<std::uint64_t> v;
+        try {
+          v = store->load(u, out);
+        } catch (const std::runtime_error&) {
+          ++refused_loads;
+          continue;
+        }
+        ASSERT_TRUE(v.has_value()) << "user " << u;
+        ASSERT_GE(*v, 1u);
+        ASSERT_LE(*v, committed[u]) << "user " << u;
+        if (!forged) {
+          ASSERT_TRUE(bit_equal(out, history.at({u, *v})))
+              << "user " << u << " version " << *v;
+        }
+        ++served_loads;
+      }
+      // The damaged store still takes a write and serves it back exactly.
+      const std::uint64_t u = static_cast<std::uint64_t>(i) % kUsers;
+      std::vector<rl::QTable> next = history.at({u, committed[u]});
+      rl::QTable& q = next[static_cast<std::size_t>(i) % next.size()];
+      q.set(static_cast<rl::StateId>(i % q.num_states()), 0, 0.5 + i);
+      store->reserve_users(kUsers);
+      store->append(u, next, committed[u] + 1);
+      ASSERT_EQ(store->load(u, out),
+                std::optional<std::uint64_t>{committed[u] + 1});
+      ASSERT_TRUE(bit_equal(out, next));
+    }
+    // The budget reaches every outcome: refused opens, refused loads (a
+    // forgery the scan cannot see), served loads, and spare mutations.
+    EXPECT_GT(refused_opens, 0u);
+    EXPECT_GT(refused_loads, 0u);
+    EXPECT_GT(served_loads, 0u);
+    EXPECT_GT(spare_mutations, 0u);
+    fs::remove_all(dir);
+  }
 };
 
 TEST_F(SegmentScanFuzz, SeededMutationsNeverCrashOrInventVersions) {
-  ASSERT_GE(records, 30u);
-  std::size_t refused_opens = 0, refused_loads = 0, served_loads = 0;
-  std::size_t spare_mutations = 0;
-  for (int i = 0; i < kMutations; ++i) {
-    SCOPED_TRACE("mutation " + std::to_string(i));
-    util::Rng rng(0xF00D + static_cast<std::uint64_t>(i));
-    // A quarter of the mutations hit the spare, the rest a segment.
-    const std::size_t target = rng() % 4 == 0
-                                   ? files.size() - 1
-                                   : rng() % (files.size() - 1);
-    const bool on_spare = target == files.size() - 1;
-    std::vector<unsigned char> mutated_file = files[target].bytes;
-    const bool forged = mutate(files[target], mutated_file, rng);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    write_file(dir + "/store.meta", meta);
-    for (std::size_t f = 0; f < files.size(); ++f) {
-      write_file(dir + "/" + files[f].name,
-                 f == target ? mutated_file : files[f].bytes);
-    }
-
-    const SegmentStore::Info info = SegmentStore::inspect(dir);
-    ASSERT_TRUE(info.meta_ok);
-    ASSERT_LE(info.records, records);
-    ASSERT_EQ(info.segments, files.size() - 1);
-
-    std::unique_ptr<SegmentStore> store;
-    try {
-      store = open();
-    } catch (const std::runtime_error&) {
-      ASSERT_FALSE(on_spare);
-      ++refused_opens;
-      continue;
-    }
-    ASSERT_EQ(info.records, store->scanned_records());
-    rl::QTable out(kStates, kActions);
-    if (on_spare) {
-      // The spare is never parsed: every committed version is served.
-      ++spare_mutations;
-      ASSERT_EQ(store->scanned_records(), records);
-      for (std::uint64_t u = 0; u < kUsers; ++u) {
-        ASSERT_EQ(store->load(u, out), committed[u]) << "user " << u;
-        ASSERT_TRUE(bit_equal(out, history.at({u, committed[u]})));
-      }
-    }
-    for (const std::uint64_t u : store->user_ids()) {
-      ASSERT_LT(u, kUsers);
-      std::optional<std::uint64_t> v;
-      try {
-        v = store->load(u, out);
-      } catch (const std::runtime_error&) {
-        ++refused_loads;
-        continue;
-      }
-      ASSERT_TRUE(v.has_value()) << "user " << u;
-      ASSERT_GE(*v, 1u);
-      ASSERT_LE(*v, committed[u]) << "user " << u;
-      if (!forged) {
-        ASSERT_TRUE(bit_equal(out, history.at({u, *v})))
-            << "user " << u << " version " << *v;
-      }
-      ++served_loads;
-    }
-    // The damaged store still takes a write and serves it back exactly.
-    const std::uint64_t u = static_cast<std::uint64_t>(i) % kUsers;
-    rl::QTable next = history.at({u, committed[u]});
-    next.set(static_cast<rl::StateId>(i % kStates), 0, 0.5 + i);
-    store->reserve_users(kUsers);
-    store->append(u, next, committed[u] + 1);
-    ASSERT_EQ(store->load(u, out),
-              std::optional<std::uint64_t>{committed[u] + 1});
-    ASSERT_TRUE(bit_equal(out, next));
+  // One 8 x 4 table; 13 anchors (304 bytes) to a 4 KiB segment.
+  TableSchema table;
+  for (std::size_t i = 0; i < 8; ++i) {
+    table.steps.push_back(static_cast<adl::StepId>(i + 1));
   }
-  // The budget reaches every outcome: refused opens, refused loads (a
-  // forgery the scan cannot see), served loads, and spare mutations.
-  EXPECT_GT(refused_opens, 0u);
-  EXPECT_GT(refused_loads, 0u);
-  EXPECT_GT(served_loads, 0u);
-  EXPECT_GT(spare_mutations, 0u);
-  fs::remove_all(dir);
+  for (std::size_t i = 0; i < 4; ++i) {
+    table.tools.push_back(static_cast<adl::ToolId>(100 + i));
+  }
+  table.num_states = 8;
+  table.num_actions = 4;
+  ASSERT_NO_FATAL_FAILURE(build({table}, 4096));
+  ASSERT_GE(records, 30u);
+  fuzz();
+}
+
+TEST_F(SegmentScanFuzz, WholeHomeSetMutationsNeverCrashOrInventVersions) {
+  // The library's four ADLs: 3 x (25 x 8) and Hand-washing's 16 x 6, a
+  // 5,616-byte anchor; four anchors to a 24 KiB segment.
+  const adl::AdlLibrary library;
+  std::vector<TableSchema> home;
+  for (const adl::Adl& adl : library.adls()) {
+    home.push_back(adl_shaped(adl.tools()));
+  }
+  ASSERT_EQ(home[2].num_actions, 6u);
+  ASSERT_NO_FATAL_FAILURE(build(std::move(home), 24576));
+  ASSERT_GE(records, 12u);  // three segment files of anchors and chains
+  fuzz();
 }
 
 }  // namespace

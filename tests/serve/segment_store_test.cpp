@@ -26,9 +26,10 @@
 //     after the rename of a recycled roll reopens with every committed
 //     version; a recycled segment's bytes equal a fresh one's after the
 //     same appends; a leftover spare is ignored by open and inspect;
-//   * a store.meta of another format version — a format-1 store exactly as
-//     an older build wrote it (FNV-1a trailer), or a valid-trailer meta
-//     claiming version 7 — is refused by open (naming the format, never
+//   * a store.meta of another format version — a format-1 or format-2
+//     store exactly as an older build wrote it (FNV-1a / one-table
+//     checksum64 layout), or a valid-trailer meta claiming version 7 — is
+//     refused by open (naming the format, never
 //     as a checksum mismatch) and by inspect / `coreda policy inspect`
 //     (exit 2), and nothing in the directory is created or rewritten;
 //   * a segment-backed PolicyStore serves the ServeEngine exactly like a
@@ -401,8 +402,9 @@ TEST_F(SegmentStoreFixture, InspectSummarizesAStoreDirectory) {
 
   const SegmentStore::Info info = SegmentStore::inspect(dir);
   EXPECT_TRUE(info.meta_ok);
-  EXPECT_EQ(info.num_states, kStates);
-  EXPECT_EQ(info.num_actions, kActions);
+  ASSERT_EQ(info.tables.size(), 1u);
+  EXPECT_EQ(info.tables[0].num_states, kStates);
+  EXPECT_EQ(info.tables[0].num_actions, kActions);
   EXPECT_EQ(info.records, 3u);
   EXPECT_EQ(info.anchors, 3u);  // full-row changes: deltas never profitable
   EXPECT_EQ(info.deltas, 0u);
@@ -487,6 +489,57 @@ TEST_F(SegmentStoreFixture, FormatOneStoreIsRefusedByVersionNotAsCorruption) {
   EXPECT_EQ(snapshot(dir), before);
 }
 
+TEST_F(SegmentStoreFixture, FormatTwoStoreIsRefusedByVersion) {
+  const std::string dir = fresh_dir("format2");
+  {
+    auto store = open(small_params(dir));
+    store->reserve_users(1);
+    store->append(0, table(61), 1);
+  }
+  // Rewrite store.meta exactly as format 2 wrote it — one table: magic,
+  // version 2, step/tool counts, shape, segment bytes, vocabularies and a
+  // checksum64 trailer. Its segment bytes are format 3's one-table bytes,
+  // so only the version field can refuse it.
+  const std::string meta_path = dir + "/store.meta";
+  std::vector<unsigned char> meta(64);
+  std::memcpy(meta.data(), kStoreMetaMagic, 8);
+  const std::uint64_t header[] = {
+      2, steps.size(), tools.size(), kStates, kActions, std::uint64_t{1} << 20};
+  for (std::size_t i = 0; i < 6; ++i) {
+    util::wire::store_u64(meta.data() + 8 + 8 * i, header[i]);
+  }
+  for (const adl::StepId id : steps) {
+    meta.resize(meta.size() + 8);
+    util::wire::store_u64(meta.data() + meta.size() - 8, id);
+  }
+  for (const adl::ToolId id : tools) {
+    meta.resize(meta.size() + 8);
+    util::wire::store_u64(meta.data() + meta.size() - 8, id);
+  }
+  meta.resize(meta.size() + 8);
+  util::wire::store_u64(meta.data() + meta.size() - 8,
+                        util::wire::checksum64(meta.data(), meta.size() - 8));
+  write_file(meta_path, meta);
+  const auto before = snapshot(dir);
+
+  try {
+    open(small_params(dir));
+    ADD_FAILURE() << "a format-2 store opened";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("format 2"), std::string::npos) << what;
+    EXPECT_EQ(what.find("checksum"), std::string::npos) << what;
+  }
+  const SegmentStore::Info info = SegmentStore::inspect(dir);
+  EXPECT_FALSE(info.meta_ok);
+  EXPECT_EQ(info.meta_format, 2u);
+  EXPECT_EQ(info.records, 0u);
+  const auto [code, out] = cli_inspect(dir);
+  EXPECT_EQ(code, 2);
+  EXPECT_NE(out.find("store v2"), std::string::npos) << out;
+  EXPECT_EQ(snapshot(dir), before);
+}
+
 TEST_F(SegmentStoreFixture, MetaClaimingAnotherVersionIsRefusedEverywhere) {
   const std::string dir = fresh_dir("format7");
   {
@@ -497,7 +550,7 @@ TEST_F(SegmentStoreFixture, MetaClaimingAnotherVersionIsRefusedEverywhere) {
   ASSERT_TRUE(SegmentStore::inspect(dir).meta_ok);
   const auto [ok_code, ok_out] = cli_inspect(dir);
   ASSERT_EQ(ok_code, 0);
-  EXPECT_NE(ok_out.find("store v2"), std::string::npos) << ok_out;
+  EXPECT_NE(ok_out.find("store v3"), std::string::npos) << ok_out;
   // Version 7 under a trailer that is valid for the new bytes: only the
   // version field can refuse it.
   const std::string meta_path = dir + "/store.meta";

@@ -7,6 +7,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "adl/library.hpp"
+#include "core/home.hpp"
+#include "serve/policy_store.hpp"
+
 namespace coreda::cli {
 namespace {
 
@@ -156,11 +160,46 @@ TEST(CliTest, PolicySaveLoadInspectV2RoundTrip) {
   EXPECT_EQ(inspect.code, 0) << inspect.err;
   EXPECT_NE(inspect.out.find("coreda-policy store"), std::string::npos);
   EXPECT_NE(inspect.out.find("meta: ok"), std::string::npos);
+  EXPECT_NE(inspect.out.find("table 0: 25 states x 8 actions"),
+            std::string::npos)
+      << inspect.out;
   EXPECT_NE(inspect.out.find("records: 1 (1 live, 0 dead, 0 corrupt)"),
             std::string::npos)
       << inspect.out;
   EXPECT_NE(inspect.out.find("users: 1 (max version 2)"), std::string::npos);
   EXPECT_NE(inspect.out.find("1 anchors, 0 deltas"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CliTest, PolicyInspectListsEveryTableOfAWholeHomeStore) {
+  // A whole home's store: one record per user holding a table per ADL.
+  const std::string dir = fresh_store("cli_home_store");
+  {
+    adl::AdlLibrary library;
+    core::HomeDeployment home(library);
+    serve::PolicyStoreParams params;
+    params.flush_every = 1;
+    params.segments.dir = dir;
+    serve::PolicyStore store(home, params);
+    std::vector<const rl::QTable*> set;
+    for (const adl::Adl& adl : home.adls()) {
+      set.push_back(&home.learner(adl.name()).q());
+    }
+    store.stage(store.add_user("resident"), set);
+  }
+  const CliResult inspect = run({"policy", "inspect", "--in=" + dir});
+  EXPECT_EQ(inspect.code, 0) << inspect.err;
+  // Library order: Tooth-brushing, Tea-making, Hand-washing, Dressing.
+  for (const char* line :
+       {"table 0: 25 states x 8 actions (vocabulary: 5 steps, 4 tools)\n",
+        "table 1: 25 states x 8 actions (vocabulary: 5 steps, 4 tools)\n",
+        "table 2: 16 states x 6 actions (vocabulary: 4 steps, 3 tools)\n",
+        "table 3: 25 states x 8 actions (vocabulary: 5 steps, 4 tools)\n",
+        "records: 1 (1 live, 0 dead, 0 corrupt)\n"}) {
+    EXPECT_NE(inspect.out.find(line), std::string::npos)
+        << line << inspect.out;
+  }
+  EXPECT_EQ(inspect.out.find("table 4:"), std::string::npos) << inspect.out;
   std::filesystem::remove_all(dir);
 }
 

@@ -36,8 +36,9 @@ commands:
   prompt    --adl=<name> --policy=<store dir> [--prev=<uid>] [--cur=<uid>]
                               next-step prompt from a stored policy
   policy inspect --in=<store dir>
-                              summarize a policy store (records, chain
-                              shape, corruption) without loading it
+                              summarize a policy store (its tables,
+                              records, chain shape, corruption) without
+                              loading it
   faults plan    [--seed=1] [--rounds=6] [--out=<file>]
                               write the standard chaos fault plan (text,
                               editable, re-playable)
@@ -237,12 +238,16 @@ int cmd_policy_inspect(const util::Flags& flags, std::ostream& out,
   const std::uint64_t dead = info.records - info.live_records;
   out << "format: coreda-policy store v" << info.meta_format
       << " (segmented)\n"
-      << "meta: " << (info.meta_ok ? "ok" : "MISMATCH") << '\n'
-      << "q-table: " << info.num_states << " states x " << info.num_actions
-      << " actions\n"
-      << "vocabulary: " << info.num_steps << " steps, " << info.num_tools
-      << " tools\n"
-      << "segments: " << info.segments << '\n'
+      << "meta: " << (info.meta_ok ? "ok" : "MISMATCH") << '\n';
+  // One Q table per ADL of the policy set, in record order.
+  for (std::size_t t = 0; t < info.tables.size(); ++t) {
+    const serve::TableSchema& table = info.tables[t];
+    out << "table " << t << ": " << table.num_states << " states x "
+        << table.num_actions << " actions (vocabulary: "
+        << table.steps.size() << " steps, " << table.tools.size()
+        << " tools)\n";
+  }
+  out << "segments: " << info.segments << '\n'
       << "records: " << info.records << " (" << info.live_records
       << " live, " << dead << " dead, " << info.corrupt_records
       << " corrupt)\n"

@@ -11,10 +11,10 @@ namespace coreda::cli {
 ///
 /// Commands:
 ///   simulate   closed-loop assisted sessions and a summary
-///   train      train a planner and save the policy snapshot
-///   prompt     query a saved policy for the next-step prompt
-///   policy     snapshot management: save / load / inspect (v1 text and
-///              v2 binary formats; inspect decodes without a learner)
+///   train      train a planner and store its policy
+///   prompt     query a stored policy for the next-step prompt
+///   policy     inspect a policy store: meta, one line per table of the
+///              policy set, records and chain shape (no learner needed)
 ///   scenario   replay the paper's Figure 1 timeline
 ///   report     the multi-day caregiver summary
 ///   retrain    closed-loop drift recovery demo: flag users serving from

@@ -14,7 +14,7 @@ BUILD_DIR="${1:-build-tsan}"
 # unit at once, which can exhaust memory under the sanitizer.
 cmake -B "$BUILD_DIR" -S . -DCOREDA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target test_exec test_sim test_trace \
-  bench_fleet_throughput bench_session_throughput bench_serve_throughput \
+  test_serve bench_fleet_throughput bench_session_throughput bench_serve_throughput \
   bench_retrain_recovery bench_fleet_serve bench_chaos_soak \
   bench_scenario_corpus
 
@@ -96,12 +96,27 @@ esac
   --tail-rounds=1 --serve-users=12 --drifted=3 --serve-rounds=3 \
   --serve-tail-rounds=4 --jobs=4 --dir="$BUILD_DIR/chaos_tsan" > /dev/null
 # The scenario corpus fans whole-home HomeDeployments (scheduler, radio,
-# tracker, actor) across pool-slot trials while every slot stages bundle
-# records back into the shared BundleStore. Correctness again rests on disjoint static
-# ownership (user -> slot -> trial, user -> store entry); TSan proves the
-# bundle write-back path adds no cross-thread edges.
+# tracker, actor) across pool-slot trials while every slot stages its
+# users' policy sets back into the shared, memory-only PolicyStore.
+# Correctness again rests on disjoint static ownership (user -> slot ->
+# trial, user -> store entry); TSan proves the set write-back path adds no
+# cross-thread edges.
 "$BUILD_DIR"/bench/bench_scenario_corpus --jobs=4 > /dev/null
+# The same whole-home pool over a durable PolicyStore, one writer lane per
+# slot, at 4 jobs: concurrent slot trials append multi-table records (every
+# ADL's table in one record) into disjoint segment chains, and the test
+# requires the store's bytes and every restored table to match a 1-job run.
+# The run fails if the filter selects no test.
+pool_out=$("$BUILD_DIR"/tests/test_serve \
+  --gtest_filter='WholeHomeSlotFixture.DurableWriteBackIsJobsInvariant')
+case "$pool_out" in
+  *"[  PASSED  ] 1 test."*) echo "TSan durable whole-home pool run passed" ;;
+  *)
+    echo "TSan durable whole-home pool run selected no test" >&2
+    exit 1
+    ;;
+esac
 
 echo "TSan: all exec/sim/trace-parallel tests, the" \
-     "fleet/session/serve/retrain/fleet-serve/chaos benches and the" \
-     "scenario corpus passed."
+     "fleet/session/serve/retrain/fleet-serve/chaos benches, the" \
+     "scenario corpus and the durable whole-home pool passed."
