@@ -12,6 +12,8 @@
 #include "adl/library.hpp"
 #include "pavenet/detector.hpp"
 #include "pavenet/node.hpp"
+#include "patient/generator.hpp"
+#include "planning/lane_trainer.hpp"
 #include "planning/learner.hpp"
 #include "rl/lane_kernels.hpp"
 #include "serve/segment_store.hpp"
@@ -342,32 +344,8 @@ void BM_NodeBankWake(benchmark::State& state) {
 BENCHMARK(BM_NodeBankWake)->Unit(benchmark::kMillisecond);
 
 // --- P7 lane-engine & v3 snapshot kernels ----------------------------------
-// The batched trace-decay kernel is the only per-step lane operation that
-// touches every trace entry; the v3 delta codec is the nightly flush path.
-
-void BM_LaneTraceDecayBatch(benchmark::State& state) {
-  // Eight lane slots of compact traces decayed in lockstep. Cutoff 0.0
-  // keeps the entry count fixed so every iteration does identical work
-  // (entries decay toward zero but are never compacted out).
-  constexpr std::size_t kSlots = 8;
-  constexpr std::uint32_t kEntries = 32;
-  std::vector<double> vals(kSlots * kEntries, 1.0);
-  std::vector<std::uint32_t> idxs(kSlots * kEntries);
-  std::iota(idxs.begin(), idxs.end(), 0u);
-  std::vector<std::uint32_t> lens(kSlots, kEntries);
-  for (auto _ : state) {
-    for (std::size_t s = 0; s < kSlots; ++s) {
-      rl::kern::decay_compact(vals.data() + s * kEntries,
-                              idxs.data() + s * kEntries, &lens[s],
-                              0.9 * 0.7, 0.0);
-    }
-    benchmark::DoNotOptimize(vals.data());
-    benchmark::DoNotOptimize(lens.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kSlots * kEntries);
-}
-BENCHMARK(BM_LaneTraceDecayBatch);
+// The v3 delta codec is the nightly flush path; the counterfactual row
+// backup is the lane engine's per-step sweep.
 
 void BM_LaneCfUpdateRow(benchmark::State& state) {
   // One fused counterfactual row backup — the kernel behind the lane
@@ -385,6 +363,50 @@ void BM_LaneCfUpdateRow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LaneCfUpdateRow);
+
+void BM_LaneTrainerRound(benchmark::State& state) {
+  // One nightly-shaped retrain round per iteration: eight slots each queue a
+  // transcript from a fixed pool of noisy tea-making processes (patients of
+  // severity 0.1-0.5, as perfbench's nightly_retrain draws them), then one
+  // train_queued. Every 64 rounds — a user's nightly budget, 8 passes over
+  // a ring of 8 — the slots restart from the donor table with a fresh ε.
+  constexpr std::size_t kSlots = 8;
+  constexpr std::size_t kRoundsPerUser = 64;
+  adl::AdlLibrary library;
+  const adl::Adl& tea = library.tea_making();
+  std::vector<std::vector<adl::StepId>> pool;
+  util::Rng seeder(20);
+  for (std::size_t i = 0; i < 512; ++i) {
+    const double severity = 0.1 + 0.4 * seeder.uniform();
+    patient::BehaviorGenerator gen(
+        tea, library.tools(),
+        patient::PatientProfile::with_severity("T", severity), seeder.fork());
+    pool.push_back(gen.noisy_steps());
+  }
+  planning::RoutineLearner donor(tea, util::Rng(17));
+  for (std::size_t i = 0; i < 80; ++i) donor.train_episode(pool[i]);
+
+  planning::LaneTrainer trainer(tea, kSlots, planning::LearnerConfig(), 64);
+  std::size_t round = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (round % kRoundsPerUser == 0) {
+      for (std::size_t i = 0; i < kSlots; ++i) {
+        trainer.begin_retraining(i, donor.q(), util::Rng(round + i));
+      }
+    }
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      trainer.queue_episode(i, pool[next]);
+      next = next + 1 == pool.size() ? 0 : next + 1;
+    }
+    trainer.train_queued();
+    ++round;
+  }
+  benchmark::DoNotOptimize(trainer.q_sum(0));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kSlots);
+}
+BENCHMARK(BM_LaneTrainerRound);
 
 void BM_RecordChecksum(benchmark::State& state) {
   // The store's integrity pass, paid on every append, on every record of a

@@ -55,6 +55,8 @@ LaneTrainer::LaneTrainer(const adl::Adl& adl, std::size_t width,
   for (std::size_t i = 0; i < symbols.size(); ++i) {
     tool_to_symbol_[symbols[i]] = static_cast<std::int32_t>(i);
   }
+  terminal_symbol_ = static_cast<std::uint32_t>(
+      tool_to_symbol_[routine_->steps().back().step_id()]);
 
   // Pre-resolve the predicting states (RoutineLearner::predicting_states):
   // the fully-idle context plus each non-terminal routine position.
@@ -74,13 +76,11 @@ LaneTrainer::LaneTrainer(const adl::Adl& adl, std::size_t width,
     prev = steps[i].step_id();
   }
 
-  const std::size_t reserve =
-      max_episode_steps == 0 ? 0 : max_episode_steps + 1;
   for (Slot& slot : slots_) {
     slot.epsilon = config_.epsilon;
-    slot.symbols.reserve(reserve);
+    slot.states.resize(max_episode_steps + 1);
+    slot.rewards.resize(max_episode_steps + 1);
   }
-  active_.reserve(slots_.size());
 }
 
 void LaneTrainer::reset_slot(std::size_t slot, util::Rng rng) {
@@ -110,90 +110,56 @@ void LaneTrainer::queue_episode(std::size_t slot,
   if (sl.queued) {
     throw std::logic_error("LaneTrainer: slot already has a queued episode");
   }
-  sl.symbols.clear();
-  sl.symbols.push_back(0);  // the idle prefix
-  adl::StepId last = adl::kIdleStep;
+  if (sl.states.size() < steps.size() + 1) {
+    sl.states.resize(steps.size() + 1);
+    sl.rewards.resize(steps.size() + 1);
+  }
+  const std::size_t num_symbols = states_.symbols().size();
+  const std::size_t num_actions = actions_.num_actions();
+  rl::StateId* states = sl.states.data();
+  const double** rewards = sl.rewards.data();
+  states[0] = 0;  // <idle, idle>: the idle prefix
+  // Branch-free filter: every step writes the next slot, and only a step in
+  // the vocabulary advances past it.
+  std::uint32_t cur = 0;
+  std::uint32_t n = 0;
   for (const adl::StepId s : steps) {
     const std::int32_t sym =
         s < tool_to_symbol_.size() ? tool_to_symbol_[s] : -1;
-    if (sym >= 0) {
-      sl.symbols.push_back(static_cast<std::uint32_t>(sym));
-      last = s;
-    } else {
-      ++sl.skipped;
-    }
+    const std::uint32_t next = sym >= 0 ? static_cast<std::uint32_t>(sym) : cur;
+    states[n + 1] = static_cast<rl::StateId>(cur * num_symbols + next);
+    rewards[n] = step_rewards_.data() + next * num_actions;
+    cur = next;
+    n += sym >= 0 ? 1 : 0;
   }
-  sl.terminal_tail = sl.symbols.size() >= 2 && routine_->is_terminal(last);
+  sl.skipped += steps.size() - n;
+  // RoutineLearner's completes: the last valid step is the routine's last.
+  sl.terminal = n >= 1 && cur == terminal_symbol_;
+  if (sl.terminal) {
+    rewards[n - 1] = terminal_rewards_.data() + cur * num_actions;
+  }
+  sl.transitions = n;
   sl.queued = true;
 }
 
 void LaneTrainer::train_queued() {
-  const std::size_t num_symbols = states_.symbols().size();
-  const std::size_t num_actions = actions_.num_actions();
-  const std::size_t width = slots_.size();
   const bool sweep = config_.counterfactual_sweep;
-  const double* step_rewards = step_rewards_.data();
-  const double* terminal_rewards = terminal_rewards_.data();
-
-  // Build the round's active list: slots with at least two valid steps (an
-  // episode below that trains nothing — ε still decays, the scalar path's
-  // early return). The list carries each slot's symbol cursor so the tick
-  // loop walks a dense array instead of re-deriving per-slot state.
-  active_.clear();
-  std::size_t max_transitions = 0;
-  for (std::size_t i = 0; i < width; ++i) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& sl = slots_[i];
     if (!sl.queued) continue;
-    ++sl.episodes;
-    if (sl.symbols.size() < 3) continue;
-    const std::size_t n = sl.symbols.size() - 1;
-    engine_.begin_episode(i);
-    if (n > max_transitions) max_transitions = n;
-    active_.push_back(ActiveSlot{&sl, static_cast<std::uint32_t>(i),
-                                 static_cast<std::uint32_t>(sl.symbols.size()),
-                                 sl.symbols.data(), 0, sl.symbols[0]});
-  }
-  if (max_transitions > engine_.trace_capacity()) {
-    engine_.reserve_traces(max_transitions);  // all traces clear here
-  }
-
-  // Slot-major: each slot's episode runs to completion before the next
-  // slot starts. Slots never interact (the engine's interleaving-freedom
-  // contract), so this orders identically to the tick-lockstep sweep per
-  // user — but the slot's RNG state, symbol cursor and Q slab stay
-  // register- and L1-resident across its whole episode instead of being
-  // reloaded every tick.
-  for (ActiveSlot& a : active_) {
-    Slot& sl = *a.sl;
-    const double epsilon = sl.epsilon;
-    std::uint32_t prev = a.prev;
-    std::uint32_t cur = a.cur;
-    rl::LaneEngine::MaxCarry carry;  // s_{t+1} == s'_t along a trajectory
-    for (std::uint32_t i = 1; i < a.n; ++i) {
-      const std::uint32_t next_sym = a.sym[i];
-      const auto s = static_cast<rl::StateId>(prev * num_symbols + cur);
-      const auto s_next =
-          static_cast<rl::StateId>(cur * num_symbols + next_sym);
-
-      const rl::LaneEngine::Selected sel =
-          engine_.select(a.slot, s, epsilon, sl.rng, carry);
-
-      const bool completes = i + 1 == a.n && sl.terminal_tail;
-      const double* rewards =
-          (completes ? terminal_rewards : step_rewards) +
-          next_sym * num_actions;
-
-      engine_.step(a.slot, sel, s, rewards, s_next, completes, sweep,
-                   &carry);
-      prev = cur;
-      cur = next_sym;
-    }
-  }
-
-  for (Slot& sl : slots_) {
-    if (!sl.queued) continue;
     sl.queued = false;
-    sl.epsilon = std::max(config_.min_epsilon, sl.epsilon * config_.epsilon_decay);
+    ++sl.episodes;
+    // Fewer than two valid steps train nothing; ε still decays (the scalar
+    // path's early return).
+    if (sl.transitions >= 2) {
+      engine_.train_episode(
+          i,
+          rl::Trajectory{sl.states.data(), sl.rewards.data(), sl.transitions,
+                         sl.terminal},
+          sl.epsilon, sl.rng, sweep);
+    }
+    sl.epsilon =
+        std::max(config_.min_epsilon, sl.epsilon * config_.epsilon_decay);
   }
 }
 

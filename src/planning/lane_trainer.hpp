@@ -23,8 +23,8 @@ namespace coreda::planning {
 ///
 /// Usage per round: queue_episode(slot, steps) for any subset of slots, then
 /// train_queued() once. Slots advance independently (their ε schedules,
-/// RNG streams and tables never interact); the lockstep interleaving only
-/// exists so the engine's batched kernels get dense work.
+/// RNG streams and tables never interact), so the round trains them one
+/// after another, each episode in one rl::LaneEngine::train_episode pass.
 class LaneTrainer {
  public:
   /// `max_episode_steps`, when nonzero, pre-sizes every per-slot scratch
@@ -52,12 +52,12 @@ class LaneTrainer {
 
   /// Queues one recorded ADL process for the slot (at most one per slot per
   /// round). Vocabulary filtering happens here, exactly as
-  /// RoutineLearner::train_episode's prologue.
+  /// RoutineLearner::train_episode's prologue, and the episode is encoded
+  /// as the engine's trajectory.
   void queue_episode(std::size_t slot, std::span<const adl::StepId> steps);
 
-  /// Trains every queued slot's episode, interleaved transition-by-
-  /// transition across slots with one batched trace-decay kernel pass per
-  /// tick. Clears the queue.
+  /// Trains every queued slot's episode, slot after slot, each in one
+  /// engine pass. Clears the queue.
   void train_queued();
 
   /// RoutineLearner::greedy_accuracy over the slot's table.
@@ -87,26 +87,14 @@ class LaneTrainer {
     std::size_t episodes = 0;
     std::uint64_t skipped = 0;
     bool queued = false;
-    /// Whether the queued episode's last valid step is the routine's
-    /// terminal step — hoisted out of the transition loop (the scalar
-    /// path's per-transition `i + 1 == size && is_terminal(steps[i])`
-    /// check only ever consults the last step).
-    bool terminal_tail = false;
-    /// Filtered episode scratch (idle-prefixed), as in RoutineLearner —
-    /// already encoded; the StepId form is never re-read after queueing.
-    std::vector<std::uint32_t> symbols;
-  };
-
-  /// Per-round cursor over one trainable slot: the symbol stream pointer
-  /// and the rolling (prev, cur) context, so the tick loop touches a dense
-  /// array instead of re-deriving them from Slot each pass.
-  struct ActiveSlot {
-    Slot* sl = nullptr;
-    std::uint32_t slot = 0;
-    std::uint32_t n = 0;  ///< symbol count (transitions + 1)
-    const std::uint32_t* sym = nullptr;
-    std::uint32_t prev = 0;
-    std::uint32_t cur = 0;
+    /// The queued episode as an rl::Trajectory: the filtered, idle-prefixed
+    /// steps encoded as states (transitions + 1 of them) and each
+    /// transition's reward row — the terminal row for the last one when the
+    /// last valid step completes the routine. Grow-only scratch.
+    std::uint32_t transitions = 0;
+    bool terminal = false;
+    std::vector<rl::StateId> states;
+    std::vector<const double*> rewards;
   };
 
   /// A predicting state pre-resolved against the codec: the encoded StateId
@@ -126,11 +114,11 @@ class LaneTrainer {
   std::vector<double> step_rewards_;      ///< symbol-major, width A
   std::vector<double> terminal_rewards_;  ///< symbol-major, width A
   std::vector<std::int32_t> tool_to_symbol_;  ///< StepId -> symbol, -1 miss
+  std::uint32_t terminal_symbol_ = 0;  ///< the routine's last step
   std::vector<ScoredState> scored_states_;
   std::size_t predicting_states_ = 0;  ///< accuracy denominator
   rl::LaneEngine engine_;
   std::vector<Slot> slots_;
-  std::vector<ActiveSlot> active_;  ///< train_queued scratch (alloc-free)
 };
 
 }  // namespace coreda::planning

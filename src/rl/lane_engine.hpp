@@ -14,6 +14,17 @@
 
 namespace coreda::rl {
 
+/// One recorded episode in the offline setting, where the next state does
+/// not depend on the action taken: the states s_0 … s_n and, for each
+/// transition t (s_t → s_{t+1}), every action's reward (a row num_actions
+/// wide). The last transition is terminal iff `terminal`.
+struct Trajectory {
+  const StateId* states = nullptr;          ///< transitions + 1 states
+  const double* const* rewards = nullptr;  ///< one row per transition
+  std::uint32_t transitions = 0;
+  bool terminal = false;
+};
+
 /// Structure-of-arrays TD(λ) engine: one lane steps `width` learners in
 /// lockstep, each with its own Q table and eligibility traces inside shared
 /// contiguous slabs.
@@ -32,8 +43,10 @@ namespace coreda::rl {
 ///   * eligibility traces drop the dense values/pos bookkeeping of
 ///     EligibilityTraces for a compact entry list (parallel index/value
 ///     arrays — SoA), whose decay+compaction is fused into the trace-apply
-///     pass (one branchless sweep; the standalone batched kernel lives in
-///     rl/lane_kernels);
+///     pass (one branchless sweep);
+///   * train_episode() runs a whole recorded episode in one pass and defers
+///     the trace increments of each trace window until it closes (see
+///     there and rl/lane_episode.cpp);
 ///   * Q slabs of all slots are contiguous, so an 8-wide lane of tea-making
 ///     tables (~2.8 KB each) stays L1/L2-resident while the lockstep loop
 ///     interleaves independent per-user dependency chains.
@@ -78,6 +91,7 @@ class LaneEngine {
     q_.assign(width * num_states * num_actions, config.initial_q);
     reserve_traces(trace_capacity == 0 ? 1 : trace_capacity);
     trace_len_.assign(width, 0);
+    init_window();
   }
 
   std::size_t width() const noexcept { return width_; }
@@ -241,8 +255,7 @@ class LaneEngine {
   /// entry i touches only Q cells and decaying it touches only its trace
   /// value, so apply-then-decay per entry is the same IEEE sequence as the
   /// scalar path's apply-all-then-decay-all — one pass instead of two plus
-  /// a dispatch. (The standalone kern::decay_compact kernel remains the
-  /// batched form for callers that keep traces live across ticks.)
+  /// a dispatch.
   double observe(std::size_t slot, const Selected& sel, StateId s,
                  double reward, StateId next_state, bool terminal) noexcept {
     double* q = slot_q(slot);
@@ -325,8 +338,9 @@ class LaneEngine {
 
     // Fused apply + decay + compact: each entry owns a distinct Q cell and
     // its own trace value, so per-entry apply-then-decay equals the scalar
-    // apply-all-then-decay-all bit for bit. Branchless compaction as in
-    // kern::decay_compact.
+    // apply-all-then-decay-all bit for bit. Branchless compaction: always
+    // store, advance only on kept entries (NOT decayed >= cutoff: NaN must
+    // stay kept, as in EligibilityTraces::decay).
     const double factor = config_.gamma * config_.lambda;
     std::uint32_t out = 0;
     for (std::uint32_t i = 0; i < len; ++i) {
@@ -499,18 +513,60 @@ class LaneEngine {
     aliased_sweep(row, rewards, taken);
   }
 
-  /// Compatibility point for tick-loop drivers. Earlier revisions deferred
-  /// each kept transition's trace decay to this per-tick batch; the decay
-  /// is now fused into observe()'s apply pass (same IEEE sequence — see
-  /// observe()), so there is never anything pending. Kept so lockstep
-  /// loops written against the deferred protocol stay valid.
-  void decay_pending() noexcept {}
+  /// Trains one recorded episode on the slot from cleared traces:
+  /// result-identical to begin_episode() followed by select() + step() for
+  /// every transition (the trajectory satisfies s_{t+1} == s'_t by
+  /// construction), RNG draws included.
+  ///
+  /// One pass with deferred traces (rl/lane_episode.cpp). With replacing
+  /// traces every entry of a trace window holds p[age], p[0] = 1 and
+  /// p[m] = p[m-1] * γλ — one double shared by all entries. While no state
+  /// of the open window is revisited, no transition reads a window cell:
+  /// selection and the bootstrap read rows s and s', the counterfactual
+  /// sweep writes row s but skips the taken cell, the only window cell in
+  /// row s. So the pass records each kept transition's cell and α·δ and,
+  /// when the window closes (Watkins cut, terminal step, episode end),
+  /// applies cell k's increments ad_k·p[0], ad_{k+1}·p[1], … in that order:
+  /// the IEEE sequence the per-transition apply performs. A hazard — s' is a
+  /// window state or s itself, or the window reaches the age where p drops
+  /// below the trace cutoff (40 entries at γλ = 0.63) — applies what is
+  /// pending, hands the open window to select()/step() as the slot's trace
+  /// list and finishes the episode there; so do accumulating traces, ε
+  /// outside (0, 1) and rows over 64 actions, from the first transition.
+  ///
+  /// Rows of at most 8 actions run in AVX-512 registers when the CPU has
+  /// AVX-512F and COREDA_LANE_SIMD is not "0"; the scalar body of the same
+  /// pass, over the lane kernels, is the reference. Grows the trace
+  /// capacity to the episode's length when needed, which clears every
+  /// slot's traces (no slot may be inside a select()/step() episode then).
+  void train_episode(std::size_t slot, const Trajectory& episode,
+                     double epsilon, util::Rng& rng, bool sweep);
+
+  /// Episodes train_episode() finished on the per-transition path (a
+  /// hazard, or a configuration the one-pass body does not take).
+  std::uint64_t sequential_episodes() const noexcept {
+    return sequential_episodes_;
+  }
 
   std::uint32_t trace_entries(std::size_t slot) const noexcept {
     return trace_len_[slot];
   }
 
  private:
+  friend struct EpisodeKernel;  // train_episode's one-pass bodies
+
+  /// The open trace window of the episode train_episode() is running (one
+  /// slot at a time), with the tables its bodies share.
+  struct Window {
+    std::vector<double> decay;         ///< decay[m] = p[m], m <= cap
+    std::uint32_t cap = 0;             ///< entries before a hazard
+    std::vector<std::uint32_t> cell;   ///< entry k's Q cell
+    std::vector<double> ad;            ///< α·δ of transition k
+    std::vector<StateId> state;        ///< entry k's state
+    std::vector<std::uint64_t> states; ///< bitmap of the window's states
+  };
+  void init_window();
+
   /// Aliased sweep (s == s'): each update can move max Q(s'), so the
   /// bootstrap is re-read per action — scalar by necessity.
   void aliased_sweep(double* row, const double* rewards,
@@ -539,6 +595,8 @@ class LaneEngine {
   std::vector<double> trace_val_;           ///< width x trace_cap
   std::vector<std::uint32_t> trace_idx_;    ///< width x trace_cap
   std::vector<std::uint32_t> trace_len_;    ///< active entries per slot
+  Window window_;
+  std::uint64_t sequential_episodes_ = 0;
 };
 
 }  // namespace coreda::rl

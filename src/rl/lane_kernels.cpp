@@ -196,29 +196,6 @@ __attribute__((target("avx2"))) void cf_update_terminal_avx2(
   }
 }
 
-__attribute__((target("avx2"))) void decay_compact_avx2(
-    double* vals, std::uint32_t* idxs, std::uint32_t* len, double factor,
-    double cutoff) noexcept {
-  const std::uint32_t n = *len;
-  const __m256d f = _mm256_set1_pd(factor);
-  std::uint32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(vals + i,
-                     _mm256_mul_pd(_mm256_loadu_pd(vals + i), f));
-  }
-  for (; i < n; ++i) vals[i] = vals[i] * factor;
-  // Compaction is a sparse-set filter; do it scalar (entry counts are an
-  // episode's transitions, a few dozen at most).
-  std::uint32_t out = 0;
-  for (std::uint32_t k = 0; k < n; ++k) {
-    if (vals[k] < cutoff) continue;
-    vals[out] = vals[k];
-    idxs[out] = idxs[k];
-    ++out;
-  }
-  *len = out;
-}
-
 #endif  // COREDA_LANE_KERNELS_X86
 
 }  // namespace detail

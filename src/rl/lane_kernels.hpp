@@ -34,8 +34,6 @@ void cf_update_avx2(double* row, const double* rewards, double bootstrap,
                     double alpha, std::size_t taken, std::size_t n) noexcept;
 void cf_update_terminal_avx2(double* row, const double* rewards, double alpha,
                              std::size_t taken, std::size_t n) noexcept;
-void decay_compact_avx2(double* vals, std::uint32_t* idxs, std::uint32_t* len,
-                        double factor, double cutoff) noexcept;  // *len >= 4
 #endif
 }  // namespace detail
 
@@ -51,7 +49,7 @@ bool simd_enabled() noexcept;
 /// zero of a {+0.0, -0.0} tie, and the lane engine's contract is
 /// bit-identical doubles, not just numerically-equal ones.
 ///
-/// The scalar bodies of all five kernels live here in the header: a lane
+/// The scalar bodies of every kernel live here in the header: a lane
 /// transition makes four to six kernel calls over rows of a handful of
 /// doubles, and the cross-TU call + dispatch overhead measurably exceeded
 /// the work itself on bench_fleet_throughput. The dispatch reads one cached
@@ -181,33 +179,6 @@ inline void cf_update_terminal(double* row, const double* rewards,
     const double delta = rewards[a] - row[a];
     row[a] += alpha * delta;
   }
-}
-
-/// Batched eligibility-trace decay over one lane slot: vals[i] *= factor
-/// for the first `*len` entries, then compacts out entries whose decayed
-/// value fell below `cutoff` (dropping an entry zeroes nothing — entries
-/// are a sparse set, identical to EligibilityTraces' swap-pop semantics).
-/// idxs is compacted in step with vals; *len is updated.
-inline void decay_compact(double* vals, std::uint32_t* idxs,
-                          std::uint32_t* len, double factor,
-                          double cutoff) noexcept {
-#ifdef COREDA_LANE_KERNELS_X86
-  if (detail::g_simd && *len >= 4) {
-    detail::decay_compact_avx2(vals, idxs, len, factor, cutoff);
-    return;
-  }
-#endif
-  const std::uint32_t n = *len;
-  std::uint32_t out = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    // Branchless compaction: always store, advance only on kept entries
-    // (out <= i, so the store never outruns the read cursor).
-    const double v = vals[i] * factor;
-    vals[out] = v;
-    idxs[out] = idxs[i];
-    out += !(v < cutoff);  // NOT v >= cutoff: NaN must stay kept, as before
-  }
-  *len = out;
 }
 
 }  // namespace coreda::rl::kern

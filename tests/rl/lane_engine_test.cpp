@@ -6,9 +6,13 @@
 // how slot work is interleaved. The test drives both sides through the same
 // randomized transition streams (aliased s == s' sweeps, terminal cuts,
 // exploration, ragged per-slot episode lengths) and compares every Q cell
-// bit-for-bit. Runs under whatever kernel path the host dispatches
-// (COREDA_LANE_SIMD=0 forces scalar; the CI default on AVX2 machines
-// exercises the vector kernels).
+// bit-for-bit. The train_episode() cases do the same for the one-pass
+// trainer with deferred traces: random walks that revisit states and stay
+// put (s == s'), chains long enough to reach the trace cutoff age, cold
+// all-tie and warm tables, and the configurations that must take the
+// per-transition path. Runs under whatever kernel path the host dispatches
+// (COREDA_LANE_SIMD=0 forces scalar; the CI default on AVX2 and AVX-512
+// machines exercises the vector kernels).
 
 #include <gtest/gtest.h>
 
@@ -137,7 +141,6 @@ void run_equivalence(std::size_t width, TdLambdaConfig td, bool sweep,
         }
         state[w] = s_next;
       }
-      engine.decay_pending();
     }
     for (std::size_t w = 0; w < width; ++w) {
       scalar[w].policy.decay_epsilon();
@@ -192,6 +195,175 @@ TEST(LaneEngine, NoWatkinsCutMatchesScalar) {
   TdLambdaConfig td = planner_td();
   td.watkins_cut = false;
   run_equivalence(4, td, /*sweep=*/true, 47);
+}
+
+/// A recorded episode for train_episode(): states s_0 … s_n and one reward
+/// row per transition.
+struct Episode {
+  std::vector<StateId> states;
+  std::vector<std::vector<double>> rewards;
+  bool terminal = false;
+};
+
+void fill_rewards(Episode& e, std::size_t actions, util::Rng& rng) {
+  e.rewards.assign(e.states.size() - 1, std::vector<double>(actions));
+  for (std::vector<double>& row : e.rewards) {
+    for (double& r : row) r = (rng.uniform() - 0.5) * 200.0;
+    if (rng.bernoulli(0.1)) row[rng.pick_index(actions)] = -0.0;
+  }
+  e.terminal = rng.bernoulli(0.5);
+}
+
+/// A walk of up to 12 transitions over `states` states: about 1/5 of the
+/// steps stay put (s' == s) and the rest jump anywhere, so states come back
+/// inside open trace windows.
+Episode random_walk(std::size_t states, std::size_t actions, util::Rng& rng) {
+  Episode e;
+  e.states.push_back(static_cast<StateId>(rng.pick_index(states)));
+  const std::size_t len = 1 + rng.pick_index(12);
+  for (std::size_t t = 0; t < len; ++t) {
+    e.states.push_back(rng.bernoulli(0.2)
+                           ? e.states.back()
+                           : static_cast<StateId>(rng.pick_index(states)));
+  }
+  fill_rewards(e, actions, rng);
+  return e;
+}
+
+/// `transitions` transitions through distinct states from `first`.
+Episode chain(std::size_t first, std::size_t transitions, std::size_t actions,
+              util::Rng& rng) {
+  Episode e;
+  for (std::size_t t = 0; t <= transitions; ++t) {
+    e.states.push_back(static_cast<StateId>(first + t));
+  }
+  fill_rewards(e, actions, rng);
+  return e;
+}
+
+/// A table of distinct random values: every greedy choice is unique, so no
+/// Watkins cut closes a trace window before a hazard does.
+QTable distinct_table(std::size_t states, std::size_t actions,
+                      std::uint64_t seed) {
+  QTable q(states, actions, 0.0);
+  util::Rng rng(seed);
+  for (StateId s = 0; s < states; ++s) {
+    for (ActionId a = 0; a < actions; ++a) {
+      q.set(s, a, 500.0 + 500.0 * rng.uniform());
+    }
+  }
+  return q;
+}
+
+/// Trains `episodes` through train_episode() on slot 1 of a width-3 engine
+/// and through TdLambdaQLearning + EpsilonGreedyPolicy at a fixed ε, both
+/// from `start`, asserting bitwise-equal tables after every episode.
+/// Returns the engine's sequential_episodes().
+std::uint64_t train_episodes(const QTable& start, TdLambdaConfig td,
+                             bool sweep, double epsilon,
+                             const std::vector<Episode>& episodes) {
+  const std::size_t actions = start.num_actions();
+  TdLambdaQLearning learner(start.num_states(), actions, td);
+  learner.q() = start;
+  EpsilonGreedyPolicy policy(epsilon, 1.0, 0.0);
+  util::Rng scalar_rng(77);
+  util::Rng lane_rng(77);
+  LaneEngine engine(3, start.num_states(), actions, 4, td);
+  engine.load(1, start);
+  std::vector<const double*> rows;
+  for (const Episode& e : episodes) {
+    const std::size_t n = e.rewards.size();
+    learner.begin_episode();
+    for (std::size_t t = 0; t < n; ++t) {
+      const StateId s = e.states[t];
+      const bool terminal = e.terminal && t + 1 == n;
+      const ActionId a = policy.select(learner.q(), s, scalar_rng);
+      learner.observe(Transition{s, a, e.rewards[t][a], e.states[t + 1],
+                                 terminal});
+      if (sweep) {
+        learner.update_counterfactual_row(s, e.rewards[t], a,
+                                          e.states[t + 1], terminal);
+      }
+    }
+    rows.clear();
+    for (const std::vector<double>& row : e.rewards) rows.push_back(row.data());
+    engine.train_episode(1,
+                         Trajectory{e.states.data(), rows.data(),
+                                    static_cast<std::uint32_t>(n), e.terminal},
+                         epsilon, lane_rng, sweep);
+    expect_tables_equal(learner.q(), engine, 1, "train_episode");
+  }
+  return engine.sequential_episodes();
+}
+
+// Rows of 3, 6 and 8 actions run the AVX-512 body where the CPU has it;
+// 12 actions always run the scalar body (COREDA_LANE_SIMD=0 forces it for
+// every width).
+TEST(LaneEngine, TrainEpisodeMatchesScalarOnRandomWalks) {
+  for (const std::size_t actions : {3u, 6u, 8u, 12u}) {
+    SCOPED_TRACE(testing::Message() << actions << " actions");
+    constexpr std::size_t kStates = 25;
+    util::Rng rng(100 + actions);
+    std::vector<Episode> episodes;
+    for (int i = 0; i < 60; ++i) {
+      episodes.push_back(random_walk(kStates, actions, rng));
+    }
+    const QTable cold(kStates, actions, 1000.0);  // all-tie rows
+    const QTable warm = distinct_table(kStates, actions, actions);
+    for (const bool sweep : {true, false}) {
+      EXPECT_GT(train_episodes(cold, planner_td(), sweep, 0.2, episodes), 0u);
+      EXPECT_GT(train_episodes(warm, planner_td(), sweep, 0.2, episodes), 0u);
+      EXPECT_GT(train_episodes(warm, planner_td(), sweep, 1e-12, episodes),
+                0u);
+    }
+    TdLambdaConfig no_cut = planner_td();
+    no_cut.watkins_cut = false;
+    train_episodes(cold, no_cut, true, 0.2, episodes);
+  }
+}
+
+TEST(LaneEngine, TrainEpisodeUsesThePerTransitionPathWhereItMust) {
+  constexpr std::size_t kStates = 25;
+  constexpr std::size_t kActions = 8;
+  util::Rng rng(7);
+  std::vector<Episode> episodes;
+  for (int i = 0; i < 30; ++i) {
+    episodes.push_back(random_walk(kStates, kActions, rng));
+  }
+  const QTable warm = distinct_table(kStates, kActions, 3);
+  TdLambdaConfig accumulating = planner_td();
+  accumulating.trace_type = TraceType::kAccumulating;
+  EXPECT_EQ(train_episodes(warm, accumulating, true, 0.2, episodes), 30u);
+  EXPECT_EQ(train_episodes(warm, planner_td(), true, 0.0, episodes), 30u);
+  EXPECT_EQ(train_episodes(warm, planner_td(), true, 1.0, episodes), 30u);
+}
+
+TEST(LaneEngine, TrainEpisodeRunsHazardFreeEpisodesInOnePass) {
+  // Distinct states and windows shorter than the cutoff age (40 entries at
+  // γλ = 0.63): nothing sends an episode to the per-transition path.
+  for (const std::size_t actions : {6u, 12u}) {
+    util::Rng rng(11);
+    std::vector<Episode> episodes;
+    for (std::size_t n = 1; n <= 40; ++n) {
+      episodes.push_back(chain(n % 7, n, actions, rng));
+    }
+    const QTable warm = distinct_table(64, actions, 5);
+    EXPECT_EQ(train_episodes(warm, planner_td(), true, 1e-12, episodes), 0u);
+    EXPECT_EQ(train_episodes(warm, planner_td(), true, 0.2, episodes), 0u);
+  }
+}
+
+TEST(LaneEngine, TrainEpisodeFallsBackAtTheCutoffAge) {
+  // 50 greedy transitions through distinct states: the window reaches 40
+  // entries, where the oldest would drop, and hands the rest of the episode
+  // to the per-transition path, which drops the aged entries from there.
+  for (const std::size_t actions : {8u, 12u}) {
+    util::Rng rng(13);
+    std::vector<Episode> episodes;
+    for (int i = 0; i < 4; ++i) episodes.push_back(chain(i, 50, actions, rng));
+    const QTable warm = distinct_table(64, actions, 17);
+    EXPECT_EQ(train_episodes(warm, planner_td(), true, 1e-12, episodes), 4u);
+  }
 }
 
 TEST(LaneEngine, LoadStoreRoundTripsBitwise) {

@@ -156,41 +156,6 @@ TEST(LaneKernels, CfUpdateLeavesTakenCellUntouchedBitwise) {
   }
 }
 
-TEST(LaneKernels, DecayCompactMatchesScalarModel) {
-  util::Rng rng(17);
-  const double factor = 0.9 * 0.7;
-  const double cutoff = 1e-8;
-  for (std::uint32_t n = 0; n <= 24; ++n) {
-    for (int rep = 0; rep < 100; ++rep) {
-      std::vector<double> vals(n + 4, 0.0);
-      std::vector<std::uint32_t> idxs(n + 4, 0);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const double r = rng.uniform();
-        vals[i] = r < 0.2 ? cutoff / factor * rng.uniform()  // will drop
-                          : rng.uniform();
-        idxs[i] = static_cast<std::uint32_t>(rng.pick_index(1000));
-      }
-
-      std::vector<double> want_vals;
-      std::vector<std::uint32_t> want_idxs;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const double v = vals[i] * factor;
-        if (v < cutoff) continue;
-        want_vals.push_back(v);
-        want_idxs.push_back(idxs[i]);
-      }
-
-      std::uint32_t len = n;
-      kern::decay_compact(vals.data(), idxs.data(), &len, factor, cutoff);
-      ASSERT_EQ(len, want_vals.size());
-      for (std::uint32_t i = 0; i < len; ++i) {
-        EXPECT_EQ(bits(vals[i]), bits(want_vals[i]));
-        EXPECT_EQ(idxs[i], want_idxs[i]);
-      }
-    }
-  }
-}
-
 TEST(LaneKernels, SimdFlagIsStable) {
   const bool first = kern::simd_enabled();
   EXPECT_EQ(kern::simd_enabled(), first);  // decided once per process
