@@ -145,7 +145,6 @@ int main(int argc, char** argv) {
   sp.tail_rounds =
       static_cast<std::size_t>(flags.get_int("serve-tail-rounds", 8));
   sp.burst = static_cast<std::size_t>(flags.get_int("burst", 2));
-  sp.lane_width = static_cast<std::size_t>(flags.get_int("lane-width", 2));
   sp.dir = base_dir + "_serve";
 
   std::printf("\nDrift-recovery soak: %zu users (%zu stale) on %zu slots, "

@@ -10,7 +10,7 @@
 // escalation kicks in, the prompt EWMA crosses the drift threshold and the
 // users get flagged. From there the engine takes over: each drain enqueues
 // retrain jobs for flagged users with enough recorded transcripts, replays
-// their rings through a warm lane learner on the exec pool, stages the
+// their rings through a warm lane trainer on the exec pool, stages the
 // refreshed tables back through the PolicyStore and invalidates the slot
 // residency. The bench measures how many sessions it takes every drifted
 // user's EWMA to drop back under the threshold — the recovery the
@@ -23,10 +23,7 @@
 //
 // Usage:
 //   bench_retrain_recovery --users=24 --slots=4 --drifted=6 --rounds=10
-//       --burst=2 --jobs=4 --lane-width=8 --timing-json=BENCH_retrain.json
-//
-// --lane-width=N replays retrain jobs N users at a time through the SoA
-// lane engine (byte-identical outcome, a pure throughput knob).
+//       --burst=2 --jobs=4 --timing-json=BENCH_retrain.json
 
 #include <cstdio>
 #include <sstream>
@@ -55,7 +52,7 @@ patient::PatientProfile user_profile(std::size_t user) {
 }
 
 /// Steady-state allocation probe for the retrain path itself: one lane, one
-/// user, a full ring. After the first job warms the lane learner, a retrain
+/// user, a full ring. After the first job warms the lane trainer, a retrain
 /// (import + replay + stage) must not touch the heap.
 double steady_state_allocs_per_retrain(const adl::Adl& adl,
                                        const planning::RoutineLearner& donor,
@@ -95,14 +92,8 @@ int main(int argc, char** argv) {
   // stale table mis-prompts once per swapped step plus escalations); the
   // threshold splits the two bands.
   const double threshold = flags.get_double("threshold", 2.5);
-  const auto lane_width =
-      static_cast<std::size_t>(flags.get_int("lane-width", 1));
   if (drifted > users) {
     std::fprintf(stderr, "--drifted must be <= --users\n");
-    return 1;
-  }
-  if (lane_width == 0) {
-    std::fprintf(stderr, "--lane-width must be >= 1\n");
     return 1;
   }
 
@@ -130,7 +121,6 @@ int main(int argc, char** argv) {
   params.pool.seed = 4242;
   params.drift.threshold = threshold;
   params.retrain.enabled = true;
-  params.retrain.lane_width = lane_width;
   // Every `drifted`-th user starts from the stale table; ids are spread
   // across slots/lanes so recovery is not an artifact of one shard.
   std::vector<bool> is_drifted(users, false);
@@ -247,7 +237,6 @@ int main(int argc, char** argv) {
   extra << "\"users\": " << users << ", \"slots\": " << slots
         << ", \"drifted\": " << drifted << ", \"rounds\": " << rounds
         << ", \"sessions_per_round\": " << burst
-        << ", \"lane_width\": " << lane_width
         << ", \"sessions_per_sec\": "
         << (bench_seconds > 0.0
                 ? static_cast<double>(report.sessions) / bench_seconds

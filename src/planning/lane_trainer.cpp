@@ -83,7 +83,14 @@ LaneTrainer::LaneTrainer(const adl::Adl& adl, std::size_t width,
   }
 }
 
+void LaneTrainer::check_slot(std::size_t slot) const {
+  if (slot >= slots_.size()) {
+    throw std::out_of_range("LaneTrainer: slot out of range");
+  }
+}
+
 void LaneTrainer::reset_slot(std::size_t slot, util::Rng rng) {
+  check_slot(slot);
   Slot& sl = slots_[slot];
   sl.rng = rng;
   sl.epsilon = config_.epsilon;
@@ -92,12 +99,11 @@ void LaneTrainer::reset_slot(std::size_t slot, util::Rng rng) {
   sl.queued = false;
   double* q = engine_.slot_q(slot);
   std::fill(q, q + num_states() * num_actions(), config_.td.initial_q);
-  engine_.begin_episode(slot);
 }
 
 void LaneTrainer::begin_retraining(std::size_t slot, const rl::QTable& q,
                                    util::Rng rng) {
-  engine_.load(slot, q);  // shape-checked; also clears the slot's traces
+  engine_.load(slot, q);  // slot- and shape-checked
   Slot& sl = slots_[slot];
   sl.rng = rng;
   sl.epsilon = config_.epsilon;
@@ -106,6 +112,7 @@ void LaneTrainer::begin_retraining(std::size_t slot, const rl::QTable& q,
 
 void LaneTrainer::queue_episode(std::size_t slot,
                                 std::span<const adl::StepId> steps) {
+  check_slot(slot);
   Slot& sl = slots_[slot];
   if (sl.queued) {
     throw std::logic_error("LaneTrainer: slot already has a queued episode");
@@ -164,6 +171,7 @@ void LaneTrainer::train_queued() {
 }
 
 double LaneTrainer::greedy_accuracy(std::size_t slot) const {
+  check_slot(slot);
   const double* q = engine_.slot_q(slot);
   const std::size_t num_actions = actions_.num_actions();
   std::size_t hits = 0;
@@ -181,6 +189,7 @@ double LaneTrainer::greedy_accuracy(std::size_t slot) const {
 }
 
 double LaneTrainer::q_sum(std::size_t slot) const {
+  check_slot(slot);
   const double* q = engine_.slot_q(slot);
   const std::size_t n = num_states() * num_actions();
   double sum = 0.0;

@@ -25,6 +25,7 @@ namespace coreda::planning {
 /// train_queued() once. Slots advance independently (their ε schedules,
 /// RNG streams and tables never interact), so the round trains them one
 /// after another, each episode in one rl::LaneEngine::train_episode pass.
+/// Every per-slot call below throws std::out_of_range for slot >= width().
 class LaneTrainer {
  public:
   /// `max_episode_steps`, when nonzero, pre-sizes every per-slot scratch
@@ -40,8 +41,8 @@ class LaneTrainer {
   const LearnerConfig& config() const noexcept { return config_; }
   const rl::LaneEngine& engine() const noexcept { return engine_; }
 
-  /// Re-arms the slot for a fresh user: optimistic-initial table, cleared
-  /// traces, ε restarted, new RNG. Equivalent to constructing a
+  /// Re-arms the slot for a fresh user: optimistic-initial table, ε
+  /// restarted, new RNG. Equivalent to constructing a
   /// RoutineLearner(adl, rng, config).
   void reset_slot(std::size_t slot, util::Rng rng);
 
@@ -72,15 +73,17 @@ class LaneTrainer {
     engine_.store(slot, q);
   }
 
-  double epsilon(std::size_t slot) const { return slots_[slot].epsilon; }
+  double epsilon(std::size_t slot) const { return slots_.at(slot).epsilon; }
   std::size_t episodes_trained(std::size_t slot) const {
-    return slots_[slot].episodes;
+    return slots_.at(slot).episodes;
   }
   std::uint64_t skipped_steps(std::size_t slot) const {
-    return slots_[slot].skipped;
+    return slots_.at(slot).skipped;
   }
 
  private:
+  void check_slot(std::size_t slot) const;
+
   struct Slot {
     util::Rng rng{0};
     double epsilon = 0.0;

@@ -19,7 +19,6 @@
 //     scan, and the sweep's masked store leaves the taken cell untouched
 //     instead of adding a zero delta.
 
-#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -194,23 +193,8 @@ struct EpisodeKernel {
       double* const row = q + static_cast<std::size_t>(s) * num_actions;
       const bool explore = rng.bernoulli(epsilon);
       const kern::RowStats st = rows.ties(max, LaneEngine::kGreedyTolerance);
-      std::size_t a = 0;
-      if (explore) {
-        a = rng.pick_index(num_actions);
-      } else if (st.tie_mask != 0 && (st.tie_mask & (st.tie_mask - 1)) == 0) {
-        (void)rng.uniform();  // a single tie: the draw is always accepted
-        a = static_cast<std::size_t>(std::countr_zero(st.tie_mask));
-      } else {
-        // QTable::best_action's reservoir over the exact ties.
-        std::uint64_t mask = st.tie_mask;
-        std::size_t seen = 0;
-        while (mask != 0) {
-          const auto tie = static_cast<std::size_t>(std::countr_zero(mask));
-          mask &= mask - 1;
-          ++seen;
-          if (rng.uniform() < 1.0 / static_cast<double>(seen)) a = tie;
-        }
-      }
+      const std::size_t a =
+          LaneEngine::choose(st, explore, num_actions, rng);
       const bool kept =
           !watkins || (row[a] >= max - LaneEngine::kGreedyTolerance &&
                        st.near_count == 1);
@@ -326,11 +310,12 @@ void LaneEngine::init_window() {
 
 void LaneEngine::train_episode(std::size_t slot, const Trajectory& episode,
                                double epsilon, util::Rng& rng, bool sweep) {
+  if (slot >= width_) throw std::out_of_range("LaneEngine: slot out of range");
   if (episode.transitions > trace_cap_) reserve_traces(episode.transitions);
-  begin_episode(slot);
+  trace_len_[slot] = 0;  // TdLambdaQLearning::begin_episode
   std::uint32_t t = 0;
-  if (config_.trace_type == TraceType::kReplacing && num_actions_ <= 64 &&
-      epsilon > 0.0 && epsilon < 1.0) {
+  if (config_.trace_type == TraceType::kReplacing && epsilon > 0.0 &&
+      epsilon < 1.0) {
 #ifdef COREDA_LANE_EPISODE_X86
     if (g_avx512 && num_actions_ <= 8) {
       t = EpisodeKernel::run_avx512(*this, slot, episode, epsilon, rng, sweep);
@@ -343,12 +328,11 @@ void LaneEngine::train_episode(std::size_t slot, const Trajectory& episode,
     if (t == episode.transitions) return;
   }
   ++sequential_episodes_;
-  MaxCarry carry;
   for (; t < episode.transitions; ++t) {
     const StateId s = episode.states[t];
-    const Selected sel = select(slot, s, epsilon, rng, carry);
+    const Selected sel = select(slot, s, epsilon, rng);
     step(slot, sel, s, episode.rewards[t], episode.states[t + 1],
-         episode.terminal && t + 1 == episode.transitions, sweep, &carry);
+         episode.terminal && t + 1 == episode.transitions, sweep);
   }
 }
 

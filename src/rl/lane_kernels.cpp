@@ -81,26 +81,6 @@ __attribute__((target("avx2"))) double row_max_avx2(const double* row,
   return m;
 }
 
-__attribute__((target("avx2"))) RowStatsResult row_stats_avx2(
-    const double* row, double tolerance, std::size_t n) noexcept {
-  // Max reduction first (row_max_avx2's body, callers guarantee n >= 4).
-  __m256d acc = _mm256_loadu_pd(row);
-  std::size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_max_pd(acc, _mm256_loadu_pd(row + i));
-  }
-  __m128d lo = _mm256_castpd256_pd128(acc);
-  __m128d hi = _mm256_extractf128_pd(acc, 1);
-  lo = _mm_max_pd(lo, hi);
-  lo = _mm_max_sd(lo, _mm_unpackhi_pd(lo, lo));
-  double m = _mm_cvtsd_f64(lo);
-  for (; i < n; ++i) {
-    if (row[i] > m) m = row[i];
-  }
-  if (m == 0.0) m = row_max_scalar(row, n);  // signed-zero rule of row_max
-  return row_stats_given_max_avx2(row, m, tolerance, n);
-}
-
 __attribute__((target("avx2"))) RowStatsResult row_stats_given_max_avx2(
     const double* row, double max, double tolerance,
     std::size_t n) noexcept {
@@ -124,22 +104,6 @@ __attribute__((target("avx2"))) RowStatsResult row_stats_given_max_avx2(
     st.near_count += row[i] >= max - tolerance;
   }
   return st;
-}
-
-__attribute__((target("avx2"))) std::size_t count_ge_avx2(
-    const double* row, double threshold, std::size_t n) noexcept {
-  const __m256d t = _mm256_set1_pd(threshold);
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d ge = _mm256_cmp_pd(_mm256_loadu_pd(row + i), t, _CMP_GE_OQ);
-    count += static_cast<std::size_t>(
-        __builtin_popcount(static_cast<unsigned>(_mm256_movemask_pd(ge))));
-  }
-  for (; i < n; ++i) {
-    if (row[i] >= threshold) ++count;
-  }
-  return count;
 }
 
 __attribute__((target("avx2"))) void cf_update_avx2(

@@ -18,15 +18,11 @@ extern const bool g_simd;
 /// preconditions — the inline dispatchers below are the only intended
 /// call sites.
 double row_max_avx2(const double* row, std::size_t n) noexcept;  // n >= 4
-std::size_t count_ge_avx2(const double* row, double threshold,
-                          std::size_t n) noexcept;
 struct RowStatsResult {
   double max;
   std::uint64_t tie_mask;
   std::uint32_t near_count;
 };
-RowStatsResult row_stats_avx2(const double* row, double tolerance,
-                              std::size_t n) noexcept;  // 4 <= n <= 64
 RowStatsResult row_stats_given_max_avx2(const double* row, double max,
                                         double tolerance,
                                         std::size_t n) noexcept;  // n <= 64
@@ -49,10 +45,10 @@ bool simd_enabled() noexcept;
 /// zero of a {+0.0, -0.0} tie, and the lane engine's contract is
 /// bit-identical doubles, not just numerically-equal ones.
 ///
-/// The scalar bodies of every kernel live here in the header: a lane
-/// transition makes four to six kernel calls over rows of a handful of
-/// doubles, and the cross-TU call + dispatch overhead measurably exceeded
-/// the work itself on bench_fleet_throughput. The dispatch reads one cached
+/// The scalar bodies of every kernel live here in the header: a transition
+/// makes three or four kernel calls over rows of a handful of doubles, and
+/// the cross-TU call + dispatch overhead measurably exceeded the work
+/// itself on bench_fleet_throughput. The dispatch reads one cached
 /// bool; the AVX2 bodies stay out of line behind it.
 inline double row_max(const double* row, std::size_t n) noexcept {
 #ifdef COREDA_LANE_KERNELS_X86
@@ -65,60 +61,21 @@ inline double row_max(const double* row, std::size_t n) noexcept {
   return m;
 }
 
-/// Number of entries with row[i] >= threshold (the tie count of
-/// QTable::is_uniquely_greedy).
-inline std::size_t count_ge(const double* row, double threshold,
-                            std::size_t n) noexcept {
-#ifdef COREDA_LANE_KERNELS_X86
-  if (detail::g_simd) return detail::count_ge_avx2(row, threshold, n);
-#endif
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (row[i] >= threshold) ++count;
-  }
-  return count;
-}
-
 /// Everything ε-greedy selection + the Watkins unique-greedy test need from
-/// one Q row, in one fused pass: the row maximum (row_max semantics,
-/// including the signed-zero rule), a bitmask of the exact ties
-/// (bit a set iff row[a] == max — the reservoir's candidate set) and the
-/// count of entries within `tolerance` of the maximum (count_ge's tie
-/// count). Branch-free accumulation: the separate reservoir scan +
-/// count_ge pass cost two data-dependent branch streams per transition.
-/// n must be in [1, 64] (the mask is one word; Q rows are action counts).
+/// one Q row whose maximum is known: a bitmask of the exact ties (bit a set
+/// iff row[a] == max — the reservoir's candidate set) and the count of
+/// entries within `tolerance` of the maximum (QTable::is_uniquely_greedy's
+/// tie count), in one branch-free sweep. `max` must be bitwise what
+/// row_max(row, n) returns for these row bytes: the per-transition
+/// fallback computes it just before, the episode pass carries it from the
+/// bootstrap over the same row one transition earlier. n must be in
+/// [1, 64] (the mask is one word; LaneEngine rejects wider rows).
 struct RowStats {
   double max = 0.0;
   std::uint64_t tie_mask = 0;    ///< bit a set iff row[a] == max
   std::uint32_t near_count = 0;  ///< entries with row[a] >= max - tolerance
 };
 
-inline RowStats row_stats(const double* row, double tolerance,
-                          std::size_t n) noexcept {
-#ifdef COREDA_LANE_KERNELS_X86
-  if (detail::g_simd && n >= 4) {
-    const detail::RowStatsResult r = detail::row_stats_avx2(row, tolerance, n);
-    return RowStats{r.max, r.tie_mask, r.near_count};
-  }
-#endif
-  RowStats st;
-  st.max = row[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    if (row[i] > st.max) st.max = row[i];
-  }
-  const double threshold = st.max - tolerance;
-  for (std::size_t i = 0; i < n; ++i) {
-    st.tie_mask |= static_cast<std::uint64_t>(row[i] == st.max) << i;
-    st.near_count += row[i] >= threshold;
-  }
-  return st;
-}
-
-/// row_stats when the row maximum is already known (carried from a prior
-/// row_max over bitwise-identical row bytes): skips the max reduction and
-/// performs only the tie-mask / tolerance-count sweep. Callers must
-/// guarantee `max` is exactly what row_max(row, n) would return — the lane
-/// engine's transition carry proves this via its touched-row tracking.
 inline RowStats row_stats_given_max(const double* row, double max,
                                     double tolerance,
                                     std::size_t n) noexcept {

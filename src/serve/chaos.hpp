@@ -154,7 +154,6 @@ struct ChaosServeParams {
   /// Drift threshold splitting the stale band (~4 prompts/session) from
   /// the calm band (~1), as in bench_retrain_recovery.
   double threshold = 2.5;
-  std::size_t lane_width = 2;
   /// Policy store directory (required; wiped). A segment store with one
   /// writer per slot, rebase_every=4 and flush_every=1, so the
   /// pre-publish/corruption seams fire on the hot path, not just at

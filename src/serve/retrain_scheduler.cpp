@@ -21,26 +21,16 @@ RetrainScheduler::RetrainScheduler(const adl::Adl& adl, PolicyStore& store,
     throw std::invalid_argument(
         "RetrainScheduler: min_transcripts and replay_passes must be >= 1");
   }
-  if (params_.lane_width == 0) {
-    throw std::invalid_argument("RetrainScheduler: lane_width must be >= 1");
-  }
   lane_queues_.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
+    // One warm trainer per lane, re-armed for every job via
+    // begin_retraining. Transcript slots bound episode length, so
+    // pre-sizing its traces and scratch here makes retrains alloc-free.
     Lane lane;
-    // One warm learner per lane, rebuilt for every job via
-    // begin_retraining; the placeholder seed never trains anything.
-    lane.learner = std::make_unique<planning::RoutineLearner>(
-        adl, util::Rng(0), learner_config);
-    if (params_.lane_width > 1) {
-      // The lockstep replay engine; transcript slots bound episode length,
-      // so pre-sizing its traces/scratch here makes retrains alloc-free.
-      lane.trainer = std::make_unique<planning::LaneTrainer>(
-          adl, params_.lane_width, learner_config,
-          params_.max_transcript_steps);
-      const rl::QTable& shape = lane.learner->q();
-      lane.scratch = std::make_unique<rl::QTable>(shape.num_states(),
-                                                  shape.num_actions());
-    }
+    lane.trainer = std::make_unique<planning::LaneTrainer>(
+        adl, 1, learner_config, params_.max_transcript_steps);
+    lane.scratch = std::make_unique<rl::QTable>(lane.trainer->num_states(),
+                                                lane.trainer->num_actions());
     lane_queues_.push_back(std::move(lane));
   }
 }
@@ -111,21 +101,24 @@ std::size_t RetrainScheduler::queued() const noexcept {
 
 std::size_t RetrainScheduler::retrain_user(UserId user) {
   const Ring& r = ring(user);
-  planning::RoutineLearner& learner = *lane_queues_[lane_for(user)].learner;
+  Lane& lane = lane_queues_[lane_for(user)];
+  planning::LaneTrainer& trainer = *lane.trainer;
   // The retrain stream is keyed by the user, not the trial: the outcome
   // cannot depend on which lane (or how many) the job shares a drain with.
-  learner.begin_retraining(store_->q(user),
+  trainer.begin_retraining(0, store_->q(user),
                            util::Rng(exec::trial_seed(params_.seed, user)));
   std::size_t episodes = 0;
   for (std::size_t pass = 0; pass < params_.replay_passes; ++pass) {
     for (std::size_t i = 0; i < r.count; ++i) {
-      learner.train_episode(transcript(user, i));
+      trainer.queue_episode(0, transcript(user, i));
+      trainer.train_queued();
       ++episodes;
     }
   }
   // Stage the refreshed table back: a new version for the store, flushed to
   // disk on the same wear batch as any serve-path write-back.
-  stage_retrained(user, learner.q());
+  trainer.export_q(0, *lane.scratch);
+  stage_retrained(user, *lane.scratch);
   return episodes;
 }
 
@@ -150,66 +143,19 @@ bool RetrainScheduler::stage_retrained(UserId user, const rl::QTable& q) {
   return true;
 }
 
-std::size_t RetrainScheduler::retrain_batch(std::size_t lane,
-                                            std::span<const UserId> users) {
-  planning::LaneTrainer& trainer = *lane_queues_[lane].trainer;
-  std::size_t episodes = 0;
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    trainer.begin_retraining(
-        i, store_->q(users[i]),
-        util::Rng(exec::trial_seed(params_.seed, users[i])));
-  }
-  // Pass-major lockstep over every slot's replay sequence (the exact
-  // episode order retrain_user feeds its scalar learner), ragged when
-  // users' rings hold different transcript counts.
-  for (std::size_t round = 0;; ++round) {
-    bool any = false;
-    for (std::size_t i = 0; i < users.size(); ++i) {
-      const Ring& r = ring(users[i]);
-      if (round >= params_.replay_passes * r.count) continue;
-      trainer.queue_episode(i, transcript(users[i], round % r.count));
-      any = true;
-      ++episodes;
-    }
-    if (!any) break;
-    trainer.train_queued();
-  }
-  rl::QTable& scratch = *lane_queues_[lane].scratch;
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    trainer.export_q(i, scratch);
-    stage_retrained(users[i], scratch);
-  }
-  return episodes;
-}
-
 std::span<const UserId> RetrainScheduler::drain(exec::TrialRunner& runner) {
   retrained_.clear();
   if (queued() == 0) return retrained_;
 
   // One trial per lane, like the engine's serve drain: a lane's jobs run
   // serially in enqueue order on whichever worker takes the trial. Jobs of
-  // one lane share that lane's learner; jobs of different lanes touch
-  // disjoint learners, rings and store entries. With lane_width > 1 the
-  // lane queue is chunked through the lane's lockstep trainer instead —
-  // same per-user streams, same staging order, byte-identical outcome.
-  const std::size_t width = params_.lane_width;
+  // one lane share that lane's trainer; jobs of different lanes touch
+  // disjoint trainers, rings and store entries.
   std::vector<std::size_t> lane_episodes(lane_queues_.size(), 0);
   runner.run(lane_queues_.size(), /*base_seed=*/0,
              [&](exec::TrialContext& ctx) -> char {
-               const std::vector<UserId>& queue =
-                   lane_queues_[ctx.index].queue;
-               if (width > 1) {
-                 for (std::size_t base = 0; base < queue.size();
-                      base += width) {
-                   const std::size_t n =
-                       std::min(width, queue.size() - base);
-                   lane_episodes[ctx.index] += retrain_batch(
-                       ctx.index, {queue.data() + base, n});
-                 }
-               } else {
-                 for (const UserId user : queue) {
-                   lane_episodes[ctx.index] += retrain_user(user);
-                 }
+               for (const UserId user : lane_queues_[ctx.index].queue) {
+                 lane_episodes[ctx.index] += retrain_user(user);
                }
                return 0;
              });

@@ -46,18 +46,12 @@ struct RetrainParams {
   /// retrained again — gives the refreshed policy time to move the EWMA
   /// (and fresh transcripts time to displace pre-retrain ones).
   std::size_t cooldown_sessions = 4;
-  /// Users replayed in lockstep per lane batch during drain. 1 keeps the
-  /// scalar path (one warm RoutineLearner per lane); >1 steps chunks of the
-  /// lane queue through a SoA planning::LaneTrainer. Per-user results are
-  /// byte-identical either way — retrain streams are seeded per user and
-  /// lane slots never interact — so this is purely a throughput knob.
-  std::size_t lane_width = 1;
 };
 
 /// Cumulative retraining counters, reported through the ServeReport.
 struct RetrainCounters {
   std::uint64_t jobs = 0;      ///< retrain jobs executed
-  std::uint64_t episodes = 0;  ///< transcript replays fed to lane learners
+  std::uint64_t episodes = 0;  ///< transcript replays fed to lane trainers
   std::uint64_t aborted = 0;   ///< jobs killed by "retrain.abort" before
                                ///< staging (retried after the cooldown)
   std::uint64_t crashed_stages = 0;  ///< staged write-backs whose disk flush
@@ -73,20 +67,22 @@ struct RetrainCounters {
 /// ring is deep enough. Draining the queue fans one trial per lane across
 /// the exec pool — the same static shard the SystemPool serves with (lane =
 /// user % lanes), so a job set retrains byte-identically at any --jobs.
-/// Each job re-arms its lane's warm RoutineLearner on the user's current
-/// PolicyStore table (begin_retraining: import + reseed + ε restart),
-/// replays the ring, and stages the refreshed table straight back — a new
-/// version, wear-batched to disk like any serve-path write-back.
+/// Each job re-arms its lane's warm width-1 planning::LaneTrainer on the
+/// user's current PolicyStore table (begin_retraining: import + reseed + ε
+/// restart), replays the ring through it one episode per round, and stages
+/// the refreshed table straight back — a new version, wear-batched to disk
+/// like any serve-path write-back. The trainer is byte-identical to a
+/// RoutineLearner that ran begin_retraining and the same replay.
 ///
 /// Thread-safety mirrors the serving tier: record() calls for users of
 /// different lanes may run concurrently (disjoint rings); enqueue() and
-/// drain() are drain-loop-serial. Lane learners are touched only by their
+/// drain() are drain-loop-serial. Lane trainers are touched only by their
 /// lane's trial.
 class RetrainScheduler {
  public:
   /// `adl` and `store` must outlive the scheduler. `lanes` fixes the trial
   /// fan-out width (the engine passes its pool's slot count); one warm
-  /// learner per lane is built up front with `learner_config` — the same
+  /// trainer per lane is built up front with `learner_config` — the same
   /// config the serving systems plan with, so a retrained table prices
   /// prompts exactly like the tables it replaces.
   RetrainScheduler(const adl::Adl& adl, PolicyStore& store,
@@ -130,12 +126,6 @@ class RetrainScheduler {
   /// the episodes replayed.
   std::size_t retrain_user(UserId user);
 
-  /// Lockstep-retrains up to lane_width users of one lane through its
-  /// LaneTrainer (the drain inner loop when lane_width > 1; public for the
-  /// allocation tests). All users must belong to `lane`. Returns the
-  /// episodes replayed.
-  std::size_t retrain_batch(std::size_t lane, std::span<const UserId> users);
-
   /// Cumulative counters. By value: the abort/crash tallies live in
   /// atomics (lane trials bump them concurrently) and are folded in here.
   RetrainCounters counters() const noexcept {
@@ -170,8 +160,8 @@ class RetrainScheduler {
   };
 
   struct Lane {
-    std::unique_ptr<planning::RoutineLearner> learner;
-    /// Lockstep replay engine, built only when lane_width > 1.
+    /// Width-1 replay trainer, pre-sized to max_transcript_steps so a warm
+    /// retrain never allocates.
     std::unique_ptr<planning::LaneTrainer> trainer;
     /// Scatter target reused across jobs so staging stays allocation-free.
     std::unique_ptr<rl::QTable> scratch;

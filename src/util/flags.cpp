@@ -73,6 +73,18 @@ std::int64_t Flags::get_int(const std::string& key,
   }
 }
 
+std::size_t Flags::get_count(const std::string& key,
+                             std::size_t fallback) const {
+  if (!has(key)) return fallback;
+  const std::int64_t value = get_int(key, 0);
+  if (value < 0) {
+    throw std::invalid_argument("flag --" + key +
+                                " expects a count >= 0, got '" + get(key) +
+                                "'");
+  }
+  return static_cast<std::size_t>(value);
+}
+
 bool Flags::get_bool(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;

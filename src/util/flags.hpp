@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -40,6 +42,9 @@ class Flags {
   /// unparsable.
   double get_double(const std::string& key, double fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// A count: get_int that also throws std::invalid_argument on a negative
+  /// value, instead of letting a cast wrap it to 2^64 - n.
+  std::size_t get_count(const std::string& key, std::size_t fallback) const;
   bool get_bool(const std::string& key, bool fallback = false) const;
 
   /// Every flag key that was supplied (for unknown-flag validation).

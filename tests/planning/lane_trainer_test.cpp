@@ -385,6 +385,17 @@ TEST(LaneTrainer, RejectsDoubleQueueAndShapeMismatch) {
   rl::QTable wrong(2, 2, 0.0);
   EXPECT_THROW(lane.begin_retraining(0, wrong, util::Rng(1)),
                std::invalid_argument);
+
+  // Slots at or past width() are refused before any slab is touched.
+  rl::QTable right(lane.num_states(), lane.num_actions(), 0.0);
+  EXPECT_THROW(lane.reset_slot(2, util::Rng(1)), std::out_of_range);
+  EXPECT_THROW(lane.begin_retraining(2, right, util::Rng(1)),
+               std::out_of_range);
+  EXPECT_THROW(lane.queue_episode(2, e), std::out_of_range);
+  EXPECT_THROW(lane.export_q(2, right), std::out_of_range);
+  EXPECT_THROW((void)lane.greedy_accuracy(2), std::out_of_range);
+  EXPECT_THROW((void)lane.q_sum(2), std::out_of_range);
+  EXPECT_NO_THROW(lane.export_q(1, right));
 }
 
 }  // namespace

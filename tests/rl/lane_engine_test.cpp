@@ -2,15 +2,16 @@
 //
 // Each slot of a lane must evolve its Q table exactly as an independent
 // TdLambdaQLearning + EpsilonGreedyPolicy pair would — the same IEEE-754
-// operation sequence, the same RNG draw order — regardless of lane width or
-// how slot work is interleaved. The test drives both sides through the same
-// randomized transition streams (aliased s == s' sweeps, terminal cuts,
-// exploration, ragged per-slot episode lengths) and compares every Q cell
-// bit-for-bit. The train_episode() cases do the same for the one-pass
-// trainer with deferred traces: random walks that revisit states and stay
-// put (s == s'), chains long enough to reach the trace cutoff age, cold
-// all-tie and warm tables, and the configurations that must take the
-// per-transition path. Runs under whatever kernel path the host dispatches
+// operation sequence, the same RNG draw order — regardless of lane width.
+// train_episode() is the engine's only training entry point, so every case
+// feeds both sides the same recorded episodes and compares every Q cell
+// bit-for-bit and the RNG streams after each one. The *MatchesScalar
+// streams mix aliased s == s' steps, terminal and truncated ends,
+// exploration with decaying ε and ragged per-slot lengths on lanes of 1,
+// 4 and 8 slots; the TrainEpisode* cases add random walks that revisit states,
+// chains long enough to reach the trace cutoff age, cold all-tie and warm
+// tables, and the configurations that must take the per-transition
+// fallback. Runs under whatever kernel path the host dispatches
 // (COREDA_LANE_SIMD=0 forces scalar; the CI default on AVX2 and AVX-512
 // machines exercises the vector kernels).
 
@@ -54,10 +55,59 @@ void expect_tables_equal(const QTable& scalar, const LaneEngine& engine,
   }
 }
 
-/// Drives `width` slots through `episodes` randomized episodes, scalar and
-/// lane in lockstep, asserting bitwise equality after every episode.
+/// A recorded episode for train_episode(): states s_0 … s_n and one reward
+/// row per transition.
+struct Episode {
+  std::vector<StateId> states;
+  std::vector<std::vector<double>> rewards;
+  bool terminal = false;
+};
+
+/// The scalar stack's episode: EpsilonGreedyPolicy::select, observe() and
+/// (when `sweep`) update_counterfactual_row() per transition.
+void train_scalar(TdLambdaQLearning& learner, EpsilonGreedyPolicy& policy,
+                  util::Rng& rng, const Episode& e, bool sweep) {
+  const std::size_t n = e.rewards.size();
+  learner.begin_episode();
+  for (std::size_t t = 0; t < n; ++t) {
+    const StateId s = e.states[t];
+    const bool terminal = e.terminal && t + 1 == n;
+    const ActionId a = policy.select(learner.q(), s, rng);
+    learner.observe(Transition{s, a, e.rewards[t][a], e.states[t + 1],
+                               terminal});
+    if (sweep) {
+      learner.update_counterfactual_row(s, e.rewards[t], a, e.states[t + 1],
+                                        terminal);
+    }
+  }
+}
+
+/// The lane's episode: one train_episode() call on `slot`.
+void train_lane(LaneEngine& engine, std::size_t slot, double epsilon,
+                util::Rng& rng, const Episode& e, bool sweep) {
+  std::vector<const double*> rows;
+  for (const std::vector<double>& row : e.rewards) rows.push_back(row.data());
+  engine.train_episode(slot,
+                       Trajectory{e.states.data(), rows.data(),
+                                  static_cast<std::uint32_t>(rows.size()),
+                                  e.terminal},
+                       epsilon, rng, sweep);
+}
+
+/// Both sides drew the same number of values from identically seeded
+/// streams.
+void expect_same_stream(util::Rng lane, util::Rng scalar) {
+  EXPECT_EQ(lane(), scalar());
+}
+
+/// Drives `width` slots through 30 randomized episodes each, the scalar
+/// stack transition by transition and the lane through train_episode(),
+/// asserting bitwise equality after every episode. The streams hold
+/// aliased s == s' steps (about 1/5: hazards that hand the episode to the
+/// per-transition fallback, and the aliased sweep), -0.0 rewards, terminal
+/// and truncated ends and ragged lengths; ε decays per episode.
 void run_equivalence(std::size_t width, TdLambdaConfig td, bool sweep,
-                     std::uint64_t seed, bool fused_step = false) {
+                     std::uint64_t seed) {
   constexpr std::size_t S = 25;
   constexpr std::size_t A = 8;
   constexpr std::size_t kEpisodes = 30;
@@ -67,85 +117,41 @@ void run_equivalence(std::size_t width, TdLambdaConfig td, bool sweep,
   std::vector<ScalarSide> scalar;
   std::vector<util::Rng> lane_rng;
   std::vector<double> lane_eps(width, eps0);
-  std::vector<util::Rng> env;  // shared transition-stream generators
+  std::vector<util::Rng> env;  // per-slot transition-stream generators
   for (std::size_t w = 0; w < width; ++w) {
     scalar.emplace_back(S, A, td, eps0, seed + w);
     lane_rng.emplace_back(seed + w);
     env.emplace_back(seed * 131 + w);
-    engine.begin_episode(w);
   }
 
-  std::vector<double> rewards(A);
-  // Per-slot bootstrap carry for the fused path: valid only within one
-  // slot's episode (the stream honors s_{t+1} == s'_t per slot), so it is
-  // re-armed invalid at every episode start.
-  std::vector<LaneEngine::MaxCarry> carry(width);
   for (std::size_t e = 0; e < kEpisodes; ++e) {
-    // Ragged: each slot's episode has its own length this round.
-    std::vector<std::size_t> len(width);
-    std::vector<StateId> state(width);
     for (std::size_t w = 0; w < width; ++w) {
-      len[w] = 1 + env[w].pick_index(9);
-      state[w] = static_cast<StateId>(env[w].pick_index(S));
-      scalar[w].learner.begin_episode();
-      engine.begin_episode(w);
-      carry[w] = LaneEngine::MaxCarry{};
-    }
-    if (10 > engine.trace_capacity()) engine.reserve_traces(10);
-
-    std::size_t max_len = 0;
-    for (const std::size_t l : len) max_len = std::max(max_len, l);
-
-    for (std::size_t t = 0; t < max_len; ++t) {
-      for (std::size_t w = 0; w < width; ++w) {
-        if (t >= len[w]) continue;
-        const bool terminal = t + 1 == len[w] && env[w].bernoulli(0.5);
-        // ~1/5 transitions are aliased (s' == s) to hit the re-read sweep.
-        const StateId s = state[w];
-        const StateId s_next =
-            env[w].bernoulli(0.2)
-                ? s
-                : static_cast<StateId>(env[w].pick_index(S));
-        for (double& r : rewards) {
+      // Ragged: each slot's episode has its own length this round.
+      const std::size_t len = 1 + env[w].pick_index(9);
+      Episode ep;
+      ep.states.push_back(static_cast<StateId>(env[w].pick_index(S)));
+      ep.rewards.assign(len, std::vector<double>(A));
+      for (std::size_t t = 0; t < len; ++t) {
+        ep.terminal = t + 1 == len && env[w].bernoulli(0.5);
+        const StateId s = ep.states.back();
+        ep.states.push_back(env[w].bernoulli(0.2)
+                                ? s
+                                : static_cast<StateId>(env[w].pick_index(S)));
+        for (double& r : ep.rewards[t]) {
           r = (env[w].uniform() - 0.5) * 200.0;
         }
-        if (env[w].bernoulli(0.1)) rewards[env[w].pick_index(A)] = -0.0;
-
-        // Scalar side.
-        const ActionId a_scalar =
-            scalar[w].policy.select(scalar[w].learner.q(), s, scalar[w].rng);
-        scalar[w].learner.observe(
-            Transition{s, a_scalar, rewards[a_scalar], s_next, terminal});
-        if (sweep) {
-          scalar[w].learner.update_counterfactual_row(
-              s, std::span<const double>(rewards), a_scalar, s_next,
-              terminal);
+        if (env[w].bernoulli(0.1)) {
+          ep.rewards[t][env[w].pick_index(A)] = -0.0;
         }
-
-        // Lane side: same draws from an identically-seeded Rng. The fused
-        // branch threads the MaxCarry hint exactly as LaneTrainer does.
-        const LaneEngine::Selected sel =
-            fused_step
-                ? engine.select(w, s, lane_eps[w], lane_rng[w], carry[w])
-                : engine.select(w, s, lane_eps[w], lane_rng[w]);
-        ASSERT_EQ(sel.action, a_scalar) << "episode " << e << " t " << t;
-        if (fused_step) {
-          engine.step(w, sel, s, rewards.data(), s_next, terminal, sweep,
-                      &carry[w]);
-        } else {
-          engine.observe(w, sel, s, rewards[sel.action], s_next, terminal);
-          if (sweep) {
-            engine.counterfactual_row(w, s, rewards.data(), sel.action,
-                                      s_next, terminal);
-          }
-        }
-        state[w] = s_next;
       }
-    }
-    for (std::size_t w = 0; w < width; ++w) {
+
+      train_scalar(scalar[w].learner, scalar[w].policy, scalar[w].rng, ep,
+                   sweep);
+      train_lane(engine, w, lane_eps[w], lane_rng[w], ep, sweep);
       scalar[w].policy.decay_epsilon();
       lane_eps[w] = std::max(0.005, lane_eps[w] * 0.978);
       expect_tables_equal(scalar[w].learner.q(), engine, w, "post-episode");
+      expect_same_stream(lane_rng[w], scalar[w].rng);
     }
   }
 }
@@ -173,18 +179,6 @@ TEST(LaneEngine, NoSweepMatchesScalar) {
   run_equivalence(4, planner_td(), /*sweep=*/false, 45);
 }
 
-// The fused step() shares observe's bootstrap row scan with the sweep when
-// the apply pass left the next state's row untouched; aliased (s == s'),
-// touched-next and terminal transitions all appear in the stream, so this
-// proves step() == observe() + counterfactual_row() bit for bit.
-TEST(LaneEngine, FusedStepMatchesScalar) {
-  run_equivalence(4, planner_td(), /*sweep=*/true, 48, /*fused_step=*/true);
-}
-
-TEST(LaneEngine, FusedStepNoSweepMatchesScalar) {
-  run_equivalence(4, planner_td(), /*sweep=*/false, 49, /*fused_step=*/true);
-}
-
 TEST(LaneEngine, AccumulatingTracesMatchScalar) {
   TdLambdaConfig td = planner_td();
   td.trace_type = TraceType::kAccumulating;
@@ -196,14 +190,6 @@ TEST(LaneEngine, NoWatkinsCutMatchesScalar) {
   td.watkins_cut = false;
   run_equivalence(4, td, /*sweep=*/true, 47);
 }
-
-/// A recorded episode for train_episode(): states s_0 … s_n and one reward
-/// row per transition.
-struct Episode {
-  std::vector<StateId> states;
-  std::vector<std::vector<double>> rewards;
-  bool terminal = false;
-};
 
 void fill_rewards(Episode& e, std::size_t actions, util::Rng& rng) {
   e.rewards.assign(e.states.size() - 1, std::vector<double>(actions));
@@ -270,28 +256,11 @@ std::uint64_t train_episodes(const QTable& start, TdLambdaConfig td,
   util::Rng lane_rng(77);
   LaneEngine engine(3, start.num_states(), actions, 4, td);
   engine.load(1, start);
-  std::vector<const double*> rows;
   for (const Episode& e : episodes) {
-    const std::size_t n = e.rewards.size();
-    learner.begin_episode();
-    for (std::size_t t = 0; t < n; ++t) {
-      const StateId s = e.states[t];
-      const bool terminal = e.terminal && t + 1 == n;
-      const ActionId a = policy.select(learner.q(), s, scalar_rng);
-      learner.observe(Transition{s, a, e.rewards[t][a], e.states[t + 1],
-                                 terminal});
-      if (sweep) {
-        learner.update_counterfactual_row(s, e.rewards[t], a,
-                                          e.states[t + 1], terminal);
-      }
-    }
-    rows.clear();
-    for (const std::vector<double>& row : e.rewards) rows.push_back(row.data());
-    engine.train_episode(1,
-                         Trajectory{e.states.data(), rows.data(),
-                                    static_cast<std::uint32_t>(n), e.terminal},
-                         epsilon, lane_rng, sweep);
+    train_scalar(learner, policy, scalar_rng, e, sweep);
+    train_lane(engine, 1, epsilon, lane_rng, e, sweep);
     expect_tables_equal(learner.q(), engine, 1, "train_episode");
+    expect_same_stream(lane_rng, scalar_rng);
   }
   return engine.sequential_episodes();
 }
@@ -390,10 +359,26 @@ TEST(LaneEngine, RejectsInvalidShapes) {
   EXPECT_THROW(LaneEngine(0, 5, 3, 4), std::invalid_argument);
   EXPECT_THROW(LaneEngine(2, 0, 3, 4), std::invalid_argument);
   EXPECT_THROW(LaneEngine(2, 5, 0, 4), std::invalid_argument);
+  EXPECT_THROW(LaneEngine(2, 5, 65, 4), std::invalid_argument);
+  EXPECT_NO_THROW(LaneEngine(2, 5, 64, 4));
   LaneEngine engine(2, 5, 3, 4);
   QTable wrong(4, 3, 0.0);
   EXPECT_THROW(engine.load(0, wrong), std::invalid_argument);
   EXPECT_THROW(engine.store(0, wrong), std::invalid_argument);
+
+  // Slots at or past width() are refused before any slab is touched.
+  QTable right(5, 3, 0.0);
+  EXPECT_THROW(engine.load(2, right), std::out_of_range);
+  EXPECT_THROW(engine.store(2, right), std::out_of_range);
+  const StateId states[] = {0, 1};
+  const std::vector<double> rewards(3, 1.0);
+  const double* rows[] = {rewards.data()};
+  util::Rng rng(1);
+  EXPECT_THROW(engine.train_episode(2, Trajectory{states, rows, 1, false},
+                                    0.2, rng, true),
+               std::out_of_range);
+  EXPECT_NO_THROW(engine.train_episode(1, Trajectory{states, rows, 1, false},
+                                       0.2, rng, true));
 }
 
 }  // namespace

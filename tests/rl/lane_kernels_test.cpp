@@ -75,18 +75,27 @@ TEST(LaneKernels, RowMaxZeroSignTies) {
   }
 }
 
-TEST(LaneKernels, CountGeMatchesScalar) {
+TEST(LaneKernels, RowStatsGivenMaxMatchesScalar) {
+  // The tie mask compares exactly (±0.0 tie) and the tolerance count uses
+  // >=, on rows of ties, both zero signs and near-ties inside 1e-12.
   util::Rng rng(7);
   for (std::size_t n = 1; n <= 12; ++n) {
     for (int rep = 0; rep < 200; ++rep) {
-      const std::vector<double> row = random_row(rng, n);
+      std::vector<double> row = random_row(rng, n);
+      if (rng.bernoulli(0.3)) row[rng.pick_index(n)] = 1000.0;
+      if (rng.bernoulli(0.3)) row[rng.pick_index(n)] = 1000.0 - 5e-13;
       const double max = *std::max_element(row.begin(), row.end());
-      const double threshold = max - 1e-12;
-      std::size_t want = 0;
-      for (const double v : row) {
-        if (v >= threshold) ++want;
+      std::uint64_t mask = 0;
+      std::uint32_t near = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (row[i] == max) mask |= std::uint64_t{1} << i;
+        if (row[i] >= max - 1e-12) ++near;
       }
-      EXPECT_EQ(kern::count_ge(row.data(), threshold, n), want);
+      const kern::RowStats st =
+          kern::row_stats_given_max(row.data(), max, 1e-12, n);
+      EXPECT_EQ(bits(st.max), bits(max));
+      EXPECT_EQ(st.tie_mask, mask) << "n=" << n << " rep=" << rep;
+      EXPECT_EQ(st.near_count, near) << "n=" << n << " rep=" << rep;
     }
   }
 }

@@ -1,12 +1,15 @@
 // RetrainScheduler: transcript-ring mechanics, the single-job retrain
-// contract, the engine-level detect -> retrain -> redeploy loop (flag set,
-// policy refreshed, EWMA recovered, flag cleared), and byte-identical
-// closed-loop outcomes at any --jobs.
+// contract, bit-identity with the reference RoutineLearner, the
+// engine-level detect -> retrain -> redeploy loop (flag set, policy
+// refreshed, EWMA recovered, flag cleared), and byte-identical closed-loop
+// outcomes at any --jobs.
 
 #include "serve/retrain_scheduler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -137,6 +140,71 @@ TEST_F(RetrainFixture, RetrainUserRealignsAStaleTableToTheRecordedRoutine) {
   const double after = accuracy_vs(store.q(0), routine());
   EXPECT_LT(before, 1.0);
   EXPECT_EQ(after, 1.0);
+}
+
+// The scheduler's output against the reference learner: every staged table
+// is bitwise the table of a RoutineLearner that ran begin_retraining on the
+// same start table with the user's retrain stream and replayed the same
+// ring replay_passes times. Two users on different lanes, rings of
+// different depths (one wrapped), transcripts with foreign, truncated,
+// too-short and stale-order steps, all retrained through one drain.
+TEST_F(RetrainFixture, RetrainMatchesTheScalarLearnerBitForBit) {
+  planning::RoutineLearner donor = trained(routine(), 5, 80);
+  planning::RoutineLearner stale = trained(stale_routine(), 6, 120);
+  PolicyStore store(donor);
+  store.add_user("A", stale.q());
+  store.add_user("B", stale.q());
+
+  RetrainParams params;  // defaults: ring 8, 8 replay passes
+  RetrainScheduler scheduler(library.tea_making(), store,
+                             planning::LearnerConfig{}, /*lanes=*/2, params);
+  scheduler.add_user();
+  scheduler.add_user();
+  ASSERT_NE(scheduler.lane_for(0), scheduler.lane_for(1));
+
+  const std::vector<adl::StepId> full = routine();
+  std::vector<adl::StepId> foreign = full;
+  foreign.insert(foreign.begin() + 1, adl::tools::kToothbrush);
+  const std::vector<adl::StepId> truncated(full.begin(), full.begin() + 2);
+  const std::vector<adl::StepId> too_short = {full.front()};
+  const std::vector<std::vector<adl::StepId>> mix = {
+      full, foreign, stale_routine(), truncated, too_short};
+  for (std::size_t i = 0; i < 11; ++i) scheduler.record(0, mix[i % 5]);
+  for (std::size_t i = 0; i < 5; ++i) scheduler.record(1, mix[(i + 2) % 5]);
+  ASSERT_EQ(scheduler.transcripts(0), params.ring_capacity);
+  ASSERT_EQ(scheduler.transcripts(1), 5u);
+
+  scheduler.enqueue(0);
+  scheduler.enqueue(1);
+  exec::TrialRunner runner(2);
+  ASSERT_EQ(scheduler.drain(runner).size(), 2u);
+
+  for (UserId u = 0; u < 2; ++u) {
+    SCOPED_TRACE(testing::Message() << "user " << u);
+    planning::RoutineLearner reference(library.tea_making(), util::Rng(0));
+    reference.begin_retraining(
+        stale.q(), util::Rng(exec::trial_seed(params.seed, u)));
+    for (std::size_t pass = 0; pass < params.replay_passes; ++pass) {
+      for (std::size_t i = 0; i < scheduler.transcripts(u); ++i) {
+        reference.train_episode(scheduler.transcript(u, i));
+      }
+    }
+    EXPECT_EQ(store.version(u), 2u);
+    const rl::QTable& got = store.q(u);
+    const rl::QTable& want = reference.q();
+    ASSERT_EQ(got.num_states(), want.num_states());
+    ASSERT_EQ(got.num_actions(), want.num_actions());
+    std::size_t moved = 0;
+    for (rl::StateId s = 0; s < want.num_states(); ++s) {
+      for (rl::ActionId a = 0; a < want.num_actions(); ++a) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.get(s, a)),
+                  std::bit_cast<std::uint64_t>(want.get(s, a)))
+            << "Q(" << s << "," << a << ")";
+        moved += got.get(s, a) != stale.q().get(s, a);
+      }
+    }
+    EXPECT_GT(moved, 0u);  // the retrain changed the table
+  }
 }
 
 /// The bench_retrain_recovery scenario in miniature: 8 users on 2 slots,

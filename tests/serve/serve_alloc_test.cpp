@@ -80,7 +80,7 @@ TEST(ServeAllocTest, ServeWithPolicySwapIsAllocationFreeAtSteadyState) {
 // The retraining tier's side of the contract: recording a transcript into
 // the provisioned ring never allocates, enqueueing a job is allocation-free
 // once the lane queues are provisioned (add_user reserves them), and a
-// retrain — import the user's table into the warm lane learner, replay the
+// retrain — import the user's table into the warm lane trainer, replay the
 // whole ring, stage the result back — touches the heap zero times after
 // the first job has warmed the lane.
 TEST(ServeAllocTest, TranscriptRecordingAndRetrainAreAllocationFreeWarm) {
@@ -100,7 +100,7 @@ TEST(ServeAllocTest, TranscriptRecordingAndRetrainAreAllocationFreeWarm) {
   for (std::size_t i = 0; i < scheduler.params().ring_capacity; ++i) {
     scheduler.record(0, routine);
   }
-  scheduler.retrain_user(0);  // warms the lane learner
+  scheduler.retrain_user(0);  // warms the lane trainer
 
   const std::uint64_t before = util::allocation_count();
   for (int i = 0; i < 64; ++i) scheduler.record(0, routine);

@@ -292,6 +292,21 @@ TEST(CliTest, ScenarioRunExecutesAPlanFile) {
   std::remove(path.c_str());
 }
 
+TEST(CliTest, ScenarioRunRejectsANegativeJobCount) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "cli_jobs.scenario")
+          .string();
+  {
+    std::ofstream out(path);
+    out << "seed = 5\nusers = 2\n\n[segment Tea-making]\n";
+  }
+  const CliResult r = run({"scenario", "run", path, "--jobs=-2"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("error: flag --jobs"), std::string::npos) << r.err;
+  EXPECT_TRUE(r.out.empty()) << r.out;
+  std::remove(path.c_str());
+}
+
 TEST(CliTest, ScenarioCheckPrintsTheCanonicalForm) {
   const std::string path =
       (std::filesystem::path(::testing::TempDir()) / "cli_check.scenario")
@@ -348,6 +363,27 @@ TEST(CliTest, RetrainValidatesItsFlags) {
   const CliResult r = run({"retrain", "--users=2", "--drifted=5"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("--drifted"), std::string::npos);
+}
+
+TEST(CliTest, RetrainRejectsNegativeCounts) {
+  for (const char* flag : {"--rounds=-1", "--burst=-1", "--users=-3"}) {
+    const CliResult r = run({"retrain", flag});
+    EXPECT_EQ(r.code, 1) << flag;
+    EXPECT_NE(r.err.find("error: flag --"), std::string::npos) << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+  }
+}
+
+TEST(CliTest, FaultsRejectNegativeCounts) {
+  for (const char* sub : {"plan", "replay"}) {
+    const CliResult r = run({"faults", sub, "--rounds=-1"});
+    EXPECT_EQ(r.code, 1) << sub;
+    EXPECT_NE(r.err.find("error: flag --rounds"), std::string::npos)
+        << r.err;
+  }
+  const CliResult tail = run({"faults", "replay", "--tail-rounds=-1"});
+  EXPECT_EQ(tail.code, 1);
+  EXPECT_NE(tail.err.find("error: flag --tail-rounds"), std::string::npos);
 }
 
 TEST(CliTest, FaultsRequiresASubcommand) {

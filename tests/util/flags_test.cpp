@@ -54,6 +54,16 @@ TEST(FlagsTest, BadNumbersThrow) {
   EXPECT_THROW(f.get_double("x", 0.0), std::invalid_argument);
 }
 
+TEST(FlagsTest, CountsRejectNegativesInsteadOfWrapping) {
+  const Flags f =
+      Flags::parse({"cmd", "--n=3", "--zero=0", "--neg=-1", "--bad=2x"});
+  EXPECT_EQ(f.get_count("n", 9), 3u);
+  EXPECT_EQ(f.get_count("zero", 9), 0u);
+  EXPECT_EQ(f.get_count("missing", 9), 9u);
+  EXPECT_THROW(f.get_count("neg", 0), std::invalid_argument);
+  EXPECT_THROW(f.get_count("bad", 0), std::invalid_argument);
+}
+
 TEST(FlagsTest, BoolSpellings) {
   const Flags f = Flags::parse(
       {"cmd", "--a=true", "--b=false", "--c=1", "--d=no", "--e=maybe"});

@@ -148,15 +148,14 @@ int cmd_train(const util::Flags& flags, std::ostream& out,
   }
   adl::AdlLibrary library;
   const adl::Adl& adl = library.by_name(adl_name);
-  const auto episodes = flags.get_int("episodes", 120);
+  const std::size_t episodes = flags.get_count("episodes", 120);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
 
   planning::RoutineLearner learner(adl, util::Rng(seed));
   trace::DatasetBuilder datasets(
       library, patient::PatientProfile::with_severity("Trainer", 0.0),
       seed + 1);
-  for (const auto& ep : datasets.sensed_training_set(
-           adl, static_cast<std::size_t>(episodes))) {
+  for (const auto& ep : datasets.sensed_training_set(adl, episodes)) {
     learner.train_episode(ep);
   }
 
@@ -280,7 +279,7 @@ int cmd_policy(const util::Flags& flags, std::ostream& out,
 int cmd_faults_plan(const util::Flags& flags, std::ostream& out,
                     std::ostream& err) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto rounds = static_cast<std::uint64_t>(flags.get_int("rounds", 6));
+  const std::size_t rounds = flags.get_count("rounds", 6);
   const faults::FaultPlan plan = faults::FaultPlan::standard_chaos(seed, rounds);
   const std::string out_path = flags.get("out");
   if (out_path.empty()) {
@@ -302,10 +301,10 @@ int cmd_faults_plan(const util::Flags& flags, std::ostream& out,
 int cmd_faults_replay(const util::Flags& flags, std::ostream& out,
                       std::ostream& err) {
   serve::ChaosFleetParams p;
-  p.users = static_cast<std::size_t>(flags.get_int("users", 96));
-  p.active = static_cast<std::size_t>(flags.get_int("active", 48));
-  p.chaos_rounds = static_cast<std::size_t>(flags.get_int("rounds", 4));
-  p.tail_rounds = static_cast<std::size_t>(flags.get_int("tail-rounds", 1));
+  p.users = flags.get_count("users", 96);
+  p.active = flags.get_count("active", 48);
+  p.chaos_rounds = flags.get_count("rounds", 4);
+  p.tail_rounds = flags.get_count("tail-rounds", 1);
   p.dir = flags.get("dir");
   if (p.dir.empty()) {
     p.dir = (std::filesystem::temp_directory_path() / "coreda_faults_replay")
@@ -403,7 +402,7 @@ int cmd_scenario_run(const util::Flags& flags, std::ostream& out,
     return 1;
   }
   const sim::ScenarioPlan plan = sim::ScenarioPlan::parse(in);
-  const auto jobs = static_cast<std::size_t>(flags.get_int("jobs", 1));
+  const std::size_t jobs = flags.get_count("jobs", 1);
   const serve::ScenarioRunner runner;
   const serve::ScenarioSummary sum = runner.run(plan, jobs == 0 ? 1 : jobs);
   out << serve::format_scenario_report(
@@ -528,11 +527,11 @@ int cmd_report(const util::Flags& flags, std::ostream& out) {
 
 int cmd_retrain(const util::Flags& flags, std::ostream& out,
                 std::ostream& err) {
-  const auto users = static_cast<std::size_t>(flags.get_int("users", 12));
-  const auto slots = static_cast<std::size_t>(flags.get_int("slots", 3));
-  const auto drifted = static_cast<std::size_t>(flags.get_int("drifted", 3));
-  const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 8));
-  const auto burst = static_cast<std::size_t>(flags.get_int("burst", 2));
+  const std::size_t users = flags.get_count("users", 12);
+  const std::size_t slots = flags.get_count("slots", 3);
+  const std::size_t drifted = flags.get_count("drifted", 3);
+  const std::size_t rounds = flags.get_count("rounds", 8);
+  const std::size_t burst = flags.get_count("burst", 2);
   const double threshold = flags.get_double("threshold", 2.5);
   if (users == 0 || drifted > users) {
     err << "retrain: need --users >= 1 and --drifted <= --users\n";

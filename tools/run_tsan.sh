@@ -51,7 +51,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/bench/bench_serve_throughput --users=16 --slots=4 --sessions=5 \
   --jobs=4 > /dev/null
 # The retrain bench closes the loop under TSan: serve trials hand off to
-# retrain trials within one drain, lane learners replay transcript rings
+# retrain trials within one drain, lane trainers replay transcript rings
 # concurrently, and the refreshed tables are staged back into the shared
 # store — all still lock-free on disjoint static shards.
 "$BUILD_DIR"/bench/bench_retrain_recovery --users=12 --slots=4 --drifted=4 \
