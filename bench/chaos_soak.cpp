@@ -63,16 +63,13 @@ int main(int argc, char** argv) {
   exec::TrialRunner runner(exec::jobs_from_flags(flags));
 
   serve::ChaosFleetParams fp;
-  fp.users = static_cast<std::size_t>(flags.get_int("users", 512));
-  fp.active = static_cast<std::size_t>(flags.get_int("active", 192));
-  fp.chaos_rounds = static_cast<std::size_t>(flags.get_int("rounds", 6));
-  fp.tail_rounds =
-      static_cast<std::size_t>(flags.get_int("tail-rounds", 2));
-  fp.shards = static_cast<std::size_t>(flags.get_int("shards", 4));
-  fp.slots_per_shard =
-      static_cast<std::size_t>(flags.get_int("slots-per-shard", 2));
-  fp.rebase_every =
-      static_cast<std::size_t>(flags.get_int("rebase-every", 8));
+  fp.users = flags.get_count("users", 512);
+  fp.active = flags.get_count("active", 192);
+  fp.chaos_rounds = flags.get_count("rounds", 6);
+  fp.tail_rounds = flags.get_count("tail-rounds", 2);
+  fp.shards = flags.get_count("shards", 4);
+  fp.slots_per_shard = flags.get_count("slots-per-shard", 2);
+  fp.rebase_every = flags.get_count("rebase-every", 8);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const std::string base_dir =
       flags.get("dir").empty()
@@ -137,14 +134,12 @@ int main(int argc, char** argv) {
   print_injection_log(fleet_soak.injector());
 
   serve::ChaosServeParams sp;
-  sp.users = static_cast<std::size_t>(flags.get_int("serve-users", 24));
-  sp.drifted = static_cast<std::size_t>(flags.get_int("drifted", 6));
-  sp.slots = static_cast<std::size_t>(flags.get_int("slots", 4));
-  sp.chaos_rounds =
-      static_cast<std::size_t>(flags.get_int("serve-rounds", 6));
-  sp.tail_rounds =
-      static_cast<std::size_t>(flags.get_int("serve-tail-rounds", 8));
-  sp.burst = static_cast<std::size_t>(flags.get_int("burst", 2));
+  sp.users = flags.get_count("serve-users", 24);
+  sp.drifted = flags.get_count("drifted", 6);
+  sp.slots = flags.get_count("slots", 4);
+  sp.chaos_rounds = flags.get_count("serve-rounds", 6);
+  sp.tail_rounds = flags.get_count("serve-tail-rounds", 8);
+  sp.burst = flags.get_count("burst", 2);
   sp.dir = base_dir + "_serve";
 
   std::printf("\nDrift-recovery soak: %zu users (%zu stale) on %zu slots, "

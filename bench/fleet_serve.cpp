@@ -23,23 +23,15 @@
 // --timing-json (BENCH_fleet_serve.json), where the regression checker
 // gates sessions_per_sec, the percentiles, and the allocation contract.
 //
-// With --lanes=N (off by default, so the serving baselines are untouched)
-// an extra *nightly lane replay* phase runs after the serving rounds: a
-// cohort of fleet users is retrained in lockstep batches of N through the
-// SoA lane engine — the batch-maintenance shape (every user, off-peak)
-// that complements the scheduler's targeted drift retrains. Fleet users
-// share the reference routine, so the whole cohort is one signature group.
-//
 // After each traffic shape the store directory is reopened once and the
 // scan-on-open is timed (cold_start_scan_ms, --timing-json only): the
 // restart cost of the whole fleet, which the regression checker gates.
 //
 // Usage:
 //   bench_fleet_serve --users=1000000 --active=1500 --rounds=3 --shards=4
-//       --slots-per-shard=2 --zipf=1.1 --jobs=4 --lanes=8
+//       --slots-per-shard=2 --zipf=1.1 --jobs=4
 //       --timing-json=BENCH_fleet_serve.json
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -48,7 +40,7 @@
 
 #include "adl/library.hpp"
 #include "exec/trial_runner.hpp"
-#include "planning/lane_trainer.hpp"
+#include "planning/learner.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/fleet_engine.hpp"
 #include "util/alloc_counter.hpp"
@@ -247,21 +239,17 @@ std::string format2(double v) {
 int main(int argc, char** argv) {
   const util::Flags flags = util::Flags::parse(argc, argv);
   exec::TrialRunner runner(exec::jobs_from_flags(flags));
-  const auto users =
-      static_cast<std::size_t>(flags.get_int("users", 1000000));
-  const auto active = static_cast<std::size_t>(flags.get_int("active", 1500));
-  const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 3));
+  const auto users = flags.get_count("users", 1000000);
+  const auto active = flags.get_count("active", 1500);
+  const auto rounds = flags.get_count("rounds", 3);
   const double zipf = flags.get_double("zipf", 1.1);
 
   serve::FleetEngineParams params;
-  params.shards = static_cast<std::size_t>(flags.get_int("shards", 4));
-  params.slots_per_shard =
-      static_cast<std::size_t>(flags.get_int("slots-per-shard", 2));
+  params.shards = flags.get_count("shards", 4);
+  params.slots_per_shard = flags.get_count("slots-per-shard", 2);
   params.system.learn_from_sessions = true;  // write-backs carry real deltas
-  params.write_back_every =
-      static_cast<std::size_t>(flags.get_int("write-back-every", 1));
-  g_rebase_every =
-      static_cast<std::size_t>(flags.get_int("rebase-every", 32));
+  params.write_back_every = flags.get_count("write-back-every", 1);
+  g_rebase_every = flags.get_count("rebase-every", 32);
 
   adl::AdlLibrary library;
   const adl::Adl& tea = library.tea_making();
@@ -364,10 +352,8 @@ int main(int argc, char** argv) {
 
   // The storage gate: per-retrain append traffic once every cohort member
   // has its anchor. This is where the delta encoding must buy >= 4x.
-  const auto retrain_users =
-      static_cast<std::size_t>(flags.get_int("retrain-users", 256));
-  const auto retrain_rounds =
-      static_cast<std::size_t>(flags.get_int("retrain-rounds", 32));
+  const auto retrain_users = flags.get_count("retrain-users", 256);
+  const auto retrain_rounds = flags.get_count("retrain-rounds", 32);
   const ShapeRun retrain =
       run_retrain(library, tea, donor, base_dir + "_retrain", retrain_users,
                   retrain_rounds, params, runner);
@@ -385,40 +371,6 @@ int main(int argc, char** argv) {
               retrain.segments,
               static_cast<unsigned long long>(retrain.compactions),
               static_cast<unsigned long long>(retrain.reclaimed));
-
-  // Optional nightly lane replay (off by default): batch-maintenance
-  // retraining of a user cohort through the SoA lane engine, 8 replay
-  // passes each — the RetrainScheduler's ring budget, but for every cohort
-  // member at once rather than drift-flagged users only. Deterministic
-  // (fixed seeds, timing only in the JSON side channel).
-  const auto lanes = static_cast<std::size_t>(flags.get_int("lanes", 0));
-  double nightly_seconds = 0.0;
-  std::uint64_t nightly_episodes = 0;
-  std::size_t replay_users = 0;
-  if (lanes > 0) {
-    replay_users =
-        static_cast<std::size_t>(flags.get_int("replay-users", 512));
-    constexpr std::size_t kPasses = 8;
-    planning::LaneTrainer trainer(tea, lanes);
-    const exec::Stopwatch timer;
-    for (std::size_t base = 0; base < replay_users; base += lanes) {
-      const std::size_t n = std::min(lanes, replay_users - base);
-      for (std::size_t i = 0; i < n; ++i) {
-        trainer.reset_slot(i, util::Rng(exec::trial_seed(778, base + i)));
-      }
-      for (std::size_t pass = 0; pass < kPasses; ++pass) {
-        for (std::size_t i = 0; i < n; ++i) {
-          trainer.queue_episode(i, routine);
-        }
-        trainer.train_queued();
-      }
-      nightly_episodes += n * kPasses;
-    }
-    nightly_seconds = timer.seconds();
-    std::printf("\nNightly lane replay: %zu users x %zu episodes in "
-                "lockstep batches of %zu\n",
-                replay_users, kPasses, lanes);
-  }
 
   const std::string timing_path = flags.get("timing-json");
   const auto emit = [&](const char* name, const ShapeRun& run) {
@@ -470,18 +422,6 @@ int main(int argc, char** argv) {
           << ", \"reclaimed_segments\": " << retrain.reclaimed;
     exec::append_timing_record(timing_path, "fleet_retrain", runner.jobs(),
                                retrain_rounds, retrain.seconds, extra.str());
-  }
-  if (lanes > 0) {
-    std::ostringstream extra;
-    extra << "\"lanes\": " << lanes << ", \"replay_users\": " << replay_users
-          << ", \"episodes\": " << nightly_episodes
-          << ", \"episodes_per_sec\": "
-          << (nightly_seconds > 0.0
-                  ? static_cast<double>(nightly_episodes) / nightly_seconds
-                  : 0.0);
-    exec::append_timing_record(timing_path, "fleet_nightly_replay",
-                               runner.jobs(), replay_users, nightly_seconds,
-                               extra.str());
   }
   return 0;
 }

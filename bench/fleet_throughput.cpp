@@ -14,12 +14,13 @@
 // (BENCH_fleet.json). Stdout stays byte-identical at any --jobs so the
 // determinism contract of the trial runner can be checked by diffing.
 //
-// With --lanes=N (N > 1) the fleet is grouped by routine signature and
-// stepped through planning::LaneTrainer in lockstep batches of N users —
-// the SoA lane engine's batched kernels replace N independent learners.
-// Per-user RNG streams, ε schedules and tables are preserved exactly, so
-// stdout stays byte-identical to the scalar path (and to any --jobs);
-// only the wall-clock side channel changes.
+// By default every user trains their own planning::RoutineLearner (one
+// width-1 lane of the SoA engine). With --lanes=N (N > 1) the fleet is
+// grouped by routine signature and stepped through one planning::
+// LaneTrainer per batch of N users. Per-user RNG streams, ε schedules and
+// tables are preserved exactly, so stdout stays byte-identical to the
+// per-user path (and to any --jobs); only the wall-clock side channel
+// changes.
 //
 // Usage:
 //   bench_fleet_throughput --users=1000 --episodes=120 --jobs=4
@@ -57,7 +58,7 @@ struct UserSpec {
   /// Outcome order: clean, drop, repeat, spurious+clean, spurious+drop
   /// (spurious+repeat is the implied tail). Same joint distribution as the
   /// three Bernoulli draws it replaces — only the stream mapping differs,
-  /// and it is shared by the scalar and lane paths alike.
+  /// and it is shared by the per-user and batched paths alike.
   std::array<double, 5> cum{};
 };
 
@@ -135,11 +136,9 @@ struct UserResult {
 int main(int argc, char** argv) {
   const util::Flags flags = util::Flags::parse(argc, argv);
   exec::TrialRunner runner(exec::jobs_from_flags(flags));
-  const auto users =
-      static_cast<std::size_t>(flags.get_int("users", 1000));
-  const auto episodes =
-      static_cast<std::size_t>(flags.get_int("episodes", 120));
-  const auto lanes = static_cast<std::size_t>(flags.get_int("lanes", 1));
+  const auto users = flags.get_count("users", 1000);
+  const auto episodes = flags.get_count("episodes", 120);
+  const auto lanes = flags.get_count("lanes", 1);
 
   adl::AdlLibrary library;
   const adl::Adl& reference = library.tea_making();
@@ -220,10 +219,10 @@ int main(int argc, char** argv) {
       return result;
     });
   } else {
-    // Lane path: identical per-user streams (env rng = the trial rng the
-    // scalar path would get, learner rng = trial_seed(778, user)), batched
-    // through the SoA engine. Results land user-indexed, so the summary
-    // below accumulates in the same order as the scalar path — the stdout
+    // Batched path: identical per-user streams (env rng = the trial rng the
+    // per-user path would get, learner rng = trial_seed(778, user)), N
+    // users per trainer. Results land user-indexed, so the summary below
+    // accumulates in the same order as the per-user path — the stdout
     // byte-identity check covers --lanes as well as --jobs.
     results.assign(users, UserResult{});
     std::vector<UserSpec> specs;

@@ -83,11 +83,11 @@ std::string format2(double v) {
 int main(int argc, char** argv) {
   const util::Flags flags = util::Flags::parse(argc, argv);
   exec::TrialRunner runner(exec::jobs_from_flags(flags));
-  const auto users = static_cast<std::size_t>(flags.get_int("users", 24));
-  const auto slots = static_cast<std::size_t>(flags.get_int("slots", 4));
-  const auto drifted = static_cast<std::size_t>(flags.get_int("drifted", 6));
-  const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 10));
-  const auto burst = static_cast<std::size_t>(flags.get_int("burst", 2));
+  const auto users = flags.get_count("users", 24);
+  const auto slots = flags.get_count("slots", 4);
+  const auto drifted = flags.get_count("drifted", 6);
+  const auto rounds = flags.get_count("rounds", 10);
+  const auto burst = flags.get_count("burst", 2);
   // Drifted users here run ~4 prompts/session against ~1 for calm ones (the
   // stale table mis-prompts once per swapped step plus escalations); the
   // threshold splits the two bands.

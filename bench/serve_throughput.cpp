@@ -185,11 +185,10 @@ std::string format2(double v) {
 int main(int argc, char** argv) {
   const util::Flags flags = util::Flags::parse(argc, argv);
   exec::TrialRunner runner(exec::jobs_from_flags(flags));
-  const auto users = static_cast<std::size_t>(flags.get_int("users", 50));
-  const auto slots = static_cast<std::size_t>(flags.get_int("slots", 5));
-  const auto sessions =
-      static_cast<std::size_t>(flags.get_int("sessions", 20));
-  const auto burst = static_cast<std::size_t>(flags.get_int("burst", 4));
+  const auto users = flags.get_count("users", 50);
+  const auto slots = flags.get_count("slots", 5);
+  const auto sessions = flags.get_count("sessions", 20);
+  const auto burst = flags.get_count("burst", 4);
 
   adl::AdlLibrary library;
   const adl::Adl& tea = library.tea_making();

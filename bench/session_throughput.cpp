@@ -67,9 +67,8 @@ std::uint64_t session_checksum(const core::SessionResult& r) {
 int main(int argc, char** argv) {
   const util::Flags flags = util::Flags::parse(argc, argv);
   exec::TrialRunner runner(exec::jobs_from_flags(flags));
-  const auto users = static_cast<std::size_t>(flags.get_int("users", 50));
-  const auto sessions =
-      static_cast<std::size_t>(flags.get_int("sessions", 20));
+  const auto users = flags.get_count("users", 50);
+  const auto sessions = flags.get_count("sessions", 20);
 
   adl::AdlLibrary library;
   const adl::Adl& tea = library.tea_making();

@@ -52,7 +52,10 @@ Adl::Adl(std::string name, std::vector<AdlRoutine> routines)
 }
 
 std::vector<ToolId> Adl::tools() const {
+  std::size_t steps = 0;
+  for (const AdlRoutine& r : routines_) steps += r.steps().size();
   std::vector<ToolId> out;
+  out.reserve(steps);  // a bound on the distinct tools: one allocation
   for (const AdlRoutine& r : routines_) {
     for (const AdlStep& s : r.steps()) {
       if (std::find(out.begin(), out.end(), s.tool) == out.end()) {

@@ -44,6 +44,11 @@ struct SystemConfig {
 /// that fits a session result always fits its ring slot.
 inline constexpr std::size_t kMaxSessionSteps = 256;
 
+/// Virtual-time cap of a served session: the serving tier's ServeEngine and
+/// FleetEngine end every session they drain at this bound.
+inline constexpr sim::Duration kServedSessionCap =
+    sim::Duration::minutes(15.0);
+
 /// Outcome of one closed-loop session (one attempt at one ADL), from either
 /// kind of HomeDeployment. The recognition fields stay empty/zero on a
 /// single-ADL deployment, which has recognition off.

@@ -10,6 +10,7 @@ std::string to_string(RemindingLevel level) {
 }
 
 StateCodec::StateCodec(std::vector<adl::StepId> step_ids) {
+  symbols_.reserve(step_ids.size() + 1);
   symbols_.push_back(adl::kIdleStep);
   for (adl::StepId id : step_ids) {
     if (id == adl::kIdleStep) {

@@ -7,10 +7,14 @@ namespace coreda::planning {
 
 namespace {
 
-std::vector<adl::StepId> step_vocabulary(const adl::Adl& adl) {
-  std::vector<adl::StepId> out;
-  for (adl::ToolId t : adl.tools()) out.push_back(t);
-  return out;
+/// Returns `config` once its ε schedule is in bounds.
+const LearnerConfig& checked(const LearnerConfig& config) {
+  if (config.epsilon < 0.0 || config.epsilon > 1.0 ||
+      config.epsilon_decay <= 0.0 || config.epsilon_decay > 1.0 ||
+      config.min_epsilon < 0.0 || config.min_epsilon > config.epsilon) {
+    throw std::invalid_argument("LaneTrainer: invalid epsilon schedule");
+  }
+  return config;
 }
 
 }  // namespace
@@ -18,10 +22,10 @@ std::vector<adl::StepId> step_vocabulary(const adl::Adl& adl) {
 LaneTrainer::LaneTrainer(const adl::Adl& adl, std::size_t width,
                          LearnerConfig config, std::size_t max_episode_steps)
     : routine_(&adl.primary_routine()),
-      config_(config),
-      states_(step_vocabulary(adl)),
+      config_(checked(config)),
+      // ToolIds double as StepIds, so the step vocabulary is the tool set.
+      states_(adl.tools()),
       actions_(adl.tools()),
-      reward_(config.reward),
       engine_(width, states_.num_states(), actions_.num_actions(),
               // One trace entry per transition; the idle prefix adds one
               // step but no trailing transition.
@@ -33,22 +37,22 @@ LaneTrainer::LaneTrainer(const adl::Adl& adl, std::size_t width,
   for (rl::ActionId a = 0; a < num_actions; ++a) {
     decoded_actions_.push_back(actions_.decode(a));
   }
+  const CoredaRewardFunction reward(config.reward);
   const auto& symbols = states_.symbols();
   step_rewards_.resize(symbols.size() * num_actions);
   terminal_rewards_.resize(symbols.size() * num_actions);
   for (std::size_t sym = 0; sym < symbols.size(); ++sym) {
     for (rl::ActionId a = 0; a < num_actions; ++a) {
       step_rewards_[sym * num_actions + a] =
-          reward_(decoded_actions_[a], symbols[sym], /*completes=*/false);
+          reward(decoded_actions_[a], symbols[sym], /*completes=*/false);
       terminal_rewards_[sym * num_actions + a] =
-          reward_(decoded_actions_[a], symbols[sym], /*completes=*/true);
+          reward(decoded_actions_[a], symbols[sym], /*completes=*/true);
     }
   }
 
-  // Direct-index symbol lookup: StateCodec::encode's linear find is the
-  // scalar prologue's per-step cost; step ids are small (< 64 across the
-  // ADL library), so a flat table replaces it with one load. Result-equal
-  // to the codec by construction.
+  // Direct-index symbol lookup: step ids are small (< 64 across the ADL
+  // library), so a flat table replaces StateCodec::encode's linear find
+  // per step with one load. Result-equal to the codec by construction.
   adl::StepId max_id = 0;
   for (const adl::StepId id : symbols) max_id = std::max(max_id, id);
   tool_to_symbol_.assign(static_cast<std::size_t>(max_id) + 1, -1);
@@ -60,6 +64,7 @@ LaneTrainer::LaneTrainer(const adl::Adl& adl, std::size_t width,
 
   // Pre-resolve the predicting states (RoutineLearner::predicting_states):
   // the fully-idle context plus each non-terminal routine position.
+  scored_states_.reserve(routine_->steps().size());
   const auto add_scored = [&](PlannerState ps, adl::StepId want) {
     ++predicting_states_;  // unencodable states still count in the mean
     if (const auto s = states_.encode(ps)) {
@@ -78,8 +83,10 @@ LaneTrainer::LaneTrainer(const adl::Adl& adl, std::size_t width,
 
   for (Slot& slot : slots_) {
     slot.epsilon = config_.epsilon;
-    slot.states.resize(max_episode_steps + 1);
-    slot.rewards.resize(max_episode_steps + 1);
+    if (max_episode_steps > 0) {
+      slot.states.resize(max_episode_steps + 1);
+      slot.rewards.resize(max_episode_steps + 1);
+    }
   }
 }
 
@@ -103,7 +110,7 @@ void LaneTrainer::reset_slot(std::size_t slot, util::Rng rng) {
 
 void LaneTrainer::begin_retraining(std::size_t slot, const rl::QTable& q,
                                    util::Rng rng) {
-  engine_.load(slot, q);  // slot- and shape-checked
+  import_q(slot, q);
   Slot& sl = slots_[slot];
   sl.rng = rng;
   sl.epsilon = config_.epsilon;
@@ -140,7 +147,7 @@ void LaneTrainer::queue_episode(std::size_t slot,
     n += sym >= 0 ? 1 : 0;
   }
   sl.skipped += steps.size() - n;
-  // RoutineLearner's completes: the last valid step is the routine's last.
+  // The episode completes when the last valid step is the routine's last.
   sl.terminal = n >= 1 && cur == terminal_symbol_;
   if (sl.terminal) {
     rewards[n - 1] = terminal_rewards_.data() + cur * num_actions;
@@ -156,8 +163,7 @@ void LaneTrainer::train_queued() {
     if (!sl.queued) continue;
     sl.queued = false;
     ++sl.episodes;
-    // Fewer than two valid steps train nothing; ε still decays (the scalar
-    // path's early return).
+    // Fewer than two valid steps train nothing; ε still decays.
     if (sl.transitions >= 2) {
       engine_.train_episode(
           i,

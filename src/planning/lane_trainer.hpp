@@ -6,15 +6,53 @@
 
 #include "adl/routine.hpp"
 #include "planning/codec.hpp"
-#include "planning/learner.hpp"
+#include "planning/reward.hpp"
 #include "rl/lane_engine.hpp"
 #include "util/rng.hpp"
 
 namespace coreda::planning {
 
+/// The TD(λ) defaults the planning subsystem uses: optimistic initial Q at
+/// the terminal reward so every prompt is tried before the policy commits —
+/// without this, an early lucky action can absorb the bootstrap value and
+/// ε-greedy exploration alone takes hundreds of episodes to displace it.
+inline rl::TdLambdaConfig default_planner_td() {
+  rl::TdLambdaConfig td;
+  td.initial_q = 1000.0;
+  // A small step size keeps the value estimates of aliased contexts (e.g.
+  // tea-making's <idle, tea-box> state when the pot's weak signal was
+  // missed) statistically separated instead of flapping.
+  td.alpha = 0.1;
+  return td;
+}
+
+/// Everything that parameterizes the planning subsystem's learner.
+struct LearnerConfig {
+  rl::TdLambdaConfig td = default_planner_td();
+  RewardConfig reward{};
+  /// ε-greedy exploration schedule. The initial policy is effectively
+  /// random (zero Q table + random tie-breaks), and ε decays per training
+  /// episode toward `min_epsilon`, which bounds the residual prompting
+  /// mistakes a still-exploring deployed system would make.
+  double epsilon = 0.2;
+  double epsilon_decay = 0.978;
+  double min_epsilon = 0.005;
+  /// Offline training consumes *recorded* processes, so the user's next
+  /// step never depends on the prompt the learner would have sent — the
+  /// reward of every candidate prompt is computable from the recording.
+  /// When enabled, each transition also applies a one-step counterfactual
+  /// backup to every non-taken action, which removes the undersampling
+  /// pathology of pure trajectory sampling on tiny exploration budgets.
+  bool counterfactual_sweep = true;
+};
+
 /// Lockstep trainer: N same-routine users trained through one rl::LaneEngine
-/// lane, byte-identical per user to N independent RoutineLearners.
+/// lane. Every TD(λ) update the planner makes runs here: a RoutineLearner
+/// is one width-1 trainer, and the retrain lanes and the nightly replay
+/// batch users through wider ones.
 ///
+/// Per user, a slot is byte-identical at any width to the scalar reference
+/// learner the tests keep (tests/support/scalar_learner.hpp).
 /// "Same routine" means the same reference Adl — the users share the codec
 /// vocabulary (tool set AND first-seen order), hence the same Q-table shape
 /// and reward slabs. Group a fleet by routine signature before batching;
@@ -30,7 +68,11 @@ class LaneTrainer {
  public:
   /// `max_episode_steps`, when nonzero, pre-sizes every per-slot scratch
   /// buffer and the trace slabs so steady-state training performs zero heap
-  /// allocations (the retrain scheduler passes its transcript slot width).
+  /// allocations (the retrain scheduler passes its transcript slot width);
+  /// at zero the scratch grows to the longest episode queued. Throws
+  /// std::invalid_argument on an ε schedule outside ε in [0, 1], decay in
+  /// (0, 1] and min_epsilon in [0, ε], and as rl::LaneEngine does (rows of
+  /// more than 64 actions, an invalid TD(λ) config).
   LaneTrainer(const adl::Adl& adl, std::size_t width,
               LearnerConfig config = LearnerConfig(),
               std::size_t max_episode_steps = 0);
@@ -40,35 +82,62 @@ class LaneTrainer {
   std::size_t num_actions() const noexcept { return actions_.num_actions(); }
   const LearnerConfig& config() const noexcept { return config_; }
   const rl::LaneEngine& engine() const noexcept { return engine_; }
+  const StateCodec& state_codec() const noexcept { return states_; }
+  const ActionCodec& action_codec() const noexcept { return actions_; }
+  const adl::AdlRoutine& reference_routine() const noexcept {
+    return *routine_;
+  }
+  /// The prompt ActionId `a` encodes (decoded once at construction).
+  const PlannerAction& action(rl::ActionId a) const noexcept {
+    return decoded_actions_[a];
+  }
 
   /// Re-arms the slot for a fresh user: optimistic-initial table, ε
-  /// restarted, new RNG. Equivalent to constructing a
-  /// RoutineLearner(adl, rng, config).
+  /// restarted, new RNG, counters zeroed.
   void reset_slot(std::size_t slot, util::Rng rng);
 
-  /// Re-arms the slot on an adopted table —
-  /// RoutineLearner::begin_retraining. Throws std::invalid_argument on a
-  /// shape mismatch.
+  /// Replaces the slot's table with `q`; its RNG and ε schedule are kept.
+  /// Throws std::invalid_argument on a shape mismatch.
+  void import_q(std::size_t slot, const rl::QTable& q) {
+    engine_.load(slot, q);  // slot- and shape-checked
+  }
+
+  /// Re-arms the slot on an adopted table for a fresh training run: imports
+  /// `q`, replaces the RNG and restarts ε (the counters keep counting).
+  /// Throws std::invalid_argument on a shape mismatch.
   void begin_retraining(std::size_t slot, const rl::QTable& q, util::Rng rng);
 
   /// Queues one recorded ADL process for the slot (at most one per slot per
-  /// round). Vocabulary filtering happens here, exactly as
-  /// RoutineLearner::train_episode's prologue, and the episode is encoded
-  /// as the engine's trajectory.
+  /// round), encoded as the engine's trajectory. Steps outside the codec
+  /// vocabulary (sensing glitches from other ADLs' tools) are counted and
+  /// skipped. Every recorded process implicitly starts from "nothing is
+  /// done" — the paper's StepID 0, prefixed here — so training the
+  /// <idle, idle> context teaches the planner to prompt the routine's
+  /// first step, which the deployed system needs when a user freezes
+  /// before touching a tool. The last transition is terminal only when the
+  /// last valid step completes the routine: a sequence truncated by
+  /// sensing loss just ends, and flagging it terminal would erase the
+  /// bootstrap and drag the correct action toward the bare intermediate
+  /// reward.
   void queue_episode(std::size_t slot, std::span<const adl::StepId> steps);
 
   /// Trains every queued slot's episode, slot after slot, each in one
   /// engine pass. Clears the queue.
   void train_queued();
 
-  /// RoutineLearner::greedy_accuracy over the slot's table.
+  /// Fraction of the reference routine's predicting states (the <idle,
+  /// idle> context plus each non-terminal step) whose greedy prompt names
+  /// the routine's next tool, on the slot's table.
   double greedy_accuracy(std::size_t slot) const;
 
   /// Sum of the slot's Q values in state-major, action-minor order — the
   /// accumulation order of bench_fleet_throughput's per-user checksum.
   double q_sum(std::size_t slot) const;
 
-  /// Scatters the slot's table into `q` (shape-checked).
+  /// The slot's table, at an address stable for the trainer's lifetime.
+  const rl::QTable& q(std::size_t slot) const { return engine_.q(slot); }
+
+  /// Copies the slot's table into `q` (shape-checked).
   void export_q(std::size_t slot, rl::QTable& q) const {
     engine_.store(slot, q);
   }
@@ -101,8 +170,8 @@ class LaneTrainer {
   };
 
   /// A predicting state pre-resolved against the codec: the encoded StateId
-  /// and the ActionIds that count as a correct greedy prompt (both
-  /// reminding levels of the wanted tool).
+  /// and the tool a correct greedy prompt names (at either reminding
+  /// level).
   struct ScoredState {
     rl::StateId state = 0;
     adl::ToolId want = 0;
@@ -112,7 +181,6 @@ class LaneTrainer {
   LearnerConfig config_;
   StateCodec states_;
   ActionCodec actions_;
-  CoredaRewardFunction reward_;
   std::vector<PlannerAction> decoded_actions_;
   std::vector<double> step_rewards_;      ///< symbol-major, width A
   std::vector<double> terminal_rewards_;  ///< symbol-major, width A

@@ -2,133 +2,24 @@
 
 namespace coreda::planning {
 
-namespace {
-
-std::vector<adl::StepId> step_vocabulary(const adl::Adl& adl) {
-  // ToolIds double as StepIds, so the vocabulary is the ADL's tool set.
-  std::vector<adl::StepId> out;
-  for (adl::ToolId t : adl.tools()) out.push_back(t);
-  return out;
-}
-
-}  // namespace
-
 RoutineLearner::RoutineLearner(const adl::Adl& adl, util::Rng rng,
                                LearnerConfig config)
-    : routine_(&adl.primary_routine()),
-      config_(config),
-      states_(step_vocabulary(adl)),
-      actions_(adl.tools()),
-      reward_(config.reward),
-      learner_(states_.num_states(), actions_.num_actions(), config.td),
-      policy_(config.epsilon, config.epsilon_decay, config.min_epsilon),
-      rng_(rng) {
-  const std::size_t num_actions = actions_.num_actions();
-  decoded_actions_.reserve(num_actions);
-  for (rl::ActionId a = 0; a < num_actions; ++a) {
-    decoded_actions_.push_back(actions_.decode(a));
-  }
-  const auto& symbols = states_.symbols();
-  step_rewards_.resize(symbols.size() * num_actions);
-  terminal_rewards_.resize(symbols.size() * num_actions);
-  for (std::size_t sym = 0; sym < symbols.size(); ++sym) {
-    for (rl::ActionId a = 0; a < num_actions; ++a) {
-      step_rewards_[sym * num_actions + a] =
-          reward_(decoded_actions_[a], symbols[sym], /*completes=*/false);
-      terminal_rewards_[sym * num_actions + a] =
-          reward_(decoded_actions_[a], symbols[sym], /*completes=*/true);
-    }
-  }
+    : trainer_(adl, /*width=*/1, config) {
+  trainer_.reset_slot(0, rng);
 }
 
 void RoutineLearner::train_episode(std::span<const adl::StepId> steps) {
-  // Keep only steps the codec knows; sensing can interleave noise from
-  // tools of other ADLs, which must not crash the learner. Every recorded
-  // process implicitly starts from "nothing is done" — the paper's
-  // StepID 0, prefixed here — so training the <idle, idle> context teaches
-  // the planner to prompt the *first* step of the routine, which the
-  // deployed system needs when a user freezes before ever touching a tool.
-  //
-  // Encoding <idle, s> yields 0 * n + symbol_index(s), so the encode doubles
-  // as the vocabulary test and hands back the symbol index the state and
-  // reward-row lookups below are built from.
-  episode_steps_.clear();
-  episode_symbols_.clear();
-  episode_steps_.push_back(adl::kIdleStep);
-  episode_symbols_.push_back(0);
-  for (adl::StepId s : steps) {
-    if (const auto sym = states_.encode(PlannerState{adl::kIdleStep, s})) {
-      episode_steps_.push_back(s);
-      episode_symbols_.push_back(static_cast<std::uint32_t>(*sym));
-    } else {
-      ++skipped_;
-    }
-  }
-
-  ++episodes_;
-  if (episode_steps_.size() < 3) {  // idle prefix + fewer than two valid steps
-    policy_.decay_epsilon();
-    return;
-  }
-
-  const std::size_t num_symbols = states_.symbols().size();
-  const std::size_t num_actions = actions_.num_actions();
-  learner_.begin_episode();
-  for (std::size_t i = 1; i < episode_steps_.size(); ++i) {
-    const std::uint32_t prev_sym = i >= 2 ? episode_symbols_[i - 2] : 0;
-    const std::uint32_t cur_sym = episode_symbols_[i - 1];
-    const std::uint32_t next_sym = episode_symbols_[i];
-    const auto s = static_cast<rl::StateId>(prev_sym * num_symbols + cur_sym);
-    const auto s_next =
-        static_cast<rl::StateId>(cur_sym * num_symbols + next_sym);
-
-    const rl::ActionId a = policy_.select(learner_.q(), s, rng_);
-
-    // A transition is terminal only when the ADL actually completed. A
-    // sequence truncated by sensing loss just *ends* — flagging its last
-    // transition terminal would erase the bootstrap and drag the correct
-    // action's value toward the bare intermediate reward.
-    const bool completes = i + 1 == episode_steps_.size() &&
-                           routine_->is_terminal(episode_steps_[i]);
-    const std::span<const double> rewards{
-        (completes ? terminal_rewards_ : step_rewards_).data() +
-            next_sym * num_actions,
-        num_actions};
-
-    learner_.observe(rl::Transition{s, a, rewards[a], s_next,
-                                    /*terminal=*/completes});
-    if (config_.counterfactual_sweep) {
-      learner_.update_counterfactual_row(s, rewards, a, s_next, completes);
-    }
-  }
-  policy_.decay_epsilon();
-}
-
-void RoutineLearner::import_q(const rl::QTable& q) {
-  rl::QTable& mine = learner_.q();
-  if (q.num_states() != mine.num_states() ||
-      q.num_actions() != mine.num_actions()) {
-    throw std::invalid_argument("RoutineLearner::import_q: shape mismatch");
-  }
-  for (rl::StateId s = 0; s < q.num_states(); ++s) {
-    for (rl::ActionId a = 0; a < q.num_actions(); ++a) {
-      mine.set(s, a, q.get(s, a));
-    }
-  }
-}
-
-void RoutineLearner::begin_retraining(const rl::QTable& q, util::Rng rng) {
-  import_q(q);
-  rng_ = rng;
-  policy_.reset_epsilon(config_.epsilon);
+  trainer_.queue_episode(0, steps);
+  trainer_.train_queued();
 }
 
 std::optional<PlannedPrompt> RoutineLearner::predict(
     PlannerState state) const {
-  const auto s = states_.encode(state);
+  const auto s = state_codec().encode(state);
   if (!s) return std::nullopt;
-  const rl::ActionId a = learner_.q().best_action(*s);
-  return PlannedPrompt{decoded_actions_[a], learner_.q().get(*s, a)};
+  const rl::QTable& table = q();
+  const rl::ActionId a = table.best_action(*s);
+  return PlannedPrompt{trainer_.action(a), table.get(*s, a)};
 }
 
 std::vector<PlannerState> RoutineLearner::predicting_states() const {
@@ -136,7 +27,7 @@ std::vector<PlannerState> RoutineLearner::predicting_states() const {
   // The fully-idle context prompts the first step (session start).
   out.push_back(PlannerState{adl::kIdleStep, adl::kIdleStep});
   adl::StepId prev = adl::kIdleStep;
-  const auto& steps = routine_->steps();
+  const auto& steps = reference_routine().steps();
   // The terminal step has no successor to prompt, so it is excluded.
   for (std::size_t i = 0; i + 1 < steps.size(); ++i) {
     out.push_back(PlannerState{prev, steps[i].step_id()});
@@ -148,28 +39,24 @@ std::vector<PlannerState> RoutineLearner::predicting_states() const {
 bool RoutineLearner::greedy_correct(PlannerState state) const {
   const auto prompt = predict(state);
   if (!prompt) return false;
+  const adl::AdlRoutine& routine = reference_routine();
   const adl::StepId want = state.cur == adl::kIdleStep
-                               ? routine_->first_step()
-                               : routine_->next_after(state.cur);
+                               ? routine.first_step()
+                               : routine.next_after(state.cur);
   return prompt->action.tool == want;
 }
 
 double RoutineLearner::greedy_accuracy() const {
-  const auto states = predicting_states();
-  std::size_t hits = 0;
-  for (const PlannerState& s : states) {
-    if (greedy_correct(s)) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(states.size());
+  return trainer_.greedy_accuracy(0);
 }
 
 double RoutineLearner::behaviour_accuracy() const {
   const auto states = predicting_states();
-  const double eps = policy_.epsilon();
+  const double eps = epsilon();
   // Exploring uniformly, both reminding levels of the correct tool count as
   // a correct prompt.
   const double explore_hit =
-      2.0 / static_cast<double>(actions_.num_actions());
+      2.0 / static_cast<double>(action_codec().num_actions());
   double sum = 0.0;
   for (const PlannerState& s : states) {
     const double greedy_hit = greedy_correct(s) ? 1.0 : 0.0;

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -27,8 +26,9 @@ struct Trajectory {
 };
 
 /// Structure-of-arrays TD(λ) engine: one lane holds `width` learners, each
-/// with its own Q table and eligibility traces inside shared contiguous
-/// slabs, and trains them one recorded episode at a time.
+/// with its own Q table (an rl::QTable per slot) and eligibility traces
+/// inside shared contiguous slabs, and trains them one recorded episode at a
+/// time.
 ///
 /// Why this is faster than `width` TdLambdaQLearning instances (measured on
 /// bench_fleet_throughput; see DESIGN.md "Lane engine"):
@@ -46,8 +46,8 @@ struct Trajectory {
 ///   * train_episode() runs a whole recorded episode in one pass and defers
 ///     the trace increments of each trace window until it closes (see
 ///     there and rl/lane_episode.cpp);
-///   * Q slabs of all slots are contiguous, so an 8-wide lane of tea-making
-///     tables (~2.8 KB each) stays L1/L2-resident.
+///   * an 8-wide lane of tea-making tables (~1.6 KB each) stays
+///     L1/L2-resident.
 ///
 /// Bit-exactness contract: for each slot, the sequence of IEEE-754
 /// operations applied to its Q values, trace values and Rng stream is
@@ -80,7 +80,10 @@ class LaneEngine {
         config.gamma > 1.0 || config.lambda < 0.0 || config.lambda > 1.0) {
       throw std::invalid_argument("LaneEngine: invalid TdLambdaConfig");
     }
-    q_.assign(width * num_states * num_actions, config.initial_q);
+    tables_.reserve(width);
+    for (std::size_t i = 0; i < width; ++i) {
+      tables_.emplace_back(num_states, num_actions, config.initial_q);
+    }
     reserve_traces(trace_capacity == 0 ? 1 : trace_capacity);
     trace_len_.assign(width, 0);
     init_window();
@@ -91,37 +94,31 @@ class LaneEngine {
   std::size_t num_actions() const noexcept { return num_actions_; }
   const TdLambdaConfig& config() const noexcept { return config_; }
 
-  /// The slot's Q slab (unchecked: for inner loops over a checked slot).
-  double* slot_q(std::size_t slot) noexcept {
-    return q_.data() + slot * num_states_ * num_actions_;
-  }
-  const double* slot_q(std::size_t slot) const noexcept {
-    return q_.data() + slot * num_states_ * num_actions_;
+  /// The slot's table. Its address is stable for the engine's lifetime.
+  /// Throws std::out_of_range for slot >= width().
+  const QTable& q(std::size_t slot) const {
+    check_slot(slot);
+    return tables_[slot];
   }
 
-  /// Gather: copies `q` into the slot's slab. Throws std::out_of_range for
-  /// slot >= width() and std::invalid_argument on a shape mismatch.
+  /// The slot's Q values (unchecked: for inner loops over a checked slot).
+  double* slot_q(std::size_t slot) noexcept { return tables_[slot].data(); }
+  const double* slot_q(std::size_t slot) const noexcept {
+    return tables_[slot].data();
+  }
+
+  /// Copies `q` into the slot's table (same shape: no allocation). Throws
+  /// std::out_of_range for slot >= width() and std::invalid_argument on a
+  /// shape mismatch.
   void load(std::size_t slot, const QTable& q) {
     check(slot, q);
-    double* dst = slot_q(slot);
-    for (StateId s = 0; s < num_states_; ++s) {
-      const std::span<const double> row = q.row(s);
-      for (ActionId a = 0; a < num_actions_; ++a) {
-        dst[static_cast<std::size_t>(s) * num_actions_ + a] = row[a];
-      }
-    }
+    tables_[slot] = q;
   }
 
-  /// Scatter: copies the slot's table back out (checked as load()).
+  /// Copies the slot's table out into `q` (checked as load()).
   void store(std::size_t slot, QTable& q) const {
     check(slot, q);
-    const double* src = slot_q(slot);
-    for (StateId s = 0; s < num_states_; ++s) {
-      const std::span<double> row = q.row_mut(s);
-      for (ActionId a = 0; a < num_actions_; ++a) {
-        row[a] = src[static_cast<std::size_t>(s) * num_actions_ + a];
-      }
-    }
+    q = tables_[slot];
   }
 
   /// Trains one recorded episode on the slot from cleared traces:
@@ -163,10 +160,13 @@ class LaneEngine {
  private:
   friend struct EpisodeKernel;  // train_episode's one-pass bodies
 
-  void check(std::size_t slot, const QTable& q) const {
+  void check_slot(std::size_t slot) const {
     if (slot >= width_) {
       throw std::out_of_range("LaneEngine: slot out of range");
     }
+  }
+  void check(std::size_t slot, const QTable& q) const {
+    check_slot(slot);
     if (q.num_states() != num_states_ || q.num_actions() != num_actions_) {
       throw std::invalid_argument("LaneEngine: table shape mismatch");
     }
@@ -380,7 +380,7 @@ class LaneEngine {
   std::size_t num_actions_;
   std::size_t trace_cap_ = 0;
   TdLambdaConfig config_;
-  std::vector<double> q_;                   ///< width x S x A, slot-major
+  std::vector<QTable> tables_;              ///< one S x A table per slot
   std::vector<double> trace_val_;           ///< width x trace_cap
   std::vector<std::uint32_t> trace_idx_;    ///< width x trace_cap
   std::vector<std::uint32_t> trace_len_;    ///< active entries per slot

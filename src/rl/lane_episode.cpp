@@ -295,6 +295,7 @@ struct EpisodeKernel {
 void LaneEngine::init_window() {
   Window& w = window_;
   const double factor = config_.gamma * config_.lambda;
+  w.decay.reserve(kMaxWindow + 1);
   w.decay.assign(1, 1.0);
   while (w.decay.size() <= kMaxWindow && !(w.decay.back() < kTraceCutoff)) {
     w.decay.push_back(w.decay.back() * factor);
@@ -310,7 +311,7 @@ void LaneEngine::init_window() {
 
 void LaneEngine::train_episode(std::size_t slot, const Trajectory& episode,
                                double epsilon, util::Rng& rng, bool sweep) {
-  if (slot >= width_) throw std::out_of_range("LaneEngine: slot out of range");
+  check_slot(slot);
   if (episode.transitions > trace_cap_) reserve_traces(episode.transitions);
   trace_len_[slot] = 0;  // TdLambdaQLearning::begin_episode
   std::uint32_t t = 0;

@@ -61,6 +61,11 @@ class QTable {
 
   void fill(double value);
 
+  /// The values, row-major (num_states() x num_actions()): the unchecked
+  /// view the lane engine trains a slot's table through.
+  double* data() noexcept { return values_.data(); }
+  const double* data() const noexcept { return values_.data(); }
+
  private:
   std::size_t index(StateId s, ActionId a) const;
 

@@ -84,7 +84,7 @@ const ServeUserStats& ServeEngine::user_stats(UserId user) const {
 }
 
 void ServeEngine::serve_one(UserId user, core::SessionResult& result) {
-  pool_.serve_session(user, profiles_[user], params_.session_cap, {},
+  pool_.serve_session(user, profiles_[user], core::kServedSessionCap, {},
                       result);
   // Completed sessions feed the user's transcript ring — what the user
   // actually did is the ground truth a retrain replays. Recorded even with
@@ -100,7 +100,7 @@ void ServeEngine::serve_one(UserId user, core::SessionResult& result) {
   s.prompt_ewma = (s.sessions == 0)
                       ? prompts
                       : s.prompt_ewma +
-                            params_.drift.alpha * (prompts - s.prompt_ewma);
+                            kPromptEwmaAlpha * (prompts - s.prompt_ewma);
   ++s.sessions;
   s.completed += result.completed ? 1 : 0;
   s.prompts += result.prompts_total;
@@ -121,10 +121,10 @@ bool ServeEngine::retrain_due(UserId user) const {
   const ServeUserStats& s = stats_[user];
   if (!s.needs_retraining) return false;
   if (!retrainer_.has_enough_transcripts(user)) return false;
-  // After a retrain the refreshed policy gets cooldown_sessions of serving
-  // to move the EWMA before another job may queue for the same user.
-  return s.retrains == 0 || s.sessions - s.last_retrain_session >=
-                                params_.retrain.cooldown_sessions;
+  // After a retrain the refreshed policy gets kRetrainCooldownSessions of
+  // serving to move the EWMA before another job may queue for the user.
+  return s.retrains == 0 ||
+         s.sessions - s.last_retrain_session >= kRetrainCooldownSessions;
 }
 
 void ServeEngine::attach_faults(faults::Injector& injector) {

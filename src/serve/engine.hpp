@@ -11,6 +11,11 @@
 
 namespace coreda::serve {
 
+/// EWMA weight of the newest session in the drift detector's
+/// prompts-per-session average (ewma += alpha * (x - ewma); the first
+/// session seeds the average).
+inline constexpr double kPromptEwmaAlpha = 0.3;
+
 /// Prompt-rate drift detection (ROADMAP "drift re-learning").
 ///
 /// A converged policy prompts rarely; a routine that drifted away from the
@@ -21,9 +26,6 @@ namespace coreda::serve {
 /// enabled (RetrainParams::enabled) the flag feeds the RetrainScheduler and
 /// clears once the post-retrain EWMA drops back below the threshold.
 struct DriftConfig {
-  /// EWMA weight of the newest session (ewma += alpha * (x - ewma); the
-  /// first session seeds the average).
-  double alpha = 0.3;
   /// Prompts-per-session EWMA at or above this flags the user.
   double threshold = 6.0;
   /// Sessions a user must have served before the flag may fire — a single
@@ -37,8 +39,6 @@ struct ServeEngineParams {
   /// The detect->retrain->redeploy loop (off by default; transcripts are
   /// recorded either way so enabling it later starts warm).
   RetrainParams retrain{};
-  /// Wall-clock cap per session (virtual time).
-  sim::Duration session_cap = sim::Duration::minutes(15.0);
 };
 
 /// Per-user serving metrics, persistent across drains (the EWMA must see a

@@ -164,7 +164,7 @@ void FleetEngine::serve_one(Shard& sh, std::uint64_t user) {
   sh.profile.name.assign(name, static_cast<std::size_t>(end - name));
   std::uint32_t& packed = packed_[user];
   sh.profile.apply_severity(severity_of(packed));
-  slot.system->run_session_inplace(sh.profile, params_.session_cap, {},
+  slot.system->run_session_inplace(sh.profile, core::kServedSessionCap, {},
                                    sh.result);
   // One more session not yet in the store — the derived version advances.
   const std::uint32_t unflushed = unflushed_count(packed) + 1;

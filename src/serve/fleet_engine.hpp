@@ -28,8 +28,6 @@ struct FleetEngineParams {
   std::uint64_t seed = 99;
   /// Template for every slot's system (seed overridden per slot).
   core::SystemConfig system{};
-  /// Wall-clock cap per session (virtual time).
-  sim::Duration session_cap = sim::Duration::minutes(15.0);
   /// Append the user's table into the segment store every Nth session
   /// (wear batching at fleet scale; 0 = only on eviction/flush). An
   /// evicted user with unwritten sessions is always appended first, so

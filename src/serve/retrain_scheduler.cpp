@@ -17,9 +17,9 @@ RetrainScheduler::RetrainScheduler(const adl::Adl& adl, PolicyStore& store,
         "RetrainScheduler: ring_capacity and max_transcript_steps must be "
         ">= 1");
   }
-  if (params_.min_transcripts == 0 || params_.replay_passes == 0) {
+  if (params_.min_transcripts == 0) {
     throw std::invalid_argument(
-        "RetrainScheduler: min_transcripts and replay_passes must be >= 1");
+        "RetrainScheduler: min_transcripts must be >= 1");
   }
   lane_queues_.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
@@ -106,9 +106,9 @@ std::size_t RetrainScheduler::retrain_user(UserId user) {
   // The retrain stream is keyed by the user, not the trial: the outcome
   // cannot depend on which lane (or how many) the job shares a drain with.
   trainer.begin_retraining(0, store_->q(user),
-                           util::Rng(exec::trial_seed(params_.seed, user)));
+                           util::Rng(exec::trial_seed(kRetrainSeed, user)));
   std::size_t episodes = 0;
-  for (std::size_t pass = 0; pass < params_.replay_passes; ++pass) {
+  for (std::size_t pass = 0; pass < kRetrainReplayPasses; ++pass) {
     for (std::size_t i = 0; i < r.count; ++i) {
       trainer.queue_episode(0, transcript(user, i));
       trainer.train_queued();

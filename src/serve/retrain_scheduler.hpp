@@ -14,6 +14,23 @@
 
 namespace coreda::serve {
 
+/// Per-user retrain streams are seeded with trial_seed(kRetrainSeed, user),
+/// so a user's retrain outcome is a pure function of (their table, their
+/// transcripts) — never of which other users were flagged or how many
+/// workers drained the queue.
+inline constexpr std::uint64_t kRetrainSeed = 515151;
+
+/// Every retrain replays the whole ring this many times, oldest to newest.
+/// ring_capacity x kRetrainReplayPasses is the episode budget; A10
+/// (bench_drift_adaptation) puts useful re-convergence at a few dozen
+/// episodes from a converged stale table.
+inline constexpr std::size_t kRetrainReplayPasses = 8;
+
+/// Sessions a user must serve after a retrain before they may be retrained
+/// again — gives the refreshed policy time to move the EWMA (and fresh
+/// transcripts time to displace pre-retrain ones).
+inline constexpr std::size_t kRetrainCooldownSessions = 4;
+
 /// Everything that parameterizes the retraining scheduler.
 struct RetrainParams {
   /// Master switch for the ServeEngine wiring. Off by default so the pure
@@ -21,11 +38,6 @@ struct RetrainParams {
   /// keeps its byte-identical baseline; the closed-loop benches, the CLI
   /// `retrain` command and the retrain tests turn it on.
   bool enabled = false;
-  /// Per-user retrain streams are seeded with trial_seed(seed, user), so a
-  /// user's retrain outcome is a pure function of (their table, their
-  /// transcripts, this seed) — never of which other users were flagged or
-  /// how many workers drained the queue.
-  std::uint64_t seed = 515151;
   /// Recent completed-session transcripts retained per user. Oldest is
   /// evicted first; the ring is provisioned at add_user so recording on the
   /// serve path never allocates.
@@ -37,15 +49,6 @@ struct RetrainParams {
   /// this many transcripts — retraining on one bad day is how a planner
   /// learns the mistakes the paper warns about (§3.2).
   std::size_t min_transcripts = 4;
-  /// Every retrain replays the whole ring this many times, oldest to
-  /// newest. ring_capacity x replay_passes is the episode budget; A10
-  /// (bench_drift_adaptation) puts useful re-convergence at a few dozen
-  /// episodes from a converged stale table.
-  std::size_t replay_passes = 8;
-  /// Sessions a user must serve after a retrain before they may be
-  /// retrained again — gives the refreshed policy time to move the EWMA
-  /// (and fresh transcripts time to displace pre-retrain ones).
-  std::size_t cooldown_sessions = 4;
 };
 
 /// Cumulative retraining counters, reported through the ServeReport.

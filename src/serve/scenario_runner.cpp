@@ -12,6 +12,10 @@
 namespace coreda::serve {
 namespace {
 
+/// Donor pretraining: episodes per ADL, and the dataset seed.
+constexpr std::size_t kDonorPretrainEpisodes = 120;
+constexpr std::uint64_t kDonorPretrainSeed = 7;
+
 /// SplitMix64 finalizer (same construction as faults::mix64) — the digest
 /// primitive behind the per-session checksum and per-user severity offsets.
 std::uint64_t mix64(std::uint64_t x) noexcept {
@@ -127,7 +131,7 @@ ScenarioSummary ScenarioRunner::run(const sim::ScenarioPlan& plan,
   core::SystemConfig donor_config = params_.system;
   donor_config.seed = plan.seed;
   core::HomeDeployment donor(library, donor_config);
-  donor.pretrain(params_.pretrain_episodes, params_.pretrain_seed);
+  donor.pretrain(kDonorPretrainEpisodes, kDonorPretrainSeed);
 
   // Memory-only: rounds share policy sets, nothing touches disk.
   PolicyStore store(donor);

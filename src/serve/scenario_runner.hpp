@@ -27,9 +27,6 @@ struct ScenarioRunnerParams {
   /// switch on the second consecutive routine-ordered challenger tool).
   recognition::ActivityTracker::Params tracker{
       .switch_window = 2, .switch_threshold = 0.8, .switch_patience = 1};
-  /// Donor pretraining: episodes per ADL, and the dataset seed.
-  std::size_t pretrain_episodes = 120;
-  std::uint64_t pretrain_seed = 7;
 };
 
 /// Aggregate outcome of one scenario run, summed over every session of

@@ -1,13 +1,14 @@
-// Byte-identity of LaneTrainer (lockstep SoA lanes) vs RoutineLearner.
+// Byte-identity of LaneTrainer (lockstep SoA lanes) vs the scalar reference
+// learner (tests/support/scalar_learner.hpp).
 //
-// The fleet benches may only use the lane path because every user's result
-// is bit-for-bit what the scalar path produces. This test replays the
-// bench_fleet_throughput workload shape — personal noisy routines, the
-// foreign-tool skip path, truncated episodes — through both paths across
-// lane widths 1/4/8/16 with ragged tail batches, on Tea-making,
-// Hand-washing (6 actions: masked rows) and Dressing, and compares final Q
-// tables (bitwise), greedy accuracy, the fleet checksum sum, ε, and the
-// skipped counter. Also covers the retrain-scheduler entry point
+// Every planner trains through the lane path, which is only sound because
+// every user's result is bit-for-bit what the scalar reference produces.
+// This test replays the bench_fleet_throughput workload shape — personal
+// noisy routines, the foreign-tool skip path, truncated episodes — through
+// both paths across lane widths 1/4/8/16 with ragged tail batches, on
+// Tea-making, Hand-washing (6 actions: masked rows) and Dressing, and
+// compares final Q tables (bitwise), greedy accuracy, the fleet checksum
+// sum, ε, and the skipped counter. Also covers the retrain-scheduler entry point
 // (begin_retraining on an adopted table), ε at 0 and 1, and episodes that
 // force the engine's one-pass trainer back onto its per-transition path:
 // a revisited state, three identical steps (s == s') and a trace window
@@ -22,7 +23,7 @@
 
 #include "adl/library.hpp"
 #include "planning/lane_trainer.hpp"
-#include "planning/learner.hpp"
+#include "support/scalar_learner.hpp"
 #include "util/rng.hpp"
 
 namespace coreda::planning {
@@ -49,7 +50,7 @@ void sensed_episode(const std::vector<adl::StepId>& routine,
   }
 }
 
-void expect_user_equal(const RoutineLearner& scalar, LaneTrainer& lane,
+void expect_user_equal(const ScalarLearner& scalar, LaneTrainer& lane,
                        std::size_t slot, std::size_t user) {
   const rl::QTable& want = scalar.q();
   rl::QTable got(want.num_states(), want.num_actions(), 0.0);
@@ -97,7 +98,7 @@ std::uint64_t run_fleet_equivalence(std::size_t width, std::size_t users,
     const std::size_t batch = std::min(width, users - base);
 
     // Scalar side first (independent instances, so order is irrelevant).
-    std::vector<RoutineLearner> scalar;
+    std::vector<ScalarLearner> scalar;
     for (std::size_t i = 0; i < batch; ++i) {
       const std::size_t u = base + i;
       scalar.emplace_back(adl, util::Rng(5000 + u), config);
@@ -147,7 +148,7 @@ std::uint64_t run_fleet_equivalence(std::size_t width, std::size_t users,
 std::uint64_t run_episodes(
     const adl::Adl& adl, const LearnerConfig& config, const rl::QTable* start,
     const std::vector<std::vector<adl::StepId>>& episodes) {
-  RoutineLearner scalar(adl, util::Rng(32), config);
+  ScalarLearner scalar(adl, util::Rng(32), config);
   LaneTrainer lane(adl, 3, config);
   if (start != nullptr) {
     scalar.begin_retraining(*start, util::Rng(32));
@@ -168,7 +169,7 @@ std::uint64_t run_episodes(
 /// A table of distinct random values: every greedy choice is unique, so no
 /// Watkins cut closes a trace window before a hazard does.
 rl::QTable distinct_table(const adl::Adl& adl, std::uint64_t seed) {
-  const RoutineLearner shape(adl, util::Rng(0));
+  const ScalarLearner shape(adl, util::Rng(0));
   rl::QTable q(shape.q().num_states(), shape.q().num_actions(), 0.0);
   util::Rng rng(seed);
   for (rl::StateId s = 0; s < q.num_states(); ++s) {
@@ -313,7 +314,7 @@ TEST(LaneTrainer, WindowReachingTheCutoffAgeFallsBackAndMatchesScalar) {
 TEST(LaneTrainer, ShortAndForeignEpisodesMatchScalar) {
   adl::AdlLibrary library;
   const adl::Adl& adl = library.tea_making();
-  RoutineLearner scalar(adl, util::Rng(1));
+  ScalarLearner scalar(adl, util::Rng(1));
   LaneTrainer lane(adl, 2);
   lane.reset_slot(0, util::Rng(1));
 
@@ -342,7 +343,7 @@ TEST(LaneTrainer, BeginRetrainingMatchesScalar) {
   }
 
   // A warm table from a first training run.
-  RoutineLearner warm(adl, util::Rng(77));
+  ScalarLearner warm(adl, util::Rng(77));
   {
     util::Rng env(78);
     std::vector<adl::StepId> episode;
@@ -353,7 +354,7 @@ TEST(LaneTrainer, BeginRetrainingMatchesScalar) {
     }
   }
 
-  RoutineLearner scalar(adl, util::Rng(1));
+  ScalarLearner scalar(adl, util::Rng(1));
   scalar.begin_retraining(warm.q(), util::Rng(314));
   LaneTrainer lane(adl, 4);
   lane.begin_retraining(2, warm.q(), util::Rng(314));

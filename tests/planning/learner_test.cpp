@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "adl/library.hpp"
+#include "support/scalar_learner.hpp"
 
 namespace coreda::planning {
 namespace {
@@ -147,6 +151,109 @@ TEST_F(LearnerFixture, PureTdWithoutSweepStillLearnsCleanRoutine) {
   const auto steps = tea_steps();
   for (int i = 0; i < 600; ++i) learner.train_episode(steps);
   EXPECT_DOUBLE_EQ(learner.greedy_accuracy(), 1.0);
+}
+
+/// Asserts `got` is bitwise the scalar reference: every Q value, ε, the
+/// counters and the greedy accuracy.
+void expect_same(const RoutineLearner& got, const ScalarLearner& want) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ASSERT_EQ(got.q().num_states(), want.q().num_states());
+  ASSERT_EQ(got.q().num_actions(), want.q().num_actions());
+  for (rl::StateId s = 0; s < want.q().num_states(); ++s) {
+    for (rl::ActionId a = 0; a < want.q().num_actions(); ++a) {
+      ASSERT_EQ(bits(got.q().get(s, a)), bits(want.q().get(s, a)))
+          << "Q(" << s << "," << a << ")";
+    }
+  }
+  EXPECT_EQ(bits(got.epsilon()), bits(want.epsilon()));
+  EXPECT_EQ(got.episodes_trained(), want.episodes_trained());
+  EXPECT_EQ(got.skipped_steps(), want.skipped_steps());
+  EXPECT_EQ(bits(got.greedy_accuracy()), bits(want.greedy_accuracy()));
+}
+
+/// A sensed episode of `routine`: steps dropped, repeated and interleaved
+/// with a foreign tool, and now and then cut short before the terminal step.
+std::vector<adl::StepId> noisy_episode(const std::vector<adl::StepId>& routine,
+                                       util::Rng& rng) {
+  std::vector<adl::StepId> out;
+  const std::size_t keep =
+      rng.uniform() < 0.2 ? rng.pick_index(routine.size()) : routine.size();
+  for (std::size_t i = 0; i < keep; ++i) {
+    if (rng.uniform() < 0.1) out.push_back(adl::tools::kToothbrush);
+    if (rng.uniform() < 0.1) continue;
+    out.push_back(routine[i]);
+    if (rng.uniform() < 0.1) out.push_back(routine[i]);
+    if (rng.uniform() < 0.05) out.push_back(routine[i]);
+  }
+  return out;
+}
+
+// RoutineLearner trains through a width-1 LaneTrainer; this pins it, after
+// every episode, to the scalar reference (tests/support/scalar_learner.hpp):
+// noisy, truncated, foreign-only and too-short episodes, a policy restore
+// (import_q) and a retrain run (begin_retraining) in mid-stream, under the
+// default config and the ablation benches' variants (λ at 0, 0.9 and 1,
+// accumulating traces, no sweep, no Watkins cut, a cold table), on a
+// single- and a multi-routine ADL.
+TEST_F(LearnerFixture, TrainsBitForBitAsTheScalarReference) {
+  std::vector<LearnerConfig> configs(8);
+  configs[1].td.lambda = 0.0;
+  configs[2].td.lambda = 0.9;
+  configs[3].td.lambda = 1.0;
+  configs[4].td.trace_type = rl::TraceType::kAccumulating;
+  configs[5].counterfactual_sweep = false;
+  configs[6].td.watkins_cut = false;
+  // bench_ablation_lambda's shape: no sweep, no cut, a cold table.
+  configs[7].counterfactual_sweep = false;
+  configs[7].td.watkins_cut = false;
+  configs[7].td.initial_q = 0.0;
+  configs[7].td.alpha = 0.3;
+  configs[7].epsilon = 0.6;
+  configs[7].epsilon_decay = 0.995;
+  configs[7].min_epsilon = 0.05;
+
+  for (const char* name : {"Tea-making", "Dressing"}) {
+    const adl::Adl& adl = library.by_name(name);
+    std::vector<adl::StepId> routine;
+    for (const adl::AdlStep& step : adl.primary_routine().steps()) {
+      routine.push_back(step.step_id());
+    }
+    const std::vector<std::vector<adl::StepId>> odd = {
+        {},                                         // idle only
+        {adl::tools::kToothbrush},                  // all foreign
+        {routine.front()},                          // one valid step
+        {routine.front(), routine.front(), routine.front()},  // s == s'
+        {routine[0], routine[1], routine[0], routine[1]},     // revisit
+    };
+    // A table to restore: a differently seeded learner's.
+    RoutineLearner donor(adl, util::Rng(404));
+    for (int e = 0; e < 25; ++e) donor.train_episode(routine);
+
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      SCOPED_TRACE(testing::Message() << name << " config " << c);
+      RoutineLearner got(adl, util::Rng(11 + c), configs[c]);
+      ScalarLearner want(adl, util::Rng(11 + c), configs[c]);
+      util::Rng env(900 + c);
+      for (int e = 0; e < 90; ++e) {
+        SCOPED_TRACE(testing::Message() << "episode " << e);
+        const std::vector<adl::StepId> episode =
+            e % 9 == 4 ? odd[static_cast<std::size_t>(e / 9) % odd.size()]
+                       : noisy_episode(routine, env);
+        got.train_episode(episode);
+        want.train_episode(episode);
+        if (e == 30) {
+          got.import_q(donor.q());
+          want.import_q(donor.q());
+        }
+        if (e == 60) {
+          got.begin_retraining(donor.q(), util::Rng(77 + c));
+          want.begin_retraining(donor.q(), util::Rng(77 + c));
+        }
+        expect_same(got, want);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
 }
 
 TEST_F(LearnerFixture, DeterministicGivenSeed) {

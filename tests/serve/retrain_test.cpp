@@ -1,5 +1,5 @@
 // RetrainScheduler: transcript-ring mechanics, the single-job retrain
-// contract, bit-identity with the reference RoutineLearner, the
+// contract, bit-identity with the scalar reference learner, the
 // engine-level detect -> retrain -> redeploy loop (flag set, policy
 // refreshed, EWMA recovered, flag cleared), and byte-identical closed-loop
 // outcomes at any --jobs.
@@ -16,6 +16,7 @@
 
 #include "adl/library.hpp"
 #include "serve/engine.hpp"
+#include "support/scalar_learner.hpp"
 
 namespace coreda::serve {
 namespace {
@@ -132,7 +133,7 @@ TEST_F(RetrainFixture, RetrainUserRealignsAStaleTableToTheRecordedRoutine) {
 
   const double before = accuracy_vs(store.q(0), routine());
   const std::size_t episodes = scheduler.retrain_user(0);
-  EXPECT_EQ(episodes, params.ring_capacity * params.replay_passes);
+  EXPECT_EQ(episodes, params.ring_capacity * kRetrainReplayPasses);
   EXPECT_EQ(store.version(0), 2u);  // the refreshed table was staged
 
   // The stale table prompted yesterday's order; the retrained one prompts
@@ -142,12 +143,13 @@ TEST_F(RetrainFixture, RetrainUserRealignsAStaleTableToTheRecordedRoutine) {
   EXPECT_EQ(after, 1.0);
 }
 
-// The scheduler's output against the reference learner: every staged table
-// is bitwise the table of a RoutineLearner that ran begin_retraining on the
-// same start table with the user's retrain stream and replayed the same
-// ring replay_passes times. Two users on different lanes, rings of
-// different depths (one wrapped), transcripts with foreign, truncated,
-// too-short and stale-order steps, all retrained through one drain.
+// The scheduler's output against the scalar reference learner: every
+// staged table is bitwise the table of a reference that ran
+// begin_retraining on the same start table with the user's retrain stream
+// and replayed the same ring kRetrainReplayPasses times. Two users on
+// different lanes, rings of different depths (one wrapped), transcripts
+// with foreign, truncated, too-short and stale-order steps, all retrained
+// through one drain.
 TEST_F(RetrainFixture, RetrainMatchesTheScalarLearnerBitForBit) {
   planning::RoutineLearner donor = trained(routine(), 5, 80);
   planning::RoutineLearner stale = trained(stale_routine(), 6, 120);
@@ -181,10 +183,10 @@ TEST_F(RetrainFixture, RetrainMatchesTheScalarLearnerBitForBit) {
 
   for (UserId u = 0; u < 2; ++u) {
     SCOPED_TRACE(testing::Message() << "user " << u);
-    planning::RoutineLearner reference(library.tea_making(), util::Rng(0));
+    planning::ScalarLearner reference(library.tea_making(), util::Rng(0));
     reference.begin_retraining(
-        stale.q(), util::Rng(exec::trial_seed(params.seed, u)));
-    for (std::size_t pass = 0; pass < params.replay_passes; ++pass) {
+        stale.q(), util::Rng(exec::trial_seed(kRetrainSeed, u)));
+    for (std::size_t pass = 0; pass < kRetrainReplayPasses; ++pass) {
       for (std::size_t i = 0; i < scheduler.transcripts(u); ++i) {
         reference.train_episode(scheduler.transcript(u, i));
       }

@@ -344,6 +344,28 @@ TEST(CliTest, ReportProducesTable) {
   EXPECT_NE(r.out.find("Tooth-brushing"), std::string::npos);
 }
 
+TEST(CliTest, HomeAndSimulateRejectNegativeSessionCounts) {
+  for (const std::vector<std::string>& tokens :
+       {std::vector<std::string>{"home", "--sessions=-2"},
+        std::vector<std::string>{"simulate", "--adl=Tea-making",
+                                 "--sessions=-1"}}) {
+    const CliResult r = run(tokens);
+    EXPECT_EQ(r.code, 1) << tokens[0];
+    EXPECT_NE(r.err.find("error: flag --sessions"), std::string::npos)
+        << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+  }
+}
+
+TEST(CliTest, ReportRejectsADayCountBelowOne) {
+  for (const char* flag : {"--days=0", "--days=-3"}) {
+    const CliResult r = run({"report", flag});
+    EXPECT_EQ(r.code, 1) << flag;
+    EXPECT_NE(r.err.find("error: flag --days"), std::string::npos) << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+  }
+}
+
 TEST(CliTest, RetrainClosesTheLoopAndReportsFullRecovery) {
   const CliResult r = run({"retrain", "--users=8", "--slots=2",
                            "--drifted=2", "--rounds=8", "--jobs=2"});

@@ -101,6 +101,7 @@ int cmd_simulate(const util::Flags& flags, std::ostream& out,
   }
   adl::AdlLibrary library;
   const adl::Adl& adl = library.by_name(adl_name);
+  const std::size_t sessions = flags.get_count("sessions", 3);
 
   core::SystemConfig config;
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
@@ -110,14 +111,13 @@ int cmd_simulate(const util::Flags& flags, std::ostream& out,
       config.seed + 1);
   system.pretrain(datasets.sensed_training_set(adl, 120));
 
-  const auto sessions = flags.get_int("sessions", 3);
   const patient::PatientProfile profile = profile_from(flags);
 
   util::TextTable table("Assisted sessions — " + adl.name());
   table.set_header({"#", "Completed", "Steps", "Prompts", "Praises",
                     "Elapsed (s)"});
   int completed = 0;
-  for (std::int64_t i = 0; i < sessions; ++i) {
+  for (std::size_t i = 0; i < sessions; ++i) {
     const core::SessionResult result =
         system.run_session(profile, sim::Duration::minutes(40.0));
     completed += result.completed;
@@ -454,6 +454,7 @@ int cmd_scenario(const util::Flags& flags, std::ostream& out,
 }
 
 int cmd_home(const util::Flags& flags, std::ostream& out) {
+  const std::size_t sessions = flags.get_count("sessions", 6);
   adl::AdlLibrary library;
   core::SystemConfig config;
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
@@ -461,14 +462,13 @@ int cmd_home(const util::Flags& flags, std::ostream& out) {
   home.pretrain(120, config.seed + 3);
 
   patient::PatientProfile profile = profile_from(flags);
-  const auto sessions = flags.get_int("sessions", 6);
   const bool hints = flags.get_bool("hints");
   const char* rotation[] = {"Tea-making", "Tooth-brushing", "Hand-washing"};
 
   util::TextTable table("Multi-ADL home sessions");
   table.set_header({"#", "Attempted", "Recognized", "Completed", "Prompts"});
   int completed = 0;
-  for (std::int64_t i = 0; i < sessions; ++i) {
+  for (std::size_t i = 0; i < sessions; ++i) {
     const char* adl = rotation[i % 3];
     const core::SessionResult result = home.run_session(
         adl, profile, sim::Duration::minutes(40.0), hints ? adl : "");
@@ -485,8 +485,12 @@ int cmd_home(const util::Flags& flags, std::ostream& out) {
 }
 
 int cmd_report(const util::Flags& flags, std::ostream& out) {
+  const std::size_t days = flags.get_count("days", 7);
+  if (days == 0) {
+    // Prompts/session divides by the day count.
+    throw std::invalid_argument("flag --days expects a count >= 1, got '0'");
+  }
   adl::AdlLibrary library;
-  const auto days = flags.get_int("days", 7);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
 
   util::TextTable table("Caregiver summary (" + std::to_string(days) +
@@ -507,7 +511,7 @@ int cmd_report(const util::Flags& flags, std::ostream& out) {
           patient::PatientProfile::with_severity("Resident", severity);
       int completed = 0;
       std::size_t prompts = 0;
-      for (std::int64_t d = 0; d < days; ++d) {
+      for (std::size_t d = 0; d < days; ++d) {
         const auto result =
             system.run_session(profile, sim::Duration::minutes(45.0));
         completed += result.completed;
