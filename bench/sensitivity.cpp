@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
   // whichever cells happened to run before it.
   trace::DatasetBuilder datasets(
       library, patient::PatientProfile::with_severity("R", 0.0), 910);
-  const auto training = datasets.sensed_training_set(library.tea_making(), 120);
+  const auto training =
+      datasets.sensed_training_set(library.tea_making(), 120, runner);
 
   std::puts("Extension: completion envelope over severity x compliance");
   std::printf("(Tea-making, %d closed-loop sessions per cell; cell value =\n"

@@ -119,13 +119,20 @@ const pavenet::PavenetNode& HomeDeployment::node(adl::ToolId tool) const {
 
 void HomeDeployment::pretrain(std::size_t episodes_per_adl,
                               std::uint64_t dataset_seed) {
+  exec::TrialRunner runner(0);  // ThreadPool::hardware_workers() jobs
+  pretrain(episodes_per_adl, dataset_seed, runner);
+}
+
+void HomeDeployment::pretrain(std::size_t episodes_per_adl,
+                              std::uint64_t dataset_seed,
+                              exec::TrialRunner& runner) {
   tracker();  // whole home only
   for (const adl::Adl& adl : library_->adls()) {
     trace::DatasetBuilder datasets(
         *library_, patient::PatientProfile::with_severity("User", 0.0),
         dataset_seed + std::hash<std::string>{}(adl.name()) % 1000);
     const auto episodes =
-        datasets.sensed_training_set(adl, episodes_per_adl);
+        datasets.sensed_training_set(adl, episodes_per_adl, runner);
     planning::RoutineLearner& learner = planner(adl.name());
     for (const auto& ep : episodes) {
       learner.train_episode(ep);

@@ -9,6 +9,7 @@
 
 #include "adl/library.hpp"
 #include "core/system.hpp"
+#include "exec/trial_runner.hpp"
 #include "patient/actor.hpp"
 #include "pavenet/node.hpp"
 #include "recognition/recognizer.hpp"
@@ -99,8 +100,14 @@ class HomeDeployment {
   HomeDeployment& operator=(const HomeDeployment&) = delete;
 
   /// Whole-home: trains the recognizer and every ADL's planner from sensed
-  /// recordings (`episodes_per_adl` processes of each ADL).
+  /// recordings (`episodes_per_adl` processes of each ADL). Each ADL's
+  /// recordings replay as one batch on `runner`; training runs on the
+  /// calling thread in library order, so the outcome is bit for bit the
+  /// same at any runner.jobs(). Without a runner, the batches run on a
+  /// runner of exec::ThreadPool::hardware_workers() jobs.
   void pretrain(std::size_t episodes_per_adl, std::uint64_t dataset_seed);
+  void pretrain(std::size_t episodes_per_adl, std::uint64_t dataset_seed,
+                exec::TrialRunner& runner);
 
   /// Single-ADL: offline training from recorded StepId sequences (the
   /// 120-sample training phase of §3.2).

@@ -7,9 +7,17 @@
 namespace coreda::exec {
 
 ThreadPool::ThreadPool(std::size_t workers) {
-  workers_.reserve(std::max<std::size_t>(workers, 1));
-  for (std::size_t i = 0; i < std::max<std::size_t>(workers, 1); ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  const std::size_t count = std::max<std::size_t>(workers, 1);
+  workers_.reserve(count);
+  try {
+    for (std::size_t i = 0; i < count; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A thread failed to start: the ones already running wait on the
+    // condvar, and destroying them while joinable would std::terminate.
+    shutdown();
+    throw;
   }
 }
 

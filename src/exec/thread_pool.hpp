@@ -21,7 +21,8 @@ namespace coreda::exec {
 /// output storage rather than append.
 class ThreadPool {
  public:
-  /// Spawns `workers` threads (at least 1).
+  /// Spawns `workers` threads (at least 1). If one fails to start, the
+  /// threads already started are joined and the error is rethrown.
   explicit ThreadPool(std::size_t workers);
 
   ThreadPool(const ThreadPool&) = delete;

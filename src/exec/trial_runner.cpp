@@ -1,9 +1,11 @@
 #include "exec/trial_runner.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace coreda::exec {
 
@@ -17,13 +19,25 @@ std::uint64_t trial_seed(std::uint64_t base_seed,
   return z ^ (z >> 31);
 }
 
+TrialRunner::TrialRunner(std::size_t jobs)
+    : jobs_(jobs == 0
+                ? std::min(ThreadPool::hardware_workers(), kMaxJobs)
+                : jobs) {
+  if (jobs_ > kMaxJobs) {
+    throw std::invalid_argument("TrialRunner: " + std::to_string(jobs) +
+                                " jobs exceed the ceiling of " +
+                                std::to_string(kMaxJobs));
+  }
+}
+
 std::size_t jobs_from_flags(const util::Flags& flags) {
   const std::int64_t jobs = flags.get_int("jobs", 0);
-  if (jobs < 0) {
-    throw std::invalid_argument("--jobs must be >= 0 (0 = hardware)");
+  if (jobs < 0 || static_cast<std::uint64_t>(jobs) > TrialRunner::kMaxJobs) {
+    throw std::invalid_argument("--jobs must be in [0, " +
+                                std::to_string(TrialRunner::kMaxJobs) +
+                                "] (0 = hardware)");
   }
-  return jobs == 0 ? ThreadPool::hardware_workers()
-                   : static_cast<std::size_t>(jobs);
+  return TrialRunner(static_cast<std::size_t>(jobs)).jobs();
 }
 
 void append_timing_record(const std::string& path, const std::string& bench,

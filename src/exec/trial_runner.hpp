@@ -40,12 +40,15 @@ struct TrialContext {
 ///
 /// jobs == 1 bypasses the pool entirely (pure serial loop, the reference
 /// behavior the parallel path is tested against); jobs == 0 means
-/// ThreadPool::hardware_workers(). The pool is created lazily on the first
-/// parallel run() and reused across calls.
+/// ThreadPool::hardware_workers(), capped at kMaxJobs. The pool is created
+/// lazily on the first parallel run() and reused across calls.
 class TrialRunner {
  public:
-  explicit TrialRunner(std::size_t jobs = 0)
-      : jobs_(jobs == 0 ? ThreadPool::hardware_workers() : jobs) {}
+  /// The most jobs a runner accepts; every committed record uses <= 4.
+  static constexpr std::size_t kMaxJobs = 256;
+
+  /// Throws std::invalid_argument above kMaxJobs, before any thread starts.
+  explicit TrialRunner(std::size_t jobs = 0);
 
   std::size_t jobs() const noexcept { return jobs_; }
 
@@ -108,7 +111,9 @@ class TrialRunner {
   std::unique_ptr<ThreadPool> pool_;
 };
 
-/// Reads `--jobs=N` (0 or absent ⇒ hardware concurrency) for the bench CLIs.
+/// Reads `--jobs=N` (0 or absent ⇒ hardware concurrency, capped at
+/// TrialRunner::kMaxJobs) for the bench CLIs; throws std::invalid_argument
+/// for a negative N or one above the cap.
 std::size_t jobs_from_flags(const util::Flags& flags);
 
 /// Appends one JSON-lines timing record to `path` — the raw material of

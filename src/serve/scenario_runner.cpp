@@ -127,11 +127,14 @@ ScenarioRunner::ScenarioRunner(ScenarioRunnerParams params)
 
 ScenarioSummary ScenarioRunner::run(const sim::ScenarioPlan& plan,
                                     std::size_t jobs) const {
+  // One runner for the donor's pretraining and the slot trials, so a run
+  // starts at most `jobs` workers.
+  exec::TrialRunner runner(jobs);
   const adl::AdlLibrary library;
   core::SystemConfig donor_config = params_.system;
   donor_config.seed = plan.seed;
   core::HomeDeployment donor(library, donor_config);
-  donor.pretrain(kDonorPretrainEpisodes, kDonorPretrainSeed);
+  donor.pretrain(kDonorPretrainEpisodes, kDonorPretrainSeed, runner);
 
   // Memory-only: rounds share policy sets, nothing touches disk.
   PolicyStore store(donor);
@@ -154,7 +157,6 @@ ScenarioSummary ScenarioRunner::run(const sim::ScenarioPlan& plan,
   // (u % slots == s), in (round, arrival-order) order. Slots touch
   // disjoint deployments and disjoint store entries, so trials are
   // data-race-free and the outcome is independent of `jobs`.
-  exec::TrialRunner runner(jobs);
   const std::vector<SlotOutcome> outcomes = runner.run(
       pool.slots(), plan.seed, [&](exec::TrialContext& ctx) {
         SlotOutcome out;

@@ -81,7 +81,9 @@ struct ScenarioSummary {
 /// users with u % slots == s in (round, arrival-order) order, and every
 /// source of variation — per-user severity offset, per-session actor
 /// randomness — derives from plan.seed. run(plan, 1) and run(plan, 8)
-/// return identical summaries, bit for bit.
+/// return identical summaries, bit for bit. One exec::TrialRunner of `jobs`
+/// jobs (0 = hardware) replays the donor's pretraining and runs the slot
+/// trials, so a run starts at most `jobs` workers and none at jobs = 1.
 class ScenarioRunner {
  public:
   explicit ScenarioRunner(ScenarioRunnerParams params = {});

@@ -18,17 +18,25 @@ std::vector<std::vector<adl::StepId>> DatasetBuilder::clean_training_set(
 }
 
 std::vector<std::vector<adl::StepId>> DatasetBuilder::sensed_training_set(
-    const adl::Adl& adl, std::size_t count,
+    const adl::Adl& adl, std::size_t count, exec::TrialRunner& runner,
     const SensingPipeline::Params& params) {
-  patient::BehaviorGenerator gen(adl, library_->tools(), profile_,
-                                 rng_.fork());
+  // The generator forks from the builder's stream before the pipeline's
+  // seed is drawn, and its scripts never touch the pipeline's seeder.
+  const auto scripts = timed_set(adl, count);
   SensingPipeline pipeline(library_->tools(), adl.tools(), rng_(), params);
   std::vector<std::vector<adl::StepId>> out;
   out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(pipeline.run(gen.timed_episode()).extracted);
+  for (SensedResult& result : pipeline.run_all(scripts, runner)) {
+    out.push_back(std::move(result.extracted));
   }
   return out;
+}
+
+std::vector<std::vector<adl::StepId>> DatasetBuilder::sensed_training_set(
+    const adl::Adl& adl, std::size_t count,
+    const SensingPipeline::Params& params) {
+  exec::TrialRunner serial(1);
+  return sensed_training_set(adl, count, serial, params);
 }
 
 std::vector<std::vector<adl::StepId>>

@@ -30,16 +30,23 @@ class DatasetBuilder {
 
   /// StepId sequences extracted by the real sensing stack from synthetic
   /// signals — what the paper's planner actually trained on. Sequences may
-  /// miss weakly-sensed steps or carry spurious ones.
+  /// miss weakly-sensed steps or carry spurious ones. The scripts come from
+  /// a generator on the builder's stream and replay through one
+  /// SensingPipeline::run_all() batch on `runner`; the set is bit for bit
+  /// the same at any runner.jobs(), and the form without a runner is the
+  /// 1-job case.
+  std::vector<std::vector<adl::StepId>> sensed_training_set(
+      const adl::Adl& adl, std::size_t count, exec::TrialRunner& runner,
+      const SensingPipeline::Params& params = SensingPipeline::Params());
   std::vector<std::vector<adl::StepId>> sensed_training_set(
       const adl::Adl& adl, std::size_t count,
       const SensingPipeline::Params& params = SensingPipeline::Params());
 
-  /// Like sensed_training_set(), but fanned across `runner` with one
-  /// generator + sensing stack per episode, seeded per-episode by SplitMix
-  /// streams. Deterministic at any job count (including jobs=1), but the
-  /// episode streams differ from the serial method's fork chain, so the two
-  /// variants produce different (equally valid) datasets.
+  /// A different dataset of the same distribution: one generator + sensing
+  /// stack per episode, seeded per episode by SplitMix streams from one
+  /// draw of the builder's stream. Deterministic at any job count, but not
+  /// the set sensed_training_set() returns (fig4's golden is recorded on
+  /// this one).
   std::vector<std::vector<adl::StepId>> sensed_training_set_parallel(
       const adl::Adl& adl, std::size_t count, exec::TrialRunner& runner,
       const SensingPipeline::Params& params = SensingPipeline::Params());

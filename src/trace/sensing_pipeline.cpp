@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <map>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "pavenet/base_station.hpp"
 #include "pavenet/node.hpp"
 #include "sensors/world.hpp"
@@ -25,14 +29,44 @@ SensingPipeline::SensingPipeline(const adl::ToolRegistry& tools,
 
 SensedResult SensingPipeline::run(
     const std::vector<patient::TimedStep>& script) {
+  exec::TrialRunner serial(1);
+  return std::move(run_all(std::span(&script, 1), serial).front());
+}
+
+std::vector<SensedResult> SensingPipeline::run_all(
+    std::span<const std::vector<patient::TimedStep>> scripts,
+    exec::TrialRunner& runner) {
+  // The serial draw: every run's streams in script order (per run, the
+  // channel's, then one per node).
+  const std::size_t per_run = 1 + instrumented_.size();
+  std::vector<util::Rng> streams(per_run * scripts.size());
+  for (util::Rng& stream : streams) stream = seeder_.fork();
+  // The parallel replay. Trials ignore their own Rng: every draw a run makes
+  // comes from the streams above.
+  std::vector<SensedResult> results =
+      runner.run(scripts.size(), 0, [&](exec::TrialContext& ctx) {
+        return replay(scripts[ctx.index], std::span(streams).subspan(
+                                              ctx.index * per_run, per_run));
+      });
+#if defined(__GLIBC__)
+  // Each worker freed its stacks into its own malloc arena, which keeps
+  // them resident after the batch; hand the free pages back.
+  if (runner.jobs() > 1 && scripts.size() > 1) malloc_trim(0);
+#endif
+  return results;
+}
+
+SensedResult SensingPipeline::replay(
+    const std::vector<patient::TimedStep>& script,
+    std::span<const util::Rng> streams) const {
   sim::Scheduler scheduler;
   sensors::ManipulationWorld world;
-  pavenet::RadioChannel channel(scheduler, seeder_.fork(), params_.radio);
+  pavenet::RadioChannel channel(scheduler, streams[0], params_.radio);
   pavenet::BaseStation station(scheduler, channel);
 
   pavenet::NodeBank nodes(scheduler, world, channel, params_.firmware);
-  for (adl::ToolId id : instrumented_) {
-    nodes.add(tools_->at(id), seeder_.fork());
+  for (std::size_t i = 0; i < instrumented_.size(); ++i) {
+    nodes.add(tools_->at(instrumented_[i]), streams[1 + i]);
   }
   nodes.power_on();
 

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "adl/tool.hpp"
+#include "exec/trial_runner.hpp"
 #include "patient/generator.hpp"
 #include "pavenet/node_config.hpp"
 #include "pavenet/radio.hpp"
@@ -31,6 +33,10 @@ struct SensedResult {
 /// Each run builds a fresh scheduler, world, radio channel, base station and
 /// one node per instrumented tool, replays the scripted manipulations, and
 /// reports what the server saw. Runs are deterministic in (seed, script).
+///
+/// A run reads the pipeline's seeder only through the streams it forks at
+/// its start (the channel's, then one per instrumented node), so once those
+/// are drawn in order, runs are independent and may run in parallel.
 class SensingPipeline {
  public:
   struct Params {
@@ -51,8 +57,17 @@ class SensingPipeline {
                   Params params);
 
   /// Replays `script` (think/manipulation pairs, sequentially) through a
-  /// fresh stack.
+  /// fresh stack: the one-script case of run_all().
   SensedResult run(const std::vector<patient::TimedStep>& script);
+
+  /// Replays each script through its own fresh stack and returns the
+  /// results in script order. Every run's streams are forked from the
+  /// seeder in script order first; the stacks then run as `runner` trials.
+  /// At any runner.jobs() the results, and the seeder's state after, are
+  /// bit for bit those of successive run() calls.
+  std::vector<SensedResult> run_all(
+      std::span<const std::vector<patient::TimedStep>> scripts,
+      exec::TrialRunner& runner);
 
   /// Single-tool trial for the Table 3 experiment: one manipulation of
   /// `tool` lasting `duration`; returns true when the server extracted it.
@@ -61,6 +76,12 @@ class SensingPipeline {
   const Params& params() const noexcept { return params_; }
 
  private:
+  /// Builds a stack on `streams` (the channel's, then one per instrumented
+  /// node), replays `script` and reports. Reads only const state, so runs
+  /// may overlap.
+  SensedResult replay(const std::vector<patient::TimedStep>& script,
+                      std::span<const util::Rng> streams) const;
+
   const adl::ToolRegistry* tools_;
   std::vector<adl::ToolId> instrumented_;
   util::Rng seeder_;

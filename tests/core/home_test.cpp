@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 namespace coreda::core {
 namespace {
@@ -34,6 +37,48 @@ TEST_F(HomeFixture, PretrainingConvergesEveryPlanner) {
     EXPECT_DOUBLE_EQ(home->learner(name).greedy_accuracy(), 1.0) << name;
   }
   EXPECT_EQ(home->recognizer().known_adls(), 4u);
+}
+
+// Pretraining replays each ADL's recordings on the runner but trains on the
+// calling thread in library order: 1 and 4 jobs give bitwise-equal planner
+// tables and recognizer scores.
+TEST_F(HomeFixture, PretrainIsBitExactAtAnyJobCount) {
+  SystemConfig config;
+  config.seed = 17;
+  HomeDeployment serial_home(library, config);
+  HomeDeployment parallel_home(library, config);
+  exec::TrialRunner serial(1);
+  exec::TrialRunner parallel(4);
+  serial_home.pretrain(60, 18, serial);
+  parallel_home.pretrain(60, 18, parallel);
+
+  std::vector<std::vector<adl::StepId>> probes;
+  for (const adl::Adl& adl : library.adls()) {
+    const rl::QTable& a = serial_home.learner(adl.name()).q();
+    const rl::QTable& b = parallel_home.learner(adl.name()).q();
+    ASSERT_EQ(a.num_states(), b.num_states());
+    ASSERT_EQ(a.num_actions(), b.num_actions());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                          a.num_states() * a.num_actions() * sizeof(double)),
+              0)
+        << adl.name();
+    std::vector<adl::StepId> steps;
+    for (const auto& step : adl.primary_routine().steps()) {
+      steps.push_back(step.tool);
+      probes.push_back(steps);
+    }
+  }
+  probes.push_back({adl::tools::kKettle, adl::tools::kTowel});
+  for (const auto& probe : probes) {
+    const auto a = serial_home.recognizer().rank(probe);
+    const auto b = parallel_home.recognizer().rank(probe);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].adl, b[i].adl);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].log_likelihood),
+                std::bit_cast<std::uint64_t>(b[i].log_likelihood));
+    }
+  }
 }
 
 TEST_F(HomeFixture, RecognizesAndAssistsTeaMaking) {

@@ -2,13 +2,37 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 namespace coreda::exec {
 namespace {
+
+/// The process's mapped address space (VmSize) in bytes; 0 if unreadable.
+std::size_t mapped_bytes() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  std::size_t kib = 0;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::strncmp(line, "VmSize:", 7) == 0) {
+      kib = std::strtoull(line + 7, nullptr, 10);
+      break;
+    }
+  }
+  std::fclose(f);
+  return kib * 1024;
+}
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
   std::atomic<int> counter{0};
@@ -66,6 +90,45 @@ TEST(ThreadPoolTest, ZeroWorkersClampsToOne) {
 
 TEST(ThreadPoolTest, HardwareWorkersIsAtLeastOne) {
   EXPECT_GE(ThreadPool::hardware_workers(), 1u);
+}
+
+/// Death-test body: limits the address space to about two more thread
+/// stacks, then builds a pool of sixteen workers. Exits 0 when the
+/// constructor rethrows the failed start and 1 when every worker started.
+/// A pool that destroys its started workers joinable calls std::terminate,
+/// which can hang under the limit, so the alarm bounds that failure.
+void start_pool_under_address_limit() {
+  alarm(20);
+  pthread_attr_t attr;
+  std::size_t stack = 0;
+  if (pthread_getattr_default_np(&attr) != 0 ||
+      pthread_attr_getstacksize(&attr, &stack) != 0 || stack == 0 ||
+      mapped_bytes() == 0) {
+    std::_Exit(2);
+  }
+  const rlim_t limit = mapped_bytes() + 2 * stack + stack / 2;
+  const rlimit as{limit, limit};
+  if (setrlimit(RLIMIT_AS, &as) != 0) std::_Exit(3);
+  try {
+    ThreadPool pool(16);
+  } catch (const std::system_error&) {
+    std::_Exit(0);
+  }
+  std::_Exit(1);
+}
+
+// A later worker of sixteen fails to start under the limit. The constructor
+// must join the workers already running and rethrow; destroying them
+// joinable would call std::terminate. The body runs in a re-executed child,
+// so the limit and any thread stacks cached by earlier tests stay out of
+// the test process.
+TEST(ThreadPoolDeathTest, FailedThreadStartJoinsStartedWorkers) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer shadow mappings defeat an address-space limit";
+#endif
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(start_pool_under_address_limit(), ::testing::ExitedWithCode(0),
+              "");
 }
 
 }  // namespace

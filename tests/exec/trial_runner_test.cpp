@@ -70,14 +70,28 @@ TEST(TrialRunnerTest, LowestIndexExceptionWinsAfterAllTrialsComplete) {
 
 TEST(TrialRunnerTest, ZeroJobsMeansHardwareConcurrency) {
   TrialRunner runner(0);
-  EXPECT_EQ(runner.jobs(), ThreadPool::hardware_workers());
+  EXPECT_EQ(runner.jobs(),
+            std::min(ThreadPool::hardware_workers(), TrialRunner::kMaxJobs));
 }
 
 TEST(TrialRunnerTest, JobsFromFlagsParsesAndValidates) {
   EXPECT_EQ(jobs_from_flags(util::Flags::parse({"--jobs=3"})), 3u);
   EXPECT_EQ(jobs_from_flags(util::Flags::parse({})),
-            ThreadPool::hardware_workers());
+            std::min(ThreadPool::hardware_workers(), TrialRunner::kMaxJobs));
   EXPECT_THROW(jobs_from_flags(util::Flags::parse({"--jobs=-1"})),
+               std::invalid_argument);
+}
+
+// The ceiling is checked when the runner is built; the pool starts lazily,
+// so none of these constructions starts a thread.
+TEST(TrialRunnerTest, JobCeilingIsCheckedAtConstruction) {
+  EXPECT_EQ(TrialRunner(TrialRunner::kMaxJobs).jobs(), TrialRunner::kMaxJobs);
+  EXPECT_THROW(TrialRunner(TrialRunner::kMaxJobs + 1), std::invalid_argument);
+  EXPECT_THROW(TrialRunner(100000), std::invalid_argument);
+  EXPECT_EQ(jobs_from_flags(util::Flags::parse({"--jobs=256"})), 256u);
+  EXPECT_THROW(jobs_from_flags(util::Flags::parse({"--jobs=257"})),
+               std::invalid_argument);
+  EXPECT_THROW(jobs_from_flags(util::Flags::parse({"--jobs=100000"})),
                std::invalid_argument);
 }
 

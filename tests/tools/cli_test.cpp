@@ -307,6 +307,24 @@ TEST(CliTest, ScenarioRunRejectsANegativeJobCount) {
   std::remove(path.c_str());
 }
 
+// A job count above the runner's ceiling is refused before any worker
+// starts. The count is the first one above the ceiling, so even a broken
+// ceiling could not start thousands of threads here.
+TEST(CliTest, ScenarioRunRejectsAJobCountAboveTheCeiling) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "cli_ceiling.scenario")
+          .string();
+  {
+    std::ofstream out(path);
+    out << "seed = 5\nusers = 2\n\n[segment Tea-making]\n";
+  }
+  const CliResult r = run({"scenario", "run", path, "--jobs=257"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("error: "), std::string::npos) << r.err;
+  EXPECT_TRUE(r.out.empty()) << r.out;
+  std::remove(path.c_str());
+}
+
 TEST(CliTest, ScenarioCheckPrintsTheCanonicalForm) {
   const std::string path =
       (std::filesystem::path(::testing::TempDir()) / "cli_check.scenario")

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "adl/library.hpp"
 
 namespace coreda::trace {
@@ -105,6 +111,95 @@ TEST_F(DatasetFixture, MultiRoutineAdlSamplesBothRoutines) {
   EXPECT_TRUE(shirt_first);
   EXPECT_TRUE(trousers_first);
 }
+
+// Where a builder's stream stands: its next two timed episodes, flattened.
+std::vector<std::int64_t> stream_position(DatasetBuilder& builder,
+                                          const adl::Adl& adl) {
+  std::vector<std::int64_t> out;
+  for (const auto& episode : builder.timed_set(adl, 2)) {
+    for (const patient::TimedStep& step : episode) {
+      out.push_back(step.tool);
+      out.push_back(step.think.total_micros());
+      out.push_back(step.manipulation.total_micros());
+    }
+  }
+  return out;
+}
+
+// The runner form replays the chain's scripts as one batch: at 1, 2 and 4
+// jobs it returns the runner-less set, for every ADL, and a second call on
+// the same builder continues the builder's stream exactly as the chain does.
+struct SensedSetJobs : ::testing::TestWithParam<std::string> {};
+
+TEST_P(SensedSetJobs, RunnerFormMatchesTheChainAtAnyJobCount) {
+  adl::AdlLibrary library;
+  const adl::Adl& adl = library.by_name(GetParam());
+  const auto profile = patient::PatientProfile::with_severity("T", 0.2);
+  DatasetBuilder chain(library, profile, 41);
+  const auto first = chain.sensed_training_set(adl, 12);
+  const auto second = chain.sensed_training_set(adl, 12);
+  const auto after = stream_position(chain, adl);
+  for (const std::size_t jobs : {1u, 2u, 4u}) {
+    exec::TrialRunner runner(jobs);
+    DatasetBuilder batched(library, profile, 41);
+    EXPECT_EQ(batched.sensed_training_set(adl, 12, runner), first) << jobs;
+    EXPECT_EQ(batched.sensed_training_set(adl, 12, runner), second) << jobs;
+    EXPECT_EQ(stream_position(batched, adl), after) << jobs;
+  }
+}
+
+std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
+  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+// The runner-less chain pinned to digests recorded from the stack-by-stack
+// replay that preceded the batch: two 20-episode sensed sets of a severity
+// 0.4 resident, then six successive SensingPipeline::run() calls on the
+// builder's next timed episodes (counts, radio stats, extracted steps).
+TEST_P(SensedSetJobs, ChainMatchesTheRecordedDigests) {
+  const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+      recorded = {
+          {"Tooth-brushing", {0x06a13e883e2b674aULL, 0x772c23869bf9f6e1ULL}},
+          {"Tea-making", {0x2b28830214b85ae0ULL, 0xd811a63f6da22fb9ULL}},
+          {"Hand-washing", {0x7ed9e99d88af700fULL, 0x24d8638951ec79f0ULL}},
+          {"Dressing", {0xe416d2d11158c606ULL, 0x967e78211264a29bULL}},
+      };
+  adl::AdlLibrary library;
+  const adl::Adl& adl = library.by_name(GetParam());
+  DatasetBuilder builder(
+      library, patient::PatientProfile::with_severity("T", 0.4), 41);
+  std::uint64_t sets = 0;
+  for (int call = 0; call < 2; ++call) {
+    for (const auto& episode : builder.sensed_training_set(adl, 20)) {
+      sets = fold(sets, episode.size());
+      for (const adl::StepId step : episode) sets = fold(sets, step);
+    }
+  }
+  SensingPipeline pipeline(library.tools(), adl.tools(), 31);
+  std::uint64_t runs = 0;
+  for (const auto& script : builder.timed_set(adl, 6)) {
+    const SensedResult r = pipeline.run(script);
+    for (const std::uint64_t v :
+         {std::uint64_t{r.missed}, std::uint64_t{r.spurious}, r.radio.sent,
+          r.radio.delivered, r.radio.lost_noise, r.radio.lost_collision}) {
+      runs = fold(runs, v);
+    }
+    for (const adl::StepId step : r.extracted) runs = fold(runs, step);
+  }
+  EXPECT_EQ(sets, recorded.at(GetParam()).first) << std::hex << sets;
+  EXPECT_EQ(runs, recorded.at(GetParam()).second) << std::hex << runs;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAdls, SensedSetJobs,
+                         ::testing::Values("Tooth-brushing", "Tea-making",
+                                           "Hand-washing", "Dressing"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace coreda::trace

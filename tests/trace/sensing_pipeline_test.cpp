@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "adl/library.hpp"
+#include "exec/trial_runner.hpp"
+#include "patient/generator.hpp"
 
 namespace coreda::trace {
 namespace {
@@ -107,6 +109,43 @@ TEST_F(PipelineFixture, DeterministicPerSeed) {
   const auto script = tea_script();
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(a.run(script).extracted, b.run(script).extracted);
+  }
+}
+
+// The batch draws each run's streams in script order before any stack runs:
+// at 1, 2 and 4 jobs it returns what successive run() calls return, and
+// leaves the seeder where they leave it.
+TEST_F(PipelineFixture, RunAllMatchesSuccessiveRunsAtAnyJobCount) {
+  const adl::Adl& adl = library.tea_making();
+  patient::BehaviorGenerator gen(
+      adl, library.tools(), patient::PatientProfile::with_severity("T", 0.3),
+      util::Rng(21));
+  std::vector<std::vector<patient::TimedStep>> scripts;
+  for (int i = 0; i < 9; ++i) scripts.push_back(gen.timed_episode());
+
+  SensingPipeline chain(library.tools(), adl.tools(), 31);
+  std::vector<SensedResult> expected;
+  for (const auto& script : scripts) expected.push_back(chain.run(script));
+  const SensedResult expected_next = chain.run(tea_script());
+
+  for (const std::size_t jobs : {1u, 2u, 4u}) {
+    SensingPipeline batch(library.tools(), adl.tools(), 31);
+    exec::TrialRunner runner(jobs);
+    const std::vector<SensedResult> got = batch.run_all(scripts, runner);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].extracted, expected[i].extracted) << jobs << ' ' << i;
+      EXPECT_EQ(got[i].missed, expected[i].missed) << jobs << ' ' << i;
+      EXPECT_EQ(got[i].spurious, expected[i].spurious) << jobs << ' ' << i;
+      EXPECT_EQ(got[i].radio.sent, expected[i].radio.sent);
+      EXPECT_EQ(got[i].radio.delivered, expected[i].radio.delivered);
+      EXPECT_EQ(got[i].radio.lost_noise, expected[i].radio.lost_noise);
+      EXPECT_EQ(got[i].radio.lost_collision,
+                expected[i].radio.lost_collision);
+    }
+    const SensedResult next = batch.run(tea_script());
+    EXPECT_EQ(next.extracted, expected_next.extracted) << jobs;
+    EXPECT_EQ(next.radio.sent, expected_next.radio.sent) << jobs;
   }
 }
 

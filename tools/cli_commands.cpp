@@ -333,13 +333,13 @@ int cmd_faults_replay(const util::Flags& flags, std::ostream& out,
     if (flags.has("seed")) plan.seed = seed;
   }
 
+  exec::TrialRunner runner(exec::jobs_from_flags(flags));
   out << "Replaying fault plan seed " << plan.seed << " (" << plan.sites.size()
       << " sites) over " << p.users << " fleet users, " << p.chaos_rounds
       << " chaos + " << p.tail_rounds << " tail rounds x " << p.active
       << " sessions\n\n";
 
   serve::ChaosFleetSoak soak(p, std::move(plan));
-  exec::TrialRunner runner(exec::jobs_from_flags(flags));
   const serve::ChaosFleetResult result = soak.run(runner);
 
   util::TextTable rounds("Replay per round (cumulative counters)");

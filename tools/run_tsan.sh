@@ -14,7 +14,7 @@ BUILD_DIR="${1:-build-tsan}"
 # unit at once, which can exhaust memory under the sanitizer.
 cmake -B "$BUILD_DIR" -S . -DCOREDA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target test_exec test_sim test_trace \
-  test_serve bench_fleet_throughput bench_session_throughput bench_serve_throughput \
+  test_core test_serve bench_fleet_throughput bench_session_throughput bench_serve_throughput \
   bench_retrain_recovery bench_fleet_serve bench_chaos_soak \
   bench_scenario_corpus
 
@@ -22,8 +22,20 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/test_exec
 "$BUILD_DIR"/tests/test_sim
 # Dataset tests exercise sensed_training_set_parallel (sensing stacks on
-# pool workers).
-"$BUILD_DIR"/tests/test_trace --gtest_filter='DatasetFixture.*'
+# pool workers); the batch cases replay one pipeline's scripts on 2 and 4
+# workers that share its const tool table and pre-drawn streams, and a whole
+# home pretrains at 4 jobs against a 1-job replay.
+"$BUILD_DIR"/tests/test_trace \
+  --gtest_filter='DatasetFixture.*:AllAdls/SensedSetJobs.*:PipelineFixture.RunAllMatchesSuccessiveRunsAtAnyJobCount'
+batch_out=$("$BUILD_DIR"/tests/test_core \
+  --gtest_filter='HomeFixture.PretrainIsBitExactAtAnyJobCount')
+case "$batch_out" in
+  *"[  PASSED  ] 1 test."*) echo "TSan whole-home pretrain run passed" ;;
+  *)
+    echo "TSan whole-home pretrain run selected no test" >&2
+    exit 1
+    ;;
+esac
 # The fleet bench is the heaviest TrialRunner consumer: N concurrent
 # RoutineLearners plus the global operator-new counter (relaxed atomic) on
 # every worker. A small fleet at --jobs=4 is enough for TSan to observe
@@ -95,9 +107,10 @@ esac
 "$BUILD_DIR"/bench/bench_chaos_soak --users=128 --active=64 --rounds=3 \
   --tail-rounds=1 --serve-users=12 --drifted=3 --serve-rounds=3 \
   --serve-tail-rounds=4 --jobs=4 --dir="$BUILD_DIR/chaos_tsan" > /dev/null
-# The scenario corpus fans whole-home HomeDeployments (scheduler, radio,
-# tracker, actor) across pool-slot trials while every slot stages its
-# users' policy sets back into the shared, memory-only PolicyStore.
+# The scenario corpus pretrains its donor on the run's 4-job runner, then
+# fans whole-home HomeDeployments (scheduler, radio, tracker, actor) across
+# pool-slot trials while every slot stages its users' policy sets back into
+# the shared, memory-only PolicyStore.
 # Correctness again rests on disjoint static ownership (user -> slot ->
 # trial, user -> store entry); TSan proves the set write-back path adds no
 # cross-thread edges.
@@ -117,6 +130,6 @@ case "$pool_out" in
     ;;
 esac
 
-echo "TSan: all exec/sim/trace-parallel tests, the" \
+echo "TSan: all exec/sim/trace-parallel tests, the batched pretrain, the" \
      "fleet/session/serve/retrain/fleet-serve/chaos benches, the" \
      "scenario corpus and the durable whole-home pool passed."
