@@ -87,8 +87,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("Scenario corpus: %zu plans from %s (jobs=%zu)\n\n",
-              files.size(), dir.c_str(), jobs);
+  // Where the plans came from and the job count go to stderr: stdout is
+  // the same for any checkout and any --jobs.
+  std::fprintf(stderr, "scenario corpus: plans from %s (jobs=%zu)\n",
+               dir.c_str(), jobs);
+  std::printf("Scenario corpus: %zu plans\n\n", files.size());
 
   const serve::ScenarioRunner runner;
   bool all_parsed = true;

@@ -223,12 +223,8 @@ ChaosFleetResult ChaosFleetSoak::run(exec::TrialRunner& runner) {
 ChaosServeSoak::ChaosServeSoak(ChaosServeParams params,
                                faults::FaultPlan plan)
     : params_(std::move(params)), injector_(std::move(plan)) {
-  if (params_.dir.empty()) {
-    throw std::invalid_argument("ChaosServeSoak: dir is required");
-  }
-  if (params_.drifted == 0 || params_.drifted > params_.users) {
-    throw std::invalid_argument(
-        "ChaosServeSoak: drifted must be in [1, users]");
+  if (params_.drifted > params_.users) {
+    throw std::invalid_argument("ChaosServeSoak: drifted must be <= users");
   }
   const adl::Adl& tea = library_.tea_making();
   routine_ = primary_routine(tea);
@@ -239,7 +235,7 @@ ChaosServeSoak::ChaosServeSoak(ChaosServeParams params,
   donor_ = trained_learner(tea, 17, 80, routine_);
   stale_ = trained_learner(tea, 18, 120, stale_routine);
 
-  std::filesystem::remove_all(params_.dir);
+  if (!params_.dir.empty()) std::filesystem::remove_all(params_.dir);
   store_ = std::make_unique<PolicyStore>(*donor_, serve_store_params(params_));
 
   ServeEngineParams ep;
@@ -248,15 +244,14 @@ ChaosServeSoak::ChaosServeSoak(ChaosServeParams params,
   ep.drift.threshold = params_.threshold;
   ep.retrain.enabled = true;
   // Every (users/drifted)-th user is stale, spreading the cohort across
-  // slots and lanes so recovery is not an artifact of one shard.
+  // slots so recovery is not an artifact of one shard.
   is_drifted_.assign(params_.users, false);
-  const std::size_t stride = params_.users / params_.drifted;
+  for (std::size_t i = 0; i < params_.drifted; ++i) {
+    is_drifted_[i * (params_.users / params_.drifted)] = true;
+  }
   for (std::size_t u = 0; u < params_.users; ++u) {
-    const bool drift =
-        u % stride == 0 && u / stride < params_.drifted;
-    is_drifted_[u] = drift;
     store_->add_user("U" + std::to_string(u),
-                     drift ? stale_->q() : donor_->q());
+                     is_drifted_[u] ? stale_->q() : donor_->q());
   }
   engine_ = std::make_unique<ServeEngine>(library_, tea, *store_, ep);
   for (std::size_t u = 0; u < params_.users; ++u) {
@@ -274,6 +269,7 @@ ChaosServeResult ChaosServeSoak::run(exec::TrialRunner& runner) {
   const std::size_t kNever = total + 1;
   std::vector<std::size_t> flagged_round(params_.users, kNever);
   std::vector<std::size_t> recovered_round(params_.users, kNever);
+  std::vector<std::uint64_t> prompts_before(params_.users, 0);
   for (std::size_t round = 0; round < total; ++round) {
     for (std::size_t u = 0; u < params_.users; ++u) {
       engine_->enqueue(static_cast<UserId>(u), params_.burst);
@@ -282,6 +278,12 @@ ChaosServeResult ChaosServeSoak::run(exec::TrialRunner& runner) {
     result.report = engine_->drain(runner);
     result.serve_seconds += timer.seconds();
     injector_.advance_epoch();
+    ChaosServeRound rs;
+    rs.flagged = result.report.flagged_users;
+    rs.retrain_jobs = result.report.retrain.jobs;
+    double drifted_ewma = 0.0;
+    double calm_ewma = 0.0;
+    double drifted_prompts = 0.0;
     for (std::size_t u = 0; u < params_.users; ++u) {
       // Invariant — the committed (in-memory) policy version never moves
       // backwards: an injected flush crash may defer persistence, but the
@@ -292,16 +294,30 @@ ChaosServeResult ChaosServeSoak::run(exec::TrialRunner& runner) {
       } else {
         committed_[u] = v;
       }
-      if (!is_drifted_[u]) continue;
       const ServeUserStats& s = result.report.users[u];
+      const std::uint64_t prompts = s.prompts - prompts_before[u];
+      prompts_before[u] = s.prompts;
+      if (!is_drifted_[u]) {
+        calm_ewma += s.prompt_ewma;
+        continue;
+      }
+      drifted_ewma += s.prompt_ewma;
+      drifted_prompts += static_cast<double>(prompts) /
+                         static_cast<double>(params_.burst);
       if (s.needs_retraining && flagged_round[u] == kNever) {
         flagged_round[u] = round;
       }
-      if (!s.needs_retraining && s.retrains > 0 &&
-          recovered_round[u] == kNever) {
-        recovered_round[u] = round;
+      if (!s.needs_retraining && s.retrains > 0) {
+        ++rs.recovered_now;
+        if (recovered_round[u] == kNever) recovered_round[u] = round;
       }
     }
+    const auto drifted = static_cast<double>(params_.drifted);
+    rs.drifted_ewma = drifted_ewma / drifted;
+    rs.calm_ewma =
+        calm_ewma / static_cast<double>(params_.users - params_.drifted);
+    rs.drifted_prompts = drifted_prompts / drifted;
+    result.rounds.push_back(rs);
   }
 
   for (std::size_t u = 0; u < params_.users; ++u) {
@@ -322,8 +338,8 @@ ChaosServeResult ChaosServeSoak::run(exec::TrialRunner& runner) {
   // must leave every user restorable at exactly the live version: a crashed
   // or torn append never published, so the reopen scan stops before its
   // debris, and the retry's record overwrote it.
-  store_->flush_all();
-  {
+  if (!params_.dir.empty()) {
+    store_->flush_all();
     PolicyStore reopened(*donor_, serve_store_params(params_));
     for (std::size_t u = 0; u < params_.users; ++u) {
       const auto user = static_cast<UserId>(u);

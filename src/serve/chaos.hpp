@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,10 +27,13 @@ namespace coreda::serve {
 ///     Invariants checked after EVERY round: no committed version ever
 ///     regresses, and a fresh store opened on the same directory recovers
 ///     exactly the live store's view (longest valid prefix).
-///   * ChaosServeSoak  — ServeEngine + RetrainScheduler closed loop:
+///   * ChaosServeSoak  — the ServeEngine drift -> retrain -> recover loop:
 ///     drifted users on stale tables must still be flagged, retrained
 ///     (through injected aborts and crashed flushes) and recover, and the
-///     PolicyStore directory must restore to the flushed versions.
+///     PolicyStore directory must restore to the flushed versions. It is
+///     the one implementation of that loop: bench_retrain_recovery and
+///     `coreda retrain` run it too, with an empty plan on a memory-only
+///     store.
 ///
 /// Both run `chaos_rounds` rounds inside the plan's fault window followed
 /// by `tail_rounds` clean rounds (the injector epoch advances once per
@@ -141,8 +145,9 @@ class ChaosFleetSoak {
 
 struct ChaosServeParams {
   std::size_t users = 24;
-  /// Users started on a stale (yesterday's-routine) table. Every one of
-  /// them must recover by the end of the soak.
+  /// Users started on a stale (yesterday's-routine) table, spread every
+  /// users/drifted ids. Every one of them must recover by the end of the
+  /// soak; 0 serves a calm fleet.
   std::size_t drifted = 6;
   std::size_t slots = 4;
   std::size_t chaos_rounds = 6;
@@ -152,17 +157,31 @@ struct ChaosServeParams {
   /// Sessions per user per round.
   std::size_t burst = 2;
   /// Drift threshold splitting the stale band (~4 prompts/session) from
-  /// the calm band (~1), as in bench_retrain_recovery.
+  /// the calm band (~1).
   double threshold = 2.5;
-  /// Policy store directory (required; wiped). A segment store with one
-  /// writer per slot, rebase_every=4 and flush_every=1, so the
-  /// pre-publish/corruption seams fire on the hot path, not just at
-  /// teardown.
+  /// Policy store directory (wiped). A segment store with one writer per
+  /// slot, rebase_every=4 and flush_every=1, so the pre-publish/corruption
+  /// seams fire on the hot path, not just at teardown. Empty: a
+  /// memory-only store, and the reopen check is skipped.
   std::string dir;
+};
+
+/// Per-round state of the drift loop, read after the round's drain. The
+/// means are NaN over an empty group.
+struct ChaosServeRound {
+  std::size_t flagged = 0;         ///< users marked needs_retraining
+  std::uint64_t retrain_jobs = 0;  ///< cumulative retrain jobs
+  double drifted_ewma = 0.0;       ///< drifted users' mean prompt EWMA
+  double calm_ewma = 0.0;          ///< the other users' mean prompt EWMA
+  /// Drifted users' mean prompts per session in this round.
+  double drifted_prompts = 0.0;
+  /// Drifted users retrained whose flag is clear now.
+  std::size_t recovered_now = 0;
 };
 
 struct ChaosServeResult {
   ServeReport report;  ///< final cumulative engine report
+  std::vector<ChaosServeRound> rounds;
   std::uint64_t recovered_users = 0;    ///< drift flag cleared post-retrain
   std::uint64_t unrecovered_users = 0;  ///< still flagged at soak end
   /// Max sessions any drifted user took from flag to clear.
@@ -180,13 +199,23 @@ struct ChaosServeResult {
 
 class ChaosServeSoak {
  public:
+  /// Trains the donor and the stale table, builds the store and the engine
+  /// with retraining on, and arms every seam against `plan` (an empty plan
+  /// arms none). Throws std::invalid_argument when drifted > users.
   ChaosServeSoak(ChaosServeParams params, faults::FaultPlan plan);
   ~ChaosServeSoak();
 
+  /// Serves chaos_rounds + tail_rounds rounds of `burst` sessions per
+  /// user, then checks the restart invariant. One call per soak.
   ChaosServeResult run(exec::TrialRunner& runner);
 
   const faults::Injector& injector() const noexcept { return injector_; }
   const ServeEngine& engine() const noexcept { return *engine_; }
+  /// The deployed ADL, today's routine and the donor every calm user
+  /// starts from.
+  const adl::Adl& adl() const noexcept { return library_.tea_making(); }
+  std::span<const adl::StepId> routine() const noexcept { return routine_; }
+  const planning::RoutineLearner& donor() const noexcept { return *donor_; }
 
  private:
   ChaosServeParams params_;

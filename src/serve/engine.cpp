@@ -21,19 +21,17 @@ ServeEngine::ServeEngine(const adl::AdlLibrary& library, const adl::Adl& adl,
     : params_(params),
       store_(&store),
       pool_(store, params.pool, SystemPool::single_adl(library, adl)),
-      retrainer_(adl, store, params.pool.system.learner, pool_.slots(),
-                 params.retrain),
+      retrainer_(adl, store, params.pool.system.learner, pool_.slots()),
       by_slot_(pool_.slots()),
       results_(pool_.slots()) {
-  // FleetEngine's rule, for the same reason: slot trials and retrain-lane
-  // trials append concurrently, keyed by user % slots, so each of them
-  // must own a writer lane of its own.
+  // FleetEngine's rule, for the same reason: slot trials append
+  // concurrently, serving and retraining alike, keyed by user % slots, so
+  // each of them must own a writer lane of its own.
   if (store.segments() != nullptr &&
       store.segments()->writers() != pool_.slots()) {
     throw std::invalid_argument(
         "ServeEngine: a segment-backed store needs writers == pool slots — "
-        "concurrent slot and retrain trials must append through disjoint "
-        "writer lanes");
+        "concurrent slot trials must append through disjoint writer lanes");
   }
   for (core::SessionResult& r : results_) {
     r.observed_steps.reserve(core::kMaxSessionSteps);
@@ -105,7 +103,7 @@ void ServeEngine::serve_one(UserId user, core::SessionResult& result) {
   s.completed += result.completed ? 1 : 0;
   s.prompts += result.prompts_total;
   s.checksum += session_checksum(result);
-  if (s.sessions >= params_.drift.warmup_sessions &&
+  if (s.sessions >= kDriftWarmupSessions &&
       s.prompt_ewma >= params_.drift.threshold) {
     s.needs_retraining = true;  // sticky until a retrain recovers the EWMA
   }
@@ -122,7 +120,7 @@ bool ServeEngine::retrain_due(UserId user) const {
   if (!s.needs_retraining) return false;
   if (!retrainer_.has_enough_transcripts(user)) return false;
   // After a retrain the refreshed policy gets kRetrainCooldownSessions of
-  // serving to move the EWMA before another job may queue for the user.
+  // serving to move the EWMA before another job may run for the user.
   return s.retrains == 0 ||
          s.sessions - s.last_retrain_session >= kRetrainCooldownSessions;
 }
@@ -135,12 +133,33 @@ void ServeEngine::attach_faults(faults::Injector& injector) {
   pool_.arm_fault_bursts(radio_site_);
 }
 
+void ServeEngine::retrain_stage(std::size_t slot) {
+  // The slot's users in id order. Everything a job reads or writes is its
+  // user's own — stats, ring, store entry and writer lane, the slot's
+  // trainer, an RNG stream and fault ticks keyed by the user — so running
+  // it right after the slot's serving gives every other slot's trial
+  // nothing to race on. An aborted job is invalidated and cooled down like
+  // one that staged: the retry waits out kRetrainCooldownSessions.
+  for (std::size_t u = slot; u < stats_.size(); u += pool_.slots()) {
+    const auto user = static_cast<UserId>(u);
+    if (!retrain_due(user)) continue;
+    retrainer_.retrain_user(user);
+    // Residency would keep serving the pre-retrain table from the slot.
+    pool_.invalidate(user);
+    ServeUserStats& s = stats_[user];
+    ++s.retrains;
+    s.awaiting_recovery = true;
+    s.last_retrain_session = s.sessions;
+  }
+}
+
 ServeReport ServeEngine::drain(exec::TrialRunner& runner) {
   ++drains_;
   // The queue is already bucketed by home slot (enqueue order preserved
   // within a slot). Each slot is one trial: its users' sessions run
-  // serially, in order, on whichever worker picks the trial up — the same
-  // result at any --jobs — against the slot's persistent scratch result.
+  // serially, in order, against the slot's persistent scratch result, and
+  // then the slot's retrain stage closes the loop for its flagged users —
+  // on whichever worker picks the trial up, the same result at any --jobs.
   runner.run(pool_.slots(), /*base_seed=*/0,
              [&](exec::TrialContext& ctx) -> char {
                // Stalled slot: injected scheduling delay, wall-clock only.
@@ -156,29 +175,9 @@ ServeReport ServeEngine::drain(exec::TrialRunner& runner) {
                  }
                }
                by_slot_[ctx.index].clear();  // keeps its capacity
+               if (params_.retrain.enabled) retrain_stage(ctx.index);
                return 0;  // results land in stats_ (disjoint per slot)
              });
-
-  // Close the loop: queue a retrain for every drift-flagged user whose ring
-  // is deep enough, fan the jobs across the same runner, and invalidate the
-  // retrained users' slot residency so their next session serves the
-  // refreshed table. Users are scanned in id order — the queue (and hence
-  // the drain) is a pure function of engine state, never of worker timing.
-  std::size_t retrained_now = 0;
-  if (params_.retrain.enabled) {
-    for (UserId user = 0; user < stats_.size(); ++user) {
-      if (retrain_due(user)) retrainer_.enqueue(user);
-    }
-    const std::span<const UserId> retrained = retrainer_.drain(runner);
-    retrained_now = retrained.size();
-    for (const UserId user : retrained) {
-      pool_.invalidate(user);
-      ServeUserStats& s = stats_[user];
-      ++s.retrains;
-      s.awaiting_recovery = true;
-      s.last_retrain_session = s.sessions;
-    }
-  }
 
   ServeReport report;
   report.users = stats_;
@@ -194,7 +193,6 @@ ServeReport ServeEngine::drain(exec::TrialRunner& runner) {
   report.staged_writes = store_->staged_writes();
   report.disk_writes = store_->disk_writes();
   report.crashed_stages = pool_.crashed_stages();
-  report.retrained_this_drain = retrained_now;
   report.retrain = retrainer_.counters();
   return report;
 }

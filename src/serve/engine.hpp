@@ -16,21 +16,23 @@ namespace coreda::serve {
 /// session seeds the average).
 inline constexpr double kPromptEwmaAlpha = 0.3;
 
+/// Sessions a user must have served before the drift flag may fire — a
+/// single bad day is not drift.
+inline constexpr std::size_t kDriftWarmupSessions = 3;
+
 /// Prompt-rate drift detection (ROADMAP "drift re-learning").
 ///
 /// A converged policy prompts rarely; a routine that drifted away from the
 /// trained one makes the planner prompt at the wrong moments and the
 /// re-prompt escalation kicks in — prompts per session spike. The engine
 /// tracks an EWMA of prompts-per-session per user and marks the user
-/// `needs_retraining` once it crosses the threshold. With retraining
-/// enabled (RetrainParams::enabled) the flag feeds the RetrainScheduler and
+/// `needs_retraining` once it crosses the threshold after the
+/// kDriftWarmupSessions warm-up. With retraining enabled
+/// (RetrainParams::enabled) the flag feeds the drain's retrain stage and
 /// clears once the post-retrain EWMA drops back below the threshold.
 struct DriftConfig {
   /// Prompts-per-session EWMA at or above this flags the user.
   double threshold = 6.0;
-  /// Sessions a user must have served before the flag may fire — a single
-  /// bad day is not drift.
-  std::size_t warmup_sessions = 3;
 };
 
 struct ServeEngineParams {
@@ -50,8 +52,8 @@ struct ServeUserStats {
   double prompt_ewma = 0.0;
   bool needs_retraining = false;
   /// Retrained, EWMA not yet back under the threshold. While set, the
-  /// needs_retraining flag stays up but no further retrain is enqueued
-  /// (beyond the cooldown) — the refreshed policy gets its chance first.
+  /// needs_retraining flag stays up but no further retrain runs (beyond
+  /// the cooldown) — the refreshed policy gets its chance first.
   bool awaiting_recovery = false;
   /// Retrain jobs executed for this user.
   std::uint64_t retrains = 0;
@@ -74,8 +76,7 @@ struct ServeReport {
   std::uint64_t crashed_stages = 0;  ///< serve-path flushes an injected
                                      ///< crash aborted (memory state kept)
   std::size_t flagged_users = 0;  ///< users currently marked needs_retraining
-  std::size_t retrained_this_drain = 0;  ///< retrain jobs this drain ran
-  RetrainCounters retrain;               ///< cumulative scheduler counters
+  RetrainCounters retrain;        ///< cumulative retrain counters
   std::vector<ServeUserStats> users;
 };
 
@@ -86,7 +87,8 @@ struct ServeReport {
 /// TrialRunner trial, so a drain is byte-identical at any --jobs — the
 /// TrialRunner determinism argument lifted one layer up (slots play the
 /// role trials played in the benches; users within a slot are served in
-/// enqueue order).
+/// enqueue order). With retraining enabled the same trial then runs the
+/// slot's retrain stage, so a drain is one fan-out.
 class ServeEngine {
  public:
   /// `library`, `adl` and `store` must outlive the engine. Throws
@@ -106,17 +108,18 @@ class ServeEngine {
   void enqueue(UserId user, std::size_t sessions = 1);
   std::size_t queued() const noexcept;
 
-  /// Serves every queued request, then — with retraining enabled — closes
-  /// the loop: drift-flagged users with enough transcripts are retrained on
-  /// the exec pool and their refreshed tables staged back through the
-  /// store (their slot residency invalidated so the next session serves the
-  /// new version). Returns the cumulative report. Deterministic for a given
-  /// engine configuration and enqueue history at any runner job count.
+  /// Serves every queued request and — with retraining enabled — closes
+  /// the loop in the same slot trial: once a slot has served its requests,
+  /// its drift-flagged users with enough transcripts are retrained, in id
+  /// order, on the slot's trainer, their refreshed tables staged back
+  /// through the store and their slot residency invalidated so the next
+  /// session serves the new version. Returns the cumulative report.
+  /// Deterministic for a given engine configuration and enqueue history at
+  /// any runner job count.
   ServeReport drain(exec::TrialRunner& runner);
 
   const SystemPool& pool() const noexcept { return pool_; }
   const PolicyStore& store() const noexcept { return *store_; }
-  const RetrainScheduler& retrainer() const noexcept { return retrainer_; }
 
   /// Arms the serving tier's fault seams against `injector`'s plan: slot
   /// stalls ("serve.stall"), the store's crash/corruption sites, the
@@ -133,8 +136,11 @@ class ServeEngine {
   };
 
   void serve_one(UserId user, core::SessionResult& result);
-  /// Whether the user should be queued for retraining this drain.
+  /// Whether the user should be retrained this drain.
   bool retrain_due(UserId user) const;
+  /// The drain's retrain stage for one slot's users (run by that slot's
+  /// trial, after its serving).
+  void retrain_stage(std::size_t slot);
 
   ServeEngineParams params_;
   PolicyStore* store_;

@@ -106,8 +106,14 @@ void SystemPool::invalidate(UserId user) {
   Slot& slot = slots_[slot_for(user)];
   if (slot.resident == user) {
     slot.resident = kNoUser;
-    ++invalidations_;
+    ++slot.invalidations;
   }
+}
+
+std::uint64_t SystemPool::invalidations() const noexcept {
+  std::uint64_t total = 0;
+  for (const Slot& s : slots_) total += s.invalidations;
+  return total;
 }
 
 std::uint64_t SystemPool::hits() const noexcept {

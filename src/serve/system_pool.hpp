@@ -91,13 +91,14 @@ class SystemPool {
                                       sim::Duration max_duration);
 
   /// Drops the user's slot residency so their next session re-imports from
-  /// the store. The retraining scheduler calls this after staging a
-  /// refreshed table: residency means "the slot's learners already hold the
-  /// user's latest set", which a retrain makes false without the slot
-  /// ever seeing the new version. No-op when the user is not resident.
+  /// the store. The engine's retrain stage calls this after a retrain job:
+  /// residency means "the slot's learners already hold the user's latest
+  /// set", which a retrain makes false without the slot ever seeing the
+  /// new version. No-op when the user is not resident. Same thread-safety
+  /// as serving: calls for users of different slots may run concurrently.
   void invalidate(UserId user);
   /// invalidate() calls that actually dropped a residency.
-  std::uint64_t invalidations() const noexcept { return invalidations_; }
+  std::uint64_t invalidations() const noexcept;
 
   /// Arms every slot deployment's radio burst chain against `site` (lane =
   /// slot index). Setup phase only.
@@ -128,6 +129,7 @@ class SystemPool {
     std::uint64_t swaps = 0;
     std::uint64_t sessions = 0;
     std::uint64_t crashed_stages = 0;
+    std::uint64_t invalidations = 0;
   };
 
   /// Makes `user` resident on `slot`, importing their set on a swap.
@@ -137,7 +139,6 @@ class SystemPool {
 
   PolicyStore* store_;
   std::vector<Slot> slots_;
-  std::uint64_t invalidations_ = 0;
 };
 
 }  // namespace coreda::serve

@@ -94,7 +94,6 @@ TEST_F(EngineFixture, DriftDetectorFlagsThePromptStorm) {
   ServeEngineParams params;
   params.pool.slots = 2;
   params.drift.threshold = 3.0;
-  params.drift.warmup_sessions = 3;
   ServeEngine engine(library, library.tea_making(), store, params);
 
   // A mild user the converged policy barely prompts, and a drifted user
@@ -125,21 +124,20 @@ TEST_F(EngineFixture, DriftFlagNeedsWarmupAndSticks) {
   ServeEngineParams params;
   params.pool.slots = 1;
   params.drift.threshold = 0.0;  // every session is "over threshold"...
-  params.drift.warmup_sessions = 5;
   ServeEngine engine(library, library.tea_making(), store, params);
   const UserId u = engine.add_user(
       "U", patient::PatientProfile::with_severity("U", 0.3));
 
   exec::TrialRunner runner(1);
-  engine.enqueue(u, 4);
+  engine.enqueue(u, 2);
   ServeReport report = engine.drain(runner);
-  // ...but 4 sessions have not cleared the warm-up yet.
+  // ...but 2 sessions have not cleared the 3-session warm-up yet.
   EXPECT_FALSE(report.users[u].needs_retraining);
 
   engine.enqueue(u, 1);
   report = engine.drain(runner);
   EXPECT_TRUE(report.users[u].needs_retraining);
-  EXPECT_EQ(engine.user_stats(u).sessions, 5u);
+  EXPECT_EQ(engine.user_stats(u).sessions, 3u);
 }
 
 TEST_F(EngineFixture, EngineValidatesItsInputs) {

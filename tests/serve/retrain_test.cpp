@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -69,12 +70,8 @@ struct RetrainFixture : ::testing::Test {
 TEST_F(RetrainFixture, TranscriptRingBoundsEvictsAndTruncates) {
   planning::RoutineLearner donor = trained(routine(), 5, 80);
   PolicyStore store(donor);
-  RetrainParams params;
-  params.ring_capacity = 3;
-  params.max_transcript_steps = 4;
-  params.min_transcripts = 2;
   RetrainScheduler scheduler(library.tea_making(), store,
-                             planning::LearnerConfig{}, /*lanes=*/2, params);
+                             planning::LearnerConfig{}, /*slots=*/2);
   scheduler.add_user();
   scheduler.add_user();
   ASSERT_EQ(scheduler.num_users(), 2u);
@@ -84,36 +81,44 @@ TEST_F(RetrainFixture, TranscriptRingBoundsEvictsAndTruncates) {
   const auto steps = [](std::initializer_list<adl::StepId> ids) {
     return std::vector<adl::StepId>(ids);
   };
-  scheduler.record(0, steps({1, 2}));
-  EXPECT_EQ(scheduler.transcripts(0), 1u);
-  EXPECT_FALSE(scheduler.has_enough_transcripts(0));
-  scheduler.record(0, steps({3, 4, 5, 6, 7, 8}));  // truncated to 4
-  EXPECT_TRUE(scheduler.has_enough_transcripts(0));
-  scheduler.record(0, steps({9}));
-  scheduler.record(0, steps({10, 11}));  // evicts the oldest ({1, 2})
-  EXPECT_EQ(scheduler.transcripts(0), 3u);
-
   const auto transcript = [&](std::size_t i) {
     const std::span<const adl::StepId> t = scheduler.transcript(0, i);
     return std::vector<adl::StepId>(t.begin(), t.end());
   };
-  EXPECT_EQ(transcript(0), steps({3, 4, 5, 6}));
-  EXPECT_EQ(transcript(1), steps({9}));
-  EXPECT_EQ(transcript(2), steps({10, 11}));
+  // A session 44 steps past the ring's 256-step slots.
+  std::vector<adl::StepId> long_session(300);
+  for (std::size_t i = 0; i < long_session.size(); ++i) {
+    long_session[i] = static_cast<adl::StepId>(1 + i % 7);
+  }
+
+  scheduler.record(0, steps({1, 2}));
+  EXPECT_EQ(scheduler.transcripts(0), 1u);
+  scheduler.record(0, long_session);  // truncated to 256 steps
+  scheduler.record(0, steps({3}));
+  EXPECT_FALSE(scheduler.has_enough_transcripts(0));  // 3 of 4
+  scheduler.record(0, steps({4}));
+  EXPECT_TRUE(scheduler.has_enough_transcripts(0));
+  const std::vector<adl::StepId> kept = transcript(1);
+  ASSERT_EQ(kept.size(), 256u);
+  EXPECT_TRUE(std::equal(kept.begin(), kept.end(), long_session.begin()));
+
+  for (adl::StepId id = 5; id <= 8; ++id) scheduler.record(0, steps({id}));
+  EXPECT_EQ(scheduler.transcripts(0), 8u);  // full, nothing evicted yet
+  EXPECT_EQ(transcript(0), steps({1, 2}));
+  scheduler.record(0, steps({9}));   // wraps: evicts the oldest ({1, 2})
+  scheduler.record(0, steps({10}));  // ...then the truncated session
+  EXPECT_EQ(scheduler.transcripts(0), 8u);
+  EXPECT_EQ(transcript(0), steps({3}));
+  EXPECT_EQ(transcript(7), steps({10}));
 
   // Rings are per user: recording for user 0 never touches user 1.
   EXPECT_EQ(scheduler.transcripts(1), 0u);
 
-  EXPECT_THROW((void)scheduler.transcript(0, 3), std::out_of_range);
+  EXPECT_THROW((void)scheduler.transcript(0, 8), std::out_of_range);
   EXPECT_THROW(scheduler.record(2, steps({1})), std::out_of_range);
-  EXPECT_THROW(scheduler.enqueue(2), std::out_of_range);
+  EXPECT_THROW(scheduler.retrain_user(2), std::out_of_range);
   EXPECT_THROW((void)RetrainScheduler(library.tea_making(), store,
-                                      planning::LearnerConfig{}, 0, {}),
-               std::invalid_argument);
-  RetrainParams bad;
-  bad.ring_capacity = 0;
-  EXPECT_THROW((void)RetrainScheduler(library.tea_making(), store,
-                                      planning::LearnerConfig{}, 1, bad),
+                                      planning::LearnerConfig{}, 0),
                std::invalid_argument);
 }
 
@@ -123,17 +128,16 @@ TEST_F(RetrainFixture, RetrainUserRealignsAStaleTableToTheRecordedRoutine) {
   PolicyStore store(donor);
   store.add_user("drifted", stale.q());
 
-  RetrainParams params;  // defaults: ring 8, 8 replay passes
   RetrainScheduler scheduler(library.tea_making(), store,
-                             planning::LearnerConfig{}, /*lanes=*/1, params);
+                             planning::LearnerConfig{}, /*slots=*/1);
   scheduler.add_user();
-  for (std::size_t i = 0; i < params.ring_capacity; ++i) {
+  for (std::size_t i = 0; i < kTranscriptRingCapacity; ++i) {
     scheduler.record(0, routine());
   }
 
   const double before = accuracy_vs(store.q(0), routine());
   const std::size_t episodes = scheduler.retrain_user(0);
-  EXPECT_EQ(episodes, params.ring_capacity * kRetrainReplayPasses);
+  EXPECT_EQ(episodes, kTranscriptRingCapacity * kRetrainReplayPasses);
   EXPECT_EQ(store.version(0), 2u);  // the refreshed table was staged
 
   // The stale table prompted yesterday's order; the retrained one prompts
@@ -147,9 +151,9 @@ TEST_F(RetrainFixture, RetrainUserRealignsAStaleTableToTheRecordedRoutine) {
 // staged table is bitwise the table of a reference that ran
 // begin_retraining on the same start table with the user's retrain stream
 // and replayed the same ring kRetrainReplayPasses times. Two users on
-// different lanes, rings of different depths (one wrapped), transcripts
-// with foreign, truncated, too-short and stale-order steps, all retrained
-// through one drain.
+// different slots, rings of different depths (one wrapped), transcripts
+// with foreign, truncated, too-short and stale-order steps, retrained at
+// once, one trial per slot, as a drain's retrain stage runs them.
 TEST_F(RetrainFixture, RetrainMatchesTheScalarLearnerBitForBit) {
   planning::RoutineLearner donor = trained(routine(), 5, 80);
   planning::RoutineLearner stale = trained(stale_routine(), 6, 120);
@@ -157,12 +161,11 @@ TEST_F(RetrainFixture, RetrainMatchesTheScalarLearnerBitForBit) {
   store.add_user("A", stale.q());
   store.add_user("B", stale.q());
 
-  RetrainParams params;  // defaults: ring 8, 8 replay passes
+  // Two slots: user u retrains on slot u % 2's trainer.
   RetrainScheduler scheduler(library.tea_making(), store,
-                             planning::LearnerConfig{}, /*lanes=*/2, params);
+                             planning::LearnerConfig{}, /*slots=*/2);
   scheduler.add_user();
   scheduler.add_user();
-  ASSERT_NE(scheduler.lane_for(0), scheduler.lane_for(1));
 
   const std::vector<adl::StepId> full = routine();
   std::vector<adl::StepId> foreign = full;
@@ -173,13 +176,15 @@ TEST_F(RetrainFixture, RetrainMatchesTheScalarLearnerBitForBit) {
       full, foreign, stale_routine(), truncated, too_short};
   for (std::size_t i = 0; i < 11; ++i) scheduler.record(0, mix[i % 5]);
   for (std::size_t i = 0; i < 5; ++i) scheduler.record(1, mix[(i + 2) % 5]);
-  ASSERT_EQ(scheduler.transcripts(0), params.ring_capacity);
+  ASSERT_EQ(scheduler.transcripts(0), kTranscriptRingCapacity);
   ASSERT_EQ(scheduler.transcripts(1), 5u);
 
-  scheduler.enqueue(0);
-  scheduler.enqueue(1);
   exec::TrialRunner runner(2);
-  ASSERT_EQ(scheduler.drain(runner).size(), 2u);
+  runner.run(2, /*base_seed=*/0, [&](exec::TrialContext& ctx) -> char {
+    scheduler.retrain_user(static_cast<UserId>(ctx.index));
+    return 0;
+  });
+  ASSERT_EQ(scheduler.counters().jobs, 2u);
 
   for (UserId u = 0; u < 2; ++u) {
     SCOPED_TRACE(testing::Message() << "user " << u);

@@ -78,11 +78,10 @@ TEST(ServeAllocTest, ServeWithPolicySwapIsAllocationFreeAtSteadyState) {
 }
 
 // The retraining tier's side of the contract: recording a transcript into
-// the provisioned ring never allocates, enqueueing a job is allocation-free
-// once the lane queues are provisioned (add_user reserves them), and a
-// retrain — import the user's table into the warm lane trainer, replay the
-// whole ring, stage the result back — touches the heap zero times after
-// the first job has warmed the lane.
+// the provisioned ring never allocates, and a retrain — import the user's
+// table into the slot's warm trainer, replay the whole ring, stage the
+// result back, count the job — touches the heap zero times after the first
+// job has warmed the slot.
 TEST(ServeAllocTest, TranscriptRecordingAndRetrainAreAllocationFreeWarm) {
   adl::AdlLibrary library;
   const adl::Adl& tea = library.tea_making();
@@ -93,21 +92,20 @@ TEST(ServeAllocTest, TranscriptRecordingAndRetrainAreAllocationFreeWarm) {
 
   PolicyStore store(donor);  // memory-only: stage() must not allocate
   RetrainScheduler scheduler(tea, store, planning::LearnerConfig{},
-                             /*lanes=*/1, RetrainParams{});
+                             /*slots=*/1);
   store.add_user("A");
   scheduler.add_user();
 
-  for (std::size_t i = 0; i < scheduler.params().ring_capacity; ++i) {
+  for (std::size_t i = 0; i < kTranscriptRingCapacity; ++i) {
     scheduler.record(0, routine);
   }
-  scheduler.retrain_user(0);  // warms the lane trainer
+  scheduler.retrain_user(0);  // warms the slot's trainer
 
   const std::uint64_t before = util::allocation_count();
   for (int i = 0; i < 64; ++i) scheduler.record(0, routine);
-  scheduler.enqueue(0);  // lane queue is pre-reserved to the user count
   for (int i = 0; i < 8; ++i) scheduler.retrain_user(0);
   EXPECT_EQ(util::allocation_count() - before, 0u);
-  EXPECT_EQ(scheduler.queued(), 1u);
+  EXPECT_EQ(scheduler.counters().jobs, 9u);
   EXPECT_EQ(store.version(0), 10u);  // warm-up + 8 probed retrains staged
 }
 

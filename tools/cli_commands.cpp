@@ -11,7 +11,6 @@
 #include "core/system.hpp"
 #include "faults/faults.hpp"
 #include "serve/chaos.hpp"
-#include "serve/engine.hpp"
 #include "serve/policy_store.hpp"
 #include "serve/scenario_runner.hpp"
 #include "sim/scenario_dsl.hpp"
@@ -531,85 +530,47 @@ int cmd_report(const util::Flags& flags, std::ostream& out) {
 
 int cmd_retrain(const util::Flags& flags, std::ostream& out,
                 std::ostream& err) {
-  const std::size_t users = flags.get_count("users", 12);
-  const std::size_t slots = flags.get_count("slots", 3);
-  const std::size_t drifted = flags.get_count("drifted", 3);
-  const std::size_t rounds = flags.get_count("rounds", 8);
-  const std::size_t burst = flags.get_count("burst", 2);
-  const double threshold = flags.get_double("threshold", 2.5);
-  if (users == 0 || drifted > users) {
+  serve::ChaosServeParams params;
+  params.users = flags.get_count("users", 12);
+  params.slots = flags.get_count("slots", 3);
+  params.drifted = flags.get_count("drifted", 3);
+  params.tail_rounds = flags.get_count("rounds", 8);
+  params.chaos_rounds = 0;
+  params.burst = flags.get_count("burst", 2);
+  params.threshold = flags.get_double("threshold", 2.5);
+  if (params.users == 0 || params.drifted > params.users) {
     err << "retrain: need --users >= 1 and --drifted <= --users\n";
     return 1;
   }
 
-  adl::AdlLibrary library;
-  const adl::Adl& tea = library.tea_making();
-  std::vector<adl::StepId> routine;
-  for (const adl::AdlStep& s : tea.primary_routine().steps()) {
-    routine.push_back(s.step_id());
-  }
-  std::vector<adl::StepId> stale_routine = routine;
-  std::swap(stale_routine[0], stale_routine[1]);
-
-  planning::RoutineLearner donor(tea, util::Rng(17));
-  planning::RoutineLearner stale(tea, util::Rng(18));
-  for (int i = 0; i < 80; ++i) donor.train_episode(routine);
-  for (int i = 0; i < 120; ++i) stale.train_episode(stale_routine);
-
-  serve::PolicyStore store(donor);
-  serve::ServeEngineParams params;
-  params.pool.slots = slots;
-  params.pool.seed = 4242;
-  params.drift.threshold = threshold;
-  params.retrain.enabled = true;
-  // Spread the stale tables across slots/lanes, like the recovery bench.
-  std::vector<bool> is_drifted(users, false);
-  for (std::size_t u = 0; u < users; ++u) {
-    const bool drift = drifted > 0 && u % (users / drifted) == 0 &&
-                       u / (users / drifted) < drifted;
-    is_drifted[u] = drift;
-    store.add_user("U" + std::to_string(u), drift ? stale.q() : donor.q());
-  }
-  serve::ServeEngine engine(library, tea, store, params);
-  for (std::size_t u = 0; u < users; ++u) {
-    util::Rng rng(exec::trial_seed(9001, u));
-    engine.add_user("U" + std::to_string(u),
-                    patient::PatientProfile::with_severity(
-                        "U" + std::to_string(u), 0.1 + 0.4 * rng.uniform()));
-  }
-
+  // The drift loop of the chaos soak, with an empty fault plan on a
+  // memory-only store.
+  serve::ChaosServeSoak soak(params, faults::FaultPlan{});
   exec::TrialRunner runner(exec::jobs_from_flags(flags));
+  const serve::ChaosServeResult result = soak.run(runner);
+
   util::TextTable table("Closed-loop drift recovery (" +
-                        std::to_string(users) + " users, " +
-                        std::to_string(drifted) + " on stale policies)");
+                        std::to_string(params.users) + " users, " +
+                        std::to_string(params.drifted) +
+                        " on stale policies)");
   table.set_header({"round", "flagged", "retrains", "recovered"});
-  serve::ServeReport report;
-  std::size_t recovered = 0;
-  for (std::size_t round = 0; round < rounds; ++round) {
-    for (std::size_t u = 0; u < users; ++u) {
-      engine.enqueue(static_cast<serve::UserId>(u), burst);
-    }
-    report = engine.drain(runner);
-    recovered = 0;
-    for (std::size_t u = 0; u < users; ++u) {
-      const serve::ServeUserStats& s = report.users[u];
-      if (is_drifted[u] && s.retrains > 0 && !s.needs_retraining) {
-        ++recovered;
-      }
-    }
-    table.add_row({std::to_string(round),
-                   std::to_string(report.flagged_users),
-                   std::to_string(report.retrain.jobs),
-                   std::to_string(recovered) + "/" +
-                       std::to_string(drifted)});
+  for (std::size_t round = 0; round < result.rounds.size(); ++round) {
+    const serve::ChaosServeRound& rs = result.rounds[round];
+    table.add_row({std::to_string(round), std::to_string(rs.flagged),
+                   std::to_string(rs.retrain_jobs),
+                   std::to_string(rs.recovered_now) + "/" +
+                       std::to_string(params.drifted)});
   }
+  const std::size_t recovered =
+      result.rounds.empty() ? 0 : result.rounds.back().recovered_now;
   out << table.render();
-  out << report.sessions << " sessions served; " << report.retrain.jobs
-      << " retrain jobs replayed " << report.retrain.episodes
-      << " transcript episodes; " << recovered << "/" << drifted
+  out << result.report.sessions << " sessions served; "
+      << result.report.retrain.jobs << " retrain jobs replayed "
+      << result.report.retrain.episodes << " transcript episodes; "
+      << recovered << "/" << params.drifted
       << " drifted users recovered (prompt EWMA back under "
-      << util::format_fixed(threshold, 1) << ")\n";
-  return recovered == drifted ? 0 : 2;
+      << util::format_fixed(params.threshold, 1) << ")\n";
+  return recovered == params.drifted ? 0 : 2;
 }
 
 }  // namespace

@@ -62,10 +62,11 @@ esac
 # partition really is disjoint — no locks anywhere on the serve path.
 "$BUILD_DIR"/bench/bench_serve_throughput --users=16 --slots=4 --sessions=5 \
   --jobs=4 > /dev/null
-# The retrain bench closes the loop under TSan: serve trials hand off to
-# retrain trials within one drain, lane trainers replay transcript rings
-# concurrently, and the refreshed tables are staged back into the shared
-# store — all still lock-free on disjoint static shards.
+# The retrain bench closes the loop under TSan: each slot trial of a drain
+# serves its users, then retrains its flagged ones on the slot's own lane
+# trainer while other slots still serve, and stages the refreshed tables
+# back into the shared store — all still lock-free on disjoint static
+# shards.
 "$BUILD_DIR"/bench/bench_retrain_recovery --users=12 --slots=4 --drifted=4 \
   --rounds=4 --jobs=4 > /dev/null
 # The fleet-serve bench stacks the mmap segment store under the shard fan-
@@ -103,10 +104,21 @@ esac
 # their sites' pure decision hashes and bump the shared relaxed injection
 # counters while InjectedCrash unwinds through concurrent appends and the
 # per-channel burst chains advance inside their owning shard. TSan proves
-# injection adds no cross-thread edges beyond the counters it owns.
-"$BUILD_DIR"/bench/bench_chaos_soak --users=128 --active=64 --rounds=3 \
-  --tail-rounds=1 --serve-users=12 --drifted=3 --serve-rounds=3 \
-  --serve-tail-rounds=4 --jobs=4 --dir="$BUILD_DIR/chaos_tsan" > /dev/null
+# injection adds no cross-thread edges beyond the counters it owns. Its
+# drift soak retrains inside the slot trials, staging into one writer lane
+# of the segment-backed store while other slots serve: the run fails if the
+# printed "retrain jobs" row reads 0 (these flags give 9).
+retrain_row=$("$BUILD_DIR"/bench/bench_chaos_soak --users=128 --active=64 \
+  --rounds=3 --tail-rounds=1 --serve-users=12 --drifted=3 --serve-rounds=3 \
+  --serve-tail-rounds=4 --jobs=4 --dir="$BUILD_DIR/chaos_tsan" |
+  grep '^| retrain jobs ')
+echo "TSan chaos soak: $retrain_row"
+case "$retrain_row" in
+  *"| 0 "*)
+    echo "TSan chaos soak ran no retrain job" >&2
+    exit 1
+    ;;
+esac
 # The scenario corpus pretrains its donor on the run's 4-job runner, then
 # fans whole-home HomeDeployments (scheduler, radio, tracker, actor) across
 # pool-slot trials while every slot stages its users' policy sets back into
