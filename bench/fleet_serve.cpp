@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
               users, params.shards, params.slots_per_shard, active, rounds);
 
   serve::UniformArrivals uniform(users, 777);
-  serve::ZipfianArrivals skewed(users, zipf, 777);
+  serve::ZipfianArrivals skewed(users, zipf, 777, runner);
   ShapeRun flat = run_shape(library, tea, donor, base_dir + "_uniform",
                             users, active, rounds, params, uniform, runner);
   time_cold_start(donor, base_dir + "_uniform", params.shards, flat);

@@ -16,6 +16,7 @@
 #include "planning/lane_trainer.hpp"
 #include "planning/learner.hpp"
 #include "rl/lane_kernels.hpp"
+#include "serve/fleet_engine.hpp"
 #include "serve/segment_store.hpp"
 #include "serve/user_index.hpp"
 #include "rl/td_lambda.hpp"
@@ -558,6 +559,92 @@ void BM_SegmentRoll(benchmark::State& state) {
   state.counters["records"] = static_cast<double>(users);
 }
 BENCHMARK(BM_SegmentRoll)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_SegmentStoreReopen(benchmark::State& state) {
+  // The crash-recovery scan: reopen a store of 16,384 tea anchors in
+  // Arg(0) writer lanes — 4 as fleet's set-up (seven 1 MiB segments per
+  // lane), 1 as nightly's. The segments are verified on one job per lane,
+  // then published serially. The store is built once, untimed; closing it
+  // is untimed too.
+  constexpr std::uint64_t kUsers = 16384;
+  adl::AdlLibrary library;
+  planning::RoutineLearner learner(library.tea_making(), util::Rng(1));
+  const std::vector<adl::StepId> steps{
+      adl::tools::kTeaBox, adl::tools::kElectricPot, adl::tools::kKettle,
+      adl::tools::kTeaCup};
+  for (int i = 0; i < 80; ++i) learner.train_episode(steps);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "coreda_micro_reopen")
+          .string();
+  std::filesystem::remove_all(dir);
+  serve::SegmentStoreParams params;
+  params.dir = dir;
+  params.writers = static_cast<std::size_t>(state.range(0));
+  const auto open = [&] {
+    return std::make_unique<serve::SegmentStore>(
+        learner.state_codec().symbols(), learner.action_codec().tools(),
+        learner.q().num_states(), learner.q().num_actions(), params);
+  };
+  {
+    auto store = open();
+    store->reserve_users(kUsers);
+    for (std::uint64_t u = 0; u < kUsers; ++u) store->append(u, learner.q(), 1);
+  }
+  std::uint64_t scanned = 0;
+  for (auto _ : state) {
+    auto store = open();
+    scanned = store->scanned_records();
+    benchmark::DoNotOptimize(scanned);
+    state.PauseTiming();
+    store.reset();
+    state.ResumeTiming();
+  }
+  std::filesystem::remove_all(dir);
+  state.counters["records"] = static_cast<double>(scanned);
+}
+BENCHMARK(BM_SegmentStoreReopen)->Arg(4)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_FleetRegister(benchmark::State& state) {
+  // Registering a million users on a fleet whose store was reserved for
+  // them (as after a reopen): one push_back and one compare per user, the
+  // index never re-sized. Engine construction is untimed.
+  constexpr std::uint64_t kUsers = 1'000'000;
+  adl::AdlLibrary library;
+  const adl::Adl& tea = library.tea_making();
+  planning::RoutineLearner donor(tea, util::Rng(1));
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "coreda_micro_register")
+          .string();
+  std::filesystem::remove_all(dir);
+  serve::SegmentStoreParams params;
+  params.dir = dir;
+  params.writers = 4;
+  serve::SegmentStore store(donor.state_codec().symbols(),
+                            donor.action_codec().tools(),
+                            donor.q().num_states(), donor.q().num_actions(),
+                            params);
+  store.reserve_users(kUsers);
+  serve::FleetEngineParams fleet_params;
+  fleet_params.shards = 4;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto fleet = std::make_unique<serve::FleetEngine>(library, tea, store,
+                                                      donor.q(), fleet_params);
+    state.ResumeTiming();
+    fleet->reserve_users(kUsers);
+    for (std::uint64_t u = 0; u < kUsers; ++u) {
+      fleet->register_user(0.1 + 0.4 * static_cast<double>(u % 97) / 97.0);
+    }
+    benchmark::DoNotOptimize(fleet->num_users());
+    state.PauseTiming();
+    fleet.reset();
+    state.ResumeTiming();
+  }
+  std::filesystem::remove_all(dir);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kUsers));
+}
+BENCHMARK(BM_FleetRegister)->Unit(benchmark::kMillisecond);
 
 void BM_UserIndexProbe(benchmark::State& state) {
   // The per-serve index lookup at fleet scale: 1M dense user ids in the

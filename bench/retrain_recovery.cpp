@@ -115,9 +115,8 @@ int main(int argc, char** argv) {
     const serve::ChaosServeRound& rs = result.rounds[round];
     table.add_row({std::to_string(round), std::to_string(rs.flagged),
                    std::to_string(rs.retrain_jobs),
-                   format2(drifted > 0 ? rs.drifted_ewma : 0.0),
-                   format2(drifted > 0 ? rs.drifted_prompts : 0.0),
-                   format2(users > drifted ? rs.calm_ewma : 0.0)});
+                   format2(rs.drifted_ewma), format2(rs.drifted_prompts),
+                   format2(rs.calm_ewma)});
   }
   std::fputs(table.render().c_str(), stdout);
 
@@ -147,8 +146,9 @@ int main(int argc, char** argv) {
   summary.add_row({"fleet checksum", std::to_string(report.checksum)});
   summary.add_row({"steady-state allocs/retrain", format2(retrain_probe)});
   std::fputs(summary.render().c_str(), stdout);
-  std::puts("\nThe tables are byte-identical at any --jobs: sessions shard\n"
-            "by slot and retrain jobs by lane, each a seed-split trial.");
+  std::puts("\nThe tables are byte-identical at any --jobs: each slot is one\n"
+            "seed-split trial that serves its sessions, then retrains its\n"
+            "own due users.");
 
   const std::string timing_path = flags.get("timing-json");
   std::ostringstream extra;

@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
   // volume, arrival order drawn uniformly vs Zipf-skewed.
   const double zipf_s = flags.get_double("zipf", 1.1);
   serve::UniformArrivals uniform_arrivals(users, 777);
-  serve::ZipfianArrivals zipf_arrivals(users, zipf_s, 777);
+  serve::ZipfianArrivals zipf_arrivals(users, zipf_s, 777, runner);
   const std::size_t total_sessions = users * sessions;
   const EngineRun uniform =
       run_arrival_workload(library, tea, donor, users, slots, total_sessions,

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "exec/trial_runner.hpp"
 #include "util/rng.hpp"
 
 namespace coreda::serve {
@@ -32,16 +33,29 @@ class UniformArrivals {
 /// Zipf(s) over ranks 1..n mapped to user indices 0..n-1 (index 0 is the
 /// hottest user). Sampling is one uniform draw + a binary search over the
 /// precomputed CDF: O(log n) per arrival, no allocation after construction.
+///
+/// Construction computes the n terms 1/(i+1)^s in chunks of kTermChunk, one
+/// runner trial per chunk (a one-chunk table builds inline), then sums and
+/// normalises them serially: the table has the same bytes at any job count.
 class ZipfianArrivals {
  public:
-  /// Throws std::invalid_argument when n == 0 or exponent <= 0.
+  /// Terms per construction trial.
+  static constexpr std::size_t kTermChunk = std::size_t{1} << 16;
+
+  /// Builds the table on ThreadPool::hardware_workers() jobs. Throws
+  /// std::invalid_argument when n == 0 or exponent <= 0.
   ZipfianArrivals(std::size_t n, double exponent, std::uint64_t seed);
+  /// Builds the table on the caller's runner.
+  ZipfianArrivals(std::size_t n, double exponent, std::uint64_t seed,
+                  exec::TrialRunner& runner);
 
   std::size_t next() noexcept;
 
   double exponent() const noexcept { return exponent_; }
 
  private:
+  void build_cdf(std::size_t n, exec::TrialRunner& runner);
+
   double exponent_;
   util::Rng rng_;
   std::vector<double> cdf_;  ///< cdf_[i] = P(index <= i), cdf_.back() == 1

@@ -312,11 +312,13 @@ ChaosServeResult ChaosServeSoak::run(exec::TrialRunner& runner) {
         if (recovered_round[u] == kNever) recovered_round[u] = round;
       }
     }
-    const auto drifted = static_cast<double>(params_.drifted);
-    rs.drifted_ewma = drifted_ewma / drifted;
-    rs.calm_ewma =
-        calm_ewma / static_cast<double>(params_.users - params_.drifted);
-    rs.drifted_prompts = drifted_prompts / drifted;
+    // A mean over an empty cohort (no drifted user, or no calm one) is 0.
+    const auto mean = [](double sum, std::size_t n) {
+      return n == 0 ? 0.0 : sum / static_cast<double>(n);
+    };
+    rs.drifted_ewma = mean(drifted_ewma, params_.drifted);
+    rs.calm_ewma = mean(calm_ewma, params_.users - params_.drifted);
+    rs.drifted_prompts = mean(drifted_prompts, params_.drifted);
     result.rounds.push_back(rs);
   }
 

@@ -167,7 +167,7 @@ struct ChaosServeParams {
 };
 
 /// Per-round state of the drift loop, read after the round's drain. The
-/// means are NaN over an empty group.
+/// means are 0 over an empty group.
 struct ChaosServeRound {
   std::size_t flagged = 0;         ///< users marked needs_retraining
   std::uint64_t retrain_jobs = 0;  ///< cumulative retrain jobs

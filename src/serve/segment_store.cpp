@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "exec/trial_runner.hpp"
 #include "planning/serialize.hpp"
 #include "util/wire.hpp"
 
@@ -477,11 +478,10 @@ void SegmentStore::open_existing_segments() {
     writers_[w]->index.reserve(per_writer[w] + foreign);
   }
 
-  // Phase 3: scan in (writer, seq) order — publish order is what makes
-  // "equal version seen later wins" pick compaction copies.
+  // Phase 3: scan every record into the index.
+  for (const auto& seg : opened) seg_by_id_[seg->id] = seg.get();
+  scan_segments(opened);
   for (auto& seg : opened) {
-    seg_by_id_[seg->id] = seg.get();
-    scan_segment(*seg);
     if (seg->writer < params_.writers) {
       Writer& w = *writers_[seg->writer];
       w.next_seq = std::max(w.next_seq, seg->seq + 1);
@@ -495,7 +495,36 @@ void SegmentStore::open_existing_segments() {
                      std::memory_order_relaxed);
 }
 
-void SegmentStore::scan_segment(Segment& seg) {
+void SegmentStore::scan_segments(
+    std::span<const std::unique_ptr<Segment>> segs) {
+  std::size_t lanes = 0;  // lanes holding a segment, retired ids included
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    if (i == 0 || segs[i]->writer != segs[i - 1]->writer) ++lanes;
+  }
+  // The checksums are most of the scan, and verifying touches no index:
+  // the segments verify on one job per lane that holds segments (a 1-lane
+  // store, e.g. every 1-writer store, verifies on this thread).
+  exec::TrialRunner runner(std::max<std::size_t>(
+      1, std::min({lanes, exec::ThreadPool::hardware_workers(),
+                   exec::TrialRunner::kMaxJobs})));
+  runner.run(segs.size(), 0, [this, &segs](exec::TrialContext& ctx) -> char {
+    verify_segment(*segs[ctx.index]);
+    return 0;  // the verdict lands in the segment's used and records
+  });
+  // Publish in (writer, seq, offset) order: that order makes "equal
+  // version seen later wins" pick compaction copies.
+  for (const auto& seg : segs) {
+    for (std::size_t off = kSegmentHeaderBytes; off < seg->used;) {
+      const unsigned char* rec = seg->base + off;
+      publish_index(wire::load_u64(rec + 16), *seg, off,
+                    wire::load_u64(rec + 24));
+      off += static_cast<std::size_t>(wire::load_u64(rec + 8));
+    }
+    scanned_records_ += seg->records;
+  }
+}
+
+void SegmentStore::verify_segment(Segment& seg) const noexcept {
   seg.used = kSegmentHeaderBytes;
   seg.records = 0;
   while (seg.used + kMinRecordBytes <= seg.bytes) {
@@ -507,10 +536,6 @@ void SegmentStore::scan_segment(Segment& seg) {
     // located: the valid prefix ends there too, and the next append
     // overwrites whatever follows.
     if (kind == RecordKind::kEnd || kind == RecordKind::kCorrupt) break;
-    const unsigned char* rec = seg.base + seg.used;
-    ++scanned_records_;
-    publish_index(wire::load_u64(rec + 16), seg, seg.used,
-                  wire::load_u64(rec + 24));
     ++seg.records;
     seg.used += len;
   }
@@ -586,6 +611,7 @@ void SegmentStore::size_lanes(std::uint64_t users,
         users > w ? (users - w - 1) / params_.writers + 1 : 0;
     (writers_[w]->index.*size)(lane_users);
   }
+  sized_users_ = std::max(sized_users_, users);
 }
 
 std::size_t SegmentStore::fresh_segment_bytes() const noexcept {

@@ -198,8 +198,11 @@ class SegmentStore {
   }
   /// reserve_users() for one-at-a-time registration: a lane that must grow
   /// at least doubles its slab, so registering n users rehashes O(log n)
-  /// times. Setup phase only.
-  void grow_users(std::uint64_t users) { size_lanes(users, &UserIndex::grow); }
+  /// times. Inside an earlier reservation it is one compare: every lane is
+  /// already sized for `users`. Setup phase only.
+  void grow_users(std::uint64_t users) {
+    if (users > sized_users_) size_lanes(users, &UserIndex::grow);
+  }
 
   /// Durably records (user, version, set): `set` holds one table per
   /// schema table, in order. When the user's previous record lives in the
@@ -354,6 +357,14 @@ class SegmentStore {
   void write_meta() const;
   void validate_meta() const;
   void open_existing_segments();
+  /// The scan-on-open of `segs` (sorted by writer, then seq): verifies
+  /// every segment's valid prefix, one job per lane that holds segments,
+  /// then publishes the records into the index in (writer, seq, offset)
+  /// order (see DESIGN.md, "Fleet tier").
+  void scan_segments(std::span<const std::unique_ptr<Segment>> segs);
+  /// Finds seg's longest valid prefix (sets used and records, resyncs the
+  /// advisory header count) without touching the index.
+  void verify_segment(Segment& seg) const noexcept;
   /// Rolls `w` onto a new tail: its spare when it has one, else a fresh file.
   Segment* new_segment(Writer& w);
   /// The recycled roll (see recycle_site); null when the spare's file is
@@ -367,7 +378,6 @@ class SegmentStore {
   std::size_t fresh_segment_bytes() const noexcept;
   void set_segment_path(std::string& path, std::uint64_t writer,
                         std::uint64_t seq) const;
-  void scan_segment(Segment& seg);
   void publish_index(std::uint64_t user, Segment& seg, std::uint64_t offset,
                      std::uint64_t version);
   /// Appends one record (delta when profitable and allowed) and flips the
@@ -420,6 +430,8 @@ class SegmentStore {
   faults::Site pre_publish_site_{"segment_store.pre_publish"};
   faults::Site corrupt_site_{"segment_store.corrupt"};
   faults::Site recycle_site_{"segment_store.recycle"};
+  /// Users every lane's index is sized for; set only by size_lanes().
+  std::uint64_t sized_users_ = 0;
 };
 
 }  // namespace coreda::serve

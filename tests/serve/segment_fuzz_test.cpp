@@ -4,10 +4,11 @@
 // parent offsets, row counts, row indices, user ids and the header's
 // advisory record count; the record checksum is its last line of defence,
 // so the structural checks must stand in front of it. Two corpora, each
-// one writer's store after full-set sweeps that reclaimed and recycled
-// segments, then interleaved anchor/delta chains: several segment files,
-// recycled ones among them, plus a leftover spare holding a previous
-// life's records (as a crash before a recycled roll's scrub leaves it):
+// a two-writer store (both lanes hold records, so the scan verifies the
+// segments on parallel jobs) after full-set sweeps that reclaimed and recycled segments, then interleaved
+// anchor/delta chains: several segment files per lane, recycled ones among
+// them, plus a leftover spare holding a previous life's records (as a
+// crash before a recycled roll's scrub leaves it):
 //
 //   * a one-table store (an 8 x 4 table);
 //   * a whole-home store: four tables shaped like the library's ADLs,
@@ -64,8 +65,9 @@ constexpr int kMutations = 2000;
 constexpr std::size_t kHeaderBytes = 40;
 /// Full-set sweeps before the delta chains: enough to empty, reclaim and
 /// recycle segments.
-constexpr std::uint64_t kSweeps = 8;
-constexpr char kSpareName[] = "seg-w0.spare";
+constexpr std::uint64_t kSweeps = 10;
+/// Writer lanes of every corpus store.
+constexpr std::size_t kWriters = 2;
 
 /// A table keyed like a planner of an ADL with `tools` tools: the idle
 /// step plus the tools as state symbols, (n + 1)^2 states, two prompt
@@ -128,6 +130,7 @@ struct SegmentScanFuzz : ::testing::Test {
   std::vector<std::uint64_t> boundary_rows;
   std::vector<unsigned char> meta;
   std::vector<File> files;  ///< segment files by name, then the spare
+  std::string spare_name;   ///< the spare's file name (its writer's)
   std::size_t records = 0;  ///< valid records across the segment files
   std::vector<std::uint64_t> committed = std::vector<std::uint64_t>(kUsers);
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<rl::QTable>>
@@ -138,6 +141,7 @@ struct SegmentScanFuzz : ::testing::Test {
     p.dir = dir;
     p.segment_bytes = file_bytes;
     p.rebase_every = 4;
+    p.writers = kWriters;
     return p;
   }
 
@@ -186,10 +190,12 @@ struct SegmentScanFuzz : ::testing::Test {
       // Before each recycled roll's scrub, keep the spare as it is: the
       // previous life intact.
       int recycle_steps = 0;
-      store->recycle_site().set_hook(
-          [&recycle_steps, &spare_life](const std::string& path) {
-            if (recycle_steps++ % 4 == 0) spare_life = read_file(path);
-          });
+      store->recycle_site().set_hook([&](const std::string& path) {
+        if (recycle_steps++ % 4 == 0) {
+          spare_life = read_file(path);
+          spare_name = fs::path(path).filename().string();
+        }
+      });
       std::vector<std::vector<rl::QTable>> sets(kUsers, empty_set());
       util::Rng rng(2024);
       const auto commit = [&](std::uint64_t u, std::uint64_t version) {
@@ -224,7 +230,7 @@ struct SegmentScanFuzz : ::testing::Test {
     // Closing unlinked the spare; a crash before the last recycled roll's
     // scrub would have left it as captured.
     ASSERT_FALSE(spare_life.empty());
-    write_file(dir + "/" + kSpareName, spare_life);
+    write_file(dir + "/" + spare_name, spare_life);
     meta = read_file(dir + "/store.meta");
     for (const fs::directory_entry& de : fs::directory_iterator(dir)) {
       const std::string name = de.path().filename().string();
@@ -241,15 +247,25 @@ struct SegmentScanFuzz : ::testing::Test {
         off += len;
       }
       ASSERT_FALSE(f.records.empty()) << name;
-      if (name != kSpareName) records += f.records.size();
+      if (name != spare_name) records += f.records.size();
       files.push_back(std::move(f));
     }
-    std::sort(files.begin(), files.end(), [](const File& a, const File& b) {
-      return (a.name == kSpareName) != (b.name == kSpareName)
-                 ? b.name == kSpareName
-                 : a.name < b.name;
-    });
-    ASSERT_EQ(files.back().name, kSpareName);
+    std::sort(files.begin(), files.end(),
+              [this](const File& a, const File& b) {
+                return (a.name == spare_name) != (b.name == spare_name)
+                           ? b.name == spare_name
+                           : a.name < b.name;
+              });
+    ASSERT_EQ(files.back().name, spare_name);
+    // Every lane holds records, so the scan verifies on parallel jobs.
+    for (std::size_t w = 0; w < kWriters; ++w) {
+      const std::string lane = "seg-w" + std::to_string(w) + "-";
+      ASSERT_TRUE(std::any_of(files.begin(), files.end() - 1,
+                              [&lane](const File& f) {
+                                return f.name.rfind(lane, 0) == 0;
+                              }))
+          << lane;
+    }
   }
 
   /// A replacement for a field: boundary values, near misses, and noise.

@@ -213,5 +213,30 @@ TEST(ServeAllocTest, ReopenScanAllocatesPerSegmentNotPerRecord) {
   EXPECT_EQ(small, large) << "reopen allocations scale with record count";
 }
 
+TEST(ServeAllocTest, RegistrationInsideTheReservationIsAllocationFree) {
+  adl::AdlLibrary library;
+  planning::RoutineLearner donor(library.tea_making(), util::Rng(17));
+  const std::string dir = ::testing::TempDir() + "/coreda_register_allocs";
+  std::filesystem::remove_all(dir);
+  SegmentStoreParams p;
+  p.dir = dir;
+  p.writers = 4;
+  SegmentStore store(donor.state_codec().symbols(),
+                     donor.action_codec().tools(), donor.q().num_states(),
+                     donor.q().num_actions(), p);
+  FleetEngineParams params;
+  params.shards = 4;
+  FleetEngine fleet(library, library.tea_making(), store, donor.q(), params);
+  constexpr std::uint64_t kUsers = 100000;
+  fleet.reserve_users(kUsers);
+  const std::size_t slab = store.index_slab_bytes();
+  const std::uint64_t before = util::allocation_count();
+  for (std::uint64_t u = 0; u < kUsers; ++u) fleet.register_user(0.3);
+  EXPECT_EQ(util::allocation_count() - before, 0u);
+  EXPECT_EQ(store.index_slab_bytes(), slab);
+  EXPECT_EQ(fleet.num_users(), kUsers);
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace coreda::serve

@@ -14,7 +14,7 @@ BUILD_DIR="${1:-build-tsan}"
 # unit at once, which can exhaust memory under the sanitizer.
 cmake -B "$BUILD_DIR" -S . -DCOREDA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target test_exec test_sim test_trace \
-  test_core test_serve bench_fleet_throughput bench_session_throughput bench_serve_throughput \
+  test_core test_serve test_fuzz bench_fleet_throughput bench_session_throughput bench_serve_throughput \
   bench_retrain_recovery bench_fleet_serve bench_chaos_soak \
   bench_scenario_corpus
 
@@ -100,6 +100,22 @@ case "$reclaim_line" in
     exit 1
     ;;
 esac
+# Fleet bring-up on parallel jobs: 4-, 2- and 8-writer reopens of a store
+# with records in every lane verify its segments on parallel jobs, and
+# Zipf tables of two and five chunks build their terms on 4 jobs. The run
+# fails if the filter selects no test.
+bringup_out=$("$BUILD_DIR"/tests/test_serve \
+  --gtest_filter='LaneScanDigest.*:ZipfTableDigest.*')
+case "$bringup_out" in
+  *"[  PASSED  ] 4 tests."*) echo "TSan fleet bring-up run passed" ;;
+  *)
+    echo "TSan fleet bring-up run did not run its 4 tests" >&2
+    exit 1
+    ;;
+esac
+# The scan fuzzer's corpora are two-lane stores: every mutated store it
+# reopens goes through the parallel verify.
+"$BUILD_DIR"/tests/test_fuzz > /dev/null
 # The chaos soak runs every fault seam concurrently: shard trials evaluate
 # their sites' pure decision hashes and bump the shared relaxed injection
 # counters while InjectedCrash unwinds through concurrent appends and the
@@ -143,5 +159,6 @@ case "$pool_out" in
 esac
 
 echo "TSan: all exec/sim/trace-parallel tests, the batched pretrain, the" \
-     "fleet/session/serve/retrain/fleet-serve/chaos benches, the" \
-     "scenario corpus and the durable whole-home pool passed."
+     "fleet/session/serve/retrain/fleet-serve/chaos benches, the parallel" \
+     "reopen verify and its fuzzer, the chunked Zipf table, the scenario" \
+     "corpus and the durable whole-home pool passed."
