@@ -148,14 +148,17 @@ void BM_AccelIdleWindowSampleHits(benchmark::State& state) {
 }
 BENCHMARK(BM_AccelIdleWindowSampleHits);
 
-// The same idle windows, Arg() of them per iteration, through the idle
-// lanes as a node bank's wake runs them: a lane handed back (a bump, or a
-// deviate under the cutoff) takes the scalar sample_hits. Per-sample time
-// against BM_AccelIdleWindowSampleHits locates the smallest batch worth
-// the lanes (the firmware's kMinLaneBatch). Without AVX-512 every window
-// takes the scalar path (settled_share 0).
+// The same idle windows, range(0) of them per iteration, through the idle
+// lanes as a node bank's wake runs them, settling a window with at most
+// range(1) doubtful samples (0: every sample a certain non-hit; 2: the
+// firmware's 3-of-10 vote): a lane handed back takes the scalar
+// sample_hits. Per-sample time against BM_AccelIdleWindowSampleHits
+// locates the smallest batch worth the lanes (the firmware's
+// kMinLaneBatch). Without AVX-512 every window takes the scalar path
+// (settled_share 0).
 void BM_AccelIdleWindowLanes(benchmark::State& state) {
   const auto lanes_used = static_cast<std::size_t>(state.range(0));
+  const auto tolerance = static_cast<std::size_t>(state.range(1));
   sensors::AccelerometerModel model;
   sensors::IdleLane params{};
   model.idle_lane(model.recommended_threshold(), params);
@@ -169,8 +172,8 @@ void BM_AccelIdleWindowLanes(benchmark::State& state) {
   bool hits[kIdleWindow];
   std::uint64_t settled = 0;
   for (auto _ : state) {
-    const std::uint32_t mask =
-        sensors::settle_idle_windows(lanes, lanes_used, kIdleWindow);
+    const std::uint32_t mask = sensors::settle_idle_windows(
+        lanes, lanes_used, kIdleWindow, tolerance);
     benchmark::DoNotOptimize(mask);
     for (std::size_t i = 0; i < lanes_used; ++i) {
       if (((mask >> i) & 1u) != 0) continue;
@@ -188,7 +191,7 @@ void BM_AccelIdleWindowLanes(benchmark::State& state) {
       windows > 0 ? static_cast<double>(settled) / static_cast<double>(windows)
                   : 0.0;
 }
-BENCHMARK(BM_AccelIdleWindowLanes)->Arg(1)->Arg(2)->Arg(3)->Arg(8);
+BENCHMARK(BM_AccelIdleWindowLanes)->ArgsProduct({{1, 2, 3, 8}, {0, 2}});
 
 // --- Scheduler hot paths ---------------------------------------------------
 // Before the slot-pool rewrite every schedule_* call heap-allocated a

@@ -1,5 +1,9 @@
 #include "exec/thread_pool.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
@@ -67,6 +71,16 @@ void ThreadPool::worker_loop() {
 }
 
 std::size_t ThreadPool::hardware_workers() noexcept {
+#if defined(__linux__)
+  // The CPUs this process may run on: a cpuset-limited container reports
+  // its limit here, while hardware_concurrency counts the whole machine.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    const int allowed = CPU_COUNT(&set);
+    if (allowed > 0) return static_cast<std::size_t>(allowed);
+  }
+#endif
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<std::size_t>(n);
 }

@@ -41,7 +41,9 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return workers_.size(); }
 
-  /// std::thread::hardware_concurrency clamped to at least 1.
+  /// The CPUs this process may run on (its affinity mask, so a
+  /// cpuset-limited container counts only its own), at least 1. Falls back
+  /// to std::thread::hardware_concurrency where the mask cannot be read.
   static std::size_t hardware_workers() noexcept;
 
  private:

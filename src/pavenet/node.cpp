@@ -7,10 +7,10 @@ namespace coreda::pavenet {
 
 namespace {
 
-/// Fewest idle windows worth a lane batch. One lane costs about 1.5x a
-/// window's scalar sample_hits, two break even and eight cost about 3x
-/// less per window (bench_perf_micro: BM_AccelIdleWindowLanes against
-/// BM_AccelIdleWindowSampleHits).
+/// Fewest idle windows worth a lane batch. One lane costs about 1.3x a
+/// window's scalar sample_hits, two about 0.7x per window and eight about
+/// 4x less per window (bench_perf_micro: BM_AccelIdleWindowLanes/n/2
+/// against BM_AccelIdleWindowSampleHits).
 constexpr std::size_t kMinLaneBatch = 2;
 
 ThresholdDetector make_detector(const sensors::SensorModel& model,
@@ -151,9 +151,10 @@ void PavenetNode::sample_window() {
 void PavenetNode::vote() {
   const sim::Duration period = sample_period();
   if (window_settled_) {
-    // Every hit is false and the window is whole, so it closes with zero
-    // hits: it votes "idle" (vote_threshold >= 1), writes no record, sends
-    // nothing, and leaves the detector at a boundary, where it began.
+    // The window is whole and began at a detector boundary, and the lanes
+    // proved it has at most vote_threshold − 1 hits, so it closes below
+    // the vote: it votes "idle", writes no record, sends nothing, and
+    // leaves the detector at a boundary, where it began.
     samples_ += window_count_;
     next_sample_time_ = next_sample_time_ +
                         sim::Duration::micros(period.total_micros() *
@@ -254,16 +255,18 @@ void NodeBank::wake(PavenetNode* const* members, std::size_t count) {
   // Phase 1: every member's window of hits. A member's synthesis reads
   // only the world and its own Rng, which no vote below writes, so all of
   // it may run first. Idle accelerometer windows queue for the lanes (all
-  // of them a whole window under one FirmwareConfig); a lane handed back
-  // takes the scalar path from its window's start.
+  // of them a whole window under one FirmwareConfig, so one count and one
+  // vote); a lane handed back takes the scalar path from its window's
+  // start.
   sensors::IdleLane lanes[sensors::kIdleLanes];
   PavenetNode* queued[sensors::kIdleLanes];
   std::size_t pending = 0;
   const auto settle = [&] {
     const std::uint32_t settled =
         pending >= kMinLaneBatch
-            ? sensors::settle_idle_windows(lanes, pending,
-                                           queued[0]->window_count_)
+            ? sensors::settle_idle_windows(
+                  lanes, pending, queued[0]->window_count_,
+                  queued[0]->config_.vote_threshold - 1)
             : 0;
     for (std::size_t i = 0; i < pending; ++i) {
       queued[i]->window_settled_ = ((settled >> i) & 1u) != 0;

@@ -96,8 +96,10 @@ class PavenetNode {
   // A batched window in two phases (NodeBank::wake): gather() reads the
   // activations of the samples due by `limit` and marks an idle window
   // the lanes may settle; sample_window() computes the hits with the
-  // scalar sample_hits, unless the lanes settled the window; vote() runs
-  // the samples through the detector, EEPROM and radio.
+  // scalar sample_hits, unless the lanes settled the window, i.e. proved
+  // it closes with fewer hits than vote_threshold; vote() runs the
+  // samples through the detector, EEPROM and radio, or for a settled
+  // window only advances samples() and the next sample time.
   std::size_t gather(sim::TimePoint limit);
   void sample_window();
   void vote();
@@ -120,7 +122,7 @@ class PavenetNode {
   std::unique_ptr<bool[]> hit_buf_;      ///< batch mode: vote_window hits
   std::size_t window_count_ = 0;         ///< batch mode: samples gathered
   bool window_idle_ = false;             ///< batch mode: a lane candidate
-  bool window_settled_ = false;          ///< batch mode: all misses (lanes)
+  bool window_settled_ = false;          ///< batch mode: below the vote (lanes)
   bool lane_ok_ = false;                 ///< idle windows may go to lanes
   sensors::IdleLane lane_{};             ///< this node's lane parameters
   sim::TimePoint last_announce_;

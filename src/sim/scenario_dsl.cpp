@@ -38,6 +38,30 @@ double parse_unit_interval(const std::string& v, std::size_t line_no,
   return d;
 }
 
+double parse_at_most(const std::string& v, std::size_t line_no,
+                     std::size_t col, const std::string& key, double max) {
+  const double d = util::parse_double(kContext, v, line_no, col);
+  if (d > max) {
+    util::parse_fail(kContext, line_no, col,
+                     key + " must be <= " + format_double(max) + ", got '" +
+                         v + "'");
+  }
+  return d;
+}
+
+/// A segment's count of forced decisions, each queued at its start.
+std::uint64_t parse_forced(const std::string& v, std::size_t line_no,
+                           std::size_t col, const std::string& key) {
+  const std::uint64_t n = util::parse_u64(kContext, v, line_no, col);
+  if (n > ScenarioPlan::kMaxForcedDecisions) {
+    util::parse_fail(kContext, line_no, col,
+                     key + " must be <= " +
+                         std::to_string(ScenarioPlan::kMaxForcedDecisions) +
+                         ", got '" + v + "'");
+  }
+  return n;
+}
+
 }  // namespace
 
 ScenarioPlan ScenarioPlan::parse(std::istream& in) {
@@ -126,7 +150,8 @@ ScenarioPlan ScenarioPlan::parse(std::istream& in) {
       } else if (key == "hint") {
         plan.hint = value;
       } else if (key == "max_minutes") {
-        plan.max_minutes = util::parse_double(kContext, value, line_no, vcol);
+        plan.max_minutes = parse_at_most(value, line_no, vcol, "max_minutes",
+                                         kMaxMinutes);
         if (plan.max_minutes <= 0.0) {
           util::parse_fail(kContext, line_no, vcol, "max_minutes must be > 0");
         }
@@ -138,7 +163,8 @@ ScenarioPlan ScenarioPlan::parse(std::istream& in) {
     }
     if (current->is_interrupt()) {
       if (key == "pause_s") {
-        current->pause_s = util::parse_double(kContext, value, line_no, vcol);
+        current->pause_s = parse_at_most(value, line_no, vcol, "pause_s",
+                                         kMaxPauseSeconds);
       } else {
         util::parse_fail(kContext, line_no, kcol,
                          "unknown interrupt key '" + key + "'");
@@ -161,9 +187,9 @@ ScenarioPlan ScenarioPlan::parse(std::istream& in) {
         }
       }
     } else if (key == "freeze") {
-      current->freeze = util::parse_u64(kContext, value, line_no, vcol);
+      current->freeze = parse_forced(value, line_no, vcol, "freeze");
     } else if (key == "wrong_tool") {
-      current->wrong_tool = util::parse_u64(kContext, value, line_no, vcol);
+      current->wrong_tool = parse_forced(value, line_no, vcol, "wrong_tool");
     } else {
       util::parse_fail(kContext, line_no, kcol,
                        "unknown segment key '" + key + "'");

@@ -64,6 +64,15 @@ struct ScenarioPart {
 ///   [segment Tea-making]
 ///   resume = true
 struct ScenarioPlan {
+  /// Bounds parse() enforces, so a plan cannot ask a session for an
+  /// unbounded amount of work or a duration past sim::Duration's range:
+  /// an interruption lasts at most a day (pause_s in (0, 86400]), so does
+  /// a session (max_minutes in (0, 1440]), and a segment queues at most
+  /// 100 forced freezes and 100 forced wrong-tool grabs.
+  static constexpr double kMaxPauseSeconds = 86400.0;
+  static constexpr double kMaxMinutes = 1440.0;
+  static constexpr std::uint64_t kMaxForcedDecisions = 100;
+
   std::uint64_t seed = 1;
   std::uint64_t users = 1;
   std::uint64_t rounds = 1;
@@ -88,8 +97,10 @@ struct ScenarioPlan {
   /// Parses the text format. Malformed input throws std::runtime_error
   /// with "scenario plan line N col C: ..." diagnostics (column of the
   /// offending token in the raw line); plans that parse but make no sense
-  /// (no segments, bad arrivals mode, severity outside [0,1], resume of an
-  /// ADL no earlier segment started) are rejected the same way.
+  /// (no segments, bad arrivals mode, severity outside [0,1], a value past
+  /// the bounds above, resume of an ADL no earlier segment started) are
+  /// rejected the same way. Counts take no sign and numbers must be
+  /// finite (util/plan_text).
   static ScenarioPlan parse(std::istream& in);
 
   /// Writes the canonical text form; parse(save(p)) == p for any valid p.

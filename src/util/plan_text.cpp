@@ -1,5 +1,6 @@
 #include "util/plan_text.hpp"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -48,6 +49,11 @@ double parse_double_at(std::string_view context, const std::string& v,
     if (pos != v.size()) {
       fail_at(context, line_no, col, "trailing junk in '" + v + "'");
     }
+    // stod reads "nan" and "inf", which pass every range check after it.
+    if (!std::isfinite(d)) {
+      fail_at(context, line_no, col,
+              "expected a finite number, got '" + v + "'");
+    }
     return d;
   } catch (const std::invalid_argument&) {
     fail_at(context, line_no, col, "expected a number, got '" + v + "'");
@@ -58,6 +64,12 @@ double parse_double_at(std::string_view context, const std::string& v,
 
 std::uint64_t parse_u64_at(std::string_view context, const std::string& v,
                            std::size_t line_no, std::size_t col) {
+  // stoull accepts a sign and negates in unsigned arithmetic: "-1" would
+  // read as 2⁶⁴ − 1.
+  if (!v.empty() && (v.front() == '-' || v.front() == '+')) {
+    fail_at(context, line_no, col,
+            "expected an unsigned integer, got '" + v + "'");
+  }
   try {
     std::size_t pos = 0;
     const unsigned long long u = std::stoull(v, &pos);

@@ -37,16 +37,18 @@ std::size_t leading_ws(const std::string& raw) noexcept;
 [[noreturn]] void parse_fail(std::string_view context, std::size_t line_no,
                              std::size_t col, const std::string& what);
 
-/// Parses a full-token double; diagnostics match the historical FaultPlan
-/// messages ("expected a number, got '...'" / "trailing junk in '...'" /
-/// "number out of range: '...'").
+/// Parses a full-token finite double; diagnostics match the historical
+/// FaultPlan messages ("expected a number, got '...'" / "trailing junk in
+/// '...'" / "number out of range: '...'"), and "nan" or "inf" is refused
+/// ("expected a finite number, got '...'").
 double parse_double(std::string_view context, const std::string& v,
                     std::size_t line_no);
 /// Column-carrying flavor for parsers that track token positions.
 double parse_double(std::string_view context, const std::string& v,
                     std::size_t line_no, std::size_t col);
 
-/// Parses a full-token unsigned integer ("expected an integer, got '...'").
+/// Parses a full-token unsigned integer ("expected an integer, got '...'");
+/// a leading sign is refused ("expected an unsigned integer, got '...'").
 std::uint64_t parse_u64(std::string_view context, const std::string& v,
                         std::size_t line_no);
 std::uint64_t parse_u64(std::string_view context, const std::string& v,

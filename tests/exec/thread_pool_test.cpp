@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <pthread.h>
+#include <sched.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -14,6 +15,8 @@
 #include <stdexcept>
 #include <system_error>
 #include <thread>
+
+#include "exec/trial_runner.hpp"
 
 namespace coreda::exec {
 namespace {
@@ -90,6 +93,34 @@ TEST(ThreadPoolTest, ZeroWorkersClampsToOne) {
 
 TEST(ThreadPoolTest, HardwareWorkersIsAtLeastOne) {
   EXPECT_GE(ThreadPool::hardware_workers(), 1u);
+}
+
+/// Death-test body: pins the process to the first CPU it may run on, then
+/// exits 0 when hardware_workers() and a hardware-sized TrialRunner both
+/// count that one CPU, 1 when either counts more.
+void count_workers_pinned_to_one_cpu() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0) std::_Exit(2);
+  int first = 0;
+  while (first < CPU_SETSIZE && !CPU_ISSET(first, &allowed)) ++first;
+  if (first == CPU_SETSIZE) std::_Exit(3);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  if (sched_setaffinity(0, sizeof one, &one) != 0) std::_Exit(4);
+  const bool counts_one =
+      ThreadPool::hardware_workers() == 1 && TrialRunner(0).jobs() == 1;
+  std::_Exit(counts_one ? 0 : 1);
+}
+
+// A cpuset-limited process starts no more workers than it may run: the
+// worker count follows the affinity mask, not the machine's CPU count.
+// The pin happens in a re-executed child, so this process keeps its mask.
+TEST(ThreadPoolDeathTest, HardwareWorkersFollowTheAffinityMask) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(count_workers_pinned_to_one_cpu(), ::testing::ExitedWithCode(0),
+              "");
 }
 
 /// Death-test body: limits the address space to about two more thread

@@ -110,6 +110,30 @@ TEST(FaultPlan, ParseRejectsGarbageWithLineNumbers) {
   }
 }
 
+TEST(FaultPlan, ParseRefusesSignedCountsAndNonFiniteNumbers) {
+  const auto message = [](const std::string& plan) {
+    std::stringstream text(plan);
+    try {
+      FaultPlan::parse(text);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("<no throw>");
+  };
+  EXPECT_EQ(message("seed = -1\n"),
+            "fault plan line 1: expected an unsigned integer, got '-1'");
+  EXPECT_EQ(message("seed = 1\n[site a.b]\ndelay_us = -5\n"),
+            "fault plan line 3: expected an unsigned integer, got '-5'");
+  EXPECT_EQ(message("seed = 1\n[site a.b]\nepoch_end = +9\n"),
+            "fault plan line 3: expected an unsigned integer, got '+9'");
+  EXPECT_EQ(message("seed = 1\n[site a.b]\nrate = nan\n"),
+            "fault plan line 3: expected a finite number, got 'nan'");
+  EXPECT_EQ(message("seed = 1\n[site a.b]\np_enter = inf\n"),
+            "fault plan line 3: expected a finite number, got 'inf'");
+  EXPECT_EQ(message("seed = 1\n[site a.b]\nloss_in_bad = -infinity\n"),
+            "fault plan line 3: expected a finite number, got '-infinity'");
+}
+
 TEST(FaultPlan, ParseDiagnosticsUnchangedByPlanTextExtraction) {
   // The parser now delegates to util/plan_text; these messages predate the
   // extraction and are pinned byte-for-byte (replay scripts grep for them).

@@ -267,6 +267,8 @@ TEST(NodeBatchingTest, BankMatchesPerTickForEveryMember) {
   // alone), a 30-minute idle stretch, and a power_off mid-window. The
   // second channel delivers simultaneous frames instead of colliding
   // them and draws a loss per frame, so the frames' order is visible.
+  // The lanes settle a window below the vote (at most vote_threshold − 1
+  // doubtful samples), so the bank runs at votes of 1, 3 and 10.
   adl::AdlLibrary library;
   std::vector<adl::Tool> tools = library.tools().tools();
   for (auto kind : {adl::SensorKind::kBrightness,
@@ -288,7 +290,8 @@ TEST(NodeBatchingTest, BankMatchesPerTickForEveryMember) {
     bool operator==(const Observed&) const = default;
   };
   const Duration idle_stretch = Duration::minutes(30.0);
-  auto run = [&](bool batch, double threshold, RadioChannel::Params radio) {
+  auto run = [&](bool batch, double threshold, std::uint32_t votes,
+                 RadioChannel::Params radio) {
     sim::Scheduler scheduler;
     sensors::ManipulationWorld world;
     RadioChannel channel{scheduler, util::Rng(1), radio};
@@ -299,6 +302,7 @@ TEST(NodeBatchingTest, BankMatchesPerTickForEveryMember) {
     FirmwareConfig config;
     config.batch_sampling = batch;
     config.excitation_threshold = threshold;
+    config.vote_threshold = votes;
     NodeBank bank(scheduler, world, channel, config);
     PavenetNode* cup = nullptr;
     for (const adl::Tool& tool : tools) {
@@ -338,19 +342,24 @@ TEST(NodeBatchingTest, BankMatchesPerTickForEveryMember) {
   RadioChannel::Params lossy;
   lossy.loss_probability = 0.1;
   lossy.model_collisions = false;
-  for (const RadioChannel::Params& radio : {RadioChannel::Params{}, lossy}) {
-    for (double threshold : {-1.0, 0.12}) {  // -1: each model's recommended
-      SCOPED_TRACE("threshold " + std::to_string(threshold) + " loss " +
-                   std::to_string(radio.loss_probability));
-      const Observed per_tick = run(false, threshold, radio);
-      const Observed banked = run(true, threshold, radio);
-      ASSERT_EQ(per_tick.members.size(), tools.size());
-      EXPECT_GE(per_tick.uplink.size(), 5u);
-      for (std::size_t i = 0; i < tools.size(); ++i) {
-        SCOPED_TRACE(tools[i].name);
-        EXPECT_TRUE(per_tick.members[i] == banked.members[i]);
+  for (std::uint32_t votes : {1u, 3u, 10u}) {
+    for (const RadioChannel::Params& radio :
+         {RadioChannel::Params{}, lossy}) {
+      for (double threshold : {-1.0, 0.12}) {  // -1: each model's own
+        SCOPED_TRACE("votes " + std::to_string(votes) + " threshold " +
+                     std::to_string(threshold) + " loss " +
+                     std::to_string(radio.loss_probability));
+        const Observed per_tick = run(false, threshold, votes, radio);
+        const Observed banked = run(true, threshold, votes, radio);
+        ASSERT_EQ(per_tick.members.size(), tools.size());
+        // Only a window of ten hits passes a 10-of-10 vote.
+        EXPECT_GE(per_tick.uplink.size(), votes == 10 ? 1u : 5u);
+        for (std::size_t i = 0; i < tools.size(); ++i) {
+          SCOPED_TRACE(tools[i].name);
+          EXPECT_TRUE(per_tick.members[i] == banked.members[i]);
+        }
+        EXPECT_TRUE(per_tick.uplink == banked.uplink);
       }
-      EXPECT_TRUE(per_tick.uplink == banked.uplink);
     }
   }
 }

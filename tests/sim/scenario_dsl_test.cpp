@@ -70,6 +70,21 @@ const MalformedCase kMalformed[] = {
     {"interrupt-without-pause", "[segment Tea-making]\n\n[interrupt]\n"},
     {"no-segments", "seed = 1\n\n[interrupt]\npause_s = 10\n"},
     {"indented-error-keeps-raw-column", "    severity = hot\n"},
+    // Counts take no sign (stoull would read -1 as 2^64 - 1), numbers
+    // must be finite, and pauses, deadlines and forced decisions are
+    // bounded (ScenarioPlan's kMax* constants).
+    {"users-negative", "users = -1\n"},
+    {"seed-plus-sign", "seed = +5\n"},
+    {"wrong-tool-negative", "[segment Tea-making]\nwrong_tool = -1\n"},
+    {"severity-nan", "severity = nan\n"},
+    {"max-minutes-inf", "max_minutes = inf\n"},
+    {"max-minutes-above-a-day", "max_minutes = 1440.5\n"},
+    {"pause-above-a-day",
+     "[segment Tea-making]\n\n[interrupt]\npause_s = 1e300\n"},
+    {"pause-nan", "[segment Tea-making]\n\n[interrupt]\npause_s = nan\n"},
+    {"freeze-above-bound", "[segment Tea-making]\nfreeze = 101\n"},
+    {"wrong-tool-above-bound",
+     "[segment Tea-making]\nwrong_tool = 18446744073709551615\n"},
 };
 
 std::string render_diagnostics() {
@@ -183,6 +198,22 @@ TEST(ScenarioDslRoundTrip, DefaultsSurviveMinimalPlan) {
   EXPECT_EQ(plan.parts[0].adl, "Tea-making");
   EXPECT_EQ(plan.parts[0].steps, 0u);
   EXPECT_FALSE(plan.parts[0].resume);
+}
+
+TEST(ScenarioDslRoundTrip, BoundsAreInclusive) {
+  std::istringstream in(
+      "max_minutes = 1440\n"
+      "[segment Tea-making]\n"
+      "freeze = 100\n"
+      "wrong_tool = 100\n"
+      "[interrupt]\n"
+      "pause_s = 86400\n");
+  const ScenarioPlan plan = ScenarioPlan::parse(in);
+  EXPECT_EQ(plan.max_minutes, ScenarioPlan::kMaxMinutes);
+  ASSERT_EQ(plan.parts.size(), 2u);
+  EXPECT_EQ(plan.parts[0].freeze, ScenarioPlan::kMaxForcedDecisions);
+  EXPECT_EQ(plan.parts[0].wrong_tool, ScenarioPlan::kMaxForcedDecisions);
+  EXPECT_EQ(plan.parts[1].pause_s, ScenarioPlan::kMaxPauseSeconds);
 }
 
 TEST(ScenarioDslRoundTrip, CommentsAndBlankLinesAreSkipped) {

@@ -340,6 +340,30 @@ TEST(CliTest, ScenarioCheckPrintsTheCanonicalForm) {
   std::remove(path.c_str());
 }
 
+// A negative count used to parse as 2^64 - 1 forced decisions, which a
+// run would queue until memory ran out; check refuses the file instead.
+TEST(CliTest, ScenarioCheckRefusesNegativeCountsAndNonFiniteNumbers) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "cli_bad.scenario")
+          .string();
+  for (const char* body :
+       {"[segment Tea-making]\nwrong_tool = -1\n",
+        "users = -1\n[segment Tea-making]\n",
+        "max_minutes = inf\n[segment Tea-making]\n",
+        "[segment Tea-making]\n[interrupt]\npause_s = 1e300\n"}) {
+    {
+      std::ofstream out(path);
+      out << body;
+    }
+    const CliResult r = run({"scenario", "check", path});
+    EXPECT_EQ(r.code, 2) << body;
+    EXPECT_NE(r.err.find("failure: scenario plan line"), std::string::npos)
+        << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CliTest, ScenarioRunAndCheckValidateTheirInputs) {
   EXPECT_EQ(run({"scenario", "run"}).code, 1);
   EXPECT_EQ(run({"scenario", "run", "/no/such/file.scenario"}).code, 1);

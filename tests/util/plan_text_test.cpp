@@ -59,6 +59,27 @@ TEST(PlanTextTest, ParseU64MatchesHistoricalFaultPlanMessages) {
       "fault plan line 2: integer out of range: '99999999999999999999999'");
 }
 
+TEST(PlanTextTest, ParseDoubleRefusesNonFiniteValues) {
+  for (const char* v : {"nan", "NAN", "-nan", "inf", "-inf", "infinity"}) {
+    EXPECT_EQ(thrown_what([v] { parse_double("fault plan", v, 4); }),
+              std::string("fault plan line 4: expected a finite number, "
+                          "got '") + v + "'");
+  }
+  EXPECT_DOUBLE_EQ(parse_double("fault plan", "-0.5", 1), -0.5);
+  EXPECT_DOUBLE_EQ(parse_double("fault plan", "1e300", 1), 1e300);
+}
+
+TEST(PlanTextTest, ParseU64RefusesASign) {
+  // stoull would read "-1" as 2^64 - 1.
+  EXPECT_EQ(thrown_what([] { parse_u64("fault plan", "-1", 2); }),
+            "fault plan line 2: expected an unsigned integer, got '-1'");
+  EXPECT_EQ(thrown_what([] { parse_u64("scenario plan", "+7", 2, 8); }),
+            "scenario plan line 2 col 8: expected an unsigned integer, "
+            "got '+7'");
+  EXPECT_EQ(parse_u64("fault plan", "18446744073709551615", 1),
+            18446744073709551615u);
+}
+
 TEST(PlanTextTest, ColumnCarryingVariantsIncludeCol) {
   EXPECT_EQ(thrown_what([] { parse_double("scenario plan", "abc", 4, 9); }),
             "scenario plan line 4 col 9: expected a number, got 'abc'");
