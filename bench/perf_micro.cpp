@@ -19,7 +19,6 @@
 #include "serve/fleet_engine.hpp"
 #include "serve/segment_store.hpp"
 #include "serve/user_index.hpp"
-#include "rl/td_lambda.hpp"
 #include "sensors/idle_lanes.hpp"
 #include "sensors/models.hpp"
 #include "sim/scheduler.hpp"
@@ -35,26 +34,6 @@
 namespace {
 
 using namespace coreda;
-
-void BM_QTableUpdate(benchmark::State& state) {
-  rl::TdLambdaQLearning learner(25, 8);
-  rl::Transition t{3, 2, 100.0, 7, false};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(learner.observe(t));
-  }
-}
-BENCHMARK(BM_QTableUpdate);
-
-void BM_CounterfactualSweep(benchmark::State& state) {
-  rl::TdLambdaQLearning learner(25, 8);
-  for (auto _ : state) {
-    for (rl::ActionId a = 0; a < 8; ++a) {
-      benchmark::DoNotOptimize(
-          learner.update_counterfactual(3, a, 100.0, 7, false));
-    }
-  }
-}
-BENCHMARK(BM_CounterfactualSweep);
 
 void BM_TrainEpisode(benchmark::State& state) {
   adl::AdlLibrary library;

@@ -262,21 +262,27 @@ FaultPlan FaultPlan::parse(std::istream& in) {
 }
 
 void FaultPlan::save(std::ostream& out) const {
+  // Shortest round-trip doubles, so parse(save(p)) keeps every rate.
+  using util::format_double;
   out << "# coreda faults plan v1\n";
   out << "seed = " << seed << '\n';
   for (const auto& [name, cfg] : sites) {
     out << "\n[site " << name << "]\n";
-    if (cfg.rate > 0.0) out << "rate = " << cfg.rate << '\n';
+    if (cfg.rate > 0.0) out << "rate = " << format_double(cfg.rate) << '\n';
     if (cfg.delay_us != 0) out << "delay_us = " << cfg.delay_us << '\n';
     if (cfg.epoch_begin != 0) out << "epoch_begin = " << cfg.epoch_begin << '\n';
     if (cfg.epoch_end != UINT64_MAX) out << "epoch_end = " << cfg.epoch_end << '\n';
-    if (cfg.burst.p_enter > 0.0) out << "p_enter = " << cfg.burst.p_enter << '\n';
-    if (cfg.burst.p_exit > 0.0) out << "p_exit = " << cfg.burst.p_exit << '\n';
+    if (cfg.burst.p_enter > 0.0) {
+      out << "p_enter = " << format_double(cfg.burst.p_enter) << '\n';
+    }
+    if (cfg.burst.p_exit > 0.0) {
+      out << "p_exit = " << format_double(cfg.burst.p_exit) << '\n';
+    }
     if (cfg.burst.loss_in_good > 0.0) {
-      out << "loss_in_good = " << cfg.burst.loss_in_good << '\n';
+      out << "loss_in_good = " << format_double(cfg.burst.loss_in_good) << '\n';
     }
     if (cfg.burst.loss_in_bad > 0.0) {
-      out << "loss_in_bad = " << cfg.burst.loss_in_bad << '\n';
+      out << "loss_in_bad = " << format_double(cfg.burst.loss_in_bad) << '\n';
     }
   }
 }

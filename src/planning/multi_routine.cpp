@@ -57,54 +57,86 @@ std::vector<adl::StepId> step_vocabulary(const adl::Adl& adl) {
   return out;
 }
 
+/// The planning subsystem's defaults, which the learner trains with.
+const LearnerConfig& defaults() {
+  static const LearnerConfig config;
+  return config;
+}
+
 }  // namespace
 
 MultiRoutineLearner::MultiRoutineLearner(const adl::Adl& adl,
                                          std::size_t history_depth,
-                                         util::Rng rng, LearnerConfig config)
+                                         util::Rng rng)
     : adl_(&adl),
       codec_(step_vocabulary(adl), history_depth),
       actions_(adl.tools()),
-      reward_(config.reward),
-      learner_(codec_.num_states(), actions_.num_actions(), config.td),
-      policy_(config.epsilon, config.epsilon_decay, config.min_epsilon),
-      rng_(rng) {}
+      // One trace entry per transition; the engine grows past 16 on demand.
+      engine_(1, codec_.num_states(), actions_.num_actions(), 16,
+              defaults().td),
+      rng_(rng),
+      epsilon_(defaults().epsilon) {
+  // Rewards depend only on (action, next step, completes), so both reward
+  // matrices are built once, one row per vocabulary symbol. A one-step
+  // history encodes as its step's symbol index.
+  const CoredaRewardFunction reward(defaults().reward);
+  const std::size_t num_actions = actions_.num_actions();
+  std::vector<adl::StepId> symbols = step_vocabulary(adl);
+  symbols.push_back(adl::kIdleStep);
+  step_rewards_.resize(symbols.size() * num_actions);
+  terminal_rewards_.resize(symbols.size() * num_actions);
+  for (const adl::StepId step : symbols) {
+    const std::size_t row = *codec_.encode(std::span(&step, 1)) * num_actions;
+    for (rl::ActionId a = 0; a < num_actions; ++a) {
+      const PlannerAction action = actions_.decode(a);
+      step_rewards_[row + a] = reward(action, step, /*completes=*/false);
+      terminal_rewards_[row + a] = reward(action, step, /*completes=*/true);
+    }
+  }
+}
 
 void MultiRoutineLearner::train_episode(std::span<const adl::StepId> steps) {
   ++episodes_;
-  if (steps.size() < 2) {
-    policy_.decay_epsilon();
-    return;
+  // Keep the steps the codec knows (the encode doubles as the vocabulary
+  // test); transition t arrives at kept step t + 1 and reads its row.
+  const std::size_t num_actions = actions_.num_actions();
+  kept_.clear();
+  rewards_.clear();
+  std::size_t last_row = 0;
+  for (const adl::StepId step : steps) {
+    const auto sym = codec_.encode(std::span(&step, 1));
+    if (!sym) continue;
+    last_row = *sym * num_actions;
+    if (!kept_.empty()) rewards_.push_back(step_rewards_.data() + last_row);
+    kept_.push_back(step);
   }
-  learner_.begin_episode();
-  for (std::size_t i = 1; i < steps.size(); ++i) {
-    const auto s = codec_.encode(steps.subspan(0, i));
-    const auto s_next = codec_.encode(steps.subspan(0, i + 1));
-    if (!s || !s_next) continue;
-
-    const rl::ActionId a = policy_.select(learner_.q(), *s, rng_);
-    const PlannerAction action = actions_.decode(a);
-    const adl::StepId next = steps[i];
-
-    bool completes = false;
-    if (i + 1 == steps.size()) {
-      for (const adl::AdlRoutine& r : adl_->routines()) {
-        if (r.is_terminal(next)) completes = true;
-      }
+  if (kept_.size() >= 2) {
+    states_.resize(kept_.size());
+    for (std::size_t i = 0; i < kept_.size(); ++i) {
+      states_[i] = *codec_.encode(std::span(kept_).first(i + 1));
     }
-    const double r = reward_(action, next, completes);
-    // Terminal only on genuine completion (see RoutineLearner for why).
-    learner_.observe(rl::Transition{*s, a, r, *s_next, completes});
+    // Terminal only on genuine completion (see LaneTrainer::queue_episode).
+    bool completes = false;
+    for (const adl::AdlRoutine& r : adl_->routines()) {
+      if (r.is_terminal(kept_.back())) completes = true;
+    }
+    if (completes) rewards_.back() = terminal_rewards_.data() + last_row;
+    engine_.train_episode(
+        0,
+        rl::Trajectory{states_.data(), rewards_.data(),
+                       static_cast<std::uint32_t>(rewards_.size()), completes},
+        epsilon_, rng_, /*sweep=*/false);
   }
-  policy_.decay_epsilon();
+  epsilon_ = std::max(defaults().min_epsilon,
+                      epsilon_ * defaults().epsilon_decay);
 }
 
 std::optional<PlannedPrompt> MultiRoutineLearner::predict(
     std::span<const adl::StepId> history) const {
   const auto s = codec_.encode(history);
   if (!s) return std::nullopt;
-  const rl::ActionId a = learner_.q().best_action(*s);
-  return PlannedPrompt{actions_.decode(a), learner_.q().get(*s, a)};
+  const rl::ActionId a = q().best_action(*s);
+  return PlannedPrompt{actions_.decode(a), q().get(*s, a)};
 }
 
 double MultiRoutineLearner::routine_accuracy(

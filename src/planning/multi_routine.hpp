@@ -7,8 +7,7 @@
 #include "adl/routine.hpp"
 #include "planning/codec.hpp"
 #include "planning/learner.hpp"
-#include "rl/policy.hpp"
-#include "rl/td_lambda.hpp"
+#include "rl/lane_engine.hpp"
 #include "util/rng.hpp"
 
 namespace coreda::planning {
@@ -49,12 +48,23 @@ class HistoryCodec {
 /// routines that differ within that horizon. The A5 experiment shows
 /// depth 2 (the paper's encoding) mis-prompting at the shared context while
 /// depth 3 reaches full accuracy on both dressing routines.
+///
+/// Training runs on a width-1 rl::LaneEngine with a default LearnerConfig's
+/// TD(λ) parameters, rewards and ε schedule, and no counterfactual sweep.
+/// Steps outside the vocabulary (the ADL's tools plus idle) are dropped
+/// before the history is encoded, the rule RoutineLearner follows, so an
+/// episode is one contiguous chain of states. Only episodes that hold such
+/// a step train differently from the scalar loop this replaced, which
+/// encoded raw windows and skipped every transition whose window held one.
 class MultiRoutineLearner {
  public:
   MultiRoutineLearner(const adl::Adl& adl, std::size_t history_depth,
-                      util::Rng rng, LearnerConfig config = LearnerConfig());
+                      util::Rng rng);
 
-  /// Learns from one complete process following *any* routine of the ADL.
+  /// Learns from one complete process following *any* routine of the ADL:
+  /// one engine pass over the kept steps when there are at least two. The
+  /// last transition is terminal when the last kept step ends one of the
+  /// ADL's routines. ε decays on every call.
   void train_episode(std::span<const adl::StepId> steps);
 
   /// Greedy prompt given the observed history (most recent step last).
@@ -68,19 +78,25 @@ class MultiRoutineLearner {
   /// Accuracy over a single routine's contexts.
   double routine_accuracy(const adl::AdlRoutine& routine) const;
 
+  double epsilon() const noexcept { return epsilon_; }
   std::size_t episodes_trained() const noexcept { return episodes_; }
   const HistoryCodec& codec() const noexcept { return codec_; }
-  const rl::QTable& q() const noexcept { return learner_.q(); }
+  const rl::QTable& q() const noexcept { return engine_.q(0); }
 
  private:
   const adl::Adl* adl_;
   HistoryCodec codec_;
   ActionCodec actions_;
-  CoredaRewardFunction reward_;
-  rl::TdLambdaQLearning learner_;
-  rl::EpsilonGreedyPolicy policy_;
+  std::vector<double> step_rewards_;      ///< symbol-major, width A
+  std::vector<double> terminal_rewards_;  ///< symbol-major, width A
+  rl::LaneEngine engine_;
   util::Rng rng_;
+  double epsilon_;
   std::size_t episodes_ = 0;
+  // Episode scratch: the kept steps, their states and reward rows.
+  std::vector<adl::StepId> kept_;
+  std::vector<rl::StateId> states_;
+  std::vector<const double*> rewards_;
 };
 
 }  // namespace coreda::planning

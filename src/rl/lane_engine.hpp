@@ -7,8 +7,6 @@
 
 #include "rl/lane_kernels.hpp"
 #include "rl/q_table.hpp"
-#include "rl/td_lambda.hpp"
-#include "rl/traces.hpp"
 #include "rl/types.hpp"
 #include "util/rng.hpp"
 
@@ -25,13 +23,14 @@ struct Trajectory {
   bool terminal = false;
 };
 
-/// Structure-of-arrays TD(λ) engine: one lane holds `width` learners, each
-/// with its own Q table (an rl::QTable per slot) and eligibility traces
-/// inside shared contiguous slabs, and trains them one recorded episode at a
-/// time.
+/// Structure-of-arrays TD(λ) engine, the library's one Watkins Q(λ)
+/// learner: one lane holds `width` learners, each with its own Q table (an
+/// rl::QTable per slot) and replacing eligibility traces inside shared
+/// contiguous slabs, and trains them one recorded episode at a time.
 ///
-/// Why this is faster than `width` TdLambdaQLearning instances (measured on
-/// bench_fleet_throughput; see DESIGN.md "Lane engine"):
+/// Why this is faster than `width` scalar learners (the test-only reference
+/// in tests/support; measured on bench_fleet_throughput, see DESIGN.md
+/// "Lane engine"):
 ///
 ///   * the scalar path crosses a translation unit for every table access —
 ///     q_table.cpp's get/add/max_q/best_action are out-of-line calls with a
@@ -51,18 +50,19 @@ struct Trajectory {
 ///
 /// Bit-exactness contract: for each slot, the sequence of IEEE-754
 /// operations applied to its Q values, trace values and Rng stream is
-/// operation-for-operation the one TdLambdaQLearning + EpsilonGreedyPolicy
-/// + EligibilityTraces would apply. Slots never interact, so any order of
-/// slot work (including lane width and ragged batches) yields byte-identical
-/// per-user results — proven by the golden equivalence tests in
-/// tests/rl/lane_engine_test.cpp and tests/planning/lane_trainer_test.cpp.
+/// operation-for-operation the one the scalar reference's TdLambdaQLearning
+/// + EpsilonGreedyPolicy + EligibilityTraces would apply. Slots never
+/// interact, so any order of slot work (including lane width and ragged
+/// batches) yields byte-identical per-user results — proven by the golden
+/// equivalence tests in tests/rl/lane_engine_test.cpp and
+/// tests/planning/lane_trainer_test.cpp.
 class LaneEngine {
  public:
   /// `trace_capacity` bounds trace entries per slot; one visit per
   /// transition means the longest episode's transition count suffices.
   /// Throws std::invalid_argument on zero dimensions, rows of more than 64
   /// actions (selection keeps a row's ties in one 64-bit mask) or an
-  /// invalid config (same validation as TdLambdaQLearning).
+  /// invalid config (alpha outside (0, 1], gamma or lambda outside [0, 1]).
   LaneEngine(std::size_t width, std::size_t num_states,
              std::size_t num_actions, std::size_t trace_capacity,
              TdLambdaConfig config = TdLambdaConfig())
@@ -141,8 +141,7 @@ class LaneEngine {
   /// below the trace cutoff (40 entries at γλ = 0.63) — applies what is
   /// pending, hands the open window to the per-transition fallback (private
   /// select() + step()) as the slot's trace list and finishes the episode
-  /// there; so do accumulating traces and ε outside (0, 1), from the first
-  /// transition.
+  /// there; so does ε outside (0, 1), from the first transition.
   ///
   /// Rows of at most 8 actions run in AVX-512 registers when the CPU has
   /// AVX-512F and COREDA_LANE_SIMD is not "0"; the scalar body of the same
@@ -152,7 +151,7 @@ class LaneEngine {
                      double epsilon, util::Rng& rng, bool sweep);
 
   /// Episodes train_episode() finished on the per-transition path (a
-  /// hazard, or a configuration the one-pass body does not take).
+  /// hazard, or an ε the one-pass body does not take).
   std::uint64_t sequential_episodes() const noexcept {
     return sequential_episodes_;
   }
@@ -262,48 +261,30 @@ class LaneEngine {
       std::uint32_t* idxs = trace_idx_.data() + slot * trace_cap_;
       std::uint32_t len = trace_len_[slot];
 
-      if (config_.trace_type == TraceType::kReplacing) {
-        // clear_state_actions(s, a) fused with the visit(s, a) lookup: one
-        // pass drops this row's other entries and spots the kept cell's
-        // (unique) entry on the way through.
-        const std::uint32_t row_base =
-            static_cast<std::uint32_t>(s) * static_cast<std::uint32_t>(
-                                                num_actions_);
-        const auto keep = static_cast<std::uint32_t>(sa);
-        std::uint32_t out = 0;
-        std::uint32_t hit = UINT32_MAX;
-        for (std::uint32_t i = 0; i < len; ++i) {
-          const std::uint32_t idx = idxs[i];
-          if (idx - row_base < num_actions_ && idx != keep) continue;
-          if (idx == keep) hit = out;
-          idxs[out] = idx;
-          vals[out] = vals[i];
-          ++out;
-        }
-        len = out;
-        if (hit == UINT32_MAX) {
-          idxs[len] = keep;
-          vals[len] = 1.0;
-          ++len;
-        } else {
-          vals[hit] = 1.0;
-        }
+      // clear_state_actions(s, a) fused with the visit(s, a) lookup: one
+      // pass drops this row's other entries and spots the kept cell's
+      // (unique) entry on the way through.
+      const std::uint32_t row_base =
+          static_cast<std::uint32_t>(s) * static_cast<std::uint32_t>(
+                                              num_actions_);
+      const auto keep = static_cast<std::uint32_t>(sa);
+      std::uint32_t out = 0;
+      std::uint32_t hit = UINT32_MAX;
+      for (std::uint32_t i = 0; i < len; ++i) {
+        const std::uint32_t idx = idxs[i];
+        if (idx - row_base < num_actions_ && idx != keep) continue;
+        if (idx == keep) hit = out;
+        idxs[out] = idx;
+        vals[out] = vals[i];
+        ++out;
+      }
+      len = out;
+      if (hit == UINT32_MAX) {
+        idxs[len] = keep;
+        vals[len] = 1.0;
+        ++len;
       } else {
-        // visit(s, a): replace or append (accumulating adds).
-        std::uint32_t hit = len;
-        for (std::uint32_t i = 0; i < len; ++i) {
-          if (idxs[i] == sa) {
-            hit = i;
-            break;
-          }
-        }
-        if (hit == len) {
-          idxs[len] = static_cast<std::uint32_t>(sa);
-          vals[len] = 1.0;
-          ++len;
-        } else {
-          vals[hit] += 1.0;
-        }
+        vals[hit] = 1.0;
       }
 
       if (terminal) {
@@ -316,7 +297,7 @@ class LaneEngine {
         // entries (NOT decayed >= cutoff: NaN must stay kept, as in
         // EligibilityTraces::decay).
         const double factor = config_.gamma * config_.lambda;
-        std::uint32_t out = 0;
+        out = 0;
         for (std::uint32_t i = 0; i < len; ++i) {
           const std::uint32_t idx = idxs[i];
           const double v = vals[i];

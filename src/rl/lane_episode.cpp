@@ -313,10 +313,9 @@ void LaneEngine::train_episode(std::size_t slot, const Trajectory& episode,
                                double epsilon, util::Rng& rng, bool sweep) {
   check_slot(slot);
   if (episode.transitions > trace_cap_) reserve_traces(episode.transitions);
-  trace_len_[slot] = 0;  // TdLambdaQLearning::begin_episode
+  trace_len_[slot] = 0;  // the episode starts from cleared traces
   std::uint32_t t = 0;
-  if (config_.trace_type == TraceType::kReplacing && epsilon > 0.0 &&
-      epsilon < 1.0) {
+  if (epsilon > 0.0 && epsilon < 1.0) {
 #ifdef COREDA_LANE_EPISODE_X86
     if (g_avx512 && num_actions_ <= 8) {
       t = EpisodeKernel::run_avx512(*this, slot, episode, epsilon, rng, sweep);

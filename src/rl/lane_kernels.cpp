@@ -3,8 +3,8 @@
 // are the only intended callers of these).
 //
 // The scalar bodies are the reference: they perform byte-for-byte the same
-// IEEE-754 operation sequence as the TdLambdaQLearning / EligibilityTraces
-// code they replace (see lane_engine.hpp for the equivalence argument). The
+// IEEE-754 operation sequence as the test-only scalar TD(λ) reference
+// (tests/support; see lane_engine.hpp for the equivalence argument). The
 // AVX2 variants are compiled via function-level target attributes — the
 // translation unit itself builds at the project baseline, so the binary
 // still runs on any x86-64 — and are selected once at startup through

@@ -98,8 +98,8 @@ inline RowStats row_stats_given_max(const double* row, double max,
 
 /// Fused counterfactual row backup for a non-terminal transition:
 ///   row[a] += alpha * ((rewards[a] + bootstrap) - row[a])   for a != taken.
-/// Per-cell IEEE ops in the exact shape of
-/// TdLambdaQLearning::update_counterfactual_row; the AVX2 path keeps
+/// Per-cell IEEE ops in the exact shape of the scalar reference's
+/// update_counterfactual_row (tests/support); the AVX2 path keeps
 /// mul and add separate (no FMA contraction) and preserves row[taken]
 /// bit-exactly via a blend instead of adding a zero delta.
 inline void cf_update(double* row, const double* rewards, double bootstrap,

@@ -39,17 +39,6 @@ std::span<double> QTable::row_mut(StateId s) {
   return {values_.data() + index(s, 0), num_actions_};
 }
 
-void QTable::add_scaled_row(StateId s, std::span<const double> values,
-                            double scale) {
-  if (values.size() != num_actions_) {
-    throw std::invalid_argument("QTable::add_scaled_row: width mismatch");
-  }
-  double* row = values_.data() + index(s, 0);
-  for (std::size_t a = 0; a < num_actions_; ++a) {
-    row[a] += scale * values[a];
-  }
-}
-
 double QTable::max_q(StateId s) const {
   const auto r = row(s);
   return *std::max_element(r.begin(), r.end());
@@ -74,10 +63,6 @@ ActionId QTable::best_action(StateId s, util::Rng& rng) const {
     }
   }
   return chosen;
-}
-
-bool QTable::is_greedy(StateId s, ActionId a, double tolerance) const {
-  return get(s, a) >= max_q(s) - tolerance;
 }
 
 bool QTable::is_uniquely_greedy(StateId s, ActionId a,

@@ -36,10 +36,6 @@ class QTable {
   /// fused per-action update without one bounds check per cell.
   std::span<double> row_mut(StateId s);
 
-  /// Row-wise fused update: Q(s, a) += scale * values[a] for every action.
-  /// Throws std::invalid_argument when `values` is not num_actions() wide.
-  void add_scaled_row(StateId s, std::span<const double> values, double scale);
-
   /// Highest Q value in state `s`.
   double max_q(StateId s) const;
 
@@ -48,9 +44,6 @@ class QTable {
 
   /// Greedy action, ties broken uniformly at random.
   ActionId best_action(StateId s, util::Rng& rng) const;
-
-  /// Whether `a` attains the maximum of row `s` (within `tolerance`).
-  bool is_greedy(StateId s, ActionId a, double tolerance = 1e-12) const;
 
   /// Whether `a` is the *unique* maximizer of row `s`. Distinguishes a
   /// sharp greedy choice from a tie — Watkins' trace-keeping condition

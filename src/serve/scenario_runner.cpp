@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,10 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 double unit_interval(std::uint64_t h) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
+
+// ScenarioPlan::parse bounds users and active, so every user id fits.
+static_assert(sim::ScenarioPlan::kMaxUsers <=
+              std::numeric_limits<UserId>::max());
 
 /// Users arriving in round `r`, in arrival order.
 std::vector<UserId> arrivals_for_round(const sim::ScenarioPlan& plan,

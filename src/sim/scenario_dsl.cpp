@@ -1,6 +1,5 @@
 #include "sim/scenario_dsl.hpp"
 
-#include <charconv>
 #include <istream>
 #include <ostream>
 #include <string_view>
@@ -11,15 +10,6 @@ namespace coreda::sim {
 namespace {
 
 constexpr std::string_view kContext = "scenario plan";
-
-/// Shortest decimal form that parses back to exactly the same double —
-/// what makes parse(save(p)) == p hold for arbitrary fuzzed values, not
-/// just pretty ones.
-std::string format_double(double d) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, d);
-  return std::string(buf, end);
-}
 
 bool parse_bool(const std::string& v, std::size_t line_no, std::size_t col) {
   if (v == "true") return true;
@@ -43,21 +33,25 @@ double parse_at_most(const std::string& v, std::size_t line_no,
   const double d = util::parse_double(kContext, v, line_no, col);
   if (d > max) {
     util::parse_fail(kContext, line_no, col,
-                     key + " must be <= " + format_double(max) + ", got '" +
-                         v + "'");
+                     key + " must be <= " + util::format_double(max) +
+                         ", got '" + v + "'");
   }
   return d;
 }
 
-/// A segment's count of forced decisions, each queued at its start.
-std::uint64_t parse_forced(const std::string& v, std::size_t line_no,
-                           std::size_t col, const std::string& key) {
+/// A count in [min, max].
+std::uint64_t parse_count(const std::string& v, std::size_t line_no,
+                          std::size_t col, const std::string& key,
+                          std::uint64_t min, std::uint64_t max) {
   const std::uint64_t n = util::parse_u64(kContext, v, line_no, col);
-  if (n > ScenarioPlan::kMaxForcedDecisions) {
+  if (n < min) {
     util::parse_fail(kContext, line_no, col,
-                     key + " must be <= " +
-                         std::to_string(ScenarioPlan::kMaxForcedDecisions) +
-                         ", got '" + v + "'");
+                     key + " must be >= " + std::to_string(min));
+  }
+  if (n > max) {
+    util::parse_fail(kContext, line_no, col,
+                     key + " must be <= " + std::to_string(max) + ", got '" +
+                         v + "'");
   }
   return n;
 }
@@ -120,15 +114,10 @@ ScenarioPlan ScenarioPlan::parse(std::istream& in) {
       if (key == "seed") {
         plan.seed = util::parse_u64(kContext, value, line_no, vcol);
       } else if (key == "users") {
-        plan.users = util::parse_u64(kContext, value, line_no, vcol);
-        if (plan.users == 0) {
-          util::parse_fail(kContext, line_no, vcol, "users must be >= 1");
-        }
+        plan.users = parse_count(value, line_no, vcol, "users", 1, kMaxUsers);
       } else if (key == "rounds") {
-        plan.rounds = util::parse_u64(kContext, value, line_no, vcol);
-        if (plan.rounds == 0) {
-          util::parse_fail(kContext, line_no, vcol, "rounds must be >= 1");
-        }
+        plan.rounds =
+            parse_count(value, line_no, vcol, "rounds", 1, kMaxRounds);
       } else if (key == "severity") {
         plan.severity =
             parse_unit_interval(value, line_no, vcol, "severity");
@@ -146,7 +135,7 @@ ScenarioPlan ScenarioPlan::parse(std::istream& in) {
         }
         plan.arrivals = value;
       } else if (key == "active") {
-        plan.active = util::parse_u64(kContext, value, line_no, vcol);
+        plan.active = parse_count(value, line_no, vcol, "active", 0, kMaxUsers);
       } else if (key == "hint") {
         plan.hint = value;
       } else if (key == "max_minutes") {
@@ -172,7 +161,7 @@ ScenarioPlan ScenarioPlan::parse(std::istream& in) {
       continue;
     }
     if (key == "steps") {
-      current->steps = util::parse_u64(kContext, value, line_no, vcol);
+      current->steps = parse_count(value, line_no, vcol, "steps", 0, kMaxSteps);
     } else if (key == "resume") {
       current->resume = parse_bool(value, line_no, vcol);
       if (current->resume) {
@@ -187,9 +176,11 @@ ScenarioPlan ScenarioPlan::parse(std::istream& in) {
         }
       }
     } else if (key == "freeze") {
-      current->freeze = parse_forced(value, line_no, vcol, "freeze");
+      current->freeze = parse_count(value, line_no, vcol, "freeze", 0,
+                                    kMaxForcedDecisions);
     } else if (key == "wrong_tool") {
-      current->wrong_tool = parse_forced(value, line_no, vcol, "wrong_tool");
+      current->wrong_tool = parse_count(value, line_no, vcol, "wrong_tool", 0,
+                                        kMaxForcedDecisions);
     } else {
       util::parse_fail(kContext, line_no, kcol,
                        "unknown segment key '" + key + "'");
@@ -211,21 +202,22 @@ void ScenarioPlan::save(std::ostream& out) const {
   out << "seed = " << seed << '\n';
   out << "users = " << users << '\n';
   out << "rounds = " << rounds << '\n';
-  out << "severity = " << format_double(severity) << '\n';
+  out << "severity = " << util::format_double(severity) << '\n';
   if (severity_drift != 0.0) {
-    out << "severity_drift = " << format_double(severity_drift) << '\n';
+    out << "severity_drift = " << util::format_double(severity_drift) << '\n';
   }
   if (compliance_decay != 0.0) {
-    out << "compliance_decay = " << format_double(compliance_decay) << '\n';
+    out << "compliance_decay = " << util::format_double(compliance_decay)
+        << '\n';
   }
   out << "arrivals = " << arrivals << '\n';
   if (active != 0) out << "active = " << active << '\n';
   if (!hint.empty()) out << "hint = " << hint << '\n';
-  out << "max_minutes = " << format_double(max_minutes) << '\n';
+  out << "max_minutes = " << util::format_double(max_minutes) << '\n';
   for (const ScenarioPart& part : parts) {
     if (part.is_interrupt()) {
       out << "\n[interrupt]\n";
-      out << "pause_s = " << format_double(part.pause_s) << '\n';
+      out << "pause_s = " << util::format_double(part.pause_s) << '\n';
       continue;
     }
     out << "\n[segment " << part.adl << "]\n";

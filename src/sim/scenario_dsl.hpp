@@ -68,10 +68,17 @@ struct ScenarioPlan {
   /// unbounded amount of work or a duration past sim::Duration's range:
   /// an interruption lasts at most a day (pause_s in (0, 86400]), so does
   /// a session (max_minutes in (0, 1440]), and a segment queues at most
-  /// 100 forced freezes and 100 forced wrong-tool grabs.
+  /// 100 forced freezes and 100 forced wrong-tool grabs. A run serves at
+  /// most 10,000 users (users and a roundrobin round's active count fit
+  /// serve::UserId) for at most 1,000 rounds, and a segment asks for at
+  /// most 100 routine steps, more than any routine has (a count past the
+  /// steps left runs the ADL to completion).
   static constexpr double kMaxPauseSeconds = 86400.0;
   static constexpr double kMaxMinutes = 1440.0;
   static constexpr std::uint64_t kMaxForcedDecisions = 100;
+  static constexpr std::uint64_t kMaxUsers = 10000;
+  static constexpr std::uint64_t kMaxRounds = 1000;
+  static constexpr std::uint64_t kMaxSteps = 100;
 
   std::uint64_t seed = 1;
   std::uint64_t users = 1;

@@ -1,5 +1,6 @@
 #include "util/plan_text.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -94,6 +95,12 @@ double parse_double(std::string_view context, const std::string& v,
 double parse_double(std::string_view context, const std::string& v,
                     std::size_t line_no, std::size_t col) {
   return parse_double_at(context, v, line_no, col);
+}
+
+std::string format_double(double d) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, d);
+  return std::string(buf, end);
 }
 
 std::uint64_t parse_u64(std::string_view context, const std::string& v,

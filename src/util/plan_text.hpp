@@ -47,6 +47,11 @@ double parse_double(std::string_view context, const std::string& v,
 double parse_double(std::string_view context, const std::string& v,
                     std::size_t line_no, std::size_t col);
 
+/// Shortest decimal form of `d` that parses back to exactly the same
+/// double, so a plan's save -> parse round trip is lossless for any finite
+/// value, not just pretty ones.
+std::string format_double(double d);
+
 /// Parses a full-token unsigned integer ("expected an integer, got '...'");
 /// a leading sign is refused ("expected an unsigned integer, got '...'").
 std::uint64_t parse_u64(std::string_view context, const std::string& v,

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -72,6 +73,29 @@ TEST(FaultPlan, StandardChaosRoundTripsThroughText) {
     EXPECT_DOUBLE_EQ(b.burst.loss_in_good, cfg.burst.loss_in_good) << name;
     EXPECT_DOUBLE_EQ(b.burst.loss_in_bad, cfg.burst.loss_in_bad) << name;
   }
+}
+
+TEST(FaultPlan, ArbitraryRatesRoundTripThroughTextExactly) {
+  // Six significant digits would turn 0.123456789 into 0.123457, and the
+  // smallest normal double's six-digit form underflows, so a plan holding
+  // it would not parse back at all.
+  FaultPlan plan;
+  SiteConfig& site = plan.sites["retrain.abort"];
+  site.rate = 0.123456789;
+  site.burst.p_enter = std::numeric_limits<double>::min();
+  site.burst.p_exit = 1.0 / 3.0;
+  site.burst.loss_in_good = 1e308;
+  site.burst.loss_in_bad = 0.85;
+  std::stringstream text;
+  plan.save(text);
+  FaultPlan back;
+  ASSERT_NO_THROW(back = FaultPlan::parse(text)) << text.str();
+  const SiteConfig& b = back.sites.at("retrain.abort");
+  EXPECT_EQ(b.rate, site.rate);
+  EXPECT_EQ(b.burst.p_enter, site.burst.p_enter);
+  EXPECT_EQ(b.burst.p_exit, site.burst.p_exit);
+  EXPECT_EQ(b.burst.loss_in_good, site.burst.loss_in_good);
+  EXPECT_EQ(b.burst.loss_in_bad, site.burst.loss_in_bad);
 }
 
 TEST(FaultPlan, StandardChaosWindowsEverySiteToTheChaosEpochs) {

@@ -192,25 +192,24 @@ std::vector<adl::StepId> noisy_episode(const std::vector<adl::StepId>& routine,
 // every episode, to the scalar reference (tests/support/scalar_learner.hpp):
 // noisy, truncated, foreign-only and too-short episodes, a policy restore
 // (import_q) and a retrain run (begin_retraining) in mid-stream, under the
-// default config and the ablation benches' variants (λ at 0, 0.9 and 1,
-// accumulating traces, no sweep, no Watkins cut, a cold table), on a
-// single- and a multi-routine ADL.
+// default config and the ablation benches' variants (λ at 0, 0.9 and 1, no
+// sweep, no Watkins cut, a cold table), on a single- and a multi-routine
+// ADL.
 TEST_F(LearnerFixture, TrainsBitForBitAsTheScalarReference) {
-  std::vector<LearnerConfig> configs(8);
+  std::vector<LearnerConfig> configs(7);
   configs[1].td.lambda = 0.0;
   configs[2].td.lambda = 0.9;
   configs[3].td.lambda = 1.0;
-  configs[4].td.trace_type = rl::TraceType::kAccumulating;
-  configs[5].counterfactual_sweep = false;
-  configs[6].td.watkins_cut = false;
+  configs[4].counterfactual_sweep = false;
+  configs[5].td.watkins_cut = false;
   // bench_ablation_lambda's shape: no sweep, no cut, a cold table.
-  configs[7].counterfactual_sweep = false;
-  configs[7].td.watkins_cut = false;
-  configs[7].td.initial_q = 0.0;
-  configs[7].td.alpha = 0.3;
-  configs[7].epsilon = 0.6;
-  configs[7].epsilon_decay = 0.995;
-  configs[7].min_epsilon = 0.05;
+  configs[6].counterfactual_sweep = false;
+  configs[6].td.watkins_cut = false;
+  configs[6].td.initial_q = 0.0;
+  configs[6].td.alpha = 0.3;
+  configs[6].epsilon = 0.6;
+  configs[6].epsilon_decay = 0.995;
+  configs[6].min_epsilon = 0.05;
 
   for (const char* name : {"Tea-making", "Dressing"}) {
     const adl::Adl& adl = library.by_name(name);

@@ -7,8 +7,8 @@
 #include <array>
 #include <cmath>
 
-#include "rl/policy.hpp"
-#include "rl/td_lambda.hpp"
+#include "support/policy.hpp"
+#include "support/td_lambda.hpp"
 #include "util/rng.hpp"
 
 namespace coreda::rl {

@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "rl/lane_engine.hpp"
-#include "rl/policy.hpp"
-#include "rl/td_lambda.hpp"
+#include "support/policy.hpp"
+#include "support/td_lambda.hpp"
 #include "util/rng.hpp"
 
 namespace coreda::rl {
@@ -179,12 +179,6 @@ TEST(LaneEngine, NoSweepMatchesScalar) {
   run_equivalence(4, planner_td(), /*sweep=*/false, 45);
 }
 
-TEST(LaneEngine, AccumulatingTracesMatchScalar) {
-  TdLambdaConfig td = planner_td();
-  td.trace_type = TraceType::kAccumulating;
-  run_equivalence(4, td, /*sweep=*/true, 46);
-}
-
 TEST(LaneEngine, NoWatkinsCutMatchesScalar) {
   TdLambdaConfig td = planner_td();
   td.watkins_cut = false;
@@ -300,9 +294,6 @@ TEST(LaneEngine, TrainEpisodeUsesThePerTransitionPathWhereItMust) {
     episodes.push_back(random_walk(kStates, kActions, rng));
   }
   const QTable warm = distinct_table(kStates, kActions, 3);
-  TdLambdaConfig accumulating = planner_td();
-  accumulating.trace_type = TraceType::kAccumulating;
-  EXPECT_EQ(train_episodes(warm, accumulating, true, 0.2, episodes), 30u);
   EXPECT_EQ(train_episodes(warm, planner_td(), true, 0.0, episodes), 30u);
   EXPECT_EQ(train_episodes(warm, planner_td(), true, 1.0, episodes), 30u);
 }

@@ -1,4 +1,4 @@
-#include "rl/policy.hpp"
+#include "support/policy.hpp"
 
 #include <gtest/gtest.h>
 
@@ -63,72 +63,6 @@ TEST(EpsilonGreedyTest, InvalidParamsThrow) {
   EXPECT_THROW(EpsilonGreedyPolicy(0.5, 0.0), std::invalid_argument);
   EXPECT_THROW(EpsilonGreedyPolicy(0.5, 1.1), std::invalid_argument);
   EXPECT_THROW(EpsilonGreedyPolicy(0.5, 0.9, 0.6), std::invalid_argument);
-}
-
-TEST(SoftmaxTest, LowTemperatureIsNearlyGreedy) {
-  QTable q(1, 3);
-  q.set(0, 1, 1.0);
-  SoftmaxPolicy policy(0.01);
-  util::Rng rng(4);
-  int greedy = 0;
-  for (int i = 0; i < 1000; ++i) {
-    if (policy.select(q, 0, rng) == 1u) ++greedy;
-  }
-  EXPECT_GT(greedy, 990);
-}
-
-TEST(SoftmaxTest, HighTemperatureIsNearlyUniform) {
-  QTable q(1, 2);
-  q.set(0, 1, 1.0);
-  SoftmaxPolicy policy(1000.0);
-  util::Rng rng(5);
-  int arm1 = 0;
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) {
-    if (policy.select(q, 0, rng) == 1u) ++arm1;
-  }
-  EXPECT_NEAR(static_cast<double>(arm1) / n, 0.5, 0.03);
-}
-
-TEST(SoftmaxTest, ProbabilitiesFollowBoltzmann) {
-  QTable q(1, 2);
-  q.set(0, 0, 0.0);
-  q.set(0, 1, 1.0);
-  SoftmaxPolicy policy(1.0);
-  util::Rng rng(6);
-  int arm1 = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    if (policy.select(q, 0, rng) == 1u) ++arm1;
-  }
-  // P(1) = e / (1 + e) = 0.731.
-  EXPECT_NEAR(static_cast<double>(arm1) / n, 0.731, 0.02);
-}
-
-TEST(SoftmaxTest, HandlesLargeValuesWithoutOverflow) {
-  QTable q(1, 2);
-  q.set(0, 0, 1e6);
-  q.set(0, 1, 1e6 - 1.0);
-  SoftmaxPolicy policy(1.0);
-  util::Rng rng(7);
-  EXPECT_NO_THROW(policy.select(q, 0, rng));
-}
-
-TEST(SoftmaxTest, InvalidTemperatureThrows) {
-  EXPECT_THROW(SoftmaxPolicy(0.0), std::invalid_argument);
-  EXPECT_THROW(SoftmaxPolicy(-1.0), std::invalid_argument);
-  SoftmaxPolicy p(1.0);
-  EXPECT_THROW(p.set_temperature(0.0), std::invalid_argument);
-}
-
-TEST(GreedyPolicyTest, AlwaysPicksMax) {
-  QTable q(1, 3);
-  q.set(0, 2, 1.0);
-  GreedyPolicy policy;
-  util::Rng rng(8);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(policy.select(q, 0, rng), 2u);
-  }
 }
 
 }  // namespace

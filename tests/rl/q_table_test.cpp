@@ -75,13 +75,6 @@ TEST(QTableTest, RandomTieBreakOnlyAmongMaxima) {
   }
 }
 
-TEST(QTableTest, IsGreedy) {
-  QTable q(1, 3);
-  q.set(0, 1, 2.0);
-  EXPECT_TRUE(q.is_greedy(0, 1));
-  EXPECT_FALSE(q.is_greedy(0, 0));
-}
-
 TEST(QTableTest, IsUniquelyGreedy) {
   QTable q(1, 3);
   q.set(0, 1, 2.0);

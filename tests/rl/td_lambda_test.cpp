@@ -1,8 +1,8 @@
-#include "rl/td_lambda.hpp"
+#include "support/td_lambda.hpp"
 
 #include <gtest/gtest.h>
 
-#include "rl/policy.hpp"
+#include "support/policy.hpp"
 #include "util/rng.hpp"
 
 namespace coreda::rl {
@@ -163,8 +163,11 @@ TEST(TdLambdaTest, CounterfactualUpdateBypassesTraces) {
   config.gamma = 0.5;
   TdLambdaQLearning learner(3, 2, config);
   learner.q().set(2, 0, 4.0);
-  const double delta = learner.update_counterfactual(0, 1, 3.0, 2, false);
-  // Target = 3 + 0.5 * 4 = 5.
+  const double rewards[] = {0.0, 3.0};
+  const double before = learner.q().get(0, 1);
+  learner.update_counterfactual_row(0, rewards, /*taken=*/0, 2, false);
+  // Target = 3 + 0.5 * 4 = 5, so δ = ΔQ / α = 5.
+  const double delta = (learner.q().get(0, 1) - before) / config.alpha;
   EXPECT_DOUBLE_EQ(delta, 5.0);
   EXPECT_DOUBLE_EQ(learner.q().get(0, 1), 2.5);
   EXPECT_EQ(learner.traces().active_count(), 0u);
@@ -175,14 +178,17 @@ TEST(TdLambdaTest, CounterfactualTerminalIgnoresNextState) {
   config.alpha = 1.0;
   TdLambdaQLearning learner(3, 2, config);
   learner.q().set(2, 0, 1000.0);
-  learner.update_counterfactual(0, 1, 7.0, 2, /*terminal=*/true);
+  const double rewards[] = {0.0, 7.0};
+  learner.update_counterfactual_row(0, rewards, /*taken=*/0, 2,
+                                    /*terminal=*/true);
   EXPECT_DOUBLE_EQ(learner.q().get(0, 1), 7.0);
 }
 
 TEST(TdLambdaTest, UpdateCounterIncrements) {
   TdLambdaQLearning learner(2, 2);
   learner.observe(Transition{0, 0, 1.0, 1, true});
-  learner.update_counterfactual(0, 1, 1.0, 1, true);
+  const double rewards[] = {1.0, 1.0};
+  learner.update_counterfactual_row(0, rewards, /*taken=*/0, 1, true);
   EXPECT_EQ(learner.updates(), 2u);
 }
 

@@ -1,4 +1,4 @@
-#include "rl/traces.hpp"
+#include "support/traces.hpp"
 
 #include <gtest/gtest.h>
 

@@ -85,6 +85,16 @@ const MalformedCase kMalformed[] = {
     {"freeze-above-bound", "[segment Tea-making]\nfreeze = 101\n"},
     {"wrong-tool-above-bound",
      "[segment Tea-making]\nwrong_tool = 18446744073709551615\n"},
+    // Users, rounds, active and steps are bounded too: a run would add
+    // users to its store one by one, and a resumed segment's step target
+    // would wrap.
+    {"users-above-bound", "users = 18446744073709551615\n"},
+    {"users-past-user-id", "users = 4294967296\n"},
+    {"rounds-above-bound", "rounds = 1001\n"},
+    {"active-above-bound", "arrivals = roundrobin\nactive = 10001\n"},
+    {"steps-above-bound",
+     "[segment Tea-making]\nsteps = 2\n[segment Tea-making]\nresume = "
+     "true\nsteps = 18446744073709551615\n"},
 };
 
 std::string render_diagnostics() {
@@ -202,15 +212,24 @@ TEST(ScenarioDslRoundTrip, DefaultsSurviveMinimalPlan) {
 
 TEST(ScenarioDslRoundTrip, BoundsAreInclusive) {
   std::istringstream in(
+      "users = 10000\n"
+      "rounds = 1000\n"
+      "arrivals = roundrobin\n"
+      "active = 10000\n"
       "max_minutes = 1440\n"
       "[segment Tea-making]\n"
+      "steps = 100\n"
       "freeze = 100\n"
       "wrong_tool = 100\n"
       "[interrupt]\n"
       "pause_s = 86400\n");
   const ScenarioPlan plan = ScenarioPlan::parse(in);
+  EXPECT_EQ(plan.users, ScenarioPlan::kMaxUsers);
+  EXPECT_EQ(plan.rounds, ScenarioPlan::kMaxRounds);
+  EXPECT_EQ(plan.active, ScenarioPlan::kMaxUsers);
   EXPECT_EQ(plan.max_minutes, ScenarioPlan::kMaxMinutes);
   ASSERT_EQ(plan.parts.size(), 2u);
+  EXPECT_EQ(plan.parts[0].steps, ScenarioPlan::kMaxSteps);
   EXPECT_EQ(plan.parts[0].freeze, ScenarioPlan::kMaxForcedDecisions);
   EXPECT_EQ(plan.parts[0].wrong_tool, ScenarioPlan::kMaxForcedDecisions);
   EXPECT_EQ(plan.parts[1].pause_s, ScenarioPlan::kMaxPauseSeconds);

@@ -1,13 +1,16 @@
-// The scalar reference of the planner's training arithmetic: one user's
-// Watkins TD(λ) Q-learning over <StepID_{i-1}, StepID_i> run through the
-// rl:: scalar stack (TdLambdaQLearning + EligibilityTraces +
-// EpsilonGreedyPolicy), one transition at a time, with the planner's episode
-// protocol — vocabulary filter, idle prefix, precomputed reward rows,
-// terminal only on completion, ε decay per episode.
+// The scalar references of the planners' training arithmetic: one user's
+// Watkins TD(λ) Q-learning run through the test-only scalar stack
+// (support/td_lambda.hpp: TdLambdaQLearning + EligibilityTraces +
+// EpsilonGreedyPolicy), one transition at a time.
 //
-// planning::RoutineLearner and planning::LaneTrainer train through
-// rl::LaneEngine; the lane, learner and retrain tests pin them to this
-// reference bit for bit (Q values, RNG draws, ε, counters).
+//   * ScalarLearner: states <StepID_{i-1}, StepID_i>, with the planner's
+//     episode protocol — vocabulary filter, idle prefix, precomputed reward
+//     rows, terminal only on completion, ε decay per episode.
+//     planning::RoutineLearner and planning::LaneTrainer train through
+//     rl::LaneEngine; the lane, learner and retrain tests pin them to this
+//     reference bit for bit (Q values, RNG draws, ε, counters).
+//   * ScalarMultiRoutineLearner: planning::MultiRoutineLearner's training
+//     loop from before it moved onto rl::LaneEngine, kept as its oracle.
 
 #pragma once
 
@@ -20,9 +23,10 @@
 #include "adl/routine.hpp"
 #include "planning/codec.hpp"
 #include "planning/learner.hpp"
+#include "planning/multi_routine.hpp"
 #include "planning/reward.hpp"
-#include "rl/policy.hpp"
-#include "rl/td_lambda.hpp"
+#include "support/policy.hpp"
+#include "support/td_lambda.hpp"
 #include "util/rng.hpp"
 
 namespace coreda::planning {
@@ -182,6 +186,69 @@ class ScalarLearner {
   std::vector<double> terminal_rewards_;        ///< completes == true rows
   std::vector<adl::StepId> episode_steps_;      ///< filtered, idle-prefixed
   std::vector<std::uint32_t> episode_symbols_;  ///< their symbol indices
+};
+
+/// MultiRoutineLearner's scalar loop, as it was: each raw history window is
+/// encoded, a transition whose s or s' window holds a step outside the
+/// vocabulary is skipped (the traces live on across it), and the last
+/// transition is terminal when the episode's last step ends one of the
+/// ADL's routines. No counterfactual sweep. On episodes without foreign
+/// steps it is the lane-engine port's reference bit for bit.
+class ScalarMultiRoutineLearner {
+ public:
+  ScalarMultiRoutineLearner(const adl::Adl& adl, std::size_t history_depth,
+                            util::Rng rng,
+                            LearnerConfig config = LearnerConfig())
+      : adl_(&adl),
+        codec_(adl.tools(), history_depth),
+        actions_(adl.tools()),
+        reward_(config.reward),
+        learner_(codec_.num_states(), actions_.num_actions(), config.td),
+        policy_(config.epsilon, config.epsilon_decay, config.min_epsilon),
+        rng_(rng) {}
+
+  void train_episode(std::span<const adl::StepId> steps) {
+    ++episodes_;
+    if (steps.size() < 2) {
+      policy_.decay_epsilon();
+      return;
+    }
+    learner_.begin_episode();
+    for (std::size_t i = 1; i < steps.size(); ++i) {
+      const auto s = codec_.encode(steps.subspan(0, i));
+      const auto s_next = codec_.encode(steps.subspan(0, i + 1));
+      if (!s || !s_next) continue;
+
+      const rl::ActionId a = policy_.select(learner_.q(), *s, rng_);
+      const PlannerAction action = actions_.decode(a);
+      const adl::StepId next = steps[i];
+
+      bool completes = false;
+      if (i + 1 == steps.size()) {
+        for (const adl::AdlRoutine& r : adl_->routines()) {
+          if (r.is_terminal(next)) completes = true;
+        }
+      }
+      const double r = reward_(action, next, completes);
+      // Terminal only on genuine completion (see RoutineLearner for why).
+      learner_.observe(rl::Transition{*s, a, r, *s_next, completes});
+    }
+    policy_.decay_epsilon();
+  }
+
+  double epsilon() const noexcept { return policy_.epsilon(); }
+  std::size_t episodes_trained() const noexcept { return episodes_; }
+  const rl::QTable& q() const noexcept { return learner_.q(); }
+
+ private:
+  const adl::Adl* adl_;
+  HistoryCodec codec_;
+  ActionCodec actions_;
+  CoredaRewardFunction reward_;
+  rl::TdLambdaQLearning learner_;
+  rl::EpsilonGreedyPolicy policy_;
+  util::Rng rng_;
+  std::size_t episodes_ = 0;
 };
 
 }  // namespace coreda::planning
