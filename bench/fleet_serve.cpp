@@ -43,6 +43,7 @@
 #include "planning/learner.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/fleet_engine.hpp"
+#include "serve/population.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -50,13 +51,6 @@
 namespace {
 
 using namespace coreda;
-
-/// Same severity band as the serve/session benches, a pure function of the
-/// user index: every traffic shape (and job count) serves one population.
-double user_severity(std::uint64_t user) {
-  util::Rng rng(exec::trial_seed(9001, user));
-  return 0.1 + 0.4 * rng.uniform();
-}
 
 /// Chain cap for every store this bench opens (--rebase-every). 32 keeps
 /// the per-retrain append traffic well past the 4x gate while staying
@@ -104,7 +98,7 @@ ShapeRun run_shape(const adl::AdlLibrary& library, const adl::Adl& adl,
   serve::FleetEngine fleet(library, adl, store, donor.q(), params);
   fleet.reserve_users(users);  // one slab + one index table, no doubling
   for (std::size_t u = 0; u < users; ++u) {
-    fleet.register_user(user_severity(u));
+    fleet.register_user(serve::user_severity(u));
   }
 
   // Warm-up round: pays the reference starts, first-touch page faults and
@@ -181,7 +175,7 @@ ShapeRun run_retrain(const adl::AdlLibrary& library, const adl::Adl& adl,
   serve::FleetEngine fleet(library, adl, store, donor.q(), params);
   fleet.reserve_users(cohort);
   for (std::size_t u = 0; u < cohort; ++u) {
-    fleet.register_user(user_severity(u));
+    fleet.register_user(serve::user_severity(u));
   }
   // Warm-up: the first write-back per user is necessarily a full anchor.
   for (std::size_t u = 0; u < cohort; ++u) fleet.enqueue(u);

@@ -1,7 +1,7 @@
 // Gated scenario regression corpus: every committed tests/scenarios/
 // *.scenario plan executed end-to-end through the multi-ADL serving tier
-// (ScenarioRunner over a SystemPool of whole-home slots) and reported as
-// exact metrics.
+// (serve::run_scenario over four whole-home slots) and reported as exact
+// metrics.
 //
 // Each scenario is one behavioural contract: interleaved ADL segments with
 // per-ADL progress resumed within one session, recognition-gated
@@ -9,8 +9,8 @@
 // both sides, severity drift, compliance decay, forced wrong-tool storms.
 // The per-scenario metric block (sessions, completions, prompts, praises,
 // recoveries, switches, idle closes, pool residency, hexfloat derived
-// rates, checksum) is byte-identical at any --jobs — the runner executes
-// one trial per pool slot and every source of variation derives from the
+// rates, checksum) is byte-identical at any --jobs — run_scenario runs
+// one trial per slot and every source of variation derives from the
 // plan's one seed.
 //
 // Wall-clock goes only to --timing-json (BENCH_scenarios.json), where
@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
                dir.c_str(), jobs);
   std::printf("Scenario corpus: %zu plans\n\n", files.size());
 
-  const serve::ScenarioRunner runner;
   bool all_parsed = true;
   for (const std::filesystem::path& file : files) {
     std::ifstream in(file);
@@ -105,7 +104,7 @@ int main(int argc, char** argv) {
     }
     const sim::ScenarioPlan plan = sim::ScenarioPlan::parse(in);
     const exec::Stopwatch watch;
-    const serve::ScenarioSummary sum = runner.run(plan, jobs);
+    const serve::ScenarioSummary sum = serve::run_scenario(plan, jobs);
     const double seconds = watch.seconds();
     std::fputs(
         serve::format_scenario_report(file.stem().string(), plan, sum)

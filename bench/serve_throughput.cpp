@@ -38,6 +38,7 @@
 #include "planning/learner.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/engine.hpp"
+#include "serve/population.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -45,15 +46,6 @@
 namespace {
 
 using namespace coreda;
-
-/// Same per-user severity band as bench_session_throughput, derived from
-/// the user index alone so every engine (and job count) serves the
-/// identical population.
-patient::PatientProfile user_profile(std::size_t user) {
-  util::Rng rng(exec::trial_seed(9001, user));
-  return patient::PatientProfile::with_severity(
-      "U" + std::to_string(user), 0.1 + 0.4 * rng.uniform());
-}
 
 struct EngineRun {
   serve::ServeReport report;
@@ -72,7 +64,7 @@ EngineRun run_workload(const adl::AdlLibrary& library, const adl::Adl& adl,
   params.pool.seed = 4242;
   serve::ServeEngine engine(library, adl, store, params);
   for (std::size_t u = 0; u < users; ++u) {
-    engine.add_user("U" + std::to_string(u), user_profile(u));
+    engine.add_user("U" + std::to_string(u), serve::user_profile(u));
   }
   // Burst arrival: each round hands every user `burst` back-to-back
   // sessions, so residency pays off within a burst and swaps dominate
@@ -116,7 +108,7 @@ EngineRun run_arrival_workload(const adl::AdlLibrary& library,
   params.pool.seed = 4242;
   serve::ServeEngine engine(library, adl, store, params);
   for (std::size_t u = 0; u < users; ++u) {
-    engine.add_user("U" + std::to_string(u), user_profile(u));
+    engine.add_user("U" + std::to_string(u), serve::user_profile(u));
   }
   for (std::size_t i = 0; i < total_sessions; ++i) {
     engine.enqueue(static_cast<serve::UserId>(arrivals.next()), 1);
@@ -143,8 +135,7 @@ double steady_state_allocs(const adl::AdlLibrary& library,
   serve::SystemPoolParams params;
   params.slots = 1;
   params.seed = 99;
-  serve::SystemPool pool(store, params,
-                         serve::SystemPool::single_adl(library, adl));
+  serve::SystemPool pool(store, params, library, adl);
   store.add_user("A");
   store.add_user("B");
 

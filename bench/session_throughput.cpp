@@ -36,6 +36,7 @@
 #include "exec/trial_runner.hpp"
 #include "patient/profile.hpp"
 #include "planning/learner.hpp"
+#include "serve/population.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -54,12 +55,6 @@ struct FleetTotals {
 patient::PatientProfile fleet_profile(util::Rng& rng) {
   return patient::PatientProfile::with_severity(
       "U", 0.1 + 0.4 * rng.uniform());
-}
-
-std::uint64_t session_checksum(const core::SessionResult& r) {
-  std::uint64_t sum = r.prompts_total + r.steps_completed;
-  for (adl::StepId id : r.observed_steps) sum += id;
-  return sum;
 }
 
 }  // namespace
@@ -140,7 +135,7 @@ int main(int argc, char** argv) {
           system.run_session_inplace(profile, sim::Duration::minutes(15.0),
                                      {}, result);
           totals.completed += result.completed;
-          totals.checksum += session_checksum(result);
+          totals.checksum += serve::session_checksum(result);
         }
         return totals;
       });
@@ -163,7 +158,7 @@ int main(int argc, char** argv) {
           const core::SessionResult result =
               system.run_session(profile, sim::Duration::minutes(15.0));
           totals.completed += result.completed;
-          totals.checksum += session_checksum(result);
+          totals.checksum += serve::session_checksum(result);
         }
         return totals;
       });

@@ -307,6 +307,11 @@ HomeScriptResult HomeDeployment::run_script(
       throw std::invalid_argument("HomeDeployment: negative script pause");
     }
   }
+  if (total_segments == 0) {
+    // Nothing would begin: the session would report the previous one's
+    // steps as its own, and `completed` of zero segments.
+    throw std::invalid_argument("HomeDeployment: script has no ADL segment");
+  }
   if (!script.hint.empty()) library_->by_name(script.hint);
 
   HomeScriptResult out;

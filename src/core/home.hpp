@@ -157,8 +157,8 @@ class HomeDeployment {
   /// away and restored when a later segment returns to that ADL. This is
   /// the serving shape of interleaved daily life (start the tea, brush
   /// teeth while the kettle heats, come back). Throws (std::out_of_range
-  /// for an unknown ADL, std::invalid_argument for a negative pause)
-  /// before the session starts.
+  /// for an unknown ADL, std::invalid_argument for a negative pause or a
+  /// script with no ADL segment) before the session starts.
   HomeScriptResult run_script(const SessionScript& script,
                               const patient::PatientProfile& profile,
                               sim::Duration max_duration);
@@ -187,8 +187,7 @@ class HomeDeployment {
   /// single-ADL deployment.
   const adl::Adl& adl() const;
   /// The ADLs this deployment plans, in library order: the deployed ADL,
-  /// or every ADL of the library for a whole home. A user's policy set
-  /// holds one table per entry, in this order.
+  /// or every ADL of the library for a whole home.
   std::span<const adl::Adl> adls() const noexcept {
     return adl_ != nullptr ? std::span(adl_, 1) : std::span(library_->adls());
   }

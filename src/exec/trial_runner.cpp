@@ -11,12 +11,9 @@ namespace coreda::exec {
 
 std::uint64_t trial_seed(std::uint64_t base_seed,
                          std::uint64_t index) noexcept {
-  // SplitMix64 finalizer over the mixed pair. The golden-ratio increment
-  // decorrelates index from base_seed before the avalanche rounds.
-  std::uint64_t z = base_seed + 0x9e3779b97f4a7c15ULL * (index + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  // The golden-ratio step decorrelates index from base_seed before the
+  // avalanche rounds.
+  return util::mix64(base_seed + 0x9e3779b97f4a7c15ULL * index);
 }
 
 TrialRunner::TrialRunner(std::size_t jobs)

@@ -12,14 +12,7 @@
 namespace coreda::faults {
 namespace {
 
-/// SplitMix64 finalizer — the same mixer exec::trial_seed uses to split
-/// per-trial streams from one base seed.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using util::mix64;
 
 std::uint64_t fnv1a64(const std::string& s) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -210,11 +203,29 @@ constexpr std::string_view kPlanContext = "fault plan";
 }  // namespace
 
 FaultPlan FaultPlan::parse(std::istream& in) {
-  using util::parse_double;
   using util::parse_fail;
   using util::parse_u64;
+  const auto probability = [](const std::string& key, const std::string& v,
+                              std::size_t line_no) {
+    const double d = util::parse_double(kPlanContext, v, line_no);
+    if (d < 0.0 || d > 1.0) {
+      parse_fail(kPlanContext, line_no,
+                 key + " must be in [0, 1], got '" + v + "'");
+    }
+    return d;
+  };
   FaultPlan plan;
   SiteConfig* current = nullptr;
+  std::size_t epoch_line = 0;  ///< the current site's last epoch key
+  // A site's epoch window is checked once its section is read.
+  const auto close_section = [&] {
+    if (current != nullptr && current->epoch_begin > current->epoch_end) {
+      parse_fail(kPlanContext, epoch_line,
+                 "epoch_begin " + std::to_string(current->epoch_begin) +
+                     " is past epoch_end " +
+                     std::to_string(current->epoch_end));
+    }
+  };
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
@@ -224,6 +235,7 @@ FaultPlan FaultPlan::parse(std::istream& in) {
     if (text.front() == '[') {
       const std::string name =
           util::parse_section(kPlanContext, text, "site", line_no);
+      close_section();
       current = &plan.sites[name];
       continue;
     }
@@ -239,25 +251,33 @@ FaultPlan FaultPlan::parse(std::istream& in) {
       continue;
     }
     if (key == "rate") {
-      current->rate = parse_double(kPlanContext, value, line_no);
+      current->rate = probability(key, value, line_no);
     } else if (key == "delay_us") {
       current->delay_us = parse_u64(kPlanContext, value, line_no);
+      if (current->delay_us > kMaxDelayUs) {
+        parse_fail(kPlanContext, line_no,
+                   "delay_us must be <= " + std::to_string(kMaxDelayUs) +
+                       ", got '" + value + "'");
+      }
     } else if (key == "epoch_begin") {
       current->epoch_begin = parse_u64(kPlanContext, value, line_no);
+      epoch_line = line_no;
     } else if (key == "epoch_end") {
       current->epoch_end = parse_u64(kPlanContext, value, line_no);
+      epoch_line = line_no;
     } else if (key == "p_enter") {
-      current->burst.p_enter = parse_double(kPlanContext, value, line_no);
+      current->burst.p_enter = probability(key, value, line_no);
     } else if (key == "p_exit") {
-      current->burst.p_exit = parse_double(kPlanContext, value, line_no);
+      current->burst.p_exit = probability(key, value, line_no);
     } else if (key == "loss_in_good") {
-      current->burst.loss_in_good = parse_double(kPlanContext, value, line_no);
+      current->burst.loss_in_good = probability(key, value, line_no);
     } else if (key == "loss_in_bad") {
-      current->burst.loss_in_bad = parse_double(kPlanContext, value, line_no);
+      current->burst.loss_in_bad = probability(key, value, line_no);
     } else {
       parse_fail(kPlanContext, line_no, "unknown site key '" + key + "'");
     }
   }
+  close_section();
   return plan;
 }
 

@@ -61,6 +61,11 @@ struct SiteConfig {
 /// pure function of (plan seed, site name, user, tick, epoch), so a replay
 /// is byte-identical at any --jobs.
 struct FaultPlan {
+  /// Longest stall a site may hold: one day, like ScenarioPlan's pause
+  /// bound. Its nanosecond count fits std::chrono::nanoseconds, which
+  /// Site::stall_ns feeds.
+  static constexpr std::uint64_t kMaxDelayUs = 86'400ULL * 1'000'000ULL;
+
   std::uint64_t seed = 1;
   std::map<std::string, SiteConfig> sites;
 
@@ -78,8 +83,11 @@ struct FaultPlan {
   ///   rate = 0.05
   ///   epoch_end = 6
   ///
-  /// Unknown keys and malformed lines throw std::runtime_error with a line
-  /// number; comments (#) and blank lines are skipped.
+  /// Unknown keys, malformed lines and values out of bounds throw
+  /// std::runtime_error with a line number: rate, p_enter, p_exit,
+  /// loss_in_good and loss_in_bad must lie in [0, 1], delay_us at most
+  /// kMaxDelayUs, and a site's epoch_begin at most its epoch_end (named at
+  /// the later of the two lines). Comments (#) and blank lines are skipped.
   static FaultPlan parse(std::istream& in);
   void save(std::ostream& out) const;
 };

@@ -24,7 +24,7 @@ std::size_t count_changed_rows(const rl::QTable& base, const rl::QTable& q) {
 }
 
 unsigned char* encode_changed_rows(const rl::QTable& base, const rl::QTable& q,
-                                   unsigned char* dst, std::size_t first_row) {
+                                   unsigned char* dst) {
   if (base.num_states() != q.num_states() ||
       base.num_actions() != q.num_actions()) {
     throw std::invalid_argument("encode_changed_rows: table shape mismatch");
@@ -35,7 +35,7 @@ unsigned char* encode_changed_rows(const rl::QTable& base, const rl::QTable& q,
     if (std::memcmp(b.data(), n.data(), n.size() * sizeof(double)) == 0) {
       continue;
     }
-    util::wire::store_u64(dst, first_row + s);
+    util::wire::store_u64(dst, s);
     dst += 8;
     for (const double v : n) {
       util::wire::store_f64(dst, v);

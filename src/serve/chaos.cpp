@@ -6,21 +6,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "serve/population.hpp"
+
 namespace coreda::serve {
 
 namespace {
-
-/// Same severity band as every serving bench, a pure function of the user
-/// index, so the soak serves the exact population the baselines price.
-double user_severity(std::uint64_t user) {
-  util::Rng rng(exec::trial_seed(9001, user));
-  return 0.1 + 0.4 * rng.uniform();
-}
-
-patient::PatientProfile user_profile(std::size_t user) {
-  return patient::PatientProfile::with_severity("U" + std::to_string(user),
-                                                user_severity(user));
-}
 
 std::vector<adl::StepId> primary_routine(const adl::Adl& adl) {
   std::vector<adl::StepId> routine;

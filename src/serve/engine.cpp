@@ -4,23 +4,15 @@
 #include <stdexcept>
 #include <thread>
 
+#include "serve/population.hpp"
+
 namespace coreda::serve {
-
-namespace {
-
-std::uint64_t session_checksum(const core::SessionResult& r) {
-  std::uint64_t sum = r.prompts_total + r.steps_completed;
-  for (const adl::StepId id : r.observed_steps) sum += id;
-  return sum;
-}
-
-}  // namespace
 
 ServeEngine::ServeEngine(const adl::AdlLibrary& library, const adl::Adl& adl,
                          PolicyStore& store, ServeEngineParams params)
     : params_(params),
       store_(&store),
-      pool_(store, params.pool, SystemPool::single_adl(library, adl)),
+      pool_(store, params.pool, library, adl),
       retrainer_(adl, store, params.pool.system.learner, pool_.slots()),
       by_slot_(pool_.slots()),
       results_(pool_.slots()) {

@@ -6,15 +6,11 @@
 #include <stdexcept>
 #include <thread>
 
+#include "serve/population.hpp"
+
 namespace coreda::serve {
 
 namespace {
-
-std::uint64_t session_checksum(const core::SessionResult& r) {
-  std::uint64_t sum = r.prompts_total + r.steps_completed;
-  for (const adl::StepId id : r.observed_steps) sum += id;
-  return sum;
-}
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -39,12 +35,11 @@ FleetEngine::FleetEngine(const adl::AdlLibrary& library, const adl::Adl& adl,
         "writer partitioning holds only when shard threads own disjoint "
         "segment chains");
   }
-  if (store.tables().size() != 1 ||
-      reference.num_states() != store.num_states() ||
+  if (reference.num_states() != store.num_states() ||
       reference.num_actions() != store.num_actions()) {
     throw std::invalid_argument(
-        "FleetEngine: the store must hold one-table sets of the reference "
-        "table's shape");
+        "FleetEngine: the store must hold tables of the reference table's "
+        "shape");
   }
   shards_.reserve(params_.shards);
   for (std::size_t sh = 0; sh < params_.shards; ++sh) {

@@ -1,48 +1,19 @@
 #include "serve/policy_store.hpp"
 
-#include <array>
 #include <stdexcept>
 
 namespace coreda::serve {
-namespace {
-
-std::vector<const planning::RoutineLearner*> planners_of(
-    const core::HomeDeployment& home) {
-  std::vector<const planning::RoutineLearner*> planners;
-  for (const adl::Adl& adl : home.adls()) {
-    planners.push_back(&home.learner(adl.name()));
-  }
-  return planners;
-}
-
-}  // namespace
 
 PolicyStore::PolicyStore(const planning::RoutineLearner& reference,
                          PolicyStoreParams params)
-    : PolicyStore(std::array{&reference}, std::move(params)) {}
-
-PolicyStore::PolicyStore(const core::HomeDeployment& reference,
-                         PolicyStoreParams params)
-    : PolicyStore(planners_of(reference), std::move(params)) {}
-
-PolicyStore::PolicyStore(
-    std::span<const planning::RoutineLearner* const> reference,
-    PolicyStoreParams params)
-    : params_(std::move(params)) {
+    : params_(std::move(params)), reference_(reference.q()) {
   if (params_.flush_every == 0) {
     throw std::invalid_argument("PolicyStore: flush_every must be >= 1");
   }
-  std::vector<TableSchema> tables;
-  for (const planning::RoutineLearner* learner : reference) {
-    reference_.push_back(learner->q());
-    tables.push_back(TableSchema{learner->state_codec().symbols(),
-                                 learner->action_codec().tools(),
-                                 learner->q().num_states(),
-                                 learner->q().num_actions()});
-  }
   if (!params_.segments.dir.empty()) {
-    segments_ =
-        std::make_unique<SegmentStore>(std::move(tables), params_.segments);
+    segments_ = std::make_unique<SegmentStore>(
+        reference.state_codec().symbols(), reference.action_codec().tools(),
+        reference_.num_states(), reference_.num_actions(), params_.segments);
   }
 }
 
@@ -56,20 +27,21 @@ PolicyStore::~PolicyStore() {
 }
 
 UserId PolicyStore::add_user(std::string name) {
-  if (segments_) segments_->grow_users(entries_.size() + 1);
-  entries_.push_back(Entry{std::move(name), reference_});
-  return static_cast<UserId>(entries_.size() - 1);
+  return add_entry(std::move(name), reference_);
 }
 
 UserId PolicyStore::add_user(std::string name, const rl::QTable& initial) {
-  if (reference_.size() != 1 ||
-      initial.num_states() != reference_[0].num_states() ||
-      initial.num_actions() != reference_[0].num_actions()) {
+  if (initial.num_states() != reference_.num_states() ||
+      initial.num_actions() != reference_.num_actions()) {
     throw std::invalid_argument("PolicyStore::add_user: table shape differs "
                                 "from the reference policy");
   }
+  return add_entry(std::move(name), initial);
+}
+
+UserId PolicyStore::add_entry(std::string name, const rl::QTable& q) {
   if (segments_) segments_->grow_users(entries_.size() + 1);
-  entries_.push_back(Entry{std::move(name), {initial}});
+  entries_.push_back(Entry{std::move(name), q});
   return static_cast<UserId>(entries_.size() - 1);
 }
 
@@ -89,27 +61,19 @@ const std::string& PolicyStore::user_name(UserId user) const {
   return entry(user).name;
 }
 
-const rl::QTable& PolicyStore::q(UserId user, std::size_t table) const {
-  return entry(user).set.at(table);
-}
+const rl::QTable& PolicyStore::q(UserId user) const { return entry(user).q; }
 
 std::uint64_t PolicyStore::version(UserId user) const {
   return entry(user).version;
 }
 
-void PolicyStore::stage(UserId user, std::span<const rl::QTable* const> set) {
+void PolicyStore::stage(UserId user, const rl::QTable& q) {
   Entry& e = entry(user);
-  if (set.size() != e.set.size()) {
-    throw std::invalid_argument("PolicyStore::stage: policy set size mismatch");
+  if (q.num_states() != e.q.num_states() ||
+      q.num_actions() != e.q.num_actions()) {
+    throw std::invalid_argument("PolicyStore::stage: table shape mismatch");
   }
-  for (std::size_t t = 0; t < set.size(); ++t) {
-    if (set[t]->num_states() != e.set[t].num_states() ||
-        set[t]->num_actions() != e.set[t].num_actions()) {
-      throw std::invalid_argument("PolicyStore::stage: table shape mismatch");
-    }
-  }
-  // Same shapes: each vector assign reuses capacity, no allocation.
-  for (std::size_t t = 0; t < set.size(); ++t) e.set[t] = *set[t];
+  e.q = q;  // same shape: the vector assign reuses capacity, no allocation
   ++e.version;
   ++e.staged;
   ++e.unflushed;
@@ -128,7 +92,7 @@ void PolicyStore::flush_all() {
 void PolicyStore::persist(UserId user, Entry& e) {
   // The append publishes the record (magic written last) or throws with the
   // committed chain untouched; only a published record costs wear.
-  segments_->append(user, e.set, e.version);
+  segments_->append(user, e.q, e.version);
   ++e.disk;
   e.unflushed = 0;
 }
@@ -136,26 +100,14 @@ void PolicyStore::persist(UserId user, Entry& e) {
 std::optional<std::uint64_t> PolicyStore::restore(UserId user) {
   Entry& e = entry(user);
   if (!segments_) return std::nullopt;
-  // load() writes the set only after the whole chain validates, and not at
-  // all on a miss, so the entry is its own staging buffer.
-  const std::optional<std::uint64_t> version = segments_->load(user, e.set);
+  // load() writes the table only after the whole chain validates, and not
+  // at all on a miss, so the entry is its own staging buffer.
+  const std::optional<std::uint64_t> version = segments_->load(user, e.q);
   if (version) {
     e.version = *version;
     e.unflushed = 0;
   }
   return version;
-}
-
-std::size_t PolicyStore::restore_all() {
-  std::size_t restored = 0;
-  for (UserId u = 0; u < entries_.size(); ++u) {
-    try {
-      if (restore(u)) ++restored;
-    } catch (const std::runtime_error&) {
-      ++rejected_;  // corrupt record: the entry keeps its set
-    }
-  }
-  return restored;
 }
 
 std::uint64_t PolicyStore::staged_writes() const noexcept {

@@ -3,11 +3,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "core/home.hpp"
 #include "faults/faults.hpp"
 #include "planning/learner.hpp"
 #include "rl/q_table.hpp"
@@ -32,31 +30,26 @@ struct PolicyStoreParams {
   /// Persistence. An empty `segments.dir` makes a memory-only store:
   /// versions and staging still work, nothing ever touches disk (the
   /// pure-serving configuration the benches use). Otherwise every flush
-  /// appends the user's whole policy set as one record to the SegmentStore
-  /// at that directory, store user id = PolicyStore UserId. Size
+  /// appends the user's table as one record to the SegmentStore at that
+  /// directory, store user id = PolicyStore UserId. Size
   /// `segments.writers` to the threads staging concurrently: ServeEngine
   /// requires one writer per pool slot.
   SegmentStoreParams segments{};
 };
 
-/// Per-user versioned policy sets for the serving tier.
-///
-/// A user's policy set is one Q table per ADL the deployment plans — every
-/// ADL of a whole home, or the one ADL of a single-ADL deployment (a set of
-/// one) — and the set is the unit everything here handles: staged, versioned
-/// and persisted whole, so a resident who interleaves ADLs can never check
-/// out a torn set.
+/// Per-user versioned Q tables for the serving tier: one table per user,
+/// of the reference planner's shape.
 ///
 /// The store is the source of truth between sessions: a SystemPool slot
-/// checks a user's set out (import_policy per ADL), serves, and stages the
-/// set back. Every stage bumps the user's version monotonically, so
-/// operators can tell a stale snapshot from a current one, and a warm
-/// restart (restore()) resumes from the last flushed version.
+/// checks a user's table out (import_policy), serves, and stages the table
+/// back. Every stage bumps the user's version monotonically, so operators
+/// can tell a stale snapshot from a current one, and a warm restart
+/// (restore()) resumes from the last flushed version.
 ///
 /// Staging, versioning and wear batching happen here, in memory; the bytes
 /// land in a SegmentStore this store owns (when `params.segments.dir` is
-/// set), one record per flushed set — the same record format the fleet tier
-/// runs on.
+/// set), one record per flushed table — the same record format the fleet
+/// tier runs on.
 ///
 /// Thread-safety: add_user() and restore() are setup-phase only. stage()
 /// and the per-user readers may be called concurrently for users of
@@ -67,15 +60,11 @@ struct PolicyStoreParams {
 /// mid-flight.
 class PolicyStore {
  public:
-  /// A set of one: captures the table shape from `reference` (typically
-  /// the offline-trained donor learner) and, when persistent, opens or
-  /// creates the segment store under its step/tool vocabularies. Every
-  /// user entry starts as a copy of the reference set (version 1).
+  /// Captures the table shape from `reference` (typically the
+  /// offline-trained donor learner) and, when persistent, opens or creates
+  /// the segment store under its step/tool vocabularies. Every user entry
+  /// starts as a copy of the reference table (version 1).
   explicit PolicyStore(const planning::RoutineLearner& reference,
-                       PolicyStoreParams params = {});
-  /// One table per ADL `reference` plans (HomeDeployment::adls(), in that
-  /// order), taken from its planners — a pretrained donor home's baseline.
-  explicit PolicyStore(const core::HomeDeployment& reference,
                        PolicyStoreParams params = {});
 
   /// Flushes every dirty entry (best effort — errors are swallowed, a
@@ -85,35 +74,25 @@ class PolicyStore {
   PolicyStore(const PolicyStore&) = delete;
   PolicyStore& operator=(const PolicyStore&) = delete;
 
-  /// Registers a user starting from the reference set. Not callable
+  /// Registers a user starting from the reference table. Not callable
   /// while sessions are being served (entry references would move).
   UserId add_user(std::string name);
-  /// Registers a user of a one-table store with an explicit starting table
-  /// (must match the reference shape; throws std::invalid_argument
-  /// otherwise).
+  /// Registers a user with an explicit starting table (must match the
+  /// reference shape; throws std::invalid_argument otherwise).
   UserId add_user(std::string name, const rl::QTable& initial);
 
   std::size_t num_users() const noexcept { return entries_.size(); }
-  /// Tables per policy set.
-  std::size_t num_tables() const noexcept { return reference_.size(); }
   const std::string& user_name(UserId user) const;
-  /// Table `table` of the user's current set — what the next checkout will
-  /// serve.
-  const rl::QTable& q(UserId user, std::size_t table = 0) const;
+  /// The user's current table — what the next checkout will serve.
+  const rl::QTable& q(UserId user) const;
   std::uint64_t version(UserId user) const;
 
-  /// Write-back: copies the set (`set[i]` is table i's new content) into
-  /// the user's entry and bumps its version once. Throws
-  /// std::invalid_argument, entry unchanged, when the set does not match
-  /// the reference set's size and shapes. Allocation-free at steady state
-  /// (same-shape table copies and an in-place record append); persists
-  /// only when the wear batch fills (see PolicyStoreParams).
-  void stage(UserId user, std::span<const rl::QTable* const> set);
-  /// One-table store: stages the set {q}.
-  void stage(UserId user, const rl::QTable& q) {
-    const rl::QTable* set[] = {&q};
-    stage(user, set);
-  }
+  /// Write-back: copies `q` into the user's entry and bumps its version.
+  /// Throws std::invalid_argument, entry unchanged, when `q` does not have
+  /// the reference shape. Allocation-free at steady state (a same-shape
+  /// table copy and an in-place record append); persists only when the
+  /// wear batch fills (see PolicyStoreParams).
+  void stage(UserId user, const rl::QTable& q);
 
   /// Persists the user's entry now (no-op when memory-only or clean).
   /// Throws when the record cannot be written — a crash at the segment
@@ -122,20 +101,12 @@ class PolicyStore {
   void flush(UserId user);
   void flush_all();
 
-  /// Warm restart: loads the user's newest committed set into the entry
+  /// Warm restart: loads the user's newest committed table into the entry
   /// and adopts its version. Returns the version, or nullopt when the
   /// store is memory-only or holds nothing for this user. Throws
   /// std::runtime_error when the record chain fails validation (entry
-  /// unchanged: no table of the set is touched).
+  /// unchanged).
   std::optional<std::uint64_t> restore(UserId user);
-  /// restore() for every registered user (setup phase). A user whose
-  /// record chain fails validation keeps the set it has — the reference
-  /// set right after registration — and is counted in rejected_records();
-  /// never throws for one. Returns the users restored from disk.
-  std::size_t restore_all();
-  /// Restores restore_all() rejected: corrupt records served as the
-  /// reference set instead.
-  std::uint64_t rejected_records() const noexcept { return rejected_; }
 
   /// Total stage() calls across users — the writes the policy tier *asked*
   /// for...
@@ -157,7 +128,7 @@ class PolicyStore {
  private:
   struct Entry {
     std::string name;
-    std::vector<rl::QTable> set;
+    rl::QTable q;
     std::uint64_t version = 1;
     std::uint64_t staged = 0;    ///< stage() calls on this entry
     std::uint64_t disk = 0;      ///< records persisted for this entry
@@ -166,17 +137,16 @@ class PolicyStore {
 
   Entry& entry(UserId user);
   const Entry& entry(UserId user) const;
-  /// Appends the entry's set and version; wear is accounted only once the
-  /// record has published.
+  /// Registers `name` starting from `q`.
+  UserId add_entry(std::string name, const rl::QTable& q);
+  /// Appends the entry's table and version; wear is accounted only once
+  /// the record has published.
   void persist(UserId user, Entry& e);
-  PolicyStore(std::span<const planning::RoutineLearner* const> reference,
-              PolicyStoreParams params);
 
   PolicyStoreParams params_;
-  std::vector<rl::QTable> reference_;
+  rl::QTable reference_;
   std::vector<Entry> entries_;
   std::unique_ptr<SegmentStore> segments_;
-  std::uint64_t rejected_ = 0;
 };
 
 }  // namespace coreda::serve

@@ -3,53 +3,49 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "exec/trial_runner.hpp"
 #include "patient/profile.hpp"
+#include "util/rng.hpp"
 
 namespace coreda::serve {
 namespace {
 
+using util::mix64;
+
 /// Donor pretraining: episodes per ADL, and the dataset seed.
 constexpr std::size_t kDonorPretrainEpisodes = 120;
 constexpr std::uint64_t kDonorPretrainSeed = 7;
-
-/// SplitMix64 finalizer (same construction as faults::mix64) — the digest
-/// primitive behind the per-session checksum and per-user severity offsets.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+/// Whole-home slots; user u is served on slot u % kSlots.
+constexpr std::size_t kSlots = 4;
+/// Recognition-gated switching on every slot (see run_scenario).
+constexpr recognition::ActivityTracker::Params kSwitchingTracker{
+    .switch_window = 2, .switch_threshold = 0.8, .switch_patience = 1};
+/// No user is resident on a slot before its first session.
+constexpr std::uint64_t kNoUser = ~std::uint64_t{0};
 
 double unit_interval(std::uint64_t h) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-// ScenarioPlan::parse bounds users and active, so every user id fits.
-static_assert(sim::ScenarioPlan::kMaxUsers <=
-              std::numeric_limits<UserId>::max());
-
 /// Users arriving in round `r`, in arrival order.
-std::vector<UserId> arrivals_for_round(const sim::ScenarioPlan& plan,
-                                       std::uint64_t r) {
-  const auto users = static_cast<UserId>(plan.users);
-  std::vector<UserId> out;
+std::vector<std::uint64_t> arrivals_for_round(const sim::ScenarioPlan& plan,
+                                              std::uint64_t r) {
+  std::vector<std::uint64_t> out;
   if (plan.arrivals == "roundrobin") {
     const std::uint64_t active =
         plan.active == 0 ? plan.users : std::min(plan.active, plan.users);
     out.reserve(active);
     const std::uint64_t start = (r * active) % plan.users;
     for (std::uint64_t k = 0; k < active; ++k) {
-      out.push_back(static_cast<UserId>((start + k) % plan.users));
+      out.push_back((start + k) % plan.users);
     }
   } else {  // "all"
-    out.reserve(users);
-    for (UserId u = 0; u < users; ++u) out.push_back(u);
+    out.reserve(plan.users);
+    for (std::uint64_t u = 0; u < plan.users; ++u) out.push_back(u);
   }
   return out;
 }
@@ -58,16 +54,15 @@ std::vector<UserId> arrivals_for_round(const sim::ScenarioPlan& plan,
 /// per-user offset in [-0.1, 0.1) and `r` rounds of drift, compliance
 /// decayed multiplicatively per round.
 patient::PatientProfile profile_for(const sim::ScenarioPlan& plan,
-                                    const std::string& name, UserId u,
-                                    std::uint64_t r) {
+                                    std::uint64_t u, std::uint64_t r) {
   const double offset =
       unit_interval(mix64(plan.seed ^ (0xC0FFEEULL + u))) * 0.2 - 0.1;
   const double severity =
       std::clamp(plan.severity + offset +
                      static_cast<double>(r) * plan.severity_drift,
                  0.0, 1.0);
-  patient::PatientProfile profile =
-      patient::PatientProfile::with_severity(name, severity);
+  patient::PatientProfile profile = patient::PatientProfile::with_severity(
+      "user" + std::to_string(u), severity);
   const double keep = 1.0 - plan.compliance_decay;
   for (std::uint64_t i = 0; i < r; ++i) {
     profile.comply_minimal *= keep;
@@ -76,12 +71,8 @@ patient::PatientProfile profile_for(const sim::ScenarioPlan& plan,
   return profile;
 }
 
-struct SlotOutcome {
-  ScenarioSummary sum;
-};
-
 void fold_session(ScenarioSummary& sum, const sim::ScenarioPlan& plan,
-                  UserId user, std::uint64_t round,
+                  std::uint64_t user, std::uint64_t round,
                   const core::HomeScriptResult& r) {
   ++sum.sessions;
   if (r.completed) ++sum.completed_sessions;
@@ -127,73 +118,66 @@ core::SessionScript compile_script(const sim::ScenarioPlan& plan) {
   return script;
 }
 
-ScenarioRunner::ScenarioRunner(ScenarioRunnerParams params)
-    : params_(std::move(params)) {}
-
-ScenarioSummary ScenarioRunner::run(const sim::ScenarioPlan& plan,
-                                    std::size_t jobs) const {
+ScenarioSummary run_scenario(const sim::ScenarioPlan& plan,
+                             std::size_t jobs) {
   // One runner for the donor's pretraining and the slot trials, so a run
   // starts at most `jobs` workers.
   exec::TrialRunner runner(jobs);
   const adl::AdlLibrary library;
-  core::SystemConfig donor_config = params_.system;
-  donor_config.seed = plan.seed;
-  core::HomeDeployment donor(library, donor_config);
+  core::HomeDeployment donor(library, core::SystemConfig{.seed = plan.seed});
   donor.pretrain(kDonorPretrainEpisodes, kDonorPretrainSeed, runner);
 
-  // Memory-only: rounds share policy sets, nothing touches disk.
-  PolicyStore store(donor);
-  for (std::uint64_t u = 0; u < plan.users; ++u) {
-    store.add_user("user" + std::to_string(u));
+  std::vector<std::unique_ptr<core::HomeDeployment>> slots;
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    auto home = std::make_unique<core::HomeDeployment>(
+        library, core::SystemConfig{.seed = exec::trial_seed(plan.seed, i)});
+    home->adopt_recognizer(donor.recognizer());
+    home->set_tracker_params(kSwitchingTracker);
+    for (const adl::Adl& adl : library.adls()) {
+      home->import_policy(adl.name(), donor.learner(adl.name()).q());
+    }
+    slots.push_back(std::move(home));
   }
-  SystemPool pool(store, {params_.slots, plan.seed, params_.system},
-                  [&](const core::SystemConfig& config) {
-                    auto home =
-                        std::make_unique<core::HomeDeployment>(library, config);
-                    home->adopt_recognizer(donor.recognizer());
-                    home->set_tracker_params(params_.tracker);
-                    return home;
-                  });
 
   const core::SessionScript script = compile_script(plan);
   const sim::Duration deadline = sim::Duration::minutes(plan.max_minutes);
 
   // One trial per slot: slot s serves exactly the users it owns
-  // (u % slots == s), in (round, arrival-order) order. Slots touch
-  // disjoint deployments and disjoint store entries, so trials are
-  // data-race-free and the outcome is independent of `jobs`.
-  const std::vector<SlotOutcome> outcomes = runner.run(
-      pool.slots(), plan.seed, [&](exec::TrialContext& ctx) {
-        SlotOutcome out;
+  // (u % kSlots == s), in (round, arrival-order) order. Slots touch
+  // disjoint deployments, so trials are data-race-free and the outcome is
+  // independent of `jobs`.
+  const std::vector<ScenarioSummary> outcomes = runner.run(
+      kSlots, plan.seed, [&](exec::TrialContext& ctx) {
+        ScenarioSummary out;
+        std::uint64_t resident = kNoUser;
         for (std::uint64_t r = 0; r < plan.rounds; ++r) {
-          for (const UserId user : arrivals_for_round(plan, r)) {
-            if (pool.slot_for(user) != ctx.index) continue;
-            const patient::PatientProfile profile =
-                profile_for(plan, store.user_name(user), user, r);
-            const core::HomeScriptResult result =
-                pool.serve_script(user, script, profile, deadline);
-            fold_session(out.sum, plan, user, r, result);
+          for (const std::uint64_t user : arrivals_for_round(plan, r)) {
+            if (user % kSlots != ctx.index) continue;
+            ++(user == resident ? out.pool_hits : out.pool_swaps);
+            resident = user;
+            const core::HomeScriptResult result = slots[ctx.index]->run_script(
+                script, profile_for(plan, user, r), deadline);
+            fold_session(out, plan, user, r, result);
           }
         }
         return out;
       });
 
   ScenarioSummary sum;
-  for (const SlotOutcome& out : outcomes) {
-    sum.sessions += out.sum.sessions;
-    sum.completed_sessions += out.sum.completed_sessions;
-    sum.segments += out.sum.segments;
-    sum.segments_completed += out.sum.segments_completed;
-    sum.prompts += out.sum.prompts;
-    sum.praises += out.sum.praises;
-    sum.wrong_tool_recoveries += out.sum.wrong_tool_recoveries;
-    sum.segment_switches += out.sum.segment_switches;
-    sum.idle_episodes += out.sum.idle_episodes;
-    sum.checksum += out.sum.checksum;
+  for (const ScenarioSummary& out : outcomes) {
+    sum.sessions += out.sessions;
+    sum.completed_sessions += out.completed_sessions;
+    sum.segments += out.segments;
+    sum.segments_completed += out.segments_completed;
+    sum.prompts += out.prompts;
+    sum.praises += out.praises;
+    sum.wrong_tool_recoveries += out.wrong_tool_recoveries;
+    sum.segment_switches += out.segment_switches;
+    sum.idle_episodes += out.idle_episodes;
+    sum.pool_hits += out.pool_hits;
+    sum.pool_swaps += out.pool_swaps;
+    sum.checksum += out.checksum;
   }
-  sum.pool_hits = pool.hits();
-  sum.pool_swaps = pool.swaps();
-  sum.rejected_records = store.rejected_records();
   return sum;
 }
 

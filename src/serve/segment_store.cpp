@@ -37,11 +37,11 @@ constexpr std::size_t kMaxChainRecords = 63;
 /// empty delta is 64.
 constexpr std::uint64_t kMinRecordBytes = 56;
 /// store.meta's fixed prefix: magic, format version, segment bytes and the
-/// table count; the table list follows, then the 8-byte trailer.
+/// table count (1); the table follows, then the 8-byte trailer.
 constexpr std::size_t kMetaPrefixBytes = 32;
-/// Q cells of the largest set whose anchor fits an 8 MiB segment. Bounds
+/// Q cells of the largest table whose anchor fits an 8 MiB segment. Bounds
 /// every count a store.meta claims before anything is sized by it.
-constexpr std::uint64_t kMaxSetCells =
+constexpr std::uint64_t kMaxTableCells =
     (kMaxSegmentBytes - kSegmentHeaderBytes) / 8 - 6;
 
 bool parse_segment_file_name(const std::string& name, std::uint64_t& writer,
@@ -58,25 +58,8 @@ bool parse_segment_file_name(const std::string& name, std::uint64_t& writer,
   return true;
 }
 
-/// Q cells across a set's tables.
-std::uint64_t set_cells(std::span<const TableSchema> tables) {
-  std::uint64_t cells = 0;
-  for (const TableSchema& t : tables) cells += t.num_states * t.num_actions;
-  return cells;
-}
-
-/// The set's rows numbered across its tables: each row's width.
-std::vector<std::uint32_t> row_widths(std::span<const TableSchema> tables) {
-  std::vector<std::uint32_t> widths;
-  for (const TableSchema& t : tables) {
-    widths.insert(widths.end(), t.num_states,
-                  static_cast<std::uint32_t>(t.num_actions));
-  }
-  return widths;
-}
-
-/// store.meta (format 3) for `tables`, trailer included.
-std::vector<unsigned char> encode_meta(std::span<const TableSchema> tables,
+/// store.meta (format 3) for the one table `t`, trailer included.
+std::vector<unsigned char> encode_meta(const TableSchema& t,
                                        std::uint64_t segment_bytes) {
   std::vector<unsigned char> buf(kMetaPrefixBytes);
   const auto put = [&buf](std::uint64_t v) {
@@ -86,25 +69,23 @@ std::vector<unsigned char> encode_meta(std::span<const TableSchema> tables,
   std::memcpy(buf.data(), kStoreMetaMagic, 8);
   wire::store_u64(buf.data() + 8, kMetaFormatVersion);
   wire::store_u64(buf.data() + 16, segment_bytes);
-  wire::store_u64(buf.data() + 24, tables.size());
-  for (const TableSchema& t : tables) {
-    put(t.steps.size());
-    put(t.tools.size());
-    put(t.num_states);
-    put(t.num_actions);
-    for (const adl::StepId id : t.steps) put(static_cast<std::uint64_t>(id));
-    for (const adl::ToolId id : t.tools) put(static_cast<std::uint64_t>(id));
-  }
+  wire::store_u64(buf.data() + 24, 1);  // the table count
+  put(t.steps.size());
+  put(t.tools.size());
+  put(t.num_states);
+  put(t.num_actions);
+  for (const adl::StepId id : t.steps) put(static_cast<std::uint64_t>(id));
+  for (const adl::ToolId id : t.tools) put(static_cast<std::uint64_t>(id));
   put(wire::checksum64(buf.data(), buf.size()));
   return buf;
 }
 
-/// The table list of a store.meta image whose magic, version and trailer
-/// checked out; nullopt when it is malformed or degenerate: no table, a
-/// zero-dimension table, a set too large for a segment, a count that
-/// overruns the image, or bytes left over. Every count is bounded before it
-/// sizes anything.
-std::optional<std::vector<TableSchema>> decode_meta_tables(
+/// The table of a store.meta image whose magic, version and trailer
+/// checked out; nullopt when it is malformed or degenerate: a table count
+/// other than 1, a zero-dimension table, a table too large for a segment,
+/// a count that overruns the image, or bytes left over. Every count is
+/// bounded before it sizes anything.
+std::optional<TableSchema> decode_meta_table(
     std::span<const unsigned char> meta) {
   const std::size_t end = meta.size() - 8;
   std::size_t pos = kMetaPrefixBytes;
@@ -114,53 +95,43 @@ std::optional<std::vector<TableSchema>> decode_meta_tables(
     pos += 8;
     return true;
   };
-  const std::uint64_t n_tables = wire::load_u64(meta.data() + 24);
-  if (n_tables == 0 || n_tables > (end - pos) / 32) return std::nullopt;
-  std::vector<TableSchema> tables(static_cast<std::size_t>(n_tables));
-  std::uint64_t cells = 0;
-  for (TableSchema& t : tables) {
-    std::uint64_t n_steps = 0, n_tools = 0, n_states = 0, n_actions = 0;
-    if (!take(n_steps) || !take(n_tools) || !take(n_states) ||
-        !take(n_actions)) {
-      return std::nullopt;
-    }
-    if (n_states == 0 || n_actions == 0 || n_states > kMaxSetCells ||
-        n_actions > kMaxSetCells ||
-        n_states * n_actions > kMaxSetCells - cells ||
-        n_steps > (end - pos) / 8 || n_tools > (end - pos) / 8 - n_steps) {
-      return std::nullopt;
-    }
-    cells += n_states * n_actions;
-    t.num_states = static_cast<std::size_t>(n_states);
-    t.num_actions = static_cast<std::size_t>(n_actions);
-    std::uint64_t v = 0;
-    for (std::uint64_t i = 0; i < n_steps && take(v); ++i) {
-      t.steps.push_back(static_cast<adl::StepId>(v));
-    }
-    for (std::uint64_t i = 0; i < n_tools && take(v); ++i) {
-      t.tools.push_back(static_cast<adl::ToolId>(v));
-    }
+  std::uint64_t n_steps = 0, n_tools = 0, n_states = 0, n_actions = 0;
+  if (wire::load_u64(meta.data() + 24) != 1 || !take(n_steps) ||
+      !take(n_tools) || !take(n_states) || !take(n_actions)) {
+    return std::nullopt;
+  }
+  if (n_states == 0 || n_actions == 0 || n_states > kMaxTableCells ||
+      n_actions > kMaxTableCells || n_states * n_actions > kMaxTableCells ||
+      n_steps > (end - pos) / 8 || n_tools > (end - pos) / 8 - n_steps) {
+    return std::nullopt;
+  }
+  TableSchema t;
+  t.num_states = static_cast<std::size_t>(n_states);
+  t.num_actions = static_cast<std::size_t>(n_actions);
+  std::uint64_t v = 0;
+  for (std::uint64_t i = 0; i < n_steps && take(v); ++i) {
+    t.steps.push_back(static_cast<adl::StepId>(v));
+  }
+  for (std::uint64_t i = 0; i < n_tools && take(v); ++i) {
+    t.tools.push_back(static_cast<adl::ToolId>(v));
   }
   if (pos != end) return std::nullopt;
-  return tables;
+  return t;
 }
 
-/// Whether a delta's n_rows rows exactly fill [56, len - 8). The row count
-/// is bounded by the set's rows before it drives anything, and each row
-/// index is range-checked before its width is looked up, so no forged
-/// field can wrap an offset or index past the widths table.
+/// Whether a delta's n_rows rows, each a row index and `t.num_actions`
+/// cells, exactly fill [56, len - 8), every index naming a row of `t`. The
+/// row count is bounded by the table's rows before it sizes anything, so
+/// no forged field can wrap an offset or reach past the record.
 bool delta_rows_fit(const unsigned char* rec, std::uint64_t len,
-                    std::span<const std::uint32_t> row_width) {
+                    const TableSchema& t) {
   const std::uint64_t n_rows = wire::load_u64(rec + 48);
-  if (n_rows > row_width.size()) return false;
-  std::uint64_t pos = 56;
+  const std::uint64_t stride = 8 * (1 + std::uint64_t{t.num_actions});
+  if (n_rows > t.num_states || len - 8 != 56 + n_rows * stride) return false;
   for (std::uint64_t i = 0; i < n_rows; ++i) {
-    if (pos + 8 > len - 8) return false;
-    const std::uint64_t row = wire::load_u64(rec + pos);
-    if (row >= row_width.size()) return false;
-    pos += 8 * (1 + std::uint64_t{row_width[row]});
+    if (wire::load_u64(rec + 56 + i * stride) >= t.num_states) return false;
   }
-  return pos == len - 8;
+  return true;
 }
 
 void write_segment_header(unsigned char* base, std::uint64_t writer,
@@ -175,13 +146,12 @@ void write_segment_header(unsigned char* base, std::uint64_t writer,
 enum class RecordKind { kEnd, kCorrupt, kAnchor, kDelta };
 
 /// Validates the record at `off` of a `bytes`-long segment image (the
-/// caller guarantees off + kMinRecordBytes <= bytes) for a set of `cells`
-/// Q cells whose rows have the given widths, and sets `len` when it is
-/// valid. kEnd is a clean (zero-magic) tail. The open-time scan and inspect
-/// both call this, so they agree on every segment's longest valid prefix.
+/// caller guarantees off + kMinRecordBytes <= bytes) for tables shaped like
+/// `t`, and sets `len` when it is valid. kEnd is a clean (zero-magic) tail.
+/// The open-time scan and inspect both call this, so they agree on every
+/// segment's longest valid prefix.
 RecordKind check_record(const unsigned char* base, std::size_t off,
-                        std::size_t bytes, std::uint64_t cells,
-                        std::span<const std::uint32_t> row_width,
+                        std::size_t bytes, const TableSchema& t,
                         std::uint64_t& len) {
   const unsigned char* rec = base + off;
   if (wire::load_u64(rec) == 0) return RecordKind::kEnd;
@@ -198,12 +168,13 @@ RecordKind check_record(const unsigned char* base, std::size_t off,
     return RecordKind::kCorrupt;
   }
   if (anchor) {
+    const std::uint64_t cells = t.num_states * t.num_actions;
     if (wire::load_u64(rec + 32) != cells || n != 8 * (6 + cells)) {
       return RecordKind::kCorrupt;
     }
   } else {
     const std::uint64_t parent = wire::load_u64(rec + 40);
-    if (!delta_rows_fit(rec, n, row_width) || parent < kSegmentHeaderBytes ||
+    if (!delta_rows_fit(rec, n, t) || parent < kSegmentHeaderBytes ||
         parent % 8 != 0 || parent >= off) {
       return RecordKind::kCorrupt;
     }
@@ -239,6 +210,10 @@ struct SegmentStore::Segment {
 };
 
 struct SegmentStore::Writer {
+  Writer(std::uint64_t id, rl::QTable scratch, std::string spare_path)
+      : id(id), scratch(std::move(scratch)),
+        spare_path(std::move(spare_path)) {}
+
   std::uint64_t id = 0;
   std::vector<std::unique_ptr<Segment>> segs;
   Segment* tail = nullptr;  ///< append target; null until the first roll
@@ -246,10 +221,10 @@ struct SegmentStore::Writer {
   /// This lane's user -> location slab (see user_index.hpp for why the
   /// table is per-lane).
   UserIndex index;
-  /// A whole set, reused across appends as the delta base and across
+  /// A table, reused across appends as the delta base and across
   /// compactions as the relocation shuttle — keeps both paths
   /// allocation-free.
-  std::vector<rl::QTable> scratch;
+  rl::QTable scratch;
   /// A reclaimed segment, still mapped, that the next roll recycles (null
   /// when none). Its file lives at spare_path; its `path` is scratch space
   /// for the name it takes next.
@@ -261,29 +236,19 @@ SegmentStore::SegmentStore(std::span<const adl::StepId> steps,
                            std::span<const adl::ToolId> tools,
                            std::size_t num_states, std::size_t num_actions,
                            SegmentStoreParams params)
-    : SegmentStore(
-          {TableSchema{{steps.begin(), steps.end()},
-                       {tools.begin(), tools.end()},
-                       num_states,
-                       num_actions}},
-          std::move(params)) {}
-
-SegmentStore::SegmentStore(std::vector<TableSchema> tables,
-                           SegmentStoreParams params)
-    : params_(std::move(params)), tables_(std::move(tables)) {
+    : params_(std::move(params)),
+      table_{{steps.begin(), steps.end()},
+             {tools.begin(), tools.end()},
+             num_states,
+             num_actions} {
   if (params_.dir.empty()) {
     throw std::invalid_argument("SegmentStore: dir is required");
   }
   if (params_.writers == 0) {
     throw std::invalid_argument("SegmentStore: writers must be >= 1");
   }
-  if (tables_.empty()) {
-    throw std::invalid_argument("SegmentStore: a policy set needs a table");
-  }
-  for (const TableSchema& t : tables_) {
-    if (t.num_states == 0 || t.num_actions == 0) {
-      throw std::invalid_argument("SegmentStore: degenerate table shape");
-    }
+  if (num_states == 0 || num_actions == 0) {
+    throw std::invalid_argument("SegmentStore: degenerate table shape");
   }
   if (params_.segment_bytes > kMaxSegmentBytes) {
     throw std::invalid_argument(
@@ -292,26 +257,15 @@ SegmentStore::SegmentStore(std::vector<TableSchema> tables,
   }
   params_.rebase_every =
       std::clamp<std::size_t>(params_.rebase_every, 1, kMaxChainRecords);
-  cells_ = set_cells(tables_);
-  if (cells_ > kMaxSetCells) {
+  if (num_states > kMaxTableCells / num_actions) {
     throw std::invalid_argument(
-        "SegmentStore: policy set too large for an 8 MiB segment");
+        "SegmentStore: table too large for an 8 MiB segment");
   }
-  anchor_bytes_ = 8 * (6 + cells_);
-  row_width_ = row_widths(tables_);
-  for (std::size_t t = 0; t < tables_.size(); ++t) {
-    first_row_.push_back(row_table_.size());
-    row_table_.insert(row_table_.end(), tables_[t].num_states,
-                      static_cast<std::uint32_t>(t));
-  }
+  anchor_bytes_ = 8 * (6 + num_states * num_actions);
   for (std::size_t w = 0; w < params_.writers; ++w) {
-    writers_.push_back(std::make_unique<Writer>());
-    writers_.back()->id = w;
-    for (const TableSchema& t : tables_) {
-      writers_.back()->scratch.emplace_back(t.num_states, t.num_actions);
-    }
-    writers_.back()->spare_path =
-        params_.dir + "/seg-w" + std::to_string(w) + ".spare";
+    writers_.push_back(std::make_unique<Writer>(
+        w, rl::QTable(num_states, num_actions),
+        params_.dir + "/seg-w" + std::to_string(w) + ".spare"));
   }
   seg_by_id_.assign(UserIndex::kMaxSegments, nullptr);
   fs::create_directories(params_.dir);
@@ -334,7 +288,7 @@ SegmentStore::~SegmentStore() {
 
 void SegmentStore::write_meta() const {
   const std::vector<unsigned char> buf =
-      encode_meta(tables_, params_.segment_bytes);
+      encode_meta(table_, params_.segment_bytes);
   const std::string path = params_.dir + "/" + kMetaFileName;
   const std::string tmp = path + ".tmp";
   {
@@ -374,17 +328,22 @@ void SegmentStore::validate_meta() const {
       wire::checksum64(buf.data(), buf.size() - 8)) {
     throw std::runtime_error("SegmentStore: " + path + " checksum mismatch");
   }
-  const std::optional<std::vector<TableSchema>> tables =
-      decode_meta_tables(buf);
-  if (!tables) {
-    throw std::runtime_error("SegmentStore: " + path +
-                             " has a malformed or degenerate table list");
+  const std::uint64_t count = wire::load_u64(buf.data() + 24);
+  if (count != 1) {
+    throw std::runtime_error("SegmentStore: " + path + " holds " +
+                             std::to_string(count) +
+                             " tables per record; this build reads one");
   }
-  if (*tables != tables_) {
+  const std::optional<TableSchema> table = decode_meta_table(buf);
+  if (!table) {
+    throw std::runtime_error("SegmentStore: " + path +
+                             " has a malformed or degenerate table");
+  }
+  if (*table != table_) {
     throw std::runtime_error(
         "SegmentStore: " + path +
-        " holds another policy set (table count, shapes or vocabularies "
-        "differ from this deployment's)");
+        " holds another table (shape or vocabularies differ from this "
+        "deployment's)");
   }
 }
 
@@ -530,7 +489,7 @@ void SegmentStore::verify_segment(Segment& seg) const noexcept {
   while (seg.used + kMinRecordBytes <= seg.bytes) {
     std::uint64_t len = 0;
     const RecordKind kind =
-        check_record(seg.base, seg.used, seg.bytes, cells_, row_width_, len);
+        check_record(seg.base, seg.used, seg.bytes, table_, len);
     // A clean tail (or a crashed, unpublished append) ends the segment.
     // Variable strides mean a record after an invalid one cannot be
     // located: the valid prefix ends there too, and the next append
@@ -730,7 +689,7 @@ SegmentStore::Segment* SegmentStore::new_segment(Writer& w) {
 }
 
 std::size_t SegmentStore::write_record(Writer& w, std::uint64_t user,
-                                       std::span<const rl::QTable> set,
+                                       const rl::QTable& q,
                                        std::uint64_t version,
                                        bool allow_delta) {
   bool use_delta = false;
@@ -753,14 +712,8 @@ std::size_t SegmentStore::write_record(Writer& w, std::uint64_t user,
         base_ok = false;  // rot under the chain: rebase with an anchor
       }
       if (base_ok) {
-        std::size_t words = 8;
-        for (std::size_t t = 0; t < tables_.size(); ++t) {
-          const std::size_t rows =
-              planning::count_changed_rows(w.scratch[t], set[t]);
-          n_rows += rows;
-          words += rows * (1 + tables_[t].num_actions);
-        }
-        delta_bytes = 8 * words;
+        n_rows = planning::count_changed_rows(w.scratch, q);
+        delta_bytes = 8 * (8 + n_rows * (1 + table_.num_actions));
         if (delta_bytes < anchor_bytes_) {
           use_delta = true;
           parent_off = std::uint64_t{cur.off8} * 8;
@@ -787,20 +740,14 @@ std::size_t SegmentStore::write_record(Writer& w, std::uint64_t user,
     wire::store_u64(rec + 32, parent_version);
     wire::store_u64(rec + 40, parent_off);
     wire::store_u64(rec + 48, n_rows);
-    unsigned char* rp = rec + 56;
-    for (std::size_t t = 0; t < tables_.size(); ++t) {
-      rp = planning::encode_changed_rows(w.scratch[t], set[t], rp,
-                                         first_row_[t]);
-    }
+    planning::encode_changed_rows(w.scratch, q, rec + 56);
   } else {
-    wire::store_u64(rec + 32, cells_);
+    wire::store_u64(rec + 32, table_.num_states * table_.num_actions);
     unsigned char* qp = rec + 40;
-    for (const rl::QTable& q : set) {
-      for (rl::StateId s = 0; s < q.num_states(); ++s) {
-        for (const double v : q.row(s)) {
-          wire::store_f64(qp, v);
-          qp += 8;
-        }
+    for (rl::StateId s = 0; s < q.num_states(); ++s) {
+      for (const double v : q.row(s)) {
+        wire::store_f64(qp, v);
+        qp += 8;
       }
     }
   }
@@ -852,22 +799,12 @@ std::size_t SegmentStore::write_record(Writer& w, std::uint64_t user,
   return need;
 }
 
-bool SegmentStore::matches(std::span<const rl::QTable> set) const noexcept {
-  if (set.size() != tables_.size()) return false;
-  for (std::size_t t = 0; t < set.size(); ++t) {
-    if (set[t].num_states() != tables_[t].num_states ||
-        set[t].num_actions() != tables_[t].num_actions) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void SegmentStore::append(std::uint64_t user, std::span<const rl::QTable> set,
+void SegmentStore::append(std::uint64_t user, const rl::QTable& q,
                           std::uint64_t version) {
-  if (!matches(set)) {
+  if (q.num_states() != table_.num_states ||
+      q.num_actions() != table_.num_actions) {
     throw std::runtime_error(
-        "SegmentStore::append: policy set does not match the store's tables");
+        "SegmentStore::append: table shape does not match the store's");
   }
   if (user >= reserved_users_) {
     throw std::runtime_error(
@@ -875,7 +812,7 @@ void SegmentStore::append(std::uint64_t user, std::span<const rl::QTable> set,
   }
   Writer& w = writer_for(user);
   maybe_compact(w);
-  const std::size_t bytes = write_record(w, user, set, version, true);
+  const std::size_t bytes = write_record(w, user, q, version, true);
   appends_.fetch_add(1, std::memory_order_relaxed);
   appended_bytes_.fetch_add(bytes, std::memory_order_relaxed);
 }
@@ -888,11 +825,12 @@ std::optional<std::uint64_t> SegmentStore::latest_version(
   return version_at(loc);
 }
 
-std::optional<std::uint64_t> SegmentStore::load(
-    std::uint64_t user, std::span<rl::QTable> set) const {
-  if (!matches(set)) {
+std::optional<std::uint64_t> SegmentStore::load(std::uint64_t user,
+                                                rl::QTable& q) const {
+  if (q.num_states() != table_.num_states ||
+      q.num_actions() != table_.num_actions) {
     throw std::runtime_error(
-        "SegmentStore::load: policy set does not match the store's tables");
+        "SegmentStore::load: table shape does not match the store's");
   }
   const Writer& w = writer_for(user);
   UserIndex::Loc loc;
@@ -907,7 +845,7 @@ std::optional<std::uint64_t> SegmentStore::load(
         std::to_string(user));
   };
 
-  // Validate the whole chain newest -> anchor before touching the set: it
+  // Validate the whole chain newest -> anchor before touching the table: it
   // is written only after every record it depends on has checked out.
   std::array<const unsigned char*, kMaxChainRecords + 1> chain;
   std::size_t depth = 0;
@@ -932,13 +870,14 @@ std::optional<std::uint64_t> SegmentStore::load(
     }
     if (depth >= chain.size()) throw fail();
     if (anchor) {
-      if (wire::load_u64(rec + 32) != cells_ || len != anchor_bytes_) {
+      if (len != anchor_bytes_ ||
+          wire::load_u64(rec + 32) != table_.num_states * table_.num_actions) {
         throw fail();
       }
       chain[depth++] = rec;
       break;
     }
-    if (!delta_rows_fit(rec, len, row_width_)) throw fail();
+    if (!delta_rows_fit(rec, len, table_)) throw fail();
     const std::uint64_t parent = wire::load_u64(rec + 40);
     if (parent < kSegmentHeaderBytes || parent % 8 != 0 || parent >= off) {
       throw fail();
@@ -951,12 +890,10 @@ std::optional<std::uint64_t> SegmentStore::load(
 
   // Apply: the anchor, then every delta oldest -> newest.
   const unsigned char* qp = chain[depth - 1] + 40;
-  for (rl::QTable& q : set) {
-    for (rl::StateId s = 0; s < q.num_states(); ++s) {
-      for (double& v : q.row_mut(s)) {
-        v = wire::load_f64(qp);
-        qp += 8;
-      }
+  for (rl::StateId s = 0; s < q.num_states(); ++s) {
+    for (double& v : q.row_mut(s)) {
+      v = wire::load_f64(qp);
+      qp += 8;
     }
   }
   for (std::size_t i = depth - 1; i-- > 0;) {
@@ -964,11 +901,9 @@ std::optional<std::uint64_t> SegmentStore::load(
     const std::uint64_t n_rows = wire::load_u64(rec + 48);
     const unsigned char* rp = rec + 56;
     for (std::uint64_t r = 0; r < n_rows; ++r) {
-      const std::uint64_t row = wire::load_u64(rp);
+      const auto row = static_cast<rl::StateId>(wire::load_u64(rp));
       rp += 8;
-      const std::uint32_t t = row_table_[row];
-      for (double& v : set[t].row_mut(
-               static_cast<rl::StateId>(row - first_row_[t]))) {
+      for (double& v : q.row_mut(row)) {
         v = wire::load_f64(rp);
         rp += 8;
       }
@@ -1116,12 +1051,10 @@ SegmentStore::Info SegmentStore::inspect(const std::string& dir) {
           wire::checksum64(meta.data(), meta.size() - 8)) {
     return info;
   }
-  std::optional<std::vector<TableSchema>> tables = decode_meta_tables(meta);
-  if (!tables) return info;
+  std::optional<TableSchema> table = decode_meta_table(meta);
+  if (!table) return info;
   info.meta_ok = true;
-  info.tables = std::move(*tables);
-  const std::uint64_t cells = set_cells(info.tables);
-  const std::vector<std::uint32_t> row_width = row_widths(info.tables);
+  info.table = std::move(*table);
 
   struct FileKey {
     std::uint64_t writer;
@@ -1173,7 +1106,7 @@ SegmentStore::Info SegmentStore::inspect(const std::string& dir) {
       while (off + kMinRecordBytes <= buf.size()) {
         std::uint64_t len = 0;
         const RecordKind kind =
-            check_record(buf.data(), off, buf.size(), cells, row_width, len);
+            check_record(buf.data(), off, buf.size(), info.table, len);
         if (kind == RecordKind::kEnd) break;  // tail
         if (kind == RecordKind::kCorrupt) {
           ++info.corrupt_records;  // prefix ends: the rest is unreachable

@@ -17,19 +17,13 @@ namespace coreda::serve {
 
 // ---------------------------------------------------------------------------
 // "coreda-policy store" — the one on-disk format for per-user policies: a
-// memory-mapped, segmented, append-only store.
+// memory-mapped, segmented, append-only store of one Q table per user.
 //
-// What a user owns is a *policy set*: one Q table per ADL the deployment
-// plans (a whole home has one per ADL; a single-ADL deployment is a set of
-// one), persisted as ONE record, so a user who interleaves ADLs can never
-// check out a torn set. Rows are numbered across the set, table after
-// table; a row's width is its table's action count.
-//
-// One directory holds every user's policy set:
+// One directory holds every user's table:
 //
 //   store.meta            "CRDASTR1", format version (3), segment size, the
-//                         table count, then per table its shape (steps,
-//                         tools, states, actions) and step + tool
+//                         table count (always 1), then the table's shape
+//                         (steps, tools, states, actions) and step + tool
 //                         vocabularies, and a checksum64 trailer over every
 //                         preceding byte (atomic temp+rename publish)
 //   seg-w<writer>-<seq>.seg   mmap'd append-only segments
@@ -40,8 +34,10 @@ namespace coreda::serve {
 // Every checksum below is util::wire::checksum64: any change confined to
 // one 8-byte word of the hashed range is always detected. A store.meta of
 // another format version (format 1 hashed with FNV-1a 64; format 2 held
-// exactly one table) is refused at open by its version field, before its
-// trailer is checked.
+// exactly one table and no count) is refused at open by its version field,
+// before its trailer is checked. Format 3's count field is always 1: a
+// store.meta of any other count is refused at open, and inspect reports it
+// as a meta mismatch.
 //
 // Segment format ("CRDASEG2", all integers little-endian u64, doubles as
 // LE IEEE-754 bit patterns) — variable-stride records, 8-byte aligned:
@@ -59,23 +55,23 @@ namespace coreda::serve {
 //   user       u64
 //   version    u64
 //
-// Anchor — the whole set (len = 8 * (6 + q_count)):
+// Anchor — the whole table (len = 8 * (6 + q_count)):
 //
-//   q_count    u64  cells across the set's tables
-//   q          q_count x f64: the tables back to back, each row-major
+//   q_count    u64  states x actions
+//   q          q_count x f64, row-major
 //   checksum   u64  checksum64 over bytes [8, len - 8)
 //
 // Delta — the rows that changed since the parent record
-// (len = 8 * (8 + sum over its rows of (1 + width(row_index)))):
+// (len = 8 * (8 + n_rows * (1 + actions))):
 //
 //   parent_version u64  version the delta applies on top of
 //   parent_off     u64  byte offset of the parent record in THIS segment
-//   n_rows         u64  changed Q rows (at most the set's rows)
-//   rows           n_rows x (u64 row_index + width(row_index) x f64)
+//   n_rows         u64  changed Q rows (at most the table's states)
+//   rows           n_rows x (u64 row_index + actions x f64)
 //   checksum       u64  checksum64 over bytes [8, len - 8)
 //
-// A one-table store's records are exactly format 2's: only store.meta
-// changed.
+// These records are byte for byte store format 2's: format 3 changed only
+// store.meta.
 //
 // A user's records form a chain: each delta back-points to that user's
 // previous record via parent_off. Chains never span segments — the first
@@ -133,7 +129,7 @@ inline constexpr char kAnchorMagic[8] = {'C', 'R', 'D', 'A',
 inline constexpr char kDeltaMagic[8] = {'C', 'R', 'D', 'A',
                                         'D', 'E', 'L', '2'};
 
-/// One table of a policy set: its shape and the vocabularies its rows and
+/// The table a store holds: its shape and the vocabularies its rows and
 /// columns are keyed by (a planner's state symbols and action tools).
 struct TableSchema {
   std::vector<adl::StepId> steps;
@@ -146,8 +142,8 @@ struct TableSchema {
 
 struct SegmentStoreParams {
   /// Store directory (required). Created when missing; an existing store
-  /// is validated against the constructor's schema and its index rebuilt
-  /// by scanning every segment.
+  /// is validated against the constructor's table and its index rebuilt by
+  /// scanning every segment.
   std::string dir;
   /// Target segment file size. Capped at 8 MiB: the flat user index packs
   /// a record offset into 20 bits of offset/8. A table bigger than the
@@ -175,13 +171,11 @@ struct SegmentStoreParams {
 /// fleet scale there is no resident per-user table to stage).
 class SegmentStore {
  public:
-  /// Opens (or creates) the store at params.dir for policy sets of the
-  /// given tables, in order. Throws std::runtime_error when an existing
-  /// store.meta disagrees with the table list (count, order, shapes or
-  /// vocabularies), std::invalid_argument on degenerate params or an
-  /// empty or zero-dimension table list.
-  SegmentStore(std::vector<TableSchema> tables, SegmentStoreParams params);
-  /// A one-table store (a set of one).
+  /// Opens (or creates) the store at params.dir for tables of the given
+  /// shape and vocabularies. Throws std::runtime_error when an existing
+  /// store.meta disagrees (another shape or vocabulary, or a table count
+  /// other than 1), std::invalid_argument on degenerate params or a
+  /// zero-dimension table.
   SegmentStore(std::span<const adl::StepId> steps,
                std::span<const adl::ToolId> tools, std::size_t num_states,
                std::size_t num_actions, SegmentStoreParams params);
@@ -204,38 +198,26 @@ class SegmentStore {
     if (users > sized_users_) size_lanes(users, &UserIndex::grow);
   }
 
-  /// Durably records (user, version, set): `set` holds one table per
-  /// schema table, in order. When the user's previous record lives in the
-  /// current tail segment and its chain is short enough, this appends a
-  /// changed-row delta; otherwise a full anchor. Steady-state
+  /// Durably records (user, version, q). When the user's previous record
+  /// lives in the current tail segment and its chain is short enough, this
+  /// appends a changed-row delta; otherwise a full anchor. Steady-state
   /// allocation-free: the record lands straight in the tail mapping; only
   /// a roll onto a fresh file or a compaction allocates (reclaiming a
   /// segment and recycling the spare do not). Throws std::runtime_error on
-  /// a set-size or shape mismatch or I/O failure. Safe to call
-  /// concurrently for users of *different* writers (`user % writers()`).
-  void append(std::uint64_t user, std::span<const rl::QTable> set,
-              std::uint64_t version);
-  /// One-table store: appends the set {q}.
-  void append(std::uint64_t user, const rl::QTable& q, std::uint64_t version) {
-    append(user, std::span<const rl::QTable>(&q, 1), version);
-  }
+  /// a shape mismatch or I/O failure. Safe to call concurrently for users
+  /// of *different* writers (`user % writers()`).
+  void append(std::uint64_t user, const rl::QTable& q, std::uint64_t version);
 
   /// Version of the newest valid record for `user`, nullopt when none.
   std::optional<std::uint64_t> latest_version(std::uint64_t user) const;
 
-  /// Loads the newest set for `user` into `set` (one table per schema
-  /// table, each of its shape): validates the user's whole record chain
-  /// (anchor + deltas), then applies it. Returns its version, or nullopt
-  /// when the store holds nothing for this user. Throws std::runtime_error
-  /// when any chain record fails validation (bit rot after the open-time
-  /// scan); no table of `set` is written until the full chain validates.
-  /// Allocation-free.
-  std::optional<std::uint64_t> load(std::uint64_t user,
-                                    std::span<rl::QTable> set) const;
-  /// One-table store: loads the set {q}.
-  std::optional<std::uint64_t> load(std::uint64_t user, rl::QTable& q) const {
-    return load(user, std::span<rl::QTable>(&q, 1));
-  }
+  /// Loads the newest table for `user` into `q` (of the store's shape):
+  /// validates the user's whole record chain (anchor + deltas), then
+  /// applies it. Returns its version, or nullopt when the store holds
+  /// nothing for this user. Throws std::runtime_error when any chain record
+  /// fails validation (bit rot after the open-time scan); `q` is not
+  /// written until the full chain validates. Allocation-free.
+  std::optional<std::uint64_t> load(std::uint64_t user, rl::QTable& q) const;
 
   std::size_t writers() const noexcept { return params_.writers; }
   std::size_t num_segments() const noexcept;
@@ -259,7 +241,7 @@ class SegmentStore {
   std::uint64_t delta_records_written() const noexcept {
     return delta_records_.load(std::memory_order_relaxed);
   }
-  /// Bytes one full anchor record (the whole set) takes — the denominator
+  /// Bytes one full anchor record (the whole table) takes — the denominator
   /// of the delta format's write savings.
   std::size_t anchor_record_bytes() const noexcept { return anchor_bytes_; }
   /// Total bytes across every writer lane's index slab (the resident
@@ -276,11 +258,8 @@ class SegmentStore {
     return reclaimed_.load(std::memory_order_relaxed);
   }
   const SegmentStoreParams& params() const noexcept { return params_; }
-  /// The policy set's tables, in record order.
-  std::span<const TableSchema> tables() const noexcept { return tables_; }
-  /// The first table's shape — a one-table store's only table.
-  std::size_t num_states() const noexcept { return tables_[0].num_states; }
-  std::size_t num_actions() const noexcept { return tables_[0].num_actions; }
+  std::size_t num_states() const noexcept { return table_.num_states; }
+  std::size_t num_actions() const noexcept { return table_.num_actions; }
 
   /// Every user with a record, ascending (offline tooling and tests).
   std::vector<std::uint64_t> user_ids() const;
@@ -321,8 +300,8 @@ class SegmentStore {
     double mean_chain_length = 0.0;  ///< mean records per live chain here
   };
   struct Info {
-    /// store.meta's table list (empty unless meta_ok).
-    std::vector<TableSchema> tables;
+    /// store.meta's table (empty unless meta_ok).
+    TableSchema table;
     std::size_t segments = 0;
     std::uint64_t records = 0;          ///< valid records scanned
     std::uint64_t anchors = 0;          ///< ... of which full tables
@@ -334,8 +313,8 @@ class SegmentStore {
     std::uint64_t max_version = 0;
     double mean_chain_length = 0.0;     ///< mean records per live chain
     std::uint64_t meta_format = 0;      ///< store.meta's format version
-    /// store.meta has this build's format version, a valid trailer and a
-    /// well-formed, non-degenerate table list; records are scanned only
+    /// store.meta has this build's format version, a valid trailer and
+    /// one well-formed, non-degenerate table; records are scanned only
     /// when it does.
     bool meta_ok = false;
     std::vector<SegmentInfo> segment_details;
@@ -348,8 +327,6 @@ class SegmentStore {
   struct Segment;
   struct Writer;
 
-  /// Whether `set` has one table per schema table, each of its shape.
-  bool matches(std::span<const rl::QTable> set) const noexcept;
   /// Sizes every writer lane's index for the users below `users` with
   /// `size` (UserIndex::reserve or ::grow).
   void size_lanes(std::uint64_t users,
@@ -382,8 +359,7 @@ class SegmentStore {
                      std::uint64_t version);
   /// Appends one record (delta when profitable and allowed) and flips the
   /// index. Returns the bytes written.
-  std::size_t write_record(Writer& w, std::uint64_t user,
-                           std::span<const rl::QTable> set,
+  std::size_t write_record(Writer& w, std::uint64_t user, const rl::QTable& q,
                            std::uint64_t version, bool allow_delta);
   void maybe_compact(Writer& w);
   void compact_writer(Writer& w);
@@ -397,13 +373,7 @@ class SegmentStore {
   }
 
   SegmentStoreParams params_;
-  std::vector<TableSchema> tables_;
-  /// The set's rows numbered across its tables: each row's width (its
-  /// table's action count) and table; and each table's first row.
-  std::vector<std::uint32_t> row_width_;
-  std::vector<std::uint32_t> row_table_;
-  std::vector<std::size_t> first_row_;
-  std::size_t cells_ = 0;         ///< Q cells across the set
+  TableSchema table_;
   std::size_t anchor_bytes_ = 0;  ///< anchor record length
   std::vector<std::unique_ptr<Writer>> writers_;
   /// Segments found on open whose writer id exceeds params.writers (the

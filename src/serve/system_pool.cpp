@@ -7,7 +7,7 @@
 namespace coreda::serve {
 
 SystemPool::SystemPool(PolicyStore& store, SystemPoolParams params,
-                       const Builder& build)
+                       const adl::AdlLibrary& library, const adl::Adl& adl)
     : store_(&store) {
   if (params.slots == 0) {
     throw std::invalid_argument("SystemPool: slots must be >= 1");
@@ -17,37 +17,20 @@ SystemPool::SystemPool(PolicyStore& store, SystemPoolParams params,
     core::SystemConfig config = params.system;
     config.seed = exec::trial_seed(params.seed, i);
     Slot slot;
-    slot.system = build(config);
-    if (slot.system->adls().size() != store.num_tables()) {
-      throw std::invalid_argument(
-          "SystemPool: slot deployments must plan one ADL per table of the "
-          "store's policy sets");
-    }
-    for (const adl::Adl& adl : slot.system->adls()) {
-      slot.adls.push_back(adl.name());
-      slot.tables.push_back(&slot.system->learner(adl.name()).q());
-    }
+    slot.system = std::make_unique<core::HomeDeployment>(library, adl, config);
+    slot.table = &slot.system->learner().q();
     slots_.push_back(std::move(slot));
   }
 }
 
-SystemPool::Builder SystemPool::single_adl(const adl::AdlLibrary& library,
-                                           const adl::Adl& adl) {
-  return [&library, &adl](const core::SystemConfig& config) {
-    return std::make_unique<core::HomeDeployment>(library, adl, config);
-  };
-}
-
 void SystemPool::checkout(UserId user, Slot& slot) {
   if (slot.resident == user) {
-    // The slot's learners already hold this user's latest set (every
+    // The slot's learner already holds this user's latest table (every
     // session stages back on its way out), so the checkout is free.
     ++slot.hits;
     return;
   }
-  for (std::size_t t = 0; t < slot.adls.size(); ++t) {
-    slot.system->import_policy(slot.adls[t], store_->q(user, t));
-  }
+  slot.system->import_policy(store_->q(user));
   slot.resident = user;
   ++slot.swaps;
 }
@@ -57,7 +40,7 @@ void SystemPool::stage_back(UserId user, Slot& slot) {
   // snapshot current, and a user whose next session lands after another
   // tenant evicted them re-imports exactly what they left behind.
   try {
-    store_->stage(user, slot.tables);
+    store_->stage(user, *slot.table);
   } catch (const faults::InjectedCrash&) {
     // The crash hit the disk flush after stage() already committed the
     // in-memory entry: serving state is intact, persistence retries on a
@@ -77,17 +60,6 @@ void SystemPool::serve_session(
   checkout(user, slot);
   slot.system->run_session_inplace(profile, max_duration, setup, result);
   stage_back(user, slot);
-}
-
-core::HomeScriptResult SystemPool::serve_script(
-    UserId user, const core::SessionScript& script,
-    const patient::PatientProfile& profile, sim::Duration max_duration) {
-  Slot& slot = slots_[slot_for(user)];
-  checkout(user, slot);
-  core::HomeScriptResult result =
-      slot.system->run_script(script, profile, max_duration);
-  stage_back(user, slot);
-  return result;
 }
 
 void SystemPool::arm_fault_bursts(faults::Site& site) noexcept {

@@ -4,7 +4,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/home.hpp"
@@ -25,26 +24,20 @@ struct SystemPoolParams {
   core::SystemConfig system{};
 };
 
-/// A fixed pool of warm HomeDeployments shared by many users.
+/// A fixed pool of warm single-ADL HomeDeployments shared by many users.
 ///
 /// PR 3 made one warm system serve back-to-back sessions allocation-free
 /// and made policy swaps cheap (import_policy); the pool turns that into a
-/// multi-tenant tier: each session is checkout -> import the user's policy
-/// set from the store, one table per ADL the slot plans, by ADL name
-/// (skipped when the user is already resident) -> run the session -> stage
-/// the whole set back -> return. Hit/swap counters expose how well
-/// residency tracks the request stream.
-///
-/// The caller's builder makes each slot's deployment, so one pool serves
-/// both kinds: single-ADL slots (serve_session; ServeEngine) and whole-home
-/// slots that adopted a donor's recognizer (serve_script; ScenarioRunner).
-/// The slot deployments must plan one ADL per table of the store's sets.
+/// multi-tenant tier: each session is checkout -> import the user's table
+/// from the store (skipped when the user is already resident) -> run the
+/// session -> stage the table back -> return. Hit/swap counters expose how
+/// well residency tracks the request stream.
 ///
 /// Determinism: users are sharded statically (slot = user % slots), so a
 /// slot's session sequence — and therefore every simulated outcome — is a
-/// pure function of (params, builder, store contents, request order). The
-/// drivers run one trial per slot on the exec pool: any --jobs value
-/// produces byte-identical results, only wall-clock differs.
+/// pure function of (params, store contents, request order). The drivers
+/// run one trial per slot on the exec pool: any --jobs value produces
+/// byte-identical results, only wall-clock differs.
 ///
 /// Thread-safety: calls for users of different slots may run concurrently
 /// (disjoint deployments, disjoint store entries); calls within one slot
@@ -52,48 +45,31 @@ struct SystemPoolParams {
 class SystemPool {
  public:
   static constexpr UserId kNoUser = std::numeric_limits<UserId>::max();
-  /// Builds one slot's deployment from its config (seed already set).
-  using Builder = std::function<std::unique_ptr<core::HomeDeployment>(
-      const core::SystemConfig&)>;
 
-  /// `store` (and whatever `build` captures) must outlive the pool. Every
-  /// slot is built warm here. Throws std::invalid_argument when a slot's
-  /// deployment plans another number of ADLs than the store's sets hold.
+  /// Builds every slot warm: a deployment of `adl` seeded per slot.
+  /// `store`, `library` and `adl` must outlive the pool.
   SystemPool(PolicyStore& store, SystemPoolParams params,
-             const Builder& build);
-
-  /// The builder of single-ADL slots deploying `adl` (both must outlive
-  /// the pool).
-  static Builder single_adl(const adl::AdlLibrary& library,
-                            const adl::Adl& adl);
+             const adl::AdlLibrary& library, const adl::Adl& adl);
 
   std::size_t slots() const noexcept { return slots_.size(); }
   std::size_t slot_for(UserId user) const noexcept {
     return user % slots_.size();
   }
 
-  /// Single-ADL slots: serves one closed-loop session for `user` on its
-  /// home slot. The caller owns `result`, which is reused across calls —
-  /// at steady state (warm slot, registered user) the whole serve,
-  /// including a policy swap and the write-back, performs zero heap
-  /// allocations.
+  /// Serves one closed-loop session for `user` on its home slot. The
+  /// caller owns `result`, which is reused across calls — at steady state
+  /// (warm slot, registered user) the whole serve, including a policy swap
+  /// and the write-back, performs zero heap allocations.
   void serve_session(
       UserId user, const patient::PatientProfile& profile,
       sim::Duration max_duration,
       const std::function<void(patient::PatientActor&)>& setup,
       core::SessionResult& result);
 
-  /// Whole-home slots: serves one scripted multi-ADL session for `user` on
-  /// its home slot: checkout -> run_script -> stage the set back.
-  core::HomeScriptResult serve_script(UserId user,
-                                      const core::SessionScript& script,
-                                      const patient::PatientProfile& profile,
-                                      sim::Duration max_duration);
-
   /// Drops the user's slot residency so their next session re-imports from
   /// the store. The engine's retrain stage calls this after a retrain job:
-  /// residency means "the slot's learners already hold the user's latest
-  /// set", which a retrain makes false without the slot ever seeing the
+  /// residency means "the slot's learner already holds the user's latest
+  /// table", which a retrain makes false without the slot ever seeing the
   /// new version. No-op when the user is not resident. Same thread-safety
   /// as serving: calls for users of different slots may run concurrently.
   void invalidate(UserId user);
@@ -109,7 +85,7 @@ class SystemPool {
 
   /// Sessions whose user was already resident on their slot (no import).
   std::uint64_t hits() const noexcept;
-  /// Sessions that had to import the user's policy set from the store.
+  /// Sessions that had to import the user's table from the store.
   std::uint64_t swaps() const noexcept;
   std::uint64_t sessions() const noexcept;
 
@@ -120,10 +96,8 @@ class SystemPool {
  private:
   struct Slot {
     std::unique_ptr<core::HomeDeployment> system;
-    /// The names of the ADLs the deployment plans, in set order, and their
-    /// planners' tables: the set staged back after every session.
-    std::vector<std::string> adls;
-    std::vector<const rl::QTable*> tables;
+    /// The planner's table: what every session stages back.
+    const rl::QTable* table = nullptr;
     UserId resident = kNoUser;
     std::uint64_t hits = 0;
     std::uint64_t swaps = 0;
@@ -132,9 +106,9 @@ class SystemPool {
     std::uint64_t invalidations = 0;
   };
 
-  /// Makes `user` resident on `slot`, importing their set on a swap.
+  /// Makes `user` resident on `slot`, importing their table on a swap.
   void checkout(UserId user, Slot& slot);
-  /// Stages the slot's tables back as the user's next version.
+  /// Stages the slot's table back as the user's next version.
   void stage_back(UserId user, Slot& slot);
 
   PolicyStore* store_;

@@ -4,21 +4,11 @@
 
 namespace coreda::util {
 
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept {
-  std::uint64_t s = seed;
-  for (auto& lane : state_) lane = splitmix64(s);
+  // Successive splitmix64 steps from `seed`.
+  for (std::size_t i = 0; i < state_.size(); ++i) {
+    state_[i] = mix64(seed + 0x9e3779b97f4a7c15ULL * i);
+  }
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {

@@ -8,6 +8,16 @@
 
 namespace coreda::util {
 
+/// One SplitMix64 step from state `x`: add the golden gamma, then mix. The
+/// one mixer behind Rng seeding, exec::trial_seed's per-trial streams, the
+/// fault injector's decision hashes and the scenario digests.
+inline std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Deterministic pseudo-random number generator (xoshiro256**).
 ///
 /// Every stochastic component in CoReDA draws from an explicitly seeded Rng

@@ -232,5 +232,44 @@ TEST_F(SegmentationFixture, NegativePauseIsRejectedBeforeTheSessionStarts) {
   }
 }
 
+TEST_F(SegmentationFixture, ScriptWithoutAnAdlSegmentIsRejected) {
+  // Nothing would begin in a pause-only script: the session would report
+  // the previous session's steps and call zero segments a completion.
+  const auto home = deploy();
+  const auto twin = deploy();
+  SessionScript tea;
+  tea.parts = {segment("Tea-making")};
+  for (const auto& h : {home.get(), twin.get()}) {
+    ASSERT_TRUE(
+        h->run_script(tea, compliant(0.0), sim::Duration::minutes(45.0))
+            .completed);
+  }
+  SessionScript pause_only;
+  pause_only.parts = {interrupt(30.0)};
+  const sim::TimePoint before = home->scheduler().now();
+  for (const SessionScript& bad : {pause_only, SessionScript{}}) {
+    EXPECT_THROW(home->run_script(bad, compliant(0.3),
+                                  sim::Duration::minutes(45.0)),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(home->scheduler().now(), before);
+  // The next session is the one the deployment would have served anyway.
+  SessionScript next;
+  next.parts = {segment("Tooth-brushing"), interrupt(30.0),
+                segment("Tea-making", 2)};
+  const HomeScriptResult a =
+      home->run_script(next, compliant(0.3), sim::Duration::minutes(45.0));
+  const HomeScriptResult b =
+      twin->run_script(next, compliant(0.3), sim::Duration::minutes(45.0));
+  EXPECT_EQ(a.segments, b.segments);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.segments_completed, b.segments_completed);
+  EXPECT_EQ(a.idle_episodes, b.idle_episodes);
+  EXPECT_EQ(a.session.elapsed, b.session.elapsed);
+  EXPECT_EQ(a.session.steps_completed, b.session.steps_completed);
+  EXPECT_EQ(a.session.prompts_total, b.session.prompts_total);
+  EXPECT_EQ(a.session.praises, b.session.praises);
+}
+
 }  // namespace
 }  // namespace coreda::core

@@ -84,7 +84,7 @@ TEST(FaultPlan, ArbitraryRatesRoundTripThroughTextExactly) {
   site.rate = 0.123456789;
   site.burst.p_enter = std::numeric_limits<double>::min();
   site.burst.p_exit = 1.0 / 3.0;
-  site.burst.loss_in_good = 1e308;
+  site.burst.loss_in_good = 1.0;
   site.burst.loss_in_bad = 0.85;
   std::stringstream text;
   plan.save(text);
@@ -156,6 +156,50 @@ TEST(FaultPlan, ParseRefusesSignedCountsAndNonFiniteNumbers) {
             "fault plan line 3: expected a finite number, got 'inf'");
   EXPECT_EQ(message("seed = 1\n[site a.b]\nloss_in_bad = -infinity\n"),
             "fault plan line 3: expected a finite number, got '-infinity'");
+}
+
+TEST(FaultPlan, ParseRefusesValuesOutsideItsBounds) {
+  const auto message = [](const std::string& plan) {
+    std::stringstream text(plan);
+    try {
+      FaultPlan::parse(text);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("<no throw>");
+  };
+  EXPECT_EQ(message("seed = 1\n[site a.b]\nrate = 1e308\n"),
+            "fault plan line 3: rate must be in [0, 1], got '1e308'");
+  EXPECT_EQ(message("seed = 1\n[site a.b]\np_enter = -0.5\n"),
+            "fault plan line 3: p_enter must be in [0, 1], got '-0.5'");
+  EXPECT_EQ(message("seed = 1\n[site a.b]\np_exit = 1.0000001\n"),
+            "fault plan line 3: p_exit must be in [0, 1], got '1.0000001'");
+  EXPECT_EQ(message("seed = 1\n[site a.b]\nloss_in_good = 2\n"),
+            "fault plan line 3: loss_in_good must be in [0, 1], got '2'");
+  EXPECT_EQ(message("seed = 1\n[site a.b]\nloss_in_bad = -1e-300\n"),
+            "fault plan line 3: loss_in_bad must be in [0, 1], got "
+            "'-1e-300'");
+  EXPECT_EQ(message("seed = 1\n[site a.b]\ndelay_us = "
+                    "18446744073709551615\n"),
+            "fault plan line 3: delay_us must be <= 86400000000, got "
+            "'18446744073709551615'");
+  // The section is read whole before its window is checked, so the order
+  // of the two keys does not matter; the later one's line is named.
+  EXPECT_EQ(message("seed = 1\n[site a.b]\nepoch_end = 3\nrate = 0.5\n"
+                    "epoch_begin = 4\n[site c.d]\nrate = 0.1\n"),
+            "fault plan line 5: epoch_begin 4 is past epoch_end 3");
+  EXPECT_EQ(message("[site a.b]\nepoch_begin = 9\nepoch_end = 2\n"),
+            "fault plan line 3: epoch_begin 9 is past epoch_end 2");
+  // Every bound is inclusive: a one-day stall, certain rates and an empty
+  // window parse, and a stall's nanosecond count fits a signed 64-bit one.
+  std::stringstream edge(
+      "[site a.b]\nrate = 1\np_enter = 0\np_exit = 1\nloss_in_good = 0\n"
+      "loss_in_bad = 1\ndelay_us = 86400000000\nepoch_begin = 5\n"
+      "epoch_end = 5\n");
+  const FaultPlan plan = FaultPlan::parse(edge);
+  EXPECT_EQ(plan.sites.at("a.b").delay_us, FaultPlan::kMaxDelayUs);
+  static_assert(FaultPlan::kMaxDelayUs <=
+                std::numeric_limits<std::int64_t>::max() / 1000);
 }
 
 TEST(FaultPlan, ParseDiagnosticsUnchangedByPlanTextExtraction) {

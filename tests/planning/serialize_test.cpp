@@ -2,8 +2,7 @@
 // serve::SegmentStore record, whose deltas planning/serialize encodes —
 // with every Q value, every prediction and its ability to keep learning
 // intact; a store of another ADL, garbage and a record cut short are
-// rejected with the learner untouched. The changed-row codec itself numbers
-// rows across a policy set.
+// rejected with the learner untouched.
 
 #include "planning/serialize.hpp"
 
@@ -153,20 +152,18 @@ TEST_F(SerializeFixture, ImportQRejectsWrongShape) {
   EXPECT_THROW(learner.import_q(wrong), std::invalid_argument);
 }
 
-TEST_F(SerializeFixture, ChangedRowsCarryTheirSetRowIndex) {
+TEST_F(SerializeFixture, ChangedRowsAreTheBitwiseDifferentOnes) {
   rl::QTable base(4, 3, 1.0);
   rl::QTable q = base;
   q.set(1, 2, -0.0);  // bitwise different from +1.0
   q.set(3, 0, 7.5);
   ASSERT_EQ(count_changed_rows(base, q), 2u);
   std::vector<unsigned char> out(2 * (1 + 3) * 8);
-  // The table's rows start at row 10 of its policy set.
-  EXPECT_EQ(encode_changed_rows(base, q, out.data(), 10),
+  EXPECT_EQ(encode_changed_rows(base, q, out.data()),
             out.data() + out.size());
-  EXPECT_EQ(util::wire::load_u64(out.data()), 11u);
-  EXPECT_EQ(util::wire::load_f64(out.data() + 8 + 16), -0.0);
+  EXPECT_EQ(util::wire::load_u64(out.data()), 1u);
   EXPECT_TRUE(std::signbit(util::wire::load_f64(out.data() + 8 + 16)));
-  EXPECT_EQ(util::wire::load_u64(out.data() + 32), 13u);
+  EXPECT_EQ(util::wire::load_u64(out.data() + 32), 3u);
   EXPECT_EQ(util::wire::load_f64(out.data() + 40), 7.5);
   EXPECT_THROW(count_changed_rows(base, rl::QTable(4, 2)),
                std::invalid_argument);

@@ -7,8 +7,9 @@
 //     row delta chain, across table shapes from 1x1 to larger than
 //     production, and again after a reopen;
 //   * a correctly checksummed store.meta declaring a zero-dimension table,
-//     or no table at all, is refused at open (QTable itself cannot even
-//     represent one);
+//     or a table count other than 1 (over no, one or two tables), is
+//     refused at open (QTable itself cannot even represent a zero-dimension
+//     table, and a store holds one table per user);
 //   * the exhaustive corruption sweep: flipping one byte at EVERY offset of
 //     a user's newest record makes the live store's restore throw with the
 //     resident table byte-unchanged, and a restart recovers the previous
@@ -173,23 +174,27 @@ void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
 }
 
 TEST(PolicyFuzzTest, ZeroDimensionSnapshotIsRejected) {
-  // A QTable cannot even be constructed with a zero dimension, so a
-  // zero-dimension table — or a policy set of no table at all — can only
-  // come from a corrupted or hostile store.meta. Craft each by hand, with
-  // a *correct* checksum, and make sure open refuses the table list itself
-  // (rewriting nothing) and inspect reports it without scanning.
+  // A QTable cannot even be constructed with a zero dimension, and no
+  // store writes a table count other than 1, so a zero-dimension table or
+  // another count can only come from a corrupted or hostile store.meta. Craft each by hand, with a *correct*
+  // checksum, and make sure open refuses it (rewriting nothing) and
+  // inspect reports it without scanning.
   const std::string dir = ::testing::TempDir() + "/coreda_fuzz_zero_dim";
   const std::vector<adl::StepId> steps = iota_steps(2);
   const std::vector<adl::ToolId> tools = iota_tools(2);
+  // `count` is the table count store.meta claims, `tables` the table
+  // bodies it holds.
   struct Shape {
-    std::uint64_t tables, states, actions;
+    std::uint64_t count, tables, states, actions;
   };
-  for (const Shape shape : {Shape{1, 0, 2}, Shape{1, 2, 0}, Shape{1, 0, 0},
-                            Shape{2, 2, 0}, Shape{0, 0, 0}}) {
+  for (const Shape shape :
+       {Shape{1, 1, 0, 2}, Shape{1, 1, 2, 0}, Shape{1, 1, 0, 0},
+        Shape{2, 2, 2, 0}, Shape{0, 0, 0, 0}, Shape{2, 2, 2, 2},
+        Shape{2, 1, 2, 2}, Shape{0, 1, 2, 2}}) {
     std::vector<unsigned char> meta(kStoreMetaMagic, kStoreMetaMagic + 8);
     put_u64(meta, kMetaFormatVersion);
     put_u64(meta, std::uint64_t{1} << 20);  // segment bytes
-    put_u64(meta, shape.tables);
+    put_u64(meta, shape.count);
     for (std::uint64_t t = 0; t < shape.tables; ++t) {
       put_u64(meta, steps.size());
       put_u64(meta, tools.size());
@@ -211,12 +216,12 @@ TEST(PolicyFuzzTest, ZeroDimensionSnapshotIsRejected) {
     SegmentStoreParams params;
     params.dir = dir;
     EXPECT_THROW(SegmentStore(steps, tools, 2, 2, params), std::runtime_error)
-        << shape.tables << " tables, last " << shape.states << "x"
-        << shape.actions;
+        << shape.count << " claimed, " << shape.tables << " tables, last "
+        << shape.states << "x" << shape.actions;
     const SegmentStore::Info info = SegmentStore::inspect(dir);
     EXPECT_EQ(info.meta_format, kMetaFormatVersion);
     EXPECT_FALSE(info.meta_ok);
-    EXPECT_TRUE(info.tables.empty());
+    EXPECT_EQ(info.table, TableSchema{});
     std::ifstream in(dir + "/store.meta", std::ios::binary);
     EXPECT_EQ(std::vector<unsigned char>(std::istreambuf_iterator<char>(in),
                                          std::istreambuf_iterator<char>()),

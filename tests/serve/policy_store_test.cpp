@@ -162,11 +162,10 @@ TEST_F(PolicyStoreFixture, InspectReadsHeaderWithoutLearner) {
   EXPECT_TRUE(info.meta_ok);
   EXPECT_EQ(info.max_version, 42u);
   EXPECT_EQ(info.users, 1u);
-  ASSERT_EQ(info.tables.size(), 1u);  // a set of one
-  EXPECT_EQ(info.tables[0].num_states, source.q().num_states());
-  EXPECT_EQ(info.tables[0].num_actions, source.q().num_actions());
-  EXPECT_EQ(info.tables[0].steps, source.state_codec().symbols());
-  EXPECT_EQ(info.tables[0].tools, source.action_codec().tools());
+  EXPECT_EQ(info.table.num_states, source.q().num_states());
+  EXPECT_EQ(info.table.num_actions, source.q().num_actions());
+  EXPECT_EQ(info.table.steps, source.state_codec().symbols());
+  EXPECT_EQ(info.table.tools, source.action_codec().tools());
 }
 
 TEST_F(PolicyStoreFixture, InspectFlagsBadChecksumWithoutThrowing) {

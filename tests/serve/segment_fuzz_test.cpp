@@ -3,25 +3,21 @@
 // replays the same inputs). The mmap path trusts on-disk record lengths,
 // parent offsets, row counts, row indices, user ids and the header's
 // advisory record count; the record checksum is its last line of defence,
-// so the structural checks must stand in front of it. Two corpora, each
-// a two-writer store (both lanes hold records, so the scan verifies the
-// segments on parallel jobs) after full-set sweeps that reclaimed and recycled segments, then interleaved
-// anchor/delta chains: several segment files per lane, recycled ones among
-// them, plus a leftover spare holding a previous life's records (as a
-// crash before a recycled roll's scrub leaves it):
-//
-//   * a one-table store (an 8 x 4 table);
-//   * a whole-home store: four tables shaped like the library's ADLs,
-//     Hand-washing's 16 x 6 among three 25 x 8, so delta rows have
-//     different widths and deltas carry rows on both sides of a table
-//     boundary.
+// so the structural checks must stand in front of it. The corpus is a
+// two-writer store of an 8 x 4 table (both lanes hold records, so the scan
+// verifies the segments on parallel jobs) after full-table sweeps that
+// reclaimed and recycled segments, then interleaved anchor/delta chains:
+// several segment files per lane, recycled ones among them, plus a
+// leftover spare holding a previous life's records (as a crash before a
+// recycled roll's scrub leaves it).
 //
 // Each iteration picks one file and applies one mutation:
 //
 //   * a byte flip anywhere in the file, header included;
 //   * an overwritten record length, parent_off (including a parent moved
 //     off the 8-byte grid), parent_version, n_rows, q_count, delta row
-//     index (the first, or any row moved to a table boundary) or user id,
+//     index (the first, or any row moved to the table's first, last or
+//     one-past-last row) or user id,
 //     re-sealed with a valid record checksum — a forgery that only the
 //     structural checks can stop;
 //   * an overwritten advisory record count;
@@ -31,7 +27,7 @@
 // Every reopen either throws std::runtime_error or succeeds. After a
 // successful open, load() of every indexed user throws std::runtime_error
 // or returns a version no newer than the one committed for that user —
-// bit-equal to the set committed at that version unless the mutation was
+// bit-equal to the table committed at that version unless the mutation was
 // a forgery — and the store still accepts and serves a fresh append.
 // SegmentStore::inspect reads the same bytes without crashing and counts
 // exactly the records open indexed. The spare is never parsed, so a
@@ -49,7 +45,6 @@
 #include <utility>
 #include <vector>
 
-#include "adl/library.hpp"
 #include "serve/segment_store.hpp"
 #include "util/rng.hpp"
 #include "util/wire.hpp"
@@ -63,24 +58,11 @@ namespace wire = util::wire;
 constexpr std::uint64_t kUsers = 5;
 constexpr int kMutations = 2000;
 constexpr std::size_t kHeaderBytes = 40;
-/// Full-set sweeps before the delta chains: enough to empty, reclaim and
+/// Full-table sweeps before the delta chains: enough to empty, reclaim and
 /// recycle segments.
 constexpr std::uint64_t kSweeps = 10;
-/// Writer lanes of every corpus store.
+/// Writer lanes of the corpus store.
 constexpr std::size_t kWriters = 2;
-
-/// A table keyed like a planner of an ADL with `tools` tools: the idle
-/// step plus the tools as state symbols, (n + 1)^2 states, two prompt
-/// levels per tool as actions.
-TableSchema adl_shaped(std::vector<adl::ToolId> tools) {
-  TableSchema t;
-  t.steps.push_back(adl::kIdleStep);
-  t.steps.insert(t.steps.end(), tools.begin(), tools.end());
-  t.num_states = t.steps.size() * t.steps.size();
-  t.num_actions = 2 * tools.size();
-  t.tools = std::move(tools);
-  return t;
-}
 
 std::vector<unsigned char> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -94,13 +76,11 @@ void write_file(const std::string& path,
             static_cast<std::streamsize>(bytes.size()));
 }
 
-bool bit_equal(std::span<const rl::QTable> a, std::span<const rl::QTable> b) {
-  for (std::size_t t = 0; t < a.size(); ++t) {
-    for (rl::StateId s = 0; s < a[t].num_states(); ++s) {
-      if (std::memcmp(a[t].row(s).data(), b[t].row(s).data(),
-                      a[t].row(s).size_bytes()) != 0) {
-        return false;
-      }
+bool bit_equal(const rl::QTable& a, const rl::QTable& b) {
+  for (rl::StateId s = 0; s < a.num_states(); ++s) {
+    if (std::memcmp(a.row(s).data(), b.row(s).data(), a.row(s).size_bytes()) !=
+        0) {
+      return false;
     }
   }
   return true;
@@ -122,19 +102,17 @@ struct SegmentScanFuzz : ::testing::Test {
   std::string dir =
       ::testing::TempDir() + "/coreda_seg_fuzz_" +
       ::testing::UnitTest::GetInstance()->current_test_info()->name();
-  std::vector<TableSchema> tables;
+  TableSchema table;
   std::size_t file_bytes = 0;
-  /// Each set row's width, and the rows that start or end a table (plus
-  /// the row count itself): where a forged row index does the most harm.
-  std::vector<std::uint32_t> row_width;
+  /// The table's first and last rows and the row count itself: where a
+  /// forged row index does the most harm.
   std::vector<std::uint64_t> boundary_rows;
   std::vector<unsigned char> meta;
   std::vector<File> files;  ///< segment files by name, then the spare
   std::string spare_name;   ///< the spare's file name (its writer's)
   std::size_t records = 0;  ///< valid records across the segment files
   std::vector<std::uint64_t> committed = std::vector<std::uint64_t>(kUsers);
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<rl::QTable>>
-      history;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, rl::QTable> history;
 
   SegmentStoreParams params() const {
     SegmentStoreParams p;
@@ -146,42 +124,30 @@ struct SegmentScanFuzz : ::testing::Test {
   }
 
   std::unique_ptr<SegmentStore> open() const {
-    return std::make_unique<SegmentStore>(tables, params());
+    return std::make_unique<SegmentStore>(table.steps, table.tools,
+                                          table.num_states, table.num_actions,
+                                          params());
   }
 
-  std::vector<rl::QTable> empty_set() const {
-    std::vector<rl::QTable> set;
-    for (const TableSchema& t : tables) {
-      set.emplace_back(t.num_states, t.num_actions);
-    }
-    return set;
+  rl::QTable empty_table() const {
+    return rl::QTable(table.num_states, table.num_actions);
   }
 
-  /// Sets every value of set row `row` (counted across the tables).
-  void set_row(std::vector<rl::QTable>& set, std::uint64_t row,
-               util::Rng& rng) const {
-    std::size_t t = 0;
-    while (row >= set[t].num_states()) row -= set[t++].num_states();
-    for (rl::ActionId a = 0; a < set[t].num_actions(); ++a) {
-      set[t].set(static_cast<rl::StateId>(row), a, rng.uniform(-100.0, 100.0));
+  /// Sets every value of row `row`.
+  static void set_row(rl::QTable& q, std::uint64_t row, util::Rng& rng) {
+    for (rl::ActionId a = 0; a < q.num_actions(); ++a) {
+      q.set(static_cast<rl::StateId>(row), a, rng.uniform(-100.0, 100.0));
     }
   }
 
   /// Writes the corpus for `schema`, with segments of `segment_bytes`:
-  /// kSweeps full-set sweeps (all anchors), then user u commits kSweeps +
-  /// 1..5+u, each changing one set row — and, in a multi-table set, its
-  /// neighbour, across a table boundary when they straddle one — so chains
-  /// run anchor, delta, delta, delta, anchor, ... interleaved across users.
-  void build(std::vector<TableSchema> schema, std::size_t segment_bytes) {
-    tables = std::move(schema);
+  /// kSweeps full-table sweeps (all anchors), then user u commits kSweeps
+  /// + 1..5+u, each changing one row, so chains run anchor, delta, delta,
+  /// delta, anchor, ... interleaved across users.
+  void build(TableSchema schema, std::size_t segment_bytes) {
+    table = std::move(schema);
     file_bytes = segment_bytes;
-    for (const TableSchema& t : tables) {
-      boundary_rows.push_back(row_width.size());
-      row_width.insert(row_width.end(), t.num_states,
-                       static_cast<std::uint32_t>(t.num_actions));
-      boundary_rows.push_back(row_width.size() - 1);
-    }
-    boundary_rows.push_back(row_width.size());
+    boundary_rows = {0, table.num_states - 1, table.num_states};
     fs::remove_all(dir);
     std::vector<unsigned char> spare_life;
     {
@@ -196,17 +162,17 @@ struct SegmentScanFuzz : ::testing::Test {
           spare_name = fs::path(path).filename().string();
         }
       });
-      std::vector<std::vector<rl::QTable>> sets(kUsers, empty_set());
+      std::vector<rl::QTable> tables(kUsers, empty_table());
       util::Rng rng(2024);
       const auto commit = [&](std::uint64_t u, std::uint64_t version) {
-        store->append(u, sets[u], version);
-        history.emplace(std::make_pair(u, version), sets[u]);
+        store->append(u, tables[u], version);
+        history.emplace(std::make_pair(u, version), tables[u]);
         committed[u] = version;
       };
       for (std::uint64_t version = 1; version <= kSweeps; ++version) {
         for (std::uint64_t u = 0; u < kUsers; ++u) {
-          for (std::uint64_t r = 0; r < row_width.size(); ++r) {
-            set_row(sets[u], r, rng);
+          for (std::uint64_t r = 0; r < table.num_states; ++r) {
+            set_row(tables[u], r, rng);
           }
           commit(u, version);
         }
@@ -214,11 +180,7 @@ struct SegmentScanFuzz : ::testing::Test {
       for (std::uint64_t round = 1; round <= 5 + kUsers - 1; ++round) {
         for (std::uint64_t u = 0; u < kUsers; ++u) {
           if (round > 5 + u) continue;
-          const std::uint64_t r = rng() % row_width.size();
-          set_row(sets[u], r, rng);
-          if (tables.size() > 1) {
-            set_row(sets[u], (r + 1) % row_width.size(), rng);
-          }
+          set_row(tables[u], rng() % table.num_states, rng);
           commit(u, kSweeps + round);
         }
       }
@@ -348,15 +310,13 @@ struct SegmentScanFuzz : ::testing::Test {
         wire::store_u64(p, rng() % 2 == 0 ? parent + 4 : parent - 4);
         return reseal(r, r.len);
       }
-      case 10: {  // any delta row index moved to a table boundary
+      case 10: {  // any delta row index moved to the table's edge
         const Record& r = pick(true);
         const unsigned char* rec = seg.data() + r.off;
         const std::uint64_t n_rows = wire::load_u64(rec + 48);
         if (r.anchor || n_rows == 0) return forge(r, 32);
         std::size_t pos = 56;
-        for (std::uint64_t k = rng() % n_rows; k > 0; --k) {
-          pos += 8 * (1 + row_width[wire::load_u64(rec + pos)]);
-        }
+        pos += 8 * (1 + table.num_actions) * (rng() % n_rows);
         wire::store_u64(seg.data() + r.off + pos,
                         boundary_rows[rng() % boundary_rows.size()]);
         return reseal(r, r.len);
@@ -408,7 +368,7 @@ struct SegmentScanFuzz : ::testing::Test {
         continue;
       }
       ASSERT_EQ(info.records, store->scanned_records());
-      std::vector<rl::QTable> out = empty_set();
+      rl::QTable out = empty_table();
       if (on_spare) {
         // The spare is never parsed: every committed version is served.
         ++spare_mutations;
@@ -438,9 +398,8 @@ struct SegmentScanFuzz : ::testing::Test {
       }
       // The damaged store still takes a write and serves it back exactly.
       const std::uint64_t u = static_cast<std::uint64_t>(i) % kUsers;
-      std::vector<rl::QTable> next = history.at({u, committed[u]});
-      rl::QTable& q = next[static_cast<std::size_t>(i) % next.size()];
-      q.set(static_cast<rl::StateId>(i % q.num_states()), 0, 0.5 + i);
+      rl::QTable next = history.at({u, committed[u]});
+      next.set(static_cast<rl::StateId>(i % next.num_states()), 0, 0.5 + i);
       store->reserve_users(kUsers);
       store->append(u, next, committed[u] + 1);
       ASSERT_EQ(store->load(u, out),
@@ -459,31 +418,17 @@ struct SegmentScanFuzz : ::testing::Test {
 
 TEST_F(SegmentScanFuzz, SeededMutationsNeverCrashOrInventVersions) {
   // One 8 x 4 table; 13 anchors (304 bytes) to a 4 KiB segment.
-  TableSchema table;
+  TableSchema schema;
   for (std::size_t i = 0; i < 8; ++i) {
-    table.steps.push_back(static_cast<adl::StepId>(i + 1));
+    schema.steps.push_back(static_cast<adl::StepId>(i + 1));
   }
   for (std::size_t i = 0; i < 4; ++i) {
-    table.tools.push_back(static_cast<adl::ToolId>(100 + i));
+    schema.tools.push_back(static_cast<adl::ToolId>(100 + i));
   }
-  table.num_states = 8;
-  table.num_actions = 4;
-  ASSERT_NO_FATAL_FAILURE(build({table}, 4096));
+  schema.num_states = 8;
+  schema.num_actions = 4;
+  ASSERT_NO_FATAL_FAILURE(build(std::move(schema), 4096));
   ASSERT_GE(records, 30u);
-  fuzz();
-}
-
-TEST_F(SegmentScanFuzz, WholeHomeSetMutationsNeverCrashOrInventVersions) {
-  // The library's four ADLs: 3 x (25 x 8) and Hand-washing's 16 x 6, a
-  // 5,616-byte anchor; four anchors to a 24 KiB segment.
-  const adl::AdlLibrary library;
-  std::vector<TableSchema> home;
-  for (const adl::Adl& adl : library.adls()) {
-    home.push_back(adl_shaped(adl.tools()));
-  }
-  ASSERT_EQ(home[2].num_actions, 6u);
-  ASSERT_NO_FATAL_FAILURE(build(std::move(home), 24576));
-  ASSERT_GE(records, 12u);  // three segment files of anchors and chains
   fuzz();
 }
 

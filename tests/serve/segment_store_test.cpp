@@ -402,9 +402,8 @@ TEST_F(SegmentStoreFixture, InspectSummarizesAStoreDirectory) {
 
   const SegmentStore::Info info = SegmentStore::inspect(dir);
   EXPECT_TRUE(info.meta_ok);
-  ASSERT_EQ(info.tables.size(), 1u);
-  EXPECT_EQ(info.tables[0].num_states, kStates);
-  EXPECT_EQ(info.tables[0].num_actions, kActions);
+  EXPECT_EQ(info.table.num_states, kStates);
+  EXPECT_EQ(info.table.num_actions, kActions);
   EXPECT_EQ(info.records, 3u);
   EXPECT_EQ(info.anchors, 3u);  // full-row changes: deltas never profitable
   EXPECT_EQ(info.deltas, 0u);

@@ -37,7 +37,7 @@ TEST(ServeAllocTest, ServeWithPolicySwapIsAllocationFreeAtSteadyState) {
   SystemPoolParams params;
   params.slots = 1;
   params.seed = 99;
-  SystemPool pool(store, params, SystemPool::single_adl(library, tea));
+  SystemPool pool(store, params, library, tea);
   store.add_user("A");
   store.add_user("B");
 

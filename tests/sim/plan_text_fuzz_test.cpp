@@ -13,8 +13,9 @@
 //
 // Every input either throws std::runtime_error or parses into a plan that
 // is inside every bound the parser states (ScenarioPlan's kMax* constants,
-// its unit intervals and positive durations, finite numbers in both
-// formats) and whose save -> parse -> save is a fixed point. Plans are
+// its unit intervals and positive durations; FaultPlan's unit-interval
+// rates and probabilities, its kMaxDelayUs and ordered epoch windows) and
+// whose save -> parse -> save is a fixed point. Plans are
 // parsed only, never run. tools/run_asan.sh runs this under ASan+UBSan
 // with the rest of the suite.
 
@@ -157,8 +158,10 @@ void expect_in_bounds(const faults::FaultPlan& p) {
   for (const auto& [name, site] : p.sites) {
     for (const double d : {site.rate, site.burst.p_enter, site.burst.p_exit,
                            site.burst.loss_in_good, site.burst.loss_in_bad}) {
-      EXPECT_TRUE(std::isfinite(d)) << name;
+      EXPECT_TRUE(d >= 0.0 && d <= 1.0) << name << ": " << d;
     }
+    EXPECT_LE(site.delay_us, faults::FaultPlan::kMaxDelayUs) << name;
+    EXPECT_LE(site.epoch_begin, site.epoch_end) << name;
   }
 }
 

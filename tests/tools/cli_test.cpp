@@ -6,10 +6,10 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
-#include "adl/library.hpp"
-#include "core/home.hpp"
-#include "serve/policy_store.hpp"
+#include "util/wire.hpp"
 
 namespace coreda::cli {
 namespace {
@@ -171,35 +171,50 @@ TEST(CliTest, PolicySaveLoadInspectV2RoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(CliTest, PolicyInspectListsEveryTableOfAWholeHomeStore) {
-  // A whole home's store: one record per user holding a table per ADL.
-  const std::string dir = fresh_store("cli_home_store");
+TEST(CliTest, PolicyInspectReportsAnotherTableCountAsAMismatch) {
+  // A correctly checksummed store.meta of `coreda train`'s store, forged to
+  // claim no table or two, over no, one or two copies of its table: inspect
+  // refuses it without scanning.
+  const std::string dir = fresh_store("cli_table_count");
+  ASSERT_EQ(run({"train", "--adl=Tea-making", "--out=" + dir,
+                 "--episodes=40"})
+                .code,
+            0);
+  std::vector<unsigned char> meta;
   {
-    adl::AdlLibrary library;
-    core::HomeDeployment home(library);
-    serve::PolicyStoreParams params;
-    params.flush_every = 1;
-    params.segments.dir = dir;
-    serve::PolicyStore store(home, params);
-    std::vector<const rl::QTable*> set;
-    for (const adl::Adl& adl : home.adls()) {
-      set.push_back(&home.learner(adl.name()).q());
+    std::ifstream in(dir + "/store.meta", std::ios::binary);
+    meta.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(util::wire::load_u64(meta.data() + 24), 1u);
+  const std::vector<unsigned char> table(meta.begin() + 32, meta.end() - 8);
+  const std::pair<std::uint64_t, std::uint64_t> forgeries[] = {
+      {0, 0}, {2, 2}, {2, 1}, {0, 1}};  // claimed count, table copies
+  for (const auto& [count, copies] : forgeries) {
+    std::vector<unsigned char> forged(meta.begin(), meta.begin() + 32);
+    util::wire::store_u64(forged.data() + 24, count);
+    for (std::uint64_t t = 0; t < copies; ++t) {
+      forged.insert(forged.end(), table.begin(), table.end());
     }
-    store.stage(store.add_user("resident"), set);
+    forged.resize(forged.size() + 8);
+    util::wire::store_u64(forged.data() + forged.size() - 8,
+                          util::wire::checksum64(forged.data(),
+                                                 forged.size() - 8));
+    {
+      std::ofstream out(dir + "/store.meta",
+                        std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(forged.data()),
+                static_cast<std::streamsize>(forged.size()));
+    }
+    const CliResult inspect = run({"policy", "inspect", "--in=" + dir});
+    EXPECT_EQ(inspect.code, 2) << count << "/" << copies;
+    EXPECT_NE(inspect.out.find("meta: MISMATCH"), std::string::npos)
+        << count << inspect.out;
+    EXPECT_EQ(inspect.out.find("table 0:"), std::string::npos)
+        << count << inspect.out;
+    EXPECT_NE(inspect.out.find("records: 0 "), std::string::npos)
+        << count << inspect.out;
   }
-  const CliResult inspect = run({"policy", "inspect", "--in=" + dir});
-  EXPECT_EQ(inspect.code, 0) << inspect.err;
-  // Library order: Tooth-brushing, Tea-making, Hand-washing, Dressing.
-  for (const char* line :
-       {"table 0: 25 states x 8 actions (vocabulary: 5 steps, 4 tools)\n",
-        "table 1: 25 states x 8 actions (vocabulary: 5 steps, 4 tools)\n",
-        "table 2: 16 states x 6 actions (vocabulary: 4 steps, 3 tools)\n",
-        "table 3: 25 states x 8 actions (vocabulary: 5 steps, 4 tools)\n",
-        "records: 1 (1 live, 0 dead, 0 corrupt)\n"}) {
-    EXPECT_NE(inspect.out.find(line), std::string::npos)
-        << line << inspect.out;
-  }
-  EXPECT_EQ(inspect.out.find("table 4:"), std::string::npos) << inspect.out;
   std::filesystem::remove_all(dir);
 }
 

@@ -237,12 +237,10 @@ int cmd_policy_inspect(const util::Flags& flags, std::ostream& out,
   out << "format: coreda-policy store v" << info.meta_format
       << " (segmented)\n"
       << "meta: " << (info.meta_ok ? "ok" : "MISMATCH") << '\n';
-  // One Q table per ADL of the policy set, in record order.
-  for (std::size_t t = 0; t < info.tables.size(); ++t) {
-    const serve::TableSchema& table = info.tables[t];
-    out << "table " << t << ": " << table.num_states << " states x "
-        << table.num_actions << " actions (vocabulary: "
-        << table.steps.size() << " steps, " << table.tools.size()
+  if (info.meta_ok) {
+    out << "table 0: " << info.table.num_states << " states x "
+        << info.table.num_actions << " actions (vocabulary: "
+        << info.table.steps.size() << " steps, " << info.table.tools.size()
         << " tools)\n";
   }
   out << "segments: " << info.segments << '\n'
@@ -402,8 +400,8 @@ int cmd_scenario_run(const util::Flags& flags, std::ostream& out,
   }
   const sim::ScenarioPlan plan = sim::ScenarioPlan::parse(in);
   const std::size_t jobs = flags.get_count("jobs", 1);
-  const serve::ScenarioRunner runner;
-  const serve::ScenarioSummary sum = runner.run(plan, jobs == 0 ? 1 : jobs);
+  const serve::ScenarioSummary sum =
+      serve::run_scenario(plan, jobs == 0 ? 1 : jobs);
   out << serve::format_scenario_report(
       std::filesystem::path(path).stem().string(), plan, sum);
   // Incomplete sessions are a scenario outcome (high severity is supposed

@@ -13,8 +13,8 @@ namespace coreda::cli {
 ///   simulate   closed-loop assisted sessions and a summary
 ///   train      train a planner and store its policy
 ///   prompt     query a stored policy for the next-step prompt
-///   policy     inspect a policy store: meta, one line per table of the
-///              policy set, records and chain shape (no learner needed)
+///   policy     inspect a policy store: meta, its table, records and
+///              chain shape (no learner needed)
 ///   scenario   replay the paper's Figure 1 timeline
 ///   report     the multi-day caregiver summary
 ///   retrain    closed-loop drift recovery demo: flag users serving from

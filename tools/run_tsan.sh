@@ -137,23 +137,22 @@ case "$retrain_row" in
 esac
 # The scenario corpus pretrains its donor on the run's 4-job runner, then
 # fans whole-home HomeDeployments (scheduler, radio, tracker, actor) across
-# pool-slot trials while every slot stages its users' policy sets back into
-# the shared, memory-only PolicyStore.
+# slot trials, each slot serving its own users on its own deployment.
 # Correctness again rests on disjoint static ownership (user -> slot ->
-# trial, user -> store entry); TSan proves the set write-back path adds no
-# cross-thread edges.
+# trial); TSan proves the slot trials share no mutable state (each slot
+# copied the donor's recognizer and planners at set-up).
 "$BUILD_DIR"/bench/bench_scenario_corpus --jobs=4 > /dev/null
-# The same whole-home pool over a durable PolicyStore, one writer lane per
-# slot, at 4 jobs: concurrent slot trials append multi-table records (every
-# ADL's table in one record) into disjoint segment chains, and the test
-# requires the store's bytes and every restored table to match a 1-job run.
-# The run fails if the filter selects no test.
+# A durable one-table pool on concurrent writer lanes: the chaos soak's
+# drift loop at 1, 2 and 4 jobs, each slot trial serving and retraining its
+# users and staging their tables into its own lane of a segment-backed
+# PolicyStore, and the test requires every run to match the digests of the
+# older two-phase drain. The run fails if the filter selects no test.
 pool_out=$("$BUILD_DIR"/tests/test_serve \
-  --gtest_filter='WholeHomeSlotFixture.DurableWriteBackIsJobsInvariant')
+  --gtest_filter='DrainStageDigest.ChaosSoakMatchesTheTwoPhaseDrain')
 case "$pool_out" in
-  *"[  PASSED  ] 1 test."*) echo "TSan durable whole-home pool run passed" ;;
+  *"[  PASSED  ] 1 test."*) echo "TSan durable pool run passed" ;;
   *)
-    echo "TSan durable whole-home pool run selected no test" >&2
+    echo "TSan durable pool run selected no test" >&2
     exit 1
     ;;
 esac
@@ -161,4 +160,4 @@ esac
 echo "TSan: all exec/sim/trace-parallel tests, the batched pretrain, the" \
      "fleet/session/serve/retrain/fleet-serve/chaos benches, the parallel" \
      "reopen verify and its fuzzer, the chunked Zipf table, the scenario" \
-     "corpus and the durable whole-home pool passed."
+     "corpus and the durable pool passed."
