@@ -10,8 +10,9 @@
 // live store's view (the power-cut contract, replayed dozens of times
 // instead of once per crash test). Phase 2 closes the drift loop under the
 // same plan: users on stale tables must be flagged, retrained through
-// injected aborts and crashed flushes, and recover — then the snapshot
-// directory must restore every user at the flushed version.
+// injected aborts and crashed appends, and recover — then the store
+// directory must restore every retrained user at its live version, and
+// nothing for a user no retrain staged.
 //
 // After the fault window closes, `--tail-rounds` clean rounds prove the
 // fleet settles: the soak ends with a serial steady-state probe whose

@@ -49,7 +49,7 @@ double steady_state_allocs_per_retrain(const serve::ChaosServeSoak& soak) {
   serve::PolicyStore store(soak.donor());
   serve::RetrainScheduler scheduler(soak.adl(), store,
                                     planning::LearnerConfig{}, /*slots=*/1);
-  store.add_user("A");
+  store.add_user();
   scheduler.add_user();
   for (std::size_t i = 0; i < serve::kTranscriptRingCapacity; ++i) {
     scheduler.record(0, soak.routine());
@@ -139,8 +139,6 @@ int main(int argc, char** argv) {
                    std::to_string(report.retrain.episodes)});
   summary.add_row({"slot invalidations",
                    std::to_string(soak.engine().pool().invalidations())});
-  summary.add_row({"policy writes staged",
-                   std::to_string(report.staged_writes)});
   summary.add_row({"drift prompts/session (final round)",
                    format2(post_retrain_prompts)});
   summary.add_row({"fleet checksum", std::to_string(report.checksum)});

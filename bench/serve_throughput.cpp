@@ -6,9 +6,8 @@
 // default), a versioned PolicyStore the per-user Q-tables live in, and a
 // ServeEngine draining a queue of per-user session requests across the
 // exec thread pool. Every session is checkout -> import_policy (skipped on
-// a pool hit) -> run_session_inplace -> policy write-back, so the bench
-// prices exactly what multi-tenancy adds on top of PR 3's warm serving
-// path: the policy swaps.
+// a pool hit) -> run_session_inplace, so the bench prices exactly what
+// multi-tenancy adds on top of the warm serving path: the policy swaps.
 //
 // Requests arrive in bursts (`--burst` sessions per user per round): a
 // resident keeps their slot for a burst (pool hits), then nine other
@@ -19,8 +18,8 @@
 //   * dedicated — one slot per user ("serve_throughput_dedicated"): the
 //                 PR-3 shape, kept in-run as the swap-cost reference.
 //
-// Stdout (request counts, hit/swap split, wear counters, drift flags,
-// fleet checksum, the steady-state allocation probe) is byte-identical at
+// Stdout (request counts, hit/swap split, drift flags, fleet checksum,
+// the steady-state allocation probe) is byte-identical at
 // any --jobs — slots are sharded statically and fanned as TrialRunner
 // trials. Wall-clock goes only to --timing-json (BENCH_serve.json).
 //
@@ -64,7 +63,7 @@ EngineRun run_workload(const adl::AdlLibrary& library, const adl::Adl& adl,
   params.pool.seed = 4242;
   serve::ServeEngine engine(library, adl, store, params);
   for (std::size_t u = 0; u < users; ++u) {
-    engine.add_user("U" + std::to_string(u), serve::user_profile(u));
+    engine.add_user(serve::user_profile(u));
   }
   // Burst arrival: each round hands every user `burst` back-to-back
   // sessions, so residency pays off within a burst and swaps dominate
@@ -108,7 +107,7 @@ EngineRun run_arrival_workload(const adl::AdlLibrary& library,
   params.pool.seed = 4242;
   serve::ServeEngine engine(library, adl, store, params);
   for (std::size_t u = 0; u < users; ++u) {
-    engine.add_user("U" + std::to_string(u), serve::user_profile(u));
+    engine.add_user(serve::user_profile(u));
   }
   for (std::size_t i = 0; i < total_sessions; ++i) {
     engine.enqueue(static_cast<serve::UserId>(arrivals.next()), 1);
@@ -126,7 +125,7 @@ EngineRun run_arrival_workload(const adl::AdlLibrary& library,
 }
 
 /// Steady-state allocation probe: a single-slot pool serving two tenants
-/// alternately, so EVERY serve is a policy swap (import + write-back).
+/// alternately, so EVERY serve is a policy swap (import + session).
 /// After warm-up the whole serve must not touch the heap.
 double steady_state_allocs(const adl::AdlLibrary& library,
                            const adl::Adl& adl,
@@ -136,8 +135,8 @@ double steady_state_allocs(const adl::AdlLibrary& library,
   params.slots = 1;
   params.seed = 99;
   serve::SystemPool pool(store, params, library, adl);
-  store.add_user("A");
-  store.add_user("B");
+  store.add_user();
+  store.add_user();
 
   patient::PatientProfile profile =
       patient::PatientProfile::with_severity("U", 0.0);
@@ -153,14 +152,14 @@ double steady_state_allocs(const adl::AdlLibrary& library,
 
   core::SessionResult result;
   for (int i = 0; i < 16; ++i) {
-    pool.serve_session(static_cast<serve::UserId>(i % 2), profile,
-                       sim::Duration::minutes(15.0), script, result);
+    pool.serve_session(static_cast<serve::UserId>(i % 2), profile, script,
+                       result);
   }
   constexpr int kProbe = 64;
   const std::uint64_t before = util::allocation_count();
   for (int i = 0; i < kProbe; ++i) {
-    pool.serve_session(static_cast<serve::UserId>(i % 2), profile,
-                       sim::Duration::minutes(15.0), script, result);
+    pool.serve_session(static_cast<serve::UserId>(i % 2), profile, script,
+                       result);
   }
   return static_cast<double>(util::allocation_count() - before) / kProbe;
 }
@@ -235,10 +234,6 @@ int main(int argc, char** argv) {
                  format2(static_cast<double>(rep.pool_hits) / total),
                  format2(static_cast<double>(dedicated.report.pool_hits) /
                          total)});
-  table.add_row({"policy writes staged", std::to_string(rep.staged_writes),
-                 std::to_string(dedicated.report.staged_writes)});
-  table.add_row({"policy writes to disk", std::to_string(rep.disk_writes),
-                 std::to_string(dedicated.report.disk_writes)});
   table.add_row({"users flagged (drift)", std::to_string(rep.flagged_users),
                  std::to_string(dedicated.report.flagged_users)});
   table.add_row({"fleet checksum", std::to_string(rep.checksum),

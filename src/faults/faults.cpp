@@ -38,6 +38,27 @@ constexpr std::uint64_t kCrashSalt = 0x243f6a8885a308d3ULL;
 constexpr std::uint64_t kOffsetSalt = 0x13198a2e03707344ULL;
 constexpr std::uint64_t kStallSalt = 0xa4093822299f31d0ULL;
 
+// A plan's bounds, one copy each: FaultPlan::parse checks them per line of
+// text and Injector's constructor per site of a plan built in code. Each
+// returns the refusal text, or an empty string when the value is in bounds.
+std::string check_probability(const std::string& key, double p,
+                              const std::string& got) {
+  if (p >= 0.0 && p <= 1.0) return {};
+  return key + " must be in [0, 1], got '" + got + "'";
+}
+
+std::string check_delay(std::uint64_t delay_us, const std::string& got) {
+  if (delay_us <= FaultPlan::kMaxDelayUs) return {};
+  return "delay_us must be <= " + std::to_string(FaultPlan::kMaxDelayUs) +
+         ", got '" + got + "'";
+}
+
+std::string check_window(const SiteConfig& cfg) {
+  if (cfg.epoch_begin <= cfg.epoch_end) return {};
+  return "epoch_begin " + std::to_string(cfg.epoch_begin) +
+         " is past epoch_end " + std::to_string(cfg.epoch_end);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -91,7 +112,30 @@ std::uint64_t Site::stall_ns(std::uint64_t lane, std::uint64_t tick) noexcept {
 // ---------------------------------------------------------------------------
 // Injector
 
-Injector::Injector(FaultPlan plan) : plan_(std::move(plan)) {}
+Injector::Injector(FaultPlan plan) : plan_(std::move(plan)) {
+  // A plan built in code skipped parse(), so its sites meet the same bounds
+  // here: an unbounded delay_us would wrap Site::stall_ns's nanoseconds.
+  for (const auto& site : plan_.sites) {
+    const SiteConfig& cfg = site.second;
+    const auto refuse = [&site](const std::string& refusal) {
+      if (!refusal.empty()) {
+        throw std::invalid_argument("fault plan site '" + site.first +
+                                    "': " + refusal);
+      }
+    };
+    const std::pair<const char*, double> probabilities[] = {
+        {"rate", cfg.rate},
+        {"p_enter", cfg.burst.p_enter},
+        {"p_exit", cfg.burst.p_exit},
+        {"loss_in_good", cfg.burst.loss_in_good},
+        {"loss_in_bad", cfg.burst.loss_in_bad}};
+    for (const auto& [key, p] : probabilities) {
+      refuse(check_probability(key, p, util::format_double(p)));
+    }
+    refuse(check_delay(cfg.delay_us, std::to_string(cfg.delay_us)));
+    refuse(check_window(cfg));
+  }
+}
 
 void Injector::attach(Site& site) {
   site.stream_ = mix64(plan_.seed ^ fnv1a64(site.name_));
@@ -205,13 +249,14 @@ constexpr std::string_view kPlanContext = "fault plan";
 FaultPlan FaultPlan::parse(std::istream& in) {
   using util::parse_fail;
   using util::parse_u64;
-  const auto probability = [](const std::string& key, const std::string& v,
-                              std::size_t line_no) {
+  // Fails the parse at `line_no` when `refusal` is not empty.
+  const auto check = [](const std::string& refusal, std::size_t line_no) {
+    if (!refusal.empty()) parse_fail(kPlanContext, line_no, refusal);
+  };
+  const auto probability = [&](const std::string& key, const std::string& v,
+                               std::size_t line_no) {
     const double d = util::parse_double(kPlanContext, v, line_no);
-    if (d < 0.0 || d > 1.0) {
-      parse_fail(kPlanContext, line_no,
-                 key + " must be in [0, 1], got '" + v + "'");
-    }
+    check(check_probability(key, d, v), line_no);
     return d;
   };
   FaultPlan plan;
@@ -219,12 +264,7 @@ FaultPlan FaultPlan::parse(std::istream& in) {
   std::size_t epoch_line = 0;  ///< the current site's last epoch key
   // A site's epoch window is checked once its section is read.
   const auto close_section = [&] {
-    if (current != nullptr && current->epoch_begin > current->epoch_end) {
-      parse_fail(kPlanContext, epoch_line,
-                 "epoch_begin " + std::to_string(current->epoch_begin) +
-                     " is past epoch_end " +
-                     std::to_string(current->epoch_end));
-    }
+    if (current != nullptr) check(check_window(*current), epoch_line);
   };
   std::string line;
   std::size_t line_no = 0;
@@ -254,11 +294,7 @@ FaultPlan FaultPlan::parse(std::istream& in) {
       current->rate = probability(key, value, line_no);
     } else if (key == "delay_us") {
       current->delay_us = parse_u64(kPlanContext, value, line_no);
-      if (current->delay_us > kMaxDelayUs) {
-        parse_fail(kPlanContext, line_no,
-                   "delay_us must be <= " + std::to_string(kMaxDelayUs) +
-                       ", got '" + value + "'");
-      }
+      check(check_delay(current->delay_us, value), line_no);
     } else if (key == "epoch_begin") {
       current->epoch_begin = parse_u64(kPlanContext, value, line_no);
       epoch_line = line_no;

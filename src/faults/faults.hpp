@@ -181,6 +181,11 @@ class Site {
 /// (SplitMix64 finalization, mirroring exec::trial_seed).
 class Injector {
  public:
+  /// Throws std::invalid_argument, naming the site and the key, when a
+  /// site of `plan` breaks a bound FaultPlan::parse enforces: a rate or
+  /// burst probability outside [0, 1], delay_us above
+  /// FaultPlan::kMaxDelayUs, or epoch_begin past epoch_end. A plan built in
+  /// code (standard_chaos, the tests) never went through parse().
   explicit Injector(FaultPlan plan);
 
   /// Arms `site` from the plan (inert if the plan has no entry for its

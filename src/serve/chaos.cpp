@@ -37,12 +37,11 @@ SegmentStoreParams fleet_store_params(const ChaosFleetParams& p) {
   return sp;
 }
 
-PolicyStoreParams serve_store_params(const ChaosServeParams& p) {
-  PolicyStoreParams sp;
-  sp.flush_every = 1;  // every stage hits the crash/corruption seams
-  sp.segments.dir = p.dir;
-  sp.segments.writers = p.slots;  // one writer lane per pool slot
-  sp.segments.rebase_every = 4;
+SegmentStoreParams serve_store_params(const ChaosServeParams& p) {
+  SegmentStoreParams sp;
+  sp.dir = p.dir;
+  sp.writers = p.slots;  // one writer lane per pool slot
+  sp.rebase_every = 4;
   return sp;
 }
 
@@ -232,7 +231,6 @@ ChaosServeSoak::ChaosServeSoak(ChaosServeParams params,
   ep.pool.slots = params_.slots;
   ep.pool.seed = 4242;
   ep.drift.threshold = params_.threshold;
-  ep.retrain.enabled = true;
   // Every (users/drifted)-th user is stale, spreading the cohort across
   // slots so recovery is not an artifact of one shard.
   is_drifted_.assign(params_.users, false);
@@ -240,12 +238,16 @@ ChaosServeSoak::ChaosServeSoak(ChaosServeParams params,
     is_drifted_[i * (params_.users / params_.drifted)] = true;
   }
   for (std::size_t u = 0; u < params_.users; ++u) {
-    store_->add_user("U" + std::to_string(u),
-                     is_drifted_[u] ? stale_->q() : donor_->q());
+    // The calm cohort starts from the store's reference: the donor.
+    if (is_drifted_[u]) {
+      store_->add_user(stale_->q());
+    } else {
+      store_->add_user();
+    }
   }
   engine_ = std::make_unique<ServeEngine>(library_, tea, *store_, ep);
   for (std::size_t u = 0; u < params_.users; ++u) {
-    engine_->add_user("U" + std::to_string(u), user_profile(u));
+    engine_->add_user(user_profile(u));
   }
   committed_.assign(params_.users, 0);
   engine_->attach_faults(injector_);
@@ -326,25 +328,28 @@ ChaosServeResult ChaosServeSoak::run(exec::TrialRunner& runner) {
     }
   }
 
-  // Invariant — restart recovery. A clean flush (the fault window is shut)
-  // must leave every user restorable at exactly the live version: a crashed
-  // or torn append never published, so the reopen scan stops before its
-  // debris, and the retry's record overwrote it.
+  // Invariant — restart recovery. After a clean flush (the fault window is
+  // shut) a user above version 1 restores exactly its live version: a
+  // crashed or torn append never published, so the reopen scan stops
+  // before its debris, and the retry's record overwrote it. A user still
+  // at version 1 was never staged, so it holds no record and restores
+  // nothing.
   if (!params_.dir.empty()) {
     store_->flush_all();
     PolicyStore reopened(*donor_, serve_store_params(params_));
     for (std::size_t u = 0; u < params_.users; ++u) {
       const auto user = static_cast<UserId>(u);
-      reopened.add_user(store_->user_name(user));
-      if (reopened.restore(user).value_or(0) != store_->version(user)) {
+      const std::uint64_t live = store_->version(user);
+      const std::optional<std::uint64_t> back =
+          reopened.restore(reopened.add_user());
+      if (live > 1 ? back != live : back.has_value()) {
         ++result.reopen_mismatches;
       }
     }
   }
 
   result.aborted_retrains = result.report.retrain.aborted;
-  result.crashed_stages =
-      result.report.crashed_stages + result.report.retrain.crashed_stages;
+  result.crashed_stages = result.report.retrain.crashed_stages;
   result.invariant_violations = result.unrecovered_users +
                                 result.committed_versions_lost +
                                 result.reopen_mismatches;

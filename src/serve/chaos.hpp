@@ -29,8 +29,9 @@ namespace coreda::serve {
 ///     exactly the live store's view (longest valid prefix).
 ///   * ChaosServeSoak  — the ServeEngine drift -> retrain -> recover loop:
 ///     drifted users on stale tables must still be flagged, retrained
-///     (through injected aborts and crashed flushes) and recover, and the
-///     PolicyStore directory must restore to the flushed versions. It is
+///     (through injected aborts and crashed appends) and recover, and the
+///     PolicyStore directory must restore every staged user's live version
+///     and nothing for a user never staged. It is
 ///     the one implementation of that loop: bench_retrain_recovery and
 ///     `coreda retrain` run it too, with an empty plan on a memory-only
 ///     store.
@@ -160,9 +161,10 @@ struct ChaosServeParams {
   /// the calm band (~1).
   double threshold = 2.5;
   /// Policy store directory (wiped). A segment store with one writer per
-  /// slot, rebase_every=4 and flush_every=1, so the pre-publish/corruption
-  /// seams fire on the hot path, not just at teardown. Empty: a
-  /// memory-only store, and the reopen check is skipped.
+  /// slot and rebase_every=4; every retrain stage appends at once, so the
+  /// pre-publish/corruption seams fire on retrain stages, not just at
+  /// teardown. Empty: a memory-only store, and the reopen check is
+  /// skipped.
   std::string dir;
 };
 
@@ -188,20 +190,21 @@ struct ChaosServeResult {
   std::uint64_t recovery_sessions_max = 0;
   /// In-memory committed store versions that ever regressed (must be 0).
   std::uint64_t committed_versions_lost = 0;
-  /// Users whose reopened store restored a different version than the
-  /// live store had flushed.
+  /// Users whose reopened store disagreed with the live store after a
+  /// flush: a user above version 1 must restore exactly its live version,
+  /// a user still at version 1 (never staged) must restore nothing.
   std::uint64_t reopen_mismatches = 0;
   std::uint64_t invariant_violations = 0;  ///< sum of the three above
   std::uint64_t aborted_retrains = 0;      ///< injected retrain aborts
-  std::uint64_t crashed_stages = 0;        ///< serve-path flushes crashed
+  std::uint64_t crashed_stages = 0;        ///< retrain appends crashed
   double serve_seconds = 0.0;  ///< wall-clock, side-channel only
 };
 
 class ChaosServeSoak {
  public:
-  /// Trains the donor and the stale table, builds the store and the engine
-  /// with retraining on, and arms every seam against `plan` (an empty plan
-  /// arms none). Throws std::invalid_argument when drifted > users.
+  /// Trains the donor and the stale table, builds the store and the
+  /// engine, and arms every seam against `plan` (an empty plan arms none).
+  /// Throws std::invalid_argument when drifted > users.
   ChaosServeSoak(ChaosServeParams params, faults::FaultPlan plan);
   ~ChaosServeSoak();
 

@@ -16,9 +16,9 @@ ServeEngine::ServeEngine(const adl::AdlLibrary& library, const adl::Adl& adl,
       retrainer_(adl, store, params.pool.system.learner, pool_.slots()),
       by_slot_(pool_.slots()),
       results_(pool_.slots()) {
-  // FleetEngine's rule, for the same reason: slot trials append
-  // concurrently, serving and retraining alike, keyed by user % slots, so
-  // each of them must own a writer lane of its own.
+  // FleetEngine's rule, for the same reason: slot trials' retrain stages
+  // append concurrently, keyed by user % slots, so each of them must own a
+  // writer lane of its own.
   if (store.segments() != nullptr &&
       store.segments()->writers() != pool_.slots()) {
     throw std::invalid_argument(
@@ -30,14 +30,13 @@ ServeEngine::ServeEngine(const adl::AdlLibrary& library, const adl::Adl& adl,
   }
 }
 
-UserId ServeEngine::add_user(std::string name,
-                             patient::PatientProfile profile) {
+UserId ServeEngine::add_user(patient::PatientProfile profile) {
   // Engine user ids and store user ids must coincide (the pool checks out
   // by the shared id), so the engine either adopts the next store entry or
   // creates it.
   const UserId user = static_cast<UserId>(profiles_.size());
   if (user == store_->num_users()) {
-    store_->add_user(std::move(name));
+    store_->add_user();
   } else if (user > store_->num_users()) {
     throw std::invalid_argument(
         "ServeEngine::add_user: store is missing earlier users");
@@ -74,12 +73,9 @@ const ServeUserStats& ServeEngine::user_stats(UserId user) const {
 }
 
 void ServeEngine::serve_one(UserId user, core::SessionResult& result) {
-  pool_.serve_session(user, profiles_[user], core::kServedSessionCap, {},
-                      result);
+  pool_.serve_session(user, profiles_[user], {}, result);
   // Completed sessions feed the user's transcript ring — what the user
-  // actually did is the ground truth a retrain replays. Recorded even with
-  // retraining disabled (it is allocation-free) so flipping the switch on a
-  // live engine starts from warm rings.
+  // actually did is the ground truth a retrain replays.
   if (result.completed) {
     retrainer_.record(user, result.observed_steps);
   }
@@ -167,7 +163,7 @@ ServeReport ServeEngine::drain(exec::TrialRunner& runner) {
                  }
                }
                by_slot_[ctx.index].clear();  // keeps its capacity
-               if (params_.retrain.enabled) retrain_stage(ctx.index);
+               retrain_stage(ctx.index);
                return 0;  // results land in stats_ (disjoint per slot)
              });
 
@@ -182,9 +178,6 @@ ServeReport ServeEngine::drain(exec::TrialRunner& runner) {
   }
   report.pool_hits = pool_.hits();
   report.policy_swaps = pool_.swaps();
-  report.staged_writes = store_->staged_writes();
-  report.disk_writes = store_->disk_writes();
-  report.crashed_stages = pool_.crashed_stages();
   report.retrain = retrainer_.counters();
   return report;
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "exec/trial_runner.hpp"
@@ -27,9 +26,8 @@ inline constexpr std::size_t kDriftWarmupSessions = 3;
 /// re-prompt escalation kicks in — prompts per session spike. The engine
 /// tracks an EWMA of prompts-per-session per user and marks the user
 /// `needs_retraining` once it crosses the threshold after the
-/// kDriftWarmupSessions warm-up. With retraining enabled
-/// (RetrainParams::enabled) the flag feeds the drain's retrain stage and
-/// clears once the post-retrain EWMA drops back below the threshold.
+/// kDriftWarmupSessions warm-up. The flag feeds the drain's retrain stage
+/// and clears once the post-retrain EWMA drops back below the threshold.
 struct DriftConfig {
   /// Prompts-per-session EWMA at or above this flags the user.
   double threshold = 6.0;
@@ -38,9 +36,6 @@ struct DriftConfig {
 struct ServeEngineParams {
   SystemPoolParams pool{};
   DriftConfig drift{};
-  /// The detect->retrain->redeploy loop (off by default; transcripts are
-  /// recorded either way so enabling it later starts warm).
-  RetrainParams retrain{};
 };
 
 /// Per-user serving metrics, persistent across drains (the EWMA must see a
@@ -71,10 +66,6 @@ struct ServeReport {
   std::uint64_t checksum = 0;
   std::uint64_t pool_hits = 0;
   std::uint64_t policy_swaps = 0;
-  std::uint64_t staged_writes = 0;
-  std::uint64_t disk_writes = 0;
-  std::uint64_t crashed_stages = 0;  ///< serve-path flushes an injected
-                                     ///< crash aborted (memory state kept)
   std::size_t flagged_users = 0;  ///< users currently marked needs_retraining
   RetrainCounters retrain;        ///< cumulative retrain counters
   std::vector<ServeUserStats> users;
@@ -87,20 +78,22 @@ struct ServeReport {
 /// TrialRunner trial, so a drain is byte-identical at any --jobs — the
 /// TrialRunner determinism argument lifted one layer up (slots play the
 /// role trials played in the benches; users within a slot are served in
-/// enqueue order). With retraining enabled the same trial then runs the
-/// slot's retrain stage, so a drain is one fan-out.
+/// enqueue order). The same trial then runs the slot's retrain stage, so a
+/// drain is one fan-out.
 class ServeEngine {
  public:
   /// `library`, `adl` and `store` must outlive the engine. Throws
   /// std::invalid_argument when `store` is segment-backed with a writer
-  /// count other than `params.pool.slots`.
+  /// count other than `params.pool.slots`, or when the pool refuses
+  /// `params.pool` (see SystemPool).
   ServeEngine(const adl::AdlLibrary& library, const adl::Adl& adl,
               PolicyStore& store, ServeEngineParams params = {});
 
   /// Registers a user (must already exist in — or is added to — the store;
-  /// see implementation) with the profile their sessions will simulate.
-  /// Setup-phase only, like PolicyStore::add_user.
-  UserId add_user(std::string name, patient::PatientProfile profile);
+  /// see implementation) with the profile their sessions will simulate,
+  /// which carries their name. Setup-phase only, like
+  /// PolicyStore::add_user.
+  UserId add_user(patient::PatientProfile profile);
 
   /// Queues `sessions` session requests for the user — bucketed straight
   /// onto the user's home slot, so a drain never redistributes (and never
@@ -108,12 +101,12 @@ class ServeEngine {
   void enqueue(UserId user, std::size_t sessions = 1);
   std::size_t queued() const noexcept;
 
-  /// Serves every queued request and — with retraining enabled — closes
-  /// the loop in the same slot trial: once a slot has served its requests,
-  /// its drift-flagged users with enough transcripts are retrained, in id
-  /// order, on the slot's trainer, their refreshed tables staged back
-  /// through the store and their slot residency invalidated so the next
-  /// session serves the new version. Returns the cumulative report.
+  /// Serves every queued request and closes the loop in the same slot
+  /// trial: once a slot has served its requests, its drift-flagged users
+  /// with enough transcripts are retrained, in id order, on the slot's
+  /// trainer, their refreshed tables staged back through the store and
+  /// their slot residency invalidated so the next session serves the new
+  /// version. Returns the cumulative report.
   /// Deterministic for a given engine configuration and enqueue history at
   /// any runner job count.
   ServeReport drain(exec::TrialRunner& runner);

@@ -1,19 +1,18 @@
 #include "serve/policy_store.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace coreda::serve {
 
 PolicyStore::PolicyStore(const planning::RoutineLearner& reference,
-                         PolicyStoreParams params)
-    : params_(std::move(params)), reference_(reference.q()) {
-  if (params_.flush_every == 0) {
-    throw std::invalid_argument("PolicyStore: flush_every must be >= 1");
-  }
-  if (!params_.segments.dir.empty()) {
+                         SegmentStoreParams segments)
+    : reference_(reference.q()) {
+  if (!segments.dir.empty()) {
     segments_ = std::make_unique<SegmentStore>(
         reference.state_codec().symbols(), reference.action_codec().tools(),
-        reference_.num_states(), reference_.num_actions(), params_.segments);
+        reference_.num_states(), reference_.num_actions(),
+        std::move(segments));
   }
 }
 
@@ -21,27 +20,25 @@ PolicyStore::~PolicyStore() {
   try {
     flush_all();
   } catch (...) {
-    // Destructors must not throw; an unflushed tail only costs the stages
-    // since the last flush, exactly like a power cut would.
+    // Destructors must not throw; a dirty entry only loses the stage whose
+    // append crashed, exactly like a power cut would.
   }
 }
 
-UserId PolicyStore::add_user(std::string name) {
-  return add_entry(std::move(name), reference_);
-}
+UserId PolicyStore::add_user() { return add_entry(reference_); }
 
-UserId PolicyStore::add_user(std::string name, const rl::QTable& initial) {
+UserId PolicyStore::add_user(const rl::QTable& initial) {
   if (initial.num_states() != reference_.num_states() ||
       initial.num_actions() != reference_.num_actions()) {
     throw std::invalid_argument("PolicyStore::add_user: table shape differs "
                                 "from the reference policy");
   }
-  return add_entry(std::move(name), initial);
+  return add_entry(initial);
 }
 
-UserId PolicyStore::add_entry(std::string name, const rl::QTable& q) {
+UserId PolicyStore::add_entry(const rl::QTable& q) {
   if (segments_) segments_->grow_users(entries_.size() + 1);
-  entries_.push_back(Entry{std::move(name), q});
+  entries_.push_back(Entry{q});
   return static_cast<UserId>(entries_.size() - 1);
 }
 
@@ -55,10 +52,6 @@ PolicyStore::Entry& PolicyStore::entry(UserId user) {
 
 const PolicyStore::Entry& PolicyStore::entry(UserId user) const {
   return const_cast<PolicyStore*>(this)->entry(user);
-}
-
-const std::string& PolicyStore::user_name(UserId user) const {
-  return entry(user).name;
 }
 
 const rl::QTable& PolicyStore::q(UserId user) const { return entry(user).q; }
@@ -75,26 +68,21 @@ void PolicyStore::stage(UserId user, const rl::QTable& q) {
   }
   e.q = q;  // same shape: the vector assign reuses capacity, no allocation
   ++e.version;
-  ++e.staged;
-  ++e.unflushed;
-  if (segments_ && e.unflushed >= params_.flush_every) persist(user, e);
+  e.dirty = true;
+  flush(user);
 }
 
 void PolicyStore::flush(UserId user) {
   Entry& e = entry(user);
-  if (segments_ && e.unflushed != 0) persist(user, e);
+  if (!segments_ || !e.dirty) return;
+  // The append publishes the record (magic written last) or throws with
+  // the committed chain untouched and the entry still dirty.
+  segments_->append(user, e.q, e.version);
+  e.dirty = false;
 }
 
 void PolicyStore::flush_all() {
   for (UserId u = 0; u < entries_.size(); ++u) flush(u);
-}
-
-void PolicyStore::persist(UserId user, Entry& e) {
-  // The append publishes the record (magic written last) or throws with the
-  // committed chain untouched; only a published record costs wear.
-  segments_->append(user, e.q, e.version);
-  ++e.disk;
-  e.unflushed = 0;
 }
 
 std::optional<std::uint64_t> PolicyStore::restore(UserId user) {
@@ -105,21 +93,9 @@ std::optional<std::uint64_t> PolicyStore::restore(UserId user) {
   const std::optional<std::uint64_t> version = segments_->load(user, e.q);
   if (version) {
     e.version = *version;
-    e.unflushed = 0;
+    e.dirty = false;
   }
   return version;
-}
-
-std::uint64_t PolicyStore::staged_writes() const noexcept {
-  std::uint64_t total = 0;
-  for (const Entry& e : entries_) total += e.staged;
-  return total;
-}
-
-std::uint64_t PolicyStore::disk_writes() const noexcept {
-  std::uint64_t total = 0;
-  for (const Entry& e : entries_) total += e.disk;
-  return total;
 }
 
 }  // namespace coreda::serve

@@ -91,8 +91,7 @@ std::size_t RetrainScheduler::retrain_user(UserId user) {
       ++episodes;
     }
   }
-  // Stage the refreshed table back: a new version for the store, flushed to
-  // disk on the same wear batch as any serve-path write-back.
+  // Stage the refreshed table back: a new version for the store.
   trainer.export_q(0, *slot.scratch);
   stage_retrained(user, *slot.scratch, slot);
   ++slot.counters.jobs;
@@ -114,9 +113,9 @@ void RetrainScheduler::stage_retrained(UserId user, const rl::QTable& q,
   try {
     store_->stage(user, q);
   } catch (const faults::InjectedCrash&) {
-    // stage() updated the in-memory entry before the disk flush crashed:
-    // the refreshed table IS live and versioned, only its persistence is
-    // deferred to a later wear batch.
+    // stage() updated the in-memory entry before the append crashed: the
+    // refreshed table IS live and versioned, and the entry stays dirty
+    // until a flush publishes it.
     ++slot.counters.crashed_stages;
   }
 }

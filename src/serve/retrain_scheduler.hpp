@@ -39,24 +39,15 @@ inline constexpr std::size_t kTranscriptRingCapacity = 8;
 /// mistakes the paper warns about (§3.2).
 inline constexpr std::size_t kRetrainMinTranscripts = 4;
 
-/// The ServeEngine's retrain switch.
-struct RetrainParams {
-  /// Off by default so the pure serving configuration
-  /// (bench_serve_throughput, detection-only drains) keeps its
-  /// byte-identical baseline; the closed-loop benches, the CLI `retrain`
-  /// command and the retrain tests turn it on.
-  bool enabled = false;
-};
-
 /// Cumulative retraining counters, reported through the ServeReport.
 struct RetrainCounters {
   std::uint64_t jobs = 0;      ///< retrain jobs executed
   std::uint64_t episodes = 0;  ///< transcript replays fed to the trainers
   std::uint64_t aborted = 0;   ///< jobs killed by "retrain.abort" before
                                ///< staging (retried after the cooldown)
-  std::uint64_t crashed_stages = 0;  ///< staged write-backs whose disk flush
-                                     ///< an injected crash aborted (memory
-                                     ///< state kept; flush retried later)
+  std::uint64_t crashed_stages = 0;  ///< stages whose append an injected
+                                     ///< crash aborted (memory state kept;
+                                     ///< the append is retried by a flush)
 };
 
 /// The retrain stage behind ServeEngine::drain: per-user transcript rings
@@ -69,9 +60,9 @@ struct RetrainCounters {
 /// planning::LaneTrainer on the user's current PolicyStore table
 /// (begin_retraining: import + reseed + ε restart), replays the ring
 /// through it one episode per round, and stages the refreshed table
-/// straight back — a new version, wear-batched to disk like any
-/// serve-path write-back. The trainer is byte-identical to a
-/// RoutineLearner that ran begin_retraining and the same replay.
+/// straight back — a new version, appended at once when the store is
+/// segment-backed. The trainer is byte-identical to a RoutineLearner that
+/// ran begin_retraining and the same replay.
 ///
 /// Thread-safety mirrors the serving tier: record() and retrain_user()
 /// calls for users of different slots (`user % slots`) may run
@@ -149,7 +140,7 @@ class RetrainScheduler {
   const Ring& ring(UserId user) const;
 
   /// Stages `q` back for `user` unless an injected abort intervenes; a
-  /// crashed disk flush keeps the staged entry. Both are counted on `slot`.
+  /// crashed append keeps the staged entry. Both are counted on `slot`.
   void stage_retrained(UserId user, const rl::QTable& q, Slot& slot);
 
   PolicyStore* store_;

@@ -6,11 +6,16 @@
 
 namespace coreda::serve {
 
-SystemPool::SystemPool(PolicyStore& store, SystemPoolParams params,
+SystemPool::SystemPool(const PolicyStore& store, SystemPoolParams params,
                        const adl::AdlLibrary& library, const adl::Adl& adl)
     : store_(&store) {
   if (params.slots == 0) {
     throw std::invalid_argument("SystemPool: slots must be >= 1");
+  }
+  if (params.system.learn_from_sessions) {
+    throw std::invalid_argument(
+        "SystemPool: sessions are read-only, so learn_from_sessions must be "
+        "off");
   }
   slots_.reserve(params.slots);
   for (std::size_t i = 0; i < params.slots; ++i) {
@@ -18,15 +23,15 @@ SystemPool::SystemPool(PolicyStore& store, SystemPoolParams params,
     config.seed = exec::trial_seed(params.seed, i);
     Slot slot;
     slot.system = std::make_unique<core::HomeDeployment>(library, adl, config);
-    slot.table = &slot.system->learner().q();
     slots_.push_back(std::move(slot));
   }
 }
 
 void SystemPool::checkout(UserId user, Slot& slot) {
   if (slot.resident == user) {
-    // The slot's learner already holds this user's latest table (every
-    // session stages back on its way out), so the checkout is free.
+    // The slot's learner already holds this user's latest table (sessions
+    // never change it, and a retrain drops the residency), so the checkout
+    // is free.
     ++slot.hits;
     return;
   }
@@ -35,43 +40,21 @@ void SystemPool::checkout(UserId user, Slot& slot) {
   ++slot.swaps;
 }
 
-void SystemPool::stage_back(UserId user, Slot& slot) {
-  // Write-back even when learning is off: the version bump marks the
-  // snapshot current, and a user whose next session lands after another
-  // tenant evicted them re-imports exactly what they left behind.
-  try {
-    store_->stage(user, *slot.table);
-  } catch (const faults::InjectedCrash&) {
-    // The crash hit the disk flush after stage() already committed the
-    // in-memory entry: serving state is intact, persistence retries on a
-    // later wear batch — exactly the power-cut contract the crash tests
-    // prove.
-    ++slot.crashed_stages;
-  }
-  ++slot.sessions;
-}
-
 void SystemPool::serve_session(
     UserId user, const patient::PatientProfile& profile,
-    sim::Duration max_duration,
     const std::function<void(patient::PatientActor&)>& setup,
     core::SessionResult& result) {
   Slot& slot = slots_[slot_for(user)];
   checkout(user, slot);
-  slot.system->run_session_inplace(profile, max_duration, setup, result);
-  stage_back(user, slot);
+  slot.system->run_session_inplace(profile, core::kServedSessionCap, setup,
+                                   result);
+  ++slot.sessions;
 }
 
 void SystemPool::arm_fault_bursts(faults::Site& site) noexcept {
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     slots_[i].system->channel_mut().arm_fault_burst(site, i);
   }
-}
-
-std::uint64_t SystemPool::crashed_stages() const noexcept {
-  std::uint64_t total = 0;
-  for (const Slot& s : slots_) total += s.crashed_stages;
-  return total;
 }
 
 void SystemPool::invalidate(UserId user) {

@@ -20,7 +20,7 @@ struct SystemPoolParams {
   /// scheduling.
   std::uint64_t seed = 42;
   /// Template for every slot's deployment (the seed field is overridden
-  /// per slot).
+  /// per slot). learn_from_sessions must stay off.
   core::SystemConfig system{};
 };
 
@@ -30,8 +30,10 @@ struct SystemPoolParams {
 /// and made policy swaps cheap (import_policy); the pool turns that into a
 /// multi-tenant tier: each session is checkout -> import the user's table
 /// from the store (skipped when the user is already resident) -> run the
-/// session -> stage the table back -> return. Hit/swap counters expose how
-/// well residency tracks the request stream.
+/// session. Sessions are read-only: no slot learns from them (§3.2), so
+/// the pool never writes a table back; only a retrain changes a user's
+/// table. Hit/swap counters expose how well residency tracks the request
+/// stream.
 ///
 /// Determinism: users are sharded statically (slot = user % slots), so a
 /// slot's session sequence — and therefore every simulated outcome — is a
@@ -40,15 +42,18 @@ struct SystemPoolParams {
 /// byte-identical results, only wall-clock differs.
 ///
 /// Thread-safety: calls for users of different slots may run concurrently
-/// (disjoint deployments, disjoint store entries); calls within one slot
-/// must be serialized — which the per-slot trial sharding gives for free.
+/// (disjoint deployments); calls within one slot must be serialized —
+/// which the per-slot trial sharding gives for free.
 class SystemPool {
  public:
   static constexpr UserId kNoUser = std::numeric_limits<UserId>::max();
 
   /// Builds every slot warm: a deployment of `adl` seeded per slot.
-  /// `store`, `library` and `adl` must outlive the pool.
-  SystemPool(PolicyStore& store, SystemPoolParams params,
+  /// `store`, `library` and `adl` must outlive the pool. Throws
+  /// std::invalid_argument when `params.slots` is 0 or
+  /// `params.system.learn_from_sessions` is set: a learning slot would
+  /// change a table the pool never stages.
+  SystemPool(const PolicyStore& store, SystemPoolParams params,
              const adl::AdlLibrary& library, const adl::Adl& adl);
 
   std::size_t slots() const noexcept { return slots_.size(); }
@@ -56,13 +61,12 @@ class SystemPool {
     return user % slots_.size();
   }
 
-  /// Serves one closed-loop session for `user` on its home slot. The
-  /// caller owns `result`, which is reused across calls — at steady state
-  /// (warm slot, registered user) the whole serve, including a policy swap
-  /// and the write-back, performs zero heap allocations.
+  /// Serves one closed-loop session for `user` on its home slot, capped at
+  /// core::kServedSessionCap. The caller owns `result`, which is reused
+  /// across calls — at steady state (warm slot, registered user) the whole
+  /// serve, including a policy swap, performs zero heap allocations.
   void serve_session(
       UserId user, const patient::PatientProfile& profile,
-      sim::Duration max_duration,
       const std::function<void(patient::PatientActor&)>& setup,
       core::SessionResult& result);
 
@@ -79,9 +83,6 @@ class SystemPool {
   /// Arms every slot deployment's radio burst chain against `site` (lane =
   /// slot index). Setup phase only.
   void arm_fault_bursts(faults::Site& site) noexcept;
-  /// Write-backs whose disk flush an injected crash aborted (the staged
-  /// in-memory entry is kept; the flush retries on a later wear batch).
-  std::uint64_t crashed_stages() const noexcept;
 
   /// Sessions whose user was already resident on their slot (no import).
   std::uint64_t hits() const noexcept;
@@ -96,22 +97,17 @@ class SystemPool {
  private:
   struct Slot {
     std::unique_ptr<core::HomeDeployment> system;
-    /// The planner's table: what every session stages back.
-    const rl::QTable* table = nullptr;
     UserId resident = kNoUser;
     std::uint64_t hits = 0;
     std::uint64_t swaps = 0;
     std::uint64_t sessions = 0;
-    std::uint64_t crashed_stages = 0;
     std::uint64_t invalidations = 0;
   };
 
   /// Makes `user` resident on `slot`, importing their table on a swap.
   void checkout(UserId user, Slot& slot);
-  /// Stages the slot's table back as the user's next version.
-  void stage_back(UserId user, Slot& slot);
 
-  PolicyStore* store_;
+  const PolicyStore* store_;
   std::vector<Slot> slots_;
 };
 

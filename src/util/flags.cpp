@@ -85,6 +85,17 @@ std::size_t Flags::get_count(const std::string& key,
   return static_cast<std::size_t>(value);
 }
 
+std::size_t Flags::get_count(const std::string& key, std::size_t fallback,
+                             std::size_t max) const {
+  const std::size_t value = get_count(key, fallback);
+  if (value > max) {
+    throw std::invalid_argument("flag --" + key + " expects a count <= " +
+                                std::to_string(max) + ", got '" + get(key) +
+                                "'");
+  }
+  return value;
+}
+
 bool Flags::get_bool(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;

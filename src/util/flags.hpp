@@ -45,6 +45,12 @@ class Flags {
   /// A count: get_int that also throws std::invalid_argument on a negative
   /// value, instead of letting a cast wrap it to 2^64 - n.
   std::size_t get_count(const std::string& key, std::size_t fallback) const;
+  /// A bounded count: get_count that also throws std::invalid_argument,
+  /// naming the flag, when the value exceeds `max` — a range check at parse
+  /// time, so a flag that sizes buffers is refused before anything is
+  /// built.
+  std::size_t get_count(const std::string& key, std::size_t fallback,
+                        std::size_t max) const;
   bool get_bool(const std::string& key, bool fallback = false) const;
 
   /// Every flag key that was supplied (for unknown-flag validation).

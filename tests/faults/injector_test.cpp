@@ -408,6 +408,58 @@ TEST(Site, UnattachedSiteIsInert) {
   EXPECT_EQ(hook_calls, 1);
 }
 
+TEST(Injector, RefusesACodeBuiltPlanOutsideTheParserBounds) {
+  // A plan built in code never went through parse(); the injector checks
+  // the same bounds, naming the site and the key.
+  const auto message = [](const SiteConfig& cfg) {
+    FaultPlan plan;
+    plan.sites["calm"] = crash_cfg(0.5);
+    plan.sites["bad.site"] = cfg;
+    try {
+      Injector injector(plan);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("<no throw>");
+  };
+  SiteConfig rate = crash_cfg(1.5);
+  EXPECT_EQ(message(rate),
+            "fault plan site 'bad.site': rate must be in [0, 1], got '1.5'");
+  rate.rate = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(message(rate).rfind("fault plan site 'bad.site': rate must be", 0),
+            0u);
+  SiteConfig burst;
+  burst.burst.loss_in_bad = -0.25;
+  EXPECT_EQ(message(burst),
+            "fault plan site 'bad.site': loss_in_bad must be in [0, 1], got "
+            "'-0.25'");
+  SiteConfig stall = crash_cfg(0.5);
+  stall.delay_us = 9'300'000'000'000'000ULL;  // past int64 nanoseconds
+  EXPECT_EQ(message(stall),
+            "fault plan site 'bad.site': delay_us must be <= 86400000000, "
+            "got '9300000000000000'");
+  SiteConfig window = crash_cfg(0.5);
+  window.epoch_begin = 7;
+  window.epoch_end = 3;
+  EXPECT_EQ(message(window),
+            "fault plan site 'bad.site': epoch_begin 7 is past epoch_end 3");
+  // The bounds are inclusive, as in parse().
+  SiteConfig edge = crash_cfg(1.0);
+  edge.delay_us = FaultPlan::kMaxDelayUs;
+  edge.burst.p_exit = 0.0;
+  edge.epoch_begin = edge.epoch_end = 4;
+  EXPECT_EQ(message(edge), "<no throw>");
+}
+
+TEST(Injector, AcceptsEveryPlanTheSoaksAndBenchesBuild) {
+  EXPECT_NO_THROW(Injector(FaultPlan{}));
+  for (const std::uint64_t epochs : {0, 1, 3, 4, 6}) {
+    for (const std::uint64_t seed : {1, 7, 42}) {
+      EXPECT_NO_THROW(Injector(FaultPlan::standard_chaos(seed, epochs)));
+    }
+  }
+}
+
 TEST(Site, PlanWithoutEntryLeavesSiteDisarmed) {
   FaultPlan plan;
   plan.seed = 8;

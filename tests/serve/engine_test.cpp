@@ -1,5 +1,6 @@
 // ServeEngine: deterministic multi-tenant drains at any --jobs, serving
-// report accounting, and the prompt-rate drift detector.
+// report accounting, read-only sessions, and the prompt-rate drift
+// detector.
 
 #include "serve/engine.hpp"
 
@@ -32,9 +33,8 @@ struct EngineFixture : ::testing::Test {
     ServeEngine engine(library, library.tea_making(), store, params);
     for (std::size_t u = 0; u < 12; ++u) {
       util::Rng rng(exec::trial_seed(31, u));
-      engine.add_user("U" + std::to_string(u),
-                      patient::PatientProfile::with_severity(
-                          "U", 0.1 + 0.4 * rng.uniform()));
+      engine.add_user(patient::PatientProfile::with_severity(
+          "U", 0.1 + 0.4 * rng.uniform()));
     }
     for (int round = 0; round < 2; ++round) {
       for (UserId u = 0; u < 12; ++u) engine.enqueue(u, 3);
@@ -79,13 +79,27 @@ TEST_F(EngineFixture, ReportAccountingIsConsistent) {
   // keeps residency for the remaining 2 sessions.
   EXPECT_EQ(report.policy_swaps, 24u);
   EXPECT_EQ(report.pool_hits, 48u);
-  EXPECT_EQ(report.staged_writes, report.sessions);  // write-back per serve
-  EXPECT_EQ(report.disk_writes, 0u);                 // memory-only store
   std::uint64_t sessions = 0;
   for (const ServeUserStats& u : report.users) sessions += u.sessions;
   EXPECT_EQ(sessions, report.sessions);
-  // Every user's table was written back at least once per session.
-  EXPECT_EQ(store.version(0), 1u + report.users[0].sessions);
+  // Sessions are read-only and no retrain was due: no version moved.
+  EXPECT_EQ(report.retrain.jobs, 0u);
+  for (UserId u = 0; u < 12; ++u) EXPECT_EQ(store.version(u), 1u) << u;
+}
+
+TEST_F(EngineFixture, ServeTierRefusesLearningFromSessions) {
+  // A learning slot would change a table the pool never stages back.
+  planning::RoutineLearner donor = trained();
+  PolicyStore store(donor);
+  ServeEngineParams params;
+  params.pool.system.learn_from_sessions = true;
+  const adl::Adl& tea = library.tea_making();
+  EXPECT_THROW((void)SystemPool(store, params.pool, library, tea),
+               std::invalid_argument);
+  EXPECT_THROW((void)ServeEngine(library, tea, store, params),
+               std::invalid_argument);
+  params.pool.system.learn_from_sessions = false;
+  EXPECT_NO_THROW((void)ServeEngine(library, tea, store, params));
 }
 
 TEST_F(EngineFixture, DriftDetectorFlagsThePromptStorm) {
@@ -102,9 +116,9 @@ TEST_F(EngineFixture, DriftDetectorFlagsThePromptStorm) {
   patient::PatientProfile drifted =
       patient::PatientProfile::with_severity("Drifted", 0.95);
   drifted.comply_minimal = 0.3;
-  const UserId calm = engine.add_user(
-      "Calm", patient::PatientProfile::with_severity("Calm", 0.05));
-  const UserId stormy = engine.add_user("Stormy", drifted);
+  const UserId calm =
+      engine.add_user(patient::PatientProfile::with_severity("Calm", 0.05));
+  const UserId stormy = engine.add_user(drifted);
 
   engine.enqueue(calm, 8);
   engine.enqueue(stormy, 8);
@@ -125,8 +139,8 @@ TEST_F(EngineFixture, DriftFlagNeedsWarmupAndSticks) {
   params.pool.slots = 1;
   params.drift.threshold = 0.0;  // every session is "over threshold"...
   ServeEngine engine(library, library.tea_making(), store, params);
-  const UserId u = engine.add_user(
-      "U", patient::PatientProfile::with_severity("U", 0.3));
+  const UserId u =
+      engine.add_user(patient::PatientProfile::with_severity("U", 0.3));
 
   exec::TrialRunner runner(1);
   engine.enqueue(u, 2);
@@ -145,8 +159,8 @@ TEST_F(EngineFixture, EngineValidatesItsInputs) {
   PolicyStore store(donor);
   ServeEngine engine(library, library.tea_making(), store, {});
   EXPECT_THROW(engine.enqueue(0, 1), std::out_of_range);
-  const UserId u = engine.add_user(
-      "U", patient::PatientProfile::with_severity("U", 0.1));
+  const UserId u =
+      engine.add_user(patient::PatientProfile::with_severity("U", 0.1));
   engine.enqueue(u, 0);  // zero sessions: a no-op, not an error
   EXPECT_EQ(engine.queued(), 0u);
   EXPECT_THROW(engine.user_stats(u + 1), std::out_of_range);

@@ -3,8 +3,7 @@
 // Q-table dumps AND the raw segment files between a 1-job and a 4-job
 // fleet), cold starts come out of the store (or the donor table exactly
 // once), eviction never loses a learning user's updates, and write-back
-// batching trades appends for bounded staleness the same way the per-file
-// store's flush_every does.
+// batching trades appends for bounded staleness.
 
 #include "serve/fleet_engine.hpp"
 

@@ -1,13 +1,14 @@
-// Crash injection for the PolicyStore flush path. A flush appends one
-// segment record whose magic is written last, so the window that matters
-// is between the completed record body and the magic publish. The segment
+// Crash injection for the PolicyStore append path. A stage or a flush
+// appends one segment record whose magic is written last, so the window
+// that matters is between the completed record body and the magic
+// publish. The segment
 // store's pre_publish_site() hook throws right there, simulating a crash
 // with a fully written but unpublished record in the mapping:
 //
 //   * the committed record is untouched — a reader (warm restart) still
 //     loads the previous version;
-//   * the entry still counts as unflushed, so the next flush retries and
-//     publishes cleanly once the "crash" stops;
+//   * the entry stays dirty, so the next flush retries and publishes
+//     cleanly once the "crash" stops;
 //   * garbage past the valid prefix from a dead writer is never read, and
 //     the next append overwrites it;
 //   * the destructor's best-effort flush survives a throwing hook.
@@ -45,27 +46,25 @@ struct PolicyCrashFixture : ::testing::Test {
     return dir;
   }
 
-  static PolicyStoreParams on_disk(const std::string& dir,
-                                   std::size_t flush_every) {
-    PolicyStoreParams params;
-    params.flush_every = flush_every;
-    params.segments.dir = dir;
+  static SegmentStoreParams on_disk(const std::string& dir) {
+    SegmentStoreParams params;
+    params.dir = dir;
     return params;
   }
 
   /// The version a restarting reader recovers for user 0 of `dir`.
   std::optional<std::uint64_t> committed_version(
       const planning::RoutineLearner& donor, const std::string& dir) {
-    PolicyStore reader(donor, on_disk(dir, 1));
-    return reader.restore(reader.add_user("tanaka"));
+    PolicyStore reader(donor, on_disk(dir));
+    return reader.restore(reader.add_user());
   }
 };
 
 TEST_F(PolicyCrashFixture, CrashBeforePublishKeepsCommittedSnapshotReadable) {
   planning::RoutineLearner donor = trained();
   const std::string dir = fresh_dir("window");
-  PolicyStore store(donor, on_disk(dir, 1));
-  const UserId u = store.add_user("tanaka");
+  PolicyStore store(donor, on_disk(dir));
+  const UserId u = store.add_user();
 
   store.stage(u, donor.q());  // clean flush: version 2 committed
   ASSERT_EQ(committed_version(donor, dir), std::optional<std::uint64_t>{2});
@@ -89,7 +88,7 @@ TEST_F(PolicyCrashFixture, CrashBeforePublishKeepsCommittedSnapshotReadable) {
   store.segments()->pre_publish_site().set_hook(nullptr);
   store.flush(u);
   EXPECT_EQ(committed_version(donor, dir), std::optional<std::uint64_t>{3});
-  EXPECT_EQ(store.disk_writes(), 2u);  // the crashed attempt cost no wear
+  EXPECT_EQ(store.segments()->appends(), 2u);  // the crash published none
   EXPECT_EQ(SegmentStore::inspect(dir).corrupt_records, 0u);
 }
 
@@ -98,8 +97,8 @@ TEST_F(PolicyCrashFixture, GarbagePastTheTailIsNeverReadAndGetsReplaced) {
   const std::string dir = fresh_dir("debris");
   std::uint64_t tail = 0;
   {
-    PolicyStore store(donor, on_disk(dir, 1));
-    store.stage(store.add_user("tanaka"), donor.q());  // version 2
+    PolicyStore store(donor, on_disk(dir));
+    store.stage(store.add_user(), donor.q());  // version 2
     tail = 40 + store.segments()->appended_bytes();
   }
   // A later writer died mid-append: garbage right after the committed
@@ -113,8 +112,8 @@ TEST_F(PolicyCrashFixture, GarbagePastTheTailIsNeverReadAndGetsReplaced) {
   EXPECT_EQ(SegmentStore::inspect(dir).corrupt_records, 1u);
 
   // restore() reads only the valid prefix — the debris is invisible...
-  PolicyStore store(donor, on_disk(dir, 1));
-  const UserId u = store.add_user("tanaka");
+  PolicyStore store(donor, on_disk(dir));
+  const UserId u = store.add_user();
   EXPECT_EQ(store.restore(u), std::optional<std::uint64_t>{2});
 
   // ...and the next flush appends over it.
@@ -127,14 +126,14 @@ TEST_F(PolicyCrashFixture, DestructorFlushSwallowsInjectedCrash) {
   planning::RoutineLearner donor = trained();
   const std::string dir = fresh_dir("dtor");
   {
-    // flush_every=100 keeps the entry dirty until destruction.
-    PolicyStore store(donor, on_disk(dir, 100));
-    const UserId u = store.add_user("tanaka");
-    store.stage(u, donor.q());
+    PolicyStore store(donor, on_disk(dir));
+    const UserId u = store.add_user();
     store.segments()->pre_publish_site().set_hook([](const std::string&) {
-      throw std::runtime_error("injected crash in destructor flush");
+      throw std::runtime_error("injected crash in every append");
     });
-  }  // ~PolicyStore must not terminate; the flush failure is swallowed
+    // The crashed append keeps the entry dirty until destruction.
+    EXPECT_THROW(store.stage(u, donor.q()), std::runtime_error);
+  }  // ~PolicyStore retries, crashes again and must swallow the failure
 
   // Nothing was published: a restart finds no record for the user.
   EXPECT_EQ(committed_version(donor, dir), std::nullopt);

@@ -240,11 +240,10 @@ TEST(PolicyFuzzTest, EveryOneByteCorruptionIsRejectedAndTableUntouched) {
 
   const std::string dir = ::testing::TempDir() + "/coreda_fuzz_sweep";
   fs::remove_all(dir);
-  PolicyStoreParams params;
-  params.flush_every = 1;
-  params.segments.dir = dir;
+  SegmentStoreParams params;
+  params.dir = dir;
   PolicyStore store(donor, params);
-  const UserId u = store.add_user("victim");
+  const UserId u = store.add_user();
   const std::string seg_path = dir + "/seg-w0-000000.seg";
   const auto flip = [&](std::size_t offset) {
     std::fstream f(seg_path, std::ios::binary | std::ios::in | std::ios::out);
@@ -271,7 +270,7 @@ TEST(PolicyFuzzTest, EveryOneByteCorruptionIsRejectedAndTableUntouched) {
       EXPECT_EQ(store.version(u), version_before) << "offset " << off;
       {
         PolicyStore reader(donor, params);
-        const UserId r = reader.add_user("victim");
+        const UserId r = reader.add_user();
         EXPECT_EQ(reader.restore(r), expect_version) << "offset " << off;
         EXPECT_TRUE(bit_equal(reader.q(r), expect_table)) << "offset " << off;
       }

@@ -1,11 +1,11 @@
 // PolicyStore robustness: a table's v2 record (the segment store's
 // CRDAREC2 anchor) round-trips byte-identically and rejects truncated /
 // bit-flipped / wrong-ADL / garbage input with the entry untouched; the
-// store's versions are monotonic per write-back, disk writes are
-// wear-batched, restarts restore from the segment store, the store
-// directory stays inspectable without a learner, and registering users one
-// at a time grows the durable index geometrically. (A whole home's policy
-// set is covered by policy_set_test.cpp.)
+// store's versions are monotonic per stage, a stage appends one record at
+// once and a crashed append stays dirty until a flush retries it,
+// restarts restore from the segment store, the store directory stays
+// inspectable without a learner, and registering users one at a time
+// grows the durable index geometrically.
 
 #include "serve/policy_store.hpp"
 
@@ -40,12 +40,19 @@ struct PolicyStoreFixture : ::testing::Test {
     return dir;
   }
 
-  static PolicyStoreParams on_disk(const std::string& dir,
-                                   std::size_t flush_every = 8) {
-    PolicyStoreParams params;
-    params.flush_every = flush_every;
-    params.segments.dir = dir;
+  static SegmentStoreParams on_disk(const std::string& dir) {
+    SegmentStoreParams params;
+    params.dir = dir;
     return params;
+  }
+
+  /// Makes every later append of `store` crash before it publishes, or
+  /// (`crash` false) publish again.
+  static void crash_appends(PolicyStore& store, bool crash) {
+    store.segments()->pre_publish_site().set_hook(
+        [crash](const std::string&) {
+          if (crash) throw std::runtime_error("injected crash");
+        });
   }
 
   /// The bytes of the first record in `dir`'s first segment.
@@ -73,18 +80,18 @@ TEST_F(PolicyStoreFixture, V2RoundTripIsByteIdentical) {
   const std::string first = fresh_dir("v2_first");
   const std::string second = fresh_dir("v2_second");
   {
-    PolicyStore store(source, on_disk(first, 1));
-    store.stage(store.add_user("tanaka"), source.q());
+    PolicyStore store(source, on_disk(first));
+    store.stage(store.add_user(), source.q());
   }
 
   // Restore into an untrained learner's store, then store it again.
   planning::RoutineLearner blank(library.tea_making(), util::Rng(99));
   PolicyStore restored(blank, on_disk(first));
-  const UserId u = restored.add_user("tanaka");
+  const UserId u = restored.add_user();
   ASSERT_EQ(restored.restore(u), std::optional<std::uint64_t>{2});
   {
-    PolicyStore again(blank, on_disk(second, 1));
-    const UserId v = again.add_user("tanaka");
+    PolicyStore again(blank, on_disk(second));
+    const UserId v = again.add_user();
     again.stage(v, restored.q(u));
   }
   // Byte equality of the re-written record implies bit equality of every
@@ -97,8 +104,8 @@ TEST_F(PolicyStoreFixture, V2RoundTripIsByteIdentical) {
 TEST_F(PolicyStoreFixture, V2TruncationRejectedEverywhereLearnerUnchanged) {
   planning::RoutineLearner source = trained();
   const std::string dir = fresh_dir("v2_truncation");
-  PolicyStore store(source, on_disk(dir, 1));
-  const UserId u = store.add_user("tanaka");
+  PolicyStore store(source, on_disk(dir));
+  const UserId u = store.add_user();
   planning::RoutineLearner other = trained(9);
   store.stage(u, other.q());
   const std::string record = first_record(dir);
@@ -121,8 +128,8 @@ TEST_F(PolicyStoreFixture, V2TruncationRejectedEverywhereLearnerUnchanged) {
 TEST_F(PolicyStoreFixture, V2BitFlipRejectedByChecksum) {
   planning::RoutineLearner source = trained();
   const std::string dir = fresh_dir("v2_flip");
-  PolicyStore store(source, on_disk(dir, 1));
-  const UserId u = store.add_user("tanaka");
+  PolicyStore store(source, on_disk(dir));
+  const UserId u = store.add_user();
   store.stage(u, source.q());
   std::string record = first_record(dir);
   record[record.size() / 2] ^= 0x40;  // flip one bit deep in the Q block
@@ -135,8 +142,8 @@ TEST_F(PolicyStoreFixture, V2WrongAdlRejected) {
   planning::RoutineLearner source = trained();
   const std::string dir = fresh_dir("v2_wrong_adl");
   {
-    PolicyStore store(source, on_disk(dir, 1));
-    store.stage(store.add_user("tanaka"), source.q());
+    PolicyStore store(source, on_disk(dir));
+    store.stage(store.add_user(), source.q());
   }
   planning::RoutineLearner other(library.tooth_brushing(), util::Rng(9));
   EXPECT_THROW((void)PolicyStore(other, on_disk(dir)), std::runtime_error);
@@ -154,8 +161,8 @@ TEST_F(PolicyStoreFixture, InspectReadsHeaderWithoutLearner) {
   planning::RoutineLearner source = trained();
   const std::string dir = fresh_dir("inspect");
   {
-    PolicyStore store(source, on_disk(dir, 1));
-    const UserId u = store.add_user("tanaka");
+    PolicyStore store(source, on_disk(dir));
+    const UserId u = store.add_user();
     for (int i = 0; i < 41; ++i) store.stage(u, source.q());  // version 42
   }
   const SegmentStore::Info info = SegmentStore::inspect(dir);
@@ -172,8 +179,8 @@ TEST_F(PolicyStoreFixture, InspectFlagsBadChecksumWithoutThrowing) {
   planning::RoutineLearner source = trained();
   const std::string dir = fresh_dir("inspect_bad");
   {
-    PolicyStore store(source, on_disk(dir, 1));
-    store.stage(store.add_user("tanaka"), source.q());
+    PolicyStore store(source, on_disk(dir));
+    store.stage(store.add_user(), source.q());
   }
   {
     // Flip a byte deep in the only record's Q block (the record starts
@@ -193,7 +200,7 @@ TEST_F(PolicyStoreFixture, InspectFlagsBadChecksumWithoutThrowing) {
 TEST_F(PolicyStoreFixture, StoreVersionsAreMonotonicPerWriteBack) {
   planning::RoutineLearner donor = trained();
   PolicyStore store(donor);  // memory-only
-  const UserId u = store.add_user("tanaka");
+  const UserId u = store.add_user();
   EXPECT_EQ(store.version(u), 1u);
   for (std::uint64_t i = 0; i < 10; ++i) {
     const std::uint64_t before = store.version(u);
@@ -201,38 +208,51 @@ TEST_F(PolicyStoreFixture, StoreVersionsAreMonotonicPerWriteBack) {
     EXPECT_EQ(store.version(u), before + 1);
   }
   EXPECT_EQ(store.version(u), 11u);
-  EXPECT_EQ(store.staged_writes(), 10u);
-  EXPECT_EQ(store.disk_writes(), 0u);  // memory-only: no wear at all
-  EXPECT_EQ(store.segments(), nullptr);
+  EXPECT_EQ(store.segments(), nullptr);  // memory-only: nothing on disk
 }
 
-TEST_F(PolicyStoreFixture, WearBatchingWritesEveryNthStage) {
+TEST_F(PolicyStoreFixture, StageAppendsAtOnceAndACrashedAppendStaysDirty) {
   planning::RoutineLearner donor = trained();
-  PolicyStore store(donor, on_disk(fresh_dir("wear"), 4));
-  const UserId u = store.add_user("tanaka");
+  const std::string dir = fresh_dir("dirty");
+  {
+    PolicyStore store(donor, on_disk(dir));
+    const UserId u = store.add_user();
+    EXPECT_EQ(store.segments()->appends(), 0u);  // registering writes nothing
+    store.stage(u, donor.q());
+    EXPECT_EQ(store.segments()->appends(), 1u);  // one record, at once
+    EXPECT_EQ(store.segments()->latest_version(u),
+              std::optional<std::uint64_t>{2});
+    store.flush_all();  // nothing dirty: nothing appended
+    EXPECT_EQ(store.segments()->appends(), 1u);
 
-  for (int i = 0; i < 10; ++i) store.stage(u, donor.q());
-  // Stages 4 and 8 hit the batch boundary; 10 staged writes cost 2 disk
-  // writes — the EEPROM-style wear reduction.
-  EXPECT_EQ(store.staged_writes(), 10u);
-  EXPECT_EQ(store.disk_writes(), 2u);
-  EXPECT_EQ(store.segments()->appends(), 2u);
-  EXPECT_EQ(store.segments()->latest_version(u),
-            std::optional<std::uint64_t>{9});
+    // A crashed append keeps version 3 in memory and leaves it dirty...
+    crash_appends(store, true);
+    EXPECT_THROW(store.stage(u, donor.q()), std::runtime_error);
+    EXPECT_EQ(store.version(u), 3u);
+    EXPECT_THROW(store.flush_all(), std::runtime_error);  // still crashing
+    EXPECT_EQ(store.segments()->appends(), 1u);
+    // ...so flush_all() retries it once the crashes stop.
+    crash_appends(store, false);
+    store.flush_all();
+    EXPECT_EQ(store.segments()->appends(), 2u);
+    EXPECT_EQ(store.segments()->latest_version(u),
+              std::optional<std::uint64_t>{3});
 
-  store.flush_all();  // the 2 unflushed stages go out now
-  EXPECT_EQ(store.disk_writes(), 3u);
-  store.flush_all();  // nothing dirty: no extra wear
-  EXPECT_EQ(store.disk_writes(), 3u);
-  EXPECT_EQ(store.segments()->latest_version(u),
-            std::optional<std::uint64_t>{11});
+    // And the destructor retries an entry still dirty at teardown.
+    crash_appends(store, true);
+    EXPECT_THROW(store.stage(u, donor.q()), std::runtime_error);
+    crash_appends(store, false);
+    EXPECT_EQ(store.segments()->latest_version(u),
+              std::optional<std::uint64_t>{3});
+  }
+  EXPECT_EQ(SegmentStore::inspect(dir).max_version, 4u);
 }
 
 TEST_F(PolicyStoreFixture, AtomicWritePublishesNoTempFiles) {
   planning::RoutineLearner donor = trained();
   const std::string dir = fresh_dir("atomic");
-  PolicyStore store(donor, on_disk(dir, 1));  // every stage persists
-  const UserId u = store.add_user("tanaka");
+  PolicyStore store(donor, on_disk(dir));  // every stage persists
+  const UserId u = store.add_user();
   store.stage(u, donor.q());
 
   // store.meta publishes by tmp+rename; records publish in place by
@@ -256,17 +276,22 @@ TEST_F(PolicyStoreFixture, RestoreResumesVersionAndValuesAfterRestart) {
   planning::RoutineLearner donor = trained();
   const std::string dir = fresh_dir("restart");
   {
-    // flush_every=100 forces the dtor flush to do the persisting.
-    PolicyStore store(donor, on_disk(dir, 100));
-    const UserId u = store.add_user("tanaka");
-    for (int i = 0; i < 5; ++i) store.stage(u, donor.q());
+    PolicyStore store(donor, on_disk(dir));
+    const UserId u = store.add_user();
+    for (int i = 0; i < 4; ++i) store.stage(u, donor.q());
+    // A crashed append leaves version 6 dirty, so the dtor flush does the
+    // persisting.
+    crash_appends(store, true);
+    EXPECT_THROW(store.stage(u, donor.q()), std::runtime_error);
+    crash_appends(store, false);
     EXPECT_EQ(store.version(u), 6u);
-    EXPECT_EQ(store.disk_writes(), 0u);
+    EXPECT_EQ(store.segments()->latest_version(u),
+              std::optional<std::uint64_t>{5});
   }  // ~PolicyStore flushes
 
   planning::RoutineLearner blank(library.tea_making(), util::Rng(1));
   PolicyStore store(blank, on_disk(dir));  // warm restart, untrained ref
-  const UserId u = store.add_user("tanaka");
+  const UserId u = store.add_user();
   const auto version = store.restore(u);
   ASSERT_TRUE(version.has_value());
   EXPECT_EQ(*version, 6u);
@@ -281,25 +306,23 @@ TEST_F(PolicyStoreFixture, RestoreResumesVersionAndValuesAfterRestart) {
 TEST_F(PolicyStoreFixture, RestoreWithoutSnapshotReturnsNullopt) {
   planning::RoutineLearner donor = trained();
   PolicyStore store(donor, on_disk(fresh_dir("empty")));
-  const UserId u = store.add_user("nobody");
+  const UserId u = store.add_user();
   EXPECT_EQ(store.restore(u), std::nullopt);
   EXPECT_EQ(store.version(u), 1u);
 
   PolicyStore memory_only(donor);
-  const UserId m = memory_only.add_user("nobody");
+  const UserId m = memory_only.add_user();
   EXPECT_EQ(memory_only.restore(m), std::nullopt);
 }
 
 TEST_F(PolicyStoreFixture, StoreRejectsMismatchedShapesAndUnknownUsers) {
   planning::RoutineLearner donor = trained();
   PolicyStore store(donor);
-  EXPECT_THROW(store.add_user("x", rl::QTable(2, 2)),
+  EXPECT_THROW(store.add_user(rl::QTable(2, 2)),
                std::invalid_argument);
-  const UserId u = store.add_user("ok");
+  const UserId u = store.add_user();
   EXPECT_THROW(store.stage(u, rl::QTable(2, 2)), std::invalid_argument);
   EXPECT_THROW(store.q(u + 1), std::out_of_range);
-  EXPECT_THROW((void)PolicyStore(donor, PolicyStoreParams{0}),
-               std::invalid_argument);
   // A store directory created for one ADL refuses another ADL's schema.
   const std::string dir = fresh_dir("schema");
   { PolicyStore tea(donor, on_disk(dir)); }
@@ -311,14 +334,14 @@ TEST_F(PolicyStoreFixture, RegisteringUsersOneByOneGrowsTheIndexGeometrically) {
   // A durable store reserves index room per registration; each lane's slab
   // must grow geometrically, or n registrations rehash n times (O(n^2)).
   planning::RoutineLearner donor = trained();
-  PolicyStoreParams params = on_disk(fresh_dir("registration"));
-  params.segments.writers = 4;
+  SegmentStoreParams params = on_disk(fresh_dir("registration"));
+  params.writers = 4;
   PolicyStore store(donor, params);
   constexpr std::size_t kUsers = std::size_t{1} << 15;
   std::size_t changes = 0;
   std::size_t bytes = store.segments()->index_slab_bytes();
   for (std::size_t u = 0; u < kUsers; ++u) {
-    store.add_user("u" + std::to_string(u));
+    store.add_user();
     const std::size_t now = store.segments()->index_slab_bytes();
     changes += now != bytes ? 1 : 0;
     bytes = now;
@@ -329,7 +352,6 @@ TEST_F(PolicyStoreFixture, RegisteringUsersOneByOneGrowsTheIndexGeometrically) {
   EXPECT_LE(changes, 4u * 2 * 15);
   // Every registered user still appends.
   store.stage(static_cast<UserId>(kUsers - 1), donor.q());
-  store.flush_all();
   EXPECT_EQ(store.segments()->latest_version(kUsers - 1),
             std::optional<std::uint64_t>{2});
 }

@@ -33,9 +33,10 @@
 //     as a checksum mismatch) and by inspect / `coreda policy inspect`
 //     (exit 2), and nothing in the directory is created or rewritten;
 //   * a segment-backed PolicyStore serves the ServeEngine exactly like a
-//     memory-only one, restores after a restart, keeps its committed
-//     version through a crashed stage, and the engine refuses a store
-//     whose writer lanes do not match its slots.
+//     memory-only one, appends nothing for a drain with no retrain due and
+//     exactly one record per staged retrain, restores after a restart,
+//     keeps its committed version through a crashed stage, and the engine
+//     refuses a store whose writer lanes do not match its slots.
 
 #include "serve/segment_store.hpp"
 
@@ -51,6 +52,7 @@
 #include <vector>
 
 #include "adl/library.hpp"
+#include "serve/chaos.hpp"
 #include "serve/engine.hpp"
 #include "tools/cli_commands.hpp"
 #include "util/rng.hpp"
@@ -866,21 +868,19 @@ struct SegmentPolicyFixture : ::testing::Test {
     return dir;
   }
 
-  static PolicyStoreParams on_disk(const std::string& dir,
-                                   std::size_t flush_every,
-                                   std::size_t writers = 1) {
-    PolicyStoreParams params;
-    params.flush_every = flush_every;
-    params.segments.dir = dir;
-    params.segments.writers = writers;
+  static SegmentStoreParams on_disk(const std::string& dir,
+                                    std::size_t writers = 1) {
+    SegmentStoreParams params;
+    params.dir = dir;
+    params.writers = writers;
     return params;
   }
 };
 
 TEST_F(SegmentPolicyFixture, ServeEngineDrainsIdenticallyOverEitherBackend) {
   planning::RoutineLearner donor = trained();
-  PolicyStore memory_store(donor, PolicyStoreParams{2});
-  PolicyStore seg_store(donor, on_disk(fresh_dir("segments"), 2, 3));
+  PolicyStore memory_store(donor);
+  PolicyStore seg_store(donor, on_disk(fresh_dir("segments"), 3));
 
   ServeEngineParams engine_params;
   engine_params.pool.slots = 3;
@@ -889,11 +889,11 @@ TEST_F(SegmentPolicyFixture, ServeEngineDrainsIdenticallyOverEitherBackend) {
   ServeEngine seg_engine(library, library.tea_making(), seg_store,
                          engine_params);
   for (int u = 0; u < 9; ++u) {
-    const std::string name = "user" + std::to_string(u);
-    patient::PatientProfile profile =
-        patient::PatientProfile::with_severity(name, 0.1 * u / 9.0 + 0.2);
-    memory_engine.add_user(name, profile);
-    seg_engine.add_user(name, profile);
+    const patient::PatientProfile profile =
+        patient::PatientProfile::with_severity("user" + std::to_string(u),
+                                               0.1 * u / 9.0 + 0.2);
+    memory_engine.add_user(profile);
+    seg_engine.add_user(profile);
   }
   for (int round = 0; round < 4; ++round) {
     for (UserId u = 0; u < 9; ++u) {
@@ -909,18 +909,68 @@ TEST_F(SegmentPolicyFixture, ServeEngineDrainsIdenticallyOverEitherBackend) {
   EXPECT_EQ(memory_report.checksum, seg_report.checksum);
   EXPECT_EQ(memory_report.prompts, seg_report.prompts);
   EXPECT_EQ(memory_report.pool_hits, seg_report.pool_hits);
-  EXPECT_EQ(memory_report.staged_writes, seg_report.staged_writes);
-  EXPECT_EQ(memory_report.disk_writes, 0u);
-  EXPECT_EQ(seg_report.disk_writes, seg_store.segments()->appends());
-  EXPECT_GT(seg_report.disk_writes, 0u);
+  EXPECT_EQ(memory_report.retrain.jobs, seg_report.retrain.jobs);
+  // Only a staged retrain appends; sessions write nothing.
+  EXPECT_EQ(seg_store.segments()->appends(), seg_report.retrain.jobs);
   for (UserId u = 0; u < 9; ++u) {
     EXPECT_EQ(memory_store.version(u), seg_store.version(u)) << "user " << u;
   }
 }
 
+TEST_F(SegmentPolicyFixture, DrainWithNoRetrainDueAppendsNoRecord) {
+  planning::RoutineLearner donor = trained();
+  const std::string dir = fresh_dir("read_only");
+  PolicyStore store(donor, on_disk(dir, 2));
+  ServeEngineParams params;
+  params.pool.slots = 2;
+  ServeEngine engine(library, library.tea_making(), store, params);
+  for (int u = 0; u < 6; ++u) {
+    engine.add_user(patient::PatientProfile::with_severity("U", 0.2));
+  }
+  exec::TrialRunner runner(2);
+  ServeReport report;
+  for (int round = 0; round < 3; ++round) {
+    for (UserId u = 0; u < 6; ++u) engine.enqueue(u, 2);
+    report = engine.drain(runner);
+  }
+  EXPECT_EQ(report.sessions, 36u);
+  EXPECT_EQ(report.retrain.jobs, 0u);
+  EXPECT_EQ(store.segments()->appends(), 0u);
+  for (UserId u = 0; u < 6; ++u) EXPECT_EQ(store.version(u), 1u) << u;
+  store.flush_all();  // nothing is dirty, so nothing lands
+  EXPECT_EQ(SegmentStore::inspect(dir).records, 0u);
+}
+
+TEST_F(SegmentPolicyFixture, DrainAppendsOneRecordPerStagedRetrain) {
+  ChaosServeParams p;
+  p.users = 8;
+  p.drifted = 2;
+  p.slots = 2;
+  p.chaos_rounds = 0;
+  p.tail_rounds = 8;
+  p.dir = fresh_dir("retrain_appends");
+  ChaosServeSoak soak(p, faults::FaultPlan{});
+  exec::TrialRunner runner(2);
+  const ChaosServeResult result = soak.run(runner);
+  const PolicyStore& store = soak.engine().store();
+  const std::uint64_t jobs = result.report.retrain.jobs;
+  ASSERT_GE(jobs, 2u);
+  EXPECT_EQ(result.report.retrain.aborted, 0u);  // an empty plan
+  EXPECT_EQ(store.segments()->appends(), jobs);
+  std::uint64_t staged = 0;
+  for (UserId u = 0; u < p.users; ++u) {
+    staged += store.version(u) - 1;
+    EXPECT_EQ(store.segments()->latest_version(u).has_value(),
+              store.version(u) > 1)
+        << "user " << u;
+  }
+  EXPECT_EQ(staged, jobs);
+  EXPECT_EQ(result.reopen_mismatches, 0u);
+}
+
 TEST_F(SegmentPolicyFixture, ServeEngineRejectsAWriterCountOtherThanItsSlots) {
   planning::RoutineLearner donor = trained();
-  PolicyStore store(donor, on_disk(fresh_dir("writers"), 1, 2));
+  PolicyStore store(donor, on_disk(fresh_dir("writers"), 2));
   ServeEngineParams params;
   params.pool.slots = 3;
   const adl::Adl& tea = library.tea_making();
@@ -940,26 +990,26 @@ TEST_F(SegmentPolicyFixture, RestoreReadsTheNewestFlushedRecordAfterRestart) {
   rl::QTable staged_q = donor.q();
   staged_q.set(0, 0, 1234.5);
   {
-    PolicyStore store(donor, on_disk(dir, 1));
-    const UserId u = store.add_user("tanaka");
-    store.stage(u, donor.q());  // version 2, flushed immediately
+    PolicyStore store(donor, on_disk(dir));
+    const UserId u = store.add_user();
+    store.stage(u, donor.q());  // version 2, appended at once
     store.stage(u, staged_q);   // version 3, a one-row delta
   }
   planning::RoutineLearner same_donor = trained();
-  PolicyStore reader(same_donor, on_disk(dir, 1));
-  const UserId u = reader.add_user("tanaka");
+  PolicyStore reader(same_donor, on_disk(dir));
+  const UserId u = reader.add_user();
   EXPECT_EQ(reader.restore(u), std::optional<std::uint64_t>{3});
   EXPECT_TRUE(bit_equal(reader.q(u), staged_q));
   // An unknown user restores to nothing and keeps the reference table.
-  const UserId fresh = reader.add_user("nobody");
+  const UserId fresh = reader.add_user();
   EXPECT_EQ(reader.restore(fresh), std::nullopt);
   EXPECT_TRUE(bit_equal(reader.q(fresh), same_donor.q()));
 }
 
 TEST_F(SegmentPolicyFixture, CrashInjectedStageKeepsCommittedVersionReadable) {
   planning::RoutineLearner donor = trained();
-  PolicyStore store(donor, on_disk(fresh_dir("crash"), 1));
-  const UserId u = store.add_user("tanaka");
+  PolicyStore store(donor, on_disk(fresh_dir("crash")));
+  const UserId u = store.add_user();
   store.stage(u, donor.q());  // version 2 committed
   SegmentStore& segments = *store.segments();
   ASSERT_EQ(segments.latest_version(u), std::optional<std::uint64_t>{2});
@@ -975,7 +1025,7 @@ TEST_F(SegmentPolicyFixture, CrashInjectedStageKeepsCommittedVersionReadable) {
   segments.pre_publish_site().set_hook(nullptr);
   store.flush(u);
   EXPECT_EQ(segments.latest_version(u), std::optional<std::uint64_t>{3});
-  EXPECT_EQ(store.disk_writes(), 2u);  // the crashed attempt cost no wear
+  EXPECT_EQ(segments.appends(), 2u);  // the crashed attempt published none
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Pins the multi-tenant serving allocation contract: once the pool is
 // warm, a full serve — checkout, policy import (every serve is a swap
-// here), run_session_inplace, and the write-back into the PolicyStore —
-// touches the heap zero times. This is what PR 3's per-system guarantee
-// (tests/core/session_alloc_test.cpp) buys the serving tier: tenancy
-// churn adds Q-table copies, and same-shape QTable assignment must reuse
-// capacity rather than reallocate.
+// here) and run_session_inplace — touches the heap zero times. This is
+// what the per-system guarantee (tests/core/session_alloc_test.cpp) buys
+// the serving tier: tenancy churn adds Q-table copies, and same-shape
+// QTable assignment must reuse capacity rather than reallocate.
 //
 // alloc_counter.hpp replaces the global allocation functions of this whole
 // test binary; it must stay included in exactly one TU of test_serve.
@@ -33,13 +32,13 @@ TEST(ServeAllocTest, ServeWithPolicySwapIsAllocationFreeAtSteadyState) {
                                          T::kKettle, T::kTeaCup};
   for (int i = 0; i < 80; ++i) donor.train_episode(routine);
 
-  PolicyStore store(donor);  // memory-only: stage() must not allocate
+  PolicyStore store(donor);  // memory-only
   SystemPoolParams params;
   params.slots = 1;
   params.seed = 99;
   SystemPool pool(store, params, library, tea);
-  store.add_user("A");
-  store.add_user("B");
+  store.add_user();
+  store.add_user();
 
   // Same scripted session as the core allocation test: a correct step, a
   // freeze, and a wrong tool, with the minimal prompt always ignored so
@@ -57,11 +56,11 @@ TEST(ServeAllocTest, ServeWithPolicySwapIsAllocationFreeAtSteadyState) {
       };
 
   // Alternating tenants on one slot: the resident never matches, so every
-  // single serve takes the expensive path (import + write-back).
+  // single serve takes the expensive path (import + session).
   core::SessionResult result;
   for (int i = 0; i < 16; ++i) {
-    pool.serve_session(static_cast<UserId>(i % 2), profile,
-                       sim::Duration::minutes(15.0), script, result);
+    pool.serve_session(static_cast<UserId>(i % 2), profile, script,
+                       result);
   }
   ASSERT_TRUE(result.completed);
   ASSERT_EQ(pool.hits(), 0u);
@@ -69,8 +68,8 @@ TEST(ServeAllocTest, ServeWithPolicySwapIsAllocationFreeAtSteadyState) {
 
   const std::uint64_t before = util::allocation_count();
   for (int i = 0; i < 64; ++i) {
-    pool.serve_session(static_cast<UserId>(i % 2), profile,
-                       sim::Duration::minutes(15.0), script, result);
+    pool.serve_session(static_cast<UserId>(i % 2), profile, script,
+                       result);
   }
   EXPECT_EQ(util::allocation_count() - before, 0u);
   EXPECT_TRUE(result.completed);
@@ -93,7 +92,7 @@ TEST(ServeAllocTest, TranscriptRecordingAndRetrainAreAllocationFreeWarm) {
   PolicyStore store(donor);  // memory-only: stage() must not allocate
   RetrainScheduler scheduler(tea, store, planning::LearnerConfig{},
                              /*slots=*/1);
-  store.add_user("A");
+  store.add_user();
   scheduler.add_user();
 
   for (std::size_t i = 0; i < kTranscriptRingCapacity; ++i) {

@@ -1,5 +1,5 @@
 // SystemPool: checkout/residency accounting, policy import on swap,
-// write-back versioning, and static user->slot sharding.
+// read-only sessions (no version moves), and static user->slot sharding.
 
 #include "serve/system_pool.hpp"
 
@@ -35,7 +35,7 @@ TEST_F(SystemPoolFixture, ServesTenTimesMoreUsersThanSlots) {
   params.slots = 2;
   SystemPool pool(store, params, library, library.tea_making());
   for (int u = 0; u < 20; ++u) {
-    store.add_user("U" + std::to_string(u));
+    store.add_user();
   }
 
   const patient::PatientProfile profile = mild();
@@ -43,8 +43,7 @@ TEST_F(SystemPoolFixture, ServesTenTimesMoreUsersThanSlots) {
   std::uint64_t completed = 0;
   for (int round = 0; round < 2; ++round) {
     for (UserId u = 0; u < 20; ++u) {
-      pool.serve_session(u, profile, sim::Duration::minutes(15.0), {},
-                         result);
+      pool.serve_session(u, profile, {}, result);
       completed += result.completed;
     }
   }
@@ -53,7 +52,9 @@ TEST_F(SystemPoolFixture, ServesTenTimesMoreUsersThanSlots) {
   // Round-robin across 10 tenants per slot: the resident never matches.
   EXPECT_EQ(pool.swaps(), 40u);
   EXPECT_GT(completed, 35u);  // converged policy: nearly all complete
-  EXPECT_EQ(store.staged_writes(), 40u);  // every serve wrote back
+  for (UserId u = 0; u < 20; ++u) {
+    EXPECT_EQ(store.version(u), 1u) << "user " << u;  // sessions write nothing
+  }
 }
 
 TEST_F(SystemPoolFixture, ResidencySkipsTheImport) {
@@ -62,21 +63,21 @@ TEST_F(SystemPoolFixture, ResidencySkipsTheImport) {
   SystemPoolParams params;
   params.slots = 2;
   SystemPool pool(store, params, library, library.tea_making());
-  const UserId a = store.add_user("a");  // slot 0
-  const UserId b = store.add_user("b");  // slot 1
-  const UserId c = store.add_user("c");  // slot 0 again
+  const UserId a = store.add_user();  // slot 0
+  const UserId b = store.add_user();  // slot 1
+  const UserId c = store.add_user();  // slot 0 again
 
   const patient::PatientProfile profile = mild();
   core::SessionResult result;
-  pool.serve_session(a, profile, sim::Duration::minutes(15.0), {}, result);
-  pool.serve_session(a, profile, sim::Duration::minutes(15.0), {}, result);
-  pool.serve_session(b, profile, sim::Duration::minutes(15.0), {}, result);
+  pool.serve_session(a, profile, {}, result);
+  pool.serve_session(a, profile, {}, result);
+  pool.serve_session(b, profile, {}, result);
   EXPECT_EQ(pool.swaps(), 2u);  // a's first serve + b's first serve
   EXPECT_EQ(pool.hits(), 1u);   // a's burst stayed resident
   EXPECT_EQ(pool.resident(0), a);
   EXPECT_EQ(pool.resident(1), b);
 
-  pool.serve_session(c, profile, sim::Duration::minutes(15.0), {}, result);
+  pool.serve_session(c, profile, {}, result);
   EXPECT_EQ(pool.resident(0), c);  // c evicted a from their shared slot
   EXPECT_EQ(pool.swaps(), 3u);
   EXPECT_EQ(pool.slot_sessions(0), 3u);
@@ -93,24 +94,22 @@ TEST_F(SystemPoolFixture, SwapImportsTheUsersLatestTable) {
   // User "blank" carries an untrained table, user "expert" the donor's:
   // after serving each, the slot learner must hold exactly that table.
   planning::RoutineLearner blank(library.tea_making(), util::Rng(1));
-  const UserId expert = store.add_user("expert", donor.q());
-  const UserId untrained = store.add_user("blank", blank.q());
+  const UserId expert = store.add_user(donor.q());
+  const UserId untrained = store.add_user(blank.q());
 
   const patient::PatientProfile profile = mild();
   core::SessionResult result;
-  pool.serve_session(expert, profile, sim::Duration::minutes(15.0), {},
-                     result);
+  pool.serve_session(expert, profile, {}, result);
   EXPECT_DOUBLE_EQ(pool.system(0).learner().greedy_accuracy(), 1.0);
 
-  pool.serve_session(untrained, profile, sim::Duration::minutes(15.0), {},
-                     result);
+  pool.serve_session(untrained, profile, {}, result);
   // The untrained table predicts no better than chance; its greedy
   // accuracy over the optimistic-init table is well below converged.
   EXPECT_LT(pool.system(0).learner().greedy_accuracy(), 1.0);
 
-  // And the write-back bumped both versions past their initial 1.
-  EXPECT_EQ(store.version(expert), 2u);
-  EXPECT_EQ(store.version(untrained), 2u);
+  // Serving wrote nothing back: both versions stay at their initial 1.
+  EXPECT_EQ(store.version(expert), 1u);
+  EXPECT_EQ(store.version(untrained), 1u);
 }
 
 TEST_F(SystemPoolFixture, ShardingIsStatic) {

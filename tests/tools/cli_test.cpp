@@ -465,6 +465,36 @@ TEST(CliTest, FaultsRejectNegativeCounts) {
   EXPECT_NE(tail.err.find("error: flag --tail-rounds"), std::string::npos);
 }
 
+TEST(CliTest, RetrainRefusesACountPastItsBound) {
+  // One past each bound: refused before any user or slot is built.
+  for (const char* flag : {"--users=10001", "--slots=65", "--drifted=10001",
+                           "--rounds=1001", "--burst=101"}) {
+    const CliResult r = run({"retrain", flag});
+    EXPECT_EQ(r.code, 1) << flag;
+    const std::string name(flag, std::string(flag).find('='));
+    EXPECT_NE(r.err.find("error: flag " + name + " expects a count <= "),
+              std::string::npos)
+        << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+  }
+}
+
+TEST(CliTest, FaultsReplayRefusesACountPastItsBound) {
+  const std::string dir = ::testing::TempDir() + "/cli_replay_bound";
+  std::filesystem::remove_all(dir);
+  for (const char* flag : {"--users=10001", "--active=10001",
+                           "--rounds=1001", "--tail-rounds=1001"}) {
+    const CliResult r = run({"faults", "replay", flag, "--dir=" + dir});
+    EXPECT_EQ(r.code, 1) << flag;
+    const std::string name(flag, std::string(flag).find('='));
+    EXPECT_NE(r.err.find("error: flag " + name + " expects a count <= "),
+              std::string::npos)
+        << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+    EXPECT_FALSE(std::filesystem::exists(dir)) << flag;  // no store built
+  }
+}
+
 TEST(CliTest, FaultsRequiresASubcommand) {
   const CliResult r = run({"faults"});
   EXPECT_EQ(r.code, 1);

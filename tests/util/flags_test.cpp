@@ -64,6 +64,21 @@ TEST(FlagsTest, CountsRejectNegativesInsteadOfWrapping) {
   EXPECT_THROW(f.get_count("bad", 0), std::invalid_argument);
 }
 
+TEST(FlagsTest, BoundedCountsRefuseValuesPastTheirMax) {
+  const Flags f = Flags::parse({"cmd", "--n=100", "--big=101", "--neg=-1",
+                                "--huge=18446744073709551615"});
+  EXPECT_EQ(f.get_count("n", 9, 100), 100u);  // the bound is inclusive
+  EXPECT_EQ(f.get_count("missing", 9, 100), 9u);
+  try {
+    (void)f.get_count("big", 9, 100);
+    ADD_FAILURE() << "--big=101 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flag --big expects a count <= 100, got '101'");
+  }
+  EXPECT_THROW(f.get_count("neg", 0, 100), std::invalid_argument);
+  EXPECT_THROW(f.get_count("huge", 0, 100), std::invalid_argument);
+}
+
 TEST(FlagsTest, BoolSpellings) {
   const Flags f = Flags::parse(
       {"cmd", "--a=true", "--b=false", "--c=1", "--d=no", "--e=maybe"});

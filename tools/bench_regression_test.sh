@@ -97,8 +97,9 @@ python3 tools/check_bench_regression.py \
 # Chaos soak: both serving tiers under the standard fault plan. The gate
 # here is correctness-first: invariant_violations and
 # committed_versions_lost are exact counters (0 in the baseline, never
-# hardware-downgraded), recovered_users is an exact floor, and the
-# steady-state allocation contract must survive the fault window closing.
+# hardware-downgraded), recovered_users is an exact floor, the injection,
+# drop and retrain counts must equal the baseline, and the steady-state
+# allocation contract must survive the fault window closing.
 FRESH="$BUILD_DIR/BENCH_chaos.fresh.json"
 : > "$FRESH"
 "$BUILD_DIR/bench/bench_chaos_soak" --jobs=1 \

@@ -12,7 +12,11 @@ EQUALITY gates — behavioural counters of the scenario corpus
 residency, the order-independent checksum, ...). The runner's contract
 makes them pure functions of the committed .scenario file, so fresh must
 equal baseline EXACTLY, in both directions, at every job count — a drift
-of 1 in either direction is a behaviour change:
+of 1 in either direction is a behaviour change. The other benches' recorded
+work counters get the same gate, each scoped to the bench records that
+carry it (COUNTER_EQUALITIES): the chaos soaks' injection and retrain
+counts, the retrain bench's jobs and episodes, the serve benches' policy
+swaps and the fleet-serve benches' cold-start record counts.
 
 EXACT gates — deterministic functions of the workload shape and the build,
 identical on any machine. These are NEVER downgraded to warnings on a
@@ -91,6 +95,33 @@ EXACT_EQUALITIES = {
     "checksum": "some session's outcome changed (order-independent "
                 "digest over every per-session counter)",
 }
+
+# Recorded work counters of the other benches, deterministic at any --jobs:
+# bench name (a trailing "*" matches every bench with that prefix) ->
+# counters that must equal baseline exactly, in both directions.
+COUNTER_EQUALITIES = {
+    "chaos_fleet": ("injected_crashes", "injected_corruptions",
+                    "dropped_sessions", "crashed_appends",
+                    "radio_lost_frames"),
+    "chaos_serve": ("retrain_jobs", "aborted_retrains"),
+    "retrain_recovery": ("retrain_jobs", "retrain_episodes"),
+    "serve_throughput*": ("policy_swaps",),
+    "fleet_serve*": ("cold_start_records",),
+}
+
+
+def equality_gates(bench):
+    """(metric, reason) pairs gated for equality on `bench`'s records."""
+    if bench.startswith("scenario/"):
+        return list(EXACT_EQUALITIES.items())
+    gates = []
+    for pattern, counters in COUNTER_EQUALITIES.items():
+        if (bench == pattern or (pattern.endswith("*") and
+                                 bench.startswith(pattern[:-1]))):
+            gates += [(metric, "a deterministic work counter moved — the "
+                               "bench's behaviour changed")
+                      for metric in counters]
+    return gates
 
 # --- Exact gates: never hardware-downgraded --------------------------------
 # metric -> (epsilon, reason). Fresh value must be <= baseline + epsilon.
@@ -223,22 +254,21 @@ def main():
                 warnings.append(message +
                                 " [hardware mismatch: warning only]")
 
-        # --- Equality gates (scenario corpus only, never downgraded) ---
-        # Scoped by bench name: other benches reuse key names like
-        # "sessions" for shape parameters that are not equality contracts.
-        if bench.startswith("scenario/"):
-            for metric, reason in EXACT_EQUALITIES.items():
-                if metric not in base:
-                    continue
-                got_v = got.get(metric)
-                if got_v is None:
-                    failures.append(
-                        f"{label}: {metric} missing from fresh run "
-                        f"(baseline {base[metric]})")
-                elif got_v != base[metric]:
-                    failures.append(
-                        f"{label}: {metric} {got_v} != baseline "
-                        f"{base[metric]} — {reason}")
+        # --- Equality gates (never downgraded) ------------------------
+        # Scoped by bench name: benches reuse key names like "sessions"
+        # for shape parameters that are not equality contracts.
+        for metric, reason in equality_gates(bench):
+            if metric not in base:
+                continue
+            got_v = got.get(metric)
+            if got_v is None:
+                failures.append(
+                    f"{label}: {metric} missing from fresh run "
+                    f"(baseline {base[metric]})")
+            elif got_v != base[metric]:
+                failures.append(
+                    f"{label}: {metric} {got_v} != baseline "
+                    f"{base[metric]} — {reason}")
 
         # --- Exact gates (never downgraded) ----------------------------
         for metric, (epsilon, reason) in EXACT_CEILINGS.items():

@@ -35,7 +35,7 @@ commands:
   prompt    --adl=<name> --policy=<store dir> [--prev=<uid>] [--cur=<uid>]
                               next-step prompt from a stored policy
   policy inspect --in=<store dir>
-                              summarize a policy store (its tables,
+                              summarize a policy store (its table,
                               records, chain shape, corruption) without
                               loading it
   faults plan    [--seed=1] [--rounds=6] [--out=<file>]
@@ -66,6 +66,15 @@ commands:
                               multi-ADL sessions with activity recognition
   help                         this message
 )";
+
+// Upper bounds of the soak commands' count flags. Users, slots and bursts
+// size per-user transcript rings and tables or per-slot deployments, and
+// rounds multiply the work, so a value past these is refused before
+// anything is built. Users and rounds take sim::ScenarioPlan's bounds.
+constexpr std::size_t kMaxSoakUsers = sim::ScenarioPlan::kMaxUsers;
+constexpr std::size_t kMaxSoakRounds = sim::ScenarioPlan::kMaxRounds;
+constexpr std::size_t kMaxSoakSlots = 64;
+constexpr std::size_t kMaxSoakBurst = 100;
 
 patient::PatientProfile profile_from(const util::Flags& flags) {
   patient::PatientProfile profile = patient::PatientProfile::with_severity(
@@ -160,13 +169,10 @@ int cmd_train(const util::Flags& flags, std::ostream& out,
 
   // A one-user store: the trained table lands as user 0's next version, so
   // re-training into an existing store keeps its versions monotonic.
-  serve::PolicyStoreParams params;
-  params.segments.dir = out_dir;
-  serve::PolicyStore store(learner, params);
-  const serve::UserId user = store.add_user("resident");
+  serve::PolicyStore store(learner, serve::SegmentStoreParams{.dir = out_dir});
+  const serve::UserId user = store.add_user();
   store.restore(user);
   store.stage(user, learner.q());
-  store.flush(user);
   out << "Trained " << adl.name() << " on " << episodes
       << " sensed episodes (policy accuracy "
       << util::format_percent(learner.greedy_accuracy()) << "); saved to "
@@ -193,10 +199,9 @@ int cmd_prompt(const util::Flags& flags, std::ostream& out,
   }
   planning::RoutineLearner learner(adl, util::Rng(1));
   {
-    serve::PolicyStoreParams params;
-    params.segments.dir = store_dir;
-    serve::PolicyStore store(learner, params);
-    const serve::UserId user = store.add_user("resident");
+    serve::PolicyStore store(learner,
+                             serve::SegmentStoreParams{.dir = store_dir});
+    const serve::UserId user = store.add_user();
     if (!store.restore(user)) {
       err << "prompt: '" << store_dir << "' holds no policy for user 0\n";
       return 2;
@@ -298,10 +303,10 @@ int cmd_faults_plan(const util::Flags& flags, std::ostream& out,
 int cmd_faults_replay(const util::Flags& flags, std::ostream& out,
                       std::ostream& err) {
   serve::ChaosFleetParams p;
-  p.users = flags.get_count("users", 96);
-  p.active = flags.get_count("active", 48);
-  p.chaos_rounds = flags.get_count("rounds", 4);
-  p.tail_rounds = flags.get_count("tail-rounds", 1);
+  p.users = flags.get_count("users", 96, kMaxSoakUsers);
+  p.active = flags.get_count("active", 48, kMaxSoakUsers);
+  p.chaos_rounds = flags.get_count("rounds", 4, kMaxSoakRounds);
+  p.tail_rounds = flags.get_count("tail-rounds", 1, kMaxSoakRounds);
   p.dir = flags.get("dir");
   if (p.dir.empty()) {
     p.dir = (std::filesystem::temp_directory_path() / "coreda_faults_replay")
@@ -529,12 +534,12 @@ int cmd_report(const util::Flags& flags, std::ostream& out) {
 int cmd_retrain(const util::Flags& flags, std::ostream& out,
                 std::ostream& err) {
   serve::ChaosServeParams params;
-  params.users = flags.get_count("users", 12);
-  params.slots = flags.get_count("slots", 3);
-  params.drifted = flags.get_count("drifted", 3);
-  params.tail_rounds = flags.get_count("rounds", 8);
+  params.users = flags.get_count("users", 12, kMaxSoakUsers);
+  params.slots = flags.get_count("slots", 3, kMaxSoakSlots);
+  params.drifted = flags.get_count("drifted", 3, kMaxSoakUsers);
+  params.tail_rounds = flags.get_count("rounds", 8, kMaxSoakRounds);
   params.chaos_rounds = 0;
-  params.burst = flags.get_count("burst", 2);
+  params.burst = flags.get_count("burst", 2, kMaxSoakBurst);
   params.threshold = flags.get_double("threshold", 2.5);
   if (params.users == 0 || params.drifted > params.users) {
     err << "retrain: need --users >= 1 and --drifted <= --users\n";

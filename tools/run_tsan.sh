@@ -53,8 +53,8 @@ esac
 # concurrent trials.
 "$BUILD_DIR"/bench/bench_session_throughput --users=8 --sessions=5 --jobs=4 \
   > /dev/null
-# The serve bench adds the multi-tenant edges on top: pool workers write
-# back Q-tables into a shared PolicyStore and bump shared-looking counters.
+# The serve bench adds the multi-tenant edges on top: pool workers import
+# Q-tables from a shared PolicyStore and bump shared-looking counters.
 # (Its store is memory-only; the chaos soak below covers the segment-backed
 # PolicyStore, whose writer lanes match the pool slots.)
 # Correctness rests on disjoint ownership (each user belongs to exactly one
@@ -143,12 +143,12 @@ esac
 # copied the donor's recognizer and planners at set-up).
 "$BUILD_DIR"/bench/bench_scenario_corpus --jobs=4 > /dev/null
 # A durable one-table pool on concurrent writer lanes: the chaos soak's
-# drift loop at 1, 2 and 4 jobs, each slot trial serving and retraining its
-# users and staging their tables into its own lane of a segment-backed
-# PolicyStore, and the test requires every run to match the digests of the
-# older two-phase drain. The run fails if the filter selects no test.
+# drift loop at 1, 2 and 4 jobs, each slot trial serving its users
+# read-only, then retraining its due ones and staging their tables into its
+# own lane of a segment-backed PolicyStore, and the test requires every run
+# to match one pinned digest. The run fails if the filter selects no test.
 pool_out=$("$BUILD_DIR"/tests/test_serve \
-  --gtest_filter='DrainStageDigest.ChaosSoakMatchesTheTwoPhaseDrain')
+  --gtest_filter='DrainStageDigest.ChaosSoakIsPinnedAtAnyJobCount')
 case "$pool_out" in
   *"[  PASSED  ] 1 test."*) echo "TSan durable pool run passed" ;;
   *)
